@@ -15,12 +15,15 @@
    Per configuration it sweeps write contention — a writer thread issues
    W concurrent writes while the reader runs E17_READS reads — and
    reports rounds-per-read (from the automaton-reported outcome.rounds),
-   the op.fast_reads / op.fallback_rounds counter pair, read p50/p99,
-   and full safety/regularity checking of the recorded history.
+   the op.fast_reads / op.fallback_rounds counter pair, the Read2
+   requests the client sent per read (wire.read.r2.req.sent), read
+   p50/p99, and full safety/regularity checking of the recorded history.
 
    Expected shape: rounds_per_read = 2.000 exactly at S = 2t+b+1 at
    every contention level (the gate never opens), ~1.0 at S = 2t+2b+1
    under low contention, drifting toward 2 only as fallbacks appear.
+   Read2 requests per read are S at S = 2t+b+1 and 0 for the
+   uncontended S = 2t+2b+1 cell: a decided read sends no round 2.
    Violations must be 0 everywhere — the fast path is opportunistic,
    never speculative.
 
@@ -90,6 +93,12 @@ let run_cell ~transport ~cfg ~reads ~writes =
     (fun () ->
       let _ = ok_exn "initial write" (Net.Cluster.write cluster (Core.Value.v "e17.v0")) in
       let _ = ok_exn "warm read" (Net.Cluster.read cluster ~reader:1) in
+      let read2_sent () =
+        Obs.Metrics.counter_value
+          (Option.get (Net.Cluster.metrics cluster))
+          "wire.read.r2.req.sent"
+      in
+      let read2_before = read2_sent () in
       let writer =
         if writes = 0 then None
         else
@@ -123,6 +132,9 @@ let run_cell ~transport ~cfg ~reads ~writes =
         if o.Net.Client.rounds > !max_rounds then max_rounds := o.Net.Client.rounds
       done;
       (match writer with Some th -> Thread.join th | None -> ());
+      let read2_per_read =
+        float_of_int (read2_sent () - read2_before) /. float_of_int reads
+      in
       let history = Net.Cluster.history cluster in
       let violations =
         (if Histories.Checks.is_safe ~equal:String.equal history then 0 else 1)
@@ -138,6 +150,7 @@ let run_cell ~transport ~cfg ~reads ~writes =
         Obs.Metrics.counter_value reg "op.fallback_rounds",
         quantile_or_zero lat 50.,
         quantile_or_zero lat 99.,
+        read2_per_read,
         violations ))
 
 let run () =
@@ -162,6 +175,7 @@ let run () =
     transport_name t b reads;
   (* (fast-config uncontended rpr, slow-config worst min/max rounds) *)
   let fast_uncontended_rpr = ref nan in
+  let fast_uncontended_read2 = ref nan in
   let slow_all_two = ref true in
   let total_violations = ref 0 in
   List.iteri
@@ -173,37 +187,44 @@ let run () =
         admissible;
       List.iteri
         (fun li writes ->
-          let rpr, rmin, rmax, fast, fallback, p50, p99, violations =
+          let rpr, rmin, rmax, fast, fallback, p50, p99, r2pr, violations =
             run_cell ~transport ~cfg ~reads ~writes
           in
           total_violations := !total_violations + violations;
-          if admissible && writes = 0 then fast_uncontended_rpr := rpr;
+          if admissible && writes = 0 then begin
+            fast_uncontended_rpr := rpr;
+            fast_uncontended_read2 := r2pr
+          end;
           if (not admissible) && (rmin <> 2 || rmax <> 2) then
             slow_all_two := false;
           Exp_common.note
             "  S=%d writes=%-3d rounds/read=%.3f (min=%d max=%d) fast=%d \
-             fallback=%d  p50=%.0fus p99=%.0fus  violations=%d"
-            s writes rpr rmin rmax fast fallback p50 p99 violations;
+             fallback=%d  read2/read=%.3f  p50=%.0fus p99=%.0fus  \
+             violations=%d"
+            s writes rpr rmin rmax fast fallback r2pr p50 p99 violations;
           Printf.bprintf buf
             "        { \"concurrent_writes\": %d, \"reads\": %d,\n\
             \          \"rounds_per_read\": %.3f, \"min_rounds\": %d, \
              \"max_rounds\": %d,\n\
             \          \"fast_reads\": %d, \"fallback_rounds\": %d,\n\
+            \          \"read_r2_reqs_per_read\": %.3f,\n\
             \          \"read_p50_us\": %.0f, \"read_p99_us\": %.0f, \
              \"violations\": %d }%s\n"
-            writes reads rpr rmin rmax fast fallback p50 p99 violations
+            writes reads rpr rmin rmax fast fallback r2pr p50 p99 violations
             (if li = List.length levels - 1 then "" else ","))
         levels;
       Printf.bprintf buf "      ] }%s\n"
         (if si = 1 then "" else ","))
     [ s_slow; s_fast ];
   (* CI-grepable verdicts: the fast config must average strictly under 2
-     rounds uncontended (in practice ~1.0), the slow config must never
-     leave 2, and no history may violate safety or regularity. *)
+     rounds uncontended (in practice ~1.0) and put no Read2 on the wire
+     there, the slow config must never leave 2, and no history may
+     violate safety or regularity. *)
   Printf.bprintf buf
-    "  ],\n  \"fast_engaged\": %b,\n  \"slow_always_two_rounds\": %b,\n  \
-     \"total_violations\": %d\n}\n"
+    "  ],\n  \"fast_engaged\": %b,\n  \"fast_reads_one_round_on_wire\": %b,\n  \
+     \"slow_always_two_rounds\": %b,\n  \"total_violations\": %d\n}\n"
     (!fast_uncontended_rpr < 2.0)
+    (!fast_uncontended_read2 = 0.0)
     !slow_all_two !total_violations;
   Obs.Export.write_file ~path:out (Buffer.contents buf);
   Exp_common.note "wrote %s" out

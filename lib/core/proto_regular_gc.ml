@@ -47,14 +47,27 @@ end) : Protocol_intf.S with type msg = Messages.t = struct
 
   let reader_on_reconnect = Regular_reader.on_reconnect
 
+  (* A read that decided on round-1 evidence stops there: the Read2 the
+     automaton emits next to the decision is dropped.  It would carry the
+     same from_ts as the Read1 just sent (the cache moves only with the
+     decision), so it advances no GC floor; all it changes at an object
+     is tsr[j], from ts_fr+1 to ts_fr, and reader j's later reads compare
+     tsr[j] only against bounds >= ts_fr+2.  Below the fast bound a
+     decision never comes with a broadcast, so this filter is inert. *)
   let reader_on_msg r ~obj msg =
     let r, events = Regular_reader.on_message r ~obj msg in
+    let decided =
+      List.exists
+        (function Regular_reader.Return _ -> true | Broadcast _ -> false)
+        events
+    in
     let events =
-      List.map
+      List.filter_map
         (function
-          | Regular_reader.Broadcast m -> Events.Broadcast m
+          | Regular_reader.Broadcast _ when decided -> None
+          | Regular_reader.Broadcast m -> Some (Events.Broadcast m)
           | Regular_reader.Return { value; rounds } ->
-              Events.Read_done { value; rounds })
+              Some (Events.Read_done { value; rounds }))
         events
     in
     (r, events)

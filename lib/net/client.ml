@@ -375,10 +375,9 @@ let connect ?metrics ?(opts = default_opts) ?now_us ~protocol ~cfg ~role
                   (* Distinguish the one-round fast path from the
                      two-round fallback in traces.  [rounds] is what the
                      automaton REPORTED at decision time — span.rounds
-                     counts initiated rounds and is 2 even for a fast
-                     read, because the fast path still broadcasts Read2
-                     (Fig. 6: the round-2 write-back keeps object state
-                     and GC floors advancing). *)
+                     counts initiated rounds, which can exceed it for
+                     protocols that broadcast Read2 next to a round-1
+                     decision (Fig. 6's plain regular reader). *)
                   match kind with
                   | Obs.Span.Read _ ->
                       Obs.Metrics.incr reg
@@ -690,8 +689,8 @@ module Mux = struct
       else -1
     in
     (* [rounds] is the automaton-reported count (outcome.rounds), not
-       span.rounds: the fast path still broadcasts Read2, so the span
-       records 2 initiated rounds even for a 1-round decision. *)
+       span.rounds: a protocol that broadcasts Read2 next to a round-1
+       decision records 2 initiated rounds for a 1-round read. *)
     let op_metrics span ~rounds now =
       match metrics with
       | None -> ()

@@ -6,6 +6,10 @@ module ER = Mc.Explorer.Make (Core.Proto_regular.Plain)
 module EF = Mc.Explorer.Make (Baseline.Naive_fast)
 module EA = Mc.Explorer.Make (Baseline.Abd.Regular)
 
+module EG = Mc.Explorer.Make (Core.Proto_regular_gc.Make (struct
+  let readers = 1
+end))
+
 let cfg_core = Quorum.Config.optimal ~t:1 ~b:1
 
 let forge_naive : EF.pure_byz =
@@ -182,6 +186,26 @@ let test_regular_read_only_exhaustive () =
   Alcotest.(check bool) "exhaustive" false r.truncated;
   Alcotest.(check int) "no violations" 0 (List.length r.violations)
 
+let test_regular_gc_fast_reads_byz_bounded () =
+  (* S = 2t+2b+1, so reads may decide on round 1 and then send no Read2:
+     the second read runs against objects that never saw the first
+     read's round 2, concurrently with a write, while object 1 forges a
+     <9, "ghost"> entry into every history it returns. *)
+  let r =
+    EG.check ~max_states:60_000 ~property:`Regular
+      {
+        EG.cfg = Quorum.Config.make_exn ~s:5 ~t:1 ~b:1;
+        writes = [ Core.Value.v "a" ];
+        reads = [ (1, 2) ];
+        sequential = false;
+        byz = [ (1, { EG.rewrite = Suite_random_walks.corrupt_history_acks }) ];
+        crashed = [];
+      }
+  in
+  Alcotest.(check bool) "reached terminal states" true (r.terminals > 0);
+  Alcotest.(check int) "no violations (incl. wait-freedom)" 0
+    (List.length r.violations)
+
 let test_wait_freedom_detects_stuck_protocols () =
   (* Crash one more object than the budget allows: the quorum can never
      form, reads hang, and the checker must report it. *)
@@ -220,4 +244,6 @@ let suite =
         test_regular_sequential_write_read_bounded;
       Alcotest.test_case "wait-freedom detector" `Quick
         test_wait_freedom_detects_stuck_protocols;
+      Alcotest.test_case "regular-gc fast reads + byz bounded" `Quick
+        test_regular_gc_fast_reads_byz_bounded;
     ] )

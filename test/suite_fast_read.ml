@@ -4,13 +4,16 @@
    Four layers:
 
    - golden spans for regular-gc at S = 2t+2b+1 pin the fast path's
-     shape byte-for-byte: every read reports 1 round while still
-     initiating the round-2 write-back (span.rounds = 2), so the GC
-     floors keep advancing;
+     shape byte-for-byte: every read reports 1 round and initiates only
+     1 (span.rounds = 1).  No Read2 follows a decision: it would carry
+     the same from_ts as the Read1 before it, so it could not advance a
+     GC floor — the next read's Read1 does that;
    - sim <-> net conformance: the same sequential workload through the
      simulator and a loopback cluster yields identical (value,
      reported-rounds) sequences — 1 round at S = 2t+2b+1, exactly 2 at
-     S = 2t+b+1 where Proposition 1 forbids fast reads;
+     S = 2t+b+1 where Proposition 1 forbids fast reads — and on the wire
+     the fast reads send no Read2 at all while the slow ones send one
+     per object;
    - qcheck properties for the suffix-history optimization: pruned
      replies round-trip bit-exactly through the wire codec, truncation
      never raises, and suffix(from_ts) + the pruned prefix always
@@ -79,12 +82,11 @@ let test_golden_span_shape () =
   Alcotest.(check bool) "workload has reads" true (reads <> []);
   List.iter
     (fun s ->
-      (* the decision lands on round-1 evidence... *)
+      (* the decision lands on round-1 evidence, and no round 2 is
+         initiated after it *)
       Alcotest.(check (option int)) "read reports one round" (Some 1)
         s.Obs.Span.reported_rounds;
-      (* ...but the round-2 write-back is still initiated (Fig. 6), so
-         the GC floor keeps advancing. *)
-      Alcotest.(check int) "read still initiates round 2" 2 s.Obs.Span.rounds)
+      Alcotest.(check int) "read initiates one round" 1 s.Obs.Span.rounds)
     reads;
   List.iter
     (fun s ->
@@ -112,6 +114,8 @@ let sim_read_pairs cfg =
       | Core.Schedule.Write _ -> None)
     rep.outcomes
 
+(* Returns the (value, reported rounds) pairs and the number of Read2
+   requests the reader's client put on the wire. *)
 let net_read_pairs cfg =
   let c =
     Net.Cluster.start ~metrics:true
@@ -140,25 +144,34 @@ let net_read_pairs cfg =
         (Histories.Checks.is_safe ~equal (Net.Cluster.history c));
       Alcotest.(check bool) "live history regular" true
         (Histories.Checks.is_regular ~equal (Net.Cluster.history c));
-      List.rev !pairs)
+      let r2_sent =
+        match Net.Cluster.metrics c with
+        | None -> Alcotest.fail "metrics registry missing"
+        | Some m -> Obs.Metrics.counter_value m "wire.read.r2.req.sent"
+      in
+      (List.rev !pairs, r2_sent))
 
 let pair_list = Alcotest.(list (pair string int))
 
 let conformance_at_fast_bound () =
-  let sim = sim_read_pairs cfg_fast and net = net_read_pairs cfg_fast in
+  let sim = sim_read_pairs cfg_fast and net, r2_sent = net_read_pairs cfg_fast in
   Alcotest.(check pair_list)
     "identical values and reported rounds at S=2t+2b+1"
     [ ("v1", 1); ("v2", 1); ("v3", 1) ]
     sim;
-  Alcotest.(check pair_list) "net conforms to sim" sim net
+  Alcotest.(check pair_list) "net conforms to sim" sim net;
+  Alcotest.(check int) "a fast read sends no Read2" 0 r2_sent
 
 let conformance_below_fast_bound () =
-  let sim = sim_read_pairs cfg_slow and net = net_read_pairs cfg_slow in
+  let sim = sim_read_pairs cfg_slow and net, r2_sent = net_read_pairs cfg_slow in
   Alcotest.(check pair_list)
     "identical values, always two rounds at S=2t+b+1"
     [ ("v1", 2); ("v2", 2); ("v3", 2) ]
     sim;
-  Alcotest.(check pair_list) "net conforms to sim" sim net
+  Alcotest.(check pair_list) "net conforms to sim" sim net;
+  Alcotest.(check int) "every slow read sends Read2 to each of the S objects"
+    (cfg_slow.Quorum.Config.s * List.length net)
+    r2_sent
 
 (* ----- suffix-history properties ----------------------------------------- *)
 
@@ -443,7 +456,7 @@ let suite =
       Alcotest.test_case "regular-gc golden: two runs byte-identical" `Quick
         test_two_runs_identical;
       Alcotest.test_case "regular-gc matches golden" `Quick test_matches_golden;
-      Alcotest.test_case "golden spans: reads report 1 round, initiate 2"
+      Alcotest.test_case "golden spans: reads report 1 round, initiate 1"
         `Quick test_golden_span_shape;
       Alcotest.test_case "sim <-> net conformance at S=2t+2b+1" `Quick
         conformance_at_fast_bound;

@@ -141,6 +141,48 @@ let test_bounded_history_direct_drive () =
   Alcotest.(check int) "plain history grew linearly" 51
     (Core.History_store.length (Core.Regular_object.history !plain))
 
+let test_floors_advance_without_read2 () =
+  (* A fast read sends Read1 only.  Its from_ts is the timestamp the
+     previous read returned, and that alone must keep the floor moving:
+     no Read2 is ever delivered here. *)
+  let o = ref (Core.Regular_object_gc.init ~index:1 ~readers:1) in
+  let handle ~src m =
+    let o', reply = Core.Regular_object_gc.handle !o ~src m in
+    o := o';
+    reply
+  in
+  let returned = ref 0 in
+  let max_len = ref 0 in
+  for k = 1 to 50 do
+    let tsval = Core.Tsval.make ~ts:k ~v:(Core.Value.v (string_of_int k)) in
+    let w = Core.Wtuple.make ~tsval ~tsrarray:Core.Tsr_matrix.empty in
+    let write m = ignore (handle ~src:Sim.Proc_id.Writer m) in
+    write (Core.Messages.Pw { ts = k; pw = tsval; w });
+    max_len := max !max_len (Core.Regular_object_gc.history_length !o);
+    write (Core.Messages.W { ts = k; pw = tsval; w });
+    (* the reader's counter moves past the Read2 it did not send *)
+    (match
+       handle ~src:(Sim.Proc_id.Reader 1)
+         (Core.Messages.Read1 { tsr = (2 * k) - 1; from_ts = !returned })
+     with
+    | Some (Core.Messages.Read1_ack_h { history; _ }) ->
+        (* the read returns the newest complete entry it was shown *)
+        returned :=
+          List.fold_left
+            (fun acc (ts, e) ->
+              if Option.is_some e.Core.History_store.w then max acc ts else acc)
+            !returned
+            (Core.History_store.bindings history)
+    | _ -> Alcotest.fail "expected a Read1 ack");
+    Alcotest.(check int) "read returned the latest write" k !returned;
+    max_len := max !max_len (Core.Regular_object_gc.history_length !o)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "history bounded without Read2 (max %d)" !max_len)
+    true (!max_len <= 3);
+  Alcotest.(check int) "floor follows the Read1 from_ts" 49
+    (Core.Regular_object_gc.floor !o ~reader:1)
+
 let suite =
   ( "regular-gc",
     [
@@ -154,4 +196,6 @@ let suite =
       Alcotest.test_case "gc reduces traffic" `Quick test_gc_reduces_traffic_vs_plain;
       Alcotest.test_case "bounded history (direct drive)" `Quick
         test_bounded_history_direct_drive;
+      Alcotest.test_case "floors advance on Read1 alone" `Quick
+        test_floors_advance_without_read2;
     ] )

@@ -37,25 +37,23 @@ let test_safe_two_writes_two_readers () =
   Alcotest.(check int) "no violations" 0 (List.length r.violations);
   Alcotest.(check bool) "non-trivial walks" true (r.explored > 10_000)
 
-let test_regular_walks_with_byz () =
-  let forge : ER.pure_byz =
-    {
-      rewrite =
-        (fun ~src:_ m ->
-          let corrupt h =
-            let tsval = Core.Tsval.make ~ts:9 ~v:(Core.Value.v "ghost") in
-            let w = Core.Wtuple.make ~tsval ~tsrarray:Core.Tsr_matrix.empty in
-            Core.History_store.set h ~ts:9
-              { Core.History_store.pw = tsval; w = Some w }
-          in
-          match m with
-          | Core.Messages.Read1_ack_h { tsr; history } ->
-              [ Core.Messages.Read1_ack_h { tsr; history = corrupt history } ]
-          | Core.Messages.Read2_ack_h { tsr; history } ->
-              [ Core.Messages.Read2_ack_h { tsr; history = corrupt history } ]
-          | m -> [ m ]);
-    }
+(* A Byzantine regular object: every history it returns to a reader
+   carries a forged complete entry <9, "ghost">. *)
+let corrupt_history_acks ~src:_ m =
+  let corrupt h =
+    let tsval = Core.Tsval.make ~ts:9 ~v:(Core.Value.v "ghost") in
+    let w = Core.Wtuple.make ~tsval ~tsrarray:Core.Tsr_matrix.empty in
+    Core.History_store.set h ~ts:9 { Core.History_store.pw = tsval; w = Some w }
   in
+  match m with
+  | Core.Messages.Read1_ack_h { tsr; history } ->
+      [ Core.Messages.Read1_ack_h { tsr; history = corrupt history } ]
+  | Core.Messages.Read2_ack_h { tsr; history } ->
+      [ Core.Messages.Read2_ack_h { tsr; history = corrupt history } ]
+  | m -> [ m ]
+
+let test_regular_walks_with_byz () =
+  let forge : ER.pure_byz = { rewrite = corrupt_history_acks } in
   let r =
     ER.random_walks ~walks:500 ~property:`Regular ~seed:8
       {
