@@ -920,6 +920,29 @@ let live_artifacts ~metrics ~artifacts ~spans registry =
       in
       write_artifacts ~dir files
 
+(* Protocol requests the clients sent per completed op: the sum of the
+   wire.*.req.sent counters over completed reads and writes — the
+   figure quorum-sized rounds cut (S−t per round, not S). *)
+let print_requests_per_op reg =
+  let sent =
+    List.fold_left
+      (fun n (name, v) ->
+        if
+          String.starts_with ~prefix:"wire." name
+          && String.ends_with ~suffix:".req.sent" name
+        then n + v
+        else n)
+      0 (Obs.Metrics.counters reg)
+  in
+  let ops =
+    Obs.Metrics.counter_value reg "op.read.completed"
+    + Obs.Metrics.counter_value reg "op.write.completed"
+  in
+  if ops > 0 then
+    Format.printf "requests/op: %.2f (%d requests, %d completed ops)@."
+      (float_of_int sent /. float_of_int ops)
+      sent ops
+
 let print_outcome kind (o : Net.Client.outcome) =
   Format.printf "  %s%s rounds=%d retransmits=%d latency=%dus@." kind
     (match o.value with
@@ -1319,6 +1342,7 @@ let cluster_cmd =
       let registry = Net.Cluster.metrics cluster in
       (match registry with
       | Some reg ->
+          print_requests_per_op reg;
           Format.printf "--- metrics ---@.%s"
             (Stats.Table.to_string (Obs.Metrics.table reg))
       | None -> ());
@@ -1781,6 +1805,7 @@ let load_cmd =
       procs
       (Obs.Metrics.counter_value merged "op.read.completed")
       partition;
+    print_requests_per_op merged;
     (* Per-worker fairness: a spread ratio near 1 means no worker was
        starved by the shared server group. *)
     (match !worker_rates with

@@ -1,5 +1,11 @@
 type opts = { deadline : float; retries : int; backoff : float }
 
+(* Seconds on the monotonic clock.  Every deadline, backoff, hedge and
+   reconnect time in this file is read from it, so a wall-clock step
+   can neither fire nor postpone a retransmit; [next_attempt] and the
+   round deadlines are only ever compared with values from here. *)
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let default_opts = { deadline = 1.0; retries = 5; backoff = 0.05 }
 
 (* Retransmit backoff: exponential in the attempt but clamped — at the
@@ -48,6 +54,8 @@ type conn = {
   reader : Codec.Reader.t;  (* reused (reset) across reconnects *)
   out : Codec.Out.t;  (* per-connection encode scratch / outbound batch *)
   mutable frames_out : int;  (* frames appended since the last flush *)
+  mutable unanswered : int;
+      (* keyed: frames appended since this member last replied *)
   mutable ever : bool;  (* connected at least once: re-dials are reconnects *)
   mutable fails : int;
   mutable next_attempt : float;
@@ -63,6 +71,7 @@ let mk_conn i ep =
     reader = Codec.Reader.create ();
     out = Codec.Out.create ();
     frames_out = 0;
+    unanswered = 0;
     ever = false;
     fails = 0;
     next_attempt = 0.;
@@ -130,7 +139,8 @@ let drop_conn ?count c =
       Codec.Reader.reset c.reader;
       Codec.Out.clear c.out;
       c.frames_out <- 0;
-      penalize c ~now:(Unix.gettimeofday ());
+      c.unanswered <- 0;
+      penalize c ~now:(now_s ());
       (match count with None -> () | Some f -> f "net.client.disconnects")
 
 (* Connect and send the session [Hello]; failures are penalized and
@@ -156,7 +166,7 @@ let try_connect ?count ?on_reconnect ~codec ~proto_name ~proc c =
         c.frames_out <- 0
       with Unix.Unix_error _ -> drop_conn ?count c)
   | exception Unix.Unix_error (err, _, _) ->
-      let now = Unix.gettimeofday () in
+      let now = now_s () in
       penalize c ~now;
       (* Chaos runs assert on reconnect behaviour: every failed attempt
          counts in the registry even when the stderr warning above is
@@ -193,14 +203,14 @@ let flush_conn ?metrics ?count c =
             try Codec.flush fd c.out
             with Unix.Unix_error _ -> drop_conn ?count c)
         | Some reg -> (
-            let t0 = Unix.gettimeofday () in
+            let t0 = now_s () in
             try
               Codec.flush fd c.out;
               Obs.Metrics.observe_int reg "wire.batch_size"
                 ~bounds:Obs.Metrics.batch_bounds frames;
               Obs.Metrics.observe_int reg "wire.flush_us"
                 ~bounds:Obs.Metrics.wallclock_bounds
-                (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6))
+                (int_of_float ((now_s () -. t0) *. 1e6))
             with Unix.Unix_error _ -> drop_conn ?count c))
   end
 
@@ -219,7 +229,7 @@ let connect ?metrics ?(opts = default_opts) ?now_us ~protocol ~cfg ~role
     | `Reader j when j >= 1 -> "r" ^ string_of_int j
     | `Reader j -> invalid_arg (Printf.sprintf "Client.connect: reader %d" j)
   in
-  let now_f = Unix.gettimeofday in
+  let now_f = now_s in
   let now_us =
     match now_us with
     | Some f -> f
@@ -516,9 +526,33 @@ let close t = t.close_ ()
    exactly the serial client's: the state machines still decide when
    S−t replies are enough. *)
 
+(* Who a keyed round's current message went to, by shard rank (DESIGN
+   §17).  [sent] members were sent the message and may still answer it;
+   [answered] ones did, with a reply of the message's round. *)
+type fanout = {
+  mutable sent : bool array;
+  answered : bool array;
+  mutable nsent : int;
+  mutable nans : int;
+  mutable started : float;  (* when the current message first went out *)
+  mutable hedge_at : float;  (* 0. = not armed *)
+}
+
+(* Mux rounds always go to every object: their fanout is never read. *)
+let no_fanout =
+  {
+    sent = [||];
+    answered = [||];
+    nsent = 0;
+    nans = 0;
+    started = 0.;
+    hedge_at = 0.;
+  }
+
 type 'm active = {
   aop : int;  (* index into the run's result array *)
   mutable acur : 'm;  (* current round's broadcast *)
+  afan : fanout;
   aspan : Obs.Span.t;
   mutable adeadline : float;
   mutable abackoff_until : float;  (* 0. = not backing off *)
@@ -592,7 +626,7 @@ module Mux = struct
       | None -> readers
       | Some w -> max 1 (min w readers)
     in
-    let now_f = Unix.gettimeofday in
+    let now_f = now_s in
     let now_us =
       match now_us with
       | Some f -> f
@@ -935,6 +969,7 @@ module Mux = struct
                 {
                   aop = op;
                   acur = p.pcur;
+                  afan = no_fanout;
                   aspan = p.pspan;
                   adeadline = now_f () +. opts.deadline;
                   abackoff_until = 0.;
@@ -971,6 +1006,7 @@ module Mux = struct
                     {
                       aop = op;
                       acur = m;
+                      afan = no_fanout;
                       aspan = span;
                       adeadline = now_f () +. opts.deadline;
                       abackoff_until = 0.;
@@ -1174,13 +1210,17 @@ end
 
 (* The keyspace client: one event loop drives reader AND writer automata
    for many keys over one connection per fleet server.  Placement comes
-   from [Shard.Map]: a key's traffic goes as [Msg_key] frames to the S
-   members of its shard only, and replies demux by the echoed (key,
-   sender) pair.  Automata are per key and lazily materialized — a key's
-   reader keeps its own §5.1 timestamp cache and GC floor, its writer
-   its own monotone timestamps, so keys are as independent over the wire
-   as they are in the simulator (which is what makes per-shard
-   correctness the single-register argument verbatim).
+   from [Shard.Map]: a key's traffic goes as [Msg_key] frames to members
+   of its shard only, and replies demux by the echoed (key, sender)
+   pair.  A fresh round's message goes to S−t of the S members — the
+   round waits for that many replies anyway — and widens to the rest
+   only when a contacted member is lost, the round is still undecided
+   once everyone contacted has answered, or the last contacted member
+   is slow (DESIGN §17).  Automata are per key and lazily materialized
+   — a key's reader keeps its own §5.1 timestamp cache and GC floor,
+   its writer its own monotone timestamps, so keys are as independent
+   over the wire as they are in the simulator (which is what makes
+   per-shard correctness the single-register argument verbatim).
 
    Objects are attributed by their fleet-global 1-based index (the
    connection's [index]): the automata only ever count DISTINCT object
@@ -1216,6 +1256,33 @@ module Keyed = struct
   let op_key = function Read { key } | Write { key; _ } -> key
 
   let op_is_write = function Read _ -> false | Write _ -> true
+
+  (* The [q] connected members with the fewest unanswered frames, ties
+     to the lower slot; every connected member when fewer than [q] are.
+     O(q·S) scans, no sort: S is a shard's size. *)
+  let pick ~members ~connected ~unanswered ~q =
+    let n = Array.length members in
+    let chosen = Array.make n false in
+    let rec go k =
+      if k < q then begin
+        let best = ref (-1) in
+        for rank = 0 to n - 1 do
+          let slot = members.(rank) in
+          if (not chosen.(rank)) && connected slot then
+            if !best < 0 then best := rank
+            else
+              let b = members.(!best) in
+              let u = unanswered slot and ub = unanswered b in
+              if u < ub || (u = ub && slot < b) then best := rank
+        done;
+        if !best >= 0 then begin
+          chosen.(!best) <- true;
+          go (k + 1)
+        end
+      end
+    in
+    go 0;
+    chosen
 
   (* [joined] marks a coalesced read: it never ran its own quorum round
      but adopted the result of the round its key's reader was assembling
@@ -1254,7 +1321,7 @@ module Keyed = struct
     if reader < 1 then
       invalid_arg (Printf.sprintf "Keyed.connect: reader = %d" reader);
     let window = max 1 max_inflight in
-    let now_f = Unix.gettimeofday in
+    let now_f = now_s in
     let now_us =
       match now_us with
       | Some f -> f
@@ -1276,7 +1343,6 @@ module Keyed = struct
     let conns = Array.mapi mk_conn endpoints in
     let rname = "r" ^ string_of_int reader in
     let sender_of write = if write then "w" else rname in
-    let drop c = drop_conn ~count c in
     (* key -> per-key automata + in-flight state, lazily materialized *)
     let regs : (int, (P.msg, P.reader, P.writer) kreg) Hashtbl.t =
       Hashtbl.create 1024
@@ -1310,15 +1376,69 @@ module Keyed = struct
           let before = Codec.Out.length c.out in
           Codec.encode_frame_into codec c.out (Codec.Msg_key { key; sender; msg = m });
           observe_frame_bytes metrics (Codec.Out.length c.out - before);
-          c.frames_out <- c.frames_out + 1
+          c.frames_out <- c.frames_out + 1;
+          c.unanswered <- c.unanswered + 1
     in
-    let broadcast_key r ~sender m =
-      Array.iter
-        (fun slot -> append_key conns.(slot) ~key:r.kkey ~sender m)
+    let q = Quorum.Config.quorum cfg in
+    let new_fanout r =
+      let n = Array.length r.kconns in
+      {
+        sent = Array.make n false;
+        answered = Array.make n false;
+        nsent = 0;
+        nans = 0;
+        started = 0.;
+        hedge_at = 0.;
+      }
+    in
+    (* A fresh round: [m] goes to the [q] members [pick] chooses, and the
+       fanout restarts for it. *)
+    let send_fresh r ~sender f m =
+      f.sent <-
+        pick ~members:r.kconns
+          ~connected:(fun slot -> conns.(slot).fd <> None)
+          ~unanswered:(fun slot -> conns.(slot).unanswered)
+          ~q;
+      Array.fill f.answered 0 (Array.length f.answered) false;
+      f.nsent <- 0;
+      f.nans <- 0;
+      f.started <- now_f ();
+      f.hedge_at <- 0.;
+      Array.iteri
+        (fun rank slot ->
+          if f.sent.(rank) then begin
+            append_key conns.(slot) ~key:r.kkey ~sender m;
+            f.nsent <- f.nsent + 1
+          end)
         r.kconns
     in
-    let flush_all () =
-      Array.iter (fun c -> flush_conn ?metrics ~count c) conns
+    (* Deadline retransmits and resumed rounds go to every member. *)
+    let send_all r ~sender f m =
+      Array.iter
+        (fun slot -> append_key conns.(slot) ~key:r.kkey ~sender m)
+        r.kconns;
+      Array.fill f.sent 0 (Array.length f.sent) true;
+      f.nsent <- Array.length f.sent;
+      f.hedge_at <- 0.
+    in
+    (* Send the current message to the connected members it skipped;
+       [why] names the trigger's counter. *)
+    let widen r ~sender f m why =
+      let before = f.nsent in
+      Array.iteri
+        (fun rank slot ->
+          let c = conns.(slot) in
+          if (not f.sent.(rank)) && c.fd <> None then begin
+            append_key c ~key:r.kkey ~sender m;
+            f.sent.(rank) <- true;
+            f.nsent <- f.nsent + 1
+          end)
+        r.kconns;
+      f.hedge_at <- 0.;
+      if f.nsent > before then count why
+    in
+    let rank_of r c =
+      Shard.Map.rank_of_slot map ~shard:r.kshard ~slot:(c.index - 1)
     in
     (* A re-established connection may front a restarted (possibly
        wiped) server: every key's reader clears its timestamp cache, so
@@ -1506,7 +1626,7 @@ module Keyed = struct
                     a.acur <- m';
                     a.adeadline <- now_f () +. opts.deadline;
                     a.abackoff_until <- 0.;
-                    broadcast_key r ~sender:(sender_of write) m'
+                    send_fresh r ~sender:(sender_of write) a.afan m'
                 | Sparked p -> p.pcur <- m'
                 | Sidle | Sdone _ -> ())
             | Core.Events.Read_done { value; rounds } ->
@@ -1582,7 +1702,84 @@ module Keyed = struct
                 end)
           evs
       in
+      (* Marks [c] as having answered the round's current message; a
+         reply of another round (a late one from the round before) does
+         not count. *)
+      let note_answer r (a : _ active) c m =
+        let f = a.afan in
+        match rank_of r c with
+        | Some rank
+          when f.sent.(rank)
+               && (not f.answered.(rank))
+               && (P.msg_class m).Obs.Wire.round
+                  = (P.msg_class a.acur).Obs.Wire.round ->
+            f.answered.(rank) <- true;
+            f.nans <- f.nans + 1;
+            true
+        | Some _ | None -> false
+      in
+      (* After a counted answer, if the automaton neither decided nor
+         started a new round: widen once everyone contacted has answered
+         (undecided), or arm the hedge once all but one have — the last
+         one gets as long again as the round has taken so far. *)
+      let after_answer r ~write (a : _ active) =
+        match get_st r ~write with
+        | Sactive a' when a' == a ->
+            let f = a.afan in
+            if f.nans = f.nsent then
+              widen r ~sender:(sender_of write) f a.acur "op.expand.undecided"
+            else if
+              f.nans >= 1
+              && f.nans = f.nsent - 1
+              && f.hedge_at = 0.
+              && f.nsent < Array.length f.sent
+            then begin
+              let now = now_f () in
+              f.hedge_at <- now +. (now -. f.started)
+            end
+        | Sactive _ | Sidle | Sparked _ | Sdone _ -> ()
+      in
+      (* A contacted member that had not answered is gone: its request
+         is lost, so it no longer counts as contacted, and the round
+         widens to the members it skipped. *)
+      let on_lost c =
+        Hashtbl.iter
+          (fun (_, write) r ->
+            match get_st r ~write with
+            | Sactive a -> (
+                let f = a.afan in
+                match rank_of r c with
+                | Some rank when f.sent.(rank) && not f.answered.(rank) ->
+                    f.sent.(rank) <- false;
+                    f.nsent <- f.nsent - 1;
+                    widen r ~sender:(sender_of write) f a.acur "op.expand.lost"
+                | Some _ | None -> ())
+            | Sidle | Sparked _ | Sdone _ -> ())
+          actives
+      in
+      let drop c =
+        if c.fd <> None then begin
+          drop_conn ~count c;
+          on_lost c
+        end
+      in
+      (* A failed flush drops its connection too; the widening that
+         follows appends to other connections, so flush again. *)
+      let rec flush_all () =
+        let lost = ref false in
+        Array.iter
+          (fun c ->
+            let up = c.fd <> None in
+            flush_conn ?metrics ~count c;
+            if up && c.fd = None then begin
+              lost := true;
+              on_lost c
+            end)
+          conns;
+        if !lost then flush_all ()
+      in
       let deliver_key c ~key ~sender m =
+        c.unanswered <- 0;
         match Hashtbl.find_opt regs key with
         | None -> () (* reply for a key this client never touched: stale *)
         | Some r -> (
@@ -1598,7 +1795,9 @@ module Keyed = struct
                 | Sactive a ->
                     meter "delivered" m;
                     Obs.Span.contact a.aspan ~obj:c.index;
-                    feed_reg r ~write ~obj:c.index m
+                    let counted = note_answer r a c m in
+                    feed_reg r ~write ~obj:c.index m;
+                    if counted then after_answer r ~write a
                 | Sparked p ->
                     meter "delivered" m;
                     Obs.Span.contact p.pspan ~obj:c.index;
@@ -1690,11 +1889,13 @@ module Keyed = struct
                before this op was invoked, so no batch may attach — a
                joiner could be returned evidence older than its invoke,
                which is exactly what regularity forbids. *)
+            let f = new_fanout r in
             set_st r ~write
               (Sactive
                  {
                    aop = idx;
                    acur = p.pcur;
+                   afan = f;
                    aspan = p.pspan;
                    adeadline = now_f () +. opts.deadline;
                    abackoff_until = 0.;
@@ -1703,7 +1904,7 @@ module Keyed = struct
                    abatch = None;
                  });
             Hashtbl.replace actives (r.kkey, write) r;
-            broadcast_key r ~sender:(sender_of write) p.pcur;
+            send_all r ~sender:(sender_of write) f p.pcur;
             incr in_flight
         | Sidle -> (
             let started =
@@ -1750,11 +1951,13 @@ module Keyed = struct
                   if write || cap <= 1 then None
                   else Some (Coalesce.create ~cap)
                 in
+                let f = new_fanout r in
                 set_st r ~write
                   (Sactive
                      {
                        aop = idx;
                        acur = m;
+                       afan = f;
                        aspan = span;
                        adeadline = now_f () +. opts.deadline;
                        abackoff_until = 0.;
@@ -1763,7 +1966,7 @@ module Keyed = struct
                        abatch = batch;
                      });
                 Hashtbl.replace actives (r.kkey, write) r;
-                broadcast_key r ~sender:(sender_of write) m;
+                send_fresh r ~sender:(sender_of write) f m;
                 incr in_flight;
                 (* Piggyback: reads already queued behind this key ride
                    the fresh round — they were invoked before its
@@ -1843,6 +2046,9 @@ module Keyed = struct
           (fun ((_, write), r) ->
             match get_st r ~write with
             | Sactive a ->
+                let sender = sender_of write in
+                if a.afan.hedge_at > 0. && now >= a.afan.hedge_at then
+                  widen r ~sender a.afan a.acur "op.expand.hedge";
                 if a.abackoff_until > 0. then begin
                   if now >= a.abackoff_until then begin
                     a.abackoff_until <- 0.;
@@ -1850,7 +2056,7 @@ module Keyed = struct
                     count "net.client.retransmits";
                     a.aattempt <- a.aattempt + 1;
                     a.adeadline <- now +. opts.deadline;
-                    broadcast_key r ~sender:(sender_of write) a.acur
+                    send_all r ~sender a.afan a.acur
                   end
                 end
                 else if now >= a.adeadline then
@@ -1887,6 +2093,10 @@ module Keyed = struct
                 let t =
                   if a.abackoff_until > 0. then a.abackoff_until
                   else a.adeadline
+                in
+                let t =
+                  if a.afan.hedge_at > 0. then Float.min t a.afan.hedge_at
+                  else t
                 in
                 if t < !acc then acc := t
             | Sidle | Sparked _ | Sdone _ -> ())
@@ -1942,7 +2152,7 @@ module Keyed = struct
     let close_all () =
       Array.iter
         (fun c ->
-          drop c;
+          drop_conn ~count c;
           Codec.Reader.recycle c.reader;
           Codec.Out.recycle c.out)
         conns

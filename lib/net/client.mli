@@ -14,7 +14,9 @@
     - {b per-round deadlines} — if a round does not complete within
       [deadline], the round's message is retransmitted (the state
       machines already ignore duplicate replies) with exponential
-      backoff, up to [retries] attempts;
+      backoff, up to [retries] attempts.  Deadlines, backoff and
+      reconnect pacing run on the monotonic clock, so a wall-clock step
+      moves none of them;
     - {b endpoint failure} — an endpoint that refuses connections,
       resets, or times out is marked down and retried later; operations
       proceed on the survivors, so a crashed or Byzantine-silent
@@ -172,8 +174,23 @@ end
 
     Drives reader AND writer automata for a whole keyspace over one
     connection per fleet server.  Placement comes from {!Shard.Map}: a
-    key's rounds go as [Msg_key] frames to the [S] members of its shard
-    only, and replies demultiplex by the echoed (key, sender) pair.
+    key's rounds go as [Msg_key] frames to members of its shard only,
+    and replies demultiplex by the echoed (key, sender) pair.
+
+    Rounds are quorum-sized (DESIGN §17).  A fresh round's message goes
+    to the [S−t] connected members chosen by {!Keyed.pick}, since the
+    automata wait for [S−t] replies anyway.  The round then sends the
+    same message to the members it skipped when one of three things
+    happens, each counted under its own name:
+    - [op.expand.lost]: a contacted member that had not answered drops
+      its connection;
+    - [op.expand.undecided]: every contacted member has answered the
+      message and the automaton has neither decided nor started a new
+      round;
+    - [op.expand.hedge]: all contacted members but one have answered,
+      and the last one has taken as long again as the round had taken
+      until then.
+    Deadline retransmits and resumed rounds still go to every member.
     Per-key automata are lazily materialized, so each key keeps its own
     fast-read timestamp cache and GC floor — keys are as independent
     over the wire as separate registers, which is what makes per-shard
@@ -196,6 +213,19 @@ module Keyed : sig
   val op_key : kop -> int
 
   val op_is_write : kop -> bool
+
+  val pick :
+    members:int array ->
+    connected:(int -> bool) ->
+    unanswered:(int -> int) ->
+    q:int ->
+    bool array
+  (** [pick ~members ~connected ~unanswered ~q] chooses who gets a fresh
+      round: element [rank] of the result is [true] iff fleet slot
+      [members.(rank)] is chosen.  It chooses the [q] connected members
+      with the fewest [unanswered] frames (frames sent to the slot since
+      it last replied), breaking ties toward the lower slot, or every
+      connected member if fewer than [q] are connected. *)
 
   type event =
     | Invoke of { op : int; key : int; write : bool; joined : bool; at_us : int }

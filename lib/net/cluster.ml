@@ -361,8 +361,8 @@ let keyed_for t ~map ~inflight ~coalesce =
       t.keyed <- Some k;
       k
 
-let run_keyed ?(inflight = 16) ?(coalesce = 1) ?(sample = fun _ -> true) t ~map
-    ops =
+let run_keyed ?(inflight = 16) ?(coalesce = 1) ?(sample = fun _ -> true)
+    ?on_event:(hook = ignore) t ~map ops =
   let k = keyed_for t ~map ~inflight ~coalesce in
   let recorder_for key =
     match Hashtbl.find_opt k.k_recorders key with
@@ -448,7 +448,8 @@ let run_keyed ?(inflight = 16) ?(coalesce = 1) ?(sample = fun _ -> true) t ~map
      with e ->
        Mutex.unlock t.rec_mutex;
        raise e);
-    Mutex.unlock t.rec_mutex
+    Mutex.unlock t.rec_mutex;
+    hook ev
   in
   Client.Keyed.run_ops ~on_event k.k_client ops
 

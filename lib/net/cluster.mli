@@ -74,6 +74,7 @@ val run_keyed :
   ?inflight:int ->
   ?coalesce:int ->
   ?sample:(int -> bool) ->
+  ?on_event:(Client.Keyed.event -> unit) ->
   t ->
   map:Shard.Map.t ->
   Client.Keyed.kop array ->
@@ -90,6 +91,9 @@ val run_keyed :
     read-coalescing cap, and coalesced reads record under fresh
     recorder reader ids since they overlap their lead.  Changing
     [inflight], [coalesce] or the map rebuilds the keyed client.
+    [on_event] sees every event after it is recorded, from the client's
+    event loop — a fault injected there lands while operations are in
+    flight.
     @raise Invalid_argument if [inflight < 1] or the map's fleet does
     not match. *)
 

@@ -342,6 +342,312 @@ let key_zero_is_the_legacy_register () =
             "legacy" (Core.Value.to_string v)
       | None -> Alcotest.fail "keyed read of key 0 returned no value")
 
+(* ----- quorum-sized rounds: who gets a fresh round ----------------------- *)
+
+(* (members, connected-by-slot, unanswered-by-slot, q) over a small fleet;
+   unanswered counts are drawn from a narrow range so ties are common. *)
+let gen_pick =
+  QCheck.Gen.(
+    int_range 1 7 >>= fun n ->
+    int_range 0 3 >>= fun extra ->
+    let fleet = n + extra in
+    shuffle_l (List.init fleet Fun.id) >>= fun slots ->
+    array_repeat fleet bool >>= fun connected ->
+    array_repeat fleet (int_range 0 3) >>= fun unanswered ->
+    int_range 1 n >>= fun q ->
+    let members = Array.of_list (List.filteri (fun i _ -> i < n) slots) in
+    return (members, connected, unanswered, q))
+
+let arb_pick =
+  QCheck.make
+    ~print:(fun (m, c, u, q) ->
+      let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+      Printf.sprintf "members=[%s] connected=[%s] unanswered=[%s] q=%d" (ints m)
+        (String.concat ","
+           (Array.to_list (Array.map (fun b -> if b then "1" else "0") c)))
+        (ints u) q)
+    gen_pick
+
+let pick_of (members, connected, unanswered, q) =
+  Net.Client.Keyed.pick ~members ~connected:(Array.get connected)
+    ~unanswered:(Array.get unanswered) ~q
+
+let pick_within_connected =
+  QCheck.Test.make ~name:"pick: chosen members are connected" ~count:500
+    arb_pick (fun ((members, connected, _, _) as p) ->
+      let chosen = pick_of p in
+      Array.for_all2 (fun slot ch -> (not ch) || connected.(slot)) members chosen)
+
+let pick_size =
+  QCheck.Test.make ~name:"pick: exactly min(q, connected) members" ~count:500
+    arb_pick (fun ((members, connected, _, q) as p) ->
+      let chosen = pick_of p in
+      let count p a = Array.fold_left (fun n x -> if p x then n + 1 else n) 0 a in
+      count Fun.id chosen = min q (count (Array.get connected) members))
+
+let pick_least_unanswered =
+  QCheck.Test.make
+    ~name:"pick: no skipped connected member is less backlogged (ties: lower slot)"
+    ~count:500 arb_pick (fun ((members, connected, unanswered, _) as p) ->
+      let chosen = pick_of p in
+      let key slot = (unanswered.(slot), slot) in
+      let ok = ref true in
+      Array.iteri
+        (fun i si ->
+          Array.iteri
+            (fun k sk ->
+              if chosen.(i) && (not chosen.(k)) && connected.(sk)
+                 && compare (key sk) (key si) < 0
+              then ok := false)
+            members)
+        members;
+      !ok)
+
+let pick_t0_is_everyone =
+  QCheck.Test.make ~name:"pick: q = S (t = 0) picks every connected member"
+    ~count:300 arb_pick (fun (members, connected, unanswered, _) ->
+      let chosen =
+        pick_of (members, connected, unanswered, Array.length members)
+      in
+      Array.for_all2 (fun slot ch -> ch = connected.(slot)) members chosen)
+
+(* ----- quorum-sized rounds, live ------------------------------------------ *)
+
+let counter m name = Obs.Metrics.counter_value m name
+
+let metrics_exn c =
+  match Net.Cluster.metrics c with
+  | Some m -> m
+  | None -> Alcotest.fail "metrics requested but absent"
+
+let keyed_ops ?(keys = 16) ?(write_ratio = 0.0) ~seed n =
+  Array.map
+    (function
+      | Workload.Keyspace.Read { key } -> Net.Client.Keyed.Read { key }
+      | Workload.Keyspace.Write { key; value } ->
+          Net.Client.Keyed.Write { key; value })
+    (Workload.Keyspace.ops
+       (Workload.Keyspace.make_exn ~write_ratio ~keys ~seed ())
+       n)
+
+let writes_to_every_key keys =
+  Array.init keys (fun key ->
+      Net.Client.Keyed.Write
+        { key; value = Core.Value.v (Printf.sprintf "k%d.init" key) })
+
+let all_ok what results =
+  Array.iteri
+    (fun i r -> ignore (ok_exn (Printf.sprintf "%s op %d" what i) r))
+    results
+
+let histories_regular histories =
+  Alcotest.(check bool) "recorded per-key histories" true (histories <> []);
+  List.iter
+    (fun (key, h) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "key %d history is regular" key)
+        true
+        (Histories.Checks.is_regular ~equal:String.equal h))
+    histories
+
+(* Fault-free: every round goes to exactly S−t members.  A hedge (the
+   last contacted member answering slowly on a loaded host) adds one
+   frame to the one skipped member at S−t = S−1, so the identity holds
+   with hedges counted in. *)
+let fault_free_counts ~s ~reads_per_read () =
+  let cfg = Quorum.Config.make_exn ~s ~t:1 ~b:1 in
+  let c =
+    Net.Cluster.start ~metrics:true
+      ~protocol:(Net.Protocols.regular_gc ~readers:2)
+      ~cfg ~readers:1 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let keys = 16 in
+      let map = Shard.Map.make_exn ~keys ~fleet:s ~cfg () in
+      let sum m names = List.fold_left (fun n k -> n + counter m k) 0 names in
+      let writes = writes_to_every_key keys in
+      all_ok "write" (Net.Cluster.run_keyed c ~map writes);
+      let m = metrics_exn c in
+      let hedge_w = counter m "op.expand.hedge" in
+      Alcotest.(check int)
+        (Printf.sprintf "S=%d: each write sends 2 x %d requests" s (s - 1))
+        ((2 * (s - 1) * keys) + hedge_w)
+        (sum m [ "wire.write.r1.req.sent"; "wire.write.r2.req.sent" ]);
+      let reads = keyed_ops ~keys ~seed:3 200 in
+      all_ok "read" (Net.Cluster.run_keyed c ~map reads);
+      let m = metrics_exn c in
+      let hedge_r = counter m "op.expand.hedge" - hedge_w in
+      Alcotest.(check int)
+        (Printf.sprintf "S=%d: each read sends %d requests" s reads_per_read)
+        ((reads_per_read * Array.length reads) + hedge_r)
+        (sum m [ "wire.read.r1.req.sent"; "wire.read.r2.req.sent" ]);
+      Alcotest.(check int) "no lost widenings" 0 (counter m "op.expand.lost");
+      Alcotest.(check int) "no undecided widenings" 0
+        (counter m "op.expand.undecided");
+      Alcotest.(check int) "no retransmits" 0
+        (counter m "net.client.retransmits");
+      histories_regular (Net.Cluster.keyed_histories c))
+
+let fault_free_counts_s5 () =
+  (* S = 2t+2b+1: the one-round fast path, 4 Read1 per read *)
+  fault_free_counts ~s:5 ~reads_per_read:4 ()
+
+let fault_free_counts_s4 () =
+  (* S = 2t+b+1: two rounds of 3 *)
+  fault_free_counts ~s:4 ~reads_per_read:6 ()
+
+(* An object crashes while 16 ops are in flight: rounds that had
+   contacted it widen at once instead of waiting out the deadline. *)
+let crash_widens_lost_rounds () =
+  let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1 in
+  let c =
+    Net.Cluster.start ~metrics:true
+      ~protocol:(Net.Protocols.regular_gc ~readers:2)
+      ~cfg ~readers:1 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let keys = 32 in
+      let map = Shard.Map.make_exn ~keys ~fleet:4 ~cfg () in
+      let responses = ref 0 in
+      let on_event = function
+        | Net.Client.Keyed.Respond _ ->
+            incr responses;
+            if !responses = 60 then Net.Cluster.crash c 4
+        | Net.Client.Keyed.Invoke _ -> ()
+      in
+      let ops = keyed_ops ~keys ~write_ratio:0.2 ~seed:5 400 in
+      all_ok "keyed" (Net.Cluster.run_keyed ~inflight:16 ~on_event c ~map ops);
+      Alcotest.(check (list int)) "object 4 is down" [ 1; 2; 3 ]
+        (Net.Cluster.alive c);
+      let m = metrics_exn c in
+      Alcotest.(check bool)
+        (Printf.sprintf "lost widenings (%d) > 0" (counter m "op.expand.lost"))
+        true
+        (counter m "op.expand.lost" > 0);
+      histories_regular (Net.Cluster.keyed_histories c))
+
+(* Per-key histories from Keyed events, for a keyed client driven
+   without a cluster (no coalescing, so one open op per (key, role)). *)
+let keyed_recorder ops =
+  let recs = Hashtbl.create 16 and open_ = Hashtbl.create 16 in
+  let rec_for key =
+    match Hashtbl.find_opt recs key with
+    | Some r -> r
+    | None ->
+        let r = Histories.Recorder.create () in
+        Hashtbl.replace recs key r;
+        r
+  in
+  let on_event = function
+    | Net.Client.Keyed.Invoke { op; key; write; at_us; _ } ->
+        let r = rec_for key in
+        Hashtbl.replace open_ (key, write)
+          (match ops.(op) with
+          | Net.Client.Keyed.Write { value; _ } ->
+              Histories.Recorder.invoke_write r ~time:at_us
+                (Core.Value.to_string value)
+          | Net.Client.Keyed.Read _ ->
+              Histories.Recorder.invoke_read r ~time:at_us ~reader:1)
+    | Net.Client.Keyed.Respond { key; write; at_us; outcome = Ok o; _ } -> (
+        let r = rec_for key and h = Hashtbl.find open_ (key, write) in
+        Hashtbl.remove open_ (key, write);
+        match o.Net.Client.value with
+        | None -> Histories.Recorder.respond_write r h ~time:at_us
+        | Some Core.Value.Bottom ->
+            Histories.Recorder.respond_read r h ~time:at_us Histories.Op.Bottom
+        | Some (Core.Value.V v) ->
+            Histories.Recorder.respond_read r h ~time:at_us (Histories.Op.Value v))
+    | Net.Client.Keyed.Respond { outcome = Error _; _ } -> ()
+  in
+  let histories () =
+    Hashtbl.fold (fun key r acc -> (key, Histories.Recorder.ops r) :: acc) recs []
+  in
+  (on_event, histories)
+
+(* A member that accepts connections and never answers: once its first
+   frames go unanswered, fresh rounds steer away from it, and rounds
+   that did contact it are hedged — no deadline retransmits pile up. *)
+let silent_member_is_avoided () =
+  let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1 in
+  let protocol = Net.Protocols.regular_gc ~readers:1 in
+  let servers =
+    List.init 3 (fun i ->
+        Net.Server.start ~protocol ~cfg ~index:(i + 1)
+          (Net.Endpoint.Tcp { host = "127.0.0.1"; port = 0 }))
+  in
+  let silent_ep, silent_cleanup = Suite_net.silent_listener () in
+  Fun.protect
+    ~finally:(fun () ->
+      silent_cleanup ();
+      List.iter Net.Server.stop servers)
+    (fun () ->
+      let endpoints =
+        Array.of_list (List.map Net.Server.endpoint servers @ [ silent_ep ])
+      in
+      let keys = 16 and window = 16 in
+      let map = Shard.Map.make_exn ~keys ~fleet:4 ~cfg () in
+      let metrics = Obs.Metrics.create () in
+      let k =
+        Net.Client.Keyed.connect ~metrics ~max_inflight:window ~protocol ~map
+          endpoints
+      in
+      Fun.protect
+        ~finally:(fun () -> Net.Client.Keyed.close k)
+        (fun () ->
+          let ops =
+            Array.append (writes_to_every_key keys)
+              (keyed_ops ~keys ~write_ratio:0.2 ~seed:7 300)
+          in
+          let on_event, histories = keyed_recorder ops in
+          all_ok "keyed" (Net.Client.Keyed.run_ops ~on_event k ops);
+          let retr = counter metrics "net.client.retransmits" in
+          Alcotest.(check bool)
+            (Printf.sprintf "retransmits (%d) <= window (%d)" retr window)
+            true (retr <= window);
+          histories_regular (histories ())))
+
+(* One member answers 50 ms late: the hedge sends the round to the
+   member it skipped, so the median read never waits for the slow one. *)
+let slow_member_is_hedged () =
+  let cfg = Quorum.Config.make_exn ~s:5 ~t:1 ~b:1 in
+  let c =
+    Net.Cluster.start ~metrics:true ~interpose:true
+      ~protocol:(Net.Protocols.regular_gc ~readers:2)
+      ~cfg ~readers:1 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      Net.Chaos.set_rules (Net.Cluster.chaos c).(2)
+        [
+          {
+            Net.Chaos.dir = Net.Chaos.To_client;
+            sender = None;
+            from_us = 0;
+            until_us = max_int;
+            act = Net.Chaos.Delay 50_000;
+          };
+        ];
+      let keys = 16 in
+      let map = Shard.Map.make_exn ~keys ~fleet:5 ~cfg () in
+      all_ok "write" (Net.Cluster.run_keyed c ~map (writes_to_every_key keys));
+      let reads = Net.Cluster.run_keyed c ~map (keyed_ops ~keys ~seed:9 200) in
+      let lat =
+        Array.map (fun r -> (ok_exn "read" r).Net.Client.latency_us) reads
+      in
+      Array.sort compare lat;
+      let p50 = lat.(Array.length lat / 2) in
+      Alcotest.(check bool)
+        (Printf.sprintf "read p50 %d us well under the 50 ms delay" p50)
+        true (p50 < 20_000);
+      let m = metrics_exn c in
+      Alcotest.(check bool) "hedges fired" true (counter m "op.expand.hedge" > 0);
+      histories_regular (Net.Cluster.keyed_histories c))
+
 let suite =
   ( "keyspace",
     [
@@ -365,4 +671,18 @@ let suite =
         keyed_cluster_histories_check;
       Alcotest.test_case "key 0 is the legacy register" `Quick
         key_zero_is_the_legacy_register;
+      QCheck_alcotest.to_alcotest pick_within_connected;
+      QCheck_alcotest.to_alcotest pick_size;
+      QCheck_alcotest.to_alcotest pick_least_unanswered;
+      QCheck_alcotest.to_alcotest pick_t0_is_everyone;
+      Alcotest.test_case "quorum-sized rounds: fault-free counts at S=5"
+        `Quick fault_free_counts_s5;
+      Alcotest.test_case "quorum-sized rounds: fault-free counts at S=4"
+        `Quick fault_free_counts_s4;
+      Alcotest.test_case "quorum-sized rounds: a crash widens lost rounds"
+        `Quick crash_widens_lost_rounds;
+      Alcotest.test_case "quorum-sized rounds: a silent member is avoided"
+        `Quick silent_member_is_avoided;
+      Alcotest.test_case "quorum-sized rounds: a slow member is hedged"
+        `Quick slow_member_is_hedged;
     ] )
