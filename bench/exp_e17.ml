@@ -22,8 +22,9 @@
    Expected shape: rounds_per_read = 2.000 exactly at S = 2t+b+1 at
    every contention level (the gate never opens), ~1.0 at S = 2t+2b+1
    under low contention, drifting toward 2 only as fallbacks appear.
-   Read2 requests per read are S at S = 2t+b+1 and 0 for the
-   uncontended S = 2t+2b+1 cell: a decided read sends no round 2.
+   Read2 requests per read are S−t (plus any widenings, DESIGN §17) at
+   S = 2t+b+1 and 0 for the uncontended S = 2t+2b+1 cell: a decided
+   read sends no round 2.
    Violations must be 0 everywhere — the fast path is opportunistic,
    never speculative.
 

@@ -9,7 +9,7 @@
    cross-domain traffic is the acceptor's connection handoff.
 
    Load comes from E18_CLIENTS in-process client domains, each driving
-   its own pipelined mux (disjoint reader-id ranges, E18_INFLIGHT ops in
+   its own pipelined client (disjoint reader-id ranges, E18_INFLIGHT ops in
    flight) against the shared group; all client domains start each
    timed pass on an atomic barrier.  For each domain count:
 
@@ -90,10 +90,11 @@ let summary_json buf label (s : Stats.Summary.t) =
     (Stats.Summary.mean s) (Stats.Summary.max s)
 
 (* One measured pass: every client domain spins on the barrier, then
-   runs [ops] reads through its own mux; the cell's wall-clock is the
+   runs [ops] reads through its own client; the cell's wall-clock is the
    slowest domain's (they started together). *)
-let timed_pass ~muxes ~ops ~on_event0 =
-  let n = Array.length muxes in
+let timed_pass ~clients ~ops ~on_event0 =
+  let n = Array.length clients in
+  let reads = Array.make ops (Net.Client.Keyed.Read { key = 0 }) in
   let barrier = Atomic.make 0 in
   let body c () =
     Atomic.incr barrier;
@@ -102,8 +103,9 @@ let timed_pass ~muxes ~ops ~on_event0 =
     done;
     let t0 = Unix.gettimeofday () in
     let results =
-      if c = 0 then Net.Client.Mux.run_reads ~on_event:on_event0 muxes.(c) ops
-      else Net.Client.Mux.run_reads muxes.(c) ops
+      if c = 0 then
+        Net.Client.Keyed.run_ops ~on_event:on_event0 clients.(c) reads
+      else Net.Client.Keyed.run_ops clients.(c) reads
     in
     (Unix.gettimeofday () -. t0, results)
   in
@@ -180,14 +182,15 @@ let run () =
           Printf.eprintf "E18: seed write failed: %s\n" e;
           exit 1);
       Net.Client.close writer;
-      (* One mux per client domain, created once per cell: reader ids
+      (* One client per client domain, created once per cell: reader ids
          stay unique for the group's lifetime (base objects keep
          per-reader round state) and trials after the first run warm. *)
-      let muxes =
+      let map = Shard.Map.single cfg in
+      let clients =
         Array.init clients (fun c ->
-            Net.Client.Mux.connect ~now_us ~max_inflight:inflight
-              ~first_reader:(1 + (c * inflight))
-              ~protocol ~cfg ~readers:inflight actual)
+            Net.Client.Keyed.connect ~now_us ~max_inflight:inflight
+              ~reader:(1 + (c * inflight)) ~readers:inflight ~protocol ~map
+              actual)
       in
       (* Domain 0's ops feed the history; resumed (timed-out) ops keep
          their original invocation, exactly like Cluster.read_pipelined. *)
@@ -196,7 +199,7 @@ let run () =
         Mutex.lock rec_mutex;
         (try
            (match ev with
-           | Net.Client.Mux.Invoke { reader; at_us; _ } -> (
+           | Net.Client.Keyed.Invoke { reader; at_us; _ } -> (
                match open_ops.(reader - 1) with
                | Some _ -> ()
                | None ->
@@ -204,7 +207,7 @@ let run () =
                      Some
                        (Histories.Recorder.invoke_read recorder ~time:at_us
                           ~reader))
-           | Net.Client.Mux.Respond { reader; at_us; outcome; _ } -> (
+           | Net.Client.Keyed.Respond { reader; at_us; outcome; _ } -> (
                match outcome with
                | Error _ -> ()
                | Ok o -> (
@@ -226,12 +229,13 @@ let run () =
       in
       (* untimed warmup: connections, hellos, first automaton steps *)
       ignore
-        (timed_pass ~muxes ~ops:(Stdlib.min 200 ops) ~on_event0:(fun _ -> ()));
+        (timed_pass ~clients ~ops:(Stdlib.min 200 ops)
+           ~on_event0:(fun _ -> ()));
       let failures = ref 0 in
       let mismatches = ref 0 in
       let best = ref None in
       for trial = 1 to trials do
-        let passes = timed_pass ~muxes ~ops ~on_event0 in
+        let passes = timed_pass ~clients ~ops ~on_event0 in
         let wall = Array.fold_left (fun m (w, _) -> Float.max m w) 0. passes in
         let lat = Stats.Summary.create () in
         Array.iter
@@ -258,7 +262,7 @@ let run () =
         | Some (_, r, _) when r >= rate -> ()
         | _ -> best := Some (wall, rate, lat)
       done;
-      Array.iter Net.Client.Mux.close muxes;
+      Array.iter Net.Client.Keyed.close clients;
       Array.iter Net.Server.stop servers;
       (try Unix.rmdir dir with Unix.Unix_error _ -> ());
       let partition = Net.Server.partition_violations servers.(0) in

@@ -8,10 +8,10 @@
    domain -- no placement service), the wire protocol carries a varint
    key tag on every frame (Msg_key), servers keep per-key object tables
    inside the same multi-domain poll group, and each client drives
-   per-key reader/writer automata through one keyed mux over one
+   per-key reader/writer automata through one keyed client over one
    connection per fleet server.
 
-   Load is E19_CLIENTS client domains, each with its own keyed mux
+   Load is E19_CLIENTS client domains, each with its own keyed client
    (distinct reader id, disjoint write ownership: client c writes only
    keys with mix(key) mod clients = c -- the registers are SWMR), all
    released from an atomic barrier per timed pass.  The op mix is the
@@ -113,7 +113,7 @@ let to_kop = function
       Net.Client.Keyed.Write { key; value }
 
 (* One measured pass: every client domain draws its ops (untimed), spins
-   on the barrier, then drives them through its keyed mux; the cell's
+   on the barrier, then drives them through its keyed client; the cell's
    wall-clock is the slowest domain's. *)
 let timed_pass ~keyeds ~gens ~ops ~record0 =
   let n = Array.length keyeds in

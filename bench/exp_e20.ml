@@ -113,7 +113,7 @@ let to_kop = function
       Net.Client.Keyed.Write { key; value }
 
 (* One measured pass: every client domain draws its ops (untimed), spins
-   on the barrier, then drives them through its keyed mux; the cell's
+   on the barrier, then drives them through its keyed client; the cell's
    wall-clock is the slowest domain's. *)
 let timed_pass ~keyeds ~gens ~ops ~record0 =
   let n = Array.length keyeds in
@@ -292,8 +292,8 @@ let run () =
                          Histories.Recorder.respond_read (recorder_for key) h
                            ~time:at_us result)
                end
-           | Net.Client.Keyed.Invoke { op; key; write; at_us; joined = false }
-             ->
+           | Net.Client.Keyed.Invoke
+               { op; key; write; at_us; joined = false; _ } ->
                if sampled key then begin
                  match Hashtbl.find_opt open_ops (key, write) with
                  | Some _ -> ()  (* resumed op: invocation stands *)

@@ -123,7 +123,7 @@ let bench_prng =
 
 (* -- wire codec --------------------------------------------------------- *)
 
-(* A READ1_ACK as the pipelined read path sees it: sender-tagged frame,
+(* A READ1_ACK as the client sees it: key- and sender-tagged frame,
    write tuple with a populated reader-timestamp matrix. *)
 let codec_fixture () =
   let codec = Net.Codec.messages in
@@ -136,8 +136,12 @@ let codec_fixture () =
   let ack ts =
     let tsval = Core.Tsval.make ~ts ~v:(Core.Value.v "payload") in
     let w = Core.Wtuple.make ~tsval ~tsrarray in
-    Net.Codec.Msg_from
-      { sender = "r3"; msg = Core.Messages.Read1_ack { tsr = 3; pw = tsval; w } }
+    Net.Codec.Msg_key
+      {
+        key = 0;
+        sender = "r3";
+        msg = Core.Messages.Read1_ack { tsr = 3; pw = tsval; w };
+      }
   in
   (* encode_frame prepends the 4-byte length prefix that the Reader
      strips before decode_payload sees the bytes *)

@@ -885,25 +885,15 @@ let client_opts_args =
         { Net.Client.deadline; retries; backoff })
     $ deadline_arg $ retries_arg $ backoff_arg)
 
-let loop_arg =
-  Arg.(
-    value
-    & opt (enum [ ("threads", `Threads); ("poll", `Poll) ]) `Threads
-    & info [ "loop" ] ~docv:"MODE"
-        ~doc:
-          "Connection handling: $(b,threads) (default; a thread per \
-           connection) or $(b,poll) (a single event-loop domain — with \
-           'cluster', all S base objects share it).")
-
 let domains_arg =
   Arg.(
     value & opt int 1
     & info [ "domains" ] ~docv:"D"
         ~doc:
-          "Worker domains for the poll event-loop group: base object $(i,i) \
-           and every connection accepted for it are owned by domain \
+          "Worker domains for the server group's event loops: base object \
+           $(i,i) and every connection accepted for it are owned by domain \
            ($(i,i)-1) mod $(docv), so all automaton steps stay domain-local \
-           (clamped to 1..S; only meaningful with $(b,--loop poll)).")
+           (clamped to 1..S).")
 
 let live_artifacts ~metrics ~artifacts ~spans registry =
   match artifacts with
@@ -967,7 +957,7 @@ let serve_cmd =
              $(b,host:port).  TCP port 0 picks an ephemeral port and prints \
              it.")
   in
-  let run protocol t b s index endpoint loop metrics artifacts =
+  let run protocol t b s index endpoint metrics artifacts =
     let cfg = config ~s ~t ~b () in
     if index < 1 || index > cfg.Quorum.Config.s then begin
       Format.eprintf "robustread: --index %d out of range 1..%d@." index
@@ -976,7 +966,7 @@ let serve_cmd =
     end;
     let registry = if metrics then Some (Obs.Metrics.create ()) else None in
     let server =
-      Net.Server.start ?metrics:registry ~loop ~protocol ~cfg ~index endpoint
+      Net.Server.start ?metrics:registry ~protocol ~cfg ~index endpoint
     in
     Format.printf "serving object %d of %a (%s) on %a@." index Quorum.Config.pp
       cfg
@@ -1008,7 +998,7 @@ let serve_cmd =
   let term =
     Term.(
       const run $ net_protocol_arg $ t_arg $ b_arg $ s_arg $ index_arg
-      $ endpoint_arg $ loop_arg $ metrics_arg $ artifacts_arg)
+      $ endpoint_arg $ metrics_arg $ artifacts_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1220,7 +1210,7 @@ let cluster_cmd =
              every read falls back to the full two rounds.  Overrides \
              $(b,--protocol).")
   in
-  let run protocol t b s readers writes reads transport crash inflight loop
+  let run protocol t b s readers writes reads transport crash inflight
       domains fast_reads keys zipf write_ratio coalesce seed copts jobs
       metrics artifacts =
     if inflight < 0 then begin
@@ -1234,7 +1224,7 @@ let cluster_cmd =
     let coalesce = max 1 coalesce in
     let protocol =
       if fast_reads then
-        (* The mux allocates fresh reader ids past [readers]; unknown ids
+        (* Pipelined lanes get fresh reader ids past [readers]; unknown ids
            only make server-side pruning more conservative, never unsafe. *)
         Net.Protocols.regular_gc ~readers:(max 1 readers)
       else protocol
@@ -1250,18 +1240,16 @@ let cluster_cmd =
         exit 2
     | _ -> ());
     let cluster =
-      Net.Cluster.start ~metrics ~opts:copts ~transport ~loop ~domains
-        ~protocol ~cfg ~readers ()
+      Net.Cluster.start ~metrics ~opts:copts ~transport ~domains ~protocol ~cfg
+        ~readers ()
     in
-    Format.printf "cluster of %a (%s) over %s sockets (%s loop): %d writes, \
-                   %d readers x %d reads%s%s@."
+    Format.printf "cluster of %a (%s) over %s sockets (%d server domain%s): \
+                   %d writes, %d readers x %d reads%s%s@."
       Quorum.Config.pp cfg
       (Net.Protocols.name protocol)
       (match transport with `Unix -> "unix" | `Tcp -> "tcp")
-      (match loop with
-      | `Threads -> "threads"
-      | `Poll when domains > 1 -> Printf.sprintf "poll x%d domains" domains
-      | `Poll -> "poll")
+      (max 1 (min domains cfg.Quorum.Config.s))
+      (if domains > 1 then "s" else "")
       writes readers reads
       (if inflight > 0 then Printf.sprintf " (pipelined, window %d)" inflight
        else "")
@@ -1378,9 +1366,9 @@ let cluster_cmd =
       | Error e -> record_failure (Printf.sprintf "write v%d FAILED: %s" i e)
     done;
     if inflight > 0 then begin
-      (* Pipelined mode: all reads flow through the mux's operation
-         window.  A requested crash lands between two half-batches, the
-         window-level analogue of "halfway through each reader". *)
+      (* Pipelined mode: all reads flow through one client's window of
+         reader lanes.  A requested crash lands between two half-batches,
+         the window-level analogue of "halfway through each reader". *)
       let run_pipelined n =
         if n > 0 then
           Array.iteri
@@ -1453,6 +1441,7 @@ let cluster_cmd =
     let registry = Net.Cluster.metrics cluster in
     (match registry with
     | Some reg ->
+        print_requests_per_op reg;
         Format.printf "--- metrics ---@.%s"
           (Stats.Table.to_string (Obs.Metrics.table reg))
     | None -> ());
@@ -1465,7 +1454,7 @@ let cluster_cmd =
     Term.(
       const run $ net_protocol_arg $ t_arg $ b_arg $ s_arg $ readers_arg
       $ writes_arg $ reads_arg $ transport_arg $ crash_arg $ inflight_arg
-      $ loop_arg $ domains_arg $ fast_reads_arg $ keys_arg $ zipf_arg
+      $ domains_arg $ fast_reads_arg $ keys_arg $ zipf_arg
       $ write_ratio_arg $ coalesce_arg $ seed_arg $ client_opts_args
       $ jobs_arg $ metrics_arg $ artifacts_arg)
   in
@@ -1481,12 +1470,12 @@ let cluster_cmd =
 (* ----- load: multi-process saturation driver ----------------------------- *)
 
 (* The saturation workload needs more client-side parallelism than one
-   process can generate (a mux is one thread; the GC and the select loop
-   cap it).  'load' hosts the sharded server group and forks K worker
-   processes of this same binary ('load-worker', hidden), each driving
-   its own pipelined mux with a disjoint reader-id range; workers export
-   their op.* registries as JSONL and the parent merges them with the
-   per-object server registries into one report. *)
+   process can generate (a client is one thread; the GC and the select
+   loop cap it).  'load' hosts the sharded server group and forks K
+   worker processes of this same binary ('load-worker', hidden), each
+   driving its own client with a disjoint reader-id range; workers
+   export their op.* registries as JSONL and the parent merges them with
+   the per-object server registries into one report. *)
 
 let first_reader_arg =
   Arg.(
@@ -1503,7 +1492,9 @@ let load_inflight_arg =
   Arg.(
     value & opt int 8
     & info [ "inflight" ] ~docv:"W"
-        ~doc:"In-flight operation window (= reader slots) per worker process.")
+        ~doc:
+          "In-flight operation window per worker process (and, for the \
+           single register, its number of reader lanes).")
 
 let load_worker_cmd =
   let endpoints_arg =
@@ -1554,50 +1545,40 @@ let load_worker_cmd =
     let registry = Obs.Metrics.create () in
     let endpoints = Array.of_list endpoints in
     let t0 = Unix.gettimeofday () in
-    let outcomes =
-      if keys > 0 then begin
-        (* Keyspace mode: a keyed client over the fleet, reading and
-           writing a zipfian mix.  The registers are SWMR, so write
-           ownership is partitioned across workers with the placement
-           mixer: this worker only writes keys where
-           mix(key) mod workers = worker; other write draws become
-           reads (the key-popularity marginal is unchanged). *)
-        let map =
-          Shard.Map.make_exn ~keys ~fleet:cfg.Quorum.Config.s ~cfg ()
-        in
+    (* Keyspace mode: a zipfian read/write mix over the fleet.  The
+       registers are SWMR, so write ownership is partitioned across
+       workers with the placement mixer: this worker only writes keys
+       where mix(key) mod workers = worker; other write draws become
+       reads (the key-popularity marginal is unchanged).  Otherwise the
+       worker reads the single register through [inflight] reader
+       lanes. *)
+    let map, readers, kops =
+      if keys > 0 then
         let gen =
           Workload.Keyspace.make_exn ~skew:zipf ~write_ratio
             ~write_filter:(fun k -> Shard.Map.mix k mod workers = worker)
             ~keys ~seed:(seed + worker) ()
         in
-        let kops =
+        ( Shard.Map.make_exn ~keys ~fleet:cfg.Quorum.Config.s ~cfg (),
+          1,
           Array.map
             (function
               | Workload.Keyspace.Read { key } -> Net.Client.Keyed.Read { key }
               | Workload.Keyspace.Write { key; value } ->
                   Net.Client.Keyed.Write { key; value })
-            (Workload.Keyspace.ops gen ops)
-        in
-        let keyed =
-          Net.Client.Keyed.connect ~metrics:registry ~opts:copts
-            ~max_inflight:inflight ~reader:first_reader ~coalesce ~protocol
-            ~map endpoints
-        in
-        let outcomes = Net.Client.Keyed.run_ops keyed kops in
-        Net.Client.Keyed.close keyed;
-        outcomes
-      end
-      else begin
-        let mux =
-          Net.Client.Mux.connect ~metrics:registry ~opts:copts
-            ~max_inflight:inflight ~first_reader ~coalesce ~protocol ~cfg
-            ~readers:inflight endpoints
-        in
-        let outcomes = Net.Client.Mux.run_reads mux ops in
-        Net.Client.Mux.close mux;
-        outcomes
-      end
+            (Workload.Keyspace.ops gen ops) )
+      else
+        ( Shard.Map.single cfg,
+          inflight,
+          Array.make ops (Net.Client.Keyed.Read { key = 0 }) )
     in
+    let client =
+      Net.Client.Keyed.connect ~metrics:registry ~opts:copts
+        ~max_inflight:inflight ~reader:first_reader ~readers ~coalesce ~protocol
+        ~map endpoints
+    in
+    let outcomes = Net.Client.Keyed.run_ops client kops in
+    Net.Client.Keyed.close client;
     let wall = Unix.gettimeofday () -. t0 in
     let failures =
       Array.fold_left
@@ -1633,7 +1614,7 @@ let load_worker_cmd =
   Cmd.v
     (Cmd.info "load-worker" ~docs:Manpage.s_none
        ~doc:
-         "(internal) One load-generator process: a pipelined mux with a \
+         "(internal) One load-generator process: a pipelined client with a \
           disjoint reader-id range, spawned by 'robustread load'.")
     term
 
@@ -1846,7 +1827,7 @@ let load_cmd =
        ~doc:
          "Saturate a sharded poll server group: host all S objects across \
           --domains worker domains in this process, fork --procs client \
-          processes each driving a pipelined read mux with a disjoint \
+          processes each driving a pipelined client with a disjoint \
           reader-id range, then merge every registry (per-object server \
           metrics + per-process JSONL exports) into one ops/s and wire.* \
           report.  Exits nonzero on any worker failure or domain-partition \

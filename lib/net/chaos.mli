@@ -13,8 +13,9 @@
 
     Rules are windowed in a shared microsecond clock and matched per
     frame by direction and (optionally) the frame's effective sender:
-    the session's [Hello] sender, or the inline sender of a [Msg_from]
-    frame, so pipelined traffic attributes per reader automaton.  A
+    the inline sender of a [Hello] or [Msg_key] frame, else the
+    session's [Hello] sender, so multiplexed traffic attributes per
+    automaton.  A
     matched frame can be dropped, delayed, duplicated, corrupted (body
     bytes scrambled {e after} the frame header, so the result still
     parses as a frame and exercises the peer's total decoding), or

@@ -1,13 +1,16 @@
 (** Reader/writer client runtime: the protocol's round structure over
     real sockets.
 
-    A client connects to the S base-object endpoints and drives the
+    One engine, {!Keyed}, runs every live client.  It drives the
     {e unchanged} reader/writer state machines from
-    {!Core.Protocol_intf.S}: each operation broadcasts the round's
-    message to every reachable endpoint, feeds replies back as they
-    arrive (the state machines themselves decide when S−t replies — or
-    the protocol's own quorum predicate — are enough), and follows any
-    next-round broadcast the machine emits.
+    {!Core.Protocol_intf.S} for a keyspace of registers: each round's
+    message goes to [S−t] of the key's base objects (widening to the
+    rest only when the round needs them, DESIGN §17), replies are fed
+    back as they arrive (the state machines themselves decide when [S−t]
+    replies — or the protocol's own quorum predicate — are enough), and
+    any next-round broadcast the machine emits is followed.  The single
+    register is key 0 of {!Shard.Map.single}: {!connect} is a writer or
+    one reader of it, running one operation at a time on the engine.
 
     The transport adds what the simulator never needed:
 
@@ -67,12 +70,12 @@ val connect :
   role:[ `Writer | `Reader of int ] ->
   Endpoint.t array ->
   t
-(** [connect ~protocol ~cfg ~role endpoints] prepares a client for the S
-    = [Array.length endpoints] base objects; endpoint [i] hosts object
-    [i+1].  Connections are established lazily and re-established with
-    backoff, so a dead endpoint at connect time is not an error.
-    [now_us] overrides the span clock (default: microseconds since
-    [connect]).
+(** [connect ~protocol ~cfg ~role endpoints] prepares the writer or
+    reader [j] of the single register on the S = [Array.length
+    endpoints] base objects; endpoint [i] hosts object [i+1].
+    Connections are established lazily and re-established with backoff,
+    so a dead endpoint at connect time is not an error.  [now_us]
+    overrides the span clock (default: microseconds since [connect]).
     @raise Invalid_argument if [endpoints] does not match [cfg.s] or the
     role is a [`Reader j] with [j < 1]. *)
 
@@ -91,91 +94,15 @@ val connected : t -> int list
 
 val close : t -> unit
 
-(** {2 Pipelined reads}
-
-    A reader automaton runs one operation at a time (its round
-    timestamps are per-op), so the in-flight window is built from
-    [readers] independent reader machines — each with its own connection
-    set to the same S endpoints, its own round state, deadline and
-    backoff — multiplexed onto one select-driven event loop in the
-    caller's thread.  Per-op acceptance is exactly the serial client's:
-    the unchanged state machines decide when S−t replies suffice.
-    Outbound frames are coalesced per connection flush ({!Codec.Out}),
-    which is wire-compatible with unbatched peers because frames are
-    length-prefixed and self-delimiting. *)
-
-module Mux : sig
-  type event =
-    | Invoke of { op : int; reader : int; joined : bool; at_us : int }
-        (** Operation [op] was assigned to reader [reader]; [joined]
-            means it coalesced onto the round that reader's slot was
-            assembling instead of running its own. *)
-    | Respond of {
-        op : int;
-        reader : int;
-        joined : bool;
-        at_us : int;
-        outcome : (outcome, string) result;
-      }  (** Operation [op] completed (or timed out). *)
-
-  type t
-
-  val connect :
-    ?metrics:Obs.Metrics.t ->
-    ?opts:opts ->
-    ?now_us:(unit -> int) ->
-    ?max_inflight:int ->
-    ?first_reader:int ->
-    ?coalesce:int ->
-    protocol:Protocols.t ->
-    cfg:Quorum.Config.t ->
-    readers:int ->
-    Endpoint.t array ->
-    t
-  (** [connect ~readers endpoints] prepares [readers] reader slots with
-      ids [first_reader .. first_reader+readers-1] (default [1..]);
-      [max_inflight] (default [readers], clamped to [1..readers]) caps
-      how many operations progress concurrently.  Reader ids must be
-      fresh with respect to the cluster: base objects keep per-reader
-      round state, so a {e new} automaton reusing an id some earlier
-      client already advanced can be ignored by the objects.
-
-      [coalesce] (default 1 = off, clamped to at least 1) caps how many
-      reads may share one quorum round: a read admitted while a fresh
-      round's broadcast is still being assembled — appended to the
-      outbound buffers but not yet flushed — joins that round and adopts
-      its result, which preserves regularity because every member is
-      invoked before any base object sees the round's first request
-      (DESIGN §16).  Joined reads do not count against [max_inflight];
-      each completes as a logical op of its own (span, metrics,
-      [op.coalesced_reads] counter, [op.coalesce_width] histogram).
-      Rounds resumed from a timed-out park never accept joiners.
-      @raise Invalid_argument on an endpoint/S mismatch, [readers < 1]
-      or [first_reader < 1]. *)
-
-  val run_reads :
-    ?on_event:(event -> unit) -> t -> int -> (outcome, string) result array
-  (** [run_reads t n] drives [n] READs to completion (or timeout),
-      keeping up to [max_inflight] in flight; result [i] is operation
-      [i]'s outcome.  [on_event] observes invocations and responses in
-      real time (for history recording).  A timed-out op parks its
-      machine mid-round — the automata have no abort — and the next op
-      on that slot resumes it, mirroring the serial client. *)
-
-  val spans : t -> Obs.Span.t list
-
-  val connected : t -> int list
-  (** Object indices reachable from at least one slot. *)
-
-  val close : t -> unit
-end
-
-(** {2 Keyed keyspace client}
+(** {2 The client engine}
 
     Drives reader AND writer automata for a whole keyspace over one
     connection per fleet server.  Placement comes from {!Shard.Map}: a
     key's rounds go as [Msg_key] frames to members of its shard only,
-    and replies demultiplex by the echoed (key, sender) pair.
+    and replies demultiplex by the echoed (key, sender) pair.  Outbound
+    frames are coalesced per connection flush ({!Codec.Out}), which is
+    invisible to peers because frames are length-prefixed and
+    self-delimiting.
 
     Rounds are quorum-sized (DESIGN §17).  A fresh round's message goes
     to the [S−t] connected members chosen by {!Keyed.pick}, since the
@@ -196,9 +123,12 @@ end
     over the wire as separate registers, which is what makes per-shard
     correctness the paper's single-register argument verbatim.
 
-    Per (key, role) at most one operation is in flight and excess
-    operations queue FIFO, so each key's reads and each key's writes
-    stay program-ordered while distinct keys overlap up to
+    Each key has one writer and [readers] reader lanes: lane [i] is a
+    reader automaton with reader id [reader + i].  An automaton runs one
+    operation at a time (its round timestamps are per-op), so per key at
+    most one write and [readers] reads are in flight; excess operations
+    queue FIFO per key, so each key's writes stay program-ordered and
+    its reads start in program order, while distinct keys overlap up to
     [max_inflight].  A read and a write on the {e same} key may overlap:
     they are different automata — exactly the paper's concurrent
     reader/writer.
@@ -228,14 +158,23 @@ module Keyed : sig
       connected member if fewer than [q] are connected. *)
 
   type event =
-    | Invoke of { op : int; key : int; write : bool; joined : bool; at_us : int }
-        (** [joined] means the read coalesced onto the round its key's
-            reader was assembling instead of running its own; writes
+    | Invoke of {
+        op : int;
+        key : int;
+        write : bool;
+        reader : int;
+        joined : bool;
+        at_us : int;
+      }
+        (** [reader] is the id of the lane that runs the read (0 for a
+            write); [joined] means the read coalesced onto the round
+            that lane was assembling instead of running its own; writes
             never coalesce. *)
     | Respond of {
         op : int;
         key : int;
         write : bool;
+        reader : int;
         joined : bool;
         at_us : int;
         outcome : (outcome, string) result;
@@ -249,6 +188,7 @@ module Keyed : sig
     ?now_us:(unit -> int) ->
     ?max_inflight:int ->
     ?reader:int ->
+    ?readers:int ->
     ?coalesce:int ->
     protocol:Protocols.t ->
     map:Shard.Map.t ->
@@ -258,14 +198,15 @@ module Keyed : sig
       fleet: endpoint [i] is fleet slot [i] and hosts base object [i+1]
       for every shard it serves (the automata only ever count distinct
       object ids against quorum thresholds, so a shard's member ids need
-      not be contiguous).  [reader] (default 1) is this client's reader
-      id for {e every} key; two keyed clients reading the same keys must
-      use distinct ids.  [max_inflight] (default 16) caps concurrently
-      progressing operations across all keys.
+      not be contiguous).  Every key gets [readers] (default 1) reader
+      lanes with ids [reader .. reader+readers-1] ([reader] defaults to
+      1); two clients reading the same keys must use disjoint ids, since
+      base objects keep per-reader round state.  [max_inflight] (default
+      16) caps concurrently progressing operations across all keys.
 
       [coalesce] (default 1 = off, clamped to at least 1) caps how many
       same-key reads may share one quorum round.  A read admitted while
-      its key's fresh read round is still being assembled (broadcast
+      a fresh read round of its key is still being assembled (broadcast
       buffered, not yet flushed) joins that round and adopts its result;
       reads already queued behind the key piggyback onto each fresh
       round the same way.  Join-before-broadcast preserves regularity —
@@ -277,7 +218,7 @@ module Keyed : sig
       [op.coalesced_reads] counter, [op.coalesce_width] histogram).
       Rounds resumed from a timed-out park never accept joiners.
       @raise Invalid_argument if [endpoints] does not match the map's
-      fleet or [reader < 1]. *)
+      fleet, [reader < 1] or [readers < 1]. *)
 
   val run_ops :
     ?on_event:(event -> unit) ->
@@ -290,8 +231,7 @@ module Keyed : sig
       recording).  A timed-out operation parks its machine mid-round —
       the automata have no abort — and the next operation on that (key,
       role) resumes it; a resumed {e write} completes the parked round,
-      so the resuming write's own value is not what gets written
-      (mirroring the serial client's resume semantics). *)
+      so the resuming write's own value is not what gets written. *)
 
   val spans : t -> Obs.Span.t list
 

@@ -5,36 +5,21 @@ type client_slot = {
   mutable open_op : Histories.Recorder.op_handle option;
 }
 
-(* The pipelined read runtime is created on first use and cached: its
-   reader slots carry parked (timed-out) operations across calls, so
-   rebuilding it per call would leak half-finished automata. *)
-type mux_state = {
-  m_inflight : int;
-  m_first : int;  (* first reader id of this mux's slots *)
-  m_coalesce : int;
-  m_mux : Client.Mux.t;
-  m_registry : Obs.Metrics.t option;
-  m_open : Histories.Recorder.op_handle option array;  (* per reader slot *)
-  (* Coalesced reads are extra concurrent ops on the same slot, so they
-     cannot share the slot's open-op cell (nor its recorder reader id):
-     they are tracked per op index with fresh ids from [next_jrid]. *)
-  m_open_joined : (int, Histories.Recorder.op_handle) Hashtbl.t;
-}
-
-(* The keyed keyspace runtime, cached for the same reason as the mux:
-   parked per-key automata must survive across calls.  Histories are
-   per key (each key is its own register) and recorded only for keys
-   the caller samples. *)
+(* A cached engine client: its parked (timed-out) automata must carry
+   over between calls, so it is rebuilt only when its parameters change.
+   [k_open] holds the history handle of each open op by (key, reader
+   id; 0 for the writer): an op that timed out stays open, and the op
+   that resumes it responds to the original invocation.  A joined read
+   overlaps its lead, so it records under a fresh reader id and is
+   tracked by op index (joined ops never park). *)
 type keyed_state = {
   k_inflight : int;
-  k_map : Shard.Map.t;
+  k_readers : int;
   k_coalesce : int;
+  k_map : Shard.Map.t;
   k_client : Client.Keyed.t;
   k_registry : Obs.Metrics.t option;
-  k_recorders : (int, string Histories.Recorder.t) Hashtbl.t;
-  k_open : (int * bool, Histories.Recorder.op_handle) Hashtbl.t;
-  (* Coalesced reads overlap the lead on the same (key, role), so they
-     get their own handles, keyed by op index, under fresh reader ids. *)
+  k_open : (int * int, Histories.Recorder.op_handle) Hashtbl.t;
   k_open_joined : (int, Histories.Recorder.op_handle) Hashtbl.t;
 }
 
@@ -46,10 +31,12 @@ type t = {
   server_registries : Obs.Metrics.t option array;
   writer : client_slot;
   readers : client_slot array;
-  mutable mux : mux_state option;
-  mutable keyed : keyed_state option;
+  single : Shard.Map.t;  (* the single register, key 0 *)
+  mutable lanes : keyed_state option;  (* pipelined key-0 reads *)
+  mutable keyed : keyed_state option;  (* keyspace runs *)
   (* Base objects keep per-reader round state, so reader ids are never
-     reused across mux generations: each new mux gets a fresh range. *)
+     reused across client generations: each new client gets a fresh
+     range. *)
   mutable next_rid : int;
   (* Recorder reader ids for coalesced reads: the recorder insists each
      concurrently-open read has a distinct reader, and joined reads
@@ -58,7 +45,8 @@ type t = {
   mutable next_jrid : int;
   copts : Client.opts option;
   protocol : Protocols.t;
-  recorder : string Histories.Recorder.t;
+  recorder : string Histories.Recorder.t;  (* key 0, every client *)
+  key_recorders : (int, string Histories.Recorder.t) Hashtbl.t;  (* key > 0 *)
   rec_mutex : Mutex.t;
   now_us : unit -> int;
   tmpdir : string option;
@@ -81,8 +69,8 @@ let fresh_tmpdir () =
   incr tmp_counter;
   go !tmp_counter
 
-let start ?(metrics = false) ?opts ?(transport = `Unix) ?(loop = `Threads)
-    ?(domains = 1) ?(interpose = false) ~protocol ~cfg ~readers () =
+let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
+    ?(interpose = false) ~protocol ~cfg ~readers () =
   let s = cfg.Quorum.Config.s in
   let tmpdir, endpoints =
     match transport with
@@ -100,26 +88,18 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(loop = `Threads)
   let registry () = if metrics then Some (Obs.Metrics.create ()) else None in
   let server_registries = Array.init s (fun _ -> registry ()) in
   let servers =
-    match loop with
-    | `Threads ->
-        Array.init s (fun i ->
-            Server.start
-              ?metrics:server_registries.(i)
-              ~protocol ~cfg ~index:(i + 1) endpoints.(i))
-    | `Poll ->
-        (* All S objects sharded across [domains] event-loop domains
-           (one domain when unspecified). *)
-        Server.start_group
-          ?metrics:
-            (if metrics then
-               Some (fun i -> Option.get server_registries.(i))
-             else None)
-          ~domains ~protocol ~cfg endpoints
+    Server.start_group
+      ?metrics:
+        (if metrics then Some (fun i -> Option.get server_registries.(i))
+         else None)
+      ~domains ~protocol ~cfg endpoints
   in
   (* Ephemeral TCP ports are only known after bind. *)
   let server_endpoints = Array.map Server.endpoint servers in
-  let t0 = Unix.gettimeofday () in
-  let now_us () = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
+  (* Monotonic: histories, spans and chaos windows compare these stamps,
+     which a wall-clock step must not reorder. *)
+  let t0 = Monotonic_clock.now () in
+  let now_us () = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) / 1000 in
   (* With interposition, every client dials a per-object chaos proxy
      relaying to the real server; the server endpoint stays stable
      across crash/restart, so a proxy never needs re-targeting. *)
@@ -157,13 +137,15 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(loop = `Threads)
     server_registries;
     writer = slot `Writer;
     readers = Array.init readers (fun j -> slot (`Reader (j + 1)));
-    mux = None;
+    single = Shard.Map.single cfg;
+    lanes = None;
     keyed = None;
     next_rid = readers + 1;
     next_jrid = 1_000_000;
     copts = opts;
     protocol;
     recorder = Histories.Recorder.create ();
+    key_recorders = Hashtbl.create 64;
     rec_mutex = Mutex.create ();
     now_us;
     tmpdir;
@@ -224,227 +206,102 @@ let read t ~reader =
       ok
   | Error _ as e -> e
 
-let mux_for t ~inflight ~coalesce =
-  if inflight < 1 then
-    invalid_arg (Printf.sprintf "Cluster.read_pipelined: inflight %d" inflight);
-  match t.mux with
-  | Some m when m.m_inflight = inflight && m.m_coalesce = coalesce -> m
-  | existing ->
-      (match existing with
-      | Some m -> Client.Mux.close m.m_mux
-      | None -> ());
-      let registry =
-        if t.with_metrics then Some (Obs.Metrics.create ()) else None
-      in
-      let first = t.next_rid in
-      t.next_rid <- t.next_rid + inflight;
-      let m =
-        {
-          m_inflight = inflight;
-          m_first = first;
-          m_coalesce = coalesce;
-          m_mux =
-            Client.Mux.connect ?metrics:registry ?opts:t.copts
-              ~now_us:t.now_us ~max_inflight:inflight ~first_reader:first
-              ~coalesce ~protocol:t.protocol ~cfg:t.cfg ~readers:inflight
-              t.endpoints;
-          m_registry = registry;
-          m_open = Array.make inflight None;
-          m_open_joined = Hashtbl.create 64;
-        }
-      in
-      t.mux <- Some m;
-      m
+let result_of (o : Client.outcome) =
+  match o.value with
+  | Some Core.Value.Bottom | None -> Histories.Op.Bottom
+  | Some (Core.Value.V s) -> Histories.Op.Value s
 
-let read_pipelined ?(coalesce = 1) t ~inflight ~ops =
-  let m = mux_for t ~inflight ~coalesce in
-  (* Events fire on the pump's hot path, once per op start and finish:
-     take the mutex directly instead of allocating a [locked] thunk per
-     event.  Recorder calls raise only on misuse bugs; the handler
-     below re-raises with the mutex released so the failure stays
-     loud. *)
-  let record ev =
-    match ev with
-    | Client.Mux.Invoke { op; joined = true; at_us; _ } ->
-        (* A coalesced read overlaps its lead, so it needs a recorder
-           reader id of its own (the recorder allows one open op per
-           reader).  Joined ops never park/resume: keyed by op index. *)
-        let jrid = t.next_jrid in
-        t.next_jrid <- t.next_jrid + 1;
-        Hashtbl.replace m.m_open_joined op
-          (Histories.Recorder.invoke_read t.recorder ~time:at_us ~reader:jrid)
-    | Client.Mux.Respond { op; joined = true; at_us; outcome; _ } -> (
-        match Hashtbl.find_opt m.m_open_joined op with
-        | None -> ()
-        | Some h -> (
-            Hashtbl.remove m.m_open_joined op;
-            match outcome with
-            | Error _ -> ()  (* never resumed: the op stays open *)
-            | Ok o ->
-                let result =
-                  match o.Client.value with
-                  | Some Core.Value.Bottom | None -> Histories.Op.Bottom
-                  | Some (Core.Value.V s) -> Histories.Op.Value s
-                in
-                Histories.Recorder.respond_read t.recorder h ~time:at_us result))
-    | Client.Mux.Invoke { reader; at_us; _ } -> (
-        match m.m_open.(reader - m.m_first) with
-        | Some _ -> ()  (* resuming a parked op: invocation stands *)
-        | None ->
-            m.m_open.(reader - m.m_first) <-
-              Some
-                (Histories.Recorder.invoke_read t.recorder ~time:at_us ~reader))
-    | Client.Mux.Respond { reader; at_us; outcome; _ } -> (
-        match outcome with
-        | Error _ -> ()  (* op stays open; a later read resumes it *)
-        | Ok o -> (
-            match m.m_open.(reader - m.m_first) with
-            | None -> ()
-            | Some h ->
-                m.m_open.(reader - m.m_first) <- None;
-                let result =
-                  match o.Client.value with
-                  | Some Core.Value.Bottom | None -> Histories.Op.Bottom
-                  | Some (Core.Value.V s) -> Histories.Op.Value s
-                in
-                Histories.Recorder.respond_read t.recorder h ~time:at_us result))
-  in
-  let on_event ev =
-    Mutex.lock t.rec_mutex;
-    (try record ev
-     with e ->
-       Mutex.unlock t.rec_mutex;
-       raise e);
-    Mutex.unlock t.rec_mutex
-  in
-  Client.Mux.run_reads ~on_event m.m_mux ops
-
-let keyed_for t ~map ~inflight ~coalesce =
-  if inflight < 1 then
-    invalid_arg (Printf.sprintf "Cluster.run_keyed: inflight %d" inflight);
-  match t.keyed with
+(* The cached client for [prev]'s role, rebuilt with fresh reader ids
+   when a parameter changed. *)
+let keyed_client t prev ~map ~inflight ~readers ~coalesce =
+  match prev with
   | Some k
-    when k.k_inflight = inflight && k.k_map == map && k.k_coalesce = coalesce
-    ->
+    when k.k_inflight = inflight && k.k_readers = readers
+         && k.k_coalesce = coalesce && k.k_map == map ->
       k
-  | existing ->
-      (match existing with
-      | Some k -> Client.Keyed.close k.k_client
-      | None -> ());
-      if Shard.Map.fleet map <> Array.length t.endpoints then
-        invalid_arg
-          (Printf.sprintf "Cluster.run_keyed: map fleet %d, cluster has %d"
-             (Shard.Map.fleet map) (Array.length t.endpoints));
+  | _ ->
+      Option.iter (fun k -> Client.Keyed.close k.k_client) prev;
       let registry =
         if t.with_metrics then Some (Obs.Metrics.create ()) else None
       in
-      (* Fresh reader id: key 0 is also served to the plain clients
-         (untagged frames), so the keyed reader must not collide with a
-         serial reader's per-reader round state on key 0's objects. *)
-      let rid = t.next_rid in
-      t.next_rid <- t.next_rid + 1;
-      let k =
-        {
-          k_inflight = inflight;
-          k_map = map;
-          k_coalesce = coalesce;
-          k_client =
-            Client.Keyed.connect ?metrics:registry ?opts:t.copts
-              ~now_us:t.now_us ~max_inflight:inflight ~reader:rid ~coalesce
-              ~protocol:t.protocol ~map t.endpoints;
-          k_registry = registry;
-          k_recorders = Hashtbl.create 64;
-          k_open = Hashtbl.create 64;
-          k_open_joined = Hashtbl.create 64;
-        }
-      in
-      t.keyed <- Some k;
-      k
+      let reader = t.next_rid in
+      t.next_rid <- t.next_rid + readers;
+      {
+        k_inflight = inflight;
+        k_readers = readers;
+        k_coalesce = coalesce;
+        k_map = map;
+        k_client =
+          Client.Keyed.connect ?metrics:registry ?opts:t.copts ~now_us:t.now_us
+            ~max_inflight:inflight ~reader ~readers ~coalesce
+            ~protocol:t.protocol ~map t.endpoints;
+        k_registry = registry;
+        k_open = Hashtbl.create 64;
+        k_open_joined = Hashtbl.create 64;
+      }
 
-let run_keyed ?(inflight = 16) ?(coalesce = 1) ?(sample = fun _ -> true)
-    ?on_event:(hook = ignore) t ~map ops =
-  let k = keyed_for t ~map ~inflight ~coalesce in
+(* Key 0 records into the main history, where the single-register
+   clients' ops go too, so a run mixing them is checked as one
+   register; every other key sampled by [sample] gets a history of its
+   own. *)
+let record t k ~sample ops ev =
   let recorder_for key =
-    match Hashtbl.find_opt k.k_recorders key with
-    | Some r -> r
-    | None ->
-        let r = Histories.Recorder.create () in
-        Hashtbl.replace k.k_recorders key r;
-        r
+    if key = 0 then t.recorder
+    else
+      match Hashtbl.find_opt t.key_recorders key with
+      | Some r -> r
+      | None ->
+          let r = Histories.Recorder.create () in
+          Hashtbl.replace t.key_recorders key r;
+          r
   in
-  let record ev =
-    match ev with
-    | Client.Keyed.Invoke { op; key; joined = true; at_us; _ } ->
-        if sample key then begin
-          (* A coalesced read overlaps its lead on the same key, so it
-             records under a fresh reader id (the recorder allows one
-             open op per reader).  Joined ops never park/resume: keyed
-             by op index. *)
-          let jrid = t.next_jrid in
-          t.next_jrid <- t.next_jrid + 1;
-          let r = recorder_for key in
-          Hashtbl.replace k.k_open_joined op
-            (Histories.Recorder.invoke_read r ~time:at_us ~reader:jrid)
-        end
-    | Client.Keyed.Respond { op; key; joined = true; at_us; outcome; _ } ->
-        if sample key then begin
-          match Hashtbl.find_opt k.k_open_joined op with
-          | None -> ()
-          | Some h -> (
-              Hashtbl.remove k.k_open_joined op;
-              match outcome with
-              | Error _ -> ()  (* never resumed: the op stays open *)
-              | Ok o ->
-                  let r = recorder_for key in
-                  let result =
-                    match o.Client.value with
-                    | Some Core.Value.Bottom | None -> Histories.Op.Bottom
-                    | Some (Core.Value.V s) -> Histories.Op.Value s
-                  in
-                  Histories.Recorder.respond_read r h ~time:at_us result)
-        end
-    | Client.Keyed.Invoke { op; key; write; at_us; _ } ->
-        if sample key then begin
-          match Hashtbl.find_opt k.k_open (key, write) with
-          | Some _ -> ()  (* resuming a parked op: invocation stands *)
-          | None ->
-              let r = recorder_for key in
-              let h =
-                if write then
-                  let v =
-                    match ops.(op) with
-                    | Client.Keyed.Write { value; _ } ->
-                        Core.Value.to_string value
-                    | Client.Keyed.Read _ -> assert false
-                  in
-                  Histories.Recorder.invoke_write r ~time:at_us v
-                else Histories.Recorder.invoke_read r ~time:at_us ~reader:1
-              in
-              Hashtbl.replace k.k_open (key, write) h
-        end
-    | Client.Keyed.Respond { key; write; at_us; outcome; _ } ->
-        if sample key then begin
+  match ev with
+  | Client.Keyed.Invoke { key; _ } | Client.Keyed.Respond { key; _ }
+    when key <> 0 && not (sample key) ->
+      ()
+  | Client.Keyed.Invoke { op; key; joined = true; at_us; _ } ->
+      let jrid = t.next_jrid in
+      t.next_jrid <- t.next_jrid + 1;
+      Hashtbl.replace k.k_open_joined op
+        (Histories.Recorder.invoke_read (recorder_for key) ~time:at_us
+           ~reader:jrid)
+  | Client.Keyed.Respond { op; key; joined = true; at_us; outcome; _ } -> (
+      match Hashtbl.find_opt k.k_open_joined op with
+      | None -> ()
+      | Some h -> (
+          Hashtbl.remove k.k_open_joined op;
           match outcome with
-          | Error _ -> ()  (* op stays open; a later op resumes it *)
-          | Ok o -> (
-              match Hashtbl.find_opt k.k_open (key, write) with
-              | None -> ()
-              | Some h ->
-                  Hashtbl.remove k.k_open (key, write);
-                  let r = recorder_for key in
-                  if write then Histories.Recorder.respond_write r h ~time:at_us
-                  else
-                    let result =
-                      match o.Client.value with
-                      | Some Core.Value.Bottom | None -> Histories.Op.Bottom
-                      | Some (Core.Value.V s) -> Histories.Op.Value s
-                    in
-                    Histories.Recorder.respond_read r h ~time:at_us result)
-        end
-  in
+          | Error _ -> () (* never resumed: the op stays open *)
+          | Ok o ->
+              Histories.Recorder.respond_read (recorder_for key) h ~time:at_us
+                (result_of o)))
+  | Client.Keyed.Invoke { op; key; write; reader; at_us; _ } ->
+      if not (Hashtbl.mem k.k_open (key, reader)) then
+        let r = recorder_for key in
+        Hashtbl.replace k.k_open (key, reader)
+          (match ops.(op) with
+          | Client.Keyed.Write { value; _ } when write ->
+              Histories.Recorder.invoke_write r ~time:at_us
+                (Core.Value.to_string value)
+          | Client.Keyed.Write _ | Client.Keyed.Read _ ->
+              Histories.Recorder.invoke_read r ~time:at_us ~reader)
+  | Client.Keyed.Respond { key; write; reader; at_us; outcome; _ } -> (
+      match (outcome, Hashtbl.find_opt k.k_open (key, reader)) with
+      | Error _, _ | _, None -> () (* open until a later op resumes it *)
+      | Ok o, Some h ->
+          Hashtbl.remove k.k_open (key, reader);
+          let r = recorder_for key in
+          if write then Histories.Recorder.respond_write r h ~time:at_us
+          else Histories.Recorder.respond_read r h ~time:at_us (result_of o))
+
+(* Events fire on the pump's hot path, once per op start and finish:
+   take the mutex directly instead of allocating a [locked] thunk per
+   event.  Recorder calls raise only on misuse bugs; the handler
+   re-raises with the mutex released so the failure stays loud. *)
+let run_recorded ?(sample = fun _ -> true) ?(hook = ignore) t k ops =
   let on_event ev =
     Mutex.lock t.rec_mutex;
-    (try record ev
+    (try record t k ~sample ops ev
      with e ->
        Mutex.unlock t.rec_mutex;
        raise e);
@@ -453,15 +310,38 @@ let run_keyed ?(inflight = 16) ?(coalesce = 1) ?(sample = fun _ -> true)
   in
   Client.Keyed.run_ops ~on_event k.k_client ops
 
+let read_pipelined ?(coalesce = 1) t ~inflight ~ops =
+  if inflight < 1 then
+    invalid_arg (Printf.sprintf "Cluster.read_pipelined: inflight %d" inflight);
+  let k =
+    keyed_client t t.lanes ~map:t.single ~inflight ~readers:inflight ~coalesce
+  in
+  t.lanes <- Some k;
+  run_recorded t k (Array.make ops (Client.Keyed.Read { key = 0 }))
+
+let run_keyed ?(inflight = 16) ?(coalesce = 1) ?sample ?on_event t ~map ops =
+  if inflight < 1 then
+    invalid_arg (Printf.sprintf "Cluster.run_keyed: inflight %d" inflight);
+  if Shard.Map.fleet map <> Array.length t.endpoints then
+    invalid_arg
+      (Printf.sprintf "Cluster.run_keyed: map fleet %d, cluster has %d"
+         (Shard.Map.fleet map) (Array.length t.endpoints));
+  let k = keyed_client t t.keyed ~map ~inflight ~readers:1 ~coalesce in
+  t.keyed <- Some k;
+  run_recorded ?sample ?hook:on_event t k ops
+
+let history t = locked t (fun () -> Histories.Recorder.ops t.recorder)
+
 let keyed_histories t =
-  match t.keyed with
-  | None -> []
-  | Some k ->
-      locked t (fun () ->
-          Hashtbl.fold
-            (fun key r acc -> (key, Histories.Recorder.ops r) :: acc)
-            k.k_recorders []
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
+  let main = history t in
+  let rest =
+    locked t (fun () ->
+        Hashtbl.fold
+          (fun key r acc -> (key, Histories.Recorder.ops r) :: acc)
+          t.key_recorders [])
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  in
+  if main = [] then rest else (0, main) :: rest
 
 let keys_touched t =
   match t.keyed with None -> 0 | Some k -> Client.Keyed.keys_touched k.k_client
@@ -492,8 +372,7 @@ let restart_exn ?wipe t i =
       invalid_arg (Printf.sprintf "Cluster.restart: server %d still alive" i)
 
 let partition_violations t =
-  (* Group-wide counter for the poll group (every handle reports the
-     same one); always 0 per handle for thread servers. *)
+  (* Group-wide counter: every handle reports the same one. *)
   Array.fold_left
     (fun acc s -> max acc (Server.partition_violations s))
     0 t.servers
@@ -511,15 +390,14 @@ let endpoints t = t.endpoints
 
 let cfg t = t.cfg
 
-let history t = locked t (fun () -> Histories.Recorder.ops t.recorder)
-
 let spans t =
   Client.spans t.writer.client
   @ List.concat_map
       (fun r -> Client.spans r.client)
       (Array.to_list t.readers)
-  @ (match t.mux with Some m -> Client.Mux.spans m.m_mux | None -> [])
-  @ (match t.keyed with Some k -> Client.Keyed.spans k.k_client | None -> [])
+  @ List.concat_map
+      (fun k -> Client.Keyed.spans k.k_client)
+      (Option.to_list t.lanes @ Option.to_list t.keyed)
 
 let metrics t =
   if not t.with_metrics then None
@@ -532,28 +410,21 @@ let metrics t =
     Array.iter
       (fun r -> Option.iter (fun src -> Obs.Metrics.merge_into ~dst src) r.registry)
       t.readers;
-    (match t.mux with
-    | Some { m_registry = Some src; _ } -> Obs.Metrics.merge_into ~dst src
-    | _ -> ());
-    (match t.keyed with
-    | Some { k_registry = Some src; _ } -> Obs.Metrics.merge_into ~dst src
-    | _ -> ());
+    List.iter
+      (fun k ->
+        Option.iter (fun src -> Obs.Metrics.merge_into ~dst src) k.k_registry)
+      (Option.to_list t.lanes @ Option.to_list t.keyed);
     Some dst
   end
 
 let stop t =
   Client.close t.writer.client;
   Array.iter (fun r -> Client.close r.client) t.readers;
-  (match t.mux with
-  | Some m ->
-      Client.Mux.close m.m_mux;
-      t.mux <- None
-  | None -> ());
-  (match t.keyed with
-  | Some k ->
-      Client.Keyed.close k.k_client;
-      t.keyed <- None
-  | None -> ());
+  List.iter
+    (fun k -> Client.Keyed.close k.k_client)
+    (Option.to_list t.lanes @ Option.to_list t.keyed);
+  t.lanes <- None;
+  t.keyed <- None;
   Array.iter Chaos.stop t.chaos_;
   Array.iter (fun s -> if Server.alive s then Server.stop s) t.servers;
   match t.tmpdir with

@@ -1,12 +1,16 @@
 (** Loopback cluster harness: S servers plus writer/reader clients in
     one process.
 
-    This is the live counterpart of {!Core.Scenario}: it spawns one
-    {!Server} per base object (Unix-domain sockets in a private temp
-    directory by default, TCP on demand), connects the single writer and
-    [readers] reader {!Client}s, and records every operation into a
-    {!Histories.Recorder} so the paper's safety/regularity/wait-freedom
-    checkers run on live histories exactly as they do on simulated ones.
+    This is the live counterpart of {!Core.Scenario}: it hosts the S
+    base objects in one {!Server.start_group} (Unix-domain sockets in a
+    private temp directory by default, TCP on demand), connects the
+    single writer and [readers] reader {!Client}s, and records every
+    operation into a {!Histories.Recorder} so the paper's
+    safety/regularity/wait-freedom checkers run on live histories
+    exactly as they do on simulated ones.  Every client is the
+    {!Client.Keyed} engine; the single register is its key 0, and every
+    key-0 operation — serial, pipelined or keyed — lands in the one main
+    history.
 
     Chaos hooks mirror the fault campaign's crash-recovery actions:
     {!crash} kills a server's sockets mid-flight (the stand-in for a
@@ -27,7 +31,6 @@ val start :
   ?metrics:bool ->
   ?opts:Client.opts ->
   ?transport:[ `Unix | `Tcp ] ->
-  ?loop:Server.loop ->
   ?domains:int ->
   ?interpose:bool ->
   protocol:Protocols.t ->
@@ -36,10 +39,8 @@ val start :
   unit ->
   t
 (** Spin up [cfg.s] servers and [readers] reader clients (plus the
-    writer).  [transport] defaults to [`Unix].  [loop] (default
-    [`Threads]) picks the server side: [`Poll] hosts all [cfg.s] objects
-    in a {!Server.start_group} event-loop group, sharded across
-    [domains] worker domains (default 1; ignored for [`Threads]).  With
+    writer).  [transport] defaults to [`Unix].  The objects are sharded
+    across [domains] worker domains (default 1).  With
     [interpose:true], a {!Chaos} proxy fronts every server and clients
     dial the proxies — {!chaos} exposes them for rule injection; with no
     rules set the interposers are transparent.  With [metrics:true]
@@ -57,17 +58,18 @@ val read_pipelined :
   inflight:int ->
   ops:int ->
   (Client.outcome, string) result array
-(** Drive [ops] READs with up to [inflight] concurrently in flight
-    through a cached {!Client.Mux} whose reader ids are allocated fresh
-    (above the serial readers' — base objects keep per-reader round
-    state, so ids are never reused across mux generations).  Every
-    operation is recorded in the shared history at its real
+(** Drive [ops] key-0 READs with up to [inflight] concurrently in flight
+    through a cached {!Client.Keyed} client with [inflight] reader
+    lanes, whose reader ids are allocated fresh (above the serial
+    readers' — base objects keep per-reader round state, so ids are
+    never reused across client generations).  Every operation is
+    recorded in the main history under its lane's reader id at its real
     invoke/respond instants, so the checkers see the true concurrency;
     timed-out ops stay open and are resumed by a later call, exactly
     like the serial path.  [coalesce] (default 1 = off) is
-    {!Client.Mux.connect}'s batch cap: coalesced reads record under
+    {!Client.Keyed.connect}'s batch cap: coalesced reads record under
     fresh recorder reader ids, since they overlap their lead.  Changing
-    [inflight] or [coalesce] rebuilds the mux.
+    [inflight] or [coalesce] rebuilds the client.
     @raise Invalid_argument if [inflight < 1]. *)
 
 val run_keyed :
@@ -83,9 +85,11 @@ val run_keyed :
     reader id is allocated fresh (key 0 is also served to the plain
     clients, so the keyed reader must not collide with their per-reader
     round state).  The map's fleet must equal the cluster's server
-    count.  Each key sampled by [sample] (default: all) records into
-    its own per-key history — each key is an independent register, so
-    the single-register checkers apply per key ({!keyed_histories}).
+    count.  Key-0 operations record into the main history ({!history})
+    under their real reader id; every other key sampled by [sample]
+    (default: all) records into its own per-key history — each key is
+    an independent register, so the single-register checkers apply per
+    key ({!keyed_histories}).
     [inflight] (default 16) caps concurrently progressing operations;
     [coalesce] (default 1 = off) is {!Client.Keyed.connect}'s per-key
     read-coalescing cap, and coalesced reads record under fresh
@@ -98,8 +102,9 @@ val run_keyed :
     not match. *)
 
 val keyed_histories : t -> (int * string Histories.Op.t list) list
-(** Per-key recorded operations for sampled keys, sorted by key id —
-    feed each key's list to {!Histories.Checks} independently. *)
+(** Per-key recorded operations, sorted by key id — key 0's are
+    {!history}, listed when non-empty, then each sampled key's.  Feed
+    each key's list to {!Histories.Checks} independently. *)
 
 val keys_touched : t -> int
 (** Keys with materialized keyed-client automata so far. *)
@@ -139,7 +144,7 @@ val endpoints : t -> Endpoint.t array
 val cfg : t -> Quorum.Config.t
 
 val history : t -> string Histories.Op.t list
-(** All recorded operations, invocation order — feed to
+(** All recorded key-0 operations, invocation order — feed to
     {!Histories.Checks}. *)
 
 val spans : t -> Obs.Span.t list

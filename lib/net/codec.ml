@@ -1,4 +1,4 @@
-let version = 1
+let version = 2
 
 let max_frame = 16 * 1024 * 1024
 
@@ -517,8 +517,6 @@ let decode_msg c s =
 type 'm frame =
   | Hello of { proto : string; sender : string; obj : int }
   | Hello_ack of { proto : string; obj : int }
-  | Msg of 'm
-  | Msg_from of { sender : string; msg : 'm }
   | Msg_key of { key : int; sender : string; msg : 'm }
   | Err of string
 
@@ -527,22 +525,17 @@ let frame_info ~msg_info = function
       Printf.sprintf "HELLO(proto=%s,sender=%s,obj=%d)" proto sender obj
   | Hello_ack { proto; obj } ->
       Printf.sprintf "HELLO_ACK(proto=%s,obj=%d)" proto obj
-  | Msg m -> msg_info m
-  | Msg_from { sender; msg } ->
-      Printf.sprintf "MSG_FROM(sender=%s,%s)" sender (msg_info msg)
   | Msg_key { key; sender; msg } ->
       Printf.sprintf "MSG_KEY(key=%d,sender=%s,%s)" key sender (msg_info msg)
   | Err e -> Printf.sprintf "ERR(%s)" e
 
+(* Kinds 2 and 4 were the untagged frames of wire version 1; their
+   numbers stay unused. *)
 let kind_hello = 0
 
 let kind_hello_ack = 1
 
-let kind_msg = 2
-
 let kind_err = 3
-
-let kind_msg_from = 4
 
 let kind_msg_key = 5
 
@@ -566,13 +559,6 @@ let encode_frame_into c (o : Out.t) frame =
       out_u8 o kind_hello_ack;
       out_string o proto;
       out_int o obj
-  | Msg m ->
-      out_u8 o kind_msg;
-      c.encode o m
-  | Msg_from { sender; msg } ->
-      out_u8 o kind_msg_from;
-      out_string o sender;
-      c.encode o msg
   | Msg_key { key; sender; msg } ->
       out_u8 o kind_msg_key;
       out_int o key;
@@ -617,11 +603,6 @@ let decode_payload_dec c d =
         let obj = get_int d in
         Hello_ack { proto; obj }
       end
-      else if kind = kind_msg then Msg (c.decode d)
-      else if kind = kind_msg_from then begin
-        let sender = get_string d in
-        Msg_from { sender; msg = c.decode d }
-      end
       else if kind = kind_msg_key then begin
         let key = get_int d in
         if key < 0 then fail "negative key id %d" key;
@@ -644,8 +625,8 @@ let decode_payload c s =
 
 (* The chaos interposer relays frames it cannot (and must not) decode:
    it only ever looks at the fixed header and, for sender attribution,
-   the leading string fields of [Hello]/[Msg_from] — both of which sit
-   before any protocol-specific bytes. *)
+   the leading fields of [Hello]/[Msg_key] — both of which sit before
+   any protocol-specific bytes. *)
 
 let header_bytes = 4
 
@@ -666,8 +647,6 @@ let peek_kind s =
       Some
         (if k = kind_hello then `Hello
          else if k = kind_hello_ack then `Hello_ack
-         else if k = kind_msg then `Msg
-         else if k = kind_msg_from then `Msg_from
          else if k = kind_msg_key then `Msg_key
          else if k = kind_err then `Err
          else `Unknown k)
@@ -681,10 +660,6 @@ let peek_sender s =
           let _proto = get_string d in
           get_string d
         with
-        | sender -> Some sender
-        | exception Fail _ -> None)
-      else if k = kind_msg_from then (
-        match get_string d with
         | sender -> Some sender
         | exception Fail _ -> None)
       else if k = kind_msg_key then (

@@ -17,8 +17,15 @@
 
     [length] counts the bytes after the length field.  [kind]
     distinguishes the session-control frames ({!Hello}, {!Hello_ack},
-    {!Err}) from protocol messages ({!Msg}).  Integers inside bodies are
-    zigzag LEB128 varints; strings are length-prefixed.
+    {!Err}) from protocol messages, which travel in one frame kind,
+    {!Msg_key}: a key id, the sending process, and the message body.
+    Integers inside bodies are zigzag LEB128 varints; strings are
+    length-prefixed.
+
+    Version 2 dropped the untagged message frames of version 1, whose
+    messages addressed key 0 implicitly: every client now tags its
+    messages with a key, so one frame kind serves all of them.  A peer
+    speaking version 1 is rejected at its first frame.
 
     Decoding is total: every exported decode function returns [Error]
     on truncated, oversized, or corrupt input — it never raises, which
@@ -85,7 +92,8 @@ val abd : Baseline.Abd.msg t
 (** The ABD baseline's read/write/write-back messages. *)
 
 val encode_msg : 'm t -> 'm -> string
-(** Message body only (no frame header) — what a [Msg] frame carries. *)
+(** Message body only (no frame header) — what a [Msg_key] frame
+    carries after its key and sender. *)
 
 val decode_msg : 'm t -> string -> ('m, error) result
 (** Strict inverse of {!encode_msg}: trailing bytes are an error. *)
@@ -100,20 +108,14 @@ type 'm frame =
   | Hello_ack of { proto : string; obj : int }
       (** Server's reply: the protocol it hosts and the actual object
           index. *)
-  | Msg of 'm  (** A protocol message, attributed to the session's sender. *)
-  | Msg_from of { sender : string; msg : 'm }
-      (** A protocol message carrying its sender inline, so one
-          connection can multiplex traffic for many reader automata.
-          Servers reply in kind, echoing [sender], which is how the
-          pipelined client demultiplexes concurrent operations. *)
   | Msg_key of { key : int; sender : string; msg : 'm }
-      (** A sender-tagged message additionally scoped to one register of
-          a keyspace: the varint [key] (>= 0) names the register the
-          automaton belongs to, so one connection multiplexes traffic
-          for many keys times many automata.  Servers reply in kind,
-          echoing both [key] and [sender].  Untagged [Msg]/[Msg_from]
-          frames address key 0, which is how pre-keyspace clients keep
-          working against keyed servers. *)
+      (** A protocol message for one register of a keyspace: the varint
+          [key] (>= 0) names the register (the single register is key
+          0) and [sender] the automaton ("w", "r3") that sent it, so one
+          connection multiplexes traffic for many keys times many
+          automata.  Servers reply in kind, echoing both [key] and
+          [sender], which is how a client demultiplexes concurrent
+          operations. *)
   | Err of string
       (** Terminal: the peer rejected the session or a frame; the
           connection closes after sending it. *)
@@ -137,7 +139,7 @@ val decode_payload : 'm t -> string -> ('m frame, error) result
     The {!Chaos} interposer relays frames of protocols it does not know:
     self-delimiting frames let it split the stream without decoding, and
     these helpers let it read just the fixed header plus the sender
-    strings of [Hello]/[Msg_from] — everything it needs to attribute a
+    strings of [Hello]/[Msg_key] — everything it needs to attribute a
     frame to a plan's process — while treating the body as opaque
     bytes. *)
 
@@ -148,14 +150,13 @@ val header_bytes : int
 
 val peek_kind :
   string ->
-  [ `Hello | `Hello_ack | `Msg | `Msg_from | `Msg_key | `Err | `Unknown of int ]
+  [ `Hello | `Hello_ack | `Msg_key | `Err | `Unknown of int ]
   option
 (** Kind of a frame payload; [None] if the header is malformed. *)
 
 val peek_sender : string -> string option
-(** The process name a payload carries inline: a [Hello]'s [sender] or a
-    [Msg_from]/[Msg_key]'s [sender]; [None] for other kinds or malformed
-    bytes. *)
+(** The process name a payload carries inline: a [Hello]'s or a
+    [Msg_key]'s [sender]; [None] for other kinds or malformed bytes. *)
 
 val peek_key : string -> int option
 (** The key id a [Msg_key] payload carries; [None] for other kinds or

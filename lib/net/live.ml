@@ -2,7 +2,6 @@ type opts = {
   tick_us : int;
   client : Client.opts;
   transport : [ `Unix | `Tcp ];
-  loop : Server.loop;
 }
 
 (* Patience arithmetic: an operation survives [retries] deadlines of
@@ -15,7 +14,6 @@ let default_opts =
     tick_us = 500;
     client = { Client.deadline = 0.3; retries = 6; backoff = 0.02 };
     transport = `Unix;
-    loop = `Threads;
   }
 
 let supported =
@@ -215,8 +213,7 @@ let run_plan_full ?metrics ?(opts = default_opts) protocol ~cfg ~seed plan =
   let cluster =
     Cluster.start
       ~metrics:(metrics <> None)
-      ~opts:opts.client ~transport:opts.transport ~loop:opts.loop
-      ~interpose:true ~protocol:pack ~cfg ~readers ()
+      ~opts:opts.client ~transport:opts.transport ~interpose:true ~protocol:pack ~cfg ~readers ()
   in
   Fun.protect ~finally:(fun () -> Cluster.stop cluster) @@ fun () ->
   let tl_lock = Mutex.create () in

@@ -37,7 +37,6 @@ type opts = {
           longest plan window so transient outages stall rather than
           kill within-budget operations *)
   transport : [ `Unix | `Tcp ];
-  loop : Server.loop;
 }
 
 val default_opts : opts

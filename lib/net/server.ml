@@ -1,7 +1,5 @@
 type stats = { connections : int; messages : int }
 
-type loop = [ `Threads | `Poll ]
-
 type t = {
   endpoint : Endpoint.t;
   index : int;
@@ -19,8 +17,13 @@ let ignore_sigpipe =
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ -> ())
 
+(* Seconds on the monotonic clock: backpressure stalls and the graceful
+   drain deadline are durations, which a wall-clock step must not
+   distort. *)
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 (* In-place decimal parse of "r<n>"/"s<n>" suffixes: this runs once per
-   [Msg_from] on the hot path, so no [String.sub] allocation. *)
+   [Msg_key] on the hot path, so no [String.sub] allocation. *)
 let id_of_suffix s =
   let len = String.length s in
   let rec go i acc =
@@ -90,7 +93,7 @@ type gconn = {
   gobj : int;  (* slot in the group's arrays, 0-based *)
   greader : Codec.Reader.t;
   gout : Codec.Out.t;
-  mutable gsrc : Sim.Proc_id.t option;
+  mutable greeted : bool;  (* a valid [Hello] arrived *)
   mutable gclosing : bool;
   mutable gframes : int;  (* frames queued since the last completed flush *)
   mutable gpaused : bool;
@@ -117,9 +120,9 @@ type wcmd =
    Control plane (stop/restart/alive/handle wiring) goes through one
    mutex + condvar; the data plane never touches it except one cheap
    check per accepted connection and one per idle worker iteration.
-   Each returned handle keeps the thread-server semantics: independent
-   stop/crash/restart per object; domains exit when their work is gone
-   and are respawned by the first restart. *)
+   Each returned handle stops, crashes and restarts its object
+   independently; domains exit when their work is gone and are
+   respawned by the first restart. *)
 let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     ?(drain_timeout = 5.0) ~protocol ~cfg endpoints =
   Lazy.force ignore_sigpipe;
@@ -146,17 +149,12 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     Mutex.lock mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
   in
-  (* Per-slot keyed object tables: key id -> automaton state.  Key 0 is
-     the pre-keyspace register and exists from the start, so untagged
-     [Msg]/[Msg_from] traffic behaves exactly as before; other keys are
+  (* Per-slot keyed object tables: key id -> automaton state, each key
      materialized on first contact.  A table is only ever touched by the
      slot's owning domain (the same invariant [steppers] asserts for the
      automata), so no lock guards it. *)
   let objs : (int, P.obj ref) Hashtbl.t array =
-    Array.init s (fun i ->
-        let tbl = Hashtbl.create 16 in
-        Hashtbl.replace tbl 0 (ref (fresh i));
-        tbl)
+    Array.init s (fun _ -> Hashtbl.create 16)
   in
   let obj_for i key =
     match Hashtbl.find_opt objs.(i) key with
@@ -338,9 +336,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     let unpause c =
       if c.gpaused && Codec.Out.pending c.gout <= queue_lo then begin
         c.gpaused <- false;
-        let stalled_us =
-          int_of_float ((Unix.gettimeofday () -. c.gpause_at) *. 1e6)
-        in
+        let stalled_us = int_of_float ((now_s () -. c.gpause_at) *. 1e6) in
         observe c.gobj "wire.backpressure_stalls" Obs.Metrics.wallclock_bounds
           (max 0 stalled_us);
         resumed := c :: !resumed
@@ -354,7 +350,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
       c.gframes <- c.gframes + 1;
       if (not c.gpaused) && Codec.Out.pending c.gout > queue_hi then begin
         c.gpaused <- true;
-        c.gpause_at <- Unix.gettimeofday ()
+        c.gpause_at <- now_s ()
       end
     in
     let try_flush c =
@@ -415,48 +411,27 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
             fail
               (Printf.sprintf "server hosts object %d, client dialed %d" index
                  dialed)
-          else (
-            match proc_of_string sender with
-            | None -> fail (Printf.sprintf "invalid sender %S" sender)
-            | Some p ->
-                c.gsrc <- Some p;
-                append_frame c (Codec.Hello_ack { proto = P.name; obj = index }))
-      | Codec.Msg m -> (
-          match c.gsrc with
-          | None ->
-              append_frame c (Codec.Err "protocol message before hello");
-              c.gclosing <- true
-          | Some src -> deliver c ~key:0 ~src ~wrap:(fun r -> Codec.Msg r) m)
-      | Codec.Msg_from { sender; msg } -> (
-          match c.gsrc with
-          | None ->
-              append_frame c (Codec.Err "protocol message before hello");
-              c.gclosing <- true
-          | Some _ -> (
-              match proc_of_string sender with
-              | None ->
-                  append_frame c
-                    (Codec.Err (Printf.sprintf "invalid sender %S" sender));
-                  c.gclosing <- true
-              | Some src ->
-                  deliver c ~key:0 ~src
-                    ~wrap:(fun r -> Codec.Msg_from { sender; msg = r })
-                    msg))
+          else if proc_of_string sender = None then
+            fail (Printf.sprintf "invalid sender %S" sender)
+          else begin
+            c.greeted <- true;
+            append_frame c (Codec.Hello_ack { proto = P.name; obj = index })
+          end
       | Codec.Msg_key { key; sender; msg } -> (
-          match c.gsrc with
-          | None ->
-              append_frame c (Codec.Err "protocol message before hello");
-              c.gclosing <- true
-          | Some _ -> (
-              match proc_of_string sender with
-              | None ->
-                  append_frame c
-                    (Codec.Err (Printf.sprintf "invalid sender %S" sender));
-                  c.gclosing <- true
-              | Some src ->
-                  deliver c ~key ~src
-                    ~wrap:(fun r -> Codec.Msg_key { key; sender; msg = r })
-                    msg))
+          if not c.greeted then begin
+            append_frame c (Codec.Err "protocol message before hello");
+            c.gclosing <- true
+          end
+          else
+            match proc_of_string sender with
+            | None ->
+                append_frame c
+                  (Codec.Err (Printf.sprintf "invalid sender %S" sender));
+                c.gclosing <- true
+            | Some src ->
+                deliver c ~key ~src
+                  ~wrap:(fun r -> Codec.Msg_key { key; sender; msg = r })
+                  msg)
       | Codec.Hello_ack _ ->
           append_frame c (Codec.Err "unexpected hello_ack");
           c.gclosing <- true
@@ -517,7 +492,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
                     gobj = aslot;
                     greader = Codec.Reader.create ();
                     gout = Codec.Out.create ();
-                    gsrc = None;
+                    greeted = false;
                     gclosing = false;
                     gframes = 0;
                     gpaused = false;
@@ -542,7 +517,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
                   mine;
                 if slot_has_conns dslot then
                   Hashtbl.replace draining dslot
-                    (Unix.gettimeofday () +. drain_timeout)
+                    (now_s () +. drain_timeout)
                 else finish_slot dslot
               end
               else begin
@@ -553,7 +528,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     in
     let enforce_deadlines () =
       if Hashtbl.length draining > 0 then begin
-        let now = Unix.gettimeofday () in
+        let now = now_s () in
         let expired =
           Hashtbl.fold
             (fun i deadline acc -> if now >= deadline then i :: acc else acc)
@@ -690,10 +665,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
   and restart_obj i ~wipe =
     locked (fun () ->
         if alive.(i) then invalid_arg "Server.restart: server still alive";
-        if wipe then begin
-          Hashtbl.reset objs.(i);
-          Hashtbl.replace objs.(i) 0 (ref (fresh i))
-        end;
+        if wipe then Hashtbl.reset objs.(i);
         let fd, actual = listen_on actuals.(i) in
         Unix.set_nonblock fd;
         listeners.(i) <- Some fd;
@@ -716,272 +688,11 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
   spawned := Domain.spawn acceptor :: !spawned;
   Array.init s handle_of
 
-(* ===== thread-per-connection server ====================================== *)
-
-let start_threaded ?metrics ~protocol ~cfg ~index endpoint =
-  Lazy.force ignore_sigpipe;
-  let (Protocols.Packed { proto = (module P); codec }) = protocol in
-  let fresh () = P.obj_init ~cfg ~index in
-  (* Keyed object table, exactly as in the poll group: key 0 from the
-     start, other keys on first contact, all under the server mutex. *)
-  let fresh_table () =
-    let tbl : (int, P.obj ref) Hashtbl.t = Hashtbl.create 16 in
-    Hashtbl.replace tbl 0 (ref (fresh ()));
-    tbl
-  in
-  let rec go objs endpoint =
-    let listen_fd, endpoint = listen_on endpoint in
-    let stop_rd, stop_wr = Unix.pipe () in
-    let mutex = Mutex.create () in
-    (* Must be called with the lock held. *)
-    let obj_for key =
-      match Hashtbl.find_opt objs key with
-      | Some r -> r
-      | None ->
-          let r = ref (fresh ()) in
-          Hashtbl.replace objs key r;
-          r
-    in
-    let conns : (Unix.file_descr, unit) Hashtbl.t = Hashtbl.create 8 in
-    let threads = ref [] in
-    let stopping = ref false in
-    let connections = ref 0 and messages = ref 0 in
-    let locked f =
-      Mutex.lock mutex;
-      Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
-    in
-    (* Must be called with the lock held. *)
-    let meter stage m =
-      match metrics with
-      | None -> ()
-      | Some reg ->
-          Obs.Metrics.incr reg
-            ("wire." ^ Obs.Wire.to_string (P.msg_class m) ^ "." ^ stage)
-    in
-    let count name =
-      match metrics with
-      | None -> ()
-      | Some reg -> Obs.Metrics.incr reg name
-    in
-    let handle_conn fd =
-      let reader = Codec.Reader.create () in
-      (* Replies accumulate here during one drain and go out in a single
-         write: frames are self-delimiting, so the peer cannot tell — but
-         a pipelined client draining K acks per read round can. *)
-      let out = Codec.Out.create () in
-      let append fr =
-        let before = Codec.Out.length out in
-        Codec.encode_frame_into codec out fr;
-        match metrics with
-        | None -> ()
-        | Some reg ->
-            let n = Codec.Out.length out - before in
-            locked (fun () ->
-                Obs.Metrics.observe_int reg "wire.bytes_per_frame"
-                  ~bounds:Obs.Metrics.bytes_bounds n)
-      in
-      let flush_out () =
-        if Codec.Out.pending out > 0 then
-          try Codec.flush fd out with Unix.Unix_error _ -> Codec.Out.clear out
-      in
-      let src = ref None in
-      let deliver ~key ~src:s ~wrap m =
-        let reply =
-          locked (fun () ->
-              let slot = obj_for key in
-              let obj', reply = P.obj_handle !slot ~src:s m in
-              slot := obj';
-              incr messages;
-              count "net.server.messages";
-              meter "delivered" m;
-              Option.iter (meter "sent") reply;
-              reply)
-        in
-        match reply with Some r -> append (wrap r) | None -> ()
-      in
-      let on_frame = function
-        | Codec.Hello { proto; sender; obj = dialed } ->
-            if proto <> P.name then begin
-              append
-                (Codec.Err
-                   (Printf.sprintf
-                      "server hosts protocol %s, client speaks %s" P.name proto));
-              `Close
-            end
-            else if dialed <> 0 && dialed <> index then begin
-              append
-                (Codec.Err
-                   (Printf.sprintf "server hosts object %d, client dialed %d"
-                      index dialed));
-              `Close
-            end
-            else (
-              match proc_of_string sender with
-              | None ->
-                  append (Codec.Err (Printf.sprintf "invalid sender %S" sender));
-                  `Close
-              | Some p ->
-                  src := Some p;
-                  append (Codec.Hello_ack { proto = P.name; obj = index });
-                  `Continue)
-        | Codec.Msg m -> (
-            match !src with
-            | None ->
-                append (Codec.Err "protocol message before hello");
-                `Close
-            | Some s ->
-                deliver ~key:0 ~src:s ~wrap:(fun r -> Codec.Msg r) m;
-                `Continue)
-        | Codec.Msg_from { sender; msg } -> (
-            match !src with
-            | None ->
-                append (Codec.Err "protocol message before hello");
-                `Close
-            | Some _ -> (
-                match proc_of_string sender with
-                | None ->
-                    append
-                      (Codec.Err (Printf.sprintf "invalid sender %S" sender));
-                    `Close
-                | Some s ->
-                    deliver ~key:0 ~src:s
-                      ~wrap:(fun r -> Codec.Msg_from { sender; msg = r })
-                      msg;
-                    `Continue))
-        | Codec.Msg_key { key; sender; msg } -> (
-            match !src with
-            | None ->
-                append (Codec.Err "protocol message before hello");
-                `Close
-            | Some _ -> (
-                match proc_of_string sender with
-                | None ->
-                    append
-                      (Codec.Err (Printf.sprintf "invalid sender %S" sender));
-                    `Close
-                | Some s ->
-                    deliver ~key ~src:s
-                      ~wrap:(fun r -> Codec.Msg_key { key; sender; msg = r })
-                      msg;
-                    `Continue))
-        | Codec.Hello_ack _ ->
-            append (Codec.Err "unexpected hello_ack");
-            `Close
-        | Codec.Err _ -> `Close
-      in
-      let rec drain () =
-        match Codec.Reader.next codec reader with
-        | Ok `Awaiting -> `Continue
-        | Ok (`Frame f) -> (
-            match on_frame f with `Close -> `Close | `Continue -> drain ())
-        | Error e ->
-            (* Strict decoding: a corrupt frame poisons the whole stream;
-               report and drop the session. *)
-            locked (fun () -> count "net.server.decode_errors");
-            append (Codec.Err e);
-            `Close
-      in
-      let rec loop () =
-        match Codec.recv_into fd reader with
-        | 0 -> ()
-        | exception Unix.Unix_error _ -> ()
-        | _ ->
-            let verdict = drain () in
-            flush_out ();
-            (match verdict with `Close -> () | `Continue -> loop ())
-      in
-      loop ();
-      Codec.Reader.recycle reader;
-      Codec.Out.recycle out;
-      locked (fun () -> Hashtbl.remove conns fd);
-      close_quietly fd
-    in
-    let rec accept_loop () =
-      match Unix.select [ listen_fd; stop_rd ] [] [] (-1.) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-      | ready, _, _ ->
-          if List.mem stop_rd ready then ()
-          else (
-            match Unix.accept listen_fd with
-            | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EINTR), _, _)
-              ->
-                accept_loop ()
-            | exception Unix.Unix_error _ -> ()
-            | fd, _ ->
-                set_nodelay fd;
-                locked (fun () ->
-                    incr connections;
-                    count "net.server.connections";
-                    Hashtbl.replace conns fd ());
-                let th = Thread.create handle_conn fd in
-                locked (fun () -> threads := th :: !threads);
-                accept_loop ())
-    in
-    let accept_thread = Thread.create accept_loop () in
-    let shutdown ~graceful =
-      let already =
-        locked (fun () ->
-            if !stopping then true
-            else begin
-              stopping := true;
-              false
-            end)
-      in
-      if not already then begin
-        (try ignore (Unix.write stop_wr (Bytes.make 1 'x') 0 1)
-         with Unix.Unix_error _ -> ());
-        Thread.join accept_thread;
-        close_quietly listen_fd;
-        Endpoint.cleanup endpoint;
-        (* Wake every handler blocked in read; graceful keeps the write
-           side open so queued replies still flush. *)
-        let cmd = if graceful then Unix.SHUTDOWN_RECEIVE else Unix.SHUTDOWN_ALL in
-        locked (fun () ->
-            Hashtbl.iter
-              (fun fd () ->
-                try Unix.shutdown fd cmd with Unix.Unix_error _ -> ())
-              conns);
-        List.iter Thread.join (locked (fun () -> !threads));
-        close_quietly stop_rd;
-        close_quietly stop_wr
-      end
-    in
-    {
-      endpoint;
-      index;
-      alive_ = (fun () -> not (locked (fun () -> !stopping)));
-      stats_ =
-        (fun () ->
-          locked (fun () ->
-              { connections = !connections; messages = !messages }));
-      stop_ = (fun ~graceful -> shutdown ~graceful);
-      restart_ =
-        (fun ~wipe ->
-          if not (locked (fun () -> !stopping)) then
-            invalid_arg "Server.restart: server still alive";
-          go (if wipe then fresh_table () else objs) endpoint);
-      violations_ = (fun () -> 0);
-    }
-  in
-  go (fresh_table ()) endpoint
-
-let start ?metrics ?(loop = `Threads) ~protocol ~cfg ~index endpoint =
-  match loop with
-  | `Threads -> start_threaded ?metrics ~protocol ~cfg ~index endpoint
-  | `Poll ->
-      let group =
-        start_group
-          ?metrics:(Option.map (fun reg _ -> reg) metrics)
-          ~indices:[| index |] ~protocol ~cfg [| endpoint |]
-      in
-      group.(0)
-
-let loop_of_string = function
-  | "threads" -> Some `Threads
-  | "poll" -> Some `Poll
-  | _ -> None
-
-let loop_to_string = function `Threads -> "threads" | `Poll -> "poll"
+(* One object on its own: a one-slot group. *)
+let start ?metrics ~protocol ~cfg ~index endpoint =
+  (start_group
+     ?metrics:(Option.map (fun reg _ -> reg) metrics)
+     ~indices:[| index |] ~protocol ~cfg [| endpoint |]).(0)
 
 let endpoint t = t.endpoint
 

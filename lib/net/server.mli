@@ -1,11 +1,12 @@
-(** Socket server hosting one base object.
+(** Socket servers hosting base objects.
 
-    Each server owns a listening socket (Unix-domain or TCP) and runs
-    the protocol's {e unchanged} base-object state machine behind it: an
-    accept loop hands every connection to its own thread, which reads
-    framed messages, feeds them through [P.obj_handle] under the
-    object's lock, and writes the reply frame back.  A process that
-    hosts several objects simply starts several servers.
+    A server group owns one listening socket (Unix-domain or TCP) per
+    base object and runs the protocol's {e unchanged} base-object state
+    machine behind each: an acceptor domain hands every accepted
+    connection to the worker domain that owns the dialed object, and
+    that worker's [select]-driven event loop reads framed messages,
+    feeds them through [P.obj_handle] and writes the reply frames back
+    in batches.  {!start} is a group of one.
 
     Sessions open with a {!Codec.Hello} naming the protocol and the
     object index the client dialed; mismatches are answered with a
@@ -13,8 +14,8 @@
     fails loudly instead of feeding garbage into a state machine.
 
     [stop] is the graceful path (stop accepting, let queued replies
-    flush, join every thread); [crash] tears the sockets down hard —
-    the loopback chaos tests use it as the process-kill stand-in.
+    flush, then close); [crash] tears the sockets down hard — the
+    loopback chaos tests use it as the process-kill stand-in.
     [restart] rebinds the same endpoint with the object state captured
     at shutdown ([wipe:false], a crash-recovery with persistent state)
     or freshly initialized ([wipe:true], a wiped replica). *)
@@ -26,19 +27,8 @@ type stats = {
   messages : int;  (** protocol messages handled *)
 }
 
-type loop = [ `Threads | `Poll ]
-(** Connection-handling strategy: [`Threads] is the thread-per-connection
-    default; [`Poll] multiplexes every connection (and, with
-    {!start_group}, every object) onto one [select]-driven event-loop
-    thread with nonblocking sockets. *)
-
-val loop_of_string : string -> loop option
-
-val loop_to_string : loop -> string
-
 val start :
   ?metrics:Obs.Metrics.t ->
-  ?loop:loop ->
   protocol:Protocols.t ->
   cfg:Quorum.Config.t ->
   index:int ->
@@ -47,8 +37,8 @@ val start :
 (** Bind, listen and serve object [index] (1-based).  [Tcp] port 0 binds
     an ephemeral port; {!endpoint} reports the actual one.  With
     [metrics], the registry accumulates [net.server.*] counters and
-    per-class [wire.*] counters compatible with the simulator's.
-    [loop] (default [`Threads]) picks the connection-handling strategy.
+    per-class [wire.*] counters compatible with the simulator's.  This
+    is a one-object {!start_group} with one worker domain.
     @raise Unix.Unix_error if the endpoint cannot be bound. *)
 
 val start_group :
@@ -69,9 +59,9 @@ val start_group :
     lock-free queue; from then on read, decode, automaton step, encode
     and flush are all domain-local, so no automaton is ever stepped by
     two domains ({!partition_violations} counts runtime assertions of
-    that invariant).  The wire behaviour is identical to [s]
-    thread-per-connection servers — same [Hello] validation, same
-    replies — so clients cannot tell the modes apart.
+    that invariant).  Clients cannot tell how the objects are spread
+    over domains: every object validates [Hello]s and answers frames
+    alike.
 
     Write queues are bounded: when a connection's pending bytes exceed
     [queue_hi] (default 256 KiB, floor 4 KiB) the server stops reading
@@ -117,5 +107,5 @@ val restart : ?wipe:bool -> t -> t
 val partition_violations : t -> int
 (** Number of times a base object of this handle's group was stepped
     outside its owning domain (shared across the whole {!start_group}
-    group; always 0 for [`Threads] servers, and 0 unless the sharded
-    dispatch invariant is broken — any nonzero value is a bug). *)
+    group; 0 unless the sharded dispatch invariant is broken — any
+    nonzero value is a bug). *)

@@ -54,6 +54,8 @@ let make_exn ?placement ?shards ~keys ~fleet ~cfg () =
   | Ok t -> t
   | Error e -> invalid_arg ("Shard.Map.make: " ^ e)
 
+let single cfg = make_exn ~shards:1 ~keys:1 ~fleet:cfg.Quorum.Config.s ~cfg ()
+
 let shard_of_key t k =
   if k < 0 || k >= t.keys then
     invalid_arg

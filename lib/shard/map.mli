@@ -57,6 +57,11 @@ val make_exn :
   t
 (** @raise Invalid_argument where {!make} errors. *)
 
+val single : Quorum.Config.t -> t
+(** The single register: key 0 alone, in one shard whose members are
+    fleet slots [0 .. S-1] in order — the map every key-0-only client
+    runs on. *)
+
 val keys : t -> int
 
 val shards : t -> int

@@ -353,10 +353,10 @@ let keyed_width5_batch_structure () =
               Alcotest.(check bool) "no width histogram when off" true
                 (Obs.Metrics.find_histogram reg_off "op.coalesce_width" = None))))
 
-(* The mux path: one reader slot, window 1, cap 8 — joining is the only
-   way 8 reads can be admitted in one sweep, and joined reads must not
-   count against max_inflight. *)
-let mux_width8_batch_structure () =
+(* One reader lane, window 1, cap 8 — joining is the only way 8 reads
+   can be admitted in one sweep, and joined reads must not count against
+   max_inflight. *)
+let lane_width8_batch_structure () =
   let protocol = Net.Protocols.regular_gc ~readers:1 in
   let servers, endpoints = start_group ~protocol ~cfg:cfg3 () in
   Fun.protect
@@ -370,28 +370,31 @@ let mux_width8_batch_structure () =
       | Error e -> Alcotest.failf "seed write failed: %s" e);
       Net.Client.close w;
       let registry = Obs.Metrics.create () in
-      let mux =
-        Net.Client.Mux.connect ~metrics:registry ~max_inflight:1
-          ~first_reader:2 ~coalesce:8 ~protocol ~cfg:cfg3 ~readers:1 endpoints
+      let client =
+        Net.Client.Keyed.connect ~metrics:registry ~max_inflight:1 ~reader:2
+          ~coalesce:8 ~protocol ~map:(Shard.Map.single cfg3) endpoints
       in
       Fun.protect
-        ~finally:(fun () -> Net.Client.Mux.close mux)
+        ~finally:(fun () -> Net.Client.Keyed.close client)
         (fun () ->
           let joined = ref 0 in
           let on_event = function
-            | Net.Client.Mux.Respond { joined = true; _ } -> incr joined
+            | Net.Client.Keyed.Respond { joined = true; _ } -> incr joined
             | _ -> ()
           in
-          let results = Net.Client.Mux.run_reads ~on_event mux 8 in
+          let results =
+            Net.Client.Keyed.run_ops ~on_event client
+              (Array.make 8 (Net.Client.Keyed.Read { key = 0 }))
+          in
           Array.iteri
             (fun i r ->
-              let o = ok_exn (Printf.sprintf "mux read %d" i) r in
+              let o = ok_exn (Printf.sprintf "read %d" i) r in
               match o.Net.Client.value with
               | Some v ->
                   Alcotest.(check string)
-                    (Printf.sprintf "mux read %d value" i)
+                    (Printf.sprintf "read %d value" i)
                     "m0" (Core.Value.to_string v)
-              | None -> Alcotest.failf "mux read %d returned no value" i)
+              | None -> Alcotest.failf "read %d returned no value" i)
             results;
           Alcotest.(check int) "7 joined responds" 7 !joined;
           Alcotest.(check int) "op.coalesced_reads" 7
@@ -403,7 +406,7 @@ let mux_width8_batch_structure () =
                 (Obs.Metrics.Histogram.count h);
               Alcotest.(check bool) "width p50 above the lone-read bucket" true
                 (Obs.Metrics.Histogram.quantile h 50. > 1.0));
-          let reads = read_spans (Net.Client.Mux.spans mux) in
+          let reads = read_spans (Net.Client.Keyed.spans client) in
           Alcotest.(check int) "8 read spans" 8 (List.length reads);
           let leads, joiners =
             List.partition (fun (s : Obs.Span.t) -> s.Obs.Span.replies > 0) reads
@@ -429,5 +432,5 @@ let suite =
       Alcotest.test_case "keyed width-5 batch: 5 ops, 1 round" `Quick
         keyed_width5_batch_structure;
       Alcotest.test_case "mux width-8 batch: 8 ops, 1 round" `Quick
-        mux_width8_batch_structure;
+        lane_width8_batch_structure;
     ] )

@@ -114,8 +114,8 @@ let sim_read_pairs cfg =
       | Core.Schedule.Write _ -> None)
     rep.outcomes
 
-(* Returns the (value, reported rounds) pairs and the number of Read2
-   requests the reader's client put on the wire. *)
+(* Returns the (value, reported rounds) pairs and the cluster's merged
+   metrics, whose wire.read.* counters count the reader's requests. *)
 let net_read_pairs cfg =
   let c =
     Net.Cluster.start ~metrics:true
@@ -144,17 +144,15 @@ let net_read_pairs cfg =
         (Histories.Checks.is_safe ~equal (Net.Cluster.history c));
       Alcotest.(check bool) "live history regular" true
         (Histories.Checks.is_regular ~equal (Net.Cluster.history c));
-      let r2_sent =
-        match Net.Cluster.metrics c with
-        | None -> Alcotest.fail "metrics registry missing"
-        | Some m -> Obs.Metrics.counter_value m "wire.read.r2.req.sent"
-      in
-      (List.rev !pairs, r2_sent))
+      match Net.Cluster.metrics c with
+      | None -> Alcotest.fail "metrics registry missing"
+      | Some m -> (List.rev !pairs, m))
 
 let pair_list = Alcotest.(list (pair string int))
 
 let conformance_at_fast_bound () =
-  let sim = sim_read_pairs cfg_fast and net, r2_sent = net_read_pairs cfg_fast in
+  let sim = sim_read_pairs cfg_fast and net, m = net_read_pairs cfg_fast in
+  let r2_sent = Obs.Metrics.counter_value m "wire.read.r2.req.sent" in
   Alcotest.(check pair_list)
     "identical values and reported rounds at S=2t+2b+1"
     [ ("v1", 1); ("v2", 1); ("v3", 1) ]
@@ -162,16 +160,29 @@ let conformance_at_fast_bound () =
   Alcotest.(check pair_list) "net conforms to sim" sim net;
   Alcotest.(check int) "a fast read sends no Read2" 0 r2_sent
 
+(* Each round goes to S−t objects (DESIGN §17) and widens by one frame
+   per counted op.expand.* trigger (t = 1 leaves one member skipped). *)
 let conformance_below_fast_bound () =
-  let sim = sim_read_pairs cfg_slow and net, r2_sent = net_read_pairs cfg_slow in
+  let sim = sim_read_pairs cfg_slow and net, m = net_read_pairs cfg_slow in
   Alcotest.(check pair_list)
     "identical values, always two rounds at S=2t+b+1"
     [ ("v1", 2); ("v2", 2); ("v3", 2) ]
     sim;
   Alcotest.(check pair_list) "net conforms to sim" sim net;
-  Alcotest.(check int) "every slow read sends Read2 to each of the S objects"
-    (cfg_slow.Quorum.Config.s * List.length net)
-    r2_sent
+  let count = Obs.Metrics.counter_value m in
+  let q = Quorum.Config.quorum cfg_slow and reads = List.length net in
+  let widenings =
+    count "op.expand.hedge" + count "op.expand.lost"
+    + count "op.expand.undecided"
+  in
+  Alcotest.(check int) "no retransmits" 0 (count "net.client.retransmits");
+  Alcotest.(check int)
+    "every slow read sends Read1 and Read2 to S-t objects, plus widenings"
+    ((2 * q * reads) + widenings)
+    (count "wire.read.r1.req.sent" + count "wire.read.r2.req.sent");
+  Alcotest.(check bool) "every slow read sends Read2 to at least S-t objects"
+    true
+    (count "wire.read.r2.req.sent" >= q * reads)
 
 (* ----- suffix-history properties ----------------------------------------- *)
 
@@ -250,8 +261,8 @@ let hist_of = function
   | _ -> History_store.empty
 
 (* Pruned replies are just histories — the wire codec must carry them
-   bit-exactly, Msg_from multiplexing included, and the reassembled
-   bytes must be stable under re-encoding. *)
+   bit-exactly inside key-tagged frames, and the reassembled bytes must
+   be stable under re-encoding. *)
 let suffix_frames_roundtrip =
   QCheck.Test.make ~name:"suffix-history acks round-trip bit-exactly"
     ~count:500 arb_suffix_msg (fun m ->
@@ -267,11 +278,11 @@ let suffix_frames_roundtrip =
             QCheck.Test.fail_reportf "re-encode differs");
       let wire =
         Net.Codec.encode_frame codec
-          (Net.Codec.Msg_from { sender = "r2"; msg = m })
+          (Net.Codec.Msg_key { key = 0; sender = "r2"; msg = m })
       in
       let payload = String.sub wire 4 (String.length wire - 4) in
       match Net.Codec.decode_payload codec payload with
-      | Ok (Net.Codec.Msg_from { sender = "r2"; msg }) ->
+      | Ok (Net.Codec.Msg_key { key = 0; sender = "r2"; msg }) ->
           History_store.equal (hist_of m) (hist_of msg)
       | Ok _ -> QCheck.Test.fail_reportf "frame shape changed"
       | Error e -> QCheck.Test.fail_reportf "frame decode failed: %s" e)

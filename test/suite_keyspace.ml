@@ -315,8 +315,9 @@ let keyed_cluster_histories_check () =
                 true (fast > 0)
           done)
 
-(* Untagged frames address key 0: a legacy (pre-keyspace) writer and a
-   keyed reader of key 0 see the same register. *)
+(* The single register is key 0: a single-register writer and a keyed
+   reader of key 0 see the same register, and both ops land in the one
+   main history, which checks as regular. *)
 let key_zero_is_the_legacy_register () =
   let c =
     Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg3 ~readers:1 ()
@@ -325,22 +326,23 @@ let key_zero_is_the_legacy_register () =
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
       let _ =
-        ok_exn "legacy write" (Net.Cluster.write c (Core.Value.v "legacy"))
+        ok_exn "single-register write"
+          (Net.Cluster.write c (Core.Value.v "legacy"))
       in
       let map = Shard.Map.make_exn ~keys:4 ~fleet:3 ~cfg:cfg3 () in
-      (* don't record: the legacy write lives in the main history, so a
-         keyed key-0 history would see a read of a write it never saw *)
       let results =
-        Net.Cluster.run_keyed c ~map
-          ~sample:(fun _ -> false)
-          [| Net.Client.Keyed.Read { key = 0 } |]
+        Net.Cluster.run_keyed c ~map [| Net.Client.Keyed.Read { key = 0 } |]
       in
       let o = ok_exn "keyed read of key 0" results.(0) in
-      match o.Net.Client.value with
+      (match o.Net.Client.value with
       | Some v ->
-          Alcotest.(check string) "keyed read sees the untagged write"
+          Alcotest.(check string) "keyed read sees the single-register write"
             "legacy" (Core.Value.to_string v)
-      | None -> Alcotest.fail "keyed read of key 0 returned no value")
+      | None -> Alcotest.fail "keyed read of key 0 returned no value");
+      let h = Net.Cluster.history c in
+      Alcotest.(check int) "both ops in the main history" 2 (List.length h);
+      Alcotest.(check bool) "key 0's history is regular" true
+        (Histories.Checks.is_regular ~equal:String.equal h))
 
 (* ----- quorum-sized rounds: who gets a fresh round ----------------------- *)
 

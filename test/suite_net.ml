@@ -50,6 +50,102 @@ let fast_read_is_one_round () =
       let o = ok_exn "read" (Net.Cluster.read c ~reader:1) in
       Alcotest.(check int) "reported rounds" 1 o.rounds)
 
+(* ----- reply rounds match request rounds --------------------------------- *)
+
+(* The client counts a reply toward a round only when [P.msg_class]
+   gives it the request's round, and its op.expand.undecided/hedge
+   widenings depend on that count.  So for every protocol, every object
+   reply must carry its request's round: drive writer and readers
+   in-process against S objects, each round delivered to all of them. *)
+let reply_rounds_match_requests () =
+  let check cfg protocol =
+    let (Net.Protocols.Packed { proto = (module P); _ }) = protocol in
+    let name = Net.Protocols.name protocol in
+    let s = cfg.Quorum.Config.s in
+    let objs = Array.init s (fun i -> P.obj_init ~cfg ~index:(i + 1)) in
+    let replies = ref 0 in
+    let round src m =
+      List.filter_map
+        (fun i ->
+          let o, reply = P.obj_handle objs.(i) ~src m in
+          objs.(i) <- o;
+          Option.map
+            (fun r ->
+              incr replies;
+              let want = (P.msg_class m).Obs.Wire.round
+              and got = (P.msg_class r).Obs.Wire.round in
+              if want <> got then
+                Alcotest.failf "%s: %s answered by %s (round %d, not %d)" name
+                  (P.msg_info m) (P.msg_info r) got want;
+              (i + 1, r))
+            reply)
+        (List.init s Fun.id)
+    in
+    (* Feed the round's replies until the automaton decides or starts a
+       new round; a broadcast sent next to a decision is delivered too. *)
+    let rec drive src feed m =
+      let rec go = function
+        | [] -> Alcotest.failf "%s: undecided after %s" name (P.msg_info m)
+        | (obj, r) :: rest -> (
+            let evs = feed ~obj r in
+            let next =
+              List.find_map
+                (function Core.Events.Broadcast m' -> Some m' | _ -> None)
+                evs
+            in
+            let decided =
+              List.exists
+                (function Core.Events.Broadcast _ -> false | _ -> true)
+                evs
+            in
+            match next with
+            | Some m' when decided -> ignore (round src m')
+            | Some m' -> drive src feed m'
+            | None -> if not decided then go rest)
+      in
+      go (round src m)
+    in
+    let w = ref (P.writer_init ~cfg) in
+    let write v =
+      match P.writer_start !w (Core.Value.v v) with
+      | Error e -> Alcotest.failf "%s: write: %s" name e
+      | Ok (w', m) ->
+          w := w';
+          drive Sim.Proc_id.Writer
+            (fun ~obj r ->
+              let w', evs = P.writer_on_msg !w ~obj r in
+              w := w';
+              evs)
+            m
+    in
+    let rds = Array.init 2 (fun j -> ref (P.reader_init ~cfg ~j:(j + 1))) in
+    let read j =
+      let rd = rds.(j - 1) in
+      match P.reader_start !rd with
+      | Error e -> Alcotest.failf "%s: read: %s" name e
+      | Ok (rd', m) ->
+          rd := rd';
+          drive (Sim.Proc_id.Reader j)
+            (fun ~obj r ->
+              let rd', evs = P.reader_on_msg !rd ~obj r in
+              rd := rd';
+              evs)
+            m
+    in
+    read 1;
+    write "v1";
+    read 1;
+    read 2;
+    write "v2";
+    read 1;
+    read 1;
+    read 2;
+    if !replies = 0 then Alcotest.failf "%s: no object replied" name
+  in
+  List.iter
+    (fun cfg -> List.iter (check cfg) Net.Protocols.all)
+    [ cfg4; Quorum.Config.make_exn ~s:5 ~t:1 ~b:1 ]
+
 (* ----- the 1000-READ crash/restart acceptance run ----------------------- *)
 
 let acceptance_1000_reads () =
@@ -354,20 +450,23 @@ let pipelined_byzantine_silent () =
         Array.of_list (List.map Net.Server.endpoint servers @ [ silent_ep ])
       in
       let writer = Net.Client.connect ~protocol ~cfg ~role:`Writer endpoints in
-      let mux =
-        Net.Client.Mux.connect ~protocol ~cfg ~readers:16 ~max_inflight:16
-          endpoints
+      let lanes =
+        Net.Client.Keyed.connect ~readers:16 ~max_inflight:16 ~protocol
+          ~map:(Shard.Map.single cfg) endpoints
       in
       Fun.protect
         ~finally:(fun () ->
           Net.Client.close writer;
-          Net.Client.Mux.close mux)
+          Net.Client.Keyed.close lanes)
         (fun () ->
           let _ =
             ok_exn "write despite silent object"
               (Net.Client.write writer (Core.Value.v "loud"))
           in
-          let results = Net.Client.Mux.run_reads mux 200 in
+          let results =
+            Net.Client.Keyed.run_ops lanes
+              (Array.make 200 (Net.Client.Keyed.Read { key = 0 }))
+          in
           let failures = ref 0 in
           Array.iter
             (function
@@ -401,14 +500,13 @@ let pipelined_matches_serial () =
       in
       Alcotest.(check (list string)) "pipelined values match serial" serial piped)
 
-(* ----- poll event-loop server mode ---------------------------------------- *)
+(* ----- poll event-loop server ------------------------------------------- *)
 
 let poll_loop_cluster () =
-  (* all four objects hosted by one select-driven thread; wire behaviour
-     (including crash/restart and pipelining) must be indistinguishable *)
+  (* all four objects hosted by one select-driven worker domain, through
+     crash/restart and pipelining *)
   let c =
-    Net.Cluster.start ~loop:`Poll ~protocol:Net.Protocols.safe ~cfg:cfg4
-      ~readers:1 ()
+    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 ~readers:1 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
@@ -474,4 +572,6 @@ let suite =
       Alcotest.test_case "pipelined results match serial" `Quick
         pipelined_matches_serial;
       Alcotest.test_case "poll event-loop server mode" `Quick poll_loop_cluster;
+      Alcotest.test_case "reply rounds match request rounds on every protocol"
+        `Quick reply_rounds_match_requests;
     ] )

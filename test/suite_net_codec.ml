@@ -147,10 +147,6 @@ let frame_equal eq a b =
       proto = p' && sender = s' && obj = o'
   | Hello_ack { proto; obj }, Hello_ack { proto = p'; obj = o' } ->
       proto = p' && obj = o'
-  | Msg m, Msg m' -> eq m m'
-  | ( Msg_from { sender; msg },
-      Msg_from { sender = s'; msg = m' } ) ->
-      sender = s' && eq msg m'
   | ( Msg_key { key; sender; msg },
       Msg_key { key = k'; sender = s'; msg = m' } ) ->
       key = k' && sender = s' && eq msg m'
@@ -180,11 +176,6 @@ let gen_frame =
           (fun proto obj -> Net.Codec.Hello_ack { proto; obj })
           (string_size (0 -- 12))
           (0 -- 8);
-        map (fun m -> Net.Codec.Msg m) gen_msg;
-        map2
-          (fun sender msg -> Net.Codec.Msg_from { sender; msg })
-          (string_size (0 -- 6))
-          gen_msg;
         map3
           (fun key sender msg -> Net.Codec.Msg_key { key; sender; msg })
           gen_key
@@ -235,32 +226,6 @@ let keyed_peek_agrees =
       Net.Codec.peek_kind payload = Some `Msg_key
       && Net.Codec.peek_sender payload = Some sender
       && Net.Codec.peek_key payload = Some key)
-
-(* Back-compat: untagged frames are unchanged on the wire — they carry
-   no key id at all ("key 0" is the receiver's convention, not a wire
-   byte), so peek_key must be None and they must keep round-tripping. *)
-let untagged_frames_unchanged =
-  QCheck.Test.make
-    ~name:"untagged Msg/Msg_from frames carry no key and still round-trip"
-    ~count:500
-    QCheck.(
-      make
-        Gen.(
-          oneof
-            [
-              map (fun m -> Net.Codec.Msg m) gen_msg;
-              map2
-                (fun sender msg -> Net.Codec.Msg_from { sender; msg })
-                (string_size (0 -- 6))
-                gen_msg;
-            ]))
-    (fun f ->
-      let payload = payload_of_frame Net.Codec.messages f in
-      Net.Codec.peek_key payload = None
-      &&
-      match Net.Codec.decode_payload Net.Codec.messages payload with
-      | Ok f' -> frame_equal msg_equal f f'
-      | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
 
 let negative_key_rejected () =
   (* a Byzantine sender can put any varint in the key slot; negative key
@@ -527,7 +492,6 @@ let suite =
       QCheck_alcotest.to_alcotest roundtrip_abd;
       QCheck_alcotest.to_alcotest roundtrip_frames;
       QCheck_alcotest.to_alcotest keyed_peek_agrees;
-      QCheck_alcotest.to_alcotest untagged_frames_unchanged;
       Alcotest.test_case "negative key id rejected" `Quick negative_key_rejected;
       QCheck_alcotest.to_alcotest truncation_messages;
       QCheck_alcotest.to_alcotest truncation_frames;

@@ -84,7 +84,7 @@ let drain_until_eof what fd reader =
   let n = ref 0 in
   let rec go () =
     match Net.Codec.Reader.next codec reader with
-    | Ok (`Frame (Net.Codec.Msg_from _ | Net.Codec.Msg _)) ->
+    | Ok (`Frame (Net.Codec.Msg_key _)) ->
         incr n;
         go ()
     | Ok (`Frame f) ->
@@ -106,8 +106,15 @@ let drain_until_eof what fd reader =
 
 let read1_frame ~sender ~tsr =
   Net.Codec.encode_frame codec
-    (Net.Codec.Msg_from
-       { sender; msg = Core.Messages.Read1 { tsr; from_ts = 0 } })
+    (Net.Codec.Msg_key
+       { key = 0; sender; msg = Core.Messages.Read1 { tsr; from_ts = 0 } })
+
+(* [readers] reader lanes of the single register, window [readers]. *)
+let lanes ~opts ~readers endpoints =
+  Net.Client.Keyed.connect ~opts ~max_inflight:readers ~readers ~protocol
+    ~map:(Shard.Map.single cfg4) endpoints
+
+let key0_reads n = Array.make n (Net.Client.Keyed.Read { key = 0 })
 
 (* ----- graceful stop drains write queues -------------------------------- *)
 
@@ -133,26 +140,25 @@ let graceful_stop_drains_frames () =
     Alcotest.fail "graceful stop drained nothing (expected queued replies)";
   Alcotest.(check bool) "at most one reply per request" true (got <= 500)
 
-(* The same regression at the operation level: a pipelined mux with 16
-   ops in flight while every server stops.  run_reads must return an
+(* The same regression at the operation level: a pipelined client with
+   16 ops in flight while every server stops.  run_ops must return an
    outcome (Ok or a timeout error) for every op — no decode exception,
    no hang. *)
-let stop_under_mux_inflight () =
+let stop_under_inflight_window () =
   let servers, endpoints, _ = start_group ~domains:2 () in
   seed_write endpoints;
   let opts = { Net.Client.deadline = 0.05; retries = 0; backoff = 0.01 } in
-  let mux =
-    Net.Client.Mux.connect ~opts ~max_inflight:16 ~protocol ~cfg:cfg4
-      ~readers:16 endpoints
-  in
+  let client = lanes ~opts ~readers:16 endpoints in
   let results = ref [||] in
   let runner =
-    Thread.create (fun () -> results := Net.Client.Mux.run_reads mux 200) ()
+    Thread.create
+      (fun () -> results := Net.Client.Keyed.run_ops client (key0_reads 200))
+      ()
   in
   Thread.delay 0.02;
   Array.iter Net.Server.stop servers;
   Thread.join runner;
-  Net.Client.Mux.close mux;
+  Net.Client.Keyed.close client;
   Alcotest.(check int) "every op got an outcome" 200 (Array.length !results);
   Array.iter
     (function
@@ -239,10 +245,7 @@ let partition_safe_under_churn () =
   let servers = ref servers in
   seed_write endpoints;
   let opts = { Net.Client.deadline = 0.5; retries = 5; backoff = 0.02 } in
-  let mux =
-    Net.Client.Mux.connect ~opts ~max_inflight:8 ~protocol ~cfg:cfg4
-      ~readers:8 endpoints
-  in
+  let client = lanes ~opts ~readers:8 endpoints in
   let churner =
     Thread.create
       (fun () ->
@@ -259,9 +262,9 @@ let partition_safe_under_churn () =
   let failures = ref 0 in
   Array.iter
     (function Ok _ -> () | Error _ -> incr failures)
-    (Net.Client.Mux.run_reads mux 600);
+    (Net.Client.Keyed.run_ops client (key0_reads 600));
   Thread.join churner;
-  Net.Client.Mux.close mux;
+  Net.Client.Keyed.close client;
   (* at most t = 1 object was ever down: reads keep completing *)
   Alcotest.(check int) "reads survive the churn" 0 !failures;
   Alcotest.(check int) "no object stepped outside its owning domain" 0
@@ -383,7 +386,7 @@ let suite =
       Alcotest.test_case "graceful stop drains queued frames" `Quick
         graceful_stop_drains_frames;
       Alcotest.test_case "server stop under a 16-deep mux window" `Quick
-        stop_under_mux_inflight;
+        stop_under_inflight_window;
       Alcotest.test_case "backpressure pauses only the slow connection" `Quick
         backpressure_isolates_slow_reader;
       Alcotest.test_case "partitioning holds under crash/restart churn" `Quick
