@@ -211,3 +211,309 @@ let all_contenders =
     fast_safe_contender;
     naive_contender;
   ]
+
+(* -- live-bench helpers (E13-E15, E18-E20) ------------------------------ *)
+
+(* Seconds on the monotonic clock: pass timers a wall-clock step must
+   not stretch or shrink. *)
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+let getenv_int name default =
+  match Sys.getenv_opt name with
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some n when n > 0 -> n
+      | _ ->
+          Printf.eprintf "%s expects a positive integer (got %S)\n" name s;
+          exit 2)
+  | None -> default
+
+let getenv_float name default =
+  match Sys.getenv_opt name with
+  | Some s -> (
+      match float_of_string_opt s with
+      | Some f when f >= 0.0 -> f
+      | _ ->
+          Printf.eprintf "%s expects a nonnegative float (got %S)\n" name s;
+          exit 2)
+  | None -> default
+
+let getenv_list name default parse =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s ->
+      String.split_on_char ',' s
+      |> List.filter (fun x -> String.trim x <> "")
+      |> List.map (fun x ->
+             match parse (String.trim x) with
+             | Some v -> v
+             | None ->
+                 Printf.eprintf "%s: cannot parse %S\n" name s;
+                 exit 2)
+
+(* [name] is the environment variable choosing the loopback transport. *)
+let transport name ~default =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s -> (
+      match String.lowercase_ascii (String.trim s) with
+      | "tcp" -> `Tcp
+      | "unix" -> `Unix
+      | _ ->
+          Printf.eprintf "%s expects tcp or unix (got %S)\n" name s;
+          exit 2)
+
+let transport_name = function `Tcp -> "tcp" | `Unix -> "unix"
+
+(* [exp] names the experiment in the message. *)
+let ok_exn exp what = function
+  | Ok o -> o
+  | Error e ->
+      Printf.eprintf "%s: %s failed: %s\n" exp what e;
+      exit 1
+
+let summary_json buf label (s : Stats.Summary.t) =
+  Printf.bprintf buf
+    "\"%s\": { \"count\": %d, \"p50_us\": %.0f, \"p99_us\": %.0f, \
+     \"mean_us\": %.1f, \"max_us\": %.0f }"
+    label (Stats.Summary.count s)
+    (Stats.Summary.percentile s 50.)
+    (Stats.Summary.percentile s 99.)
+    (Stats.Summary.mean s) (Stats.Summary.max s)
+
+let to_kop = function
+  | Workload.Keyspace.Read { key } -> Net.Client.Keyed.Read { key }
+  | Workload.Keyspace.Write { key; value } ->
+      Net.Client.Keyed.Write { key; value }
+
+(* A server group of [size] base objects on loopback, sockets in a
+   private temp dir; [stop_fleet] stops it and removes the dir. *)
+type fleet = {
+  dir : string;
+  registries : Obs.Metrics.t array;
+  servers : Net.Server.t array;
+  endpoints : Net.Endpoint.t array;  (* bound, ephemeral ports resolved *)
+}
+
+let start_fleet ~transport ~size ~domains ~protocol ~cfg =
+  let dir = Filename.temp_file "robustread-bench" "" in
+  Unix.unlink dir;
+  Unix.mkdir dir 0o700;
+  let endpoints =
+    match transport with
+    | `Unix ->
+        Array.init size (fun i ->
+            Net.Endpoint.Unix_sock
+              (Filename.concat dir (Printf.sprintf "obj%d.sock" (i + 1))))
+    | `Tcp ->
+        Array.init size (fun _ ->
+            Net.Endpoint.Tcp { host = "127.0.0.1"; port = 0 })
+  in
+  let registries = Array.init size (fun _ -> Obs.Metrics.create ()) in
+  let servers =
+    Net.Server.start_group
+      ~metrics:(fun i -> registries.(i))
+      ~domains ~protocol ~cfg endpoints
+  in
+  { dir; registries; servers; endpoints = Array.map Net.Server.endpoint servers }
+
+let stop_fleet f =
+  Array.iter Net.Server.stop f.servers;
+  try Unix.rmdir f.dir with Unix.Unix_error _ -> ()
+
+(* One measured pass of a fleet of client domains: client [c] draws its
+   ops with [ops c] (untimed), every client starts off one barrier and
+   runs its ops through its keyed client, recording every event into
+   [logs.(c)].  Each client's (wall seconds, results); the pass's
+   wall-clock is the slowest client's. *)
+let timed_pass ~clients ~logs ops =
+  let n = Array.length clients in
+  let barrier = Atomic.make 0 in
+  let body c () =
+    let kops = ops c in
+    Atomic.incr barrier;
+    while Atomic.get barrier < n do
+      Domain.cpu_relax ()
+    done;
+    let t0 = now_s () in
+    let results =
+      Net.Client.Keyed.run_ops
+        ~on_event:(Net.Record.event logs.(c) kops)
+        clients.(c) kops
+    in
+    (now_s () -. t0, results)
+  in
+  Array.map Domain.join (Array.init n (fun c -> Domain.spawn (body c)))
+
+let completed passes =
+  Array.fold_left
+    (fun n (_, results) ->
+      Array.fold_left (fun n -> function Ok _ -> n + 1 | Error _ -> n) n results)
+    0 passes
+
+(* Safety and regularity of every key's history: (failed checks,
+   complete operations checked, keys checked). *)
+let check_record record =
+  List.fold_left
+    (fun (bad, ops, keys) (_, h) ->
+      let equal = String.equal in
+      let failed ok = if ok then 0 else 1 in
+      ( bad
+        + failed (Histories.Checks.is_safe ~equal h)
+        + failed (Histories.Checks.is_regular ~equal h),
+        ops + List.length (List.filter Histories.Op.is_complete h),
+        keys + 1 ))
+    (0, 0, 0)
+    (Net.Record.histories record)
+
+(* One E19/E20 keyspace cell: [clients] client domains, each with its own
+   keyed client (reader id c+1, write ownership of the keys with
+   mix(key) mod clients = c, so every register stays SWMR) over a fresh
+   [fleet]-server group, drive the zipfian mix [trials] times after an
+   untimed warm-up.  Every op of every client is recorded and every
+   key's history checked. *)
+type keyspace_cell = {
+  total_ops : int;  (* per trial *)
+  wall : float;  (* best trial's *)
+  rate : float;
+  lat : Stats.Summary.t;
+  reads : int;
+  fast : int;
+  writes : int;
+  failures : int;  (* every trial *)
+  keys_touched : int;
+  keys_checked : int;
+  ops_completed : int;  (* warm-up included *)
+  ops_checked : int;
+  violations : int;
+  partition : int;
+  shards_with_reads : int;
+  shards_fast : int;
+  metrics : Obs.Metrics.t;  (* server and client registries merged *)
+}
+
+let keyspace_cell ~exp ~label ~transport ~protocol ~cfg ~fleet ~domains
+    ~clients ~inflight ~coalesce ~keys ~skew ~write_ratio ~ops ~trials ~seed =
+  let fl = start_fleet ~transport ~size:fleet ~domains ~protocol ~cfg in
+  let map = Shard.Map.make_exn ~keys ~fleet ~cfg () in
+  let record = Net.Record.create () in
+  let client_regs = Array.init clients (fun _ -> Obs.Metrics.create ()) in
+  let keyeds =
+    Array.init clients (fun c ->
+        Net.Client.Keyed.connect ~metrics:client_regs.(c)
+          ~now_us:(Net.Record.now_us record) ~max_inflight:inflight
+          ~reader:(c + 1) ~coalesce ~protocol ~map fl.endpoints)
+  in
+  let logs = Array.map (fun _ -> Net.Record.log record) keyeds in
+  let owner k = Shard.Map.mix k mod clients in
+  let gens =
+    Array.init clients (fun c ->
+        Workload.Keyspace.make_exn ~skew ~write_ratio
+          ~write_filter:(fun k -> owner k = c)
+          ~keys ~seed:(seed + c) ())
+  in
+  let draw gens n c = Array.map to_kop (Workload.Keyspace.ops gens.(c) n) in
+  (* Warm-up reads only, so it needs no write ownership. *)
+  let warm =
+    Array.init clients (fun c ->
+        Workload.Keyspace.make_exn ~skew ~write_ratio:0.0 ~keys ~seed:(7 + c) ())
+  in
+  let ops_completed =
+    ref (completed (timed_pass ~clients:keyeds ~logs (draw warm (min 200 ops))))
+  in
+  let total_ops = clients * ops in
+  let failures = ref 0 in
+  let best = ref None in
+  for trial = 1 to trials do
+    let passes = timed_pass ~clients:keyeds ~logs (draw gens ops) in
+    ops_completed := !ops_completed + completed passes;
+    let wall = Array.fold_left (fun m (w, _) -> Float.max m w) 0. passes in
+    let lat = Stats.Summary.create () in
+    let reads = ref 0 and fast = ref 0 and writes = ref 0 in
+    Array.iter
+      (fun (_, results) ->
+        Array.iter
+          (function
+            | Ok (o : Net.Client.outcome) -> (
+                Stats.Summary.add_int lat o.latency_us;
+                match o.value with
+                | Some _ ->
+                    incr reads;
+                    if o.rounds <= 1 then incr fast
+                | None -> incr writes)
+            | Error e ->
+                incr failures;
+                Printf.eprintf "%s: op failed: %s\n" exp e)
+          results)
+      passes;
+    let rate = float_of_int total_ops /. wall in
+    note "  %s trial=%d  %8.0f ops/s  p50=%.0fus p99=%.0fus  fast %d/%d reads"
+      label trial rate
+      (Stats.Summary.percentile lat 50.)
+      (Stats.Summary.percentile lat 99.)
+      !fast !reads;
+    match !best with
+    | Some (_, r, _, _) when r >= rate -> ()
+    | _ -> best := Some (wall, rate, lat, (!reads, !fast, !writes))
+  done;
+  let keys_touched =
+    Array.fold_left (fun acc k -> acc + Net.Client.Keyed.keys_touched k) 0 keyeds
+  in
+  Array.iter Net.Client.Keyed.close keyeds;
+  stop_fleet fl;
+  let violations, ops_checked, keys_checked = check_record record in
+  let metrics = Obs.Metrics.create () in
+  Array.iter (fun r -> Obs.Metrics.merge_into ~dst:metrics r) fl.registries;
+  Array.iter (fun r -> Obs.Metrics.merge_into ~dst:metrics r) client_regs;
+  (* Fast-read engagement per shard, from the keyed clients'
+     shard.<i>.* counters. *)
+  let shards_with_reads = ref 0 and shards_fast = ref 0 in
+  for sh = 0 to Shard.Map.shards map - 1 do
+    let count what =
+      Obs.Metrics.counter_value metrics (Printf.sprintf "shard.%d.%s" sh what)
+    in
+    if count "reads" > 0 then begin
+      incr shards_with_reads;
+      if count "fast_reads" > 0 then incr shards_fast
+    end
+  done;
+  let wall, rate, lat, (reads, fast, writes) =
+    match !best with
+    | Some b -> b
+    | None -> (0., 0., Stats.Summary.create (), (0, 0, 0))
+  in
+  {
+    total_ops;
+    wall;
+    rate;
+    lat;
+    reads;
+    fast;
+    writes;
+    failures = !failures;
+    keys_touched;
+    keys_checked;
+    ops_completed = !ops_completed;
+    ops_checked;
+    violations;
+    partition = Net.Server.partition_violations fl.servers.(0);
+    shards_with_reads = !shards_with_reads;
+    shards_fast = !shards_fast;
+    metrics;
+  }
+
+(* The fields every keyspace cell reports, between the bench's own
+   leading and trailing ones. *)
+let keyspace_cell_json buf c =
+  Printf.bprintf buf "\"ops\": %d, \"wall_s\": %.4f, \"ops_per_s\": %.1f,\n      "
+    c.total_ops c.wall c.rate;
+  summary_json buf "latency" c.lat;
+  Printf.bprintf buf
+    ",\n      \"reads\": %d, \"fast_reads\": %d, \"writes\": %d, \
+     \"failures\": %d,\n      \"keys_touched\": %d, \"keys_checked\": %d, \
+     \"ops_completed\": %d, \"ops_checked\": %d,\n      \"violations\": %d, \
+     \"partition_violations\": %d, \"shards_with_reads\": %d, \
+     \"shards_fast\": %d"
+    c.reads c.fast c.writes c.failures c.keys_touched c.keys_checked
+    c.ops_completed c.ops_checked c.violations c.partition c.shards_with_reads
+    c.shards_fast

@@ -17,13 +17,13 @@ let run_one ~t ~b ~readers ~seed =
          ~reads_per_reader:10
          ~horizon:(50 * 5 * (readers + 1)))
   in
-  let started = Unix.gettimeofday () in
+  let started = Exp_common.now_s () in
   let rep =
     Sc.run ~max_events:10_000_000 ~cfg ~seed
       ~delay:(Sim.Delay.uniform ~lo:1 ~hi:10)
       ~faults:Sc.no_faults schedule
   in
-  let elapsed = Unix.gettimeofday () -. started in
+  let elapsed = Exp_common.now_s () -. started in
   let reads = Stats.Summary.create () in
   List.iter
     (fun (o : Sc.outcome) ->

@@ -24,16 +24,6 @@
      E13_JOBS (2,4,8) comma-separated domain counts to benchmark
      E13_OUT  (BENCH_e13.json) output path *)
 
-let getenv_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n > 0 -> n
-      | _ ->
-          Printf.eprintf "%s expects a positive integer (got %S)\n" name s;
-          exit 2)
-  | None -> default
-
 let jobs_list () =
   match Sys.getenv_opt "E13_JOBS" with
   | None -> [ 2; 4; 8 ]
@@ -48,9 +38,9 @@ let jobs_list () =
                  exit 2)
 
 let timed f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Exp_common.now_s () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Exp_common.now_s () -. t0)
 
 (* Every observable byte of a campaign result: the survival matrix, the
    per-cell metrics table, and each cell's metrics JSONL export.  Two
@@ -119,8 +109,8 @@ let single_run ~metrics () =
   rep.messages_delivered
 
 let run () =
-  let seeds_n = getenv_int "E13_SEEDS" 20 in
-  let plans = getenv_int "E13_PLANS" 3 in
+  let seeds_n = Exp_common.getenv_int "E13_SEEDS" 20 in
+  let plans = Exp_common.getenv_int "E13_PLANS" 3 in
   let jobs = jobs_list () in
   let out = Option.value (Sys.getenv_opt "E13_OUT") ~default:"BENCH_e13.json" in
   let cores = Exec.Pool.recommended_jobs () in

@@ -23,31 +23,10 @@
      E14_READERS  (1,2,4)      concurrent-reader sweep
      E14_OUT      (BENCH_e14.json) output path *)
 
-let getenv_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n > 0 -> n
-      | _ ->
-          Printf.eprintf "%s expects a positive integer (got %S)\n" name s;
-          exit 2)
-  | None -> default
-
-let getenv_list name default parse =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s ->
-      String.split_on_char ',' s
-      |> List.filter (fun x -> String.trim x <> "")
-      |> List.map (fun x ->
-             match parse (String.trim x) with
-             | Some v -> v
-             | None ->
-                 Printf.eprintf "%s: cannot parse %S\n" name s;
-                 exit 2)
+let ok_exn what r = Exp_common.ok_exn "E14" what r
 
 let cfgs () =
-  getenv_list "E14_CFGS"
+  Exp_common.getenv_list "E14_CFGS"
     [ (4, 1, 0); (7, 2, 1) ]
     (fun s ->
       match String.split_on_char ':' s |> List.map int_of_string_opt with
@@ -55,30 +34,15 @@ let cfgs () =
       | _ -> None)
 
 let reader_counts () =
-  getenv_list "E14_READERS" [ 1; 2; 4 ] (fun s ->
+  Exp_common.getenv_list "E14_READERS" [ 1; 2; 4 ] (fun s ->
       match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
 
 let protocols =
   [ Net.Protocols.safe; Net.Protocols.regular; Net.Protocols.abd ]
 
-let ok_exn what = function
-  | Ok o -> o
-  | Error e ->
-      Printf.eprintf "E14: %s failed: %s\n" what e;
-      exit 1
-
-let summary_json buf label (s : Stats.Summary.t) =
-  Printf.bprintf buf
-    "\"%s\": { \"count\": %d, \"p50_us\": %.0f, \"p99_us\": %.0f, \
-     \"mean_us\": %.1f, \"max_us\": %.0f }"
-    label (Stats.Summary.count s)
-    (Stats.Summary.percentile s 50.)
-    (Stats.Summary.percentile s 99.)
-    (Stats.Summary.mean s) (Stats.Summary.max s)
-
 let run () =
-  let ops = getenv_int "E14_OPS" 300 in
-  let writes = getenv_int "E14_WRITES" 20 in
+  let ops = Exp_common.getenv_int "E14_OPS" 300 in
+  let writes = Exp_common.getenv_int "E14_WRITES" 20 in
   let out = Option.value (Sys.getenv_opt "E14_OUT") ~default:"BENCH_e14.json" in
   let reader_counts = reader_counts () in
   let max_readers = List.fold_left max 1 reader_counts in
@@ -115,7 +79,7 @@ let run () =
           (* 2. single-reader read latency + fast-read fraction *)
           let rlat = Stats.Summary.create () in
           let fast = ref 0 in
-          let t0 = Unix.gettimeofday () in
+          let t0 = Exp_common.now_s () in
           for i = 1 to ops do
             let o =
               ok_exn
@@ -125,7 +89,7 @@ let run () =
             Stats.Summary.add_int rlat o.latency_us;
             if o.rounds = 1 then incr fast
           done;
-          let wall = Unix.gettimeofday () -. t0 in
+          let wall = Exp_common.now_s () -. t0 in
           (* 3. concurrent-reader throughput *)
           let sweep =
             List.map
@@ -139,12 +103,12 @@ let run () =
                     | Error _ -> Atomic.incr failures
                   done
                 in
-                let t0 = Unix.gettimeofday () in
+                let t0 = Exp_common.now_s () in
                 let threads =
                   List.init r (fun j -> Thread.create (body (j + 1)) ())
                 in
                 List.iter Thread.join threads;
-                let wall = Unix.gettimeofday () -. t0 in
+                let wall = Exp_common.now_s () -. t0 in
                 if Atomic.get failures > 0 then begin
                   Printf.eprintf "E14: %s: %d concurrent reads failed\n" name
                     (Atomic.get failures);
@@ -164,9 +128,9 @@ let run () =
           Printf.bprintf buf
             "    { \"protocol\": \"%s\", \"s\": %d, \"t\": %d, \"b\": %d,\n      "
             name s t b;
-          summary_json buf "write" wlat;
+          Exp_common.summary_json buf "write" wlat;
           Buffer.add_string buf ",\n      ";
-          summary_json buf "read" rlat;
+          Exp_common.summary_json buf "read" rlat;
           Printf.bprintf buf
             ",\n      \"read_ops_per_s\": %.1f, \"fast_read_fraction\": %.3f,\n"
             (float_of_int ops /. wall)

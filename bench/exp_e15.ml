@@ -34,58 +34,11 @@
      E15_TRANSPORT (tcp)           loopback transport: tcp | unix
      E15_OUT       (BENCH_e15.json) output path *)
 
-let getenv_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n > 0 -> n
-      | _ ->
-          Printf.eprintf "%s expects a positive integer (got %S)\n" name s;
-          exit 2)
-  | None -> default
-
-let getenv_list name default parse =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s ->
-      String.split_on_char ',' s
-      |> List.filter (fun x -> String.trim x <> "")
-      |> List.map (fun x ->
-             match parse (String.trim x) with
-             | Some v -> v
-             | None ->
-                 Printf.eprintf "%s: cannot parse %S\n" name s;
-                 exit 2)
+let ok_exn what r = Exp_common.ok_exn "E15" what r
 
 let inflight_levels () =
-  getenv_list "E15_INFLIGHT" [ 1; 4; 16; 64 ] (fun s ->
+  Exp_common.getenv_list "E15_INFLIGHT" [ 1; 4; 16; 64 ] (fun s ->
       match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
-
-let ok_exn what = function
-  | Ok o -> o
-  | Error e ->
-      Printf.eprintf "E15: %s failed: %s\n" what e;
-      exit 1
-
-let summary_json buf label (s : Stats.Summary.t) =
-  Printf.bprintf buf
-    "\"%s\": { \"count\": %d, \"p50_us\": %.0f, \"p99_us\": %.0f, \
-     \"mean_us\": %.1f, \"max_us\": %.0f }"
-    label (Stats.Summary.count s)
-    (Stats.Summary.percentile s 50.)
-    (Stats.Summary.percentile s 99.)
-    (Stats.Summary.mean s) (Stats.Summary.max s)
-
-let transport () =
-  match Sys.getenv_opt "E15_TRANSPORT" with
-  | None -> `Tcp
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "tcp" -> `Tcp
-      | "unix" -> `Unix
-      | _ ->
-          Printf.eprintf "E15_TRANSPORT expects tcp or unix (got %S)\n" s;
-          exit 2)
 
 (* Read requests the clients put on the wire per read: one serial row,
    then one per window, [n] reads each, on a cluster with metrics on. *)
@@ -139,12 +92,12 @@ let requests_per_read ~transport ~protocol ~cfg ~levels ~n =
       (serial, windows))
 
 let run () =
-  let ops = getenv_int "E15_OPS" 2000 in
-  let trials = getenv_int "E15_TRIALS" 3 in
+  let ops = Exp_common.getenv_int "E15_OPS" 2000 in
+  let trials = Exp_common.getenv_int "E15_TRIALS" 3 in
   let out = Option.value (Sys.getenv_opt "E15_OUT") ~default:"BENCH_e15.json" in
   let levels = inflight_levels () in
-  let transport = transport () in
-  let transport_name = match transport with `Tcp -> "tcp" | `Unix -> "unix" in
+  let transport = Exp_common.transport "E15_TRANSPORT" ~default:`Tcp in
+  let transport_name = Exp_common.transport_name transport in
   let protocol = Net.Protocols.safe in
   let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:0 in
   let buf = Buffer.create 4096 in
@@ -174,7 +127,7 @@ let run () =
       (* 1. serial baseline, best of [trials] *)
       let measure_serial () =
         let slat = Stats.Summary.create () in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Exp_common.now_s () in
         for i = 1 to ops do
           let o =
             ok_exn
@@ -183,7 +136,7 @@ let run () =
           in
           Stats.Summary.add_int slat o.latency_us
         done;
-        let wall = Unix.gettimeofday () -. t0 in
+        let wall = Exp_common.now_s () -. t0 in
         (wall, float_of_int ops /. wall, slat)
       in
       let serial_wall, serial_rate, slat =
@@ -213,9 +166,9 @@ let run () =
                 | Ok (_ : Net.Client.outcome) -> () | Error _ -> incr failures)
               (Net.Cluster.read_pipelined cluster ~inflight
                  ~ops:(Stdlib.min 200 ops));
-            let t0 = Unix.gettimeofday () in
+            let t0 = Exp_common.now_s () in
             let results = Net.Cluster.read_pipelined cluster ~inflight ~ops in
-            let wall = Unix.gettimeofday () -. t0 in
+            let wall = Exp_common.now_s () -. t0 in
             Array.iter
               (function
                 | Ok (o : Net.Client.outcome) -> (
@@ -275,7 +228,7 @@ let run () =
         "  \"serial\": { \"ops\": %d, \"wall_s\": %.4f, \"ops_per_s\": %.1f, \
          \"requests_per_read\": %.2f,\n    "
         ops serial_wall serial_rate serial_reqs;
-      summary_json buf "latency" slat;
+      Exp_common.summary_json buf "latency" slat;
       Printf.bprintf buf " },\n  \"pipelined\": [\n";
       List.iteri
         (fun i (inflight, wall, rate, plat, failures) ->
@@ -285,7 +238,7 @@ let run () =
              %.2f,\n      "
             inflight ops wall rate failures
             (List.assoc inflight window_reqs);
-          summary_json buf "latency" plat;
+          Exp_common.summary_json buf "latency" plat;
           Printf.bprintf buf " }%s\n"
             (if i = List.length sweep - 1 then "" else ","))
         sweep;

@@ -15,11 +15,12 @@
 
    1. throughput: total ops/s across client domains (the cell's wall is
       the slowest domain's) and per-op latency p50/p99;
-   2. correctness: every op must return the seeded value; client domain
-      0's operations plus the seeding write are recorded in a history
-      and must pass the safety and regularity checkers (the sampled
-      subset -- recording every domain would serialize them on the
-      recorder lock and distort the measurement);
+   2. correctness: every op must return the seeded value, and every
+      op of every client domain -- warm-up and seeding write included --
+      is recorded through Net.Record (one log per domain, so recording
+      never serializes the domains) into one history that must pass the
+      safety and regularity checkers ("all_ops_checked": the history's
+      complete ops equal the ops that completed);
    3. wire efficiency: the merged per-object server registries must show
       wire.batch_size p50 > 1 (scale-out must not destroy coalescing);
    4. partitioning: Server.partition_violations must stay 0 (no base
@@ -40,87 +41,19 @@
      E18_TRANSPORT (unix)          loopback transport: unix | tcp
      E18_OUT       (BENCH_e18.json) output path *)
 
-let getenv_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n > 0 -> n
-      | _ ->
-          Printf.eprintf "%s expects a positive integer (got %S)\n" name s;
-          exit 2)
-  | None -> default
-
 let domain_levels () =
-  match Sys.getenv_opt "E18_DOMAINS" with
-  | None -> [ 1; 2; 4; 8 ]
-  | Some s ->
-      String.split_on_char ',' s
-      |> List.filter (fun x -> String.trim x <> "")
-      |> List.map (fun x ->
-             match int_of_string_opt (String.trim x) with
-             | Some n when n >= 1 -> n
-             | _ ->
-                 Printf.eprintf "E18_DOMAINS: cannot parse %S\n" s;
-                 exit 2)
-
-let transport () =
-  match Sys.getenv_opt "E18_TRANSPORT" with
-  | None -> `Unix
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "tcp" -> `Tcp
-      | "unix" -> `Unix
-      | _ ->
-          Printf.eprintf "E18_TRANSPORT expects tcp or unix (got %S)\n" s;
-          exit 2)
-
-let fresh_tmpdir () =
-  let path = Filename.temp_file "e18" "" in
-  Unix.unlink path;
-  Unix.mkdir path 0o700;
-  path
-
-let summary_json buf label (s : Stats.Summary.t) =
-  Printf.bprintf buf
-    "\"%s\": { \"count\": %d, \"p50_us\": %.0f, \"p99_us\": %.0f, \
-     \"mean_us\": %.1f, \"max_us\": %.0f }"
-    label (Stats.Summary.count s)
-    (Stats.Summary.percentile s 50.)
-    (Stats.Summary.percentile s 99.)
-    (Stats.Summary.mean s) (Stats.Summary.max s)
-
-(* One measured pass: every client domain spins on the barrier, then
-   runs [ops] reads through its own client; the cell's wall-clock is the
-   slowest domain's (they started together). *)
-let timed_pass ~clients ~ops ~on_event0 =
-  let n = Array.length clients in
-  let reads = Array.make ops (Net.Client.Keyed.Read { key = 0 }) in
-  let barrier = Atomic.make 0 in
-  let body c () =
-    Atomic.incr barrier;
-    while Atomic.get barrier < n do
-      Domain.cpu_relax ()
-    done;
-    let t0 = Unix.gettimeofday () in
-    let results =
-      if c = 0 then
-        Net.Client.Keyed.run_ops ~on_event:on_event0 clients.(c) reads
-      else Net.Client.Keyed.run_ops clients.(c) reads
-    in
-    (Unix.gettimeofday () -. t0, results)
-  in
-  let doms = Array.init n (fun c -> Domain.spawn (body c)) in
-  Array.map Domain.join doms
+  Exp_common.getenv_list "E18_DOMAINS" [ 1; 2; 4; 8 ] (fun x ->
+      match int_of_string_opt x with Some n when n >= 1 -> Some n | _ -> None)
 
 let run () =
-  let ops = getenv_int "E18_OPS" 2000 in
-  let clients = getenv_int "E18_CLIENTS" 4 in
-  let inflight = getenv_int "E18_INFLIGHT" 16 in
-  let trials = getenv_int "E18_TRIALS" 3 in
+  let ops = Exp_common.getenv_int "E18_OPS" 2000 in
+  let clients = Exp_common.getenv_int "E18_CLIENTS" 4 in
+  let inflight = Exp_common.getenv_int "E18_INFLIGHT" 16 in
+  let trials = Exp_common.getenv_int "E18_TRIALS" 3 in
   let out = Option.value (Sys.getenv_opt "E18_OUT") ~default:"BENCH_e18.json" in
   let levels = domain_levels () in
-  let transport = transport () in
-  let transport_name = match transport with `Tcp -> "tcp" | `Unix -> "unix" in
+  let transport = Exp_common.transport "E18_TRANSPORT" ~default:`Unix in
+  let transport_name = Exp_common.transport_name transport in
   let protocol = Net.Protocols.safe in
   let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:0 in
   let s = cfg.Quorum.Config.s in
@@ -145,97 +78,49 @@ let run () =
   let violations_total = ref 0 in
   let partition_total = ref 0 in
   let batch_ok_all = ref true in
+  let all_checked = ref true in
   List.iteri
     (fun li nd ->
-      let dir = fresh_tmpdir () in
-      let endpoints =
-        match transport with
-        | `Unix ->
-            Array.init s (fun i ->
-                Net.Endpoint.Unix_sock
-                  (Filename.concat dir (Printf.sprintf "obj%d.sock" (i + 1))))
-        | `Tcp ->
-            Array.init s (fun _ ->
-                Net.Endpoint.Tcp { host = "127.0.0.1"; port = 0 })
+      let fleet =
+        Exp_common.start_fleet ~transport ~size:s ~domains:nd ~protocol ~cfg
       in
-      let registries = Array.init s (fun _ -> Obs.Metrics.create ()) in
-      let servers =
-        Net.Server.start_group
-          ~metrics:(fun i -> registries.(i))
-          ~domains:nd ~protocol ~cfg endpoints
-      in
-      let actual = Array.map Net.Server.endpoint servers in
-      (* Shared microsecond clock: history stamps from the writer and
-         from client domain 0 must be mutually ordered. *)
-      let origin = Unix.gettimeofday () in
-      let now_us () = int_of_float ((Unix.gettimeofday () -. origin) *. 1e6) in
-      let recorder = Histories.Recorder.create () in
-      let rec_mutex = Mutex.create () in
-      (* Seed one write so every read returns a real value. *)
-      let writer =
-        Net.Client.connect ~now_us ~protocol ~cfg ~role:`Writer actual
-      in
-      let wh = Histories.Recorder.invoke_write recorder ~time:(now_us ()) "e18" in
-      (match Net.Client.write writer (Core.Value.v "e18") with
-      | Ok _ -> Histories.Recorder.respond_write recorder wh ~time:(now_us ())
-      | Error e ->
-          Printf.eprintf "E18: seed write failed: %s\n" e;
-          exit 1);
-      Net.Client.close writer;
       (* One client per client domain, created once per cell: reader ids
          stay unique for the group's lifetime (base objects keep
-         per-reader round state) and trials after the first run warm. *)
+         per-reader round state) and trials after the first run warm.
+         Each domain records into its own log. *)
+      let record = Net.Record.create () in
       let map = Shard.Map.single cfg in
       let clients =
         Array.init clients (fun c ->
-            Net.Client.Keyed.connect ~now_us ~max_inflight:inflight
-              ~reader:(1 + (c * inflight)) ~readers:inflight ~protocol ~map
-              actual)
+            Net.Client.Keyed.connect ~now_us:(Net.Record.now_us record)
+              ~max_inflight:inflight
+              ~reader:(1 + (c * inflight))
+              ~readers:inflight ~protocol ~map fleet.endpoints)
       in
-      (* Domain 0's ops feed the history; resumed (timed-out) ops keep
-         their original invocation, exactly like Cluster.read_pipelined. *)
-      let open_ops = Array.make inflight None in
-      let on_event0 ev =
-        Mutex.lock rec_mutex;
-        (try
-           (match ev with
-           | Net.Client.Keyed.Invoke { reader; at_us; _ } -> (
-               match open_ops.(reader - 1) with
-               | Some _ -> ()
-               | None ->
-                   open_ops.(reader - 1) <-
-                     Some
-                       (Histories.Recorder.invoke_read recorder ~time:at_us
-                          ~reader))
-           | Net.Client.Keyed.Respond { reader; at_us; outcome; _ } -> (
-               match outcome with
-               | Error _ -> ()
-               | Ok o -> (
-                   match open_ops.(reader - 1) with
-                   | None -> ()
-                   | Some h ->
-                       open_ops.(reader - 1) <- None;
-                       let result =
-                         match o.Net.Client.value with
-                         | Some Core.Value.Bottom | None -> Histories.Op.Bottom
-                         | Some (Core.Value.V v) -> Histories.Op.Value v
-                       in
-                       Histories.Recorder.respond_read recorder h ~time:at_us
-                         result)))
-         with e ->
-           Mutex.unlock rec_mutex;
-           raise e);
-        Mutex.unlock rec_mutex
+      let logs = Array.map (fun _ -> Net.Record.log record) clients in
+      (* Seed one write so every read returns a real value. *)
+      let seed =
+        [| Net.Client.Keyed.Write { key = 0; value = Core.Value.v "e18" } |]
+      in
+      ignore
+        (Exp_common.ok_exn "E18" "seed write"
+           (Net.Client.Keyed.run_ops
+              ~on_event:(Net.Record.event logs.(0) seed)
+              clients.(0) seed).(0));
+      let reads = Array.make ops (Net.Client.Keyed.Read { key = 0 }) in
+      let pass n =
+        Exp_common.timed_pass ~clients ~logs (fun _ -> Array.sub reads 0 n)
       in
       (* untimed warmup: connections, hellos, first automaton steps *)
-      ignore
-        (timed_pass ~clients ~ops:(Stdlib.min 200 ops)
-           ~on_event0:(fun _ -> ()));
+      let completed =
+        ref (1 + Exp_common.completed (pass (Stdlib.min 200 ops)))
+      in
       let failures = ref 0 in
       let mismatches = ref 0 in
       let best = ref None in
       for trial = 1 to trials do
-        let passes = timed_pass ~clients ~ops ~on_event0 in
+        let passes = pass ops in
+        completed := !completed + Exp_common.completed passes;
         let wall = Array.fold_left (fun m (w, _) -> Float.max m w) 0. passes in
         let lat = Stats.Summary.create () in
         Array.iter
@@ -263,19 +148,14 @@ let run () =
         | _ -> best := Some (wall, rate, lat)
       done;
       Array.iter Net.Client.Keyed.close clients;
-      Array.iter Net.Server.stop servers;
-      (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-      let partition = Net.Server.partition_violations servers.(0) in
+      Exp_common.stop_fleet fleet;
+      let partition = Net.Server.partition_violations fleet.servers.(0) in
       let merged = Obs.Metrics.create () in
-      Array.iter (fun r -> Obs.Metrics.merge_into ~dst:merged r) registries;
-      let history = Histories.Recorder.ops recorder in
-      let violations =
-        (if Histories.Checks.is_safe ~equal:String.equal history then 0 else 1)
-        + if Histories.Checks.is_regular ~equal:String.equal history then 0
-          else 1
-      in
+      Array.iter (fun r -> Obs.Metrics.merge_into ~dst:merged r) fleet.registries;
+      let violations, checked, _ = Exp_common.check_record record in
       violations_total := !violations_total + violations;
       partition_total := !partition_total + partition;
+      if checked <> !completed then all_checked := false;
       let wall, rate, lat =
         match !best with Some b -> b | None -> (0., 0., Stats.Summary.create ())
       in
@@ -284,12 +164,12 @@ let run () =
         "    { \"domains\": %d, \"ops\": %d, \"wall_s\": %.4f, \"ops_per_s\": \
          %.1f,\n      "
         nd total_ops wall rate;
-      summary_json buf "latency" lat;
+      Exp_common.summary_json buf "latency" lat;
       Printf.bprintf buf
         ",\n      \"failures\": %d, \"mismatches\": %d,\n      \
-         \"history_ops\": %d, \"violations\": %d, \"partition_violations\": \
-         %d"
-        !failures !mismatches (List.length history) violations partition;
+         \"ops_completed\": %d, \"ops_checked\": %d, \"violations\": %d, \
+         \"partition_violations\": %d"
+        !failures !mismatches !completed checked violations partition;
       (match Obs.Metrics.find_histogram merged "wire.batch_size" with
       | Some h when Obs.Metrics.Histogram.count h > 0 ->
           let p50 = Obs.Metrics.Histogram.quantile h 50. in
@@ -324,8 +204,8 @@ let run () =
         (r4 >= 2.5 *. r1)
   | _ -> ());
   Printf.bprintf buf
-    "  \"batch_p50_gt_1_all\": %b,\n  \"violations_total\": %d,\n  \
-     \"partition_violations_total\": %d\n}\n"
-    !batch_ok_all !violations_total !partition_total;
+    "  \"batch_p50_gt_1_all\": %b,\n  \"all_ops_checked\": %b,\n  \
+     \"violations_total\": %d,\n  \"partition_violations_total\": %d\n}\n"
+    !batch_ok_all !all_checked !violations_total !partition_total;
   Obs.Export.write_file ~path:out (Buffer.contents buf);
   Exp_common.note "wrote %s" out

@@ -102,6 +102,26 @@ let bench_checker =
     (Staged.stage (fun () ->
          ignore (Histories.Checks.check_regularity ~equal:String.equal history)))
 
+(* The shape of a live single-register history (E15, E18): one write,
+   then 20,000 reads of its value.  Both checks must stay linear in the
+   reads when writes are few. *)
+let bench_checker_reads =
+  let history =
+    let r = Histories.Recorder.create () in
+    let w = Histories.Recorder.invoke_write r ~time:0 "v1" in
+    Histories.Recorder.respond_write r w ~time:1;
+    for k = 1 to 20_000 do
+      let rd = Histories.Recorder.invoke_read r ~time:(2 * k) ~reader:1 in
+      Histories.Recorder.respond_read r rd ~time:((2 * k) + 1)
+        (Histories.Op.Value "v1")
+    done;
+    Histories.Recorder.ops r
+  in
+  Test.make ~name:"checks: safety + regularity, 20k reads + 1 write"
+    (Staged.stage (fun () ->
+         ignore (Histories.Checks.check_safety ~equal:String.equal history);
+         ignore (Histories.Checks.check_regularity ~equal:String.equal history)))
+
 let bench_heap =
   let module H = Sim.Heap.Make (Int) in
   Test.make ~name:"heap: 256 inserts + drain"
@@ -238,6 +258,7 @@ let tests =
     bench_safe_read_fast_path;
     bench_end_to_end_scenario;
     bench_checker;
+    bench_checker_reads;
     bench_codec_encode;
     bench_codec_decode_hot;
     bench_codec_decode_cold;

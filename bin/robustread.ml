@@ -9,6 +9,10 @@
 
 open Cmdliner
 
+(* Seconds on the monotonic clock: run timings that a wall-clock step
+   must not stretch or shrink. *)
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 (* ----- shared argument parsing ----------------------------------------- *)
 
 let t_arg =
@@ -212,7 +216,7 @@ let run_generic (type m)
   let registry = if metrics then Some (Obs.Metrics.create ()) else None in
   let rep =
     Sc.run ~trace ?metrics:registry
-      ?clock:(if metrics then Some Unix.gettimeofday else None)
+      ?clock:(if metrics then Some now_s else None)
       ~cfg ~seed ~delay
       ~faults:{ Sc.crashes = []; byzantine = byz_plan }
       schedule
@@ -1267,9 +1271,8 @@ let cluster_cmd =
     if keys > 0 then begin
       (* Keyspace mode: one keyed client drives a zipfian read/write mix
          over [keys] registers; the single-register phases (and --crash)
-         don't apply.  Histories are recorded per sampled key — each key
-         is its own register, so the single-register checker runs per
-         key. *)
+         don't apply.  Every key's history is checked — each key is its
+         own register, so the single-register checker runs per key. *)
       let map =
         Shard.Map.make_exn ~keys ~fleet:cfg.Quorum.Config.s ~cfg ()
       in
@@ -1286,9 +1289,6 @@ let cluster_cmd =
           (Workload.Keyspace.ops gen n)
       in
       let window = if inflight > 0 then inflight else 16 in
-      (* Zipf puts the traffic on low key ids, so sampling a prefix of
-         the id space checks the keys that actually saw concurrency. *)
-      let sample k = k < 256 in
       Format.printf
         "keyspace: %s; %d ops (zipf %.2f, write ratio %.2f, window %d%s)@."
         (Shard.Map.to_string map) n zipf write_ratio window
@@ -1298,8 +1298,7 @@ let cluster_cmd =
           | Ok _ -> ()
           | Error e ->
               record_failure (Printf.sprintf "keyed op #%d FAILED: %s" (i + 1) e))
-        (Net.Cluster.run_keyed ~inflight:window ~coalesce ~sample cluster ~map
-           ops);
+        (Net.Cluster.run_keyed ~inflight:window ~coalesce cluster ~map ops);
       let checked = Net.Cluster.keyed_histories cluster in
       let bad =
         List.fold_left
@@ -1322,10 +1321,10 @@ let cluster_cmd =
              "domain-partition violations: %d (an object was stepped outside \
               its owning domain)"
              partition);
-      Format.printf
-        "%d keys touched, %d sampled histories checked; safety: %s@."
+      Format.printf "%d keys touched, %d histories (%d ops) checked; safety: %s@."
         (Net.Cluster.keys_touched cluster)
         (List.length checked)
+        (List.fold_left (fun n (_, h) -> n + List.length h) 0 checked)
         (if bad = 0 then "OK" else Printf.sprintf "%d VIOLATIONS" bad);
       let registry = Net.Cluster.metrics cluster in
       (match registry with
@@ -1340,9 +1339,9 @@ let cluster_cmd =
       if !failures > 0 || bad > 0 then exit 1
     end
     else begin
-    (* Writer runs in this thread; each reader client gets its own (the
-       harness locks the shared history recorder).  --jobs 1 forces the
-       fully sequential path. *)
+    (* Writer runs in this thread; each reader client gets its own (and
+       records into its own history log).  --jobs 1 forces the fully
+       sequential path. *)
     let sequential = jobs = Some 1 in
     let reader_body j () =
       for k = 1 to reads do
@@ -1544,7 +1543,7 @@ let load_worker_cmd =
     end;
     let registry = Obs.Metrics.create () in
     let endpoints = Array.of_list endpoints in
-    let t0 = Unix.gettimeofday () in
+    let t0 = now_s () in
     (* Keyspace mode: a zipfian read/write mix over the fleet.  The
        registers are SWMR, so write ownership is partitioned across
        workers with the placement mixer: this worker only writes keys
@@ -1579,7 +1578,7 @@ let load_worker_cmd =
     in
     let outcomes = Net.Client.Keyed.run_ops client kops in
     Net.Client.Keyed.close client;
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = now_s () -. t0 in
     let failures =
       Array.fold_left
         (fun n -> function Ok _ -> n | Error _ -> n + 1)
@@ -1705,7 +1704,7 @@ let load_cmd =
         (fun ep -> [ "-e"; Net.Endpoint.to_string ep ])
         (Array.to_list actual)
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = now_s () in
     let pids =
       List.init procs (fun k ->
           let k = k + 1 in
@@ -1743,7 +1742,7 @@ let load_cmd =
         | Unix.WEXITED 0 -> ()
         | _ -> incr failed)
       pids;
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = now_s () -. t0 in
     Array.iter Net.Server.stop servers;
     let partition = Net.Server.partition_violations servers.(0) in
     (* Merge per-object server registries and per-process client JSONL

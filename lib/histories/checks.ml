@@ -5,41 +5,44 @@ let writes ops = List.filter Op.is_write ops
 let complete_reads ops =
   List.filter (fun op -> Op.is_read op && Op.is_complete op) ops
 
+(* The helpers below take [ws], the history's writes, which each checker
+   filters out once: a check then costs O(reads x writes), not
+   O(reads x ops). *)
+
 (* Highest index among complete writes that precede [rd]; 0 if none. *)
-let last_preceding_write_index ops rd =
+let last_preceding_write_index ws rd =
   List.fold_left
     (fun acc wr ->
       match Op.write_index wr with
       | Some k when Op.precedes wr rd -> max acc k
       | Some _ | None -> acc)
-    0 (writes ops)
+    0 ws
 
-let value_of_write ops k =
+let value_of_write ws k =
   List.find_map
     (fun wr ->
       match wr.Op.action with
       | Op.Write { index; value } when index = k -> Some value
       | Op.Write _ | Op.Read _ -> None)
-    ops
+    ws
 
 (* Indices k such that val_k = x among all invoked writes. *)
-let indices_of_value ~equal ops x =
+let indices_of_value ~equal ws x =
   List.filter_map
     (fun wr ->
       match wr.Op.action with
       | Op.Write { index; value } when equal value x -> Some (index, wr)
       | Op.Write _ | Op.Read _ -> None)
-    ops
+    ws
 
 let check_safety ~equal ops =
-  let has_concurrent_write rd =
-    List.exists (fun wr -> Op.concurrent wr rd) (writes ops)
-  in
+  let ws = writes ops in
+  let has_concurrent_write rd = List.exists (fun wr -> Op.concurrent wr rd) ws in
   List.filter_map
     (fun rd ->
       if has_concurrent_write rd then None
       else
-        let k = last_preceding_write_index ops rd in
+        let k = last_preceding_write_index ws rd in
         match (Op.read_result rd, k) with
         | Some Op.Bottom, 0 -> None
         | Some Op.Bottom, k ->
@@ -60,7 +63,7 @@ let check_safety ~equal ops =
                 detail = "returned a value although no write precedes the read";
               }
         | Some (Op.Value x), k -> (
-            match value_of_write ops k with
+            match value_of_write ws k with
             | Some vk when equal vk x -> None
             | Some _ ->
                 Some
@@ -84,9 +87,10 @@ let check_safety ~equal ops =
     (complete_reads ops)
 
 let check_regularity ~equal ops =
+  let ws = writes ops in
   List.filter_map
     (fun rd ->
-      let kmin = last_preceding_write_index ops rd in
+      let kmin = last_preceding_write_index ws rd in
       match Op.read_result rd with
       | Some Op.Bottom ->
           if kmin = 0 then None
@@ -100,7 +104,7 @@ let check_regularity ~equal ops =
                     "returned bottom although wr%d precedes the read" kmin;
               }
       | Some (Op.Value x) -> (
-          match indices_of_value ~equal ops x with
+          match indices_of_value ~equal ws x with
           | [] ->
               Some
                 {
@@ -136,11 +140,11 @@ let check_regularity ~equal ops =
       | None -> None)
     (complete_reads ops)
 
-let observed_index ~equal ops rd =
+let observed_index ~equal ws rd =
   match Op.read_result rd with
   | Some Op.Bottom -> Some 0
   | Some (Op.Value x) -> (
-      match indices_of_value ~equal ops x with
+      match indices_of_value ~equal ws x with
       | [ (k, _) ] -> Some k
       | [] -> None
       | _ :: _ :: _ ->
@@ -151,6 +155,7 @@ let observed_index ~equal ops rd =
 
 let check_atomicity ~equal ops =
   let regularity = check_regularity ~equal ops in
+  let ws = writes ops in
   let reads = complete_reads ops in
   let inversions =
     List.concat_map
@@ -159,7 +164,7 @@ let check_atomicity ~equal ops =
           (fun rd2 ->
             if not (Op.precedes rd1 rd2) then None
             else
-              match (observed_index ~equal ops rd1, observed_index ~equal ops rd2) with
+              match (observed_index ~equal ws rd1, observed_index ~equal ws rd2) with
               | Some k1, Some k2 when k1 > k2 ->
                   Some
                     {

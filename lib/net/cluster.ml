@@ -1,17 +1,14 @@
+(* Every client appends to a log of its own in [record]; the histories
+   are merged from the logs when asked for. *)
 type client_slot = {
   client : Client.t;
   registry : Obs.Metrics.t option;
-  (* a resumed operation responds to the invocation that opened it *)
-  mutable open_op : Histories.Recorder.op_handle option;
+  log : Record.log;
 }
 
 (* A cached engine client: its parked (timed-out) automata must carry
-   over between calls, so it is rebuilt only when its parameters change.
-   [k_open] holds the history handle of each open op by (key, reader
-   id; 0 for the writer): an op that timed out stays open, and the op
-   that resumes it responds to the original invocation.  A joined read
-   overlaps its lead, so it records under a fresh reader id and is
-   tracked by op index (joined ops never park). *)
+   over between calls, so it is rebuilt only when its parameters
+   change. *)
 type keyed_state = {
   k_inflight : int;
   k_readers : int;
@@ -19,8 +16,7 @@ type keyed_state = {
   k_map : Shard.Map.t;
   k_client : Client.Keyed.t;
   k_registry : Obs.Metrics.t option;
-  k_open : (int * int, Histories.Recorder.op_handle) Hashtbl.t;
-  k_open_joined : (int, Histories.Recorder.op_handle) Hashtbl.t;
+  k_log : Record.log;
 }
 
 type t = {
@@ -38,17 +34,9 @@ type t = {
      reused across client generations: each new client gets a fresh
      range. *)
   mutable next_rid : int;
-  (* Recorder reader ids for coalesced reads: the recorder insists each
-     concurrently-open read has a distinct reader, and joined reads
-     overlap their lead by construction.  Starts far above any real
-     reader id so the ranges can never collide. *)
-  mutable next_jrid : int;
   copts : Client.opts option;
   protocol : Protocols.t;
-  recorder : string Histories.Recorder.t;  (* key 0, every client *)
-  key_recorders : (int, string Histories.Recorder.t) Hashtbl.t;  (* key > 0 *)
-  rec_mutex : Mutex.t;
-  now_us : unit -> int;
+  record : Record.t;
   tmpdir : string option;
   with_metrics : bool;
 }
@@ -96,10 +84,10 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
   in
   (* Ephemeral TCP ports are only known after bind. *)
   let server_endpoints = Array.map Server.endpoint servers in
-  (* Monotonic: histories, spans and chaos windows compare these stamps,
-     which a wall-clock step must not reorder. *)
-  let t0 = Monotonic_clock.now () in
-  let now_us () = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) / 1000 in
+  (* Histories, spans and chaos windows all compare stamps of the
+     recording's monotonic clock. *)
+  let record = Record.create () in
+  let now_us = Record.now_us record in
   (* With interposition, every client dials a per-object chaos proxy
      relaying to the real server; the server endpoint stays stable
      across crash/restart, so a proxy never needs re-targeting. *)
@@ -126,7 +114,7 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
         Client.connect ?metrics:registry ?opts ~now_us ~protocol ~cfg ~role
           endpoints;
       registry;
-      open_op = None;
+      log = Record.log record;
     }
   in
   {
@@ -141,75 +129,40 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
     lanes = None;
     keyed = None;
     next_rid = readers + 1;
-    next_jrid = 1_000_000;
     copts = opts;
     protocol;
-    recorder = Histories.Recorder.create ();
-    key_recorders = Hashtbl.create 64;
-    rec_mutex = Mutex.create ();
-    now_us;
+    record;
     tmpdir;
     with_metrics = metrics;
   }
 
-let locked t f =
-  Mutex.lock t.rec_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.rec_mutex) f
-
-(* Record the invocation unless the slot still has an op in flight (the
-   client resumes it; the original invocation stays the right event). *)
-let invoke t slot mk =
-  locked t (fun () ->
-      match slot.open_op with
-      | Some h -> h
-      | None ->
-          let h = mk ~time:(t.now_us ()) in
-          slot.open_op <- Some h;
-          h)
-
-let respond t slot h finish =
-  locked t (fun () ->
-      slot.open_op <- None;
-      finish h ~time:(t.now_us ()))
+(* A single-register client runs one op at a time and reports no
+   events, so its invocation and response are stamped around the call.
+   A failed op stays open in the history until the slot's next op
+   resumes it, exactly as for the engine's lanes. *)
+let serial t slot ~reader kop run =
+  let ops = [| kop |] in
+  let write = Client.Keyed.op_is_write kop in
+  let now = Record.now_us t.record in
+  Record.event slot.log ops
+    (Client.Keyed.Invoke
+       { op = 0; key = 0; write; reader; joined = false; at_us = now () });
+  let outcome = run slot.client in
+  Record.event slot.log ops
+    (Client.Keyed.Respond
+       { op = 0; key = 0; write; reader; joined = false; at_us = now ();
+         outcome });
+  outcome
 
 let write t v =
-  let slot = t.writer in
-  let h =
-    invoke t slot (fun ~time ->
-        Histories.Recorder.invoke_write t.recorder ~time
-          (Core.Value.to_string v))
-  in
-  match Client.write slot.client v with
-  | Ok _ as ok ->
-      respond t slot h (fun h ~time ->
-          Histories.Recorder.respond_write t.recorder h ~time);
-      ok
-  | Error _ as e -> e
+  serial t t.writer ~reader:0 (Client.Keyed.Write { key = 0; value = v })
+    (fun c -> Client.write c v)
 
 let read t ~reader =
   if reader < 1 || reader > Array.length t.readers then
     invalid_arg (Printf.sprintf "Cluster.read: reader %d" reader);
-  let slot = t.readers.(reader - 1) in
-  let h =
-    invoke t slot (fun ~time ->
-        Histories.Recorder.invoke_read t.recorder ~time ~reader)
-  in
-  match Client.read slot.client with
-  | Ok o as ok ->
-      let result =
-        match o.Client.value with
-        | Some Core.Value.Bottom | None -> Histories.Op.Bottom
-        | Some (Core.Value.V s) -> Histories.Op.Value s
-      in
-      respond t slot h (fun h ~time ->
-          Histories.Recorder.respond_read t.recorder h ~time result);
-      ok
-  | Error _ as e -> e
-
-let result_of (o : Client.outcome) =
-  match o.value with
-  | Some Core.Value.Bottom | None -> Histories.Op.Bottom
-  | Some (Core.Value.V s) -> Histories.Op.Value s
+  serial t t.readers.(reader - 1) ~reader (Client.Keyed.Read { key = 0 })
+    Client.read
 
 (* The cached client for [prev]'s role, rebuilt with fresh reader ids
    when a parameter changed. *)
@@ -232,80 +185,16 @@ let keyed_client t prev ~map ~inflight ~readers ~coalesce =
         k_coalesce = coalesce;
         k_map = map;
         k_client =
-          Client.Keyed.connect ?metrics:registry ?opts:t.copts ~now_us:t.now_us
-            ~max_inflight:inflight ~reader ~readers ~coalesce
-            ~protocol:t.protocol ~map t.endpoints;
+          Client.Keyed.connect ?metrics:registry ?opts:t.copts
+            ~now_us:(Record.now_us t.record) ~max_inflight:inflight ~reader
+            ~readers ~coalesce ~protocol:t.protocol ~map t.endpoints;
         k_registry = registry;
-        k_open = Hashtbl.create 64;
-        k_open_joined = Hashtbl.create 64;
+        k_log = Record.log t.record;
       }
 
-(* Key 0 records into the main history, where the single-register
-   clients' ops go too, so a run mixing them is checked as one
-   register; every other key sampled by [sample] gets a history of its
-   own. *)
-let record t k ~sample ops ev =
-  let recorder_for key =
-    if key = 0 then t.recorder
-    else
-      match Hashtbl.find_opt t.key_recorders key with
-      | Some r -> r
-      | None ->
-          let r = Histories.Recorder.create () in
-          Hashtbl.replace t.key_recorders key r;
-          r
-  in
-  match ev with
-  | Client.Keyed.Invoke { key; _ } | Client.Keyed.Respond { key; _ }
-    when key <> 0 && not (sample key) ->
-      ()
-  | Client.Keyed.Invoke { op; key; joined = true; at_us; _ } ->
-      let jrid = t.next_jrid in
-      t.next_jrid <- t.next_jrid + 1;
-      Hashtbl.replace k.k_open_joined op
-        (Histories.Recorder.invoke_read (recorder_for key) ~time:at_us
-           ~reader:jrid)
-  | Client.Keyed.Respond { op; key; joined = true; at_us; outcome; _ } -> (
-      match Hashtbl.find_opt k.k_open_joined op with
-      | None -> ()
-      | Some h -> (
-          Hashtbl.remove k.k_open_joined op;
-          match outcome with
-          | Error _ -> () (* never resumed: the op stays open *)
-          | Ok o ->
-              Histories.Recorder.respond_read (recorder_for key) h ~time:at_us
-                (result_of o)))
-  | Client.Keyed.Invoke { op; key; write; reader; at_us; _ } ->
-      if not (Hashtbl.mem k.k_open (key, reader)) then
-        let r = recorder_for key in
-        Hashtbl.replace k.k_open (key, reader)
-          (match ops.(op) with
-          | Client.Keyed.Write { value; _ } when write ->
-              Histories.Recorder.invoke_write r ~time:at_us
-                (Core.Value.to_string value)
-          | Client.Keyed.Write _ | Client.Keyed.Read _ ->
-              Histories.Recorder.invoke_read r ~time:at_us ~reader)
-  | Client.Keyed.Respond { key; write; reader; at_us; outcome; _ } -> (
-      match (outcome, Hashtbl.find_opt k.k_open (key, reader)) with
-      | Error _, _ | _, None -> () (* open until a later op resumes it *)
-      | Ok o, Some h ->
-          Hashtbl.remove k.k_open (key, reader);
-          let r = recorder_for key in
-          if write then Histories.Recorder.respond_write r h ~time:at_us
-          else Histories.Recorder.respond_read r h ~time:at_us (result_of o))
-
-(* Events fire on the pump's hot path, once per op start and finish:
-   take the mutex directly instead of allocating a [locked] thunk per
-   event.  Recorder calls raise only on misuse bugs; the handler
-   re-raises with the mutex released so the failure stays loud. *)
-let run_recorded ?(sample = fun _ -> true) ?(hook = ignore) t k ops =
+let run_recorded ?(hook = ignore) k ops =
   let on_event ev =
-    Mutex.lock t.rec_mutex;
-    (try record t k ~sample ops ev
-     with e ->
-       Mutex.unlock t.rec_mutex;
-       raise e);
-    Mutex.unlock t.rec_mutex;
+    Record.event k.k_log ops ev;
     hook ev
   in
   Client.Keyed.run_ops ~on_event k.k_client ops
@@ -317,9 +206,9 @@ let read_pipelined ?(coalesce = 1) t ~inflight ~ops =
     keyed_client t t.lanes ~map:t.single ~inflight ~readers:inflight ~coalesce
   in
   t.lanes <- Some k;
-  run_recorded t k (Array.make ops (Client.Keyed.Read { key = 0 }))
+  run_recorded k (Array.make ops (Client.Keyed.Read { key = 0 }))
 
-let run_keyed ?(inflight = 16) ?(coalesce = 1) ?sample ?on_event t ~map ops =
+let run_keyed ?(inflight = 16) ?(coalesce = 1) ?on_event t ~map ops =
   if inflight < 1 then
     invalid_arg (Printf.sprintf "Cluster.run_keyed: inflight %d" inflight);
   if Shard.Map.fleet map <> Array.length t.endpoints then
@@ -328,20 +217,12 @@ let run_keyed ?(inflight = 16) ?(coalesce = 1) ?sample ?on_event t ~map ops =
          (Shard.Map.fleet map) (Array.length t.endpoints));
   let k = keyed_client t t.keyed ~map ~inflight ~readers:1 ~coalesce in
   t.keyed <- Some k;
-  run_recorded ?sample ?hook:on_event t k ops
+  run_recorded ?hook:on_event k ops
 
-let history t = locked t (fun () -> Histories.Recorder.ops t.recorder)
+let keyed_histories t = Record.histories t.record
 
-let keyed_histories t =
-  let main = history t in
-  let rest =
-    locked t (fun () ->
-        Hashtbl.fold
-          (fun key r acc -> (key, Histories.Recorder.ops r) :: acc)
-          t.key_recorders [])
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  if main = [] then rest else (0, main) :: rest
+let history t =
+  Option.value (List.assoc_opt 0 (keyed_histories t)) ~default:[]
 
 let keys_touched t =
   match t.keyed with None -> 0 | Some k -> Client.Keyed.keys_touched k.k_client
@@ -379,7 +260,7 @@ let partition_violations t =
 
 let chaos t = t.chaos_
 
-let now_us t = t.now_us ()
+let now_us t = Record.now_us t.record ()
 
 let alive t =
   Array.to_list t.servers

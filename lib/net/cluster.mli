@@ -5,11 +5,11 @@
     base objects in one {!Server.start_group} (Unix-domain sockets in a
     private temp directory by default, TCP on demand), connects the
     single writer and [readers] reader {!Client}s, and records every
-    operation into a {!Histories.Recorder} so the paper's
+    operation of every client through {!Record}, so the paper's
     safety/regularity/wait-freedom checkers run on live histories
     exactly as they do on simulated ones.  Every client is the
     {!Client.Keyed} engine; the single register is its key 0, and every
-    key-0 operation — serial, pipelined or keyed — lands in the one main
+    key-0 operation — serial, pipelined or keyed — lands in the one key-0
     history.
 
     Chaos hooks mirror the fault campaign's crash-recovery actions:
@@ -21,9 +21,10 @@
     crash/restart and requires zero failures.
 
     Thread-safety: operations for {e distinct} clients (the writer,
-    each reader) may run from distinct threads concurrently; the shared
-    history recorder is internally locked.  One client must not be
-    driven from two threads. *)
+    each reader) may run from distinct threads concurrently; each client
+    appends to a {!Record.log} of its own.  One client must not be
+    driven from two threads, and {!history} / {!keyed_histories} must
+    not run while operations do. *)
 
 type t
 
@@ -63,19 +64,18 @@ val read_pipelined :
     lanes, whose reader ids are allocated fresh (above the serial
     readers' — base objects keep per-reader round state, so ids are
     never reused across client generations).  Every operation is
-    recorded in the main history under its lane's reader id at its real
+    recorded in the key-0 history under its lane's reader id at its real
     invoke/respond instants, so the checkers see the true concurrency;
     timed-out ops stay open and are resumed by a later call, exactly
     like the serial path.  [coalesce] (default 1 = off) is
-    {!Client.Keyed.connect}'s batch cap: coalesced reads record under
-    fresh recorder reader ids, since they overlap their lead.  Changing
-    [inflight] or [coalesce] rebuilds the client.
+    {!Client.Keyed.connect}'s batch cap (see {!Record} for how joined
+    reads are recorded).  Changing [inflight] or [coalesce] rebuilds the
+    client.
     @raise Invalid_argument if [inflight < 1]. *)
 
 val run_keyed :
   ?inflight:int ->
   ?coalesce:int ->
-  ?sample:(int -> bool) ->
   ?on_event:(Client.Keyed.event -> unit) ->
   t ->
   map:Shard.Map.t ->
@@ -85,16 +85,13 @@ val run_keyed :
     reader id is allocated fresh (key 0 is also served to the plain
     clients, so the keyed reader must not collide with their per-reader
     round state).  The map's fleet must equal the cluster's server
-    count.  Key-0 operations record into the main history ({!history})
-    under their real reader id; every other key sampled by [sample]
-    (default: all) records into its own per-key history — each key is
-    an independent register, so the single-register checkers apply per
-    key ({!keyed_histories}).
+    count.  Every operation records into its key's history — each key
+    is an independent register, so the single-register checkers apply
+    per key ({!keyed_histories}); key 0's is {!history}.
     [inflight] (default 16) caps concurrently progressing operations;
     [coalesce] (default 1 = off) is {!Client.Keyed.connect}'s per-key
-    read-coalescing cap, and coalesced reads record under fresh
-    recorder reader ids since they overlap their lead.  Changing
-    [inflight], [coalesce] or the map rebuilds the keyed client.
+    read-coalescing cap.  Changing [inflight], [coalesce] or the map
+    rebuilds the keyed client.
     [on_event] sees every event after it is recorded, from the client's
     event loop — a fault injected there lands while operations are in
     flight.
@@ -102,9 +99,9 @@ val run_keyed :
     not match. *)
 
 val keyed_histories : t -> (int * string Histories.Op.t list) list
-(** Per-key recorded operations, sorted by key id — key 0's are
-    {!history}, listed when non-empty, then each sampled key's.  Feed
-    each key's list to {!Histories.Checks} independently. *)
+(** {!Record.histories} of every client so far: one history per key
+    that saw an operation, sorted by key id.  Feed each key's list to
+    {!Histories.Checks} independently. *)
 
 val keys_touched : t -> int
 (** Keys with materialized keyed-client automata so far. *)
@@ -144,8 +141,7 @@ val endpoints : t -> Endpoint.t array
 val cfg : t -> Quorum.Config.t
 
 val history : t -> string Histories.Op.t list
-(** All recorded key-0 operations, invocation order — feed to
-    {!Histories.Checks}. *)
+(** Key 0's history from {!keyed_histories} (empty if none). *)
 
 val spans : t -> Obs.Span.t list
 (** Writer spans then per-reader spans; all share one microsecond

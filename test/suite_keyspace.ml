@@ -532,44 +532,6 @@ let crash_widens_lost_rounds () =
         (counter m "op.expand.lost" > 0);
       histories_regular (Net.Cluster.keyed_histories c))
 
-(* Per-key histories from Keyed events, for a keyed client driven
-   without a cluster (no coalescing, so one open op per (key, role)). *)
-let keyed_recorder ops =
-  let recs = Hashtbl.create 16 and open_ = Hashtbl.create 16 in
-  let rec_for key =
-    match Hashtbl.find_opt recs key with
-    | Some r -> r
-    | None ->
-        let r = Histories.Recorder.create () in
-        Hashtbl.replace recs key r;
-        r
-  in
-  let on_event = function
-    | Net.Client.Keyed.Invoke { op; key; write; at_us; _ } ->
-        let r = rec_for key in
-        Hashtbl.replace open_ (key, write)
-          (match ops.(op) with
-          | Net.Client.Keyed.Write { value; _ } ->
-              Histories.Recorder.invoke_write r ~time:at_us
-                (Core.Value.to_string value)
-          | Net.Client.Keyed.Read _ ->
-              Histories.Recorder.invoke_read r ~time:at_us ~reader:1)
-    | Net.Client.Keyed.Respond { key; write; at_us; outcome = Ok o; _ } -> (
-        let r = rec_for key and h = Hashtbl.find open_ (key, write) in
-        Hashtbl.remove open_ (key, write);
-        match o.Net.Client.value with
-        | None -> Histories.Recorder.respond_write r h ~time:at_us
-        | Some Core.Value.Bottom ->
-            Histories.Recorder.respond_read r h ~time:at_us Histories.Op.Bottom
-        | Some (Core.Value.V v) ->
-            Histories.Recorder.respond_read r h ~time:at_us (Histories.Op.Value v))
-    | Net.Client.Keyed.Respond { outcome = Error _; _ } -> ()
-  in
-  let histories () =
-    Hashtbl.fold (fun key r acc -> (key, Histories.Recorder.ops r) :: acc) recs []
-  in
-  (on_event, histories)
-
 (* A member that accepts connections and never answers: once its first
    frames go unanswered, fresh rounds steer away from it, and rounds
    that did contact it are hedged — no deadline retransmits pile up. *)
@@ -593,9 +555,10 @@ let silent_member_is_avoided () =
       let keys = 16 and window = 16 in
       let map = Shard.Map.make_exn ~keys ~fleet:4 ~cfg () in
       let metrics = Obs.Metrics.create () in
+      let record = Net.Record.create () in
       let k =
-        Net.Client.Keyed.connect ~metrics ~max_inflight:window ~protocol ~map
-          endpoints
+        Net.Client.Keyed.connect ~metrics ~now_us:(Net.Record.now_us record)
+          ~max_inflight:window ~protocol ~map endpoints
       in
       Fun.protect
         ~finally:(fun () -> Net.Client.Keyed.close k)
@@ -604,13 +567,13 @@ let silent_member_is_avoided () =
             Array.append (writes_to_every_key keys)
               (keyed_ops ~keys ~write_ratio:0.2 ~seed:7 300)
           in
-          let on_event, histories = keyed_recorder ops in
+          let on_event = Net.Record.event (Net.Record.log record) ops in
           all_ok "keyed" (Net.Client.Keyed.run_ops ~on_event k ops);
           let retr = counter metrics "net.client.retransmits" in
           Alcotest.(check bool)
             (Printf.sprintf "retransmits (%d) <= window (%d)" retr window)
             true (retr <= window);
-          histories_regular (histories ())))
+          histories_regular (Net.Record.histories record)))
 
 (* One member answers 50 ms late: the hedge sends the round to the
    member it skipped, so the median read never waits for the slow one. *)

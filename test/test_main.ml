@@ -40,4 +40,5 @@ let () =
       Suite_scaleout.suite;
       Suite_keyspace.suite;
       Suite_coalesce.suite;
+      Suite_record.suite;
     ]
