@@ -150,9 +150,16 @@ let info_cmd =
     Format.printf "round quorum       : S - t = %d@." (Quorum.Config.quorum cfg);
     Format.printf "safe vouchers      : b + 1 = %d@." (b + 1);
     Format.printf "dissent threshold  : t + b + 1 = %d@." (t + b + 1);
-    Format.printf "fast reads possible: %b (requires S >= 2t+2b+1 = %d)@."
-      (Quorum.Config.fast_read_admissible cfg)
-      ((2 * t) + (2 * b) + 1);
+    let fast_s = (2 * t) + (2 * b) + 1 in
+    if Quorum.Config.fast_read_admissible cfg then
+      Format.printf
+        "one-round reads    : every read, despite b lies (S >= 2t+2b+1 = %d)@."
+        fast_s
+    else
+      Format.printf
+        "one-round reads    : each read unless a lie or an overlapping write \
+         blocks it (every read needs S >= 2t+2b+1 = %d)@."
+        fast_s;
     Format.printf "quorum intersection: %b; write persistence: %b@."
       (Quorum.Intersect.check_byzantine_intersection cfg)
       (Quorum.Intersect.check_write_persistence cfg)
@@ -1209,10 +1216,11 @@ let cluster_cmd =
             "Run the §5.1 cached/suffix protocol ($(b,regular-gc) sized to \
              the actual reader count): readers cache the last returned \
              timestamp, objects ship history suffixes, and reads return \
-             after round 1 whenever the candidate set already decides — \
-             which the lower bound permits only at S >= 2t+2b+1; below it \
-             every read falls back to the full two rounds.  Overrides \
-             $(b,--protocol).")
+             after round 1 whenever the candidate set already decides.  At \
+             S >= 2t+2b+1 every read does, despite b lies; below it a read \
+             still does unless a lie or an overlapping write blocks the \
+             decision, and only then runs the full two rounds \
+             (Proposition 1).  Overrides $(b,--protocol).")
   in
   let run protocol t b s readers writes reads transport crash inflight
       domains fast_reads keys zipf write_ratio coalesce seed copts jobs

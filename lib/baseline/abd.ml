@@ -32,6 +32,14 @@ let msg_class = function
   | Write_back _ -> Obs.Wire.read ~round:2 ~request:true
   | Write_back_ack _ -> Obs.Wire.read ~round:2 ~request:false
 
+let answers ~request reply =
+  match (request, reply) with
+  | Write_req { ts; _ }, Write_ack { ts = ts' } -> ts = ts'
+  | Read_req { rid }, Read_ack { rid = rid'; _ }
+  | Write_back { rid; _ }, Write_back_ack { rid = rid' } ->
+      rid = rid'
+  | _ -> false
+
 (* Object: the classic ⟨ts, v⟩ cell; adopts any fresher pair, including
    reader write-backs. *)
 type obj = { index : int; ts : int; v : Value.t }

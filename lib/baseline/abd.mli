@@ -25,6 +25,10 @@ type msg =
   | Write_back of { rid : int; ts : int; v : Core.Value.t }
   | Write_back_ack of { rid : int }
 
+val answers : request:msg -> msg -> bool
+(** [answers ~request m]: [m] is an object's reply to [request] — the
+    ack of the same phase, echoing its [ts] or [rid]. *)
+
 module Regular : Core.Protocol_intf.S with type msg = msg
 
 module Atomic : Core.Protocol_intf.S with type msg = msg

@@ -75,3 +75,15 @@ let is_read_round = function
   | Pw _ | Pw_ack _ | W _ | W_ack _ | Read1_ack _ | Read2_ack _
   | Read1_ack_h _ | Read2_ack_h _ ->
       None
+
+let answers ~request reply =
+  match (request, reply) with
+  | Pw { ts; _ }, Pw_ack { ts = ts'; _ } | W { ts; _ }, W_ack { ts = ts' } ->
+      ts = ts'
+  | ( Read1 { tsr; _ },
+      (Read1_ack { tsr = tsr'; _ } | Read1_ack_h { tsr = tsr'; _ }) ) ->
+      tsr = tsr'
+  | ( Read2 { tsr; _ },
+      (Read2_ack { tsr = tsr'; _ } | Read2_ack_h { tsr = tsr'; _ }) ) ->
+      tsr = tsr'
+  | _ -> false

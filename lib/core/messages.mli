@@ -40,3 +40,10 @@ val is_read_round : t -> int option
 val classify : t -> Obs.Wire.t
 (** Observability classification shared by every protocol speaking this
     wire format (safe, regular, and their variants). *)
+
+val answers : request:t -> t -> bool
+(** [answers ~request m]: [m] is an object's reply to [request] — the
+    ack of the same round, echoing its timestamp ([ts] for PW/W, [tsr]
+    for READ1/READ2).  The writer and reader automata accept exactly
+    these replies, so a late ack of a previous round or operation never
+    answers the current request. *)

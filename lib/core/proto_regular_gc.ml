@@ -35,13 +35,7 @@ end) : Protocol_intf.S with type msg = Messages.t = struct
 
   type reader = Regular_reader.t
 
-  (* The one-round decision is admissible only at S >= 2t+2b+1
-     (Proposition 1); below the bound the reader always runs both
-     rounds, so a gated configuration can never report a 1-round read. *)
-  let reader_init ~cfg ~j =
-    Regular_reader.init
-      ~fast:(Quorum.Config.fast_read_admissible cfg)
-      ~cfg ~j ~cached:true ()
+  let reader_init ~cfg ~j = Regular_reader.init ~cfg ~j ~cached:true ()
 
   let reader_start = Regular_reader.start_read
 
@@ -52,8 +46,7 @@ end) : Protocol_intf.S with type msg = Messages.t = struct
      same from_ts as the Read1 just sent (the cache moves only with the
      decision), so it advances no GC floor; all it changes at an object
      is tsr[j], from ts_fr+1 to ts_fr, and reader j's later reads compare
-     tsr[j] only against bounds >= ts_fr+2.  Below the fast bound a
-     decision never comes with a broadcast, so this filter is inert. *)
+     tsr[j] only against bounds >= ts_fr+2. *)
   let reader_on_msg r ~obj msg =
     let r, events = Regular_reader.on_message r ~obj msg in
     let decided =

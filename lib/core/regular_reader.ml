@@ -13,7 +13,6 @@ type t = {
   tsr' : int;
   cached : bool;
   cache : Tsval.t;
-  fast : bool;
   stale : bool;
   phase : phase;
 }
@@ -22,9 +21,8 @@ type event =
   | Broadcast of Messages.t
   | Return of { value : Value.t; rounds : int }
 
-let init ?(fast = true) ~cfg ~j ~cached () =
-  { cfg; j; tsr' = 0; cached; cache = Tsval.init; fast; stale = false;
-    phase = Idle }
+let init ~cfg ~j ~cached () =
+  { cfg; j; tsr' = 0; cached; cache = Tsval.init; stale = false; phase = Idle }
 
 let reader_index t = t.j
 
@@ -212,10 +210,14 @@ let on_message t ~obj msg =
         let tsr' = t.tsr' + 1 in
         let read2 = Messages.Read2 { tsr = tsr'; from_ts = from_ts t } in
         let t = { t with tsr'; phase = Round2 data } in
-        (* The opportunistic one-round decision exists only above the
-           S >= 2t+2b+1 lower bound; with [fast = false] the evidence is
-           kept but the decision waits for round-2 acks. *)
-        match (if t.fast then try_decide t data else None) with
+        (* Round-1 evidence already decides when the highest surviving
+           candidate has b+1 vouchers, at every S >= 2t+b+1: a write
+           that completed before the read meets these S-t responders in
+           S-2t >= b+1 objects, so its tuple (or a newer one) keeps at
+           most t+b dissenters and cannot be dropped.  Proposition 1
+           only says that below 2t+2b+1 some read — one facing a lie or
+           an overlapping write — falls through to round 2. *)
+        match try_decide t data with
         | Some (t, decision) ->
             ({ t with phase = Idle }, [ Broadcast read2; decision ])
         | None -> (t, [ Broadcast read2 ])

@@ -20,13 +20,14 @@ type event =
   | Broadcast of Messages.t
   | Return of { value : Value.t; rounds : int }
 
-val init : ?fast:bool -> cfg:Quorum.Config.t -> j:int -> cached:bool -> unit -> t
-(** [fast] (default [true]) enables the opportunistic one-round decision
-    at round-1 completion.  Pass
-    [~fast:(Quorum.Config.fast_read_admissible cfg)] to gate it on the
-    paper's lower bound: below [S = 2t + 2b + 1] every read then takes
-    the full two rounds, which is exactly what Proposition 1 proves
-    unavoidable. *)
+val init : cfg:Quorum.Config.t -> j:int -> cached:bool -> unit -> t
+(** The reader applies Figure 6's decision to round-1 evidence at every
+    [S]: once round 1 completes, it returns the highest surviving
+    candidate if [b + 1] objects vouch for it, and only otherwise runs
+    round 2.  At [S >= 2t + 2b + 1] that decision always succeeds (the
+    one-round fast read); below it a read still decides on round 1
+    unless a lie or an overlapping write leaves the top candidate
+    neither safe nor invalid — Proposition 1's case. *)
 
 val on_reconnect : t -> t
 (** Transport hook: the connection to a base object was re-established

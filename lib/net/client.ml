@@ -240,7 +240,7 @@ let flush_conn ?metrics ~count c =
 
 (* Who a round's current message went to, by shard rank (DESIGN §17).
    [sent] members were sent the message and may still answer it;
-   [answered] ones did, with a reply of the message's round. *)
+   [answered] ones did, with a reply to that message. *)
 type fanout = {
   mutable sent : bool array;
   answered : bool array;
@@ -750,16 +750,15 @@ module Keyed = struct
           evs
       in
       (* Marks [c] as having answered the round's current message; a
-         reply of another round (a late one from the round before) does
-         not count. *)
+         late reply to an earlier one (the round before, or the previous
+         op on this key and role) does not count. *)
       let note_answer r (a : _ active) c m =
         let f = a.afan in
         match rank_of r c with
         | Some rank
           when f.sent.(rank)
                && (not f.answered.(rank))
-               && (P.msg_class m).Obs.Wire.round
-                  = (P.msg_class a.acur).Obs.Wire.round ->
+               && Codec.answers codec ~request:a.acur m ->
             f.answered.(rank) <- true;
             f.nans <- f.nans + 1;
             true

@@ -345,11 +345,14 @@ type 'm t = {
   name : string;
   encode : Out.t -> 'm -> unit;
   decode : dec -> 'm;  (* may raise Fail; callers catch at the boundary *)
+  answers : request:'m -> 'm -> bool;
 }
 
 type 'm codec = 'm t
 
 let name c = c.name
+
+let answers c = c.answers
 
 let messages : Core.Messages.t t =
   let encode o (m : Core.Messages.t) =
@@ -443,7 +446,7 @@ let messages : Core.Messages.t t =
         Read2_ack_h { tsr; history }
     | t -> fail "bad core message tag %d" t
   in
-  { name = "core"; encode; decode }
+  { name = "core"; encode; decode; answers = Core.Messages.answers }
 
 let abd : Baseline.Abd.msg t =
   let encode o (m : Baseline.Abd.msg) =
@@ -493,7 +496,7 @@ let abd : Baseline.Abd.msg t =
     | 5 -> Write_back_ack { rid = get_int d }
     | t -> fail "bad abd message tag %d" t
   in
-  { name = "abd"; encode; decode }
+  { name = "abd"; encode; decode; answers = Baseline.Abd.answers }
 
 let finish_strict d ~what v =
   if remaining d > 0 then fail "%d trailing bytes after %s" (remaining d) what

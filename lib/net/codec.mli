@@ -91,6 +91,14 @@ val messages : Core.Messages.t t
 val abd : Baseline.Abd.msg t
 (** The ABD baseline's read/write/write-back messages. *)
 
+val answers : 'm t -> request:'m -> 'm -> bool
+(** Whether a decoded message is an object's reply to [request]: the
+    ack of the same round echoing its timestamp
+    ({!Core.Messages.answers}, {!Baseline.Abd.answers}).  A client
+    counts a reply toward a round's quorum only when it answers the
+    round's current request, so a late ack of an earlier request on the
+    same (key, sender) is not mistaken for one. *)
+
 val encode_msg : 'm t -> 'm -> string
 (** Message body only (no frame header) — what a [Msg_key] frame
     carries after its key and sender. *)

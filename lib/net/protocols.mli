@@ -31,10 +31,12 @@ val regular_gc : readers:int -> t
     garbage-collect entries below every reader's floor.  [readers] sizes
     the server-side floor set: pass the real reader count so pruning can
     engage (it only starts once every floor is known; unknown readers
-    keep it conservative, never unsafe).  The one-round fast path is
-    gated inside the protocol on [Quorum.Config.fast_read_admissible] —
-    below [S = 2t+2b+1] every read runs both rounds.  The codec already
-    frames [from_ts] and suffix histories (wire version unchanged). *)
+    keep it conservative, never unsafe).  A read that decides on
+    round-1 evidence sends no [Read2].  At [S >= 2t+2b+1] every read
+    does, despite [b] lies; below it a read does unless a lie or an
+    overlapping write blocks the decision, and then runs round 2
+    (Proposition 1).  The codec already frames [from_ts] and suffix
+    histories (wire version unchanged). *)
 
 val abd : t
 

@@ -28,8 +28,11 @@ val meets_resilience_bound : t -> bool
     objects. *)
 
 val fast_read_admissible : t -> bool
-(** [s >= 2t + 2b + 1]: by the paper's Proposition 1, fast (single-round)
-    reads from safe storage are impossible at or below [2t + 2b]. *)
+(** [s >= 2t + 2b + 1]: what makes {e every} read single-round despite
+    [b] lying objects.  By the paper's Proposition 1, no safe storage at
+    or below [2t + 2b] serves all reads in one round; a read there may
+    still decide on round 1, unless a lie or an overlapping write blocks
+    the decision. *)
 
 val quorum : t -> int
 (** [s - t]: the number of replies a client can always wait for (the

@@ -206,6 +206,52 @@ let test_regular_gc_fast_reads_byz_bounded () =
   Alcotest.(check int) "no violations (incl. wait-freedom)" 0
     (List.length r.violations)
 
+(* The same at S = 2t+b+1, where a read decides on round 1 only if the
+   lie leaves its top candidate safe.  One read against each lie, at
+   object 1 and at object 4, is small enough to exhaust. *)
+let test_regular_gc_optimal_byz_read_exhaustive () =
+  let module G = Suite_random_walks.EG in
+  List.iter
+    (fun liar ->
+      List.iter
+        (fun (lie, byz) ->
+          let r =
+            G.check ~max_states:50_000 ~property:`Regular
+              {
+                G.cfg = cfg_core;
+                writes = [];
+                reads = [ (1, 1) ];
+                sequential = false;
+                byz = [ (liar, byz) ];
+                crashed = [];
+              }
+          in
+          let what = Printf.sprintf "%s at object %d" lie liar in
+          Alcotest.(check bool) (what ^ ": exhaustive") false r.truncated;
+          Alcotest.(check int) (what ^ ": no violations") 0
+            (List.length r.violations))
+        Suite_random_walks.lies)
+    [ 1; 4 ]
+
+(* A write concurrent with the read while object 1 forges a high entry:
+   too large to exhaust, so a 60k-state prefix. *)
+let test_regular_gc_optimal_byz_bounded () =
+  let module G = Suite_random_walks.EG in
+  let r =
+    G.check ~max_states:60_000 ~property:`Regular
+      {
+        G.cfg = cfg_core;
+        writes = [ Core.Value.v "a" ];
+        reads = [ (1, 1) ];
+        sequential = false;
+        byz = [ (1, List.assoc "forge a high entry" Suite_random_walks.lies) ];
+        crashed = [];
+      }
+  in
+  Alcotest.(check bool) "reached terminal states" true (r.terminals > 0);
+  Alcotest.(check int) "no violations (incl. wait-freedom)" 0
+    (List.length r.violations)
+
 let test_wait_freedom_detects_stuck_protocols () =
   (* Crash one more object than the budget allows: the quorum can never
      form, reads hang, and the checker must report it. *)
@@ -246,4 +292,8 @@ let suite =
         test_wait_freedom_detects_stuck_protocols;
       Alcotest.test_case "regular-gc fast reads + byz bounded" `Quick
         test_regular_gc_fast_reads_byz_bounded;
+      Alcotest.test_case "regular-gc at 2t+b+1: one read vs each lie" `Quick
+        test_regular_gc_optimal_byz_read_exhaustive;
+      Alcotest.test_case "regular-gc at 2t+b+1: W||R + forge bounded" `Quick
+        test_regular_gc_optimal_byz_bounded;
     ] )

@@ -10,10 +10,10 @@
      GC floor — the next read's Read1 does that;
    - sim <-> net conformance: the same sequential workload through the
      simulator and a loopback cluster yields identical (value,
-     reported-rounds) sequences — 1 round at S = 2t+2b+1, exactly 2 at
-     S = 2t+b+1 where Proposition 1 forbids fast reads — and on the wire
-     the fast reads send no Read2 at all while the slow ones send one
-     per object;
+     reported-rounds) sequences — 1 round both at S = 2t+2b+1 and at
+     S = 2t+b+1, where with no lie and no overlapping write a read
+     still decides on round-1 evidence (Proposition 1 only forbids
+     that for every read) — and on the wire no read sends a Read2;
    - qcheck properties for the suffix-history optimization: pruned
      replies round-trip bit-exactly through the wire codec, truncation
      never raises, and suffix(from_ts) + the pruned prefix always
@@ -31,7 +31,7 @@ end))
 
 let delay = Sim.Delay.uniform ~lo:1 ~hi:10
 
-(* S = 2t+2b+1: fast_read_admissible, the §5.1 gate is open. *)
+(* S = 2t+2b+1: every read is one round despite b lies. *)
 let cfg_fast = Quorum.Config.make_exn ~s:5 ~t:1 ~b:1
 
 (* S = 2t+b+1: optimal resilience, below the Proposition 1 bound. *)
@@ -114,8 +114,10 @@ let sim_read_pairs cfg =
       | Core.Schedule.Write _ -> None)
     rep.outcomes
 
-(* Returns the (value, reported rounds) pairs and the cluster's merged
-   metrics, whose wire.read.* counters count the reader's requests. *)
+(* Returns the (value, reported rounds) pairs, the cluster's merged
+   metrics, whose wire.read.* counters count the reader's requests, and
+   the op.expand.* widenings counted while a read ran (a write's hedge
+   sends no Read1). *)
 let net_read_pairs cfg =
   let c =
     Net.Cluster.start ~metrics:true
@@ -125,13 +127,27 @@ let net_read_pairs cfg =
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let pairs = ref [] in
+      let metrics () =
+        match Net.Cluster.metrics c with
+        | None -> Alcotest.fail "metrics registry missing"
+        | Some m -> m
+      in
+      let widenings () =
+        let m = metrics () in
+        List.fold_left
+          (fun n k -> n + Obs.Metrics.counter_value m k)
+          0
+          [ "op.expand.hedge"; "op.expand.lost"; "op.expand.undecided" ]
+      in
+      let pairs = ref [] and read_widenings = ref 0 in
       for k = 1 to 3 do
         let _ =
           ok_exn "write"
             (Net.Cluster.write c (Core.Value.v (Printf.sprintf "v%d" k)))
         in
+        let before = widenings () in
         let o = ok_exn "read" (Net.Cluster.read c ~reader:1) in
+        read_widenings := !read_widenings + widenings () - before;
         let v =
           match o.Net.Client.value with
           | Some v -> Value.to_string v
@@ -144,14 +160,12 @@ let net_read_pairs cfg =
         (Histories.Checks.is_safe ~equal (Net.Cluster.history c));
       Alcotest.(check bool) "live history regular" true
         (Histories.Checks.is_regular ~equal (Net.Cluster.history c));
-      match Net.Cluster.metrics c with
-      | None -> Alcotest.fail "metrics registry missing"
-      | Some m -> (List.rev !pairs, m))
+      (List.rev !pairs, metrics (), !read_widenings))
 
 let pair_list = Alcotest.(list (pair string int))
 
 let conformance_at_fast_bound () =
-  let sim = sim_read_pairs cfg_fast and net, m = net_read_pairs cfg_fast in
+  let sim = sim_read_pairs cfg_fast and net, m, _ = net_read_pairs cfg_fast in
   let r2_sent = Obs.Metrics.counter_value m "wire.read.r2.req.sent" in
   Alcotest.(check pair_list)
     "identical values and reported rounds at S=2t+2b+1"
@@ -160,29 +174,71 @@ let conformance_at_fast_bound () =
   Alcotest.(check pair_list) "net conforms to sim" sim net;
   Alcotest.(check int) "a fast read sends no Read2" 0 r2_sent
 
-(* Each round goes to S−t objects (DESIGN §17) and widens by one frame
-   per counted op.expand.* trigger (t = 1 leaves one member skipped). *)
+(* Below the bound a sequential read meets no lie and no overlapping
+   write, so it decides on round 1 as at the bound.  Each round goes to
+   S−t objects (DESIGN §17) and widens by one frame per counted
+   op.expand.* trigger (t = 1 leaves one member skipped). *)
 let conformance_below_fast_bound () =
-  let sim = sim_read_pairs cfg_slow and net, m = net_read_pairs cfg_slow in
+  let sim = sim_read_pairs cfg_slow
+  and net, m, widenings = net_read_pairs cfg_slow in
   Alcotest.(check pair_list)
-    "identical values, always two rounds at S=2t+b+1"
-    [ ("v1", 2); ("v2", 2); ("v3", 2) ]
+    "identical values, one round at S=2t+b+1"
+    [ ("v1", 1); ("v2", 1); ("v3", 1) ]
     sim;
   Alcotest.(check pair_list) "net conforms to sim" sim net;
   let count = Obs.Metrics.counter_value m in
   let q = Quorum.Config.quorum cfg_slow and reads = List.length net in
-  let widenings =
-    count "op.expand.hedge" + count "op.expand.lost"
-    + count "op.expand.undecided"
-  in
   Alcotest.(check int) "no retransmits" 0 (count "net.client.retransmits");
   Alcotest.(check int)
-    "every slow read sends Read1 and Read2 to S-t objects, plus widenings"
-    ((2 * q * reads) + widenings)
-    (count "wire.read.r1.req.sent" + count "wire.read.r2.req.sent");
-  Alcotest.(check bool) "every slow read sends Read2 to at least S-t objects"
-    true
-    (count "wire.read.r2.req.sent" >= q * reads)
+    "every read sends Read1 to S-t objects, plus widenings"
+    ((q * reads) + widenings)
+    (count "wire.read.r1.req.sent");
+  Alcotest.(check int) "no read sends Read2" 0
+    (count "wire.read.r2.req.sent")
+
+(* ----- Proposition 1 in the simulator ------------------------------------ *)
+
+(* Object 1 forges a high entry into every history it sends a reader,
+   and object S is slow, so the forger is always among a read's first
+   S−t responders.  At S = 2t+b+1 these are t+b+1 objects: the forgery
+   has one voucher (not safe) and t+b dissenters (not dropped), so the
+   read must run round 2 and wait for object S — Proposition 1's case.
+   At S = 2t+2b+1 the t+b+1 other responders drop it on round 1. *)
+let forged_read_pairs cfg =
+  let s = cfg.Quorum.Config.s in
+  let delay =
+    Sim.Delay.slow_process
+      ~slow:(Sim.Proc_id.Set.singleton (Sim.Proc_id.Obj s))
+      ~factor:20 (Sim.Delay.constant 2)
+  in
+  let faults =
+    {
+      Gc.no_faults with
+      byzantine =
+        [ (1, Fault.Strategies.forge_history ~value:"ghost" ~ts_boost:5) ];
+    }
+  in
+  let sched = Workload.Generate.sequential ~writes:2 ~readers:1 ~gap:200 in
+  let rep = Gc.run ~cfg ~seed:3 ~delay ~faults sched in
+  Alcotest.(check bool) "sim run quiescent" true rep.quiescent;
+  Alcotest.(check bool) "history regular despite the forger" true
+    (Histories.Checks.is_regular ~equal:String.equal rep.history);
+  List.filter_map
+    (fun (o : Gc.outcome) ->
+      match (o.op, o.result) with
+      | Core.Schedule.Read _, Some v -> Some (Value.to_string v, o.rounds)
+      | _ -> None)
+    rep.outcomes
+
+let lie_forces_round_two_only_below_bound () =
+  Alcotest.(check pair_list)
+    "S=2t+b+1: the forger's responders need round 2"
+    [ ("v1", 2); ("v2", 2) ]
+    (forged_read_pairs cfg_slow);
+  Alcotest.(check pair_list)
+    "S=2t+2b+1: the forgery is dropped on round 1"
+    [ ("v1", 1); ("v2", 1) ]
+    (forged_read_pairs cfg_fast)
 
 (* ----- suffix-history properties ----------------------------------------- *)
 
@@ -473,6 +529,8 @@ let suite =
         conformance_at_fast_bound;
       Alcotest.test_case "sim <-> net conformance at S=2t+b+1" `Quick
         conformance_below_fast_bound;
+      Alcotest.test_case "a lie forces round 2 only below 2t+2b+1" `Quick
+        lie_forces_round_two_only_below_bound;
       QCheck_alcotest.to_alcotest suffix_plus_prefix_is_full;
       QCheck_alcotest.to_alcotest suffix_monotone;
       QCheck_alcotest.to_alcotest suffix_frames_roundtrip;

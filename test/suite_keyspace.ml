@@ -493,12 +493,12 @@ let fault_free_counts ~s ~reads_per_read () =
       histories_regular (Net.Cluster.keyed_histories c))
 
 let fault_free_counts_s5 () =
-  (* S = 2t+2b+1: the one-round fast path, 4 Read1 per read *)
+  (* S = 2t+2b+1: one round, 4 Read1 per read *)
   fault_free_counts ~s:5 ~reads_per_read:4 ()
 
 let fault_free_counts_s4 () =
-  (* S = 2t+b+1: two rounds of 3 *)
-  fault_free_counts ~s:4 ~reads_per_read:6 ()
+  (* S = 2t+b+1: with no lie and no overlapping write, one round of 3 *)
+  fault_free_counts ~s:4 ~reads_per_read:3 ()
 
 (* An object crashes while 16 ops are in flight: rounds that had
    contacted it widen at once instead of waiting out the deadline. *)
@@ -613,6 +613,159 @@ let slow_member_is_hedged () =
       Alcotest.(check bool) "hedges fired" true (counter m "op.expand.hedge" > 0);
       histories_regular (Net.Cluster.keyed_histories c))
 
+(* Object [index], served by hand: it answers every request at once,
+   except that to each later READ1 of a reader on a key it sends a copy
+   of its reply to the first one instead — a late reply of an earlier
+   read, as a network that duplicates and delays can deliver — and its
+   answer to the current read is lost. *)
+let replaying_object ~protocol ~cfg ~index =
+  let (Net.Protocols.Packed { proto = (module P); codec }) = protocol in
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 16;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let obj = ref (P.obj_init ~cfg ~index) in
+  let first_reads = Hashtbl.create 8 in
+  let src_of sender =
+    if sender = "w" then Sim.Proc_id.Writer
+    else
+      Sim.Proc_id.Reader
+        (int_of_string (String.sub sender 1 (String.length sender - 1)))
+  in
+  let send fd f =
+    try Net.Codec.send fd (Net.Codec.encode_frame codec f)
+    with Unix.Unix_error _ -> ()
+  in
+  let on_frame fd = function
+    | Net.Codec.Hello _ ->
+        send fd (Net.Codec.Hello_ack { proto = P.name; obj = index })
+    | Net.Codec.Msg_key { key; sender; msg } -> (
+        let o, reply = P.obj_handle !obj ~src:(src_of sender) msg in
+        obj := o;
+        let cls = P.msg_class msg in
+        match reply with
+        | None -> ()
+        | Some r when cls.Obs.Wire.op = Obs.Wire.Read && cls.round = 1 -> (
+            match Hashtbl.find_opt first_reads (key, sender) with
+            | Some late -> send fd late
+            | None ->
+                let f = Net.Codec.Msg_key { key; sender; msg = r } in
+                Hashtbl.replace first_reads (key, sender) f;
+                send fd f)
+        | Some r -> send fd (Net.Codec.Msg_key { key; sender; msg = r }))
+    | Net.Codec.Hello_ack _ | Net.Codec.Err _ -> ()
+  in
+  let stop = Atomic.make false in
+  let conns = ref [] in
+  let serve fd =
+    let rd = List.assq fd !conns in
+    let close () =
+      conns := List.filter (fun (c, _) -> c != fd) !conns;
+      try Unix.close fd with Unix.Unix_error _ -> ()
+    in
+    match Net.Codec.recv_into fd rd with
+    | 0 | (exception Unix.Unix_error _) -> close ()
+    | _ ->
+        let rec drain () =
+          match Net.Codec.Reader.next codec rd with
+          | Ok (`Frame f) ->
+              on_frame fd f;
+              drain ()
+          | Ok `Awaiting -> ()
+          | Error _ -> close ()
+        in
+        drain ()
+  in
+  let t =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          let ready, _, _ =
+            Unix.select (lfd :: List.map fst !conns) [] [] 0.05
+          in
+          List.iter
+            (fun fd ->
+              if fd == lfd then
+                match Unix.accept lfd with
+                | c, _ -> conns := (c, Net.Codec.Reader.create ()) :: !conns
+                | exception Unix.Unix_error _ -> ()
+              else serve fd)
+            ready
+        done)
+      ()
+  in
+  let cleanup () =
+    Atomic.set stop true;
+    Thread.join t;
+    List.iter
+      (fun (c, _) -> try Unix.close c with Unix.Unix_error _ -> ())
+      !conns;
+    try Unix.close lfd with Unix.Unix_error _ -> ()
+  in
+  (Net.Endpoint.Tcp { host = "127.0.0.1"; port }, cleanup)
+
+(* A reply counts toward a round only if it answers the round's
+   current request.  Object 1 answers the second read with its late
+   reply to the first; objects 2-5 answer 10 ms late, so the round's
+   hedge is armed long after that late reply arrives.  Counting it
+   would make the three real answers look like all four the round
+   contacted, and the round would widen as undecided one answer early;
+   not counting it leaves the fourth to the hedge. *)
+let late_reply_of_previous_op_is_no_answer () =
+  let cfg = Quorum.Config.make_exn ~s:5 ~t:1 ~b:1 in
+  let protocol = Net.Protocols.regular_gc ~readers:1 in
+  let c =
+    Net.Cluster.start ~interpose:true ~protocol ~cfg ~readers:1 ()
+  in
+  let x_ep, x_cleanup = replaying_object ~protocol ~cfg ~index:1 in
+  Fun.protect
+    ~finally:(fun () ->
+      x_cleanup ();
+      Net.Cluster.stop c)
+    (fun () ->
+      let chaos = Net.Cluster.chaos c in
+      for i = 1 to 4 do
+        Net.Chaos.set_rules chaos.(i)
+          [
+            {
+              Net.Chaos.dir = Net.Chaos.To_client;
+              sender = None;
+              from_us = 0;
+              until_us = max_int;
+              act = Net.Chaos.Delay 10_000;
+            };
+          ]
+      done;
+      let endpoints =
+        Array.init 5 (fun i ->
+            if i = 0 then x_ep else Net.Chaos.endpoint chaos.(i))
+      in
+      let metrics = Obs.Metrics.create () in
+      let writer = Net.Client.connect ~protocol ~cfg ~role:`Writer endpoints in
+      let reader =
+        Net.Client.connect ~metrics ~protocol ~cfg ~role:(`Reader 1) endpoints
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Net.Client.close writer;
+          Net.Client.close reader)
+        (fun () ->
+          ignore (ok_exn "write" (Net.Client.write writer (Core.Value.v "x")));
+          List.iter
+            (fun what ->
+              let o = ok_exn what (Net.Client.read reader) in
+              Alcotest.(check (option string))
+                (what ^ " returns the write") (Some "x")
+                (Option.map Core.Value.to_string o.Net.Client.value))
+            [ "first read"; "second read" ];
+          Alcotest.(check int) "no undecided widening" 0
+            (counter metrics "op.expand.undecided")))
+
 let suite =
   ( "keyspace",
     [
@@ -650,4 +803,6 @@ let suite =
         `Quick silent_member_is_avoided;
       Alcotest.test_case "quorum-sized rounds: a slow member is hedged"
         `Quick slow_member_is_hedged;
+      Alcotest.test_case "quorum-sized rounds: a late reply of the previous op"
+        `Quick late_reply_of_previous_op_is_no_answer;
     ] )

@@ -50,101 +50,137 @@ let fast_read_is_one_round () =
       let o = ok_exn "read" (Net.Cluster.read c ~reader:1) in
       Alcotest.(check int) "reported rounds" 1 o.rounds)
 
-(* ----- reply rounds match request rounds --------------------------------- *)
+(* ----- replies match their requests ------------------------------------- *)
 
-(* The client counts a reply toward a round only when [P.msg_class]
-   gives it the request's round, and its op.expand.undecided/hedge
-   widenings depend on that count.  So for every protocol, every object
-   reply must carry its request's round: drive writer and readers
-   in-process against S objects, each round delivered to all of them. *)
-let reply_rounds_match_requests () =
-  let check cfg protocol =
-    let (Net.Protocols.Packed { proto = (module P); _ }) = protocol in
-    let name = Net.Protocols.name protocol in
-    let s = cfg.Quorum.Config.s in
-    let objs = Array.init s (fun i -> P.obj_init ~cfg ~index:(i + 1)) in
-    let replies = ref 0 in
-    let round src m =
-      List.filter_map
-        (fun i ->
-          let o, reply = P.obj_handle objs.(i) ~src m in
-          objs.(i) <- o;
-          Option.map
-            (fun r ->
-              incr replies;
-              let want = (P.msg_class m).Obs.Wire.round
-              and got = (P.msg_class r).Obs.Wire.round in
-              if want <> got then
-                Alcotest.failf "%s: %s answered by %s (round %d, not %d)" name
-                  (P.msg_info m) (P.msg_info r) got want;
-              (i + 1, r))
-            reply)
-        (List.init s Fun.id)
-    in
-    (* Feed the round's replies until the automaton decides or starts a
-       new round; a broadcast sent next to a decision is delivered too. *)
-    let rec drive src feed m =
-      let rec go = function
-        | [] -> Alcotest.failf "%s: undecided after %s" name (P.msg_info m)
-        | (obj, r) :: rest -> (
-            let evs = feed ~obj r in
-            let next =
-              List.find_map
-                (function Core.Events.Broadcast m' -> Some m' | _ -> None)
-                evs
-            in
-            let decided =
-              List.exists
-                (function Core.Events.Broadcast _ -> false | _ -> true)
-                evs
-            in
-            match next with
-            | Some m' when decided -> ignore (round src m')
-            | Some m' -> drive src feed m'
-            | None -> if not decided then go rest)
-      in
-      go (round src m)
-    in
-    let w = ref (P.writer_init ~cfg) in
-    let write v =
-      match P.writer_start !w (Core.Value.v v) with
-      | Error e -> Alcotest.failf "%s: write: %s" name e
-      | Ok (w', m) ->
-          w := w';
-          drive Sim.Proc_id.Writer
-            (fun ~obj r ->
-              let w', evs = P.writer_on_msg !w ~obj r in
-              w := w';
-              evs)
-            m
-    in
-    let rds = Array.init 2 (fun j -> ref (P.reader_init ~cfg ~j:(j + 1))) in
-    let read j =
-      let rd = rds.(j - 1) in
-      match P.reader_start !rd with
-      | Error e -> Alcotest.failf "%s: read: %s" name e
-      | Ok (rd', m) ->
-          rd := rd';
-          drive (Sim.Proc_id.Reader j)
-            (fun ~obj r ->
-              let rd', evs = P.reader_on_msg !rd ~obj r in
-              rd := rd';
-              evs)
-            m
-    in
-    read 1;
-    write "v1";
-    read 1;
-    read 2;
-    write "v2";
-    read 1;
-    read 1;
-    read 2;
-    if !replies = 0 then Alcotest.failf "%s: no object replied" name
+(* Drive [P]'s writer and two readers in-process against S objects,
+   each round delivered to all of them, and pass every object reply to
+   [on_reply src request reply]. *)
+let exchange (type m) (module P : Core.Protocol_intf.S with type msg = m)
+    ~name cfg ~(on_reply : Sim.Proc_id.t -> m -> m -> unit) =
+  let s = cfg.Quorum.Config.s in
+  let objs = Array.init s (fun i -> P.obj_init ~cfg ~index:(i + 1)) in
+  let replies = ref 0 in
+  let round src m =
+    List.filter_map
+      (fun i ->
+        let o, reply = P.obj_handle objs.(i) ~src m in
+        objs.(i) <- o;
+        Option.map
+          (fun r ->
+            incr replies;
+            on_reply src m r;
+            (i + 1, r))
+          reply)
+      (List.init s Fun.id)
   in
+  (* Feed the round's replies until the automaton decides or starts a
+     new round; a broadcast sent next to a decision is delivered too. *)
+  let rec drive src feed m =
+    let rec go = function
+      | [] -> Alcotest.failf "%s: undecided after %s" name (P.msg_info m)
+      | (obj, r) :: rest -> (
+          let evs = feed ~obj r in
+          let next =
+            List.find_map
+              (function Core.Events.Broadcast m' -> Some m' | _ -> None)
+              evs
+          in
+          let decided =
+            List.exists
+              (function Core.Events.Broadcast _ -> false | _ -> true)
+              evs
+          in
+          match next with
+          | Some m' when decided -> ignore (round src m')
+          | Some m' -> drive src feed m'
+          | None -> if not decided then go rest)
+    in
+    go (round src m)
+  in
+  let w = ref (P.writer_init ~cfg) in
+  let write v =
+    match P.writer_start !w (Core.Value.v v) with
+    | Error e -> Alcotest.failf "%s: write: %s" name e
+    | Ok (w', m) ->
+        w := w';
+        drive Sim.Proc_id.Writer
+          (fun ~obj r ->
+            let w', evs = P.writer_on_msg !w ~obj r in
+            w := w';
+            evs)
+          m
+  in
+  let rds = Array.init 2 (fun j -> ref (P.reader_init ~cfg ~j:(j + 1))) in
+  let read j =
+    let rd = rds.(j - 1) in
+    match P.reader_start !rd with
+    | Error e -> Alcotest.failf "%s: read: %s" name e
+    | Ok (rd', m) ->
+        rd := rd';
+        drive (Sim.Proc_id.Reader j)
+          (fun ~obj r ->
+            let rd', evs = P.reader_on_msg !rd ~obj r in
+            rd := rd';
+            evs)
+          m
+  in
+  read 1;
+  write "v1";
+  read 1;
+  read 2;
+  write "v2";
+  read 1;
+  read 1;
+  read 2;
+  if !replies = 0 then Alcotest.failf "%s: no object replied" name
+
+let on_every_protocol check =
   List.iter
     (fun cfg -> List.iter (check cfg) Net.Protocols.all)
     [ cfg4; Quorum.Config.make_exn ~s:5 ~t:1 ~b:1 ]
+
+(* Metrics attribute a reply to a round by [P.msg_class], so for every
+   protocol every object reply must carry its request's round. *)
+let reply_rounds_match_requests () =
+  on_every_protocol (fun cfg protocol ->
+      let (Net.Protocols.Packed { proto = (module P); _ }) = protocol in
+      let name = Net.Protocols.name protocol in
+      exchange (module P) ~name cfg ~on_reply:(fun _ m r ->
+          let want = (P.msg_class m).Obs.Wire.round
+          and got = (P.msg_class r).Obs.Wire.round in
+          if want <> got then
+            Alcotest.failf "%s: %s answered by %s (round %d, not %d)" name
+              (P.msg_info m) (P.msg_info r) got want))
+
+(* The client counts a reply toward a round only when [Codec.answers]
+   matches it to the round's current request, and its op.expand.*
+   widenings depend on that count.  So every object reply must answer
+   its own request and no earlier request of the same client — a late
+   reply of the previous round or operation answers nothing current. *)
+let replies_answer_only_their_request () =
+  on_every_protocol (fun cfg protocol ->
+      let (Net.Protocols.Packed { proto = (module P); codec }) = protocol in
+      let name = Net.Protocols.name protocol in
+      let sent = Hashtbl.create 4 in
+      exchange (module P) ~name cfg ~on_reply:(fun src m r ->
+          let earlier = Option.value (Hashtbl.find_opt sent src) ~default:[] in
+          let earlier =
+            match earlier with
+            | m' :: _ when m' == m -> earlier
+            | _ ->
+                Hashtbl.replace sent src (m :: earlier);
+                earlier
+          in
+          let answers request = Net.Codec.answers codec ~request r in
+          if not (answers m) then
+            Alcotest.failf "%s: %s does not answer %s" name (P.msg_info r)
+              (P.msg_info m);
+          List.iter
+            (fun m' ->
+              if m' != m && answers m' then
+                Alcotest.failf "%s: %s (to %s) also answers the earlier %s"
+                  name (P.msg_info r) (P.msg_info m) (P.msg_info m'))
+            earlier))
 
 (* ----- the 1000-READ crash/restart acceptance run ----------------------- *)
 
@@ -574,4 +610,6 @@ let suite =
       Alcotest.test_case "poll event-loop server mode" `Quick poll_loop_cluster;
       Alcotest.test_case "reply rounds match request rounds on every protocol"
         `Quick reply_rounds_match_requests;
+      Alcotest.test_case "replies answer only their own request" `Quick
+        replies_answer_only_their_request;
     ] )

@@ -67,6 +67,93 @@ let test_regular_walks_with_byz () =
   in
   Alcotest.(check int) "no violations" 0 (List.length r.violations)
 
+(* ----- regular-gc at S = 2t+b+1 ------------------------------------------ *)
+
+(* Regular-gc decides on round-1 evidence at every S.  At optimal
+   resilience S = 2t+b+1 = 4 (t = b = 1) a lie must then only ever cost
+   the read its round 2, never regularity or wait-freedom.  One object
+   lies in each of five ways, placed at object 1 and at object S, under
+   three workloads. *)
+module EG = Mc.Explorer.Make (Core.Proto_regular_gc.Make (struct
+  let readers = 2
+end))
+
+let cfg_optimal = Quorum.Config.optimal ~t:1 ~b:1
+
+(* Rewrite every history the object sends a reader. *)
+let on_histories f ~src:_ m =
+  match m with
+  | Core.Messages.Read1_ack_h { tsr; history } ->
+      [ Core.Messages.Read1_ack_h { tsr; history = f history } ]
+  | Core.Messages.Read2_ack_h { tsr; history } ->
+      [ Core.Messages.Read2_ack_h { tsr; history = f history } ]
+  | m -> [ m ]
+
+let keep_entries p h =
+  List.fold_left
+    (fun acc (ts, e) -> if p ts then Core.History_store.set acc ~ts e else acc)
+    Core.History_store.empty
+    (Core.History_store.bindings h)
+
+(* A complete entry for a never-written "ghost" at the first write's
+   timestamp, replacing the real one. *)
+let forge_at_real_ts h =
+  let tsval = Core.Tsval.make ~ts:1 ~v:(Core.Value.v "ghost") in
+  let w = Core.Wtuple.make ~tsval ~tsrarray:Core.Tsr_matrix.empty in
+  Core.History_store.set h ~ts:1 { Core.History_store.pw = tsval; w = Some w }
+
+let lies : (string * EG.pure_byz) list =
+  [
+    ("forge a high entry", { EG.rewrite = corrupt_history_acks });
+    ( "forge an entry at a real timestamp",
+      { EG.rewrite = on_histories forge_at_real_ts } );
+    ( "hide every write",
+      { EG.rewrite = on_histories (keep_entries (fun ts -> ts = 0)) } );
+    ( "hide the newest entry",
+      {
+        EG.rewrite =
+          on_histories (fun h ->
+              let top = Core.History_store.max_ts h in
+              keep_entries (fun ts -> ts <> top) h);
+      } );
+    ("stay silent", { EG.rewrite = (fun ~src:_ _ -> []) });
+  ]
+
+(* (name, writes, reads, sequential) *)
+let gc_workloads =
+  let a = Core.Value.v "a" and b = Core.Value.v "b" in
+  [
+    ("W||R", [ a; b ], [ (1, 2) ], false);
+    ("W;R", [ a; b ], [ (1, 2) ], true);
+    ("W||R,R", [ a ], [ (1, 1); (2, 1) ], false);
+  ]
+
+let gc_walks = 1000
+
+let test_regular_gc_lie (lie, byz) () =
+  List.iter
+    (fun liar ->
+      List.iter
+        (fun (workload, writes, reads, sequential) ->
+          let r =
+            EG.random_walks ~walks:gc_walks ~property:`Regular ~seed:liar
+              {
+                EG.cfg = cfg_optimal;
+                writes;
+                reads;
+                sequential;
+                byz = [ (liar, byz) ];
+                crashed = [];
+              }
+          in
+          let what = Printf.sprintf "%s at object %d, %s" lie liar workload in
+          Alcotest.(check int) (what ^ ": every walk completes") gc_walks
+            r.terminals;
+          Alcotest.(check int) (what ^ ": no violations") 0
+            (List.length r.violations))
+        gc_workloads)
+    [ 1; cfg_optimal.Quorum.Config.s ]
+
 let test_sampler_finds_naive_violation () =
   let r =
     EF.random_walks ~walks:200 ~seed:9
@@ -108,4 +195,9 @@ let suite =
       Alcotest.test_case "finds naive violation" `Quick
         test_sampler_finds_naive_violation;
       Alcotest.test_case "deterministic per seed" `Quick test_sampler_deterministic;
-    ] )
+    ]
+    @ List.map
+        (fun ((lie, _) as l) ->
+          Alcotest.test_case ("regular-gc at 2t+b+1: " ^ lie) `Quick
+            (test_regular_gc_lie l))
+        lies )
