@@ -12,8 +12,9 @@
       (p50/p99/mean over E14_OPS reads), plus the fraction of reads
       that finished in a single round — the paper's fast-read rate,
       now measured over a transport that can actually reorder replies;
-   3. aggregate READ throughput with each reader count in E14_READERS
-      driving the cluster concurrently from its own thread.
+   3. aggregate READ throughput with each reader count in E14_READERS,
+      every reader a paper process with an engine of its own, driven
+      from its own thread.
 
    One JSON artifact: BENCH_e14.json.  Scale is environment-tunable so
    CI can run a smoke version:
@@ -59,20 +60,21 @@ let run () =
     (fun ci (protocol, (s, t, b)) ->
       let name = Net.Protocols.name protocol in
       let cfg = Quorum.Config.make_exn ~s ~t ~b in
-      let cluster =
-        Net.Cluster.start ~protocol ~cfg ~readers:max_readers ()
-      in
+      let cluster = Net.Cluster.start ~protocol ~cfg () in
       Fun.protect
         ~finally:(fun () -> Net.Cluster.stop cluster)
         (fun () ->
+          let writer, readers =
+            Net.Cluster.processes cluster ~readers:max_readers
+          in
           (* 1. write latency *)
           let wlat = Stats.Summary.create () in
           for i = 1 to writes do
             let o =
               ok_exn
                 (Printf.sprintf "%s write %d" name i)
-                (Net.Cluster.write cluster
-                   (Core.Value.v (Printf.sprintf "v%d" i)))
+                (Exp_common.run_one writer
+                   (Exp_common.write0 (Printf.sprintf "v%d" i)))
             in
             Stats.Summary.add_int wlat o.latency_us
           done;
@@ -84,7 +86,7 @@ let run () =
             let o =
               ok_exn
                 (Printf.sprintf "%s read %d" name i)
-                (Net.Cluster.read cluster ~reader:1)
+                (Exp_common.run_one readers.(0) Exp_common.read0)
             in
             Stats.Summary.add_int rlat o.latency_us;
             if o.rounds = 1 then incr fast
@@ -98,7 +100,7 @@ let run () =
                 let failures = Atomic.make 0 in
                 let body j () =
                   for _ = 1 to per do
-                    match Net.Cluster.read cluster ~reader:j with
+                    match Exp_common.run_one readers.(j - 1) Exp_common.read0 with
                     | Ok _ -> ()
                     | Error _ -> Atomic.incr failures
                   done

@@ -3,22 +3,22 @@
    The paper fixes a robust READ at two round-trips (one on the fast
    path), so once latency is wire-bound, throughput is decided by how
    many of those round-trips the runtime keeps in flight.  E15 measures
-   exactly that: the serial client (one op at a time, the E14 baseline)
-   against pipelined reads at max_inflight in E15_INFLIGHT, all through
-   the one client engine.
+   exactly that: reads at each max_inflight in E15_INFLIGHT, all through
+   the one client engine.  Window 1 — one read at a time, E14's shape —
+   is the baseline.
 
    On a loopback cluster (safe protocol, S=4 t=1 b=0):
 
-   1. serial baseline: E15_OPS reads through Cluster.read, wall-clock
-      ops/s and p50/p99 latency;
-   2. pipelined sweep: E15_OPS reads through Cluster.read_pipelined at
-      each window size, same measures, plus failure counts;
-   3. correctness: every pipelined op must return the value the serial
-      reads returned (matches_serial) and the full recorded history must
-      pass the safety/regularity checkers (violations = 0);
-   4. requests per read for the serial row and every window, counted on
-      a second cluster with metrics on, so the registry's cost stays out
-      of the timed rows.
+   1. sweep: E15_OPS reads through Cluster.run on one engine per window
+      size, whose reader lanes are the window; wall-clock ops/s and
+      p50/p99 latency, plus failure counts;
+   2. correctness: every read must return the written value and none may
+      fail (reads_return_written), and the full recorded history must
+      pass the checker of the property the protocol claims — safety for
+      the safe protocol (violations = 0);
+   3. requests per read for every window, counted on a second cluster
+      with metrics on, so the registry's cost stays out of the timed
+      rows.
 
    Rates on a shared box jitter by +/-20%, so each timing cell is run
    E15_TRIALS times and the best trial is reported (standard practice
@@ -40,17 +40,16 @@ let inflight_levels () =
   Exp_common.getenv_list "E15_INFLIGHT" [ 1; 4; 16; 64 ] (fun s ->
       match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
 
-(* Read requests the clients put on the wire per read: one serial row,
-   then one per window, [n] reads each, on a cluster with metrics on. *)
+(* Read requests put on the wire per read, one row per window, [n]
+   reads each, on a cluster with metrics on. *)
 let requests_per_read ~transport ~protocol ~cfg ~levels ~n =
-  let c =
-    Net.Cluster.start ~metrics:true ~transport ~protocol ~cfg ~readers:1 ()
-  in
+  let c = Net.Cluster.start ~metrics:true ~transport ~protocol ~cfg () in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
       ignore
-        (ok_exn "metered write" (Net.Cluster.write c (Core.Value.v "e15")));
+        (ok_exn "metered write"
+           (Exp_common.run_one (Net.Cluster.engine c) (Exp_common.write0 "e15")));
       let sent () =
         match Net.Cluster.metrics c with
         | None -> 0
@@ -64,32 +63,15 @@ let requests_per_read ~transport ~protocol ~cfg ~levels ~n =
                 else acc)
               0 (Obs.Metrics.counters m)
       in
-      let per_read f =
-        let before = sent () in
-        f ();
-        float_of_int (sent () - before) /. float_of_int n
-      in
-      let serial =
-        per_read (fun () ->
-            for _ = 1 to n do
-              ignore
-                (ok_exn "metered serial read" (Net.Cluster.read c ~reader:1))
-            done)
-      in
-      let windows =
-        List.map
-          (fun inflight ->
-            (* build this window's client first: a rebuild drops the old
-               client's registry from the cluster's merged metrics *)
-            ignore (Net.Cluster.read_pipelined c ~inflight ~ops:0);
-            ( inflight,
-              per_read (fun () ->
-                  Array.iter
-                    (fun r -> ignore (ok_exn "metered pipelined read" r))
-                    (Net.Cluster.read_pipelined c ~inflight ~ops:n)) ))
-          levels
-      in
-      (serial, windows))
+      List.map
+        (fun inflight ->
+          let e = Net.Cluster.engine ~lanes:inflight c in
+          let before = sent () in
+          Array.iter
+            (fun r -> ignore (ok_exn "metered read" r))
+            (Net.Cluster.run e (Array.make n Exp_common.read0));
+          (inflight, float_of_int (sent () - before) /. float_of_int n))
+        levels)
 
 let run () =
   let ops = Exp_common.getenv_int "E15_OPS" 2000 in
@@ -111,88 +93,69 @@ let run () =
   Exp_common.note
     "E15: pipelined wire throughput (%d ops/cell, best of %d, %s loopback)" ops
     trials transport_name;
-  let cluster = Net.Cluster.start ~transport ~protocol ~cfg ~readers:1 () in
+  let cluster = Net.Cluster.start ~transport ~protocol ~cfg () in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop cluster)
     (fun () ->
-      let _ = ok_exn "write" (Net.Cluster.write cluster (Core.Value.v "e15")) in
-      (* warm the serial path before timing it: connections, automata,
-         and branch caches are cold on the first ops *)
-      for i = 1 to 100 do
-        ignore
-          (ok_exn
-             (Printf.sprintf "serial warmup %d" i)
-             (Net.Cluster.read cluster ~reader:1))
-      done;
-      (* 1. serial baseline, best of [trials] *)
-      let measure_serial () =
-        let slat = Stats.Summary.create () in
-        let t0 = Exp_common.now_s () in
-        for i = 1 to ops do
-          let o =
-            ok_exn
-              (Printf.sprintf "serial read %d" i)
-              (Net.Cluster.read cluster ~reader:1)
-          in
-          Stats.Summary.add_int slat o.latency_us
-        done;
-        let wall = Exp_common.now_s () -. t0 in
-        (wall, float_of_int ops /. wall, slat)
+      let _ =
+        ok_exn "write"
+          (Exp_common.run_one (Net.Cluster.engine cluster)
+             (Exp_common.write0 "e15"))
       in
-      let serial_wall, serial_rate, slat =
-        let best = ref (measure_serial ()) in
-        for _ = 2 to trials do
-          let (_, rate, _) as m = measure_serial () in
-          let _, best_rate, _ = !best in
-          if rate > best_rate then best := m
-        done;
-        !best
-      in
-      (* 2. pipelined sweep: [trials] full passes over the window levels
-         (interleaved, so machine drift hits all levels alike); per
-         level, keep the fastest pass *)
+      (* One engine per window, kept across trials and warmed before
+         anything is timed: connections, hellos, automata and branch
+         caches are cold on the first ops. *)
       let mismatches = ref 0 in
       let failures_total = ref 0 in
+      let tally plat results =
+        let failures = ref 0 in
+        Array.iter
+          (function
+            | Ok (o : Net.Client.outcome) -> (
+                Option.iter (fun s -> Stats.Summary.add_int s o.latency_us) plat;
+                match o.value with
+                | Some (Core.Value.V "e15") -> ()
+                | Some _ | None -> incr mismatches)
+            | Error e ->
+                incr failures;
+                Printf.eprintf "E15: read failed: %s\n" e)
+          results;
+        failures_total := !failures_total + !failures;
+        !failures
+      in
+      let engines =
+        List.map
+          (fun inflight ->
+            let e = Net.Cluster.engine ~lanes:inflight cluster in
+            ignore
+              (tally None
+                 (Net.Cluster.run e
+                    (Array.make (Stdlib.min 200 ops) Exp_common.read0)));
+            (inflight, e))
+          levels
+      in
+      (* [trials] full passes over the window levels (interleaved, so
+         machine drift hits all levels alike); per level, keep the
+         fastest pass *)
       let best = Hashtbl.create 8 in
       for trial = 1 to trials do
         List.iter
-          (fun inflight ->
+          (fun (inflight, e) ->
             let plat = Stats.Summary.create () in
-            let failures = ref 0 in
-            (* untimed warmup at this window size: builds the client
-               (connections + hellos) outside the timing window *)
-            Array.iter
-              (function
-                | Ok (_ : Net.Client.outcome) -> () | Error _ -> incr failures)
-              (Net.Cluster.read_pipelined cluster ~inflight
-                 ~ops:(Stdlib.min 200 ops));
             let t0 = Exp_common.now_s () in
-            let results = Net.Cluster.read_pipelined cluster ~inflight ~ops in
+            let results = Net.Cluster.run e (Array.make ops Exp_common.read0) in
             let wall = Exp_common.now_s () -. t0 in
-            Array.iter
-              (function
-                | Ok (o : Net.Client.outcome) -> (
-                    Stats.Summary.add_int plat o.latency_us;
-                    match o.value with
-                    | Some (Core.Value.V "e15") -> ()
-                    | Some _ | None -> incr mismatches)
-                | Error e ->
-                    incr failures;
-                    Printf.eprintf "E15: pipelined read failed: %s\n" e)
-              results;
-            failures_total := !failures_total + !failures;
+            let failures = tally (Some plat) results in
             let rate = float_of_int ops /. wall in
             Exp_common.note
-              "  trial=%d inflight=%-3d %8.0f ops/s  p50=%.0fus p99=%.0fus  \
-               (serial %.0f ops/s)"
-              trial inflight rate
+              "  trial=%d inflight=%-3d %8.0f ops/s  p50=%.0fus p99=%.0fus" trial
+              inflight rate
               (Stats.Summary.percentile plat 50.)
-              (Stats.Summary.percentile plat 99.)
-              serial_rate;
+              (Stats.Summary.percentile plat 99.);
             match Hashtbl.find_opt best inflight with
             | Some (_, best_rate, _, _) when best_rate >= rate -> ()
-            | _ -> Hashtbl.replace best inflight (wall, rate, plat, !failures))
-          levels
+            | _ -> Hashtbl.replace best inflight (wall, rate, plat, failures))
+          engines
       done;
       let sweep =
         List.map
@@ -201,35 +164,30 @@ let run () =
             (inflight, wall, rate, plat, failures))
           levels
       in
-      (* 3. correctness: the live history (all trials) must check out *)
-      let history = Net.Cluster.history cluster in
+      (* the live history (all trials) must check out *)
       let violations =
-        (if Histories.Checks.is_safe ~equal:String.equal history then 0 else 1)
-        + if Histories.Checks.is_regular ~equal:String.equal history then 0
-          else 1
+        List.length
+          (Net.Protocols.check
+             (Net.Protocols.semantics protocol)
+             (Net.Cluster.history cluster))
       in
-      let matches_serial = !mismatches = 0 && !failures_total = 0 in
+      let reads_return_written = !mismatches = 0 && !failures_total = 0 in
       let rate_at k =
         List.find_map
           (fun (i, _, r, _, _) -> if i = k then Some r else None)
           sweep
       in
-      (* 4. requests per read, untimed *)
-      let serial_reqs, window_reqs =
+      (* requests per read, untimed *)
+      let window_reqs =
         requests_per_read ~transport ~protocol ~cfg ~levels
           ~n:(Stdlib.min 500 ops)
       in
-      Exp_common.note "  requests/read: serial %.2f, %s" serial_reqs
+      Exp_common.note "  requests/read: %s"
         (String.concat ", "
            (List.map
               (fun (i, r) -> Printf.sprintf "inflight %d %.2f" i r)
               window_reqs));
-      Printf.bprintf buf
-        "  \"serial\": { \"ops\": %d, \"wall_s\": %.4f, \"ops_per_s\": %.1f, \
-         \"requests_per_read\": %.2f,\n    "
-        ops serial_wall serial_rate serial_reqs;
-      Exp_common.summary_json buf "latency" slat;
-      Printf.bprintf buf " },\n  \"pipelined\": [\n";
+      Printf.bprintf buf "  \"pipelined\": [\n";
       List.iteri
         (fun i (inflight, wall, rate, plat, failures) ->
           Printf.bprintf buf
@@ -247,13 +205,8 @@ let run () =
       | Some r1, Some r16 when r1 > 0. ->
           Printf.bprintf buf "  \"speedup_16_vs_1\": %.2f,\n" (r16 /. r1)
       | _ -> ());
-      (match rate_at 16 with
-      | Some r16 when serial_rate > 0. ->
-          Printf.bprintf buf "  \"speedup_16_vs_serial\": %.2f,\n"
-            (r16 /. serial_rate)
-      | _ -> ());
       Printf.bprintf buf
-        "  \"matches_serial\": %b,\n  \"violations\": %d\n}\n" matches_serial
-        violations);
+        "  \"reads_return_written\": %b,\n  \"violations\": %d\n}\n"
+        reads_return_written violations);
   Obs.Export.write_file ~path:out (Buffer.contents buf);
   Exp_common.note "wrote %s" out

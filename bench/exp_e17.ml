@@ -93,30 +93,30 @@ let quantile_or_zero h p =
 let run_cell ~transport ~cfg ~reads ~writes =
   let protocol = Net.Protocols.regular_gc ~readers:1 in
   let cluster =
-    Net.Cluster.start ~metrics:true ~transport ~protocol ~cfg ~readers:1 ()
+    Net.Cluster.start ~metrics:true ~transport ~protocol ~cfg ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop cluster)
     (fun () ->
-      let _ = ok_exn "initial write" (Net.Cluster.write cluster (Core.Value.v "e17.v0")) in
-      let _ = ok_exn "warm read" (Net.Cluster.read cluster ~reader:1) in
+      let writer, readers = Net.Cluster.processes cluster ~readers:1 in
+      let write v = Exp_common.run_one writer (Exp_common.write0 v) in
+      let read () = Exp_common.run_one readers.(0) Exp_common.read0 in
+      let _ = ok_exn "initial write" (write "e17.v0") in
+      let _ = ok_exn "warm read" (read ()) in
       let read2_sent () =
         Obs.Metrics.counter_value
           (Option.get (Net.Cluster.metrics cluster))
           "wire.read.r2.req.sent"
       in
       let read2_before = read2_sent () in
-      let writer =
+      let writer_th =
         if writes = 0 then None
         else
           Some
             (Thread.create
                (fun () ->
                  for i = 1 to writes do
-                   (match
-                      Net.Cluster.write cluster
-                        (Core.Value.v (Printf.sprintf "e17.v%d" i))
-                    with
+                   (match write (Printf.sprintf "e17.v%d" i) with
                    | Ok _ -> ()
                    | Error e ->
                        Printf.eprintf "E17: concurrent write %d failed: %s\n" i e;
@@ -131,14 +131,12 @@ let run_cell ~transport ~cfg ~reads ~writes =
       let min_rounds = ref max_int in
       let max_rounds = ref 0 in
       for i = 1 to reads do
-        let o =
-          ok_exn (Printf.sprintf "read %d" i) (Net.Cluster.read cluster ~reader:1)
-        in
+        let o = ok_exn (Printf.sprintf "read %d" i) (read ()) in
         round_sum := !round_sum + o.Net.Client.rounds;
         if o.Net.Client.rounds < !min_rounds then min_rounds := o.Net.Client.rounds;
         if o.Net.Client.rounds > !max_rounds then max_rounds := o.Net.Client.rounds
       done;
-      (match writer with Some th -> Thread.join th | None -> ());
+      (match writer_th with Some th -> Thread.join th | None -> ());
       let read2_per_read =
         float_of_int (read2_sent () - read2_before) /. float_of_int reads
       in

@@ -19,8 +19,9 @@
       op of every client domain -- warm-up and seeding write included --
       is recorded through Net.Record (one log per domain, so recording
       never serializes the domains) into one history that must pass the
-      safety and regularity checkers ("all_ops_checked": the history's
-      complete ops equal the ops that completed);
+      checker of the property the protocol claims -- safety, for the
+      safe protocol ("all_ops_checked": the history's complete ops equal
+      the ops that completed);
    3. wire efficiency: the merged per-object server registries must show
       wire.batch_size p50 > 1 (scale-out must not destroy coalescing);
    4. partitioning: Server.partition_violations must stay 0 (no base
@@ -152,7 +153,7 @@ let run () =
       let partition = Net.Server.partition_violations fleet.servers.(0) in
       let merged = Obs.Metrics.create () in
       Array.iter (fun r -> Obs.Metrics.merge_into ~dst:merged r) fleet.registries;
-      let violations, checked, _ = Exp_common.check_record record in
+      let violations, checked, _ = Exp_common.check_record ~protocol record in
       violations_total := !violations_total + violations;
       partition_total := !partition_total + partition;
       if checked <> !completed then all_checked := false;

@@ -24,8 +24,9 @@
    2. correctness: every op of every client domain, warm-up included,
       is recorded through Net.Record (one log per domain) into per-key
       histories, and every key's history must pass the single-register
-      safety AND regularity checkers -- a key is exactly the paper's
-      register, so the per-key check is the whole correctness argument
+      checker of the property regular-gc claims, regularity -- a key
+      is exactly the paper's register, so the per-key check is the
+      whole correctness argument
       ("all_ops_checked": the histories' complete ops equal the ops that
       completed);
    3. fast reads: the per-shard shard.<i>.fast_reads counters must show

@@ -18,8 +18,9 @@
    3. correctness: every op of every client domain, warm-up included,
       is recorded through Net.Record (one log per domain) into per-key
       histories, and every key's history must pass the single-register
-      safety AND regularity checkers ("all_ops_checked": the histories'
-      complete ops equal the ops that completed).  Joined reads record
+      regularity checker, the property regular-gc claims
+      ("all_ops_checked": the histories' complete ops equal the ops
+      that completed).  Joined reads record
       under reader ids of their own, so in on-cells the histories
       genuinely contain the concurrent-read structure coalescing
       creates;

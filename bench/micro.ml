@@ -216,6 +216,77 @@ let bench_handoff_single =
          Exec.Handoff.push q 1;
          ignore (Exec.Handoff.drain q)))
 
+(* -- regular-gc: the automaton steps every live read runs --------------- *)
+
+(* S = 5 = 2t+2b+1 (t = b = 1), the uniform-rw fleet: five GC objects
+   hold one completed write, and reader 1 has already returned one read,
+   so its cache asks for history suffixes as regular-gc readers do.
+   [reader] is that idle reader, [acks] are objects 1-4's replies to its
+   next READ1 (S−t = 4 of them, as a quorum-sized round collects), and
+   [obj] is object 1 just before handling that [read1]. *)
+let regular_gc_start r =
+  match Core.Regular_reader.start_read r with
+  | Ok rm -> rm
+  | Error e -> failwith e
+
+let regular_gc_feed r acks =
+  List.fold_left
+    (fun r (obj, ack) -> fst (Core.Regular_reader.on_message r ~obj ack))
+    r acks
+
+let regular_gc_fixture () =
+  let cfg = Quorum.Config.make_exn ~s:5 ~t:1 ~b:1 in
+  let objs =
+    Array.init 5 (fun i -> Core.Regular_object_gc.init ~index:(i + 1) ~readers:1)
+  in
+  let deliver ~src ~upto m =
+    List.init upto (fun i ->
+        let o, reply = Core.Regular_object_gc.handle objs.(i) ~src m in
+        objs.(i) <- o;
+        (i + 1, Option.get reply))
+  in
+  let rec write w m =
+    let step (w, ev) (obj, ack) =
+      match ev with
+      | Core.Writer.Nothing -> Core.Writer.on_message w ~obj ack
+      | ev -> (w, ev)
+    in
+    match
+      List.fold_left step (w, Core.Writer.Nothing)
+        (deliver ~src:Sim.Proc_id.Writer ~upto:5 m)
+    with
+    | w, Core.Writer.Broadcast m -> write w m
+    | _, _ -> ()
+  in
+  (match Core.Writer.start_write (Core.Writer.init ~cfg) (Core.Value.v "payload") with
+  | Ok (w, m) -> write w m
+  | Error e -> failwith e);
+  let src = Sim.Proc_id.Reader 1 in
+  let read r =
+    let r, m = regular_gc_start r in
+    regular_gc_feed r (deliver ~src ~upto:4 m)
+  in
+  let reader = read (Core.Regular_reader.init ~cfg ~j:1 ~cached:true ()) in
+  let obj = objs.(0) in
+  let r, read1 = regular_gc_start reader in
+  let acks = deliver ~src ~upto:4 read1 in
+  if not (Core.Regular_reader.is_idle (regular_gc_feed r acks)) then
+    failwith "micro: the read did not decide on round 1";
+  (reader, acks, obj, read1)
+
+let bench_regular_gc_read =
+  let reader, acks, _, _ = regular_gc_fixture () in
+  Test.make ~name:"regular_reader: round-1 decision, 4 history acks (S=5, cached)"
+    (Staged.stage (fun () ->
+         let r, _ = regular_gc_start reader in
+         regular_gc_feed r acks))
+
+let bench_regular_gc_object =
+  let _, _, obj, read1 = regular_gc_fixture () in
+  Test.make ~name:"regular_object_gc.handle READ1 (suffix reply)"
+    (Staged.stage (fun () ->
+         Core.Regular_object_gc.handle obj ~src:(Sim.Proc_id.Reader 1) read1))
+
 (* -- read-coalescing batch ----------------------------------------------- *)
 
 (* The hot-key coalescing lifecycle: one lead opens a batch, joiners
@@ -244,6 +315,29 @@ let bench_coalesce_join =
          Net.Coalesce.close b;
          Net.Coalesce.width b))
 
+(* Bechamel's [Instance.minor_allocated] reads [Gc.quick_stat], whose
+   minor-word count OCaml 5 brings up to date only at a minor collection,
+   so a run that allocates less than the minor heap reads as 0 words.
+   [Gc.minor_words] counts the current domain's allocation exactly. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+
+  let unload () = ()
+
+  let make () = ()
+
+  let get () = Gc.minor_words ()
+
+  let label () = "minor-words"
+
+  let unit () = "mnw"
+end
+
+let minor_words =
+  Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
 let tests =
   [
     bench_prng;
@@ -256,6 +350,8 @@ let tests =
     bench_regular_object;
     bench_writer_round;
     bench_safe_read_fast_path;
+    bench_regular_gc_read;
+    bench_regular_gc_object;
     bench_end_to_end_scenario;
     bench_checker;
     bench_checker_reads;
@@ -272,7 +368,7 @@ let run () =
   in
   let raw =
     Benchmark.all benchmark_cfg
-      [ Instance.monotonic_clock; Instance.minor_allocated ]
+      [ Instance.monotonic_clock; minor_words ]
       grouped
   in
   let ols =
@@ -287,7 +383,7 @@ let run () =
     | None -> nan
   in
   let times = Analyze.all ols Instance.monotonic_clock raw in
-  let allocs = Analyze.all ols Instance.minor_allocated raw in
+  let allocs = Analyze.all ols minor_words raw in
   let rows =
     Hashtbl.fold (fun name _ acc -> name :: acc) times []
     |> List.sort_uniq compare

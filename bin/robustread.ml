@@ -863,10 +863,7 @@ let net_protocol_arg =
 
 let endpoint_conv =
   Arg.conv
-    ( (fun s ->
-        match Net.Endpoint.of_string s with
-        | Ok ep -> Ok ep
-        | Error e -> Error (`Msg e)),
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (Net.Endpoint.of_string s)),
       Net.Endpoint.pp )
 
 let client_opts_args =
@@ -906,21 +903,6 @@ let domains_arg =
            ($(i,i)-1) mod $(docv), so all automaton steps stay domain-local \
            (clamped to 1..S).")
 
-let live_artifacts ~metrics ~artifacts ~spans registry =
-  match artifacts with
-  | None -> ()
-  | Some dir ->
-      let files =
-        [ ("spans.jsonl", Obs.Export.spans_jsonl spans) ]
-        @
-        if metrics then
-          match registry with
-          | Some reg -> [ ("metrics.jsonl", Obs.Export.metrics_jsonl reg) ]
-          | None -> []
-        else []
-      in
-      write_artifacts ~dir files
-
 (* Protocol requests the clients sent per completed op: the sum of the
    wire.*.req.sent counters over completed reads and writes — the
    figure quorum-sized rounds cut (S−t per round, not S). *)
@@ -943,6 +925,26 @@ let print_requests_per_op reg =
     Format.printf "requests/op: %.2f (%d requests, %d completed ops)@."
       (float_of_int sent /. float_of_int ops)
       sent ops
+
+(* What a live command reports at exit: with a registry (kept only
+   under --metrics), requests per op and the metrics table; then the
+   --artifacts files. *)
+let live_report ~artifacts ~spans registry =
+  Option.iter
+    (fun reg ->
+      print_requests_per_op reg;
+      Format.printf "--- metrics ---@.%s"
+        (Stats.Table.to_string (Obs.Metrics.table reg)))
+    registry;
+  Option.iter
+    (fun dir ->
+      write_artifacts ~dir
+        (("spans.jsonl", Obs.Export.spans_jsonl spans)
+        :: Option.to_list
+             (Option.map
+                (fun reg -> ("metrics.jsonl", Obs.Export.metrics_jsonl reg))
+                registry)))
+    artifacts
 
 let print_outcome kind (o : Net.Client.outcome) =
   Format.printf "  %s%s rounds=%d retransmits=%d latency=%dus@." kind
@@ -999,12 +1001,7 @@ let serve_cmd =
     let st = Net.Server.stats server in
     Format.printf "served %d connections, %d messages@." st.connections
       st.messages;
-    (match registry with
-    | Some reg ->
-        Format.printf "--- metrics ---@.%s"
-          (Stats.Table.to_string (Obs.Metrics.table reg))
-    | None -> ());
-    live_artifacts ~metrics ~artifacts ~spans:[] registry
+    live_report ~artifacts ~spans:[] registry
   in
   let term =
     Term.(
@@ -1019,16 +1016,35 @@ let serve_cmd =
           for 'robustread client'.")
     term
 
+(* The endpoints of a fleet's S base objects, in object order; a count
+   other than S exits 2. *)
+let endpoints_arg =
+  Arg.(
+    value
+    & opt_all endpoint_conv []
+    & info [ "endpoint"; "e" ] ~docv:"EP"
+        ~doc:
+          "Base-object endpoints, in object order; repeat S times \
+           ($(b,unix:/path.sock), $(b,tcp:host:port) or $(b,host:port)).")
+
+let fleet_endpoints cfg endpoints =
+  if List.length endpoints <> cfg.Quorum.Config.s then begin
+    Format.eprintf
+      "robustread: %d endpoints given but the configuration has S = %d \
+       objects (repeat --endpoint once per object)@."
+      (List.length endpoints) cfg.Quorum.Config.s;
+    exit 2
+  end;
+  Array.of_list endpoints
+
+let transport_arg =
+  Arg.(
+    value
+    & opt (enum [ ("unix", `Unix); ("tcp", `Tcp) ]) `Unix
+    & info [ "transport" ] ~docv:"KIND"
+        ~doc:"Socket flavour: $(b,unix) (default) or $(b,tcp) loopback.")
+
 let client_cmd =
-  let endpoints_arg =
-    Arg.(
-      value
-      & opt_all endpoint_conv []
-      & info [ "endpoint"; "e" ] ~docv:"EP"
-          ~doc:
-            "Base-object endpoints, in object order; repeat S times \
-             ($(b,unix:/path.sock), $(b,tcp:host:port) or $(b,host:port)).")
-  in
   let role_arg =
     let role_conv =
       Arg.conv
@@ -1066,17 +1082,27 @@ let client_cmd =
   in
   let run protocol t b s endpoints role ops value copts metrics artifacts =
     let cfg = config ~s ~t ~b () in
-    if List.length endpoints <> cfg.Quorum.Config.s then begin
-      Format.eprintf
-        "robustread: %d endpoints given but the configuration has S = %d \
-         objects (repeat --endpoint once per object)@."
-        (List.length endpoints) cfg.Quorum.Config.s;
-      exit 2
-    end;
+    let endpoints = fleet_endpoints cfg endpoints in
     let registry = if metrics then Some (Obs.Metrics.create ()) else None in
+    (* One operation in flight at a time, each on key 0 of the single
+       register, under the role's own process name. *)
+    let session, reader, kops =
+      match role with
+      | `Writer ->
+          ( Some "w",
+            1,
+            Array.init ops (fun i ->
+                Net.Client.Keyed.Write
+                  {
+                    key = 0;
+                    value = Core.Value.v (Printf.sprintf "%s%d" value (i + 1));
+                  }) )
+      | `Reader j -> (None, j, Array.make ops (Net.Client.Keyed.Read { key = 0 }))
+    in
     let client =
-      Net.Client.connect ?metrics:registry ~opts:copts ~protocol ~cfg ~role
-        (Array.of_list endpoints)
+      Net.Client.Keyed.connect ?session ?metrics:registry ~opts:copts
+        ~max_inflight:1 ~reader ~protocol ~map:(Shard.Map.single cfg)
+        endpoints
     in
     Format.printf "%s client on %a (%s), %d op(s)@."
       (match role with `Writer -> "writer" | `Reader j -> Printf.sprintf "reader r%d" j)
@@ -1084,30 +1110,23 @@ let client_cmd =
       (Net.Protocols.name protocol)
       ops;
     let failures = ref 0 in
-    for i = 1 to ops do
-      match role with
-      | `Writer -> (
-          let v = Core.Value.v (Printf.sprintf "%s%d" value i) in
-          match Net.Client.write client v with
-          | Ok o -> print_outcome ("write(" ^ Core.Value.to_string v ^ ")") o
-          | Error e ->
-              incr failures;
-              Format.printf "  write FAILED: %s@." e)
-      | `Reader _ -> (
-          match Net.Client.read client with
-          | Ok o -> print_outcome "read" o
-          | Error e ->
-              incr failures;
-              Format.printf "  read FAILED: %s@." e)
-    done;
-    let spans = Net.Client.spans client in
-    Net.Client.close client;
-    (match registry with
-    | Some reg ->
-        Format.printf "--- metrics ---@.%s"
-          (Stats.Table.to_string (Obs.Metrics.table reg))
-    | None -> ());
-    live_artifacts ~metrics ~artifacts ~spans registry;
+    Array.iteri
+      (fun i r ->
+        let what =
+          match kops.(i) with
+          | Net.Client.Keyed.Write { value = v; _ } ->
+              "write(" ^ Core.Value.to_string v ^ ")"
+          | Net.Client.Keyed.Read _ -> "read"
+        in
+        match r with
+        | Ok o -> print_outcome what o
+        | Error e ->
+            incr failures;
+            Format.printf "  %s FAILED: %s@." what e)
+      (Net.Client.Keyed.run_ops client kops);
+    let spans = Net.Client.Keyed.spans client in
+    Net.Client.Keyed.close client;
+    live_report ~artifacts ~spans registry;
     if !failures > 0 then exit 1
   in
   let term =
@@ -1126,6 +1145,10 @@ let client_cmd =
 
 (* ----- keyspace flags (shared by cluster / load) -------------------------- *)
 
+let keyed_op = function
+  | Workload.Keyspace.Read { key } -> Net.Client.Keyed.Read { key }
+  | Workload.Keyspace.Write { key; value } -> Net.Client.Keyed.Write { key; value }
+
 let keys_arg =
   Arg.(
     value & opt int 0
@@ -1133,8 +1156,8 @@ let keys_arg =
         ~doc:
           "Serve a keyspace of $(docv) independent registers (key ids \
            0..K-1, placed over the S servers by the deterministic shard \
-           map) instead of the single register.  0, the default, keeps the \
-           single-register path.")
+           map) instead of the single register.  0, the default, runs the \
+           single register (key 0).")
 
 let zipf_arg =
   Arg.(
@@ -1170,7 +1193,8 @@ let cluster_cmd =
   let readers_arg =
     Arg.(
       value & opt int 2
-      & info [ "readers" ] ~docv:"R" ~doc:"Concurrent reader clients.")
+      & info [ "readers" ] ~docv:"R"
+          ~doc:"Readers: the engine's reader lanes, reader ids 1..$(docv).")
   in
   let writes_arg =
     Arg.(
@@ -1181,32 +1205,26 @@ let cluster_cmd =
       value & opt int 10
       & info [ "reads" ] ~docv:"N" ~doc:"Reads per reader.")
   in
-  let transport_arg =
-    Arg.(
-      value
-      & opt (enum [ ("unix", `Unix); ("tcp", `Tcp) ]) `Unix
-      & info [ "transport" ] ~docv:"KIND"
-          ~doc:"Socket flavour: $(b,unix) (default) or $(b,tcp) loopback.")
-  in
   let crash_arg =
     Arg.(
       value
       & opt (some int) None
       & info [ "crash" ] ~docv:"I"
           ~doc:
-            "Crash the server for object $(docv) halfway through each \
-             reader's reads and restart it near the end — operations must \
-             keep completing (requires t >= 1).")
+            "Crash the server for object $(docv) when half of the run's \
+             operations have responded, restart it once the run is over, \
+             then run one more read — operations must keep completing \
+             (requires t >= 1).")
   in
   let inflight_arg =
     Arg.(
       value & opt int 0
       & info [ "inflight" ] ~docv:"W"
           ~doc:
-            "Pipeline the reads through one multiplexed connection set with \
-             an operation window of $(docv) in-flight reads (total reads = \
-             readers x reads).  0, the default, runs one serial client per \
-             reader.")
+            "Operation window: at most $(docv) operations in flight at \
+             once.  A key runs at most one read per reader lane, so on the \
+             single register the window is capped by --readers.  0, the \
+             default, allows one read in flight per reader.")
   in
   let fast_reads_arg =
     Arg.(
@@ -1223,23 +1241,15 @@ let cluster_cmd =
              (Proposition 1).  Overrides $(b,--protocol).")
   in
   let run protocol t b s readers writes reads transport crash inflight
-      domains fast_reads keys zipf write_ratio coalesce seed copts jobs
-      metrics artifacts =
-    if inflight < 0 then begin
-      Format.eprintf "robustread: --inflight %d must be >= 0@." inflight;
+      domains fast_reads keys zipf write_ratio coalesce seed copts metrics
+      artifacts =
+    if readers < 1 || inflight < 0 || coalesce < 0 then begin
+      Format.eprintf
+        "robustread: --readers must be >= 1, --inflight and --coalesce >= 0@.";
       exit 2
     end;
-    if coalesce < 0 then begin
-      Format.eprintf "robustread: --coalesce %d must be >= 0@." coalesce;
-      exit 2
-    end;
-    let coalesce = max 1 coalesce in
     let protocol =
-      if fast_reads then
-        (* Pipelined lanes get fresh reader ids past [readers]; unknown ids
-           only make server-side pruning more conservative, never unsafe. *)
-        Net.Protocols.regular_gc ~readers:(max 1 readers)
-      else protocol
+      if fast_reads then Net.Protocols.regular_gc ~readers else protocol
     in
     let cfg = config ~s ~t ~b () in
     (match crash with
@@ -1253,209 +1263,119 @@ let cluster_cmd =
     | _ -> ());
     let cluster =
       Net.Cluster.start ~metrics ~opts:copts ~transport ~domains ~protocol ~cfg
-        ~readers ()
+        ()
     in
-    Format.printf "cluster of %a (%s) over %s sockets (%d server domain%s): \
-                   %d writes, %d readers x %d reads%s%s@."
+    let window = if inflight > 0 then inflight else readers in
+    (* A keyspace run draws one zipfian read/write mix; the single
+       register runs its writes, then every reader's reads. *)
+    let map, writes_first, ops =
+      if keys > 0 then
+        let gen =
+          Workload.Keyspace.make_exn ~skew:zipf ~write_ratio ~keys ~seed ()
+        in
+        ( Shard.Map.make_exn ~keys ~fleet:cfg.Quorum.Config.s ~cfg (),
+          [||],
+          Array.map keyed_op
+            (Workload.Keyspace.ops gen (writes + (readers * reads))) )
+      else
+        ( Shard.Map.single cfg,
+          Array.init writes (fun i ->
+              Net.Client.Keyed.Write
+                { key = 0; value = Core.Value.v (Printf.sprintf "v%d" (i + 1)) }),
+          Array.make (readers * reads) (Net.Client.Keyed.Read { key = 0 }) )
+    in
+    Format.printf
+      "cluster of %a (%s) over %s sockets (%d server domain%s): %d writes, %d \
+       readers x %d reads, window %d%s%s@."
       Quorum.Config.pp cfg
       (Net.Protocols.name protocol)
       (match transport with `Unix -> "unix" | `Tcp -> "tcp")
       (max 1 (min domains cfg.Quorum.Config.s))
       (if domains > 1 then "s" else "")
-      writes readers reads
-      (if inflight > 0 then Printf.sprintf " (pipelined, window %d)" inflight
-       else "")
+      writes readers reads window
+      (if coalesce > 1 then Printf.sprintf ", coalesce %d" coalesce else "")
       (match crash with
       | Some i -> Printf.sprintf ", crashing object %d mid-run" i
       | None -> "");
+    if keys > 0 then
+      Format.printf "keyspace: %s (zipf %.2f, write ratio %.2f)@."
+        (Shard.Map.to_string map) zipf write_ratio;
+    let engine =
+      Net.Cluster.engine ~lanes:readers ~inflight:window ~coalesce ~map cluster
+    in
     let failures = ref 0 in
-    let fail_mutex = Mutex.create () in
-    let record_failure msg =
-      Mutex.lock fail_mutex;
+    let fail msg =
       incr failures;
-      Format.eprintf "%s@." msg;
-      Mutex.unlock fail_mutex
+      Format.eprintf "%s@." msg
     in
-    if keys > 0 then begin
-      (* Keyspace mode: one keyed client drives a zipfian read/write mix
-         over [keys] registers; the single-register phases (and --crash)
-         don't apply.  Every key's history is checked — each key is its
-         own register, so the single-register checker runs per key. *)
-      let map =
-        Shard.Map.make_exn ~keys ~fleet:cfg.Quorum.Config.s ~cfg ()
-      in
-      let gen =
-        Workload.Keyspace.make_exn ~skew:zipf ~write_ratio ~keys ~seed ()
-      in
-      let n = writes + (readers * reads) in
-      let ops =
-        Array.map
-          (function
-            | Workload.Keyspace.Read { key } -> Net.Client.Keyed.Read { key }
-            | Workload.Keyspace.Write { key; value } ->
-                Net.Client.Keyed.Write { key; value })
-          (Workload.Keyspace.ops gen n)
-      in
-      let window = if inflight > 0 then inflight else 16 in
-      Format.printf
-        "keyspace: %s; %d ops (zipf %.2f, write ratio %.2f, window %d%s)@."
-        (Shard.Map.to_string map) n zipf write_ratio window
-        (if coalesce > 1 then Printf.sprintf ", coalesce %d" coalesce else "");
-      Array.iteri
-        (fun i -> function
-          | Ok _ -> ()
-          | Error e ->
-              record_failure (Printf.sprintf "keyed op #%d FAILED: %s" (i + 1) e))
-        (Net.Cluster.run_keyed ~inflight:window ~coalesce cluster ~map ops);
-      let checked = Net.Cluster.keyed_histories cluster in
-      let bad =
-        List.fold_left
-          (fun acc (key, h) ->
-            let vs = Histories.Checks.check_safety ~equal:String.equal h in
-            List.iter
-              (fun v ->
-                Format.printf "  key %d violation: %a@." key
-                  (Histories.Checks.pp_violation
-                     ~pp_value:Format.pp_print_string)
-                  v)
-              vs;
-            acc + List.length vs)
-          0 checked
-      in
-      let partition = Net.Cluster.partition_violations cluster in
-      if partition > 0 then
-        record_failure
-          (Printf.sprintf
-             "domain-partition violations: %d (an object was stepped outside \
-              its owning domain)"
-             partition);
-      Format.printf "%d keys touched, %d histories (%d ops) checked; safety: %s@."
-        (Net.Cluster.keys_touched cluster)
-        (List.length checked)
-        (List.fold_left (fun n (_, h) -> n + List.length h) 0 checked)
-        (if bad = 0 then "OK" else Printf.sprintf "%d VIOLATIONS" bad);
-      let registry = Net.Cluster.metrics cluster in
-      (match registry with
-      | Some reg ->
-          print_requests_per_op reg;
-          Format.printf "--- metrics ---@.%s"
-            (Stats.Table.to_string (Obs.Metrics.table reg))
-      | None -> ());
-      live_artifacts ~metrics ~artifacts ~spans:(Net.Cluster.spans cluster)
-        registry;
-      Net.Cluster.stop cluster;
-      if !failures > 0 || bad > 0 then exit 1
-    end
-    else begin
-    (* Writer runs in this thread; each reader client gets its own (and
-       records into its own history log).  --jobs 1 forces the fully
-       sequential path. *)
-    let sequential = jobs = Some 1 in
-    let reader_body j () =
-      for k = 1 to reads do
-        (match crash with
-        | Some i when j = 1 && k = ((reads / 2) + 1) ->
-            if List.mem i (Net.Cluster.alive cluster) then begin
+    let alive () =
+      String.concat "," (List.map string_of_int (Net.Cluster.alive cluster))
+    in
+    Array.iteri
+      (fun i -> function
+        | Ok o -> print_outcome (Printf.sprintf "write(v%d)" (i + 1)) o
+        | Error e -> fail (Printf.sprintf "write v%d FAILED: %s" (i + 1) e))
+      (Net.Cluster.run engine writes_first);
+    let responses = ref 0 in
+    let on_event = function
+      | Net.Client.Keyed.Respond _ -> (
+          incr responses;
+          match crash with
+          | Some i
+            when !responses = max 1 (Array.length ops / 2)
+                 && List.mem i (Net.Cluster.alive cluster) ->
               Net.Cluster.crash cluster i;
-              Format.printf "  crashed object %d (alive: %s)@." i
-                (String.concat ","
-                   (List.map string_of_int (Net.Cluster.alive cluster)))
-            end
-        | _ -> ());
-        match Net.Cluster.read cluster ~reader:j with
-        | Ok _ -> ()
-        | Error e -> record_failure (Printf.sprintf "read r%d#%d FAILED: %s" j k e)
-      done
+              Format.printf "  crashed object %d (alive: %s)@." i (alive ())
+          | _ -> ())
+      | Net.Client.Keyed.Invoke _ -> ()
     in
-    for i = 1 to writes do
-      match Net.Cluster.write cluster (Core.Value.v (Printf.sprintf "v%d" i)) with
-      | Ok o -> print_outcome (Printf.sprintf "write(v%d)" i) o
-      | Error e -> record_failure (Printf.sprintf "write v%d FAILED: %s" i e)
-    done;
-    if inflight > 0 then begin
-      (* Pipelined mode: all reads flow through one client's window of
-         reader lanes.  A requested crash lands between two half-batches,
-         the window-level analogue of "halfway through each reader". *)
-      let run_pipelined n =
-        if n > 0 then
-          Array.iteri
-            (fun k -> function
-              | Ok _ -> ()
-              | Error e ->
-                  record_failure
-                    (Printf.sprintf "pipelined read #%d FAILED: %s" (k + 1) e))
-            (Net.Cluster.read_pipelined ~coalesce cluster ~inflight ~ops:n)
-      in
-      let total = readers * reads in
-      let half = total / 2 in
-      run_pipelined half;
-      (match crash with
-      | Some i when List.mem i (Net.Cluster.alive cluster) ->
-          Net.Cluster.crash cluster i;
-          Format.printf "  crashed object %d (alive: %s)@." i
-            (String.concat ","
-               (List.map string_of_int (Net.Cluster.alive cluster)))
-      | _ -> ());
-      run_pipelined (total - half)
-    end
-    else if sequential then
-      for j = 1 to readers do
-        reader_body j ()
-      done
-    else begin
-      let threads =
-        List.init readers (fun j -> Thread.create (reader_body (j + 1)) ())
-      in
-      List.iter Thread.join threads
-    end;
+    Array.iteri
+      (fun i -> function
+        | Ok _ -> ()
+        | Error e -> fail (Printf.sprintf "op #%d FAILED: %s" (i + 1) e))
+      (Net.Cluster.run ~on_event engine ops);
     (match crash with
-    | Some i when not (List.mem i (Net.Cluster.alive cluster)) ->
-        (match Net.Cluster.restart cluster i with
-        | Ok () -> ()
-        | Error (`Still_alive i) ->
-            record_failure
-              (Printf.sprintf "restart raced: object %d still alive" i));
-        Format.printf "  restarted object %d (alive: %s)@." i
-          (String.concat ","
-             (List.map string_of_int (Net.Cluster.alive cluster)));
+    | Some i when not (List.mem i (Net.Cluster.alive cluster)) -> (
+        Net.Cluster.restart_exn cluster i;
+        Format.printf "  restarted object %d (alive: %s)@." i (alive ());
         (* one more read with the recovered replica back in the quorum *)
-        (match Net.Cluster.read cluster ~reader:1 with
+        match
+          (Net.Cluster.run engine [| Net.Client.Keyed.Read { key = 0 } |]).(0)
+        with
         | Ok o -> print_outcome "read(post-restart)" o
-        | Error e -> record_failure ("post-restart read FAILED: " ^ e))
+        | Error e -> fail ("post-restart read FAILED: " ^ e))
     | _ -> ());
-    let history = Net.Cluster.history cluster in
-    let equal = String.equal in
-    let safety = Histories.Checks.check_safety ~equal history in
+    let semantics = Net.Protocols.semantics protocol in
+    let histories = Net.Cluster.keyed_histories cluster in
+    let bad =
+      List.fold_left
+        (fun acc (key, h) ->
+          let vs = Net.Protocols.check semantics h in
+          List.iter
+            (fun v ->
+              Format.printf "  key %d violation: %a@." key
+                (Histories.Checks.pp_violation ~pp_value:Format.pp_print_string)
+                v)
+            vs;
+          acc + List.length vs)
+        0 histories
+    in
     let partition = Net.Cluster.partition_violations cluster in
     if partition > 0 then
-      record_failure
+      fail
         (Printf.sprintf
            "domain-partition violations: %d (an object was stepped outside \
             its owning domain)"
            partition);
-    let spans = Net.Cluster.spans cluster in
-    let completed = List.length (List.filter Obs.Span.completed spans) in
-    Format.printf "%d operations (%d spans completed); safety: %s@."
-      (List.length history) completed
-      (if safety = [] then "OK"
-       else Printf.sprintf "%d VIOLATIONS" (List.length safety));
-    List.iter
-      (fun v ->
-        Format.printf "  violation: %a@."
-          (Histories.Checks.pp_violation ~pp_value:Format.pp_print_string)
-          v)
-      safety;
-    let registry = Net.Cluster.metrics cluster in
-    (match registry with
-    | Some reg ->
-        print_requests_per_op reg;
-        Format.printf "--- metrics ---@.%s"
-          (Stats.Table.to_string (Obs.Metrics.table reg))
-    | None -> ());
-    live_artifacts ~metrics ~artifacts ~spans registry;
+    Format.printf "%d histories (%d ops) checked; %s: %s@."
+      (List.length histories)
+      (List.fold_left (fun n (_, h) -> n + List.length h) 0 histories)
+      (Net.Protocols.semantics_name semantics)
+      (if bad = 0 then "OK" else Printf.sprintf "%d VIOLATIONS" bad);
+    live_report ~artifacts ~spans:(Net.Cluster.spans cluster)
+      (Net.Cluster.metrics cluster);
     Net.Cluster.stop cluster;
-    if !failures > 0 || safety <> [] then exit 1
-    end
+    if !failures > 0 || bad > 0 then exit 1
   in
   let term =
     Term.(
@@ -1463,15 +1383,17 @@ let cluster_cmd =
       $ writes_arg $ reads_arg $ transport_arg $ crash_arg $ inflight_arg
       $ domains_arg $ fast_reads_arg $ keys_arg $ zipf_arg
       $ write_ratio_arg $ coalesce_arg $ seed_arg $ client_opts_args
-      $ jobs_arg $ metrics_arg $ artifacts_arg)
+      $ metrics_arg $ artifacts_arg)
   in
   Cmd.v
     (Cmd.info "cluster"
        ~doc:
-         "Spin up a live loopback cluster (S servers + writer + readers in \
-          one process), run a read/write workload over real sockets — \
-          optionally crashing and restarting a server mid-run — then check \
-          the recorded history and export spans/metrics.")
+         "Spin up a live loopback cluster (S servers plus one client engine \
+          whose reader lanes are the readers, in one process), run a \
+          read/write workload over real sockets — optionally crashing and \
+          restarting a server mid-run — then check every key's recorded \
+          history against the property the protocol claims and export \
+          spans/metrics.")
     term
 
 (* ----- load: multi-process saturation driver ----------------------------- *)
@@ -1504,13 +1426,6 @@ let load_inflight_arg =
            single register, its number of reader lanes).")
 
 let load_worker_cmd =
-  let endpoints_arg =
-    Arg.(
-      value
-      & opt_all endpoint_conv []
-      & info [ "endpoint"; "e" ] ~docv:"EP"
-          ~doc:"Base-object endpoints, in object order; repeat S times.")
-  in
   let metrics_out_arg =
     Arg.(
       value
@@ -1534,13 +1449,7 @@ let load_worker_cmd =
       write_ratio coalesce seed workers worker metrics_out copts =
     let coalesce = max 1 coalesce in
     let cfg = config ~s ~t ~b () in
-    if List.length endpoints <> cfg.Quorum.Config.s then begin
-      Format.eprintf
-        "robustread: %d endpoints given but the configuration has S = %d \
-         objects@."
-        (List.length endpoints) cfg.Quorum.Config.s;
-      exit 2
-    end;
+    let endpoints = fleet_endpoints cfg endpoints in
     if inflight < 1 || ops < 0 || first_reader < 1 then begin
       Format.eprintf "robustread: bad --inflight/--ops/--first-reader@.";
       exit 2
@@ -1550,7 +1459,6 @@ let load_worker_cmd =
       exit 2
     end;
     let registry = Obs.Metrics.create () in
-    let endpoints = Array.of_list endpoints in
     let t0 = now_s () in
     (* Keyspace mode: a zipfian read/write mix over the fleet.  The
        registers are SWMR, so write ownership is partitioned across
@@ -1568,12 +1476,7 @@ let load_worker_cmd =
         in
         ( Shard.Map.make_exn ~keys ~fleet:cfg.Quorum.Config.s ~cfg (),
           1,
-          Array.map
-            (function
-              | Workload.Keyspace.Read { key } -> Net.Client.Keyed.Read { key }
-              | Workload.Keyspace.Write { key; value } ->
-                  Net.Client.Keyed.Write { key; value })
-            (Workload.Keyspace.ops gen ops) )
+          Array.map keyed_op (Workload.Keyspace.ops gen ops) )
       else
         ( Shard.Map.single cfg,
           inflight,
@@ -1632,13 +1535,6 @@ let load_cmd =
       & info [ "procs"; "k" ] ~docv:"K"
           ~doc:"Client worker processes to fork (disjoint reader-id ranges).")
   in
-  let transport_arg =
-    Arg.(
-      value
-      & opt (enum [ ("unix", `Unix); ("tcp", `Tcp) ]) `Unix
-      & info [ "transport" ] ~docv:"KIND"
-          ~doc:"Socket flavour: $(b,unix) (default) or $(b,tcp) loopback.")
-  in
   let run protocol t b s domains procs inflight ops transport keys zipf
       write_ratio coalesce seed copts metrics artifacts =
     if procs < 1 || inflight < 1 || ops < 1 then begin
@@ -1651,45 +1547,31 @@ let load_cmd =
     end;
     let cfg = config ~s ~t ~b () in
     let s = cfg.Quorum.Config.s in
-    (* Private scratch dir for sockets and per-worker metric files. *)
+    (* Private scratch dir for the per-worker metric files. *)
     let dir =
       let path = Filename.temp_file "robustread-load" "" in
       Unix.unlink path;
       Unix.mkdir path 0o700;
       path
     in
-    let endpoints =
-      match transport with
-      | `Unix ->
-          Array.init s (fun i ->
-              Net.Endpoint.Unix_sock
-                (Filename.concat dir (Printf.sprintf "obj%d.sock" (i + 1))))
-      | `Tcp ->
-          Array.init s (fun _ ->
-              Net.Endpoint.Tcp { host = "127.0.0.1"; port = 0 })
+    let cluster =
+      Net.Cluster.start ~metrics:true ~opts:copts ~transport ~domains ~protocol
+        ~cfg ()
     in
-    let registries = Array.init s (fun _ -> Obs.Metrics.create ()) in
-    let servers =
-      Net.Server.start_group
-        ~metrics:(fun i -> registries.(i))
-        ~domains ~protocol ~cfg endpoints
-    in
-    let actual = Array.map Net.Server.endpoint servers in
     (* Seed one write so every READ returns a real value.  In keyspace
        mode the workers own the writes (partitioned per key — the
        parent writing key 0 here would be a second writer on it). *)
     if keys = 0 then begin
-      let writer =
-        Net.Client.connect ~opts:copts ~protocol ~cfg ~role:`Writer actual
-      in
-      (match Net.Client.write writer (Core.Value.v "v1") with
+      let writer, _ = Net.Cluster.processes cluster ~readers:0 in
+      match
+        (Net.Cluster.run writer
+           [| Net.Client.Keyed.Write { key = 0; value = Core.Value.v "v1" } |]).(0)
+      with
       | Ok _ -> ()
       | Error e ->
           Format.eprintf "robustread: seed write failed: %s@." e;
-          Net.Client.close writer;
-          Array.iter Net.Server.stop servers;
-          exit 1);
-      Net.Client.close writer
+          Net.Cluster.stop cluster;
+          exit 1
     end;
     Format.printf
       "load: %a (%s) over %s sockets, %d worker domain(s); %d proc(s) x \
@@ -1710,7 +1592,7 @@ let load_cmd =
     let ep_args =
       List.concat_map
         (fun ep -> [ "-e"; Net.Endpoint.to_string ep ])
-        (Array.to_list actual)
+        (Array.to_list (Net.Cluster.endpoints cluster))
     in
     let t0 = now_s () in
     let pids =
@@ -1751,12 +1633,12 @@ let load_cmd =
         | _ -> incr failed)
       pids;
     let wall = now_s () -. t0 in
-    Array.iter Net.Server.stop servers;
-    let partition = Net.Server.partition_violations servers.(0) in
-    (* Merge per-object server registries and per-process client JSONL
-       exports into one registry: counters add, histograms merge. *)
-    let merged = Obs.Metrics.create () in
-    Array.iter (fun reg -> Obs.Metrics.merge_into ~dst:merged reg) registries;
+    (* Merge the cluster's registries (per-object servers and the seed
+       writer) and per-process client JSONL exports into one registry:
+       counters add, histograms merge. *)
+    let merged = Option.get (Net.Cluster.metrics cluster) in
+    Net.Cluster.stop cluster;
+    let partition = Net.Cluster.partition_violations cluster in
     (* Each worker file is parsed into its own registry first: merged
        gauges keep only the max, and the per-worker ops/s spread needs
        every worker's value. *)

@@ -12,16 +12,19 @@ let () =
   let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:0 in
   Format.printf "deploying %a over loopback unix sockets@." Quorum.Config.pp cfg;
 
-  (* 2. One server per base object + a writer and a reader client. *)
-  let cluster =
-    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg ~readers:1 ()
-  in
+  (* 2. One server per base object, and one client engine: its writer
+     and its reader lane drive the single register, key 0. *)
+  let cluster = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg () in
+  let engine = Net.Cluster.engine cluster in
+  let run op = (Net.Cluster.run engine [| op |]).(0) in
 
   (* 3. WRITE, then READ against the live servers. *)
-  (match Net.Cluster.write cluster (Core.Value.v "hello-net") with
+  (match
+     run (Net.Client.Keyed.Write { key = 0; value = Core.Value.v "hello-net" })
+   with
   | Ok o -> Format.printf "WRITE hello-net completed in %d round(s)@." o.rounds
   | Error e -> failwith ("write failed: " ^ e));
-  (match Net.Cluster.read cluster ~reader:1 with
+  (match run (Net.Client.Keyed.Read { key = 0 }) with
   | Ok o ->
       Format.printf "READ returned %s in %d round(s)@."
         (match o.value with

@@ -350,7 +350,6 @@ module Keyed = struct
     krun :
       ?on_event:(event -> unit) -> kop array -> (outcome, string) result array;
     kspans : unit -> Obs.Span.t list;
-    kconnected : unit -> int list;
     kclose : unit -> unit;
     kkeys_touched : unit -> int;
   }
@@ -361,9 +360,7 @@ module Keyed = struct
 
   let stranger = -2
 
-  (* [session] names the process in each connection's [Hello]; it
-     defaults to the first lane's reader. *)
-  let create ?session ?metrics ?(opts = default_opts) ?now_us
+  let connect ?session ?metrics ?(opts = default_opts) ?now_us
       ?(max_inflight = 16) ?(reader = 1) ?(readers = 1) ?(coalesce = 1)
       ~protocol ~map endpoints =
     Lazy.force ignore_sigpipe;
@@ -1171,67 +1168,15 @@ module Keyed = struct
     {
       krun = run;
       kspans = (fun () -> Obs.Span.spans collector);
-      kconnected = connected;
       kclose = close_all;
       kkeys_touched = (fun () -> Hashtbl.length regs);
     }
-
-  let connect ?metrics ?opts ?now_us ?max_inflight ?reader ?readers ?coalesce
-      ~protocol ~map endpoints =
-    create ?metrics ?opts ?now_us ?max_inflight ?reader ?readers ?coalesce
-      ~protocol ~map endpoints
 
   let run_ops ?on_event t ops = t.krun ?on_event ops
 
   let spans t = t.kspans ()
 
-  let connected t = t.kconnected ()
-
   let keys_touched t = t.kkeys_touched ()
 
   let close t = t.kclose ()
 end
-
-(* ===== single-register client ============================================ *)
-
-(* One writer or one reader of the single register: the engine over
-   [Shard.Map.single], one key-0 op at a time.  The connection's session
-   names the role itself, so a fault rule aimed at another process never
-   matches this client's [Hello]. *)
-type t = { engine : Keyed.t; role : [ `Writer | `Reader of int ] }
-
-let connect ?metrics ?opts ?now_us ~protocol ~cfg ~role endpoints =
-  if Array.length endpoints <> cfg.Quorum.Config.s then
-    invalid_arg
-      (Printf.sprintf "Client.connect: %d endpoints for S = %d"
-         (Array.length endpoints) cfg.Quorum.Config.s);
-  let session, reader =
-    match role with
-    | `Writer -> ("w", 1)
-    | `Reader j when j >= 1 -> ("r" ^ string_of_int j, j)
-    | `Reader j -> invalid_arg (Printf.sprintf "Client.connect: reader %d" j)
-  in
-  {
-    engine =
-      Keyed.create ~session ?metrics ?opts ?now_us ~max_inflight:1 ~reader
-        ~protocol ~map:(Shard.Map.single cfg) endpoints;
-    role;
-  }
-
-let run_one t op = (Keyed.run_ops t.engine [| op |]).(0)
-
-let write t v =
-  match t.role with
-  | `Writer -> run_one t (Keyed.Write { key = 0; value = v })
-  | `Reader _ -> invalid_arg "Client.write: this client is a reader"
-
-let read t =
-  match t.role with
-  | `Reader _ -> run_one t (Keyed.Read { key = 0 })
-  | `Writer -> invalid_arg "Client.read: this client is the writer"
-
-let spans t = Keyed.spans t.engine
-
-let connected t = Keyed.connected t.engine
-
-let close t = Keyed.close t.engine

@@ -9,8 +9,8 @@
     back as they arrive (the state machines themselves decide when [S−t]
     replies — or the protocol's own quorum predicate — are enough), and
     any next-round broadcast the machine emits is followed.  The single
-    register is key 0 of {!Shard.Map.single}: {!connect} is a writer or
-    one reader of it, running one operation at a time on the engine.
+    register is key 0 of {!Shard.Map.single}.  {!Cluster} hands out
+    engines on a loopback cluster and records what they run.
 
     The transport adds what the simulator never needed:
 
@@ -58,41 +58,6 @@ type outcome = {
   retransmits : int;  (** deadline-triggered retransmissions *)
   latency_us : int;
 }
-
-type t
-
-val connect :
-  ?metrics:Obs.Metrics.t ->
-  ?opts:opts ->
-  ?now_us:(unit -> int) ->
-  protocol:Protocols.t ->
-  cfg:Quorum.Config.t ->
-  role:[ `Writer | `Reader of int ] ->
-  Endpoint.t array ->
-  t
-(** [connect ~protocol ~cfg ~role endpoints] prepares the writer or
-    reader [j] of the single register on the S = [Array.length
-    endpoints] base objects; endpoint [i] hosts object [i+1].
-    Connections are established lazily and re-established with backoff,
-    so a dead endpoint at connect time is not an error.  [now_us]
-    overrides the span clock (default: microseconds since [connect]).
-    @raise Invalid_argument if [endpoints] does not match [cfg.s] or the
-    role is a [`Reader j] with [j < 1]. *)
-
-val write : t -> Core.Value.t -> (outcome, string) result
-(** Run one WRITE to completion.  @raise Invalid_argument on a reader. *)
-
-val read : t -> (outcome, string) result
-(** Run one READ to completion.  @raise Invalid_argument on the writer. *)
-
-val spans : t -> Obs.Span.t list
-(** One span per operation, invocation order; failed operations stay
-    open — exactly the simulator's convention. *)
-
-val connected : t -> int list
-(** Object indices with a currently established connection. *)
-
-val close : t -> unit
 
 (** {2 The client engine}
 
@@ -183,6 +148,7 @@ module Keyed : sig
   type t
 
   val connect :
+    ?session:string ->
     ?metrics:Obs.Metrics.t ->
     ?opts:opts ->
     ?now_us:(unit -> int) ->
@@ -201,8 +167,12 @@ module Keyed : sig
       not be contiguous).  Every key gets [readers] (default 1) reader
       lanes with ids [reader .. reader+readers-1] ([reader] defaults to
       1); two clients reading the same keys must use disjoint ids, since
-      base objects keep per-reader round state.  [max_inflight] (default
-      16) caps concurrently progressing operations across all keys.
+      base objects keep per-reader round state.  [session] (default
+      ["r<reader>"]) is the process name each connection's [Hello]
+      carries, which is what a {!Chaos} rule aimed at one process matches
+      before any operation frame; the writer's engine passes ["w"].
+      [max_inflight] (default 16) caps concurrently progressing
+      operations across all keys.
 
       [coalesce] (default 1 = off, clamped to at least 1) caps how many
       same-key reads may share one quorum round.  A read admitted while
@@ -234,9 +204,6 @@ module Keyed : sig
       so the resuming write's own value is not what gets written. *)
 
   val spans : t -> Obs.Span.t list
-
-  val connected : t -> int list
-  (** Object indices (fleet slot + 1) with an established connection. *)
 
   val keys_touched : t -> int
   (** Keys with materialized automata so far. *)

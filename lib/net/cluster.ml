@@ -1,38 +1,20 @@
-(* Every client appends to a log of its own in [record]; the histories
-   are merged from the logs when asked for. *)
-type client_slot = {
-  client : Client.t;
+(* An engine appends to a log of its own in [record]; the histories are
+   merged from the logs when asked for. *)
+type engine = {
+  client : Client.Keyed.t;
   registry : Obs.Metrics.t option;
   log : Record.log;
 }
 
-(* A cached engine client: its parked (timed-out) automata must carry
-   over between calls, so it is rebuilt only when its parameters
-   change. *)
-type keyed_state = {
-  k_inflight : int;
-  k_readers : int;
-  k_coalesce : int;
-  k_map : Shard.Map.t;
-  k_client : Client.Keyed.t;
-  k_registry : Obs.Metrics.t option;
-  k_log : Record.log;
-}
-
 type t = {
   cfg : Quorum.Config.t;
-  endpoints : Endpoint.t array;  (* what clients dial: proxies if interposed *)
+  endpoints : Endpoint.t array;  (* what engines dial: proxies if interposed *)
   chaos_ : Chaos.t array;  (* per-object interposers; empty when direct *)
   mutable servers : Server.t array;
   server_registries : Obs.Metrics.t option array;
-  writer : client_slot;
-  readers : client_slot array;
-  single : Shard.Map.t;  (* the single register, key 0 *)
-  mutable lanes : keyed_state option;  (* pipelined key-0 reads *)
-  mutable keyed : keyed_state option;  (* keyspace runs *)
-  (* Base objects keep per-reader round state, so reader ids are never
-     reused across client generations: each new client gets a fresh
-     range. *)
+  mutable engines : engine list;  (* newest first *)
+  (* Base objects keep per-reader round state, so a reader id is never
+     handed out twice. *)
   mutable next_rid : int;
   copts : Client.opts option;
   protocol : Protocols.t;
@@ -58,7 +40,7 @@ let fresh_tmpdir () =
   go !tmp_counter
 
 let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
-    ?(interpose = false) ~protocol ~cfg ~readers () =
+    ?(interpose = false) ~protocol ~cfg () =
   let s = cfg.Quorum.Config.s in
   let tmpdir, endpoints =
     match transport with
@@ -107,28 +89,14 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
   let endpoints =
     if interpose then Array.map Chaos.endpoint chaos_ else server_endpoints
   in
-  let slot role =
-    let registry = registry () in
-    {
-      client =
-        Client.connect ?metrics:registry ?opts ~now_us ~protocol ~cfg ~role
-          endpoints;
-      registry;
-      log = Record.log record;
-    }
-  in
   {
     cfg;
     endpoints;
     chaos_;
     servers;
     server_registries;
-    writer = slot `Writer;
-    readers = Array.init readers (fun j -> slot (`Reader (j + 1)));
-    single = Shard.Map.single cfg;
-    lanes = None;
-    keyed = None;
-    next_rid = readers + 1;
+    engines = [];
+    next_rid = 1;
     copts = opts;
     protocol;
     record;
@@ -136,96 +104,44 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
     with_metrics = metrics;
   }
 
-(* A single-register client runs one op at a time and reports no
-   events, so its invocation and response are stamped around the call.
-   A failed op stays open in the history until the slot's next op
-   resumes it, exactly as for the engine's lanes. *)
-let serial t slot ~reader kop run =
-  let ops = [| kop |] in
-  let write = Client.Keyed.op_is_write kop in
-  let now = Record.now_us t.record in
-  Record.event slot.log ops
-    (Client.Keyed.Invoke
-       { op = 0; key = 0; write; reader; joined = false; at_us = now () });
-  let outcome = run slot.client in
-  Record.event slot.log ops
-    (Client.Keyed.Respond
-       { op = 0; key = 0; write; reader; joined = false; at_us = now ();
-         outcome });
-  outcome
-
-let write t v =
-  serial t t.writer ~reader:0 (Client.Keyed.Write { key = 0; value = v })
-    (fun c -> Client.write c v)
-
-let read t ~reader =
-  if reader < 1 || reader > Array.length t.readers then
-    invalid_arg (Printf.sprintf "Cluster.read: reader %d" reader);
-  serial t t.readers.(reader - 1) ~reader (Client.Keyed.Read { key = 0 })
-    Client.read
-
-(* The cached client for [prev]'s role, rebuilt with fresh reader ids
-   when a parameter changed. *)
-let keyed_client t prev ~map ~inflight ~readers ~coalesce =
-  match prev with
-  | Some k
-    when k.k_inflight = inflight && k.k_readers = readers
-         && k.k_coalesce = coalesce && k.k_map == map ->
-      k
-  | _ ->
-      Option.iter (fun k -> Client.Keyed.close k.k_client) prev;
-      let registry =
-        if t.with_metrics then Some (Obs.Metrics.create ()) else None
-      in
-      let reader = t.next_rid in
-      t.next_rid <- t.next_rid + readers;
-      {
-        k_inflight = inflight;
-        k_readers = readers;
-        k_coalesce = coalesce;
-        k_map = map;
-        k_client =
-          Client.Keyed.connect ?metrics:registry ?opts:t.copts
-            ~now_us:(Record.now_us t.record) ~max_inflight:inflight ~reader
-            ~readers ~coalesce ~protocol:t.protocol ~map t.endpoints;
-        k_registry = registry;
-        k_log = Record.log t.record;
-      }
-
-let run_recorded ?(hook = ignore) k ops =
-  let on_event ev =
-    Record.event k.k_log ops ev;
-    hook ev
-  in
-  Client.Keyed.run_ops ~on_event k.k_client ops
-
-let read_pipelined ?(coalesce = 1) t ~inflight ~ops =
-  if inflight < 1 then
-    invalid_arg (Printf.sprintf "Cluster.read_pipelined: inflight %d" inflight);
-  let k =
-    keyed_client t t.lanes ~map:t.single ~inflight ~readers:inflight ~coalesce
-  in
-  t.lanes <- Some k;
-  run_recorded k (Array.make ops (Client.Keyed.Read { key = 0 }))
-
-let run_keyed ?(inflight = 16) ?(coalesce = 1) ?on_event t ~map ops =
-  if inflight < 1 then
-    invalid_arg (Printf.sprintf "Cluster.run_keyed: inflight %d" inflight);
+let take ?session ?(lanes = 1) ?(inflight = lanes) ?(coalesce = 1) ?map t =
+  let map = match map with Some m -> m | None -> Shard.Map.single t.cfg in
   if Shard.Map.fleet map <> Array.length t.endpoints then
     invalid_arg
-      (Printf.sprintf "Cluster.run_keyed: map fleet %d, cluster has %d"
+      (Printf.sprintf "Cluster.engine: map fleet %d, cluster has %d"
          (Shard.Map.fleet map) (Array.length t.endpoints));
-  let k = keyed_client t t.keyed ~map ~inflight ~readers:1 ~coalesce in
-  t.keyed <- Some k;
-  run_recorded ?hook:on_event k ops
+  let registry = if t.with_metrics then Some (Obs.Metrics.create ()) else None in
+  let client =
+    Client.Keyed.connect ?session ?metrics:registry ?opts:t.copts
+      ~now_us:(Record.now_us t.record) ~max_inflight:inflight
+      ~reader:t.next_rid ~readers:lanes ~coalesce ~protocol:t.protocol ~map
+      t.endpoints
+  in
+  t.next_rid <- t.next_rid + lanes;
+  let e = { client; registry; log = Record.log t.record } in
+  t.engines <- e :: t.engines;
+  e
+
+let engine ?lanes ?inflight ?coalesce ?map t =
+  take ?lanes ?inflight ?coalesce ?map t
+
+(* Readers first, so reader j gets id j; the writer's engine takes the
+   next id, which it never reads with. *)
+let processes t ~readers =
+  if t.engines <> [] then
+    invalid_arg "Cluster.processes: the cluster already handed out engines";
+  let rs = Array.init readers (fun _ -> take t) in
+  (take ~session:"w" t, rs)
+
+let run ?(on_event = ignore) e ops =
+  Client.Keyed.run_ops e.client ops ~on_event:(fun ev ->
+      Record.event e.log ops ev;
+      on_event ev)
 
 let keyed_histories t = Record.histories t.record
 
 let history t =
   Option.value (List.assoc_opt 0 (keyed_histories t)) ~default:[]
-
-let keys_touched t =
-  match t.keyed with None -> 0 | Some k -> Client.Keyed.keys_touched k.k_client
 
 let check_index t i =
   if i < 1 || i > Array.length t.servers then
@@ -262,50 +178,29 @@ let chaos t = t.chaos_
 
 let now_us t = Record.now_us t.record ()
 
+let endpoints t = t.endpoints
+
 let alive t =
   Array.to_list t.servers
   |> List.filter_map (fun s ->
          if Server.alive s then Some (Server.index s) else None)
 
-let endpoints t = t.endpoints
-
-let cfg t = t.cfg
-
 let spans t =
-  Client.spans t.writer.client
-  @ List.concat_map
-      (fun r -> Client.spans r.client)
-      (Array.to_list t.readers)
-  @ List.concat_map
-      (fun k -> Client.Keyed.spans k.k_client)
-      (Option.to_list t.lanes @ Option.to_list t.keyed)
+  List.concat_map (fun e -> Client.Keyed.spans e.client) (List.rev t.engines)
 
 let metrics t =
   if not t.with_metrics then None
   else begin
     let dst = Obs.Metrics.create () in
-    Array.iter
-      (Option.iter (fun src -> Obs.Metrics.merge_into ~dst src))
-      t.server_registries;
-    Option.iter (fun src -> Obs.Metrics.merge_into ~dst src) t.writer.registry;
-    Array.iter
-      (fun r -> Option.iter (fun src -> Obs.Metrics.merge_into ~dst src) r.registry)
-      t.readers;
-    List.iter
-      (fun k ->
-        Option.iter (fun src -> Obs.Metrics.merge_into ~dst src) k.k_registry)
-      (Option.to_list t.lanes @ Option.to_list t.keyed);
+    let merge = Option.iter (fun src -> Obs.Metrics.merge_into ~dst src) in
+    Array.iter merge t.server_registries;
+    List.iter (fun e -> merge e.registry) (List.rev t.engines);
     Some dst
   end
 
 let stop t =
-  Client.close t.writer.client;
-  Array.iter (fun r -> Client.close r.client) t.readers;
-  List.iter
-    (fun k -> Client.Keyed.close k.k_client)
-    (Option.to_list t.lanes @ Option.to_list t.keyed);
-  t.lanes <- None;
-  t.keyed <- None;
+  List.iter (fun e -> Client.Keyed.close e.client) t.engines;
+  t.engines <- [];
   Array.iter Chaos.stop t.chaos_;
   Array.iter (fun s -> if Server.alive s then Server.stop s) t.servers;
   match t.tmpdir with

@@ -1,30 +1,36 @@
-(** Loopback cluster harness: S servers plus writer/reader clients in
-    one process.
+(** Loopback cluster harness: S servers plus the client engines that
+    drive them, in one process.
 
     This is the live counterpart of {!Core.Scenario}: it hosts the S
     base objects in one {!Server.start_group} (Unix-domain sockets in a
-    private temp directory by default, TCP on demand), connects the
-    single writer and [readers] reader {!Client}s, and records every
-    operation of every client through {!Record}, so the paper's
+    private temp directory by default, TCP on demand) and hands out
+    {!Client.Keyed} engines on their endpoints.  {!run} is the one way
+    to run operations: it drives an engine and records every event the
+    engine emits through {!Record}, so the paper's
     safety/regularity/wait-freedom checkers run on live histories
-    exactly as they do on simulated ones.  Every client is the
-    {!Client.Keyed} engine; the single register is its key 0, and every
-    key-0 operation — serial, pipelined or keyed — lands in the one key-0
-    history.
+    exactly as they do on simulated ones.  The single register is key 0
+    of {!Shard.Map.single}, the default map; every key-0 operation of
+    every engine lands in the one key-0 history.
+
+    The shapes a harness needs are engine parameters: one paper process
+    is a one-lane engine ({!processes}), pipelined reads are one engine
+    with [inflight] lanes, and a keyspace run passes [~map].  A caller
+    keeps its engine across calls, so an operation that timed out parks
+    its automaton and the next {!run} on that engine resumes it.
 
     Chaos hooks mirror the fault campaign's crash-recovery actions:
     {!crash} kills a server's sockets mid-flight (the stand-in for a
     killed process), {!restart} brings the object back on the same
-    endpoint with persisted or wiped state.  Clients reconnect on their
+    endpoint with persisted or wiped state.  Engines reconnect on their
     own; as long as at most [t] objects are down, operations keep
     completing — the acceptance test drives 1000 READs across a
     crash/restart and requires zero failures.
 
-    Thread-safety: operations for {e distinct} clients (the writer,
-    each reader) may run from distinct threads concurrently; each client
-    appends to a {!Record.log} of its own.  One client must not be
-    driven from two threads, and {!history} / {!keyed_histories} must
-    not run while operations do. *)
+    Thread-safety: distinct engines may be driven from distinct threads
+    concurrently; each appends to a {!Record.log} of its own.  One
+    engine must not be driven from two threads, engines are taken before
+    the threads start, and {!history} / {!keyed_histories} must not run
+    while operations do. *)
 
 type t
 
@@ -36,75 +42,64 @@ val start :
   ?interpose:bool ->
   protocol:Protocols.t ->
   cfg:Quorum.Config.t ->
-  readers:int ->
   unit ->
   t
-(** Spin up [cfg.s] servers and [readers] reader clients (plus the
-    writer).  [transport] defaults to [`Unix].  The objects are sharded
-    across [domains] worker domains (default 1).  With
-    [interpose:true], a {!Chaos} proxy fronts every server and clients
-    dial the proxies — {!chaos} exposes them for rule injection; with no
-    rules set the interposers are transparent.  With [metrics:true]
-    every component keeps a private registry; {!metrics} merges them. *)
+(** Spin up [cfg.s] servers.  [transport] defaults to [`Unix].  The
+    objects are sharded across [domains] worker domains (default 1).
+    With [interpose:true], a {!Chaos} proxy fronts every server and
+    engines dial the proxies — {!chaos} exposes them for rule injection;
+    with no rules set the interposers are transparent.  [opts] is every
+    engine's retry policy.  With [metrics:true] every server and engine
+    keeps a private registry; {!metrics} merges them. *)
 
-val write : t -> Core.Value.t -> (Client.outcome, string) result
-(** One WRITE through the writer client, recorded in the history. *)
+type engine
 
-val read : t -> reader:int -> (Client.outcome, string) result
-(** One READ by reader [reader] (1-based), recorded in the history. *)
-
-val read_pipelined :
-  ?coalesce:int ->
-  t ->
-  inflight:int ->
-  ops:int ->
-  (Client.outcome, string) result array
-(** Drive [ops] key-0 READs with up to [inflight] concurrently in flight
-    through a cached {!Client.Keyed} client with [inflight] reader
-    lanes, whose reader ids are allocated fresh (above the serial
-    readers' — base objects keep per-reader round state, so ids are
-    never reused across client generations).  Every operation is
-    recorded in the key-0 history under its lane's reader id at its real
-    invoke/respond instants, so the checkers see the true concurrency;
-    timed-out ops stay open and are resumed by a later call, exactly
-    like the serial path.  [coalesce] (default 1 = off) is
-    {!Client.Keyed.connect}'s batch cap (see {!Record} for how joined
-    reads are recorded).  Changing [inflight] or [coalesce] rebuilds the
-    client.
-    @raise Invalid_argument if [inflight < 1]. *)
-
-val run_keyed :
+val engine :
+  ?lanes:int ->
   ?inflight:int ->
   ?coalesce:int ->
-  ?on_event:(Client.Keyed.event -> unit) ->
+  ?map:Shard.Map.t ->
   t ->
-  map:Shard.Map.t ->
+  engine
+(** A fresh {!Client.Keyed} engine on the cluster's endpoints and clock,
+    recording into a log of its own.  Its [lanes] (default 1) reader
+    lanes take the next unused reader ids — the cluster hands out ids
+    1, 2, 3, ... in the order engines are taken, because base objects
+    keep per-reader round state and two engines must never share an id.
+    [inflight] (default [lanes]) caps its concurrently progressing
+    operations; [coalesce] (default 1 = off) is
+    {!Client.Keyed.connect}'s read-coalescing cap (see {!Record} for how
+    joined reads are recorded); [map] defaults to the single register.
+    @raise Invalid_argument if [lanes < 1] or the map's fleet is not the
+    cluster's server count. *)
+
+val processes : t -> readers:int -> engine * engine array
+(** The paper's processes, one engine each: the writer's, and reader
+    [j]'s at index [j-1].  Reader [j] has reader id [j], and its frames
+    and connection [Hello]s name it ["r<j>"]; the writer's name it
+    ["w"].  A {!Chaos} rule aimed at one process therefore matches that
+    process's frames only.  Processes that race each other are driven
+    from one thread each.
+    @raise Invalid_argument if the cluster has already handed out an
+    engine (reader ids 1..[readers] must be free). *)
+
+val run :
+  ?on_event:(Client.Keyed.event -> unit) ->
+  engine ->
   Client.Keyed.kop array ->
   (Client.outcome, string) result array
-(** Drive a keyspace op mix through a cached {!Client.Keyed} whose
-    reader id is allocated fresh (key 0 is also served to the plain
-    clients, so the keyed reader must not collide with their per-reader
-    round state).  The map's fleet must equal the cluster's server
-    count.  Every operation records into its key's history — each key
-    is an independent register, so the single-register checkers apply
-    per key ({!keyed_histories}); key 0's is {!history}.
-    [inflight] (default 16) caps concurrently progressing operations;
-    [coalesce] (default 1 = off) is {!Client.Keyed.connect}'s per-key
-    read-coalescing cap.  Changing [inflight], [coalesce] or the map
-    rebuilds the keyed client.
-    [on_event] sees every event after it is recorded, from the client's
-    event loop — a fault injected there lands while operations are in
-    flight.
-    @raise Invalid_argument if [inflight < 1] or the map's fleet does
-    not match. *)
+(** {!Client.Keyed.run_ops} on the engine, every event recorded into its
+    key's history at its real invoke/respond instant.  [on_event] sees
+    every event after it is recorded, from the engine's event loop — a
+    fault injected there lands while operations are in flight. *)
 
 val keyed_histories : t -> (int * string Histories.Op.t list) list
-(** {!Record.histories} of every client so far: one history per key
+(** {!Record.histories} of every engine so far: one history per key
     that saw an operation, sorted by key id.  Feed each key's list to
-    {!Histories.Checks} independently. *)
+    {!Histories.Checks} (or {!Protocols.check}) independently. *)
 
-val keys_touched : t -> int
-(** Keys with materialized keyed-client automata so far. *)
+val history : t -> string Histories.Op.t list
+(** Key 0's history from {!keyed_histories} (empty if none). *)
 
 val crash : t -> int -> unit
 (** Hard-kill server for object [i] (1-based); idempotent while down. *)
@@ -130,26 +125,22 @@ val chaos : t -> Chaos.t array
 (** The per-object interposers ([chaos t].(i-1) fronts object [i]);
     [[||]] unless started with [interpose:true]. *)
 
+val endpoints : t -> Endpoint.t array
+(** What engines dial — the interposers when interposed, otherwise the
+    servers — for clients in other processes. *)
+
 val now_us : t -> int
 (** The cluster's shared microsecond clock (the one histories, spans
     and {!Chaos} rule windows are stamped against). *)
 
-val endpoints : t -> Endpoint.t array
-(** What clients dial: the interposers' endpoints when interposed,
-    otherwise the servers'. *)
-
-val cfg : t -> Quorum.Config.t
-
-val history : t -> string Histories.Op.t list
-(** Key 0's history from {!keyed_histories} (empty if none). *)
-
 val spans : t -> Obs.Span.t list
-(** Writer spans then per-reader spans; all share one microsecond
-    clock. *)
+(** Every engine's spans, engines in the order they were taken; all
+    share one microsecond clock. *)
 
 val metrics : t -> Obs.Metrics.t option
-(** Merged snapshot of every component registry (servers then clients);
+(** Merged snapshot of every component registry (servers then engines);
     [None] unless started with [metrics:true]. *)
 
 val stop : t -> unit
-(** Stop servers and clients and remove the socket directory. *)
+(** Close every engine, stop the servers and remove the socket
+    directory. *)

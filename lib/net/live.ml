@@ -213,8 +213,12 @@ let run_plan_full ?metrics ?(opts = default_opts) protocol ~cfg ~seed plan =
   let cluster =
     Cluster.start
       ~metrics:(metrics <> None)
-      ~opts:opts.client ~transport:opts.transport ~interpose:true ~protocol:pack ~cfg ~readers ()
+      ~opts:opts.client ~transport:opts.transport ~interpose:true ~protocol:pack ~cfg ()
   in
+  (* One engine per paper process, so each issues its ops at its own
+     scheduled ticks and chaos rules aimed at one process match only its
+     frames. *)
+  let writer, reader_engines = Cluster.processes cluster ~readers in
   Fun.protect ~finally:(fun () -> Cluster.stop cluster) @@ fun () ->
   let tl_lock = Mutex.create () in
   let timeline = ref [] in
@@ -268,8 +272,8 @@ let run_plan_full ?metrics ?(opts = default_opts) protocol ~cfg ~seed plan =
   in
   let completed = ref 0 in
   let done_lock = Mutex.create () in
-  let tally ok =
-    if ok then begin
+  let run_one engine op =
+    if Result.is_ok (Cluster.run engine [| op |]).(0) then begin
       Mutex.lock done_lock;
       incr completed;
       Mutex.unlock done_lock
@@ -293,7 +297,7 @@ let run_plan_full ?metrics ?(opts = default_opts) protocol ~cfg ~seed plan =
         List.iter
           (fun (at, v) ->
             sleep_until (tick_at at);
-            tally (Result.is_ok (Cluster.write cluster v)))
+            run_one writer (Client.Keyed.Write { key = 0; value = v }))
           writer_ops)
       ()
   in
@@ -305,7 +309,7 @@ let run_plan_full ?metrics ?(opts = default_opts) protocol ~cfg ~seed plan =
             List.iter
               (fun at ->
                 sleep_until (tick_at at);
-                tally (Result.is_ok (Cluster.read cluster ~reader:j)))
+                run_one reader_engines.(k) (Client.Keyed.Read { key = 0 }))
               (reader_ops j))
           ())
   in

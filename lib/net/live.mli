@@ -13,8 +13,9 @@
     ticks scale to wall-clock microseconds by [tick_us].
 
     The run then replays {e the campaign's own workload} —
-    {!Fault.Campaign.workload} of the same (seed, plan) — through real
-    writer/reader clients at scaled invocation times, and the verdict
+    {!Fault.Campaign.workload} of the same (seed, plan) — through one
+    engine per paper process ({!Cluster.processes}), each on a thread of
+    its own, at scaled invocation times, and the verdict
     comes from the same {!Histories.Checks} oracles the simulator uses.
     A live run is always quiescent once its operation threads join:
     operations that exhausted their retries remain open in the history

@@ -116,7 +116,7 @@ let codec_peek_helpers () =
 (* ----- Cluster.crash/restart edge cases ---------------------------------- *)
 
 let restart_alive_is_structured_error () =
-  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 ~readers:1 () in
+  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 () in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
@@ -133,15 +133,16 @@ let restart_alive_is_structured_error () =
       | Error (`Still_alive _) -> Alcotest.fail "restart after crash must succeed")
 
 let double_crash_is_idempotent () =
-  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 ~readers:1 () in
+  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 () in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "d1")) in
+      let e = Net.Cluster.engine c in
+      let _ = ok_exn "write" (Live_ops.write e "d1") in
       Net.Cluster.crash c 4;
       Net.Cluster.crash c 4;
       (* idempotent, and the quorum still answers *)
-      let o = ok_exn "read with double-crashed minority" (Net.Cluster.read c ~reader:1) in
+      let o = ok_exn "read with double-crashed minority" (Live_ops.read e) in
       Alcotest.(check string) "value" "d1" (value_of o);
       ok_exn "restart after double crash"
         (Result.map_error
@@ -152,35 +153,38 @@ let wiped_restart_loses_state () =
   (* A single-object system (s = 1, t = b = 0) makes persistence
      directly observable: no quorum hides the wiped replica. *)
   let cfg1 = Quorum.Config.make_exn ~s:1 ~t:0 ~b:0 in
-  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg1 ~readers:1 () in
+  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg1 () in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write v1" (Net.Cluster.write c (Core.Value.v "v1")) in
-      let o = ok_exn "read v1" (Net.Cluster.read c ~reader:1) in
+      let e = Net.Cluster.engine c in
+      let _ = ok_exn "write v1" (Live_ops.write e "v1") in
+      let o = ok_exn "read v1" (Live_ops.read e) in
       Alcotest.(check string) "before crash" "v1" (value_of o);
       Net.Cluster.crash c 1;
       ok_exn "wiped restart"
         (Result.map_error (fun _ -> "still alive") (Net.Cluster.restart ~wipe:true c 1));
-      let o = ok_exn "read after wipe" (Net.Cluster.read c ~reader:1) in
+      let o = ok_exn "read after wipe" (Live_ops.read e) in
       Alcotest.(check bool) "wiped replica forgot v1" false (value_of o = "v1");
-      let _ = ok_exn "write v2" (Net.Cluster.write c (Core.Value.v "v2")) in
+      let _ = ok_exn "write v2" (Live_ops.write e "v2") in
       Net.Cluster.crash c 1;
       ok_exn "persisted restart"
         (Result.map_error (fun _ -> "still alive") (Net.Cluster.restart c 1));
-      let o = ok_exn "read after persisted restart" (Net.Cluster.read c ~reader:1) in
+      let o = ok_exn "read after persisted restart" (Live_ops.read e) in
       Alcotest.(check string) "persisted replica kept v2" "v2" (value_of o))
 
 let crash_mid_pipelined_window () =
   let c =
     Net.Cluster.start
       ~opts:{ Net.Client.deadline = 0.5; retries = 8; backoff = 0.01 }
-      ~protocol:Net.Protocols.safe ~cfg:cfg4 ~readers:1 ()
+      ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "p1")) in
+      let e = Net.Cluster.engine c in
+      let lanes = Net.Cluster.engine ~lanes:16 c in
+      let _ = ok_exn "write" (Live_ops.write e "p1") in
       (* Kill a server while the 16-wide window is in flight; t = 1, so
          every op must still complete. *)
       let killer =
@@ -190,7 +194,7 @@ let crash_mid_pipelined_window () =
             Net.Cluster.crash c 3)
           ()
       in
-      let results = Net.Cluster.read_pipelined c ~inflight:16 ~ops:200 in
+      let results = Live_ops.reads lanes 200 in
       Thread.join killer;
       let failures =
         Array.to_list results
@@ -218,12 +222,14 @@ let crash_mid_fast_read_window () =
     Net.Cluster.start
       ~opts:{ Net.Client.deadline = 0.5; retries = 8; backoff = 0.01 }
       ~protocol:(Net.Protocols.regular_gc ~readers:1)
-      ~cfg:cfg_gc_fast ~readers:1 ()
+      ~cfg:cfg_gc_fast ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "f1")) in
+      let e = Net.Cluster.engine c in
+      let lanes = Net.Cluster.engine ~lanes:16 c in
+      let _ = ok_exn "write" (Live_ops.write e "f1") in
       let killer =
         Thread.create
           (fun () ->
@@ -231,7 +237,7 @@ let crash_mid_fast_read_window () =
             Net.Cluster.crash c 3)
           ()
       in
-      let results = Net.Cluster.read_pipelined c ~inflight:16 ~ops:200 in
+      let results = Live_ops.reads lanes 200 in
       Thread.join killer;
       let outcomes =
         Array.to_list results
@@ -267,12 +273,14 @@ let below_bound_crash_keeps_one_round () =
     Net.Cluster.start
       ~opts:{ Net.Client.deadline = 0.5; retries = 8; backoff = 0.01 }
       ~protocol:(Net.Protocols.regular_gc ~readers:1)
-      ~cfg:cfg_gc_slow ~readers:1 ()
+      ~cfg:cfg_gc_slow ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "s1")) in
+      let e = Net.Cluster.engine c in
+      let lanes = Net.Cluster.engine ~lanes:16 c in
+      let _ = ok_exn "write" (Live_ops.write e "s1") in
       let killer =
         Thread.create
           (fun () ->
@@ -282,7 +290,7 @@ let below_bound_crash_keeps_one_round () =
             Net.Cluster.restart_exn c 2)
           ()
       in
-      let results = Net.Cluster.read_pipelined c ~inflight:16 ~ops:200 in
+      let results = Live_ops.reads lanes 200 in
       Thread.join killer;
       Array.iteri
         (fun i r ->
@@ -301,17 +309,18 @@ let beyond_t_crashes_timeout_then_recover () =
   let c =
     Net.Cluster.start ~metrics:true
       ~opts:{ Net.Client.deadline = 0.05; retries = 1; backoff = 0.01 }
-      ~protocol:Net.Protocols.safe ~cfg:cfg4 ~readers:1 ()
+      ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "b1")) in
+      let e = Net.Cluster.engine c in
+      let _ = ok_exn "write" (Live_ops.write e "b1") in
       (* Two simultaneous crashes at t = 1: the quorum S - t = 3 cannot
          assemble, so the read must time out rather than hang or lie. *)
       Net.Cluster.crash c 1;
       Net.Cluster.crash c 2;
-      (match Net.Cluster.read c ~reader:1 with
+      (match Live_ops.read e with
       | Ok o -> Alcotest.failf "read succeeded beyond t: %s" (value_of o)
       | Error _ -> ());
       (* The failed attempts surfaced as a counter, not only stderr. *)
@@ -326,21 +335,21 @@ let beyond_t_crashes_timeout_then_recover () =
         (Result.map_error (fun _ -> "still alive") (Net.Cluster.restart c 2));
       (* The parked operation resumes and completes once the quorum is
          back. *)
-      let o = ok_exn "read after recovery" (Net.Cluster.read c ~reader:1) in
+      let o = ok_exn "read after recovery" (Live_ops.read e) in
       Alcotest.(check string) "recovered value" "b1" (value_of o))
 
 (* ----- interposer -------------------------------------------------------- *)
 
 let interposer_is_transparent_without_rules () =
   let c =
-    Net.Cluster.start ~interpose:true ~protocol:Net.Protocols.safe ~cfg:cfg4
-      ~readers:1 ()
+    Net.Cluster.start ~interpose:true ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write via proxies" (Net.Cluster.write c (Core.Value.v "x1")) in
-      let o = ok_exn "read via proxies" (Net.Cluster.read c ~reader:1) in
+      let e = Net.Cluster.engine c in
+      let _ = ok_exn "write via proxies" (Live_ops.write e "x1") in
+      let o = ok_exn "read via proxies" (Live_ops.read e) in
       Alcotest.(check string) "value through interposers" "x1" (value_of o);
       let forwarded =
         Array.fold_left
@@ -353,11 +362,12 @@ let interposer_drop_rule_blocks_and_clears () =
   let c =
     Net.Cluster.start ~interpose:true
       ~opts:{ Net.Client.deadline = 0.05; retries = 1; backoff = 0.01 }
-      ~protocol:Net.Protocols.safe ~cfg:cfg4 ~readers:1 ()
+      ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
+      let e = Net.Cluster.engine c in
       let block_all =
         {
           Net.Chaos.dir = Net.Chaos.To_server;
@@ -370,18 +380,18 @@ let interposer_drop_rule_blocks_and_clears () =
       Array.iter
         (fun p -> Net.Chaos.set_rules p [ block_all ])
         (Net.Cluster.chaos c);
-      (match Net.Cluster.write c (Core.Value.v "w1") with
+      (match Live_ops.write e "w1" with
       | Ok _ -> Alcotest.fail "write through a total partition succeeded"
       | Error _ -> ());
       Array.iter (fun p -> Net.Chaos.set_rules p []) (Net.Cluster.chaos c);
       (* A timed-out write is parked, not aborted (the paper's automata
          have no abort): the next write invocation resumes and completes
          the parked w1 — only the one after that writes w2. *)
-      let _ = ok_exn "parked write completes after heal" (Net.Cluster.write c (Core.Value.v "w2")) in
-      let o = ok_exn "read after partition heals" (Net.Cluster.read c ~reader:1) in
+      let _ = ok_exn "parked write completes after heal" (Live_ops.write e "w2") in
+      let o = ok_exn "read after partition heals" (Live_ops.read e) in
       Alcotest.(check string) "parked w1 landed" "w1" (value_of o);
-      let _ = ok_exn "fresh write after heal" (Net.Cluster.write c (Core.Value.v "w2")) in
-      let o = ok_exn "read fresh value" (Net.Cluster.read c ~reader:1) in
+      let _ = ok_exn "fresh write after heal" (Live_ops.write e "w2") in
+      let o = ok_exn "read fresh value" (Live_ops.read e) in
       Alcotest.(check string) "healed value" "w2" (value_of o);
       let dropped =
         Array.fold_left
@@ -389,6 +399,69 @@ let interposer_drop_rule_blocks_and_clears () =
           0 (Net.Cluster.chaos c)
       in
       Alcotest.(check bool) "partition dropped frames" true (dropped > 0))
+
+(* Base objects keep per-reader round state, so engines of one cluster
+   must never share a reader id; and a rule aimed at one paper process
+   (Live's compiled link rules name "w" or "r<j>") must match that
+   process's frames only, its connection Hello included. *)
+let engines_keep_ids_and_attribution () =
+  let c =
+    Net.Cluster.start ~interpose:true ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let writer, readers = Net.Cluster.processes c ~readers:2 in
+      let lanes = Net.Cluster.engine ~lanes:4 c in
+      let proxy = (Net.Cluster.chaos c).(0) in
+      (* set before any engine dials object 1 *)
+      Net.Chaos.set_rules proxy
+        [
+          {
+            Net.Chaos.dir = Net.Chaos.To_server;
+            sender = Some "r2";
+            from_us = 0;
+            until_us = max_int;
+            act = Net.Chaos.Drop;
+          };
+        ];
+      let run name e ops =
+        let ids = ref [] in
+        let on_event = function
+          | Net.Client.Keyed.Invoke { reader; _ } -> ids := reader :: !ids
+          | Net.Client.Keyed.Respond _ -> ()
+        in
+        Array.iteri
+          (fun i r -> ignore (ok_exn (Printf.sprintf "%s op %d" name i) r))
+          (Net.Cluster.run ~on_event e ops);
+        List.sort_uniq compare !ids
+      in
+      let w_ids =
+        run "writer" writer
+          (Array.init 3 (fun i -> Live_ops.write0 (Printf.sprintf "w%d" i)))
+      in
+      let r1_ids = run "reader 1" readers.(0) (Array.make 5 Live_ops.read0) in
+      let lane_ids = run "pipelined" lanes (Array.make 20 Live_ops.read0) in
+      (* let late replies of widened rounds drain before counting *)
+      Thread.delay 0.05;
+      let before = Net.Chaos.stats proxy in
+      Alcotest.(check int) "no frame of w, r1 or the lanes dropped" 0
+        before.Net.Chaos.dropped;
+      Alcotest.(check bool) "their frames reached object 1" true
+        (before.Net.Chaos.forwarded > 0);
+      let r2_ids = run "reader 2" readers.(1) (Array.make 5 Live_ops.read0) in
+      let after = Net.Chaos.stats proxy in
+      Alcotest.(check bool) "reader 2's frames dropped" true
+        (after.Net.Chaos.dropped > 0);
+      Alcotest.(check int) "nothing of reader 2's reached object 1, Hello included"
+        before.Net.Chaos.forwarded after.Net.Chaos.forwarded;
+      Alcotest.(check (list int)) "the writer's events are writes" [ 0 ] w_ids;
+      Alcotest.(check (list int)) "reader 1 keeps id 1" [ 1 ] r1_ids;
+      Alcotest.(check (list int)) "reader 2 keeps id 2" [ 2 ] r2_ids;
+      let all = [ w_ids; r1_ids; r2_ids; lane_ids ] in
+      Alcotest.(check int) "reader ids pairwise disjoint"
+        (List.length (List.concat all))
+        (List.length (List.sort_uniq compare (List.concat all))))
 
 (* ----- the same plan on both backends ------------------------------------ *)
 
@@ -538,6 +611,8 @@ let suite =
         interposer_is_transparent_without_rules;
       Alcotest.test_case "interposer drop rule partitions and heals" `Quick
         interposer_drop_rule_blocks_and_clears;
+      Alcotest.test_case "engines never share a reader id; rules keep their process"
+        `Quick engines_keep_ids_and_attribution;
       Alcotest.test_case "one plan value runs on both backends" `Slow
         same_plan_runs_on_both_backends;
       Alcotest.test_case "sim and live matrices share a schema" `Slow

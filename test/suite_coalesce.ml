@@ -93,7 +93,7 @@ let coalesced_schedules_are_regular () =
   let c =
     Net.Cluster.start ~metrics:true
       ~protocol:(Net.Protocols.regular_gc ~readers:1)
-      ~cfg:cfg3 ~readers:1 ()
+      ~cfg:cfg3 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
@@ -131,7 +131,9 @@ let coalesced_schedules_are_regular () =
                   Net.Client.Keyed.Write { key = base + key; value })
             (Workload.Keyspace.ops wgen 60)
         in
-        let results = Net.Cluster.run_keyed ~inflight:32 ~coalesce c ~map kops in
+        let results =
+          Net.Cluster.run (Net.Cluster.engine ~inflight:32 ~coalesce ~map c) kops
+        in
         Array.for_all (function Ok _ -> true | Error _ -> false) results
         && List.for_all
              (fun (key, h) ->
@@ -156,7 +158,7 @@ let crash_mid_coalesced_run () =
     Net.Cluster.start ~metrics:true
       ~opts:{ Net.Client.deadline = 0.5; retries = 8; backoff = 0.01 }
       ~protocol:(Net.Protocols.regular_gc ~readers:1)
-      ~cfg:cfg4 ~readers:1 ()
+      ~cfg:cfg4 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
@@ -185,7 +187,11 @@ let crash_mid_coalesced_run () =
             Net.Cluster.crash c 3)
           ()
       in
-      let results = Net.Cluster.run_keyed ~inflight:32 ~coalesce:16 c ~map kops in
+      let results =
+        Net.Cluster.run
+          (Net.Cluster.engine ~inflight:32 ~coalesce:16 ~map c)
+          kops
+      in
       Thread.join killer;
       let failures =
         Array.to_list results
@@ -362,13 +368,11 @@ let lane_width8_batch_structure () =
   Fun.protect
     ~finally:(fun () -> Array.iter Net.Server.stop servers)
     (fun () ->
-      let w =
-        Net.Client.connect ~protocol ~cfg:cfg3 ~role:`Writer endpoints
-      in
-      (match Net.Client.write w (Core.Value.v "m0") with
+      let w = Live_ops.single ~session:"w" ~protocol ~cfg:cfg3 endpoints in
+      (match Live_ops.run_one w (Live_ops.write0 "m0") with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "seed write failed: %s" e);
-      Net.Client.close w;
+      Net.Client.Keyed.close w;
       let registry = Obs.Metrics.create () in
       let client =
         Net.Client.Keyed.connect ~metrics:registry ~max_inflight:1 ~reader:2

@@ -122,11 +122,12 @@ let net_read_pairs cfg =
   let c =
     Net.Cluster.start ~metrics:true
       ~protocol:(Net.Protocols.regular_gc ~readers:1)
-      ~cfg ~readers:1 ()
+      ~cfg ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
+      let e = Net.Cluster.engine c in
       let metrics () =
         match Net.Cluster.metrics c with
         | None -> Alcotest.fail "metrics registry missing"
@@ -143,10 +144,10 @@ let net_read_pairs cfg =
       for k = 1 to 3 do
         let _ =
           ok_exn "write"
-            (Net.Cluster.write c (Core.Value.v (Printf.sprintf "v%d" k)))
+            (Live_ops.write e (Printf.sprintf "v%d" k))
         in
         let before = widenings () in
-        let o = ok_exn "read" (Net.Cluster.read c ~reader:1) in
+        let o = ok_exn "read" (Live_ops.read e) in
         read_widenings := !read_widenings + widenings () - before;
         let v =
           match o.Net.Client.value with
@@ -469,20 +470,22 @@ let live_wiped_restart_resyncs () =
     Net.Cluster.start ~metrics:true
       ~opts:{ Net.Client.deadline = 0.5; retries = 8; backoff = 0.01 }
       ~protocol:(Net.Protocols.regular_gc ~readers:1)
-      ~cfg:cfg_fast ~readers:1 ()
+      ~cfg:cfg_fast ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write v1" (Net.Cluster.write c (Core.Value.v "v1")) in
-      let o = ok_exn "read v1" (Net.Cluster.read c ~reader:1) in
+      let writer, readers = Net.Cluster.processes c ~readers:1 in
+      let e = readers.(0) in
+      let _ = ok_exn "write v1" (Live_ops.write writer "v1") in
+      let o = ok_exn "read v1" (Live_ops.read e) in
       Alcotest.(check (option string)) "cached read sees v1" (Some "v1")
         (Option.map Value.to_string o.Net.Client.value);
       (* Wipe one object: the suffix it would serve for the reader's
          cached timestamp no longer covers what the reader pruned. *)
       Net.Cluster.crash c 2;
       Net.Cluster.restart_exn ~wipe:true c 2;
-      let _ = ok_exn "write v2" (Net.Cluster.write c (Core.Value.v "v2")) in
+      let _ = ok_exn "write v2" (Live_ops.write writer "v2") in
       let resyncs () =
         match Net.Cluster.metrics c with
         | None -> Alcotest.fail "metrics registry missing"
@@ -497,8 +500,7 @@ let live_wiped_restart_resyncs () =
       while resyncs () = 0 && Unix.gettimeofday () < deadline do
         incr i;
         let o =
-          ok_exn (Printf.sprintf "read %d after wipe" !i)
-            (Net.Cluster.read c ~reader:1)
+          ok_exn (Printf.sprintf "read %d after wipe" !i) (Live_ops.read e)
         in
         last := Option.map Value.to_string o.Net.Client.value;
         Alcotest.(check (option string)) "post-wipe read is never stale"
@@ -508,7 +510,7 @@ let live_wiped_restart_resyncs () =
       Alcotest.(check bool) "op.cache_resyncs counted" true (resyncs () > 0);
       (* and the first read after the resync asks for the full history,
          so it is still correct *)
-      let o = ok_exn "read after resync" (Net.Cluster.read c ~reader:1) in
+      let o = ok_exn "read after resync" (Live_ops.read e) in
       Alcotest.(check (option string)) "post-resync read" (Some "v2")
         (Option.map Value.to_string o.Net.Client.value);
       let equal = String.equal in

@@ -254,8 +254,7 @@ let ok_exn what = function
    base object is ever stepped outside its owning domain. *)
 let keyed_cluster_histories_check () =
   let c =
-    Net.Cluster.start ~metrics:true ~protocol:Net.Protocols.safe ~cfg:cfg3
-      ~readers:1 ()
+    Net.Cluster.start ~metrics:true ~protocol:Net.Protocols.safe ~cfg:cfg3 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
@@ -274,14 +273,14 @@ let keyed_cluster_histories_check () =
                 Net.Client.Keyed.Write { key; value })
           (Workload.Keyspace.ops gen 120)
       in
-      let results = Net.Cluster.run_keyed c ~map kops in
+      let results =
+        Net.Cluster.run (Net.Cluster.engine ~inflight:16 ~map c) kops
+      in
       Array.iteri
         (fun i r -> ignore (ok_exn (Printf.sprintf "keyed op %d" i) r))
         results;
-      Alcotest.(check bool) "touched several keys" true
-        (Net.Cluster.keys_touched c > 1);
       let histories = Net.Cluster.keyed_histories c in
-      Alcotest.(check bool) "recorded per-key histories" true
+      Alcotest.(check bool) "touched several keys, one history each" true
         (List.length histories > 1);
       List.iter
         (fun (key, h) ->
@@ -319,19 +318,15 @@ let keyed_cluster_histories_check () =
    reader of key 0 see the same register, and both ops land in the one
    main history, which checks as regular. *)
 let key_zero_is_the_legacy_register () =
-  let c =
-    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg3 ~readers:1 ()
-  in
+  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg3 () in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ =
-        ok_exn "single-register write"
-          (Net.Cluster.write c (Core.Value.v "legacy"))
-      in
+      let e = Net.Cluster.engine c in
+      let _ = ok_exn "single-register write" (Live_ops.write e "legacy") in
       let map = Shard.Map.make_exn ~keys:4 ~fleet:3 ~cfg:cfg3 () in
       let results =
-        Net.Cluster.run_keyed c ~map [| Net.Client.Keyed.Read { key = 0 } |]
+        Net.Cluster.run (Net.Cluster.engine ~map c) [| Live_ops.read0 |]
       in
       let o = ok_exn "keyed read of key 0" results.(0) in
       (match o.Net.Client.value with
@@ -461,7 +456,7 @@ let fault_free_counts ~s ~reads_per_read () =
   let c =
     Net.Cluster.start ~metrics:true
       ~protocol:(Net.Protocols.regular_gc ~readers:2)
-      ~cfg ~readers:1 ()
+      ~cfg ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
@@ -470,7 +465,8 @@ let fault_free_counts ~s ~reads_per_read () =
       let map = Shard.Map.make_exn ~keys ~fleet:s ~cfg () in
       let sum m names = List.fold_left (fun n k -> n + counter m k) 0 names in
       let writes = writes_to_every_key keys in
-      all_ok "write" (Net.Cluster.run_keyed c ~map writes);
+      let e = Net.Cluster.engine ~inflight:16 ~map c in
+      all_ok "write" (Net.Cluster.run e writes);
       let m = metrics_exn c in
       let hedge_w = counter m "op.expand.hedge" in
       Alcotest.(check int)
@@ -478,7 +474,7 @@ let fault_free_counts ~s ~reads_per_read () =
         ((2 * (s - 1) * keys) + hedge_w)
         (sum m [ "wire.write.r1.req.sent"; "wire.write.r2.req.sent" ]);
       let reads = keyed_ops ~keys ~seed:3 200 in
-      all_ok "read" (Net.Cluster.run_keyed c ~map reads);
+      all_ok "read" (Net.Cluster.run e reads);
       let m = metrics_exn c in
       let hedge_r = counter m "op.expand.hedge" - hedge_w in
       Alcotest.(check int)
@@ -507,7 +503,7 @@ let crash_widens_lost_rounds () =
   let c =
     Net.Cluster.start ~metrics:true
       ~protocol:(Net.Protocols.regular_gc ~readers:2)
-      ~cfg ~readers:1 ()
+      ~cfg ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
@@ -522,7 +518,8 @@ let crash_widens_lost_rounds () =
         | Net.Client.Keyed.Invoke _ -> ()
       in
       let ops = keyed_ops ~keys ~write_ratio:0.2 ~seed:5 400 in
-      all_ok "keyed" (Net.Cluster.run_keyed ~inflight:16 ~on_event c ~map ops);
+      all_ok "keyed"
+        (Net.Cluster.run ~on_event (Net.Cluster.engine ~inflight:16 ~map c) ops);
       Alcotest.(check (list int)) "object 4 is down" [ 1; 2; 3 ]
         (Net.Cluster.alive c);
       let m = metrics_exn c in
@@ -582,7 +579,7 @@ let slow_member_is_hedged () =
   let c =
     Net.Cluster.start ~metrics:true ~interpose:true
       ~protocol:(Net.Protocols.regular_gc ~readers:2)
-      ~cfg ~readers:1 ()
+      ~cfg ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
@@ -599,8 +596,9 @@ let slow_member_is_hedged () =
         ];
       let keys = 16 in
       let map = Shard.Map.make_exn ~keys ~fleet:5 ~cfg () in
-      all_ok "write" (Net.Cluster.run_keyed c ~map (writes_to_every_key keys));
-      let reads = Net.Cluster.run_keyed c ~map (keyed_ops ~keys ~seed:9 200) in
+      let e = Net.Cluster.engine ~inflight:16 ~map c in
+      all_ok "write" (Net.Cluster.run e (writes_to_every_key keys));
+      let reads = Net.Cluster.run e (keyed_ops ~keys ~seed:9 200) in
       let lat =
         Array.map (fun r -> (ok_exn "read" r).Net.Client.latency_us) reads
       in
@@ -719,9 +717,7 @@ let replaying_object ~protocol ~cfg ~index =
 let late_reply_of_previous_op_is_no_answer () =
   let cfg = Quorum.Config.make_exn ~s:5 ~t:1 ~b:1 in
   let protocol = Net.Protocols.regular_gc ~readers:1 in
-  let c =
-    Net.Cluster.start ~interpose:true ~protocol ~cfg ~readers:1 ()
-  in
+  let c = Net.Cluster.start ~interpose:true ~protocol ~cfg () in
   let x_ep, x_cleanup = replaying_object ~protocol ~cfg ~index:1 in
   Fun.protect
     ~finally:(fun () ->
@@ -746,19 +742,18 @@ let late_reply_of_previous_op_is_no_answer () =
             if i = 0 then x_ep else Net.Chaos.endpoint chaos.(i))
       in
       let metrics = Obs.Metrics.create () in
-      let writer = Net.Client.connect ~protocol ~cfg ~role:`Writer endpoints in
-      let reader =
-        Net.Client.connect ~metrics ~protocol ~cfg ~role:(`Reader 1) endpoints
-      in
+      let writer = Live_ops.single ~session:"w" ~protocol ~cfg endpoints in
+      let reader = Live_ops.single ~metrics ~protocol ~cfg endpoints in
       Fun.protect
         ~finally:(fun () ->
-          Net.Client.close writer;
-          Net.Client.close reader)
+          Net.Client.Keyed.close writer;
+          Net.Client.Keyed.close reader)
         (fun () ->
-          ignore (ok_exn "write" (Net.Client.write writer (Core.Value.v "x")));
+          ignore
+            (ok_exn "write" (Live_ops.run_one writer (Live_ops.write0 "x")));
           List.iter
             (fun what ->
-              let o = ok_exn what (Net.Client.read reader) in
+              let o = ok_exn what (Live_ops.run_one reader Live_ops.read0) in
               Alcotest.(check (option string))
                 (what ^ " returns the write") (Some "x")
                 (Option.map Core.Value.to_string o.Net.Client.value))

@@ -30,24 +30,26 @@ let roundtrip_all_protocols () =
   List.iter
     (fun protocol ->
       let name = Net.Protocols.name protocol in
-      let c = Net.Cluster.start ~protocol ~cfg:cfg4 ~readers:1 () in
+      let c = Net.Cluster.start ~protocol ~cfg:cfg4 () in
       Fun.protect
         ~finally:(fun () -> Net.Cluster.stop c)
         (fun () ->
-          let _ = ok_exn (name ^ " write") (Net.Cluster.write c (Core.Value.v "x1")) in
-          let o = ok_exn (name ^ " read") (Net.Cluster.read c ~reader:1) in
+          let e = Net.Cluster.engine c in
+          let _ = ok_exn (name ^ " write") (Live_ops.write e "x1") in
+          let o = ok_exn (name ^ " read") (Live_ops.read e) in
           Alcotest.(check string) (name ^ " reads the write") "x1" (value_of o)))
     Net.Protocols.all
 
 let fast_read_is_one_round () =
   (* S = 4 > 2t + 2b with b = 0: the safe protocol's fast path applies,
      and over a quiet network a READ really is a single round trip. *)
-  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 ~readers:1 () in
+  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 () in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "v")) in
-      let o = ok_exn "read" (Net.Cluster.read c ~reader:1) in
+      let e = Net.Cluster.engine c in
+      let _ = ok_exn "write" (Live_ops.write e "v") in
+      let o = ok_exn "read" (Live_ops.read e) in
       Alcotest.(check int) "reported rounds" 1 o.rounds)
 
 (* ----- replies match their requests ------------------------------------- *)
@@ -186,18 +188,18 @@ let replies_answer_only_their_request () =
 
 let acceptance_1000_reads () =
   let c =
-    Net.Cluster.start ~metrics:true ~protocol:Net.Protocols.safe ~cfg:cfg4
-      ~readers:1 ()
+    Net.Cluster.start ~metrics:true ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "durable")) in
+      let e = Net.Cluster.engine c in
+      let _ = ok_exn "write" (Live_ops.write e "durable") in
       let failures = ref 0 in
       for k = 1 to 1000 do
         if k = 250 then Net.Cluster.crash c 3;
         if k = 750 then Net.Cluster.restart_exn c 3;
-        match Net.Cluster.read c ~reader:1 with
+        match Live_ops.read e with
         | Ok o ->
             if value_of o <> "durable" then begin
               incr failures;
@@ -239,31 +241,33 @@ let acceptance_1000_reads () =
 (* ----- crash semantics --------------------------------------------------- *)
 
 let reads_survive_crashed_minority () =
-  let c = Net.Cluster.start ~protocol:Net.Protocols.regular ~cfg:cfg4 ~readers:1 () in
+  let c = Net.Cluster.start ~protocol:Net.Protocols.regular ~cfg:cfg4 () in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "a")) in
+      let e = Net.Cluster.engine c in
+      let _ = ok_exn "write" (Live_ops.write e "a") in
       Net.Cluster.crash c 1;
       Alcotest.(check (list int)) "one down" [ 2; 3; 4 ] (Net.Cluster.alive c);
-      let o = ok_exn "read with s1 down" (Net.Cluster.read c ~reader:1) in
+      let o = ok_exn "read with s1 down" (Live_ops.read e) in
       Alcotest.(check string) "value survives the crash" "a" (value_of o);
       (* writes too: the writer only ever waits for S - t acks *)
-      let _ = ok_exn "write with s1 down" (Net.Cluster.write c (Core.Value.v "b")) in
-      let o = ok_exn "read sees it" (Net.Cluster.read c ~reader:1) in
+      let _ = ok_exn "write with s1 down" (Live_ops.write e "b") in
+      let o = ok_exn "read sees it" (Live_ops.read e) in
       Alcotest.(check string) "newest value" "b" (value_of o))
 
 let wiped_restart_is_tolerated () =
   (* a replica that loses its disk is just another failure the quorum
      absorbs: reads still return the last written value *)
-  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 ~readers:1 () in
+  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 () in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "keep")) in
+      let e = Net.Cluster.engine c in
+      let _ = ok_exn "write" (Live_ops.write e "keep") in
       Net.Cluster.crash c 2;
       Net.Cluster.restart_exn ~wipe:true c 2;
-      let o = ok_exn "read after wiped restart" (Net.Cluster.read c ~reader:1) in
+      let o = ok_exn "read after wiped restart" (Live_ops.read e) in
       Alcotest.(check string) "value survives the wipe" "keep" (value_of o))
 
 (* ----- Byzantine-silent endpoint ----------------------------------------- *)
@@ -321,23 +325,20 @@ let byzantine_silent_endpoint () =
       let endpoints =
         Array.of_list (List.map Net.Server.endpoint servers @ [ silent_ep ])
       in
-      let writer =
-        Net.Client.connect ~protocol ~cfg ~role:`Writer endpoints
-      in
-      let reader =
-        Net.Client.connect ~protocol ~cfg ~role:(`Reader 1) endpoints
-      in
+      let writer = Live_ops.single ~session:"w" ~protocol ~cfg endpoints in
+      let reader = Live_ops.single ~protocol ~cfg endpoints in
       Fun.protect
         ~finally:(fun () ->
-          Net.Client.close writer;
-          Net.Client.close reader)
+          Net.Client.Keyed.close writer;
+          Net.Client.Keyed.close reader)
         (fun () ->
           let _ =
             ok_exn "write despite silent object"
-              (Net.Client.write writer (Core.Value.v "loud"))
+              (Live_ops.run_one writer (Live_ops.write0 "loud"))
           in
           let o =
-            ok_exn "read despite silent object" (Net.Client.read reader)
+            ok_exn "read despite silent object"
+              (Live_ops.run_one reader Live_ops.read0)
           in
           Alcotest.(check string) "correct value" "loud"
             (match o.value with Some v -> Core.Value.to_string v | None -> "?")))
@@ -348,23 +349,24 @@ let too_many_failures_times_out () =
   (* crash beyond t: operations must fail with a clean timeout error,
      not hang or raise *)
   let opts = { Net.Client.deadline = 0.05; retries = 1; backoff = 0.01 } in
-  let c = Net.Cluster.start ~opts ~protocol:Net.Protocols.safe ~cfg:cfg4 ~readers:1 () in
+  let c = Net.Cluster.start ~opts ~protocol:Net.Protocols.safe ~cfg:cfg4 () in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "v")) in
+      let e = Net.Cluster.engine c in
+      let _ = ok_exn "write" (Live_ops.write e "v") in
       Net.Cluster.crash c 1;
       Net.Cluster.crash c 2;
       (* quorum is S - t = 3; only 2 objects remain *)
-      match Net.Cluster.read c ~reader:1 with
+      match Live_ops.read e with
       | Ok o -> Alcotest.failf "read completed (%s) with 2 of 4 objects" (value_of o)
-      | Error e ->
+      | Error msg ->
           Alcotest.(check bool) "error mentions the timeout" true
-            (contains e "timed out");
+            (contains msg "timed out");
           (* the cluster recovers once the objects come back *)
           Net.Cluster.restart_exn c 1;
           Net.Cluster.restart_exn c 2;
-          let o = ok_exn "read after recovery" (Net.Cluster.read c ~reader:1) in
+          let o = ok_exn "read after recovery" (Live_ops.read e) in
           Alcotest.(check string) "resumed op still returns the value" "v"
             (value_of o))
 
@@ -374,16 +376,17 @@ let concurrent_readers_are_safe () =
   let readers = 3 in
   let per_reader = 30 in
   let c =
-    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 ~readers ()
+    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "w0")) in
+      let writer, engines = Net.Cluster.processes c ~readers in
+      let _ = ok_exn "write" (Live_ops.write writer "w0") in
       let failures = Atomic.make 0 in
       let body j () =
         for _ = 1 to per_reader do
-          match Net.Cluster.read c ~reader:j with
+          match Live_ops.read engines.(j - 1) with
           | Ok _ -> ()
           | Error _ -> Atomic.incr failures
         done
@@ -393,7 +396,7 @@ let concurrent_readers_are_safe () =
       in
       (* writes race the reads from the main thread *)
       for i = 1 to 5 do
-        match Net.Cluster.write c (Core.Value.v (Printf.sprintf "w%d" i)) with
+        match Live_ops.write writer (Printf.sprintf "w%d" i) with
         | Ok _ -> ()
         | Error _ -> Atomic.incr failures
       done;
@@ -413,16 +416,16 @@ let pipelined_chaos_zero_failures () =
      landing mid-batch from another thread: every op must complete and
      the recorded history (with its real concurrency) must check out. *)
   let c =
-    Net.Cluster.start ~metrics:true ~protocol:Net.Protocols.safe ~cfg:cfg4
-      ~readers:1 ()
+    Net.Cluster.start ~metrics:true ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "durable")) in
+      let _ = ok_exn "write" (Live_ops.write (Net.Cluster.engine c) "durable") in
+      let lanes = Net.Cluster.engine ~lanes:16 c in
       let failures = ref 0 in
       let run n =
-        Net.Cluster.read_pipelined c ~inflight:16 ~ops:n
+        Live_ops.reads lanes n
         |> Array.iteri (fun k -> function
              | Ok o ->
                  if value_of o <> "durable" then begin
@@ -485,23 +488,21 @@ let pipelined_byzantine_silent () =
       let endpoints =
         Array.of_list (List.map Net.Server.endpoint servers @ [ silent_ep ])
       in
-      let writer = Net.Client.connect ~protocol ~cfg ~role:`Writer endpoints in
+      let writer = Live_ops.single ~session:"w" ~protocol ~cfg endpoints in
       let lanes =
-        Net.Client.Keyed.connect ~readers:16 ~max_inflight:16 ~protocol
-          ~map:(Shard.Map.single cfg) endpoints
+        Live_ops.single ~readers:16 ~max_inflight:16 ~protocol ~cfg endpoints
       in
       Fun.protect
         ~finally:(fun () ->
-          Net.Client.close writer;
+          Net.Client.Keyed.close writer;
           Net.Client.Keyed.close lanes)
         (fun () ->
           let _ =
             ok_exn "write despite silent object"
-              (Net.Client.write writer (Core.Value.v "loud"))
+              (Live_ops.run_one writer (Live_ops.write0 "loud"))
           in
           let results =
-            Net.Client.Keyed.run_ops lanes
-              (Array.make 200 (Net.Client.Keyed.Read { key = 0 }))
+            Net.Client.Keyed.run_ops lanes (Array.make 200 Live_ops.read0)
           in
           let failures = ref 0 in
           Array.iter
@@ -519,18 +520,19 @@ let pipelined_byzantine_silent () =
             !failures))
 
 let pipelined_matches_serial () =
-  (* same cluster, same value: the pipelined path must return exactly
-     what the serial client returns, op for op *)
-  let c = Net.Cluster.start ~protocol:Net.Protocols.regular ~cfg:cfg4 ~readers:1 () in
+  (* same cluster, same value: reads pipelined across four lanes must
+     return exactly what one-at-a-time reads return, op for op *)
+  let c = Net.Cluster.start ~protocol:Net.Protocols.regular ~cfg:cfg4 () in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "same")) in
+      let e = Net.Cluster.engine c in
+      let _ = ok_exn "write" (Live_ops.write e "same") in
       let serial = List.init 20 (fun _ ->
-          value_of (ok_exn "serial read" (Net.Cluster.read c ~reader:1)))
+          value_of (ok_exn "serial read" (Live_ops.read e)))
       in
       let piped =
-        Net.Cluster.read_pipelined c ~inflight:4 ~ops:20
+        Live_ops.reads (Net.Cluster.engine ~lanes:4 c) 20
         |> Array.to_list
         |> List.map (fun r -> value_of (ok_exn "pipelined read" r))
       in
@@ -542,23 +544,24 @@ let poll_loop_cluster () =
   (* all four objects hosted by one select-driven worker domain, through
      crash/restart and pipelining *)
   let c =
-    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 ~readers:1 ()
+    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "poll")) in
-      let o = ok_exn "read" (Net.Cluster.read c ~reader:1) in
+      let e = Net.Cluster.engine c in
+      let _ = ok_exn "write" (Live_ops.write e "poll") in
+      let o = ok_exn "read" (Live_ops.read e) in
       Alcotest.(check string) "value over poll loop" "poll" (value_of o);
       Net.Cluster.crash c 2;
       Alcotest.(check (list int)) "one down" [ 1; 3; 4 ] (Net.Cluster.alive c);
-      let o = ok_exn "read with s2 down" (Net.Cluster.read c ~reader:1) in
+      let o = ok_exn "read with s2 down" (Live_ops.read e) in
       Alcotest.(check string) "quorum absorbs the crash" "poll" (value_of o);
       Net.Cluster.restart_exn c 2;
       Alcotest.(check (list int)) "all back" [ 1; 2; 3; 4 ]
         (Net.Cluster.alive c);
       let failures = ref 0 in
-      Net.Cluster.read_pipelined c ~inflight:8 ~ops:200
+      Live_ops.reads (Net.Cluster.engine ~lanes:8 c) 200
       |> Array.iter (function
            | Ok o -> if value_of o <> "poll" then incr failures
            | Error _ -> incr failures);
@@ -571,14 +574,14 @@ let poll_loop_cluster () =
 
 let tcp_transport_works () =
   let c =
-    Net.Cluster.start ~transport:`Tcp ~protocol:Net.Protocols.abd ~cfg:cfg4
-      ~readers:1 ()
+    Net.Cluster.start ~transport:`Tcp ~protocol:Net.Protocols.abd ~cfg:cfg4 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "tcp")) in
-      let o = ok_exn "read" (Net.Cluster.read c ~reader:1) in
+      let e = Net.Cluster.engine c in
+      let _ = ok_exn "write" (Live_ops.write e "tcp") in
+      let o = ok_exn "read" (Live_ops.read e) in
       Alcotest.(check string) "value over tcp" "tcp" (value_of o))
 
 let suite =

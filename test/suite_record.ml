@@ -157,6 +157,79 @@ let joined_read_is_a_concurrent_reader () =
       Alcotest.(check int) "regular" 0 (regularity h)
   | _ -> Alcotest.failf "expected two reads, got %d" (List.length readers)
 
+(* ----- the property each protocol claims ---------------------------------- *)
+
+(* Every protocol the simulator's campaign and the wire both know is
+   held to the same property: the live lookup says "regular or
+   stronger" exactly where the campaign says it claims regularity. *)
+let claimed_semantics_match_the_simulator () =
+  List.iter
+    (fun p ->
+      match Net.Live.protocol_of p with
+      | None -> ()
+      | Some pack ->
+          Alcotest.(check bool)
+            (Fault.Campaign.protocol_name p ^ " claims regularity")
+            (Fault.Campaign.claims_regularity p)
+            (Net.Protocols.semantics pack <> Net.Protocols.Safe))
+    Fault.Campaign.all_protocols;
+  List.iter
+    (fun pack ->
+      Alcotest.(check string)
+        (Net.Protocols.name pack ^ " semantics")
+        (match Net.Protocols.name pack with
+        | "safe" -> "safety"
+        | "abd-atomic" -> "atomicity"
+        | _ -> "regularity")
+        (Net.Protocols.semantics_name (Net.Protocols.semantics pack)))
+    Net.Protocols.all
+
+(* The writer's log: one write per value, each over its interval. *)
+let writes r spans =
+  let ops =
+    Array.of_list
+      (List.map (fun (v, _, _) -> Write { key = 0; value = Core.Value.v v }) spans)
+  in
+  feed r ops
+    (List.concat
+       (List.mapi
+          (fun op (_, inv_at, resp_at) ->
+            [ inv ~op ~reader:0 inv_at; resp ~op ~reader:0 resp_at write_ok ])
+          spans))
+
+let reads r ~reader spans =
+  feed r
+    (Array.of_list (List.map (fun _ -> Read { key = 0 }) spans))
+    (List.concat
+       (List.mapi
+          (fun op (v, inv_at, resp_at) ->
+            [ inv ~op ~reader inv_at; resp ~op ~reader resp_at (read_ok v) ])
+          spans))
+
+let claimed h semantics = List.length (Net.Protocols.check semantics h)
+
+(* A read overlapping WRITE(c) returns a, older than the completed
+   WRITE(b): safe storage allows any value under a concurrent write,
+   regular storage only b or c. *)
+let old_value_under_a_write_is_safe_not_regular () =
+  let r = Net.Record.create () in
+  writes r [ ("a", 10, 20); ("b", 30, 40); ("c", 50, 80) ];
+  reads r ~reader:1 [ ("a", 60, 70) ];
+  let h = key0 r in
+  Alcotest.(check int) "safe" 0 (claimed h Net.Protocols.Safe);
+  Alcotest.(check int) "not regular" 1 (claimed h Net.Protocols.Regular)
+
+(* Two reads overlap WRITE(b); the first returns b, the later one the
+   older a.  Each is regular on its own, but the pair inverts. *)
+let new_old_inversion_is_regular_not_atomic () =
+  let r = Net.Record.create () in
+  writes r [ ("a", 10, 20); ("b", 30, 100) ];
+  reads r ~reader:1 [ ("b", 40, 50) ];
+  reads r ~reader:2 [ ("a", 60, 70) ];
+  let h = key0 r in
+  Alcotest.(check int) "regular" 0 (claimed h Net.Protocols.Regular);
+  Alcotest.(check bool) "not atomic" true (claimed h Net.Protocols.Atomic > 0)
+
 let suite =
   ( "record",
     [
@@ -170,4 +243,10 @@ let suite =
         unresumed_failure_is_not_wait_free;
       Alcotest.test_case "a joined read is a concurrent reader" `Quick
         joined_read_is_a_concurrent_reader;
+      Alcotest.test_case "claimed semantics match the simulator's split"
+        `Quick claimed_semantics_match_the_simulator;
+      Alcotest.test_case "an old value under a write is safe, not regular"
+        `Quick old_value_under_a_write_is_safe_not_regular;
+      Alcotest.test_case "a new-old inversion is regular, not atomic" `Quick
+        new_old_inversion_is_regular_not_atomic;
     ] )

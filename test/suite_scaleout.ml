@@ -47,11 +47,11 @@ let start_group ?metrics ?queue_hi ~domains () =
   (servers, Array.map Net.Server.endpoint servers, dir)
 
 let seed_write endpoints =
-  let w = Net.Client.connect ~protocol ~cfg:cfg4 ~role:`Writer endpoints in
-  (match Net.Client.write w (Core.Value.v "durable") with
+  let w = Live_ops.single ~session:"w" ~protocol ~cfg:cfg4 endpoints in
+  (match Live_ops.run_one w (Live_ops.write0 "durable") with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "seed write failed: %s" e);
-  Net.Client.close w
+  Net.Client.Keyed.close w
 
 (* ----- raw-socket helpers ----------------------------------------------- *)
 
@@ -194,9 +194,9 @@ let backpressure_isolates_slow_reader () =
   in
   Thread.delay 0.05;
   (* a well-behaved client on the same server must be unaffected *)
-  let c = Net.Client.connect ~protocol ~cfg:cfg4 ~role:(`Reader 1) endpoints in
+  let c = Live_ops.single ~protocol ~cfg:cfg4 endpoints in
   for k = 1 to 50 do
-    match Net.Client.read c with
+    match Live_ops.run_one c Live_ops.read0 with
     | Ok o ->
         Alcotest.(check string)
           (Printf.sprintf "concurrent read %d sees the write" k)
@@ -204,7 +204,7 @@ let backpressure_isolates_slow_reader () =
           (match o.value with Some v -> Core.Value.to_string v | None -> "")
     | Error e -> Alcotest.failf "read %d starved by backpressure: %s" k e
   done;
-  Net.Client.close c;
+  Net.Client.Keyed.close c;
   (* now drain the slow connection: every request must have its reply *)
   let got = ref 0 in
   let rec pump () =
