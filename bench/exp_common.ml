@@ -23,29 +23,16 @@ type summary = {
   safety_violations : int;
 }
 
-(* A protocol packed with its Byzantine plan (existential over the wire
-   message type, so heterogeneous protocols fit in one list). *)
-type contender =
-  | Contender : {
-      label : string;
-      semantics : string;
-      proto : (module Core.Protocol_intf.S with type msg = 'm);
-      cfg : Quorum.Config.t;
-      byz : (int * 'm Core.Byz.factory) list;
-    }
-      -> contender
-
-let label (Contender c) = c.label
-
-let semantics (Contender c) = c.semantics
-
-let config (Contender c) = c.cfg
-
-let run ?(max_events = 2_000_000) ~seed ~delay ~crashes ~use_byz
-    (Contender { proto = (module P); cfg; byz; _ }) schedule =
+(* Run [P] at [cfg] on [schedule] with the objects of [byz] running
+   their strategies and the [crashes] applied. *)
+let simulate (type m) (module P : Core.Protocol_intf.S with type msg = m)
+    ~cfg ~(byz : (int * m Core.Byz.factory) list) ~seed ~delay ~crashes
+    schedule =
   let module Sc = Core.Scenario.Make (P) in
-  let faults = { Sc.crashes; byzantine = (if use_byz then byz else []) } in
-  let rep = Sc.run ~max_events ~cfg ~seed ~delay ~faults schedule in
+  let faults = { Sc.crashes; byzantine = byz } in
+  let rep =
+    Sc.run ~max_events:2_000_000 ~cfg ~seed ~delay ~faults schedule
+  in
   let read_rounds = Stats.Summary.create () in
   let read_latency = Stats.Summary.create () in
   let write_latency = Stats.Summary.create () in
@@ -84,6 +71,26 @@ let run ?(max_events = 2_000_000) ~seed ~delay ~crashes ~use_byz
     safety_violations = List.length violations;
   }
 
+(* A table protocol at its design configuration for t = b = 1, with the
+   bench's labels and the object that forges when Byzantine faults are
+   on. *)
+type contender = {
+  protocol : Fault.Campaign.protocol;
+  label : string;
+  semantics : string;
+  byz : int;
+}
+
+let config c = Fault.Campaign.default_cfg c.protocol ~t:1 ~b:1
+
+let run ~seed ~delay ~crashes ~use_byz c schedule =
+  let (Fault.Campaign.Entry { automata; strategy; _ }) =
+    Fault.Campaign.entry c.protocol
+  in
+  simulate automata ~cfg:(config c)
+    ~byz:(if use_byz then [ (c.byz, strategy Fault.Plan.Forge) ] else [])
+    ~seed ~delay ~crashes schedule
+
 let section title =
   Printf.printf "\n=== %s ===\n" title
 
@@ -104,100 +111,29 @@ let print_table t =
       output_string oc (Stats.Table.to_csv t);
       close_out oc
 
-(* Standard contenders used by several experiments (t = b = 1). *)
 let core_cfg = Quorum.Config.optimal ~t:1 ~b:1
 
-let safe_contender =
-  Contender
-    {
-      label = "safe (Fig 2-4)";
-      semantics = "safe";
-      proto = (module Core.Proto_safe);
-      cfg = core_cfg;
-      byz = [ (2, Fault.Strategies.forge_high_value ~value:"evil" ~ts_boost:9) ];
-    }
+(* Standard contenders used by several experiments. *)
+let contender protocol label semantics byz = { protocol; label; semantics; byz }
 
-let regular_contender =
-  Contender
-    {
-      label = "regular (Fig 5-6)";
-      semantics = "regular";
-      proto = (module Core.Proto_regular.Plain);
-      cfg = core_cfg;
-      byz = [ (2, Fault.Strategies.forge_history ~value:"evil" ~ts_boost:9) ];
-    }
+let safe_contender = contender Safe "safe (Fig 2-4)" "safe" 2
+
+let regular_contender = contender Regular "regular (Fig 5-6)" "regular" 2
 
 let regular_opt_contender =
-  Contender
-    {
-      label = "regular-opt (S5.1)";
-      semantics = "regular";
-      proto = (module Core.Proto_regular.Optimized);
-      cfg = core_cfg;
-      byz = [ (2, Fault.Strategies.forge_history ~value:"evil" ~ts_boost:9) ];
-    }
+  contender Regular_opt "regular-opt (S5.1)" "regular" 2
 
-let abd_contender =
-  Contender
-    {
-      label = "ABD [3] (b=0)";
-      semantics = "regular";
-      proto = (module Baseline.Abd.Regular);
-      cfg = Quorum.Config.make_exn ~s:3 ~t:1 ~b:0;
-      byz = [ (1, Baseline.Abd.byz_forge_high ~value:"evil" ~ts_boost:9) ];
-    }
+let abd_contender = contender Abd "ABD [3] (b=0)" "regular" 1
 
-let abd_atomic_contender =
-  Contender
-    {
-      label = "ABD atomic";
-      semantics = "atomic";
-      proto = (module Baseline.Abd.Atomic);
-      cfg = Quorum.Config.make_exn ~s:3 ~t:1 ~b:0;
-      byz = [ (1, Baseline.Abd.byz_forge_high ~value:"evil" ~ts_boost:9) ];
-    }
+let abd_atomic_contender = contender Abd_atomic "ABD atomic" "atomic" 1
 
-let nonmod_contender =
-  Contender
-    {
-      label = "non-modifying [1]";
-      semantics = "safe";
-      proto = (module Baseline.Nonmod);
-      cfg = core_cfg;
-      byz = [ (2, Baseline.Nonmod.byz_forge_high ~value:"evil" ~ts_boost:9) ];
-    }
+let nonmod_contender = contender Nonmod "non-modifying [1]" "safe" 2
 
-let auth_contender =
-  Contender
-    {
-      label = "authenticated [15]";
-      semantics = "regular";
-      proto = (module Baseline.Auth);
-      cfg = core_cfg;
-      byz = [ (2, Baseline.Auth.byz_forge ~value:"evil" ~ts_boost:9) ];
-    }
+let auth_contender = contender Auth "authenticated [15]" "regular" 2
 
-let fast_safe_contender =
-  Contender
-    {
-      label = "fast-safe (S=2t+2b+1)";
-      semantics = "safe";
-      proto = (module Baseline.Fast_safe);
-      cfg = Quorum.Config.make_exn ~s:5 ~t:1 ~b:1;
-      byz =
-        [ (1, Baseline.Fast_safe.byz_forge_high ~value:"evil" ~ts_boost:9) ];
-    }
+let fast_safe_contender = contender Fast_safe "fast-safe (S=2t+2b+1)" "safe" 1
 
-let naive_contender =
-  Contender
-    {
-      label = "naive-fast (strawman)";
-      semantics = "none";
-      proto = (module Baseline.Naive_fast);
-      cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1;
-      byz =
-        [ (1, Baseline.Naive_fast.byz_forge_high ~value:"ghost" ~ts_boost:9) ];
-    }
+let naive_contender = contender Naive_fast "naive-fast (strawman)" "none" 1
 
 let all_contenders =
   [
@@ -359,13 +295,12 @@ let completed passes =
       Array.fold_left (fun n -> function Ok _ -> n + 1 | Error _ -> n) n results)
     0 passes
 
-(* The property [protocol] claims, on every key's history: (keys that
-   violate it, complete operations checked, keys checked). *)
-let check_record ~protocol record =
-  let semantics = Net.Protocols.semantics protocol in
+(* [claim] on every key's history: (keys that violate it, complete
+   operations checked, keys checked). *)
+let check_record ~claim record =
   List.fold_left
     (fun (bad, ops, keys) (_, h) ->
-      ( (bad + if Net.Protocols.check semantics h = [] then 0 else 1),
+      ( (bad + if Fault.Campaign.check claim h = [] then 0 else 1),
         ops + List.length (List.filter Histories.Op.is_complete h),
         keys + 1 ))
     (0, 0, 0)
@@ -397,7 +332,7 @@ type keyspace_cell = {
   metrics : Obs.Metrics.t;  (* server and client registries merged *)
 }
 
-let keyspace_cell ~exp ~label ~transport ~protocol ~cfg ~fleet ~domains
+let keyspace_cell ~exp ~label ~transport ~protocol ~claim ~cfg ~fleet ~domains
     ~clients ~inflight ~coalesce ~keys ~skew ~write_ratio ~ops ~trials ~seed =
   let fl = start_fleet ~transport ~size:fleet ~domains ~protocol ~cfg in
   let map = Shard.Map.make_exn ~keys ~fleet ~cfg () in
@@ -466,7 +401,7 @@ let keyspace_cell ~exp ~label ~transport ~protocol ~cfg ~fleet ~domains
   in
   Array.iter Net.Client.Keyed.close keyeds;
   stop_fleet fl;
-  let violations, ops_checked, keys_checked = check_record ~protocol record in
+  let violations, ops_checked, keys_checked = check_record ~claim record in
   let metrics = Obs.Metrics.create () in
   Array.iter (fun r -> Obs.Metrics.merge_into ~dst:metrics r) fl.registries;
   Array.iter (fun r -> Obs.Metrics.merge_into ~dst:metrics r) client_regs;

@@ -15,7 +15,7 @@ let run () =
   let seeds = List.init 20 (fun i -> i + 1) in
   let cells =
     Fault.Campaign.sweep ?jobs:!Exp_common.jobs ~budget:Fault.Plan.medium
-      ~plans_per_seed:3 ~protocols:Fault.Campaign.all_protocols ~t:1 ~b:1
+      ~plans_per_seed:3 ~protocols:Fault.Campaign.campaign_protocols ~t:1 ~b:1
       ~seeds ()
   in
   Exp_common.print_table (Fault.Campaign.matrix_table cells);

@@ -120,7 +120,7 @@ let run () =
         cores %d)"
        seeds_n plans cores);
   let seeds = List.init seeds_n (fun i -> i + 1) in
-  let protocols = Fault.Campaign.all_protocols in
+  let protocols = Fault.Campaign.campaign_protocols in
   let sweep ~jobs () =
     Fault.Campaign.sweep ~jobs ~budget:Fault.Plan.medium ~plans_per_seed:plans
       ~protocols ~t:1 ~b:1 ~seeds ()

@@ -16,6 +16,9 @@
       every reader a paper process with an engine of its own, driven
       from its own thread.
 
+   Every cell's history — each write, read and concurrent read — is
+   then checked against the property the protocol claims.
+
    One JSON artifact: BENCH_e14.json.  Scale is environment-tunable so
    CI can run a smoke version:
      E14_OPS      (300)        reads per latency cell
@@ -38,8 +41,7 @@ let reader_counts () =
   Exp_common.getenv_list "E14_READERS" [ 1; 2; 4 ] (fun s ->
       match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
 
-let protocols =
-  [ Net.Protocols.safe; Net.Protocols.regular; Net.Protocols.abd ]
+let protocols = Fault.Campaign.[ Safe; Regular; Abd ]
 
 let run () =
   let ops = Exp_common.getenv_int "E14_OPS" 300 in
@@ -56,8 +58,10 @@ let run () =
   Exp_common.note
     "E14: live-cluster latency/throughput (%d cells, %d reads each)"
     (List.length cells) ops;
+  let violations_total = ref 0 in
   List.iteri
-    (fun ci (protocol, (s, t, b)) ->
+    (fun ci (p, (s, t, b)) ->
+      let protocol = Option.get (Net.Live.protocol_of p) in
       let name = Net.Protocols.name protocol in
       let cfg = Quorum.Config.make_exn ~s ~t ~b in
       let cluster = Net.Cluster.start ~protocol ~cfg () in
@@ -119,14 +123,21 @@ let run () =
                 (r, r * per, wall))
               reader_counts
           in
+          let violations =
+            List.length
+              (Fault.Campaign.(check (claim p)) (Net.Cluster.history cluster))
+          in
+          violations_total := !violations_total + violations;
           Exp_common.note
-            "  %-12s %s  read p50=%.0fus p99=%.0fus  %.0f ops/s  fast=%.0f%%"
+            "  %-12s %s  read p50=%.0fus p99=%.0fus  %.0f ops/s  fast=%.0f%%  \
+             violations=%d"
             name
             (Quorum.Config.to_string cfg)
             (Stats.Summary.percentile rlat 50.)
             (Stats.Summary.percentile rlat 99.)
             (float_of_int ops /. wall)
-            (100. *. float_of_int !fast /. float_of_int ops);
+            (100. *. float_of_int !fast /. float_of_int ops)
+            violations;
           Printf.bprintf buf
             "    { \"protocol\": \"%s\", \"s\": %d, \"t\": %d, \"b\": %d,\n      "
             name s t b;
@@ -134,9 +145,11 @@ let run () =
           Buffer.add_string buf ",\n      ";
           Exp_common.summary_json buf "read" rlat;
           Printf.bprintf buf
-            ",\n      \"read_ops_per_s\": %.1f, \"fast_read_fraction\": %.3f,\n"
+            ",\n      \"read_ops_per_s\": %.1f, \"fast_read_fraction\": %.3f, \
+             \"violations\": %d,\n"
             (float_of_int ops /. wall)
-            (float_of_int !fast /. float_of_int ops);
+            (float_of_int !fast /. float_of_int ops)
+            violations;
           Printf.bprintf buf "      \"concurrent\": [\n";
           List.iteri
             (fun i (r, n, wall) ->
@@ -150,6 +163,6 @@ let run () =
           Printf.bprintf buf "      ] }%s\n"
             (if ci = List.length cells - 1 then "" else ",")))
     cells;
-  Printf.bprintf buf "  ]\n}\n";
+  Printf.bprintf buf "  ],\n  \"violations_total\": %d\n}\n" !violations_total;
   Obs.Export.write_file ~path:out (Buffer.contents buf);
   Exp_common.note "wrote %s" out

@@ -81,6 +81,7 @@ let run () =
   let transport = Exp_common.transport "E15_TRANSPORT" ~default:`Tcp in
   let transport_name = Exp_common.transport_name transport in
   let protocol = Net.Protocols.safe in
+  let claim = Fault.Campaign.(claim Safe) in
   let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:0 in
   let buf = Buffer.create 4096 in
   Printf.bprintf buf
@@ -167,9 +168,7 @@ let run () =
       (* the live history (all trials) must check out *)
       let violations =
         List.length
-          (Net.Protocols.check
-             (Net.Protocols.semantics protocol)
-             (Net.Cluster.history cluster))
+          (Fault.Campaign.check claim (Net.Cluster.history cluster))
       in
       let reads_return_written = !mismatches = 0 && !failures_total = 0 in
       let rate_at k =

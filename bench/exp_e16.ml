@@ -96,7 +96,7 @@ let run () =
         in
         actions := !actions + Fault.Plan.length plan;
         let v = Net.Live.run_plan ~metrics ~opts protocol ~cfg ~seed plan in
-        if not (Fault.Campaign.verdict_violates protocol v) then incr survived;
+        if not (Fault.Campaign.verdict_violates v) then incr survived;
         completed := !completed + v.Fault.Campaign.completed;
         total := !total + v.Fault.Campaign.total
       done;

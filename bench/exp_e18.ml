@@ -56,6 +56,7 @@ let run () =
   let transport = Exp_common.transport "E18_TRANSPORT" ~default:`Unix in
   let transport_name = Exp_common.transport_name transport in
   let protocol = Net.Protocols.safe in
+  let claim = Fault.Campaign.(claim Safe) in
   let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:0 in
   let s = cfg.Quorum.Config.s in
   let cores = Domain.recommended_domain_count () in
@@ -153,7 +154,7 @@ let run () =
       let partition = Net.Server.partition_violations fleet.servers.(0) in
       let merged = Obs.Metrics.create () in
       Array.iter (fun r -> Obs.Metrics.merge_into ~dst:merged r) fleet.registries;
-      let violations, checked, _ = Exp_common.check_record ~protocol record in
+      let violations, checked, _ = Exp_common.check_record ~claim record in
       violations_total := !violations_total + violations;
       partition_total := !partition_total + partition;
       if checked <> !completed then all_checked := false;

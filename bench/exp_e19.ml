@@ -76,6 +76,7 @@ let run () =
      reads, so regular-gc's fast path should engage on every shard. *)
   let cfg = Quorum.Config.make_exn ~s:3 ~t:1 ~b:0 in
   let protocol = Net.Protocols.regular_gc ~readers:clients in
+  let claim = Fault.Campaign.(claim Regular_gc) in
   if fleet < cfg.Quorum.Config.s then begin
     Printf.eprintf "E19_FLEET must be >= S = %d\n" cfg.Quorum.Config.s;
     exit 2
@@ -112,7 +113,7 @@ let run () =
       let c =
         Exp_common.keyspace_cell ~exp:"E19"
           ~label:(Printf.sprintf "keys=%-8d skew=%-4g" keys skew)
-          ~transport ~protocol ~cfg ~fleet ~domains ~clients ~inflight
+          ~transport ~protocol ~claim ~cfg ~fleet ~domains ~clients ~inflight
           ~coalesce:1 ~keys ~skew ~write_ratio ~ops ~trials
           ~seed:(42 + (1_000 * ci))
       in

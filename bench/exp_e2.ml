@@ -41,16 +41,6 @@ let run () =
       let cfg = Quorum.Config.optimal ~t ~b in
       List.iter
         (fun (fname, crashes, byz) ->
-          let contender =
-            Exp_common.Contender
-              {
-                label = "safe";
-                semantics = "safe";
-                proto = (module Core.Proto_safe);
-                cfg;
-                byz;
-              }
-          in
           let rng = Sim.Prng.create ~seed:(t * 100 + b) in
           let schedule =
             Core.Schedule.merge
@@ -59,8 +49,8 @@ let run () =
                  ~reads_per_reader:5 ~horizon:900)
           in
           let s =
-            Exp_common.run ~seed:(t * 10 + b) ~delay ~crashes ~use_byz:true
-              contender schedule
+            Exp_common.simulate (module Core.Proto_safe) ~cfg ~byz
+              ~seed:((t * 10) + b) ~delay ~crashes schedule
           in
           Stats.Table.add_row table
             [

@@ -73,6 +73,7 @@ let run () =
      reads, so coalesced batches ride the fast path. *)
   let cfg = Quorum.Config.make_exn ~s:3 ~t:1 ~b:0 in
   let protocol = Net.Protocols.regular_gc ~readers:clients in
+  let claim = Fault.Campaign.(claim Regular_gc) in
   if fleet < cfg.Quorum.Config.s then begin
     Printf.eprintf "E20_FLEET must be >= S = %d\n" cfg.Quorum.Config.s;
     exit 2
@@ -113,7 +114,7 @@ let run () =
       let c =
         Exp_common.keyspace_cell ~exp:"E20"
           ~label:(Printf.sprintf "skew=%-4g coalesce=%-3d" skew coalesce)
-          ~transport ~protocol ~cfg ~fleet ~domains ~clients ~inflight
+          ~transport ~protocol ~claim ~cfg ~fleet ~domains ~clients ~inflight
           ~coalesce ~keys ~skew ~write_ratio ~ops ~trials
           ~seed:(42 + (1_000 * ci))
       in

@@ -23,26 +23,19 @@ let census () =
         (fun (label, proto) ->
           List.iter
             (fun (fname, use_byz) ->
-              let contender =
-                Exp_common.Contender
-                  {
-                    label;
-                    semantics = "regular";
-                    proto;
-                    cfg;
-                    byz =
-                      List.init b (fun i ->
-                          ( i + 1,
-                            Fault.Strategies.forge_history ~value:"evil"
-                              ~ts_boost:9 ));
-                  }
-              in
               let schedule =
                 Workload.Generate.sequential ~writes:5 ~readers:2 ~gap:60
               in
               let s =
-                Exp_common.run ~seed:(t + (7 * b)) ~delay ~crashes:[] ~use_byz
-                  contender schedule
+                Exp_common.simulate proto ~cfg
+                  ~byz:
+                    (if use_byz then
+                       List.init b (fun i ->
+                           ( i + 1,
+                             Fault.Strategies.forge_history ~value:"evil"
+                               ~ts_boost:9 ))
+                     else [])
+                  ~seed:(t + (7 * b)) ~delay ~crashes:[] schedule
               in
               Stats.Table.add_row table
                 [
@@ -91,18 +84,8 @@ let reply_growth () =
       in
       let reads = writes in
       let run proto =
-        let contender =
-          Exp_common.Contender
-            {
-              label = "x";
-              semantics = "regular";
-              proto;
-              cfg = Exp_common.core_cfg;
-              byz = [];
-            }
-        in
-        (Exp_common.run ~seed:9 ~delay ~crashes:[] ~use_byz:false contender
-           schedule)
+        (Exp_common.simulate proto ~cfg:Exp_common.core_cfg ~byz:[] ~seed:9
+           ~delay ~crashes:[] schedule)
           .words_to_readers
       in
       let plain =

@@ -40,11 +40,11 @@ let run () =
       in
       Stats.Table.add_row table
         [
-          Exp_common.label contender;
+          contender.Exp_common.label;
           Stats.Table.cell_int cfg.Quorum.Config.s;
           Stats.Table.cell_int cfg.Quorum.Config.t;
           Stats.Table.cell_int cfg.Quorum.Config.b;
-          Exp_common.semantics contender;
+          contender.Exp_common.semantics;
           Stats.Table.cell_int (max crash.write_rounds_max byz.write_rounds_max);
           Stats.Table.cell_int (max crash.read_rounds_max byz.read_rounds_max);
           Stats.Table.cell_float byz.read_rounds_mean;
@@ -85,7 +85,7 @@ let run () =
       in
       Stats.Table.add_row straggler_table
         [
-          Exp_common.label contender;
+          contender.Exp_common.label;
           Stats.Table.cell_int s.read_rounds_max;
           (if Stats.Summary.count s.read_latency = 0 then "-"
            else Stats.Table.cell_float ~decimals:0 (Stats.Summary.max s.read_latency));

@@ -52,19 +52,9 @@ let run () =
     (fun (vname, proto) ->
       List.iter
         (fun (aname, strat) ->
-          let contender =
-            Exp_common.Contender
-              {
-                label = vname;
-                semantics = "safe";
-                proto;
-                cfg = Exp_common.core_cfg;
-                byz = [ (2, strat) ];
-              }
-          in
           let s =
-            Exp_common.run ~seed:77 ~delay ~crashes:[] ~use_byz:true contender
-              schedule
+            Exp_common.simulate proto ~cfg:Exp_common.core_cfg
+              ~byz:[ (2, strat) ] ~seed:77 ~delay ~crashes:[] schedule
           in
           Stats.Table.add_row table
             [

@@ -126,7 +126,7 @@ let run () =
           in
           Stats.Table.add_row table
             [
-              Exp_common.label contender;
+              contender.Exp_common.label;
               mname;
               Stats.Table.cell_int (Stats.Summary.count reads);
               Stats.Table.cell_float (Stats.Summary.median reads);

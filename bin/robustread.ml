@@ -40,49 +40,63 @@ let jobs_arg =
            cores).  Results are byte-identical whatever $(docv) is; $(b,1) \
            forces the serial path.")
 
-(* The §5.1 cached/suffix variant for the sim-side commands; the two
-   readers match the default workloads (reads from r1 and r2). *)
-module Proto_gc2 = Core.Proto_regular_gc.Make (struct
-  let readers = 2
-end)
+(* Every command names protocols the way the protocol table does. *)
+let protocol_conv =
+  Arg.enum
+    (List.map
+       (fun p -> (Fault.Campaign.protocol_name p, p))
+       Fault.Campaign.protocols)
+
+let protocol_names protocols =
+  String.concat ", "
+    (List.map
+       (fun p -> "$(b," ^ Fault.Campaign.protocol_name p ^ ")")
+       protocols)
+
+let protocol_info doc = Arg.info [ "protocol"; "p" ] ~docv:"PROTO" ~doc
 
 let protocol_arg =
-  let protocols =
-    [
-      ("safe", `Safe);
-      ("regular", `Regular);
-      ("regular-opt", `Regular_opt);
-      ("regular-gc", `Regular_gc);
-      ("abd", `Abd);
-      ("abd-atomic", `Abd_atomic);
-      ("nonmod", `Nonmod);
-      ("auth", `Auth);
-      ("naive-fast", `Naive_fast);
-    ]
-  in
   Arg.(
     value
-    & opt (enum protocols) `Safe
-    & info [ "protocol"; "p" ] ~docv:"PROTO"
-        ~doc:
-          "Protocol: $(b,safe), $(b,regular), $(b,regular-opt), \
-           $(b,regular-gc), $(b,abd), $(b,abd-atomic), $(b,nonmod), \
-           $(b,auth) or $(b,naive-fast).")
+    & opt protocol_conv Fault.Campaign.Safe
+    & protocol_info ("Protocol: " ^ protocol_names Fault.Campaign.protocols ^ "."))
 
+(* A live command's protocol: the table entry and its wire pack.  A
+   protocol without a codec exits 2. *)
+let wire_pack p =
+  match Net.Live.protocol_of p with
+  | Some pack -> pack
+  | None ->
+      Format.eprintf
+        "robustread: protocol %s has no wire codec and cannot run live@."
+        (Fault.Campaign.protocol_name p);
+      exit 2
+
+let net_protocol_arg =
+  Term.(
+    const (fun p -> (p, wire_pack p))
+    $ Arg.(
+        value & opt protocol_conv Fault.Campaign.Safe
+        & protocol_info
+            ("Protocol to serve: "
+            ^ protocol_names
+                (List.filter
+                   (fun p -> Net.Live.protocol_of p <> None)
+                   Fault.Campaign.protocols)
+            ^ ".")))
+
+(* [None] is no attack; the others resolve through the protocol's
+   strategy in the table. *)
 let attack_arg =
   let attacks =
-    [
-      ("none", `None);
-      ("forge", `Forge);
-      ("replay", `Replay);
-      ("simulate", `Simulate);
-      ("defame", `Defame);
-      ("garbage", `Garbage);
-    ]
+    ("none", None)
+    :: List.map
+         (fun k -> (Fault.Plan.kind_to_string k, Some k))
+         Fault.Plan.[ Forge; Replay; Simulate; Defame; Garbage ]
   in
   Arg.(
     value
-    & opt (enum attacks) `None
+    & opt (enum attacks) None
     & info [ "attack" ] ~docv:"ATTACK"
         ~doc:
           "Byzantine strategy for the first $(i,b) objects: $(b,none), \
@@ -170,22 +184,6 @@ let info_cmd =
 
 (* ----- run --------------------------------------------------------------- *)
 
-let core_attack = function
-  | `None -> []
-  | `Forge -> [ Fault.Strategies.forge_high_value ~value:"evil" ~ts_boost:9 ]
-  | `Replay -> [ Fault.Strategies.replay_initial ]
-  | `Simulate -> [ Fault.Strategies.simulate_unwritten_write ~value:"ghost" ~ts:9 ]
-  | `Defame -> [ Fault.Strategies.defame ~targets:[ 1; 3 ] ~boost:10 ]
-  | `Garbage -> [ Fault.Strategies.random_garbage ]
-
-let regular_attack = function
-  | `None -> []
-  | `Forge -> [ Fault.Strategies.forge_history ~value:"evil" ~ts_boost:9 ]
-  | `Replay -> [ Fault.Strategies.stale_history ~keep:1 ]
-  | `Simulate -> [ Fault.Strategies.forge_history ~value:"ghost" ~ts_boost:9 ]
-  | `Defame -> [ Fault.Strategies.defame_history ~targets:[ 1; 3 ] ~boost:10 ]
-  | `Garbage -> [ Fault.Strategies.empty_history ]
-
 (* Standard CLI workload: [writes] sequential writes observed by
    [readers] readers, plus [reads] extra random reads per reader. *)
 let cli_schedule ~seed ~writes ~readers ~reads =
@@ -209,23 +207,25 @@ let write_artifacts ~dir files =
       Format.eprintf "wrote %s@." path)
     files
 
+(* The first b objects run [attack]'s strategy. *)
+let byzantine ~cfg strategy = function
+  | None -> []
+  | Some kind ->
+      let f = strategy kind in
+      List.init cfg.Quorum.Config.b (fun i -> (i + 1, f))
+
 let run_generic (type m)
     (module P : Core.Protocol_intf.S with type msg = m)
-    ~(byz : m Core.Byz.factory list) ~cfg ~seed ~delay ~writes ~readers ~reads
-    ~trace ~metrics ~artifacts =
+    ~(byz : (int * m Core.Byz.factory) list) ~claim ~cfg ~seed ~delay ~writes
+    ~readers ~reads ~trace ~metrics ~artifacts =
   let module Sc = Core.Scenario.Make (P) in
-  let b = cfg.Quorum.Config.b in
-  (* the first b objects run the chosen strategy *)
-  let byz_plan =
-    match byz with [] -> [] | f :: _ -> List.init b (fun i -> (i + 1, f))
-  in
   let schedule = cli_schedule ~seed ~writes ~readers ~reads in
   let registry = if metrics then Some (Obs.Metrics.create ()) else None in
   let rep =
     Sc.run ~trace ?metrics:registry
       ?clock:(if metrics then Some now_s else None)
       ~cfg ~seed ~delay
-      ~faults:{ Sc.crashes = []; byzantine = byz_plan }
+      ~faults:{ Sc.crashes = []; byzantine = byz }
       schedule
   in
   Format.printf "protocol %s on %a, seed %d@." P.name Quorum.Config.pp cfg seed;
@@ -243,21 +243,19 @@ let run_generic (type m)
             | None -> "?")
             o.rounds (o.completed_at - o.invoked_at))
     rep.outcomes;
-  let equal = String.equal in
-  let safety = Histories.Checks.check_safety ~equal rep.history in
-  let regularity = Histories.Checks.check_regularity ~equal rep.history in
+  let violations = Fault.Campaign.check claim rep.history in
   Format.printf "completed %d/%d operations; %d messages delivered@."
     (List.length rep.outcomes) (List.length schedule) rep.messages_delivered;
-  Format.printf "safety: %s; regularity: %s@."
-    (if safety = [] then "OK" else Printf.sprintf "%d VIOLATIONS" (List.length safety))
-    (if regularity = [] then "OK"
-     else Printf.sprintf "%d VIOLATIONS" (List.length regularity));
+  Format.printf "%s: %s@."
+    (Fault.Campaign.claim_name claim)
+    (if violations = [] then "OK"
+     else Printf.sprintf "%d VIOLATIONS" (List.length violations));
   List.iter
     (fun v ->
       Format.printf "  violation: %a@."
         (Histories.Checks.pp_violation ~pp_value:Format.pp_print_string)
         v)
-    (safety @ regularity);
+    violations;
   (match rep.trace with
   | Some tr -> Format.printf "--- trace ---@.%a" Sim.Trace.pp tr
   | None -> ());
@@ -280,60 +278,7 @@ let run_generic (type m)
       in
       write_artifacts ~dir files
   | None -> ());
-  if safety <> [] || regularity <> [] then exit 1
-
-(* Protocol dispatch shared by [run] and [trace]: instantiate the chosen
-   protocol module together with the attack's concrete strategies. *)
-type dispatcher = {
-  go :
-    'm.
-    (module Core.Protocol_intf.S with type msg = 'm) ->
-    'm Core.Byz.factory list ->
-    unit;
-}
-
-let dispatch protocol attack { go } =
-  match protocol with
-  | `Safe -> go (module Core.Proto_safe) (core_attack attack)
-  | `Regular -> go (module Core.Proto_regular.Plain) (regular_attack attack)
-  | `Regular_opt ->
-      go (module Core.Proto_regular.Optimized) (regular_attack attack)
-  | `Regular_gc -> go (module Proto_gc2) (regular_attack attack)
-  | `Abd ->
-      go
-        (module Baseline.Abd.Regular)
-        (match attack with
-        | `None -> []
-        | _ -> [ Baseline.Abd.byz_forge_high ~value:"evil" ~ts_boost:9 ])
-  | `Abd_atomic ->
-      go
-        (module Baseline.Abd.Atomic)
-        (match attack with
-        | `None -> []
-        | _ -> [ Baseline.Abd.byz_forge_high ~value:"evil" ~ts_boost:9 ])
-  | `Nonmod ->
-      go
-        (module Baseline.Nonmod)
-        (match attack with
-        | `None -> []
-        | `Replay -> [ Baseline.Nonmod.byz_stale ]
-        | _ -> [ Baseline.Nonmod.byz_forge_high ~value:"evil" ~ts_boost:9 ])
-  | `Auth ->
-      go
-        (module Baseline.Auth)
-        (match attack with
-        | `None -> []
-        | `Replay -> [ Baseline.Auth.byz_replay_stale ]
-        | _ -> [ Baseline.Auth.byz_forge ~value:"evil" ~ts_boost:9 ])
-  | `Naive_fast ->
-      go
-        (module Baseline.Naive_fast)
-        (match attack with
-        | `None -> []
-        | `Replay -> [ Baseline.Naive_fast.byz_replay_initial ]
-        | `Simulate ->
-            [ Baseline.Naive_fast.byz_simulate_write ~value:"ghost" ~ts:9 ]
-        | _ -> [ Baseline.Naive_fast.byz_forge_high ~value:"ghost" ~ts_boost:9 ])
+  if violations <> [] then exit 1
 
 let writes_arg =
   Arg.(value & opt int 3 & info [ "writes" ] ~docv:"N" ~doc:"Number of writes.")
@@ -370,14 +315,13 @@ let run_cmd =
     let cfg = config ~s ~t ~b () in
     (* artifacts always need the raw trace to link spans to entries *)
     let trace = trace || artifacts <> None in
-    dispatch protocol attack
-      {
-        go =
-          (fun (type m) (module P : Core.Protocol_intf.S with type msg = m)
-               (byz : m Core.Byz.factory list) ->
-            run_generic (module P) ~byz ~cfg ~seed ~delay ~writes ~readers
-              ~reads ~trace ~metrics ~artifacts);
-      }
+    let (Fault.Campaign.Entry { automata; claim; strategy; _ }) =
+      Fault.Campaign.entry protocol
+    in
+    run_generic automata
+      ~byz:(byzantine ~cfg strategy attack)
+      ~claim ~cfg ~seed ~delay ~writes ~readers ~reads ~trace ~metrics
+      ~artifacts
   in
   let term =
     Term.(
@@ -411,48 +355,37 @@ let trace_cmd =
   in
   let run protocol t b s seed delay attack writes readers reads out raw =
     let cfg = config ~s ~t ~b () in
-    dispatch protocol attack
-      {
-        go =
-          (fun (type m) (module P : Core.Protocol_intf.S with type msg = m)
-               (byz : m Core.Byz.factory list) ->
-            let module Sc = Core.Scenario.Make (P) in
-            let nbyz = cfg.Quorum.Config.b in
-            let byz_plan =
-              match byz with
-              | [] -> []
-              | f :: _ -> List.init nbyz (fun i -> (i + 1, f))
-            in
-            let schedule = cli_schedule ~seed ~writes ~readers ~reads in
-            let rep =
-              Sc.run ~trace:true ~cfg ~seed ~delay
-                ~faults:{ Sc.crashes = []; byzantine = byz_plan }
-                schedule
-            in
-            let payload =
-              Obs.Export.spans_jsonl rep.spans
-              ^
-              match (raw, rep.trace) with
-              | true, Some tr -> Sim.Trace.to_jsonl tr
-              | _ -> ""
-            in
-            (match out with
-            | "-" -> print_string payload
-            | path ->
-                Obs.Export.write_file ~path payload;
-                Format.eprintf "wrote %s@." path);
-            let completed =
-              List.length (List.filter Obs.Span.completed rep.spans)
-            in
-            match rep.trace with
-            | Some tr ->
-                let st = Sim.Trace.stats tr in
-                Format.eprintf
-                  "%d spans (%d completed); %d sends, %d delivers, %d drops@."
-                  (List.length rep.spans) completed st.Sim.Trace.sends
-                  st.delivers st.drops
-            | None -> ());
-      }
+    let (Fault.Campaign.Entry { automata = (module P); strategy; _ }) =
+      Fault.Campaign.entry protocol
+    in
+    let module Sc = Core.Scenario.Make (P) in
+    let schedule = cli_schedule ~seed ~writes ~readers ~reads in
+    let rep =
+      Sc.run ~trace:true ~cfg ~seed ~delay
+        ~faults:
+          { Sc.crashes = []; byzantine = byzantine ~cfg strategy attack }
+        schedule
+    in
+    let payload =
+      Obs.Export.spans_jsonl rep.spans
+      ^
+      match (raw, rep.trace) with
+      | true, Some tr -> Sim.Trace.to_jsonl tr
+      | _ -> ""
+    in
+    (match out with
+    | "-" -> print_string payload
+    | path ->
+        Obs.Export.write_file ~path payload;
+        Format.eprintf "wrote %s@." path);
+    let completed = List.length (List.filter Obs.Span.completed rep.spans) in
+    match rep.trace with
+    | Some tr ->
+        let st = Sim.Trace.stats tr in
+        Format.eprintf "%d spans (%d completed); %d sends, %d delivers, %d drops@."
+          (List.length rep.spans) completed st.Sim.Trace.sends st.delivers
+          st.drops
+    | None -> ()
   in
   let term =
     Term.(
@@ -472,27 +405,20 @@ let trace_cmd =
 
 let lower_bound_cmd =
   let run protocol t b =
-    let analyse (module P : Core.Protocol_intf.S) =
+    let (Fault.Campaign.Entry { automata = (module P); signed; _ }) =
+      Fault.Campaign.entry protocol
+    in
+    if signed then
+      print_endline
+        "the authenticated baseline is exempt: run5's forged state would \
+         contain a signature over a never-written value"
+    else
       let module LB = Mc.Lower_bound.Make (P) in
       let o = LB.analyse ~t ~b ~value:(Core.Value.v "v1") in
       List.iter print_endline o.transcript;
       print_newline ();
       List.iter print_endline (LB.figure o);
       match o.verdict with LB.Not_fast -> () | _ -> exit 1
-    in
-    match protocol with
-    | `Safe -> analyse (module Core.Proto_safe)
-    | `Regular -> analyse (module Core.Proto_regular.Plain)
-    | `Regular_opt -> analyse (module Core.Proto_regular.Optimized)
-    | `Regular_gc -> analyse (module Proto_gc2)
-    | `Abd -> analyse (module Baseline.Abd.Regular)
-    | `Abd_atomic -> analyse (module Baseline.Abd.Atomic)
-    | `Nonmod -> analyse (module Baseline.Nonmod)
-    | `Auth ->
-        print_endline
-          "the authenticated baseline is exempt: run5's forged state would \
-           contain a signature over a never-written value"
-    | `Naive_fast -> analyse (module Baseline.Naive_fast)
   in
   let term = Term.(const run $ protocol_arg $ t_arg $ b_arg) in
   Cmd.v
@@ -513,36 +439,27 @@ let check_cmd =
   in
   let run protocol t b budget =
     let cfg = config ~s:None ~t ~b () in
-    let check (module P : Core.Protocol_intf.S) =
-      let module E = Mc.Explorer.Make (P) in
-      let r =
-        E.check ~max_states:budget
-          {
-            E.cfg = cfg;
-            writes = [ Core.Value.v "a" ];
-            reads = [ (1, 1) ];
-            sequential = true;
-            byz = [];
-            crashed = [];
-          }
-      in
-      Format.printf "explored %d states, %d terminal histories, truncated: %b@."
-        r.explored r.terminals r.truncated;
-      List.iter
-        (fun (v : E.violation) -> Format.printf "violation [%s]: %s@." v.kind v.detail)
-        r.violations;
-      if r.violations <> [] then exit 1
+    let (Fault.Campaign.Entry { automata = (module P); _ }) =
+      Fault.Campaign.entry protocol
     in
-    match protocol with
-    | `Safe -> check (module Core.Proto_safe)
-    | `Regular -> check (module Core.Proto_regular.Plain)
-    | `Regular_opt -> check (module Core.Proto_regular.Optimized)
-    | `Regular_gc -> check (module Proto_gc2)
-    | `Abd -> check (module Baseline.Abd.Regular)
-    | `Abd_atomic -> check (module Baseline.Abd.Atomic)
-    | `Nonmod -> check (module Baseline.Nonmod)
-    | `Auth -> check (module Baseline.Auth)
-    | `Naive_fast -> check (module Baseline.Naive_fast)
+    let module E = Mc.Explorer.Make (P) in
+    let r =
+      E.check ~max_states:budget
+        {
+          E.cfg = cfg;
+          writes = [ Core.Value.v "a" ];
+          reads = [ (1, 1) ];
+          sequential = true;
+          byz = [];
+          crashed = [];
+        }
+    in
+    Format.printf "explored %d states, %d terminal histories, truncated: %b@."
+      r.explored r.terminals r.truncated;
+    List.iter
+      (fun (v : E.violation) -> Format.printf "violation [%s]: %s@." v.kind v.detail)
+      r.violations;
+    if r.violations <> [] then exit 1
   in
   let term = Term.(const run $ protocol_arg $ t_arg $ b_arg $ budget_arg) in
   Cmd.v
@@ -562,37 +479,27 @@ let walks_cmd =
   in
   let run protocol t b seed walks jobs =
     let cfg = config ~s:None ~t ~b () in
-    let sample (module P : Core.Protocol_intf.S) =
-      let module E = Mc.Explorer.Make (P) in
-      let r =
-        E.random_walks ?jobs ~walks ~seed
-          {
-            E.cfg = cfg;
-            writes = [ Core.Value.v "a"; Core.Value.v "b" ];
-            reads = [ (1, 2); (2, 2) ];
-            sequential = false;
-            byz = [];
-            crashed = [];
-          }
-      in
-      Format.printf
-        "sampled %d schedules (%d delivery steps); violations: %d@."
-        r.terminals r.explored (List.length r.violations);
-      List.iter
-        (fun (v : E.violation) -> Format.printf "violation [%s]: %s@." v.kind v.detail)
-        r.violations;
-      if r.violations <> [] then exit 1
+    let (Fault.Campaign.Entry { automata = (module P); _ }) =
+      Fault.Campaign.entry protocol
     in
-    match protocol with
-    | `Safe -> sample (module Core.Proto_safe)
-    | `Regular -> sample (module Core.Proto_regular.Plain)
-    | `Regular_opt -> sample (module Core.Proto_regular.Optimized)
-    | `Regular_gc -> sample (module Proto_gc2)
-    | `Abd -> sample (module Baseline.Abd.Regular)
-    | `Abd_atomic -> sample (module Baseline.Abd.Atomic)
-    | `Nonmod -> sample (module Baseline.Nonmod)
-    | `Auth -> sample (module Baseline.Auth)
-    | `Naive_fast -> sample (module Baseline.Naive_fast)
+    let module E = Mc.Explorer.Make (P) in
+    let r =
+      E.random_walks ?jobs ~walks ~seed
+        {
+          E.cfg = cfg;
+          writes = [ Core.Value.v "a"; Core.Value.v "b" ];
+          reads = [ (1, 2); (2, 2) ];
+          sequential = false;
+          byz = [];
+          crashed = [];
+        }
+    in
+    Format.printf "sampled %d schedules (%d delivery steps); violations: %d@."
+      r.terminals r.explored (List.length r.violations);
+    List.iter
+      (fun (v : E.violation) -> Format.printf "violation [%s]: %s@." v.kind v.detail)
+      r.violations;
+    if r.violations <> [] then exit 1
   in
   let term =
     Term.(
@@ -609,23 +516,15 @@ let walks_cmd =
 
 let chaos_cmd =
   let protocols_arg =
-    let proto_conv =
-      Arg.conv
-        ( (fun s ->
-            match Fault.Campaign.protocol_of_string s with
-            | Some p -> Ok p
-            | None -> Error (`Msg (Printf.sprintf "unknown protocol %S" s))),
-          fun ppf p ->
-            Format.pp_print_string ppf (Fault.Campaign.protocol_name p) )
-    in
     Arg.(
       value
-      & opt (some proto_conv) None
-      & info [ "protocol"; "p" ] ~docv:"PROTO"
-          ~doc:
-            "Campaign a single protocol: $(b,safe), $(b,regular), \
-             $(b,regular-opt), $(b,abd), $(b,fast-safe) or $(b,naive-fast).  \
-             Default: all of them.")
+      & opt (some protocol_conv) None
+      & protocol_info
+          ("Campaign a single protocol: "
+          ^ protocol_names Fault.Campaign.protocols
+          ^ ".  Default: "
+          ^ protocol_names Fault.Campaign.campaign_protocols
+          ^ " (under $(b,--backend=live), those of them with a wire codec)."))
   in
   let seeds_arg =
     Arg.(
@@ -690,24 +589,20 @@ let chaos_cmd =
     let protocols =
       match protocol with
       | Some p ->
-          if live && not (List.mem p Net.Live.supported) then begin
-            Format.eprintf
-              "robustread: protocol %s has no wire codec and cannot run \
-               live@."
-              (Fault.Campaign.protocol_name p);
-            exit 2
-          end;
+          if live then ignore (wire_pack p);
           [ p ]
       | None ->
           (* The symbolic-only baselines have no wire codec; a live
              campaign quietly sweeps the protocols that do. *)
-          if live then Net.Live.supported else Fault.Campaign.all_protocols
+          List.filter
+            (fun p -> (not live) || Net.Live.protocol_of p <> None)
+            Fault.Campaign.campaign_protocols
     in
     List.iter
       (fun p ->
         ignore
           (ensure_resilience_bound
-             ~allow_under_provisioned:(p = Fault.Campaign.Naive_fast)
+             ~allow_under_provisioned:(not (Fault.Campaign.robust p))
              (Fault.Campaign.default_cfg p ~t ~b)))
       protocols;
     let seeds = List.init seeds (fun i -> i + 1) in
@@ -774,7 +669,7 @@ let chaos_cmd =
         | [] -> ()
         | (seed, plan) :: _ ->
             let p = c.protocol in
-            let expected = p = Fault.Campaign.Naive_fast in
+            let expected = not (Fault.Campaign.robust p) in
             if not expected then unexpected := true;
             Format.printf "@.%s broke%s — first witness (seed %d):@.  %s@."
               (Fault.Campaign.protocol_name p)
@@ -836,30 +731,6 @@ let chaos_cmd =
     term
 
 (* ----- live network commands (serve / client / cluster) ------------------- *)
-
-(* The network runtime only packs the protocols whose wire messages have
-   codecs; the CLI resolves them by the protocol's own name. *)
-let net_protocol_arg =
-  let proto_conv =
-    Arg.conv
-      ( (fun s ->
-          match Net.Protocols.of_string s with
-          | Some p -> Ok p
-          | None ->
-              Error
-                (`Msg
-                   (Printf.sprintf "unknown network protocol %S (have: %s)" s
-                      (String.concat ", "
-                         (List.map Net.Protocols.name Net.Protocols.all))))),
-        fun ppf p -> Format.pp_print_string ppf (Net.Protocols.name p) )
-  in
-  Arg.(
-    value
-    & opt proto_conv Net.Protocols.safe
-    & info [ "protocol"; "p" ] ~docv:"PROTO"
-        ~doc:
-          "Protocol to serve: $(b,safe), $(b,regular), $(b,regular-opt), \
-           $(b,regular-gc), $(b,abd) or $(b,abd-atomic).")
 
 let endpoint_conv =
   Arg.conv
@@ -970,7 +841,7 @@ let serve_cmd =
              $(b,host:port).  TCP port 0 picks an ephemeral port and prints \
              it.")
   in
-  let run protocol t b s index endpoint metrics artifacts =
+  let run (_, protocol) t b s index endpoint metrics artifacts =
     let cfg = config ~s ~t ~b () in
     if index < 1 || index > cfg.Quorum.Config.s then begin
       Format.eprintf "robustread: --index %d out of range 1..%d@." index
@@ -1080,7 +951,7 @@ let client_cmd =
       & info [ "value" ] ~docv:"PREFIX"
           ~doc:"Written values are $(docv)1, $(docv)2, ...")
   in
-  let run protocol t b s endpoints role ops value copts metrics artifacts =
+  let run (_, protocol) t b s endpoints role ops value copts metrics artifacts =
     let cfg = config ~s ~t ~b () in
     let endpoints = fleet_endpoints cfg endpoints in
     let registry = if metrics then Some (Obs.Metrics.create ()) else None in
@@ -1240,7 +1111,7 @@ let cluster_cmd =
              decision, and only then runs the full two rounds \
              (Proposition 1).  Overrides $(b,--protocol).")
   in
-  let run protocol t b s readers writes reads transport crash inflight
+  let run (p, protocol) t b s readers writes reads transport crash inflight
       domains fast_reads keys zipf write_ratio coalesce seed copts metrics
       artifacts =
     if readers < 1 || inflight < 0 || coalesce < 0 then begin
@@ -1248,8 +1119,10 @@ let cluster_cmd =
         "robustread: --readers must be >= 1, --inflight and --coalesce >= 0@.";
       exit 2
     end;
-    let protocol =
-      if fast_reads then Net.Protocols.regular_gc ~readers else protocol
+    let p, protocol =
+      if fast_reads then
+        (Fault.Campaign.Regular_gc, Net.Protocols.regular_gc ~readers)
+      else (p, protocol)
     in
     let cfg = config ~s ~t ~b () in
     (match crash with
@@ -1345,12 +1218,12 @@ let cluster_cmd =
         | Ok o -> print_outcome "read(post-restart)" o
         | Error e -> fail ("post-restart read FAILED: " ^ e))
     | _ -> ());
-    let semantics = Net.Protocols.semantics protocol in
+    let claim = Fault.Campaign.claim p in
     let histories = Net.Cluster.keyed_histories cluster in
     let bad =
       List.fold_left
         (fun acc (key, h) ->
-          let vs = Net.Protocols.check semantics h in
+          let vs = Fault.Campaign.check claim h in
           List.iter
             (fun v ->
               Format.printf "  key %d violation: %a@." key
@@ -1370,7 +1243,7 @@ let cluster_cmd =
     Format.printf "%d histories (%d ops) checked; %s: %s@."
       (List.length histories)
       (List.fold_left (fun n (_, h) -> n + List.length h) 0 histories)
-      (Net.Protocols.semantics_name semantics)
+      (Fault.Campaign.claim_name claim)
       (if bad = 0 then "OK" else Printf.sprintf "%d VIOLATIONS" bad);
     live_report ~artifacts ~spans:(Net.Cluster.spans cluster)
       (Net.Cluster.metrics cluster);
@@ -1445,7 +1318,7 @@ let load_worker_cmd =
       & info [ "worker" ] ~docv:"I"
           ~doc:"This worker's 0-based index among --workers.")
   in
-  let run protocol t b s endpoints inflight ops first_reader keys zipf
+  let run (_, protocol) t b s endpoints inflight ops first_reader keys zipf
       write_ratio coalesce seed workers worker metrics_out copts =
     let coalesce = max 1 coalesce in
     let cfg = config ~s ~t ~b () in
@@ -1535,7 +1408,7 @@ let load_cmd =
       & info [ "procs"; "k" ] ~docv:"K"
           ~doc:"Client worker processes to fork (disjoint reader-id ranges).")
   in
-  let run protocol t b s domains procs inflight ops transport keys zipf
+  let run (_, protocol) t b s domains procs inflight ops transport keys zipf
       write_ratio coalesce seed copts metrics artifacts =
     if procs < 1 || inflight < 1 || ops < 1 then begin
       Format.eprintf "robustread: --procs, --inflight and --ops must be >= 1@.";

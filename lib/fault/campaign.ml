@@ -1,72 +1,72 @@
-type protocol = Safe | Regular | Regular_opt | Abd | Fast_safe | Naive_fast
+type protocol =
+  | Safe
+  | Regular
+  | Regular_opt
+  | Regular_gc
+  | Abd
+  | Abd_atomic
+  | Nonmod
+  | Auth
+  | Fast_safe
+  | Naive_fast
 
-let all_protocols = [ Safe; Regular; Regular_opt; Abd; Fast_safe; Naive_fast ]
+type claim = Safety | Regularity | Atomicity
 
-let robust_protocols = [ Safe; Regular; Regular_opt; Abd; Fast_safe ]
+type entry =
+  | Entry : {
+      automata : (module Core.Protocol_intf.S with type msg = 'm);
+      claim : claim;
+      robust : bool;
+      signed : bool;
+      design : t:int -> b:int -> Quorum.Config.t;
+      strategy : Plan.byz_kind -> 'm Core.Byz.factory;
+    }
+      -> entry
 
-let protocol_name = function
-  | Safe -> "safe"
-  | Regular -> "regular"
-  | Regular_opt -> "regular-opt"
-  | Abd -> "abd"
-  | Fast_safe -> "fast-safe"
-  | Naive_fast -> "naive-fast"
+(* ----- the concrete strategy behind each symbolic attack ----------------- *)
 
-let protocol_of_string = function
-  | "safe" -> Some Safe
-  | "regular" -> Some Regular
-  | "regular-opt" -> Some Regular_opt
-  | "abd" -> Some Abd
-  | "fast-safe" -> Some Fast_safe
-  | "naive-fast" -> Some Naive_fast
-  | _ -> None
-
-(* What each protocol promises (and the matrix holds it to).  ABD's
-   campaign configuration is crash-only (b = 0), its design regime. *)
-let claims_regularity = function
-  | Regular | Regular_opt | Abd -> true
-  | Safe | Fast_safe | Naive_fast -> false
-
-let default_cfg protocol ~t ~b =
-  match protocol with
-  | Safe | Regular | Regular_opt -> Quorum.Config.optimal ~t ~b
-  | Abd -> Quorum.Config.make_exn ~s:((2 * t) + 1) ~t ~b:0
-  | Fast_safe -> Quorum.Config.make_exn ~s:((2 * t) + (2 * b) + 1) ~t ~b
-  | Naive_fast ->
-      (* the doomed regime of Proposition 1: one object below the fast-
-         read threshold *)
-      Quorum.Config.make_exn ~s:(2 * (t + b)) ~t ~b
-
-(* ----- symbolic strategy resolution ------------------------------------- *)
-
-let core_strategy : Plan.byz_kind -> Core.Messages.t Core.Byz.factory = function
+let safe_strategy : Plan.byz_kind -> Core.Messages.t Core.Byz.factory = function
   | Plan.Mute -> Strategies.mute
   | Plan.Forge -> Strategies.forge_high_value ~value:"evil" ~ts_boost:9
   | Plan.Replay -> Strategies.replay_initial
   | Plan.Simulate -> Strategies.simulate_unwritten_write ~value:"ghost" ~ts:9
+  | Plan.Defame -> Strategies.defame ~targets:[ 1; 3 ] ~boost:10
   | Plan.Garbage -> Strategies.random_garbage
   | Plan.Flaky { down_from; down_until } ->
       Strategies.crash_recovery ~down_from ~down_until
 
-let regular_strategy : Plan.byz_kind -> Core.Messages.t Core.Byz.factory =
+let history_strategy : Plan.byz_kind -> Core.Messages.t Core.Byz.factory =
   function
   | Plan.Mute -> Strategies.mute
   | Plan.Forge -> Strategies.forge_history ~value:"evil" ~ts_boost:9
   | Plan.Replay | Plan.Flaky _ -> Strategies.stale_history ~keep:1
   | Plan.Simulate -> Strategies.forge_history ~value:"ghost" ~ts_boost:9
+  | Plan.Defame -> Strategies.defame_history ~targets:[ 1; 3 ] ~boost:10
   | Plan.Garbage -> Strategies.empty_history
 
 let abd_strategy : Plan.byz_kind -> Baseline.Abd.msg Core.Byz.factory = function
   | Plan.Mute | Plan.Flaky _ -> Core.Byz.silent
-  | Plan.Forge | Plan.Garbage ->
+  | Plan.Forge | Plan.Replay | Plan.Simulate | Plan.Defame | Plan.Garbage ->
       Baseline.Abd.byz_forge_high ~value:"evil" ~ts_boost:9
-  | Plan.Replay | Plan.Simulate ->
-      Baseline.Abd.byz_forge_high ~value:"ghost" ~ts_boost:9
+
+let nonmod_strategy : Plan.byz_kind -> Baseline.Nonmod.msg Core.Byz.factory =
+  function
+  | Plan.Mute | Plan.Flaky _ -> Core.Byz.silent
+  | Plan.Replay -> Baseline.Nonmod.byz_stale
+  | Plan.Forge | Plan.Simulate | Plan.Defame | Plan.Garbage ->
+      Baseline.Nonmod.byz_forge_high ~value:"evil" ~ts_boost:9
+
+let auth_strategy : Plan.byz_kind -> Baseline.Auth.msg Core.Byz.factory =
+  function
+  | Plan.Mute | Plan.Flaky _ -> Core.Byz.silent
+  | Plan.Replay -> Baseline.Auth.byz_replay_stale
+  | Plan.Forge | Plan.Simulate | Plan.Defame | Plan.Garbage ->
+      Baseline.Auth.byz_forge ~value:"evil" ~ts_boost:9
 
 let fast_safe_strategy : Plan.byz_kind -> Baseline.Fast_safe.msg Core.Byz.factory
     = function
   | Plan.Mute | Plan.Flaky _ -> Core.Byz.silent
-  | Plan.Forge | Plan.Garbage ->
+  | Plan.Forge | Plan.Defame | Plan.Garbage ->
       Baseline.Fast_safe.byz_forge_high ~value:"evil" ~ts_boost:9
   | Plan.Replay | Plan.Simulate ->
       Baseline.Fast_safe.byz_endorse_forgery ~value:"ghost" ~ts:9
@@ -74,22 +74,134 @@ let fast_safe_strategy : Plan.byz_kind -> Baseline.Fast_safe.msg Core.Byz.factor
 let naive_strategy : Plan.byz_kind -> Baseline.Naive_fast.msg Core.Byz.factory =
   function
   | Plan.Mute | Plan.Flaky _ -> Core.Byz.silent
-  | Plan.Forge | Plan.Garbage ->
+  | Plan.Forge | Plan.Defame | Plan.Garbage ->
       Baseline.Naive_fast.byz_forge_high ~value:"ghost" ~ts_boost:9
   | Plan.Replay -> Baseline.Naive_fast.byz_replay_initial
   | Plan.Simulate -> Baseline.Naive_fast.byz_simulate_write ~value:"ghost" ~ts:9
+
+(* ----- the protocol table ------------------------------------------------ *)
+
+let workload_readers = 2
+
+(* The §5.1 cached/suffix variant, its floor set sized to the workloads'
+   two readers (r1 and r2). *)
+module Regular_gc2 = Core.Proto_regular_gc.Make (struct
+  let readers = workload_readers
+end)
+
+let optimal ~t ~b = Quorum.Config.optimal ~t ~b
+
+(* ABD's design regime: crash faults only. *)
+let crash_only ~t ~b:_ = Quorum.Config.make_exn ~s:((2 * t) + 1) ~t ~b:0
+
+let fast_read ~t ~b = Quorum.Config.make_exn ~s:((2 * t) + (2 * b) + 1) ~t ~b
+
+(* The doomed regime of Proposition 1: one object below the fast-read
+   threshold. *)
+let below_fast_read ~t ~b = Quorum.Config.make_exn ~s:(2 * (t + b)) ~t ~b
+
+let row (type m) (automata : (module Core.Protocol_intf.S with type msg = m))
+    claim ~design ~robust ~signed strategy =
+  Entry { automata; claim; robust; signed; design; strategy }
+
+let entry = function
+  | Safe ->
+      row (module Core.Proto_safe) Safety ~design:optimal ~robust:true
+        ~signed:false safe_strategy
+  | Regular ->
+      row (module Core.Proto_regular.Plain) Regularity ~design:optimal
+        ~robust:true ~signed:false history_strategy
+  | Regular_opt ->
+      row (module Core.Proto_regular.Optimized) Regularity ~design:optimal
+        ~robust:true ~signed:false history_strategy
+  | Regular_gc ->
+      row (module Regular_gc2) Regularity ~design:optimal ~robust:true
+        ~signed:false history_strategy
+  | Abd ->
+      row (module Baseline.Abd.Regular) Regularity ~design:crash_only
+        ~robust:true ~signed:false abd_strategy
+  | Abd_atomic ->
+      row (module Baseline.Abd.Atomic) Atomicity ~design:crash_only
+        ~robust:true ~signed:false abd_strategy
+  | Nonmod ->
+      row (module Baseline.Nonmod) Safety ~design:optimal ~robust:true
+        ~signed:false nonmod_strategy
+  | Auth ->
+      row (module Baseline.Auth) Regularity ~design:optimal ~robust:true
+        ~signed:true auth_strategy
+  | Fast_safe ->
+      row (module Baseline.Fast_safe) Safety ~design:fast_read ~robust:true
+        ~signed:false fast_safe_strategy
+  | Naive_fast ->
+      row (module Baseline.Naive_fast) Safety ~design:below_fast_read
+        ~robust:false ~signed:false naive_strategy
+
+let protocols =
+  [
+    Safe; Regular; Regular_opt; Regular_gc; Abd; Abd_atomic; Nonmod; Auth;
+    Fast_safe; Naive_fast;
+  ]
+
+let protocol_name p =
+  let (Entry { automata = (module P); _ }) = entry p in
+  P.name
+
+let protocol_of_string s = List.find_opt (fun p -> protocol_name p = s) protocols
+
+let claim p =
+  let (Entry e) = entry p in
+  e.claim
+
+let robust p =
+  let (Entry e) = entry p in
+  e.robust
+
+let default_cfg p ~t ~b =
+  let (Entry e) = entry p in
+  e.design ~t ~b
+
+let claim_name = function
+  | Safety -> "safety"
+  | Regularity -> "regularity"
+  | Atomicity -> "atomicity"
+
+let check claim h =
+  let equal = String.equal in
+  match claim with
+  | Safety -> Histories.Checks.check_safety ~equal h
+  | Regularity -> Histories.Checks.check_regularity ~equal h
+  | Atomicity -> Histories.Checks.check_atomicity ~equal h
+
+let campaign_protocols = [ Safe; Regular; Regular_opt; Abd; Fast_safe; Naive_fast ]
+
+let robust_protocols = List.filter robust campaign_protocols
 
 (* ----- running one (seed, plan) ----------------------------------------- *)
 
 type verdict = {
   safety : int;
   regularity : int;
+  claimed : int;
   liveness : int;
   completed : int;
   total : int;
   quiescent : bool;
   spans : Obs.Span.t list;
 }
+
+let judge protocol ~quiescent ~completed ~total ~spans history =
+  let equal = String.equal in
+  {
+    safety = List.length (Histories.Checks.check_safety ~equal history);
+    regularity = List.length (Histories.Checks.check_regularity ~equal history);
+    claimed = List.length (check (claim protocol) history);
+    liveness =
+      List.length (Histories.Checks.check_wait_freedom ~quiescent history);
+    completed;
+    total;
+    quiescent;
+    spans;
+  }
 
 (* The campaign workload every backend runs a plan under: a quiet
    sequential spine (so safety constrains every run) merged with the
@@ -100,15 +212,13 @@ type verdict = {
 let workload ~seed ~(plan : Plan.t) =
   let rng = Sim.Prng.create ~seed in
   Core.Schedule.merge
-    (Workload.Generate.sequential ~writes:4 ~readers:2 ~gap:60)
-    (Workload.Generate.read_mostly ~rng ~writes:0 ~readers:2
+    (Workload.Generate.sequential ~writes:4 ~readers:workload_readers ~gap:60)
+    (Workload.Generate.read_mostly ~rng ~writes:0 ~readers:workload_readers
        ~reads_per_reader:4 ~horizon:plan.Plan.horizon)
 
-let workload_readers = 2
-
-let run_generic (type m) (module P : Core.Protocol_intf.S with type msg = m)
-    ~(strategy : Plan.byz_kind -> m Core.Byz.factory) ?metrics ~cfg ~seed
-    ~max_events (plan : Plan.t) =
+let run_plan ?(max_events = 2_000_000) ?metrics protocol ~cfg ~seed
+    (plan : Plan.t) =
+  let (Entry { automata = (module P); strategy; _ }) = entry protocol in
   let module Sc = Core.Scenario.Make (P) in
   (* The sim injector: plan actions stage into the scenario's fault
      configuration — initial Byzantine casts plus time-scripted chaos
@@ -117,7 +227,7 @@ let run_generic (type m) (module P : Core.Protocol_intf.S with type msg = m)
      byzantine list is order-insensitive). *)
   let module Sim_injector = struct
     type t = {
-      mutable byzantine : (int * m Core.Byz.factory) list;
+      mutable byzantine : (int * P.msg Core.Byz.factory) list;
       mutable rev_chaos : Sc.chaos_event list;
     }
 
@@ -168,48 +278,9 @@ let run_generic (type m) (module P : Core.Protocol_intf.S with type msg = m)
       ~faults:{ Sc.crashes = []; byzantine = ctx.Sim_injector.byzantine }
       schedule
   in
-  let equal = String.equal in
-  {
-    safety = List.length (Histories.Checks.check_safety ~equal rep.history);
-    regularity =
-      List.length (Histories.Checks.check_regularity ~equal rep.history);
-    liveness =
-      List.length
-        (Histories.Checks.check_wait_freedom ~quiescent:rep.quiescent
-           rep.history);
-    completed = List.length rep.outcomes;
-    total = List.length schedule;
-    quiescent = rep.quiescent;
-    spans = rep.spans;
-  }
-
-let run_plan ?(max_events = 2_000_000) ?metrics protocol ~cfg ~seed
-    (plan : Plan.t) =
-  match protocol with
-  | Safe ->
-      run_generic
-        (module Core.Proto_safe)
-        ~strategy:core_strategy ?metrics ~cfg ~seed ~max_events plan
-  | Regular ->
-      run_generic
-        (module Core.Proto_regular.Plain)
-        ~strategy:regular_strategy ?metrics ~cfg ~seed ~max_events plan
-  | Regular_opt ->
-      run_generic
-        (module Core.Proto_regular.Optimized)
-        ~strategy:regular_strategy ?metrics ~cfg ~seed ~max_events plan
-  | Abd ->
-      run_generic
-        (module Baseline.Abd.Regular)
-        ~strategy:abd_strategy ?metrics ~cfg ~seed ~max_events plan
-  | Fast_safe ->
-      run_generic
-        (module Baseline.Fast_safe)
-        ~strategy:fast_safe_strategy ?metrics ~cfg ~seed ~max_events plan
-  | Naive_fast ->
-      run_generic
-        (module Baseline.Naive_fast)
-        ~strategy:naive_strategy ?metrics ~cfg ~seed ~max_events plan
+  judge protocol ~quiescent:rep.quiescent
+    ~completed:(List.length rep.outcomes)
+    ~total:(List.length schedule) ~spans:rep.spans rep.history
 
 (* ----- execution backends ------------------------------------------------ *)
 
@@ -237,23 +308,20 @@ let sim_backend =
         run_plan ?metrics protocol ~cfg ~seed plan);
   }
 
-let verdict_violates protocol v =
-  v.safety > 0
-  || v.liveness > 0
-  || (claims_regularity protocol && v.regularity > 0)
+(* A run breaks a protocol's contract if it violates the property the
+   table says the protocol claims, or wait-freedom. *)
+let verdict_violates v = v.claimed > 0 || v.liveness > 0
 
-(* A run breaks a protocol's contract if it violates a property the
-   protocol claims: safety and wait-freedom for all, regularity on top
-   for the regular-semantics ones.  (naive-fast claims nothing, but the
-   campaign holds it to safety to exhibit the Proposition 1 violation.) *)
-let violates ?max_events ?(backend = sim_backend) protocol ~cfg ~seed plan =
-  let v =
-    match max_events with
-    | Some max_events when backend == sim_backend ->
-        run_plan ~max_events protocol ~cfg ~seed plan
-    | _ -> backend.backend_run protocol ~cfg ~seed plan
-  in
-  verdict_violates protocol v
+(* [max_events] bounds the simulator only. *)
+let run_on ?max_events ?(backend = sim_backend) ?metrics protocol ~cfg ~seed
+    plan =
+  match max_events with
+  | Some max_events when backend == sim_backend ->
+      run_plan ~max_events ?metrics protocol ~cfg ~seed plan
+  | _ -> backend.backend_run ?metrics protocol ~cfg ~seed plan
+
+let violates ?max_events ?backend protocol ~cfg ~seed plan =
+  verdict_violates (run_on ?max_events ?backend protocol ~cfg ~seed plan)
 
 (* ----- sweeping seeds x plans x protocols -------------------------------- *)
 
@@ -272,128 +340,95 @@ type cell = {
   metrics : Obs.Metrics.t;
 }
 
-let run_plan_result ?max_events ?(backend = sim_backend) ?metrics protocol
-    ~cfg ~seed plan =
-  let run () =
-    match max_events with
-    | Some max_events when backend == sim_backend ->
-        run_plan ~max_events ?metrics protocol ~cfg ~seed plan
-    | _ -> backend.backend_run ?metrics protocol ~cfg ~seed plan
-  in
-  match run () with
+let run_plan_result ?max_events ?backend ?metrics protocol ~cfg ~seed plan =
+  match run_on ?max_events ?backend ?metrics protocol ~cfg ~seed plan with
   | v -> Ok v
   | exception e -> Error { seed; plan; error = Printexc.to_string e }
 
-(* The per-seed unit of parallel work: [plans_per_seed] plans drawn from
-   the seed's own PRNG, tallied into the seed's own registry.  A unit is
-   a pure function of (protocol, cfg, seed), which is what lets the
-   domain pool fan units out in any order and still reduce to the exact
-   serial result: counters add, failure/error lists concatenate in seed
-   order, and the PR-2 histogram algebra makes the registry merge
-   associative and commutative. *)
-type seed_tally = {
-  u_runs : int;
-  u_safety : int;
-  u_regularity : int;
-  u_liveness : int;
-  u_incomplete : int;
-  u_failures : (int * Plan.t) list;  (* in plan order *)
-  u_errors : cell_error list;  (* in plan order *)
-  u_metrics : Obs.Metrics.t;
-}
+let empty_cell protocol cfg metrics =
+  {
+    protocol;
+    cfg;
+    runs = 0;
+    safety_runs = 0;
+    regularity_runs = 0;
+    liveness_runs = 0;
+    incomplete_runs = 0;
+    failures = [];
+    errors = [];
+    metrics;
+  }
 
+(* The per-seed unit of parallel work: a cell of [plans_per_seed] plans
+   drawn from the seed's own PRNG, tallied into the seed's own registry.
+   A unit is a pure function of (protocol, cfg, seed), which is what lets
+   the domain pool fan units out in any order and still reduce to the
+   exact serial result: counters add, failure/error lists concatenate in
+   seed order, and the PR-2 histogram algebra makes the registry merge
+   associative and commutative. *)
 let sweep_seed ?max_events ?backend ~budget ~plans_per_seed protocol ~cfg
     ~seed =
   let metrics = Obs.Metrics.create () in
   let rng = Sim.Prng.create ~seed in
-  let runs = ref 0
-  and safety_runs = ref 0
-  and regularity_runs = ref 0
-  and liveness_runs = ref 0
-  and incomplete_runs = ref 0
-  and failures = ref []
-  and errors = ref [] in
-  for _ = 1 to plans_per_seed do
-    let plan = Plan.gen ~rng ~cfg ~budget in
+  let count n hit = if hit then n + 1 else n in
+  let tally c plan =
     match
       run_plan_result ?max_events ?backend ~metrics protocol ~cfg ~seed plan
     with
     | Error e ->
-        (* A raising cell is a campaign finding, not a sweep abort: the
+        (* A raising run is a campaign finding, not a sweep abort: the
            structured error surfaces in the matrix alongside the seeds
            that did run. *)
-        errors := e :: !errors
+        { c with errors = e :: c.errors }
     | Ok v ->
-        incr runs;
-        if v.safety > 0 then incr safety_runs;
-        if v.regularity > 0 then incr regularity_runs;
-        if not v.quiescent then incr incomplete_runs;
-        if v.liveness > 0 then incr liveness_runs;
-        let failed =
-          v.safety > 0
-          || v.liveness > 0
-          || (claims_regularity protocol && v.regularity > 0)
-        in
-        if failed then failures := (seed, plan) :: !failures
+        {
+          c with
+          runs = c.runs + 1;
+          safety_runs = count c.safety_runs (v.safety > 0);
+          regularity_runs = count c.regularity_runs (v.regularity > 0);
+          liveness_runs = count c.liveness_runs (v.liveness > 0);
+          incomplete_runs = count c.incomplete_runs (not v.quiescent);
+          failures =
+            (if verdict_violates v then (seed, plan) :: c.failures
+             else c.failures);
+        }
+  in
+  let c = ref (empty_cell protocol cfg metrics) in
+  for _ = 1 to plans_per_seed do
+    c := tally !c (Plan.gen ~rng ~cfg ~budget)
   done;
-  {
-    u_runs = !runs;
-    u_safety = !safety_runs;
-    u_regularity = !regularity_runs;
-    u_liveness = !liveness_runs;
-    u_incomplete = !incomplete_runs;
-    u_failures = List.rev !failures;
-    u_errors = List.rev !errors;
-    u_metrics = metrics;
-  }
+  { !c with failures = List.rev !c.failures; errors = List.rev !c.errors }
 
-(* Ordered reduction of per-seed tallies into one cell; merging in seed
-   order keeps every derived artifact (matrix, metrics table, JSONL
-   exports) byte-identical whatever the execution interleaving was. *)
-let assemble_cell protocol cfg tallies =
+(* Ordered reduction of per-seed cells into one; merging in seed order
+   keeps every derived artifact (matrix, metrics table, JSONL exports)
+   byte-identical whatever the execution interleaving was. *)
+let assemble_cell protocol cfg cells =
   let metrics = Obs.Metrics.create () in
-  let runs = ref 0
-  and safety_runs = ref 0
-  and regularity_runs = ref 0
-  and liveness_runs = ref 0
-  and incomplete_runs = ref 0
-  and failures = ref []
-  and errors = ref [] in
-  List.iter
-    (fun u ->
-      runs := !runs + u.u_runs;
-      safety_runs := !safety_runs + u.u_safety;
-      regularity_runs := !regularity_runs + u.u_regularity;
-      liveness_runs := !liveness_runs + u.u_liveness;
-      incomplete_runs := !incomplete_runs + u.u_incomplete;
-      failures := List.rev_append u.u_failures !failures;
-      errors := List.rev_append u.u_errors !errors;
-      Obs.Metrics.merge_into ~dst:metrics u.u_metrics)
-    tallies;
-  {
-    protocol;
-    cfg;
-    runs = !runs;
-    safety_runs = !safety_runs;
-    regularity_runs = !regularity_runs;
-    liveness_runs = !liveness_runs;
-    incomplete_runs = !incomplete_runs;
-    failures = List.rev !failures;
-    errors = List.rev !errors;
-    metrics;
-  }
+  List.fold_left
+    (fun a c ->
+      Obs.Metrics.merge_into ~dst:metrics c.metrics;
+      {
+        a with
+        runs = a.runs + c.runs;
+        safety_runs = a.safety_runs + c.safety_runs;
+        regularity_runs = a.regularity_runs + c.regularity_runs;
+        liveness_runs = a.liveness_runs + c.liveness_runs;
+        incomplete_runs = a.incomplete_runs + c.incomplete_runs;
+        failures = a.failures @ c.failures;
+        errors = a.errors @ c.errors;
+      })
+    (empty_cell protocol cfg metrics)
+    cells
 
 let sweep_protocol ?jobs ?max_events ?backend ?(budget = Plan.medium)
     ?(plans_per_seed = 3) protocol ~t ~b ~seeds =
   let cfg = default_cfg protocol ~t ~b in
-  let tallies =
-    Exec.Pool.map ?jobs
-      (fun seed ->
-        sweep_seed ?max_events ?backend ~budget ~plans_per_seed protocol ~cfg
-          ~seed)
-      seeds
-  in
-  assemble_cell protocol cfg tallies
+  assemble_cell protocol cfg
+    (Exec.Pool.map ?jobs
+       (fun seed ->
+         sweep_seed ?max_events ?backend ~budget ~plans_per_seed protocol ~cfg
+           ~seed)
+       seeds)
 
 let sweep ?jobs ?max_events ?backend ?(budget = Plan.medium)
     ?(plans_per_seed = 3) ~protocols ~t ~b ~seeds () =
@@ -406,7 +441,7 @@ let sweep ?jobs ?max_events ?backend ?(budget = Plan.medium)
       (fun (p, cfg) -> List.map (fun seed -> (p, cfg, seed)) seeds)
       cfgs
   in
-  let tallies =
+  let units =
     Exec.Pool.map ?jobs
       (fun (p, cfg, seed) ->
         sweep_seed ?max_events ?backend ~budget ~plans_per_seed p ~cfg ~seed)
@@ -416,9 +451,7 @@ let sweep ?jobs ?max_events ?backend ?(budget = Plan.medium)
   List.mapi
     (fun i (p, cfg) ->
       let mine =
-        List.filteri
-          (fun j _ -> j >= i * nseeds && j < (i + 1) * nseeds)
-          tallies
+        List.filteri (fun j _ -> j >= i * nseeds && j < (i + 1) * nseeds) units
       in
       assemble_cell p cfg mine)
     cfgs
@@ -428,7 +461,7 @@ let sweep ?jobs ?max_events ?backend ?(budget = Plan.medium)
 (* Proposition 1 needs a Byzantine object: crash-only campaigns cannot
    break even the naive fast reader's safety. *)
 let cell_verdict c =
-  let expected_broken = c.protocol = Naive_fast && c.cfg.Quorum.Config.b > 0 in
+  let expected_broken = (not (robust c.protocol)) && c.cfg.Quorum.Config.b > 0 in
   match (c.errors, c.failures, expected_broken) with
   | _ :: _, _, _ -> "ERROR"
   | [], [], false -> "survives"
@@ -522,48 +555,40 @@ let metrics_table cells =
 
 (* ----- machine-readable matrix ------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* One JSON object per cell, one line per object — the schema is shared
    by both backends (that is the point: a sim matrix and a live matrix
    of the same campaign diff cleanly).  Witness plans are embedded in
    their compact one-line rendering, the same form the CLI prints. *)
 let matrix_jsonl ?(backend = "sim") cells =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun c ->
-      Printf.bprintf buf
-        "{\"backend\":\"%s\",\"protocol\":\"%s\",\"s\":%d,\"t\":%d,\"b\":%d,\
-         \"runs\":%d,\"safety_ok\":%d,\"regularity_ok\":%d,\"liveness_ok\":%d,\
-         \"incomplete\":%d,\"errors\":%d,\"verdict\":\"%s\",\"witnesses\":["
-        (json_escape backend)
-        (json_escape (protocol_name c.protocol))
-        c.cfg.Quorum.Config.s c.cfg.Quorum.Config.t c.cfg.Quorum.Config.b
-        c.runs (c.runs - c.safety_runs) (c.runs - c.regularity_runs)
-        (c.runs - c.liveness_runs)
-        c.incomplete_runs
-        (List.length c.errors)
-        (json_escape (cell_verdict c));
-      List.iteri
-        (fun i (seed, plan) ->
-          Printf.bprintf buf "%s{\"seed\":%d,\"plan\":\"%s\"}"
-            (if i = 0 then "" else ",")
-            seed
-            (json_escape (Plan.to_compact plan)))
-        c.failures;
-      Buffer.add_string buf "]}\n")
-    cells;
-  Buffer.contents buf
+  let open Obs.Export.Json in
+  String.concat ""
+    (List.map
+       (fun c ->
+         to_string
+           (Obj
+              [
+                ("backend", Str backend);
+                ("protocol", Str (protocol_name c.protocol));
+                ("s", Int c.cfg.Quorum.Config.s);
+                ("t", Int c.cfg.Quorum.Config.t);
+                ("b", Int c.cfg.Quorum.Config.b);
+                ("runs", Int c.runs);
+                ("safety_ok", Int (c.runs - c.safety_runs));
+                ("regularity_ok", Int (c.runs - c.regularity_runs));
+                ("liveness_ok", Int (c.runs - c.liveness_runs));
+                ("incomplete", Int c.incomplete_runs);
+                ("errors", Int (List.length c.errors));
+                ("verdict", Str (cell_verdict c));
+                ( "witnesses",
+                  List
+                    (List.map
+                       (fun (seed, plan) ->
+                         Obj
+                           [
+                             ("seed", Int seed);
+                             ("plan", Str (Plan.to_compact plan));
+                           ])
+                       c.failures) );
+              ])
+         ^ "\n")
+       cells)

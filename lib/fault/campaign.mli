@@ -1,46 +1,122 @@
-(** Chaos campaigns: sweep seeds × fault plans × protocols and report a
-    survival matrix.
+(** The protocol table, and chaos campaigns judged by it.
 
-    A campaign draws random {!Plan}s within the resilience budget of
-    each protocol's configuration, compiles the symbolic Byzantine kinds
-    down to that protocol's concrete strategies, runs the scenario, and
-    holds the resulting history to the {!Histories.Checks} oracles plus
-    the wait-freedom watchdog.  The robust protocols must survive every
-    within-budget plan (Theorems 1–4); [naive-fast] at [s = 2t + 2b] is
-    the negative control Proposition 1 dooms, and its failures feed the
-    {!Shrink} minimizer. *)
+    {!entry} is the one place the repository names each protocol it
+    runs: its automata, the property it claims (paper §2.2), the
+    configuration it is designed for, and the concrete strategy behind
+    each symbolic attack.  The CLI, the experiments and the live
+    backend look protocols up here.
 
-type protocol = Safe | Regular | Regular_opt | Abd | Fast_safe | Naive_fast
+    A campaign sweeps seeds × fault plans × protocols and reports a
+    survival matrix.  It draws random {!Plan}s within the resilience
+    budget of each protocol's design configuration, compiles the
+    symbolic Byzantine kinds through the protocol's strategy, runs the
+    scenario, and holds the history to the property the protocol claims
+    plus the wait-freedom watchdog.  The robust protocols must survive
+    every within-budget plan (Theorems 1–4); [naive-fast] at
+    [s = 2t + 2b] is the negative control Proposition 1 dooms, and its
+    failures feed the {!Shrink} minimizer. *)
 
-val all_protocols : protocol list
+(** {2 The protocol table} *)
 
-val robust_protocols : protocol list
-(** Every protocol except [Naive_fast] — the ones expected to survive. *)
+type protocol =
+  | Safe
+  | Regular
+  | Regular_opt
+  | Regular_gc  (** floors sized for {!workload_readers} readers *)
+  | Abd
+  | Abd_atomic
+  | Nonmod
+  | Auth
+  | Fast_safe
+  | Naive_fast
+
+(** The register property a protocol claims (paper §2.2). *)
+type claim = Safety | Regularity | Atomicity
+
+type entry =
+  | Entry : {
+      automata : (module Core.Protocol_intf.S with type msg = 'm);
+          (** its [name] is the protocol's name *)
+      claim : claim;
+      robust : bool;
+          (** must survive every within-budget plan; [false] only for the
+              negative control Proposition 1 dooms *)
+      signed : bool;
+          (** values carry the writer's signature, so no object can
+              forge one and Proposition 1's construction does not
+              apply *)
+      design : t:int -> b:int -> Quorum.Config.t;
+          (** the configuration it is designed for *)
+      strategy : Plan.byz_kind -> 'm Core.Byz.factory;
+          (** the concrete strategy behind each symbolic attack *)
+    }
+      -> entry
+
+val entry : protocol -> entry
+
+val protocols : protocol list
+(** Every table entry: safe, regular, regular-opt, regular-gc, abd,
+    abd-atomic, nonmod, auth, fast-safe, naive-fast. *)
 
 val protocol_name : protocol -> string
 
 val protocol_of_string : string -> protocol option
 
-val claims_regularity : protocol -> bool
-(** Whether regularity violations count against the protocol ([Regular],
-    [Regular_opt], [Abd]) or only safety/wait-freedom do. *)
+val claim : protocol -> claim
+(** Safety for safe, nonmod, fast-safe and naive-fast; regularity for
+    regular, regular-opt, regular-gc, abd and auth; atomicity for
+    abd-atomic. *)
+
+val claim_name : claim -> string
+(** ["safety"], ["regularity"] or ["atomicity"]. *)
+
+val check :
+  claim -> string Histories.Op.t list -> string Histories.Checks.violation list
+(** Violations of exactly the property [claim] names, on one register's
+    history.  Safe storage never promises regularity, so a safe run is
+    held to safety alone. *)
+
+val robust : protocol -> bool
 
 val default_cfg : protocol -> t:int -> b:int -> Quorum.Config.t
-(** The configuration each protocol is campaigned at: optimal [2t+b+1]
-    for the paper's protocols, [2t+1] crash-only for ABD, [2t+2b+1] for
-    fast-safe — and the doomed [2t+2b] for [Naive_fast]. *)
+(** The configuration the protocol is designed for: optimal [2t+b+1]
+    for the paper's protocols and the nonmodifying and authenticated
+    baselines, [2t+1] crash-only for ABD, [2t+2b+1] for fast-safe — and
+    the doomed [2t+2b] for [Naive_fast]. *)
+
+val campaign_protocols : protocol list
+(** The protocols a campaign sweeps by default: safe, regular,
+    regular-opt, abd, fast-safe and naive-fast. *)
+
+val robust_protocols : protocol list
+(** {!campaign_protocols} without the negative control — the ones
+    expected to survive. *)
 
 (** {2 Single runs} *)
 
 type verdict = {
   safety : int;  (** safety violations found *)
   regularity : int;
+  claimed : int;  (** violations of the property the protocol claims *)
   liveness : int;  (** wait-freedom violations (0 unless [quiescent]) *)
   completed : int;  (** operations that completed *)
   total : int;  (** operations scheduled *)
   quiescent : bool;  (** the run drained its event queue *)
   spans : Obs.Span.t list;  (** per-operation spans, invocation order *)
 }
+
+val judge :
+  protocol ->
+  quiescent:bool ->
+  completed:int ->
+  total:int ->
+  spans:Obs.Span.t list ->
+  string Histories.Op.t list ->
+  verdict
+(** Hold one run's history to the checkers: safety and regularity
+    counted for the survival matrix, the protocol's {!claim} for the
+    verdict, wait-freedom once the run is [quiescent].  Every backend
+    builds its verdicts here. *)
 
 val workload : seed:int -> plan:Plan.t -> Core.Schedule.t
 (** The campaign workload a plan is judged under: a sequential spine
@@ -51,7 +127,7 @@ val workload : seed:int -> plan:Plan.t -> Core.Schedule.t
 
 val workload_readers : int
 (** Number of reader processes {!workload} schedules (the live backend
-    sizes its cluster from this). *)
+    sizes its cluster from this, and [Regular_gc]'s floor set). *)
 
 val run_plan :
   ?max_events:int ->
@@ -87,10 +163,9 @@ type backend = {
 val sim_backend : backend
 (** The default: {!run_plan} at its default event bound. *)
 
-val verdict_violates : protocol -> verdict -> bool
-(** Did this verdict break the protocol's contract (safety or
-    wait-freedom always; regularity additionally when
-    {!claims_regularity})? *)
+val verdict_violates : verdict -> bool
+(** Did this verdict break the protocol's contract: a violation of the
+    property it claims, or of wait-freedom? *)
 
 val violates :
   ?max_events:int ->

@@ -15,6 +15,7 @@ type byz_kind =
   | Forge
   | Replay
   | Simulate
+  | Defame
   | Garbage
   | Flaky of { down_from : int; down_until : int }
 
@@ -23,6 +24,7 @@ let kind_to_string = function
   | Forge -> "forge"
   | Replay -> "replay"
   | Simulate -> "simulate"
+  | Defame -> "defame"
   | Garbage -> "garbage"
   | Flaky { down_from; down_until } ->
       Printf.sprintf "flaky[%d,%d)" down_from down_until

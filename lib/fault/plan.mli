@@ -25,6 +25,9 @@ type byz_kind =
   | Forge
   | Replay
   | Simulate
+  | Defame
+      (** slander correct objects to the reader ({!Strategies.defame});
+          only the CLI's [--attack] picks it — {!gen} never draws it *)
   | Garbage
   | Flaky of { down_from : int; down_until : int }
       (** {!Strategies.crash_recovery}-style: honest, silent for the

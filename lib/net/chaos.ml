@@ -48,18 +48,8 @@ type t = {
   mutable s_reordered : int;
 }
 
-let ignore_sigpipe =
-  lazy
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ -> ())
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 let shutdown_quietly fd =
   try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-
-let set_nodelay fd =
-  try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
 
 let locked t f =
   Mutex.lock t.lock;
@@ -88,8 +78,8 @@ let close_conn t conn =
        wakes up instead of hanging on a silently closed fd *)
     shutdown_quietly conn.c_client;
     shutdown_quietly conn.c_server;
-    close_quietly conn.c_client;
-    close_quietly conn.c_server;
+    Endpoint.close_quietly conn.c_client;
+    Endpoint.close_quietly conn.c_server;
     locked t (fun () -> t.conns <- List.filter (fun c -> c != conn) t.conns)
   end
 
@@ -260,24 +250,12 @@ let pump t conn ~dir ~src ~dst =
 
 (* ----- session setup ----------------------------------------------------- *)
 
-let dial ep =
-  let fd = Unix.socket (Endpoint.socket_domain ep) Unix.SOCK_STREAM 0 in
-  try
-    (match ep with
-    | Endpoint.Tcp _ -> set_nodelay fd
-    | Endpoint.Unix_sock _ -> ());
-    Unix.connect fd (Endpoint.to_sockaddr ep);
-    fd
-  with e ->
-    close_quietly fd;
-    raise e
-
 let handle_accept t cfd =
-  match dial t.target_ep with
+  match Endpoint.dial t.target_ep with
   | exception (Unix.Unix_error _ | Failure _) ->
       (* Target down: a client dialing through us experiences exactly a
          dead server — immediate EOF after connect. *)
-      close_quietly cfd
+      Endpoint.close_quietly cfd
   | sfd ->
       let conn =
         {
@@ -314,7 +292,7 @@ let rec accept_loop t =
     | _ :: _, _, _ -> (
         match Unix.accept t.listen_fd with
         | cfd, _ ->
-            set_nodelay cfd;
+            Endpoint.set_nodelay cfd;
             handle_accept t cfd;
             accept_loop t
         | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) ->
@@ -322,31 +300,9 @@ let rec accept_loop t =
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop t
         | exception Unix.Unix_error _ -> ())
 
-let listen_on endpoint =
-  Endpoint.cleanup endpoint;
-  let fd = Unix.socket (Endpoint.socket_domain endpoint) Unix.SOCK_STREAM 0 in
-  (try
-     (match endpoint with
-     | Endpoint.Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
-     | Endpoint.Unix_sock _ -> ());
-     Unix.bind fd (Endpoint.to_sockaddr endpoint);
-     Unix.listen fd 64
-   with e ->
-     close_quietly fd;
-     raise e);
-  let actual =
-    match endpoint with
-    | Endpoint.Tcp { host; port = 0 } -> (
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, port) -> Endpoint.Tcp { host; port }
-        | _ -> endpoint)
-    | _ -> endpoint
-  in
-  (fd, actual)
-
 let start ?(rules = []) ~now_us ~listen ~target () =
-  Lazy.force ignore_sigpipe;
-  let listen_fd, listen_ep = listen_on listen in
+  Endpoint.ignore_sigpipe ();
+  let listen_fd, listen_ep = Endpoint.listen listen in
   let t =
     {
       listen_ep;
@@ -391,7 +347,7 @@ let stats t =
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
-    close_quietly t.listen_fd;
+    Endpoint.close_quietly t.listen_fd;
     Endpoint.cleanup t.listen_ep;
     let conns = locked t (fun () -> t.conns) in
     List.iter (close_conn t) conns;

@@ -29,13 +29,6 @@ type outcome = {
   latency_us : int;
 }
 
-let ignore_sigpipe =
-  lazy
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ -> ())
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 (* One endpoint = one base object.  [fd = None] marks the endpoint down;
    reconnects are rate-limited by [next_attempt] so a dead server costs
    one connect attempt per backoff window, not one per message. *)
@@ -72,8 +65,6 @@ let mk_conn i ep =
 
 let reconnect_cap = 2.0
 
-let connect_timeout = 0.5
-
 (* A flapping endpoint must not flood stderr during a long bench: at
    most one reconnect warning per endpoint per window, with a count of
    what was swallowed in between. *)
@@ -91,29 +82,6 @@ let warn_reconnect c ~now msg =
   end
   else c.suppressed <- c.suppressed + 1
 
-(* Batched flushes must hit the wire immediately: Nagle + delayed-ACK
-   would otherwise stall the round-trip pipeline on TCP loopback. *)
-let set_nodelay fd =
-  try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
-
-(* A dial that cannot complete (an unreachable host, a full listen
-   backlog) gives up after [connect_timeout]: Linux bounds a blocking
-   connect(2) by the socket's send timeout (socket(7)), which is cleared
-   once connected so later writes block as before. *)
-let connect_fd ep =
-  let fd = Unix.socket (Endpoint.socket_domain ep) Unix.SOCK_STREAM 0 in
-  try
-    (match ep with
-    | Endpoint.Tcp _ -> set_nodelay fd
-    | Endpoint.Unix_sock _ -> ());
-    Unix.setsockopt_float fd Unix.SO_SNDTIMEO connect_timeout;
-    Unix.connect fd (Endpoint.to_sockaddr ep);
-    Unix.setsockopt_float fd Unix.SO_SNDTIMEO 0.;
-    fd
-  with e ->
-    close_quietly fd;
-    raise e
-
 let penalize c ~now =
   c.fails <- c.fails + 1;
   c.next_attempt <- now +. Float.min reconnect_cap (0.05 *. float_of_int c.fails)
@@ -122,7 +90,7 @@ let drop_conn ~count c =
   match c.fd with
   | None -> ()
   | Some fd ->
-      close_quietly fd;
+      Endpoint.close_quietly fd;
       c.fd <- None;
       Codec.Reader.reset c.reader;
       Codec.Out.clear c.out;
@@ -137,7 +105,7 @@ let drop_conn ~count c =
    (possibly wiped), so protocols with client-side cached state must
    resync (see {!Core.Protocol_intf.S.reader_on_reconnect}). *)
 let try_connect ~count ~on_reconnect ~codec ~proto_name ~proc c =
-  match connect_fd c.ep with
+  match Endpoint.dial c.ep with
   | fd -> (
       Codec.Reader.reset c.reader;
       c.fails <- 0;
@@ -363,7 +331,7 @@ module Keyed = struct
   let connect ?session ?metrics ?(opts = default_opts) ?now_us
       ?(max_inflight = 16) ?(reader = 1) ?(readers = 1) ?(coalesce = 1)
       ~protocol ~map endpoints =
-    Lazy.force ignore_sigpipe;
+    Endpoint.ignore_sigpipe ();
     let (Protocols.Packed { proto = (module P); codec }) = protocol in
     let cap = max 1 coalesce in
     let cfg = Shard.Map.cfg map in

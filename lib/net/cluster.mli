@@ -96,7 +96,7 @@ val run :
 val keyed_histories : t -> (int * string Histories.Op.t list) list
 (** {!Record.histories} of every engine so far: one history per key
     that saw an operation, sorted by key id.  Feed each key's list to
-    {!Histories.Checks} (or {!Protocols.check}) independently. *)
+    {!Histories.Checks} (or {!Fault.Campaign.check}) independently. *)
 
 val history : t -> string Histories.Op.t list
 (** Key 0's history from {!keyed_histories} (empty if none). *)

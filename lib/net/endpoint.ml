@@ -47,3 +47,61 @@ let socket_domain = function
 let cleanup = function
   | Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Tcp _ -> ()
+
+(* ----- sockets ----------------------------------------------------------- *)
+
+(* A peer vanishing mid-write must surface as EPIPE, not kill the
+   process. *)
+let sigpipe_ignored =
+  lazy
+    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+     with Invalid_argument _ -> ())
+
+let ignore_sigpipe () = Lazy.force sigpipe_ignored
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Batched flushes must hit the wire immediately: Nagle + delayed-ACK
+   would otherwise stall the round-trip pipeline on TCP loopback. *)
+let set_nodelay fd =
+  try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
+
+let listen endpoint =
+  cleanup endpoint;
+  let fd = Unix.socket (socket_domain endpoint) Unix.SOCK_STREAM 0 in
+  (try
+     (match endpoint with
+     | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
+     | Unix_sock _ -> ());
+     Unix.bind fd (to_sockaddr endpoint);
+     Unix.listen fd 64
+   with e ->
+     close_quietly fd;
+     raise e);
+  let actual =
+    match endpoint with
+    | Tcp { host; port = 0 } -> (
+        match Unix.getsockname fd with
+        | Unix.ADDR_INET (_, port) -> Tcp { host; port }
+        | _ -> endpoint)
+    | _ -> endpoint
+  in
+  (fd, actual)
+
+let connect_timeout = 0.5
+
+(* A dial that cannot complete (an unreachable host, a full listen
+   backlog) gives up after [connect_timeout]: Linux bounds a blocking
+   connect(2) by the socket's send timeout (socket(7)), which is cleared
+   once connected so later writes block as before. *)
+let dial ep =
+  let fd = Unix.socket (socket_domain ep) Unix.SOCK_STREAM 0 in
+  try
+    (match ep with Tcp _ -> set_nodelay fd | Unix_sock _ -> ());
+    Unix.setsockopt_float fd Unix.SO_SNDTIMEO connect_timeout;
+    Unix.connect fd (to_sockaddr ep);
+    Unix.setsockopt_float fd Unix.SO_SNDTIMEO 0.;
+    fd
+  with e ->
+    close_quietly fd;
+    raise e

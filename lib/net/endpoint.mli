@@ -23,3 +23,25 @@ val socket_domain : t -> Unix.socket_domain
 
 val cleanup : t -> unit
 (** Remove a stale Unix-domain socket file, if any; no-op for TCP. *)
+
+(** {2 Sockets} *)
+
+val ignore_sigpipe : unit -> unit
+(** Make a peer vanishing mid-write surface as [EPIPE] instead of
+    killing the process.  Idempotent. *)
+
+val close_quietly : Unix.file_descr -> unit
+
+val set_nodelay : Unix.file_descr -> unit
+(** [TCP_NODELAY], so batched flushes hit the wire at once; a no-op on
+    Unix-domain sockets. *)
+
+val listen : t -> Unix.file_descr * t
+(** Bind and listen (backlog 64), removing a stale socket file first.
+    Returns the listening socket and the bound endpoint, a TCP port 0
+    resolved to the one the kernel picked. *)
+
+val dial : t -> Unix.file_descr
+(** Connect a stream socket ([TCP_NODELAY] on TCP), giving up after
+    0.5 s if the connect cannot complete (an unreachable host, a full
+    listen backlog). *)

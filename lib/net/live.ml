@@ -16,15 +16,7 @@ let default_opts =
     transport = `Unix;
   }
 
-let supported =
-  Fault.Campaign.[ Safe; Regular; Regular_opt; Abd ]
-
-let protocol_of = function
-  | Fault.Campaign.Safe -> Some Protocols.safe
-  | Fault.Campaign.Regular -> Some Protocols.regular
-  | Fault.Campaign.Regular_opt -> Some Protocols.regular_opt
-  | Fault.Campaign.Abd -> Some Protocols.abd
-  | Fault.Campaign.Fast_safe | Fault.Campaign.Naive_fast -> None
+let protocol_of p = Protocols.of_string (Fault.Campaign.protocol_name p)
 
 (* ----- compiling a plan into live faults --------------------------------- *)
 
@@ -42,6 +34,9 @@ type vrule = {
   v_act : Chaos.action;
 }
 
+let vrule v_obj v_dir v_sender v_from v_until v_act =
+  { v_obj; v_dir; v_sender; v_from; v_until; v_act }
+
 let proc_name = function
   | Fault.Plan.W -> "w"
   | Fault.Plan.R j -> "r" ^ string_of_int j
@@ -52,41 +47,17 @@ let proc_name = function
    header (the peer's total decoder rejects each one — a replica
    speaking garbage), [Flaky] is a silence window.  All count inside
    the paper's [t]/[b] budget exactly as in the simulator. *)
-let byz_rules ~obj ~from_ = function
-  | Fault.Plan.Mute ->
-      [
-        {
-          v_obj = obj;
-          v_dir = Chaos.To_client;
-          v_sender = None;
-          v_from = from_;
-          v_until = max_int;
-          v_act = Chaos.Drop;
-        };
-      ]
+let byz_rules ~obj ~from_ kind =
+  let reply_rule from_ until act =
+    [ vrule obj Chaos.To_client None from_ until act ]
+  in
+  match kind with
+  | Fault.Plan.Mute -> reply_rule from_ max_int Chaos.Drop
   | Fault.Plan.Flaky { down_from; down_until } ->
-      [
-        {
-          v_obj = obj;
-          v_dir = Chaos.To_client;
-          v_sender = None;
-          v_from = max from_ down_from;
-          v_until = down_until;
-          v_act = Chaos.Drop;
-        };
-      ]
+      reply_rule (max from_ down_from) down_until Chaos.Drop
   | Fault.Plan.Forge | Fault.Plan.Replay | Fault.Plan.Simulate
-  | Fault.Plan.Garbage ->
-      [
-        {
-          v_obj = obj;
-          v_dir = Chaos.To_client;
-          v_sender = None;
-          v_from = from_;
-          v_until = max_int;
-          v_act = Chaos.Corrupt;
-        };
-      ]
+  | Fault.Plan.Defame | Fault.Plan.Garbage ->
+      reply_rule from_ max_int Chaos.Corrupt
 
 module Live_injector = struct
   type t = {
@@ -110,27 +81,9 @@ module Live_injector = struct
   let link ~src ~dst ~from_ ~until act =
     match (src, dst) with
     | (Fault.Plan.W | Fault.Plan.R _), Fault.Plan.O i ->
-        [
-          {
-            v_obj = i;
-            v_dir = Chaos.To_server;
-            v_sender = Some (proc_name src);
-            v_from = from_;
-            v_until = until;
-            v_act = act;
-          };
-        ]
+        [ vrule i Chaos.To_server (Some (proc_name src)) from_ until act ]
     | Fault.Plan.O i, (Fault.Plan.W | Fault.Plan.R _) ->
-        [
-          {
-            v_obj = i;
-            v_dir = Chaos.To_client;
-            v_sender = Some (proc_name dst);
-            v_from = from_;
-            v_until = until;
-            v_act = act;
-          };
-        ]
+        [ vrule i Chaos.To_client (Some (proc_name dst)) from_ until act ]
     | _ -> []
 
   let block t ~src ~dst ~from_ ~until =
@@ -138,22 +91,8 @@ module Live_injector = struct
 
   let isolate t ~obj ~from_ ~until =
     t.vrules <-
-      {
-        v_obj = obj;
-        v_dir = Chaos.To_server;
-        v_sender = None;
-        v_from = from_;
-        v_until = until;
-        v_act = Chaos.Drop;
-      }
-      :: {
-           v_obj = obj;
-           v_dir = Chaos.To_client;
-           v_sender = None;
-           v_from = from_;
-           v_until = until;
-           v_act = Chaos.Drop;
-         }
+      vrule obj Chaos.To_server None from_ until Chaos.Drop
+      :: vrule obj Chaos.To_client None from_ until Chaos.Drop
       :: t.vrules
 
   let duplicate t ~src ~dst ~copies ~from_ ~until =
@@ -320,23 +259,12 @@ let run_plan_full ?metrics ?(opts = default_opts) protocol ~cfg ~seed plan =
   (match (metrics, Cluster.metrics cluster) with
   | Some dst, Some src -> Obs.Metrics.merge_into ~dst src
   | _ -> ());
-  let equal = String.equal in
+  (* every operation thread has joined: the run is quiescent by
+     construction, and operations that exhausted their retries are still
+     open in the history — exactly what wait-freedom flags *)
   let verdict =
-    {
-      Fault.Campaign.safety =
-        List.length (Histories.Checks.check_safety ~equal history);
-      regularity =
-        List.length (Histories.Checks.check_regularity ~equal history);
-      (* every operation thread has joined: the run is quiescent by
-         construction, and operations that exhausted their retries are
-         still open in the history — exactly what wait-freedom flags *)
-      liveness =
-        List.length (Histories.Checks.check_wait_freedom ~quiescent:true history);
-      completed = !completed;
-      total = List.length schedule;
-      quiescent = true;
-      spans = Cluster.spans cluster;
-    }
+    Fault.Campaign.judge protocol ~quiescent:true ~completed:!completed
+      ~total:(List.length schedule) ~spans:(Cluster.spans cluster) history
   in
   { verdict; timeline = List.rev !timeline; history }
 
@@ -365,8 +293,7 @@ let capture ?opts protocol ~cfg ~seed plan =
 let replay_sim w =
   Fault.Campaign.run_plan w.w_protocol ~cfg:w.w_cfg ~seed:w.w_seed w.w_plan
 
-let replay_reproduces w =
-  Fault.Campaign.verdict_violates w.w_protocol (replay_sim w)
+let replay_reproduces w = Fault.Campaign.verdict_violates (replay_sim w)
 
 let replay_shrunk ?max_attempts w =
   Fault.Shrink.minimize ?max_attempts

@@ -42,12 +42,10 @@ type opts = {
 
 val default_opts : opts
 
-val supported : Fault.Campaign.protocol list
-(** The protocols with a wire codec ([Safe], [Regular], [Regular_opt],
-    [Abd]); the symbolic-only baselines ([Fast_safe], [Naive_fast])
-    cannot run live. *)
-
 val protocol_of : Fault.Campaign.protocol -> Protocols.t option
+(** The wire pack of the protocol's name, if it has a codec: safe,
+    regular, regular-opt, regular-gc, abd and abd-atomic do; the
+    symbolic-only baselines cannot run live. *)
 
 val run_plan :
   ?metrics:Obs.Metrics.t ->
@@ -60,7 +58,8 @@ val run_plan :
 (** Execute one (seed, plan) against a live cluster and check the
     history.  With [metrics], the cluster's merged registry (including
     [op.reconnects], wire counters and per-op rounds/latency) folds
-    into it.  @raise Failure on a protocol outside {!supported}. *)
+    into it.  @raise Failure on a protocol {!protocol_of} has no pack
+    for. *)
 
 (** {2:witness Live-to-sim witness replay} *)
 

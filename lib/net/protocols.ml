@@ -30,24 +30,3 @@ let abd_atomic =
 let all = [ safe; regular; regular_opt; regular_gc ~readers:2; abd; abd_atomic ]
 
 let of_string s = List.find_opt (fun p -> name p = s) all
-
-type semantics = Safe | Regular | Atomic
-
-let semantics p =
-  match name p with
-  | "safe" -> Safe
-  | "regular" | "regular-opt" | "regular-gc" | "abd" -> Regular
-  | "abd-atomic" -> Atomic
-  | n -> invalid_arg ("Protocols.semantics: " ^ n)
-
-let semantics_name = function
-  | Safe -> "safety"
-  | Regular -> "regularity"
-  | Atomic -> "atomicity"
-
-let check semantics h =
-  let equal = String.equal in
-  match semantics with
-  | Safe -> Histories.Checks.check_safety ~equal h
-  | Regular -> Histories.Checks.check_regularity ~equal h
-  | Atomic -> Histories.Checks.check_atomicity ~equal h

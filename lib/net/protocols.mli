@@ -6,7 +6,9 @@
     the CLI handle heterogeneous protocols through one value; they
     unpack it once at session setup.  Every pack reuses the simulator's
     protocol modules unchanged — the network runtime adds only framing,
-    deadlines and retries (see DESIGN.md §10). *)
+    deadlines and retries (see DESIGN.md §10).  What a protocol claims,
+    and how a run is judged, is the protocol table's
+    ({!Fault.Campaign.claim}); a pack's {!name} is its key there. *)
 
 type t =
   | Packed : {
@@ -49,22 +51,3 @@ val of_string : string -> t option
     [regular_gc ~readers:2] — fine for serving (floor pruning merely
     stays conservative if more readers appear); the cluster CLI rebuilds
     the pack with the real reader count. *)
-
-(** {2 Claimed semantics} *)
-
-type semantics = Safe | Regular | Atomic
-
-val semantics : t -> semantics
-(** The register semantics the protocol promises (paper §2.2): [safe]
-    is safe; [regular], [regular-opt], [regular-gc] and [abd] are
-    regular; [abd-atomic] is atomic.  This mirrors the simulator's
-    {!Fault.Campaign.claims_regularity}. *)
-
-val semantics_name : semantics -> string
-(** ["safety"], ["regularity"] or ["atomicity"]. *)
-
-val check :
-  semantics -> string Histories.Op.t list -> string Histories.Checks.violation list
-(** Violations of exactly the property [semantics] names, on one
-    register's history.  Safe storage never promises regularity, so a
-    safe run is held to safety alone. *)

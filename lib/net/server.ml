@@ -10,13 +10,6 @@ type t = {
   violations_ : unit -> int;
 }
 
-(* A peer vanishing mid-write must surface as EPIPE, not kill the
-   process. *)
-let ignore_sigpipe =
-  lazy
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ -> ())
-
 (* Seconds on the monotonic clock: backpressure stalls and the graceful
    drain deadline are durations, which a wall-clock step must not
    distort. *)
@@ -50,35 +43,6 @@ let proc_of_string s =
         | _ -> None)
     | _ -> None
   else None
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* Reply batches must not sit in Nagle's buffer waiting for a delayed
-   ACK; harmless no-op on Unix-domain sockets. *)
-let set_nodelay fd =
-  try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
-
-let listen_on endpoint =
-  Endpoint.cleanup endpoint;
-  let fd = Unix.socket (Endpoint.socket_domain endpoint) Unix.SOCK_STREAM 0 in
-  (try
-     (match endpoint with
-     | Endpoint.Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
-     | Endpoint.Unix_sock _ -> ());
-     Unix.bind fd (Endpoint.to_sockaddr endpoint);
-     Unix.listen fd 64
-   with e ->
-     close_quietly fd;
-     raise e);
-  let actual =
-    match endpoint with
-    | Endpoint.Tcp { host; port = 0 } -> (
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, port) -> Endpoint.Tcp { host; port }
-        | _ -> endpoint)
-    | _ -> endpoint
-  in
-  (fd, actual)
 
 (* ===== sharded poll event loop =========================================== *)
 
@@ -125,7 +89,7 @@ type wcmd =
    respawned by the first restart. *)
 let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     ?(drain_timeout = 5.0) ~protocol ~cfg endpoints =
-  Lazy.force ignore_sigpipe;
+  Endpoint.ignore_sigpipe ();
   let (Protocols.Packed { proto = (module P); codec }) = protocol in
   let s = Array.length endpoints in
   if s = 0 then invalid_arg "Server.start_group: no endpoints";
@@ -169,13 +133,13 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
   (try
      Array.iteri
        (fun i ep ->
-         let fd, actual = listen_on ep in
+         let fd, actual = Endpoint.listen ep in
          Unix.set_nonblock fd;
          listeners.(i) <- Some fd;
          actuals.(i) <- actual)
        endpoints
    with e ->
-     Array.iter (function Some fd -> close_quietly fd | None -> ()) listeners;
+     Array.iter (Option.iter Endpoint.close_quietly) listeners;
      raise e);
   let alive = Array.make s true in
   let stop_req = Array.make s None in
@@ -230,9 +194,9 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     | exception Unix.Unix_error _ -> ()
     | fd, _ -> (
         match Unix.set_nonblock fd with
-        | exception Unix.Unix_error _ -> close_quietly fd
+        | exception Unix.Unix_error _ -> Endpoint.close_quietly fd
         | () ->
-            set_nodelay fd;
+            Endpoint.set_nodelay fd;
             Exec.Handoff.push queues.(owner.(i)) (Wadd { afd = fd; aslot = i });
             wake_worker owner.(i))
   in
@@ -249,7 +213,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
                     stop_req.(i) <- None;
                     (match listeners.(i) with
                     | Some fd ->
-                        close_quietly fd;
+                        Endpoint.close_quietly fd;
                         listeners.(i) <- None;
                         Endpoint.cleanup actuals.(i)
                     | None -> ());
@@ -329,7 +293,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
       Hashtbl.remove conns c.gfd;
       Codec.Reader.recycle c.greader;
       Codec.Out.recycle c.gout;
-      close_quietly c.gfd;
+      Endpoint.close_quietly c.gfd;
       if Hashtbl.mem draining c.gobj && not (slot_has_conns c.gobj) then
         finish_slot c.gobj
     in
@@ -499,7 +463,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
                     gpause_at = 0.;
                   }
               end
-              else close_quietly afd
+              else Endpoint.close_quietly afd
           | Wdrain { dslot; dgraceful } ->
               let mine =
                 Hashtbl.fold
@@ -666,7 +630,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     locked (fun () ->
         if alive.(i) then invalid_arg "Server.restart: server still alive";
         if wipe then Hashtbl.reset objs.(i);
-        let fd, actual = listen_on actuals.(i) in
+        let fd, actual = Endpoint.listen actuals.(i) in
         Unix.set_nonblock fd;
         listeners.(i) <- Some fd;
         actuals.(i) <- actual;

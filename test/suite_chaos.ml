@@ -158,15 +158,13 @@ let test_watchdog_flags_quiescent_pending_read () =
 
 let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 1_000_000)
 
-let robust_under_chaos name protocol ~check_regularity =
+let robust_under_chaos name protocol =
   QCheck.Test.make ~name ~count:40 arb_seed (fun seed ->
       let rng = Sim.Prng.create ~seed in
       let plan = Fault.Plan.gen ~rng ~cfg ~budget:Fault.Plan.small in
       let v = Fault.Campaign.run_plan protocol ~cfg ~seed plan in
       let ok =
-        v.Fault.Campaign.safety = 0
-        && v.Fault.Campaign.liveness = 0
-        && ((not check_regularity) || v.Fault.Campaign.regularity = 0)
+        (not (Fault.Campaign.verdict_violates v))
         && (not v.Fault.Campaign.quiescent
            || v.Fault.Campaign.completed = v.Fault.Campaign.total)
       in
@@ -208,11 +206,24 @@ let prop_crash_recovery_survives =
 
 let prop_safe_survives =
   robust_under_chaos "safe survives within-budget chaos" Fault.Campaign.Safe
-    ~check_regularity:false
 
 let prop_regular_survives =
   robust_under_chaos "regular survives within-budget chaos"
-    Fault.Campaign.Regular ~check_regularity:true
+    Fault.Campaign.Regular
+
+(* Regular-gc, the protocol every benchmark workload runs, is a table
+   entry like the others: the campaign sweeps it at its design
+   configuration and it must survive every plan. *)
+let test_regular_gc_survives_campaign () =
+  let cell =
+    Fault.Campaign.sweep_protocol ~jobs:1 ~budget:Fault.Plan.small
+      ~plans_per_seed:2 Fault.Campaign.Regular_gc ~t:1 ~b:1
+      ~seeds:[ 1; 2; 3; 4; 5; 6 ]
+  in
+  Alcotest.(check int) "S = 2t+b+1" 4 cell.Fault.Campaign.cfg.Quorum.Config.s;
+  Alcotest.(check int) "runs" 12 cell.Fault.Campaign.runs;
+  Alcotest.(check string) "verdict" "survives"
+    (Fault.Campaign.cell_verdict cell)
 
 let suite =
   ( "chaos",
@@ -228,6 +239,8 @@ let suite =
         test_naive_fast_breaks_and_shrinks;
       Alcotest.test_case "shrinker rejects passing plan" `Quick
         test_shrink_rejects_passing_plan;
+      Alcotest.test_case "regular-gc survives the campaign" `Quick
+        test_regular_gc_survives_campaign;
       Alcotest.test_case "watchdog abstains without quiescence" `Quick
         test_watchdog_abstains_without_quiescence;
       Alcotest.test_case "watchdog flags quiescent pending read" `Quick

@@ -496,11 +496,11 @@ let same_plan_runs_on_both_backends () =
     | Error e -> Alcotest.failf "live run errored: %s" e.Fault.Campaign.error
   in
   (* A within-budget crash/recover plan must be survived on BOTH
-     backends — and judged by the same checkers. *)
+     backends — and judged by the same rule. *)
   Alcotest.(check bool) "sim survives" false
-    (Fault.Campaign.verdict_violates Fault.Campaign.Safe sim);
+    (Fault.Campaign.verdict_violates sim);
   Alcotest.(check bool) "live survives" false
-    (Fault.Campaign.verdict_violates Fault.Campaign.Safe live);
+    (Fault.Campaign.verdict_violates live);
   Alcotest.(check int) "live completed everything" live.Fault.Campaign.total
     live.Fault.Campaign.completed
 

@@ -159,29 +159,37 @@ let joined_read_is_a_concurrent_reader () =
 
 (* ----- the property each protocol claims ---------------------------------- *)
 
-(* Every protocol the simulator's campaign and the wire both know is
-   held to the same property: the live lookup says "regular or
-   stronger" exactly where the campaign says it claims regularity. *)
-let claimed_semantics_match_the_simulator () =
+(* One table says what each protocol claims (paper §2.2), and every
+   wire pack is the table entry of its name, so a live run and a
+   simulated one are held to the same property. *)
+let claims_come_from_the_table () =
+  let expected = function
+    | "safe" | "nonmod" | "fast-safe" | "naive-fast" -> "safety"
+    | "abd-atomic" -> "atomicity"
+    | _ -> "regularity"
+  in
   List.iter
     (fun p ->
-      match Net.Live.protocol_of p with
-      | None -> ()
-      | Some pack ->
-          Alcotest.(check bool)
-            (Fault.Campaign.protocol_name p ^ " claims regularity")
-            (Fault.Campaign.claims_regularity p)
-            (Net.Protocols.semantics pack <> Net.Protocols.Safe))
-    Fault.Campaign.all_protocols;
+      let name = Fault.Campaign.protocol_name p in
+      Alcotest.(check string)
+        (name ^ " claims")
+        (expected name)
+        (Fault.Campaign.claim_name (Fault.Campaign.claim p));
+      Alcotest.(check bool)
+        (name ^ " is found by its name")
+        true
+        (Fault.Campaign.protocol_of_string name = Some p);
+      Option.iter
+        (fun pack ->
+          Alcotest.(check string) (name ^ " pack") name (Net.Protocols.name pack))
+        (Net.Live.protocol_of p))
+    Fault.Campaign.protocols;
   List.iter
     (fun pack ->
-      Alcotest.(check string)
-        (Net.Protocols.name pack ^ " semantics")
-        (match Net.Protocols.name pack with
-        | "safe" -> "safety"
-        | "abd-atomic" -> "atomicity"
-        | _ -> "regularity")
-        (Net.Protocols.semantics_name (Net.Protocols.semantics pack)))
+      Alcotest.(check bool)
+        (Net.Protocols.name pack ^ " has a table entry")
+        true
+        (Fault.Campaign.protocol_of_string (Net.Protocols.name pack) <> None))
     Net.Protocols.all
 
 (* The writer's log: one write per value, each over its interval. *)
@@ -206,7 +214,7 @@ let reads r ~reader spans =
             [ inv ~op ~reader inv_at; resp ~op ~reader resp_at (read_ok v) ])
           spans))
 
-let claimed h semantics = List.length (Net.Protocols.check semantics h)
+let claimed h claim = List.length (Fault.Campaign.check claim h)
 
 (* A read overlapping WRITE(c) returns a, older than the completed
    WRITE(b): safe storage allows any value under a concurrent write,
@@ -216,8 +224,8 @@ let old_value_under_a_write_is_safe_not_regular () =
   writes r [ ("a", 10, 20); ("b", 30, 40); ("c", 50, 80) ];
   reads r ~reader:1 [ ("a", 60, 70) ];
   let h = key0 r in
-  Alcotest.(check int) "safe" 0 (claimed h Net.Protocols.Safe);
-  Alcotest.(check int) "not regular" 1 (claimed h Net.Protocols.Regular)
+  Alcotest.(check int) "safe" 0 (claimed h Fault.Campaign.Safety);
+  Alcotest.(check int) "not regular" 1 (claimed h Fault.Campaign.Regularity)
 
 (* Two reads overlap WRITE(b); the first returns b, the later one the
    older a.  Each is regular on its own, but the pair inverts. *)
@@ -227,8 +235,8 @@ let new_old_inversion_is_regular_not_atomic () =
   reads r ~reader:1 [ ("b", 40, 50) ];
   reads r ~reader:2 [ ("a", 60, 70) ];
   let h = key0 r in
-  Alcotest.(check int) "regular" 0 (claimed h Net.Protocols.Regular);
-  Alcotest.(check bool) "not atomic" true (claimed h Net.Protocols.Atomic > 0)
+  Alcotest.(check int) "regular" 0 (claimed h Fault.Campaign.Regularity);
+  Alcotest.(check bool) "not atomic" true (claimed h Fault.Campaign.Atomicity > 0)
 
 let suite =
   ( "record",
@@ -243,8 +251,8 @@ let suite =
         unresumed_failure_is_not_wait_free;
       Alcotest.test_case "a joined read is a concurrent reader" `Quick
         joined_read_is_a_concurrent_reader;
-      Alcotest.test_case "claimed semantics match the simulator's split"
-        `Quick claimed_semantics_match_the_simulator;
+      Alcotest.test_case "claims come from the one protocol table" `Quick
+        claims_come_from_the_table;
       Alcotest.test_case "an old value under a write is safe, not regular"
         `Quick old_value_under_a_write_is_safe_not_regular;
       Alcotest.test_case "a new-old inversion is regular, not atomic" `Quick
