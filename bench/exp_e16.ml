@@ -5,7 +5,8 @@
    For each fault-intensity level (the maximum number of actions a
    random within-budget plan may contain, 0 = undisturbed baseline) it
    runs E16_PLANS live chaos campaigns — the exact plans the simulator
-   sweeps, injected through the per-object interposers — and reports:
+   sweeps, applied by each object's server to its own frames — and
+   reports:
 
    1. survival rate: fraction of runs with no safety/regularity/
       wait-freedom violation (the paper predicts 1.0 at every level,
@@ -14,13 +15,14 @@
       operations at intensity > 0 would show up here first);
    3. read p50/p99 wall-clock latency under chaos, from the merged
       per-run metric registries — the price of the faults;
-   4. op.reconnects: how often clients had to re-dial crashed or
-      partitioned objects.
+   4. op.reconnects: how often a client's dial failed, which is how a
+      crashed object looks (a partition leaves the connection up and
+      drops its frames).
 
    Latency here is NOT a throughput benchmark: ops run at the
-   campaign workload's scheduled times through interposer proxies, so
-   the numbers are per-operation costs under fault windows, comparable
-   across intensity levels rather than against E14/E15 rates.
+   campaign workload's scheduled times, so the numbers are per-operation
+   costs under fault windows, comparable across intensity levels rather
+   than against E14/E15 rates.
 
    One JSON artifact: BENCH_e16.json.  Environment-tunable:
      E16_INTENSITIES (0,2,4,8)        max plan actions per level

@@ -568,8 +568,9 @@ let chaos_cmd =
           ~doc:
             "Execution backend: $(b,sim) runs plans in the deterministic \
              simulator; $(b,live) injects the same plans into a real socket \
-             cluster through per-object fault interposers (crashes become \
-             real process restarts, partitions become dropped frames).")
+             cluster, each object's server applying its faults in its own \
+             event loop (crashes become real process restarts, partitions \
+             become dropped frames).")
   in
   let tick_arg =
     Arg.(
@@ -724,8 +725,9 @@ let chaos_cmd =
           partitions, duplication, Byzantine switches) over the protocols, \
           print the survival matrix, and shrink any failure to a minimal \
           deterministic witness.  With $(b,--backend=live) the same plans \
-          drive a real socket cluster through fault interposers, and any \
-          counterexample is replayed and shrunk in the simulator.  Exits 1 \
+          drive a real socket cluster whose servers apply them to their \
+          own frames, and any counterexample is replayed and shrunk in the \
+          simulator.  Exits 1 \
           if a robust protocol breaks; naive-fast breaking is the expected \
           Proposition 1 control.")
     term
@@ -920,16 +922,15 @@ let client_cmd =
     let role_conv =
       Arg.conv
         ( (fun s ->
-            match s with
-            | "writer" | "w" -> Ok `Writer
-            | _ -> (
-                match
-                  if String.length s > 1 && s.[0] = 'r' then
-                    int_of_string_opt (String.sub s 1 (String.length s - 1))
-                  else None
-                with
-                | Some j when j >= 1 -> Ok (`Reader j)
-                | _ -> Error (`Msg (Printf.sprintf "bad role %S (writer, r1, r2, ...)" s)))),
+            match
+              if s = "writer" then Some Sim.Proc_id.Writer
+              else Sim.Proc_id.of_string s
+            with
+            | Some Sim.Proc_id.Writer -> Ok `Writer
+            | Some (Sim.Proc_id.Reader j) -> Ok (`Reader j)
+            | Some (Sim.Proc_id.Obj _) | None ->
+                Error
+                  (`Msg (Printf.sprintf "bad role %S (writer, r1, r2, ...)" s))),
           fun ppf -> function
             | `Writer -> Format.pp_print_string ppf "writer"
             | `Reader j -> Format.fprintf ppf "r%d" j )

@@ -13,7 +13,7 @@
     Implementations are free to be eager (the sim backend accumulates
     scenario chaos events for a later deterministic run) or scheduled
     (the live backend compiles actions into wall-clock timers and
-    interposer rule windows); [apply] itself never sleeps. *)
+    rule windows its servers apply); [apply] itself never sleeps. *)
 
 module type S = sig
   type t

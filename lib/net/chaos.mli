@@ -1,30 +1,20 @@
-(** Socket-level fault interposer: a transparent per-object proxy that
-    applies a fault plan's network actions to real wire traffic.
+(** Fault rules for live objects: what a fault plan does to the frames
+    one object receives and sends.
 
-    One interposer fronts one server.  Clients dial the interposer's
-    endpoint; every accepted connection is paired with a fresh upstream
-    connection to the real server (a dial that fails while the server is
-    crashed simply closes the client side — exactly what dialing a dead
-    server looks like).  Each direction of a pair is relayed as a stream
-    of {e opaque frames}: the codec's self-delimiting length prefix lets
-    the proxy cut frame boundaries without decoding protocol bytes, so
-    batched flushes — N frames in one [write] — survive interposition
-    byte-identically when no rule fires.
-
+    A server applies its object's rules inside the worker loop that
+    reads, steps and answers for that object ({!Server.set_rules}), so
+    the loop hosting an object is the only place its faults happen.
     Rules are windowed in a shared microsecond clock and matched per
-    frame by direction and (optionally) the frame's effective sender:
-    the inline sender of a [Hello] or [Msg_key] frame, else the
-    session's [Hello] sender, so multiplexed traffic attributes per
-    automaton.  A
-    matched frame can be dropped, delayed, duplicated, corrupted (body
-    bytes scrambled {e after} the frame header, so the result still
-    parses as a frame and exercises the peer's total decoding), or
-    reordered (held back until the next frame on the link passes).
+    frame by direction and, optionally, the process the frame is
+    attributed to: a request's inline sender (a [Hello]'s or a
+    [Msg_key]'s), and for a reply, the sender of the request it answers
+    ([Hello_ack] and [Err] go to the session's [Hello] sender).
 
-    {!set_rules} replaces the rule set atomically; the live fault
-    backend compiles a {!Fault.Plan} into one rule list per object up
-    front, windows included, so a running campaign never races rule
-    updates against traffic. *)
+    A request rule ([To_server]) can drop a frame or have the server
+    handle it [1+c] times.  A reply rule ([To_client]) can drop, delay,
+    duplicate or corrupt it: a corrupted reply keeps its length prefix
+    and fixed header, so it still parses as a frame, but its body is
+    scrambled — the live stand-in for a Byzantine object's garbage. *)
 
 type direction =
   | To_server  (** client → server: requests *)
@@ -32,62 +22,30 @@ type direction =
 
 type action =
   | Drop
-  | Delay of int  (** microseconds, added before forwarding *)
-  | Duplicate of int  (** extra copies forwarded after the original *)
-  | Corrupt
-      (** scramble the payload past the frame header: still a frame,
-          no longer a valid message — the live stand-in for a
-          Byzantine object's garbage *)
-  | Reorder
-      (** hold the frame until the next one on this direction passes
-          (flushed after a short quiet period, or at window end) *)
+  | Delay of int
+      (** microseconds a reply waits after it is queued; replies only *)
+  | Duplicate of int  (** extra copies after the original *)
+  | Corrupt  (** scramble a reply's body past its fixed header; replies only *)
 
 type rule = {
   dir : direction;
-  sender : string option;
-      (** match only frames attributed to this process name ("w",
-          "r2"); [None] matches every frame *)
+  sender : Sim.Proc_id.t option;
+      (** match only frames attributed to this process; [None] matches
+          every frame *)
   from_us : int;  (** window start, shared-clock microseconds *)
-  until_us : int;  (** window end; [max_int] = until stopped *)
+  until_us : int;  (** window end; [max_int] = until the rules change *)
   act : action;
 }
 
-type stats = {
-  forwarded : int;  (** frames relayed unmodified *)
-  dropped : int;
-  delayed : int;
-  duplicated : int;  (** extra copies sent *)
-  corrupted : int;
-  reordered : int;
+type fate = {
+  drop : bool;
+  corrupt : bool;
+  delay_us : int;  (** the sum of the matching delays *)
+  copies : int;  (** the sum of the matching duplications *)
 }
+(** What the rules do to one frame; a drop wins over everything else. *)
 
-type t
-
-val start :
-  ?rules:rule list ->
-  now_us:(unit -> int) ->
-  listen:Endpoint.t ->
-  target:Endpoint.t ->
-  unit ->
-  t
-(** Bind [listen] and relay every accepted connection to [target].
-    [now_us] is the clock rule windows are evaluated against (the
-    cluster passes its shared clock so plan ticks and history
-    timestamps agree).  @raise Unix.Unix_error if [listen] cannot be
-    bound. *)
-
-val endpoint : t -> Endpoint.t
-(** The client-facing address (ephemeral TCP ports resolved). *)
-
-val target : t -> Endpoint.t
-
-val set_rules : t -> rule list -> unit
-(** Atomically replace the active rules; takes effect on the next
-    frame. *)
-
-val rules : t -> rule list
-
-val stats : t -> stats
-
-val stop : t -> unit
-(** Close the listener and every relayed connection; idempotent. *)
+val fate :
+  rule list -> direction -> sender:Sim.Proc_id.t option -> now_us:int -> fate
+(** Combine every rule of [dir] whose window holds [now_us] and whose
+    sender matches. *)

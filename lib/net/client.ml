@@ -375,24 +375,14 @@ module Keyed = struct
       if lane = writer then Obs.Span.Write
       else Obs.Span.Read { reader = reader_id lane }
     in
-    (* In-place parse of an echoed sender ("w" or "r<j>"): one call per
-       reply frame, so no [String.sub] allocation. *)
+    (* The lane an echoed sender ("w" or "r<j>") names: one call per
+       reply frame. *)
     let lane_of_sender sender =
-      let len = String.length sender in
-      if String.equal sender "w" then writer
-      else if len >= 2 && sender.[0] = 'r' then begin
-        let rec go i acc =
-          if i >= len then acc
-          else
-            match sender.[i] with
-            | '0' .. '9' when acc < 0x3FFFFFF ->
-                go (i + 1) ((acc * 10) + (Char.code sender.[i] - Char.code '0'))
-            | _ -> -1
-        in
-        let j = go 1 0 in
-        if j >= reader && j < reader + readers then j - reader else stranger
-      end
-      else stranger
+      match Sim.Proc_id.of_string sender with
+      | Some Sim.Proc_id.Writer -> writer
+      | Some (Sim.Proc_id.Reader j) when j >= reader && j < reader + readers ->
+          j - reader
+      | Some (Sim.Proc_id.Reader _ | Sim.Proc_id.Obj _) | None -> stranger
     in
     (* key -> per-key automata + in-flight state, lazily materialized *)
     let regs : (int, (P.msg, P.reader, P.writer) kreg) Hashtbl.t =

@@ -169,8 +169,8 @@ module Keyed : sig
       1); two clients reading the same keys must use disjoint ids, since
       base objects keep per-reader round state.  [session] (default
       ["r<reader>"]) is the process name each connection's [Hello]
-      carries, which is what a {!Chaos} rule aimed at one process matches
-      before any operation frame; the writer's engine passes ["w"].
+      carries: a server's {!Chaos} rules attribute the [Hello] and its
+      [Hello_ack] to it; the writer's engine passes ["w"].
       [max_inflight] (default 16) caps concurrently progressing
       operations across all keys.
 

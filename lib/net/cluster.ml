@@ -8,8 +8,7 @@ type engine = {
 
 type t = {
   cfg : Quorum.Config.t;
-  endpoints : Endpoint.t array;  (* what engines dial: proxies if interposed *)
-  chaos_ : Chaos.t array;  (* per-object interposers; empty when direct *)
+  endpoints : Endpoint.t array;
   mutable servers : Server.t array;
   server_registries : Obs.Metrics.t option array;
   mutable engines : engine list;  (* newest first *)
@@ -40,7 +39,7 @@ let fresh_tmpdir () =
   go !tmp_counter
 
 let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
-    ?(interpose = false) ~protocol ~cfg () =
+    ~protocol ~cfg () =
   let s = cfg.Quorum.Config.s in
   let tmpdir, endpoints =
     match transport with
@@ -64,42 +63,19 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
          else None)
       ~domains ~protocol ~cfg endpoints
   in
-  (* Ephemeral TCP ports are only known after bind. *)
-  let server_endpoints = Array.map Server.endpoint servers in
-  (* Histories, spans and chaos windows all compare stamps of the
-     recording's monotonic clock. *)
-  let record = Record.create () in
-  let now_us = Record.now_us record in
-  (* With interposition, every client dials a per-object chaos proxy
-     relaying to the real server; the server endpoint stays stable
-     across crash/restart, so a proxy never needs re-targeting. *)
-  let chaos_ =
-    if not interpose then [||]
-    else
-      Array.init s (fun i ->
-          let listen =
-            match (transport, tmpdir) with
-            | `Unix, Some dir ->
-                Endpoint.Unix_sock
-                  (Filename.concat dir (Printf.sprintf "c%d.sock" (i + 1)))
-            | _ -> Endpoint.Tcp { host = "127.0.0.1"; port = 0 }
-          in
-          Chaos.start ~now_us ~listen ~target:server_endpoints.(i) ())
-  in
-  let endpoints =
-    if interpose then Array.map Chaos.endpoint chaos_ else server_endpoints
-  in
   {
     cfg;
-    endpoints;
-    chaos_;
+    (* Ephemeral TCP ports are only known after bind. *)
+    endpoints = Array.map Server.endpoint servers;
     servers;
     server_registries;
     engines = [];
     next_rid = 1;
     copts = opts;
     protocol;
-    record;
+    (* Histories, spans and rule windows all compare stamps of the
+       recording's monotonic clock. *)
+    record = Record.create ();
     tmpdir;
     with_metrics = metrics;
   }
@@ -156,7 +132,7 @@ let crash t i =
    can skip or retry instead of unwinding mid-sweep. *)
 let restart ?wipe t i =
   check_index t i;
-  if Server.is_alive t.servers.(i - 1) then Error (`Still_alive i)
+  if Server.alive t.servers.(i - 1) then Error (`Still_alive i)
   else begin
     t.servers.(i - 1) <- Server.restart ?wipe t.servers.(i - 1);
     Ok ()
@@ -174,7 +150,13 @@ let partition_violations t =
     (fun acc s -> max acc (Server.partition_violations s))
     0 t.servers
 
-let chaos t = t.chaos_
+let set_rules t i rules =
+  check_index t i;
+  Server.set_rules t.servers.(i - 1) ~now_us:(Record.now_us t.record) rules
+
+let stats t i =
+  check_index t i;
+  Server.stats t.servers.(i - 1)
 
 let now_us t = Record.now_us t.record ()
 
@@ -201,7 +183,6 @@ let metrics t =
 let stop t =
   List.iter (fun e -> Client.Keyed.close e.client) t.engines;
   t.engines <- [];
-  Array.iter Chaos.stop t.chaos_;
   Array.iter (fun s -> if Server.alive s then Server.stop s) t.servers;
   match t.tmpdir with
   | None -> ()

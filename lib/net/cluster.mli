@@ -18,13 +18,14 @@
     keeps its engine across calls, so an operation that timed out parks
     its automaton and the next {!run} on that engine resumes it.
 
-    Chaos hooks mirror the fault campaign's crash-recovery actions:
-    {!crash} kills a server's sockets mid-flight (the stand-in for a
-    killed process), {!restart} brings the object back on the same
-    endpoint with persisted or wiped state.  Engines reconnect on their
-    own; as long as at most [t] objects are down, operations keep
-    completing — the acceptance test drives 1000 READs across a
-    crash/restart and requires zero failures.
+    Chaos hooks mirror the fault campaign's actions: {!crash} kills a
+    server's sockets mid-flight (the stand-in for a killed process),
+    {!restart} brings the object back on the same endpoint with
+    persisted or wiped state, and {!set_rules} makes the object's own
+    worker loop drop, delay, duplicate or corrupt its frames.  Engines
+    reconnect on their own; as long as at most [t] objects are down,
+    operations keep completing — the acceptance test drives 1000 READs
+    across a crash/restart and requires zero failures.
 
     Thread-safety: distinct engines may be driven from distinct threads
     concurrently; each appends to a {!Record.log} of its own.  One
@@ -39,18 +40,15 @@ val start :
   ?opts:Client.opts ->
   ?transport:[ `Unix | `Tcp ] ->
   ?domains:int ->
-  ?interpose:bool ->
   protocol:Protocols.t ->
   cfg:Quorum.Config.t ->
   unit ->
   t
 (** Spin up [cfg.s] servers.  [transport] defaults to [`Unix].  The
     objects are sharded across [domains] worker domains (default 1).
-    With [interpose:true], a {!Chaos} proxy fronts every server and
-    engines dial the proxies — {!chaos} exposes them for rule injection;
-    with no rules set the interposers are transparent.  [opts] is every
-    engine's retry policy.  With [metrics:true] every server and engine
-    keeps a private registry; {!metrics} merges them. *)
+    [opts] is every engine's retry policy.  With [metrics:true] every
+    server and engine keeps a private registry; {!metrics} merges
+    them. *)
 
 type engine
 
@@ -121,13 +119,16 @@ val partition_violations : t -> int
 (** {!Server.partition_violations} over the cluster's servers: nonzero
     iff some base object was stepped outside its owning domain. *)
 
-val chaos : t -> Chaos.t array
-(** The per-object interposers ([chaos t].(i-1) fronts object [i]);
-    [[||]] unless started with [interpose:true]. *)
+val set_rules : t -> int -> Chaos.rule list -> unit
+(** {!Server.set_rules} on object [i] (1-based), windows read against
+    {!now_us}.  The rules stay with the object across {!crash} and
+    {!restart}. *)
+
+val stats : t -> int -> Server.stats
+(** {!Server.stats} of object [i] (1-based). *)
 
 val endpoints : t -> Endpoint.t array
-(** What engines dial — the interposers when interposed, otherwise the
-    servers — for clients in other processes. *)
+(** The servers' endpoints, for clients in other processes. *)
 
 val now_us : t -> int
 (** The cluster's shared microsecond clock (the one histories, spans

@@ -624,66 +624,13 @@ let decode_payload c s =
   decode_payload_dec c
     { src = Bytes.unsafe_of_string s; pos = 0; limit = String.length s }
 
-(* ----- protocol-independent peeking ------------------------------------- *)
-
-(* The chaos interposer relays frames it cannot (and must not) decode:
-   it only ever looks at the fixed header and, for sender attribution,
-   the leading fields of [Hello]/[Msg_key] — both of which sit before
-   any protocol-specific bytes. *)
-
-let header_bytes = 4
-
-let peek_dec s =
-  let d = { src = Bytes.unsafe_of_string s; pos = 0; limit = String.length s } in
-  match
-    if get_u8 d <> Char.code magic1 || get_u8 d <> Char.code magic2 then None
-    else if get_u8 d <> version then None
-    else Some (get_u8 d, d)
-  with
-  | res -> res
-  | exception Fail _ -> None
-
-let peek_kind s =
-  match peek_dec s with
-  | None -> None
-  | Some (k, _) ->
-      Some
-        (if k = kind_hello then `Hello
-         else if k = kind_hello_ack then `Hello_ack
-         else if k = kind_msg_key then `Msg_key
-         else if k = kind_err then `Err
-         else `Unknown k)
-
-let peek_sender s =
-  match peek_dec s with
-  | None -> None
-  | Some (k, d) ->
-      if k = kind_hello then (
-        match
-          let _proto = get_string d in
-          get_string d
-        with
-        | sender -> Some sender
-        | exception Fail _ -> None)
-      else if k = kind_msg_key then (
-        match
-          let _key = get_int d in
-          get_string d
-        with
-        | sender -> Some sender
-        | exception Fail _ -> None)
-      else None
-
-let peek_key s =
-  match peek_dec s with
-  | None -> None
-  | Some (k, d) ->
-      if k = kind_msg_key then (
-        match get_int d with
-        | key when key >= 0 -> Some key
-        | _ -> None
-        | exception Fail _ -> None)
-      else None
+(* A Byzantine object's garbage: every byte of the frame at [at] past
+   its length prefix and fixed header (magic, version, kind) flipped, so
+   it still parses as a frame of its kind but its body is garbage. *)
+let corrupt_frame (o : Out.t) ~at =
+  for i = at + 8 to o.len - 1 do
+    Bytes.set_uint8 o.buf i (Bytes.get_uint8 o.buf i lxor 0xa5)
+  done
 
 (* ----- incremental reader ----------------------------------------------- *)
 

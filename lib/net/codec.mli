@@ -142,33 +142,12 @@ val encode_frame_into : 'm t -> Out.t -> 'm frame -> unit
 val decode_payload : 'm t -> string -> ('m frame, error) result
 (** Decode one frame payload (the bytes after the length prefix). *)
 
-(** {2 Protocol-independent peeking}
-
-    The {!Chaos} interposer relays frames of protocols it does not know:
-    self-delimiting frames let it split the stream without decoding, and
-    these helpers let it read just the fixed header plus the sender
-    strings of [Hello]/[Msg_key] — everything it needs to attribute a
-    frame to a plan's process — while treating the body as opaque
-    bytes. *)
-
-val header_bytes : int
-(** Bytes of fixed header at the start of every payload (magic, version,
-    kind) — the prefix a fault injector must preserve for a corrupted
-    frame to still parse as a frame. *)
-
-val peek_kind :
-  string ->
-  [ `Hello | `Hello_ack | `Msg_key | `Err | `Unknown of int ]
-  option
-(** Kind of a frame payload; [None] if the header is malformed. *)
-
-val peek_sender : string -> string option
-(** The process name a payload carries inline: a [Hello]'s or a
-    [Msg_key]'s [sender]; [None] for other kinds or malformed bytes. *)
-
-val peek_key : string -> int option
-(** The key id a [Msg_key] payload carries; [None] for other kinds or
-    malformed bytes. *)
+val corrupt_frame : Out.t -> at:int -> unit
+(** Scramble the body of the frame appended at offset [at] (an
+    {!Out.length} taken before appending it): every byte past its length
+    prefix and fixed header.  The frame still parses as a frame of its
+    kind, but its body is garbage to the peer's decoder — what a fault
+    rule sends in place of a reply ({!Chaos.Corrupt}). *)
 
 (** {2 Incremental frame extraction}
 

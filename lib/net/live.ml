@@ -21,26 +21,13 @@ let protocol_of p = Protocols.of_string (Fault.Campaign.protocol_name p)
 (* ----- compiling a plan into live faults --------------------------------- *)
 
 (* What the injector stages before the cluster exists: timed server
-   events for the driver thread, and interposer rule windows still in
-   virtual ticks (scaled once the run's wall-clock base is known). *)
+   events for the driver thread, and per-object rules whose windows are
+   still in virtual ticks (scaled once the run's wall-clock base is
+   known; [max_int] = until the run ends). *)
 type timed_ev = Tcrash of int | Trecover of int * bool
 
-type vrule = {
-  v_obj : int;  (* 1-based object index *)
-  v_dir : Chaos.direction;
-  v_sender : string option;
-  v_from : int;  (* virtual ticks *)
-  v_until : int;  (* virtual ticks; [max_int] = until the run ends *)
-  v_act : Chaos.action;
-}
-
-let vrule v_obj v_dir v_sender v_from v_until v_act =
-  { v_obj; v_dir; v_sender; v_from; v_until; v_act }
-
-let proc_name = function
-  | Fault.Plan.W -> "w"
-  | Fault.Plan.R j -> "r" ^ string_of_int j
-  | Fault.Plan.O i -> "s" ^ string_of_int i
+let vrule obj dir sender from_us until_us act =
+  (obj, { Chaos.dir; sender; from_us; until_us; act })
 
 (* The live rendering of the symbolic Byzantine kinds: [Mute] silences
    an object's replies, the lying kinds scramble them past the frame
@@ -62,7 +49,7 @@ let byz_rules ~obj ~from_ kind =
 module Live_injector = struct
   type t = {
     mutable timed : (int * timed_ev) list;  (* reversed *)
-    mutable vrules : vrule list;
+    mutable vrules : (int * Chaos.rule) list;  (* (object, rule in ticks) *)
   }
 
   let name = "live"
@@ -81,9 +68,9 @@ module Live_injector = struct
   let link ~src ~dst ~from_ ~until act =
     match (src, dst) with
     | (Fault.Plan.W | Fault.Plan.R _), Fault.Plan.O i ->
-        [ vrule i Chaos.To_server (Some (proc_name src)) from_ until act ]
+        [ vrule i Chaos.To_server (Some (Fault.Plan.proc_id src)) from_ until act ]
     | Fault.Plan.O i, (Fault.Plan.W | Fault.Plan.R _) ->
-        [ vrule i Chaos.To_client (Some (proc_name dst)) from_ until act ]
+        [ vrule i Chaos.To_client (Some (Fault.Plan.proc_id dst)) from_ until act ]
     | _ -> []
 
   let block t ~src ~dst ~from_ ~until =
@@ -107,32 +94,31 @@ type outcome = {
   history : string Histories.Op.t list;
 }
 
-let scale_rule ~base ~tick_us r =
+let scale_rule ~base ~tick_us (r : Chaos.rule) =
   {
-    Chaos.dir = r.v_dir;
-    sender = r.v_sender;
-    from_us = base + (r.v_from * tick_us);
+    r with
+    from_us = base + (r.from_us * tick_us);
     until_us =
-      (if r.v_until = max_int then max_int else base + (r.v_until * tick_us));
-    act = r.v_act;
+      (if r.until_us = max_int then max_int else base + (r.until_us * tick_us));
   }
 
-let rule_info r =
+let rule_info (obj, (r : Chaos.rule)) =
   let act =
-    match r.v_act with
+    match r.act with
     | Chaos.Drop -> "drop"
     | Chaos.Delay d -> Printf.sprintf "delay(%dus)" d
     | Chaos.Duplicate c -> Printf.sprintf "dup(%d)" c
     | Chaos.Corrupt -> "corrupt"
-    | Chaos.Reorder -> "reorder"
   in
   let dir =
-    match r.v_dir with Chaos.To_server -> "to_server" | Chaos.To_client -> "to_client"
+    match r.dir with Chaos.To_server -> "to_server" | Chaos.To_client -> "to_client"
   in
-  Printf.sprintf "s%d %s %s%s [%d,%s)" r.v_obj dir act
-    (match r.v_sender with None -> "" | Some s -> " sender=" ^ s)
-    r.v_from
-    (if r.v_until = max_int then "inf" else string_of_int r.v_until)
+  Printf.sprintf "s%d %s %s%s [%d,%s)" obj dir act
+    (match r.sender with
+    | None -> ""
+    | Some p -> " sender=" ^ Sim.Proc_id.to_string p)
+    r.from_us
+    (if r.until_us = max_int then "inf" else string_of_int r.until_us)
 
 let run_plan_full ?metrics ?(opts = default_opts) protocol ~cfg ~seed plan =
   let pack =
@@ -152,7 +138,7 @@ let run_plan_full ?metrics ?(opts = default_opts) protocol ~cfg ~seed plan =
   let cluster =
     Cluster.start
       ~metrics:(metrics <> None)
-      ~opts:opts.client ~transport:opts.transport ~interpose:true ~protocol:pack ~cfg ()
+      ~opts:opts.client ~transport:opts.transport ~protocol:pack ~cfg ()
   in
   (* One engine per paper process, so each issues its ops at its own
      scheduled ticks and chaos rules aimed at one process match only its
@@ -170,16 +156,16 @@ let run_plan_full ?metrics ?(opts = default_opts) protocol ~cfg ~seed plan =
      installation finishes before any window can open. *)
   let base = Cluster.now_us cluster + 20_000 in
   let tick_at at = base + (at * opts.tick_us) in
-  let chaos = Cluster.chaos cluster in
-  Array.iteri
-    (fun i proxy ->
-      let mine = List.filter (fun r -> r.v_obj = i + 1) vrules in
-      if mine <> [] then begin
-        Chaos.set_rules proxy
-          (List.map (scale_rule ~base ~tick_us:opts.tick_us) mine);
-        List.iter (fun r -> note (Cluster.now_us cluster) ("rule " ^ rule_info r)) mine
-      end)
-    chaos;
+  for i = 1 to cfg.Quorum.Config.s do
+    let mine = List.filter (fun (obj, _) -> obj = i) vrules in
+    if mine <> [] then begin
+      Cluster.set_rules cluster i
+        (List.map (fun (_, r) -> scale_rule ~base ~tick_us:opts.tick_us r) mine);
+      List.iter
+        (fun r -> note (Cluster.now_us cluster) ("rule " ^ rule_info r))
+        mine
+    end
+  done;
   let rec sleep_until target =
     let now = Cluster.now_us cluster in
     if now < target then begin

@@ -5,12 +5,14 @@
     {!Fault.Injector.apply} compiles a plan into this backend's context:
     crash/recover actions become a timed driver thread calling
     {!Cluster.crash}/{!Cluster.restart} (persisted or wiped), and every
-    network/Byzantine action becomes {!Chaos} rule windows on the
-    per-object interposers ([Mute] drops an object's replies, the lying
-    kinds corrupt them past the frame header — a real garbage-speaking
-    replica — [Block]/[Isolate]/[Duplicate] map to windowed
-    drop/duplicate rules on the matching link directions).  Virtual plan
-    ticks scale to wall-clock microseconds by [tick_us].
+    network/Byzantine action becomes {!Chaos} rule windows that each
+    object's server applies in its own worker loop ({!Cluster.set_rules}:
+    [Mute] drops an object's replies, the lying kinds corrupt them past
+    the frame header — a real garbage-speaking replica —
+    [Block]/[Isolate]/[Duplicate] map to windowed drop/duplicate rules on
+    the matching link directions, aimed at the plan's
+    {!Fault.Plan.proc_id}).  Virtual plan ticks scale to wall-clock
+    microseconds by [tick_us].
 
     The run then replays {e the campaign's own workload} —
     {!Fault.Campaign.workload} of the same (seed, plan) — through one

@@ -1,48 +1,40 @@
-type stats = { connections : int; messages : int }
+type stats = {
+  connections : int;
+  messages : int;
+  dropped : int;
+  duplicated : int;
+  corrupted : int;
+  delayed : int;
+}
 
 type t = {
   endpoint : Endpoint.t;
   index : int;
   alive_ : unit -> bool;
   stats_ : unit -> stats;
+  set_rules_ : now_us:(unit -> int) -> Chaos.rule list -> unit;
   stop_ : graceful:bool -> unit;
   restart_ : wipe:bool -> t;
   violations_ : unit -> int;
 }
 
-(* Seconds on the monotonic clock: backpressure stalls and the graceful
-   drain deadline are durations, which a wall-clock step must not
-   distort. *)
+(* Seconds on the monotonic clock: backpressure stalls, reply delays and
+   the graceful drain deadline are durations, which a wall-clock step
+   must not distort. *)
 let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-(* In-place decimal parse of "r<n>"/"s<n>" suffixes: this runs once per
-   [Msg_key] on the hot path, so no [String.sub] allocation. *)
-let id_of_suffix s =
-  let len = String.length s in
-  let rec go i acc =
-    if i >= len then acc
-    else
-      match s.[i] with
-      | '0' .. '9' when acc < 0x3FFFFFF ->
-          go (i + 1) ((acc * 10) + (Char.code s.[i] - Char.code '0'))
-      | _ -> -1
-  in
-  if len < 2 then -1 else go 1 0
+(* One key's automaton and, per sender, the last reply it sent: a
+   request that reply answers is a retransmit (a sender's timestamps
+   only grow), and gets the reply again instead of a step the automaton
+   would ignore — so a lost reply is not lost for good.  A key has a
+   handful of senders: a short list costs less to make and to search
+   than a table per key. *)
+type 'm last = { who : Sim.Proc_id.t; mutable reply : 'm }
 
-let proc_of_string s =
-  if s = "w" then Some Sim.Proc_id.Writer
-  else if String.length s >= 2 then
-    match s.[0] with
-    | 'r' -> (
-        match id_of_suffix s with
-        | n when n >= 1 -> Some (Sim.Proc_id.Reader n)
-        | _ -> None)
-    | 's' -> (
-        match id_of_suffix s with
-        | n when n >= 1 -> Some (Sim.Proc_id.Obj n)
-        | _ -> None)
-    | _ -> None
-  else None
+type ('o, 'm) entry = { mutable obj : 'o; mutable last : 'm last list }
+
+(* A slot's fault rules and the clock their windows read. *)
+type faults = { clock : unit -> int; rules : Chaos.rule list }
 
 (* ===== sharded poll event loop =========================================== *)
 
@@ -58,6 +50,8 @@ type gconn = {
   greader : Codec.Reader.t;
   gout : Codec.Out.t;
   mutable greeted : bool;  (* a valid [Hello] arrived *)
+  mutable gsender : Sim.Proc_id.t option;
+      (* the [Hello]'s sender: whom control frames are attributed to *)
   mutable gclosing : bool;
   mutable gframes : int;  (* frames queued since the last completed flush *)
   mutable gpaused : bool;
@@ -113,20 +107,20 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     Mutex.lock mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
   in
-  (* Per-slot keyed object tables: key id -> automaton state, each key
-     materialized on first contact.  A table is only ever touched by the
-     slot's owning domain (the same invariant [steppers] asserts for the
-     automata), so no lock guards it. *)
-  let objs : (int, P.obj ref) Hashtbl.t array =
+  (* Per-slot keyed object tables: key id -> automaton state and last
+     replies, each key materialized on first contact.  A table is only
+     ever touched by the slot's owning domain (the same invariant
+     [steppers] asserts for the automata), so no lock guards it. *)
+  let objs : (int, (P.obj, P.msg) entry) Hashtbl.t array =
     Array.init s (fun _ -> Hashtbl.create 16)
   in
-  let obj_for i key =
+  let entry_for i key =
     match Hashtbl.find_opt objs.(i) key with
-    | Some r -> r
+    | Some e -> e
     | None ->
-        let r = ref (fresh i) in
-        Hashtbl.replace objs.(i) key r;
-        r
+        let e = { obj = fresh i; last = [] } in
+        Hashtbl.replace objs.(i) key e;
+        e
   in
   let listeners = Array.make s None in
   let actuals = Array.copy endpoints in
@@ -143,10 +137,14 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
      raise e);
   let alive = Array.make s true in
   let stop_req = Array.make s None in
-  (* Stats and the partition check are atomics so handles and workers
-     never contend on the mutex for them. *)
-  let conn_counts = Array.init s (fun _ -> Atomic.make 0) in
-  let msg_counts = Array.init s (fun _ -> Atomic.make 0) in
+  (* Stats, rules and the partition check are atomics so handles and
+     workers never contend on the mutex for them.  Rules belong to the
+     slot, so they outlive a crash and restart of its object. *)
+  let counters () = Array.init s (fun _ -> Atomic.make 0) in
+  let conn_counts = counters () and msg_counts = counters () in
+  let dropped = counters () and duplicated = counters () in
+  let corrupted = counters () and delayed = counters () in
+  let faults = Array.init s (fun _ -> Atomic.make None) in
   let violations = Atomic.make 0 in
   let steppers = Array.init s (fun _ -> Atomic.make (-1)) in
   let queues = Array.init nd (fun _ -> Exec.Handoff.create ()) in
@@ -331,7 +329,58 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
       end
       else if c.gclosing then close_conn c
     in
-    let deliver c ~key ~src ~wrap m =
+    (* Replies a [Delay] rule holds back, earliest due first. *)
+    let held = ref [] in
+    let emit c fr (f : Chaos.fate) =
+      for _ = 0 to f.copies do
+        let at = Codec.Out.length c.gout in
+        append_frame c fr;
+        if f.corrupt then Codec.corrupt_frame c.gout ~at
+      done;
+      if f.corrupt then Atomic.incr corrupted.(c.gobj);
+      ignore (Atomic.fetch_and_add duplicated.(c.gobj) f.copies)
+    in
+    (* Every frame the server sends passes its slot's reply rules,
+       attributed to [sender]. *)
+    let queue c ~sender fr =
+      match Atomic.get faults.(c.gobj) with
+      | None -> append_frame c fr
+      | Some { clock; rules } ->
+          let f = Chaos.fate rules Chaos.To_client ~sender ~now_us:(clock ()) in
+          if f.drop then Atomic.incr dropped.(c.gobj)
+          else if f.delay_us > 0 then begin
+            Atomic.incr delayed.(c.gobj);
+            let due = now_s () +. (float_of_int f.delay_us *. 1e-6) in
+            held :=
+              List.merge
+                (fun (a, _) (b, _) -> Float.compare a b)
+                !held
+                [ (due, (c, fr, f)) ]
+          end
+          else emit c fr f
+    in
+    let release_held () =
+      match !held with
+      | [] -> ()
+      | _ :: _ ->
+          let now = now_s () in
+          let ready, later = List.partition (fun (due, _) -> due <= now) !held in
+          held := later;
+          List.iter
+            (fun (_, (c, fr, f)) ->
+              (* the connection may have closed, and its fd been reused *)
+              match Hashtbl.find_opt conns c.gfd with
+              | Some c' when c' == c ->
+                  emit c fr f;
+                  try_flush c
+              | _ -> ())
+            ready
+    in
+    let reject c msg =
+      queue c ~sender:c.gsender (Codec.Err msg);
+      c.gclosing <- true
+    in
+    let deliver c ~key ~src ~sender m =
       let i = c.gobj in
       (* Partition-safety check: the routing table must have sent this
          connection to the slot's owner, and only one domain id may ever
@@ -348,58 +397,78 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
           then Atomic.incr violations
       | id when id = me -> ()
       | _ -> Atomic.incr violations);
-      let slot = obj_for i key in
-      let obj', reply = P.obj_handle !slot ~src m in
-      slot := obj';
+      let e = entry_for i key in
       Atomic.incr msg_counts.(i);
       count i "net.server.messages";
       meter i "delivered" m;
+      let last = List.find_opt (fun l -> Sim.Proc_id.equal l.who src) e.last in
+      let reply =
+        match last with
+        | Some l when Codec.answers codec ~request:m l.reply -> Some l.reply
+        | _ ->
+            let obj', reply = P.obj_handle e.obj ~src m in
+            e.obj <- obj';
+            (match (reply, last) with
+            | Some r, Some l -> l.reply <- r
+            | Some r, None -> e.last <- { who = src; reply = r } :: e.last
+            | None, _ -> ());
+            reply
+      in
       match reply with
       | Some r ->
           meter i "sent" r;
-          append_frame c (wrap r)
+          queue c ~sender:(Some src) (Codec.Msg_key { key; sender; msg = r })
       | None -> ()
     in
-    let on_frame c = function
-      | Codec.Hello { proto; sender; obj = dialed } ->
-          let fail msg =
-            append_frame c (Codec.Err msg);
-            c.gclosing <- true
-          in
+    let handle c ~sender = function
+      | Codec.Hello { proto; sender = name; obj = dialed } ->
           let index = indices.(c.gobj) in
           if proto <> P.name then
-            fail
+            reject c
               (Printf.sprintf "server hosts protocol %s, client speaks %s"
                  P.name proto)
           else if dialed <> 0 && dialed <> index then
-            fail
+            reject c
               (Printf.sprintf "server hosts object %d, client dialed %d" index
                  dialed)
-          else if proc_of_string sender = None then
-            fail (Printf.sprintf "invalid sender %S" sender)
+          else if sender = None then
+            reject c (Printf.sprintf "invalid sender %S" name)
           else begin
             c.greeted <- true;
-            append_frame c (Codec.Hello_ack { proto = P.name; obj = index })
+            queue c ~sender (Codec.Hello_ack { proto = P.name; obj = index })
           end
-      | Codec.Msg_key { key; sender; msg } -> (
-          if not c.greeted then begin
-            append_frame c (Codec.Err "protocol message before hello");
-            c.gclosing <- true
-          end
+      | Codec.Msg_key { key; sender = name; msg } -> (
+          if not c.greeted then reject c "protocol message before hello"
           else
-            match proc_of_string sender with
-            | None ->
-                append_frame c
-                  (Codec.Err (Printf.sprintf "invalid sender %S" sender));
-                c.gclosing <- true
-            | Some src ->
-                deliver c ~key ~src
-                  ~wrap:(fun r -> Codec.Msg_key { key; sender; msg = r })
-                  msg)
-      | Codec.Hello_ack _ ->
-          append_frame c (Codec.Err "unexpected hello_ack");
-          c.gclosing <- true
+            match sender with
+            | None -> reject c (Printf.sprintf "invalid sender %S" name)
+            | Some src -> deliver c ~key ~src ~sender:name msg)
+      | Codec.Hello_ack _ -> reject c "unexpected hello_ack"
       | Codec.Err _ -> c.gclosing <- true
+    in
+    (* Every decoded frame passes its slot's request rules first, [Hello]
+       included: a dropped one never happened, a duplicated one is
+       handled again. *)
+    let on_frame c fr =
+      let sender =
+        match fr with
+        | Codec.Hello { sender; _ } ->
+            c.gsender <- Sim.Proc_id.of_string sender;
+            c.gsender
+        | Codec.Msg_key { sender; _ } -> Sim.Proc_id.of_string sender
+        | Codec.Hello_ack _ | Codec.Err _ -> c.gsender
+      in
+      match Atomic.get faults.(c.gobj) with
+      | None -> handle c ~sender fr
+      | Some { clock; rules } ->
+          let f = Chaos.fate rules Chaos.To_server ~sender ~now_us:(clock ()) in
+          if f.drop then Atomic.incr dropped.(c.gobj)
+          else begin
+            ignore (Atomic.fetch_and_add duplicated.(c.gobj) f.copies);
+            for _ = 0 to f.copies do
+              if not c.gclosing then handle c ~sender fr
+            done
+          end
     in
     (* Decode and step every complete frame already buffered; stops
        early when backpressure pauses the connection (the rest of the
@@ -414,8 +483,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
               go ()
           | Error e ->
               count c.gobj "net.server.decode_errors";
-              append_frame c (Codec.Err e);
-              c.gclosing <- true
+              reject c e
       in
       go ();
       if Hashtbl.mem conns c.gfd then try_flush c
@@ -457,6 +525,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
                     greader = Codec.Reader.create ();
                     gout = Codec.Out.create ();
                     greeted = false;
+                    gsender = None;
                     gclosing = false;
                     gframes = 0;
                     gpaused = false;
@@ -530,6 +599,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     let rec iter () =
       process_queue ();
       enforce_deadlines ();
+      release_held ();
       if not (should_exit ()) then begin
         let rds = ref [ wake_rd ] and wrs = ref [] in
         Hashtbl.iter
@@ -538,6 +608,11 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
             if Codec.Out.pending c.gout > 0 then wrs := fd :: !wrs)
           conns;
         let timeout = if Hashtbl.length draining > 0 then 0.05 else 0.5 in
+        let timeout =
+          match !held with
+          | (due, _) :: _ -> Float.max 0. (Float.min timeout (due -. now_s ()))
+          | [] -> timeout
+        in
         (match Unix.select !rds !wrs [] timeout with
         | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ()
         | rready, wready, _ ->
@@ -618,7 +693,24 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
           {
             connections = Atomic.get conn_counts.(i);
             messages = Atomic.get msg_counts.(i);
+            dropped = Atomic.get dropped.(i);
+            duplicated = Atomic.get duplicated.(i);
+            corrupted = Atomic.get corrupted.(i);
+            delayed = Atomic.get delayed.(i);
           });
+      set_rules_ =
+        (fun ~now_us rules ->
+          List.iter
+            (fun (r : Chaos.rule) ->
+              match (r.dir, r.act) with
+              | Chaos.To_server, (Chaos.Delay _ | Chaos.Corrupt) ->
+                  invalid_arg
+                    "Server.set_rules: requests can only be dropped or \
+                     duplicated"
+              | _ -> ())
+            rules;
+          Atomic.set faults.(i)
+            (if rules = [] then None else Some { clock = now_us; rules }));
       stop_ =
         (fun ~graceful ->
           request_stop i ~graceful;
@@ -664,9 +756,9 @@ let index t = t.index
 
 let alive t = t.alive_ ()
 
-let is_alive = alive
-
 let stats t = t.stats_ ()
+
+let set_rules t ~now_us rules = t.set_rules_ ~now_us rules
 
 let stop t = t.stop_ ~graceful:true
 

@@ -13,6 +13,17 @@
     terminal {!Codec.Err} frame, so a client pointed at the wrong server
     fails loudly instead of feeding garbage into a state machine.
 
+    Next to each key's automaton the server keeps the last reply it sent
+    each sender.  A request that reply answers ({!Codec.answers}) is a
+    retransmit — a sender's timestamps only grow — and gets the same
+    reply again without stepping the automaton, which would ignore it
+    (Figure 3 answers only fresh timestamps): over a lossy link a lost
+    reply is sent again, as reliable channels would deliver it.
+
+    The worker loop is also where an object's faults happen: {!set_rules}
+    installs {!Chaos} rules that it applies to every frame it decodes
+    and every reply it queues.
+
     [stop] is the graceful path (stop accepting, let queued replies
     flush, then close); [crash] tears the sockets down hard — the
     loopback chaos tests use it as the process-kill stand-in.
@@ -24,7 +35,11 @@ type t
 
 type stats = {
   connections : int;  (** sessions accepted over the server's lifetime *)
-  messages : int;  (** protocol messages handled *)
+  messages : int;  (** protocol messages handled, retransmits included *)
+  dropped : int;  (** frames a rule dropped, both directions *)
+  duplicated : int;  (** extra copies a rule made, both directions *)
+  corrupted : int;  (** replies a rule corrupted *)
+  delayed : int;  (** replies a rule delayed *)
 }
 
 val start :
@@ -88,10 +103,19 @@ val index : t -> int
 
 val alive : t -> bool
 
-val is_alive : t -> bool
-(** Alias of {!alive} — the guard to check before {!restart}. *)
-
 val stats : t -> stats
+(** The object's counters since the group started, across restarts. *)
+
+val set_rules : t -> now_us:(unit -> int) -> Chaos.rule list -> unit
+(** Atomically replace the fault rules of the handle's object; windows
+    are read against [now_us].  A request rule applies to each decoded
+    frame before anything else happens to it, [Hello] included; a reply
+    rule to each frame the server queues, and a delayed reply leaves its
+    delay after it was queued.  Rules belong to the object's slot in the
+    group, so they survive {!crash} and {!restart}.  With no rules, each
+    frame costs one atomic read.
+    @raise Invalid_argument on a request rule that delays or corrupts:
+    requests can only be dropped or duplicated. *)
 
 val stop : t -> unit
 (** Graceful shutdown; idempotent. *)

@@ -17,6 +17,29 @@ let to_string = function
   | Reader j -> "r" ^ string_of_int j
   | Obj i -> "s" ^ string_of_int i
 
+(* The decimal suffix of "r<j>"/"s<i>" from position [i], parsed in
+   place (servers and clients call this once per frame); -1 on a
+   non-digit or an overflow. *)
+let rec digits s i acc =
+  if i >= String.length s then acc
+  else
+    match s.[i] with
+    | '0' .. '9' as c ->
+        let d = Char.code c - Char.code '0' in
+        if acc > (max_int - d) / 10 then -1 else digits s (i + 1) ((acc * 10) + d)
+    | _ -> -1
+
+(* A leading zero is rejected too, so the parse inverts [to_string]
+   exactly. *)
+let of_string s =
+  if String.equal s "w" then Some Writer
+  else if String.length s < 2 || s.[1] = '0' then None
+  else
+    match (s.[0], digits s 1 0) with
+    | 'r', j when j >= 1 -> Some (Reader j)
+    | 's', i when i >= 1 -> Some (Obj i)
+    | _ -> None
+
 let pp ppf id = Format.pp_print_string ppf (to_string id)
 
 let is_object = function Obj _ -> true | Writer | Reader _ -> false

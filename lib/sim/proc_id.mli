@@ -16,6 +16,13 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
+(** ["w"], ["r<j>"] or ["s<i>"]: the process names frames carry on the
+    wire. *)
+
+val of_string : string -> t option
+(** The inverse of {!to_string}: ["w"], ["r<j>"] and ["s<i>"] with
+    [i, j >= 1] written without leading zeros; [None] for anything else,
+    an id past [max_int] included. *)
 
 val is_object : t -> bool
 

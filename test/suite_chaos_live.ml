@@ -93,26 +93,6 @@ let injector_dispatch_is_total () =
         (Option.value ~default:0 (Hashtbl.find_opt seen k)))
     [ "byz"; "switch"; "crash"; "recover"; "block"; "isolate"; "dup" ]
 
-(* ----- codec peeking ----------------------------------------------------- *)
-
-let codec_peek_helpers () =
-  let payload frame =
-    let s = Net.Codec.encode_frame Net.Codec.messages frame in
-    String.sub s 4 (String.length s - 4)
-  in
-  let hello =
-    payload (Net.Codec.Hello { proto = "core"; sender = "r7"; obj = 3 })
-  in
-  Alcotest.(check bool) "hello kind" true (Net.Codec.peek_kind hello = Some `Hello);
-  Alcotest.(check (option string)) "hello sender" (Some "r7")
-    (Net.Codec.peek_sender hello);
-  let ack = payload (Net.Codec.Hello_ack { proto = "core"; obj = 3 }) in
-  Alcotest.(check bool) "ack kind" true (Net.Codec.peek_kind ack = Some `Hello_ack);
-  Alcotest.(check (option string)) "ack has no sender" None
-    (Net.Codec.peek_sender ack);
-  Alcotest.(check (option string)) "garbage is rejected" None
-    (Net.Codec.peek_sender "\x00\x01\x02")
-
 (* ----- Cluster.crash/restart edge cases ---------------------------------- *)
 
 let restart_alive_is_structured_error () =
@@ -338,29 +318,20 @@ let beyond_t_crashes_timeout_then_recover () =
       let o = ok_exn "read after recovery" (Live_ops.read e) in
       Alcotest.(check string) "recovered value" "b1" (value_of o))
 
-(* ----- interposer -------------------------------------------------------- *)
+(* ----- fault rules at the servers ---------------------------------------- *)
 
-let interposer_is_transparent_without_rules () =
-  let c =
-    Net.Cluster.start ~interpose:true ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
-  in
-  Fun.protect
-    ~finally:(fun () -> Net.Cluster.stop c)
-    (fun () ->
-      let e = Net.Cluster.engine c in
-      let _ = ok_exn "write via proxies" (Live_ops.write e "x1") in
-      let o = ok_exn "read via proxies" (Live_ops.read e) in
-      Alcotest.(check string) "value through interposers" "x1" (value_of o);
-      let forwarded =
-        Array.fold_left
-          (fun acc p -> acc + (Net.Chaos.stats p).Net.Chaos.forwarded)
-          0 (Net.Cluster.chaos c)
-      in
-      Alcotest.(check bool) "frames relayed" true (forwarded > 0))
+let rule ?sender dir act =
+  { Net.Chaos.dir; sender; from_us = 0; until_us = max_int; act }
 
-let interposer_drop_rule_blocks_and_clears () =
+let objects c =
+  List.init (Array.length (Net.Cluster.endpoints c)) (fun i -> i + 1)
+
+let total c field =
+  List.fold_left (fun acc i -> acc + field (Net.Cluster.stats c i)) 0 (objects c)
+
+let drop_rule_partitions_and_heals () =
   let c =
-    Net.Cluster.start ~interpose:true
+    Net.Cluster.start
       ~opts:{ Net.Client.deadline = 0.05; retries = 1; backoff = 0.01 }
       ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
   in
@@ -368,22 +339,14 @@ let interposer_drop_rule_blocks_and_clears () =
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
       let e = Net.Cluster.engine c in
-      let block_all =
-        {
-          Net.Chaos.dir = Net.Chaos.To_server;
-          sender = None;
-          from_us = 0;
-          until_us = max_int;
-          act = Net.Chaos.Drop;
-        }
+      let set rules =
+        List.iter (fun i -> Net.Cluster.set_rules c i rules) (objects c)
       in
-      Array.iter
-        (fun p -> Net.Chaos.set_rules p [ block_all ])
-        (Net.Cluster.chaos c);
+      set [ rule Net.Chaos.To_server Net.Chaos.Drop ];
       (match Live_ops.write e "w1" with
       | Ok _ -> Alcotest.fail "write through a total partition succeeded"
       | Error _ -> ());
-      Array.iter (fun p -> Net.Chaos.set_rules p []) (Net.Cluster.chaos c);
+      set [];
       (* A timed-out write is parked, not aborted (the paper's automata
          have no abort): the next write invocation resumes and completes
          the parked w1 — only the one after that writes w2. *)
@@ -393,37 +356,29 @@ let interposer_drop_rule_blocks_and_clears () =
       let _ = ok_exn "fresh write after heal" (Live_ops.write e "w2") in
       let o = ok_exn "read fresh value" (Live_ops.read e) in
       Alcotest.(check string) "healed value" "w2" (value_of o);
-      let dropped =
-        Array.fold_left
-          (fun acc p -> acc + (Net.Chaos.stats p).Net.Chaos.dropped)
-          0 (Net.Cluster.chaos c)
-      in
-      Alcotest.(check bool) "partition dropped frames" true (dropped > 0))
+      Alcotest.(check bool) "partition dropped frames" true
+        (total c (fun s -> s.Net.Server.dropped) > 0))
 
 (* Base objects keep per-reader round state, so engines of one cluster
    must never share a reader id; and a rule aimed at one paper process
-   (Live's compiled link rules name "w" or "r<j>") must match that
-   process's frames only, its connection Hello included. *)
+   (Live's compiled link rules name the writer or reader j) must match
+   that process's frames only, its connection Hello included. *)
 let engines_keep_ids_and_attribution () =
-  let c =
-    Net.Cluster.start ~interpose:true ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
-  in
+  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 () in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
       let writer, readers = Net.Cluster.processes c ~readers:2 in
       let lanes = Net.Cluster.engine ~lanes:4 c in
-      let proxy = (Net.Cluster.chaos c).(0) in
-      (* set before any engine dials object 1 *)
-      Net.Chaos.set_rules proxy
+      (* Set before any engine dials object 1.  Object 1 answers every
+         Hello and request it handles, and its answers to reader 2 would
+         count as delayed: [delayed] staying 0 shows none of reader 2's
+         frames was handled. *)
+      let r2 = Sim.Proc_id.Reader 2 in
+      Net.Cluster.set_rules c 1
         [
-          {
-            Net.Chaos.dir = Net.Chaos.To_server;
-            sender = Some "r2";
-            from_us = 0;
-            until_us = max_int;
-            act = Net.Chaos.Drop;
-          };
+          rule ~sender:r2 Net.Chaos.To_server Net.Chaos.Drop;
+          rule ~sender:r2 Net.Chaos.To_client (Net.Chaos.Delay 1);
         ];
       let run name e ops =
         let ids = ref [] in
@@ -444,17 +399,20 @@ let engines_keep_ids_and_attribution () =
       let lane_ids = run "pipelined" lanes (Array.make 20 Live_ops.read0) in
       (* let late replies of widened rounds drain before counting *)
       Thread.delay 0.05;
-      let before = Net.Chaos.stats proxy in
+      let before = Net.Cluster.stats c 1 in
       Alcotest.(check int) "no frame of w, r1 or the lanes dropped" 0
-        before.Net.Chaos.dropped;
+        before.Net.Server.dropped;
       Alcotest.(check bool) "their frames reached object 1" true
-        (before.Net.Chaos.forwarded > 0);
+        (before.Net.Server.messages > 0);
       let r2_ids = run "reader 2" readers.(1) (Array.make 5 Live_ops.read0) in
-      let after = Net.Chaos.stats proxy in
+      let after = Net.Cluster.stats c 1 in
       Alcotest.(check bool) "reader 2's frames dropped" true
-        (after.Net.Chaos.dropped > 0);
-      Alcotest.(check int) "nothing of reader 2's reached object 1, Hello included"
-        before.Net.Chaos.forwarded after.Net.Chaos.forwarded;
+        (after.Net.Server.dropped > 0);
+      Alcotest.(check int) "nothing of reader 2's reached object 1"
+        before.Net.Server.messages after.Net.Server.messages;
+      Alcotest.(check int)
+        "object 1 answered none of reader 2's frames, Hello included" 0
+        after.Net.Server.delayed;
       Alcotest.(check (list int)) "the writer's events are writes" [ 0 ] w_ids;
       Alcotest.(check (list int)) "reader 1 keeps id 1" [ 1 ] r1_ids;
       Alcotest.(check (list int)) "reader 2 keeps id 2" [ 2 ] r2_ids;
@@ -462,6 +420,124 @@ let engines_keep_ids_and_attribution () =
       Alcotest.(check int) "reader ids pairwise disjoint"
         (List.length (List.concat all))
         (List.length (List.sort_uniq compare (List.concat all))))
+
+(* Figure 3's objects answer only a fresh timestamp, so a retransmit of
+   a request whose reply was lost is answered only by the server's
+   resend of its last reply; without it, with one more object down, the
+   read could never gather S-t replies.  Object 4 is crashed and object
+   3's replies to the reader are lost for a window well inside the
+   read's patience; the read completes from object 3's reply sent
+   again. *)
+let lost_reply_is_sent_again () =
+  let c =
+    Net.Cluster.start
+      ~opts:{ Net.Client.deadline = 0.1; retries = 8; backoff = 0.01 }
+      ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let writer, readers = Net.Cluster.processes c ~readers:1 in
+      let _ = ok_exn "write" (Live_ops.write writer "l1") in
+      Net.Cluster.crash c 4;
+      let now = Net.Cluster.now_us c in
+      Net.Cluster.set_rules c 3
+        [
+          {
+            (rule ~sender:(Sim.Proc_id.Reader 1) Net.Chaos.To_client Net.Chaos.Drop)
+            with
+            from_us = now;
+            until_us = now + 500_000;
+          };
+        ];
+      let o = ok_exn "read across the lost reply" (Live_ops.read readers.(0)) in
+      Alcotest.(check string) "value" "l1" (value_of o);
+      Alcotest.(check bool) "object 3's reply was lost" true
+        ((Net.Cluster.stats c 3).Net.Server.dropped > 0))
+
+let rules_survive_restart () =
+  let c =
+    Net.Cluster.start
+      ~opts:{ Net.Client.deadline = 0.1; retries = 5; backoff = 0.01 }
+      ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let _ = ok_exn "write" (Live_ops.write (Net.Cluster.engine c) "k1") in
+      Net.Cluster.set_rules c 2 [ rule Net.Chaos.To_server Net.Chaos.Drop ];
+      Net.Cluster.crash c 2;
+      Net.Cluster.restart_exn c 2;
+      let before = Net.Cluster.stats c 2 in
+      (* a fresh engine dials every object, so object 2 sees a Hello *)
+      let o = ok_exn "read" (Live_ops.read (Net.Cluster.engine c)) in
+      Alcotest.(check string) "value" "k1" (value_of o);
+      let after = Net.Cluster.stats c 2 in
+      Alcotest.(check bool) "the restarted object still drops" true
+        (after.Net.Server.dropped > before.Net.Server.dropped);
+      Alcotest.(check int) "and handles nothing" before.Net.Server.messages
+        after.Net.Server.messages)
+
+let cfg1 = Quorum.Config.make_exn ~s:1 ~t:0 ~b:0
+
+let duplicated_request_is_handled_again () =
+  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg1 () in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let e = Net.Cluster.engine c in
+      let messages () = (Net.Cluster.stats c 1).Net.Server.messages in
+      let m0 = messages () in
+      let _ = ok_exn "write" (Live_ops.write e "d1") in
+      let once = messages () - m0 in
+      Net.Cluster.set_rules c 1
+        [ rule Net.Chaos.To_server (Net.Chaos.Duplicate 2) ];
+      let m1 = messages () in
+      let _ = ok_exn "duplicated write" (Live_ops.write e "d2") in
+      Alcotest.(check int) "every request handled 1+2 times" (3 * once)
+        (messages () - m1);
+      Alcotest.(check int) "two copies per request" (2 * once)
+        (Net.Cluster.stats c 1).Net.Server.duplicated;
+      Net.Cluster.set_rules c 1 [];
+      let o = ok_exn "read" (Live_ops.read e) in
+      Alcotest.(check string) "value" "d2" (value_of o))
+
+let corrupted_reply_is_a_decode_error () =
+  let c =
+    Net.Cluster.start ~metrics:true ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      Net.Cluster.set_rules c 1 [ rule Net.Chaos.To_client Net.Chaos.Corrupt ];
+      let e = Net.Cluster.engine c in
+      let _ = ok_exn "write" (Live_ops.write e "c1") in
+      let o = ok_exn "read" (Live_ops.read e) in
+      Alcotest.(check string) "value" "c1" (value_of o);
+      Alcotest.(check bool) "object 1 corrupted its replies" true
+        ((Net.Cluster.stats c 1).Net.Server.corrupted > 0);
+      match Net.Cluster.metrics c with
+      | None -> Alcotest.fail "metrics registry missing"
+      | Some m ->
+          Alcotest.(check bool) "the client could not decode them" true
+            (Obs.Metrics.counter_value m "net.client.decode_errors" > 0))
+
+let delayed_reply_leaves_late () =
+  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg1 () in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let e = Net.Cluster.engine c in
+      let _ = ok_exn "write" (Live_ops.write e "y1") in
+      let d = 30_000 in
+      Net.Cluster.set_rules c 1 [ rule Net.Chaos.To_client (Net.Chaos.Delay d) ];
+      let o = ok_exn "read" (Live_ops.read e) in
+      Alcotest.(check string) "value" "y1" (value_of o);
+      Alcotest.(check bool)
+        (Printf.sprintf "the read waited out the delay (%d us)" o.latency_us)
+        true (o.latency_us >= d);
+      Alcotest.(check bool) "replies delayed" true
+        ((Net.Cluster.stats c 1).Net.Server.delayed > 0))
 
 (* ----- the same plan on both backends ------------------------------------ *)
 
@@ -591,8 +667,6 @@ let suite =
     [
       Alcotest.test_case "injector dispatch covers every action" `Quick
         injector_dispatch_is_total;
-      Alcotest.test_case "codec frame peeking is protocol-independent" `Quick
-        codec_peek_helpers;
       Alcotest.test_case "restart of a live server is a structured error"
         `Quick restart_alive_is_structured_error;
       Alcotest.test_case "double crash is idempotent" `Quick
@@ -607,12 +681,20 @@ let suite =
         below_bound_crash_keeps_one_round;
       Alcotest.test_case "beyond-t crashes time out, count reconnects, recover"
         `Quick beyond_t_crashes_timeout_then_recover;
-      Alcotest.test_case "interposer is transparent without rules" `Quick
-        interposer_is_transparent_without_rules;
-      Alcotest.test_case "interposer drop rule partitions and heals" `Quick
-        interposer_drop_rule_blocks_and_clears;
+      Alcotest.test_case "a drop rule at the servers partitions and heals"
+        `Quick drop_rule_partitions_and_heals;
       Alcotest.test_case "engines never share a reader id; rules keep their process"
         `Quick engines_keep_ids_and_attribution;
+      Alcotest.test_case "a lost reply is sent again" `Quick
+        lost_reply_is_sent_again;
+      Alcotest.test_case "rules survive a crash and restart of their object"
+        `Quick rules_survive_restart;
+      Alcotest.test_case "a duplicated request is handled again" `Quick
+        duplicated_request_is_handled_again;
+      Alcotest.test_case "a corrupted reply is a client decode error" `Quick
+        corrupted_reply_is_a_decode_error;
+      Alcotest.test_case "a delayed reply leaves its delay late" `Quick
+        delayed_reply_leaves_late;
       Alcotest.test_case "one plan value runs on both backends" `Slow
         same_plan_runs_on_both_backends;
       Alcotest.test_case "sim and live matrices share a schema" `Slow

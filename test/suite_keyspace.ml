@@ -577,14 +577,14 @@ let silent_member_is_avoided () =
 let slow_member_is_hedged () =
   let cfg = Quorum.Config.make_exn ~s:5 ~t:1 ~b:1 in
   let c =
-    Net.Cluster.start ~metrics:true ~interpose:true
+    Net.Cluster.start ~metrics:true
       ~protocol:(Net.Protocols.regular_gc ~readers:2)
       ~cfg ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      Net.Chaos.set_rules (Net.Cluster.chaos c).(2)
+      Net.Cluster.set_rules c 3
         [
           {
             Net.Chaos.dir = Net.Chaos.To_client;
@@ -629,12 +629,6 @@ let replaying_object ~protocol ~cfg ~index =
   in
   let obj = ref (P.obj_init ~cfg ~index) in
   let first_reads = Hashtbl.create 8 in
-  let src_of sender =
-    if sender = "w" then Sim.Proc_id.Writer
-    else
-      Sim.Proc_id.Reader
-        (int_of_string (String.sub sender 1 (String.length sender - 1)))
-  in
   let send fd f =
     try Net.Codec.send fd (Net.Codec.encode_frame codec f)
     with Unix.Unix_error _ -> ()
@@ -643,7 +637,8 @@ let replaying_object ~protocol ~cfg ~index =
     | Net.Codec.Hello _ ->
         send fd (Net.Codec.Hello_ack { proto = P.name; obj = index })
     | Net.Codec.Msg_key { key; sender; msg } -> (
-        let o, reply = P.obj_handle !obj ~src:(src_of sender) msg in
+        let src = Option.get (Sim.Proc_id.of_string sender) in
+        let o, reply = P.obj_handle !obj ~src msg in
         obj := o;
         let cls = P.msg_class msg in
         match reply with
@@ -717,16 +712,15 @@ let replaying_object ~protocol ~cfg ~index =
 let late_reply_of_previous_op_is_no_answer () =
   let cfg = Quorum.Config.make_exn ~s:5 ~t:1 ~b:1 in
   let protocol = Net.Protocols.regular_gc ~readers:1 in
-  let c = Net.Cluster.start ~interpose:true ~protocol ~cfg () in
+  let c = Net.Cluster.start ~protocol ~cfg () in
   let x_ep, x_cleanup = replaying_object ~protocol ~cfg ~index:1 in
   Fun.protect
     ~finally:(fun () ->
       x_cleanup ();
       Net.Cluster.stop c)
     (fun () ->
-      let chaos = Net.Cluster.chaos c in
-      for i = 1 to 4 do
-        Net.Chaos.set_rules chaos.(i)
+      for i = 2 to 5 do
+        Net.Cluster.set_rules c i
           [
             {
               Net.Chaos.dir = Net.Chaos.To_client;
@@ -738,8 +732,9 @@ let late_reply_of_previous_op_is_no_answer () =
           ]
       done;
       let endpoints =
-        Array.init 5 (fun i ->
-            if i = 0 then x_ep else Net.Chaos.endpoint chaos.(i))
+        Array.mapi
+          (fun i ep -> if i = 0 then x_ep else ep)
+          (Net.Cluster.endpoints c)
       in
       let metrics = Obs.Metrics.create () in
       let writer = Live_ops.single ~session:"w" ~protocol ~cfg endpoints in

@@ -201,32 +201,6 @@ let roundtrip_frames =
 
 (* ----- keyed frames (ISSUE 9) ------------------------------------------- *)
 
-(* The demux peeks kind/sender/key straight off the raw payload without
-   a full decode; for key-tagged frames all three must agree with what a
-   full decode returns. *)
-let keyed_peek_agrees =
-  QCheck.Test.make
-    ~name:"peek_kind/peek_sender/peek_key agree with full decode on Msg_key"
-    ~count:500
-    QCheck.(
-      make
-        Gen.(
-          map3
-            (fun key sender msg -> Net.Codec.Msg_key { key; sender; msg })
-            gen_key
-            (string_size (0 -- 6))
-            gen_msg))
-    (fun f ->
-      let key, sender =
-        match f with
-        | Net.Codec.Msg_key { key; sender; _ } -> (key, sender)
-        | _ -> assert false
-      in
-      let payload = payload_of_frame Net.Codec.messages f in
-      Net.Codec.peek_kind payload = Some `Msg_key
-      && Net.Codec.peek_sender payload = Some sender
-      && Net.Codec.peek_key payload = Some key)
-
 let negative_key_rejected () =
   (* a Byzantine sender can put any varint in the key slot; negative key
      ids must be a clean decode error, not a table index *)
@@ -491,7 +465,6 @@ let suite =
       QCheck_alcotest.to_alcotest roundtrip_messages;
       QCheck_alcotest.to_alcotest roundtrip_abd;
       QCheck_alcotest.to_alcotest roundtrip_frames;
-      QCheck_alcotest.to_alcotest keyed_peek_agrees;
       Alcotest.test_case "negative key id rejected" `Quick negative_key_rejected;
       QCheck_alcotest.to_alcotest truncation_messages;
       QCheck_alcotest.to_alcotest truncation_frames;

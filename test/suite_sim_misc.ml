@@ -14,7 +14,30 @@ let test_proc_id_compare () =
 let test_proc_id_strings () =
   Alcotest.(check string) "writer" "w" (Proc_id.to_string Proc_id.Writer);
   Alcotest.(check string) "reader" "r2" (Proc_id.to_string (Proc_id.Reader 2));
-  Alcotest.(check string) "object" "s5" (Proc_id.to_string (Proc_id.Obj 5))
+  Alcotest.(check string) "object" "s5" (Proc_id.to_string (Proc_id.Obj 5));
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "%S rejected" s) true
+        (Proc_id.of_string s = None))
+    [ ""; "r0"; "r"; "x1"; "r1x"; "r01"; "writer"; "4611686018427387904";
+      "r4611686018427387904"; "s99999999999999999999" ];
+  Alcotest.(check bool) "max_int id accepted" true
+    (Proc_id.of_string ("r" ^ string_of_int max_int)
+    = Some (Proc_id.Reader max_int))
+
+let proc_id_of_string_inverts =
+  QCheck.Test.make ~name:"proc_id of_string inverts to_string" ~count:500
+    QCheck.(
+      make ~print:Proc_id.to_string
+        Gen.(
+          let id = oneof [ int_range 1 1000; int_range 1 max_int ] in
+          oneof
+            [
+              return Proc_id.Writer;
+              map (fun j -> Proc_id.Reader j) id;
+              map (fun i -> Proc_id.Obj i) id;
+            ]))
+    (fun p -> Proc_id.of_string (Proc_id.to_string p) = Some p)
 
 let test_proc_id_sets () =
   Alcotest.(check int) "objects ~s" 4 (List.length (Proc_id.objects ~s:4));
@@ -156,6 +179,7 @@ let suite =
     [
       Alcotest.test_case "proc_id compare" `Quick test_proc_id_compare;
       Alcotest.test_case "proc_id strings" `Quick test_proc_id_strings;
+      QCheck_alcotest.to_alcotest proc_id_of_string_inverts;
       Alcotest.test_case "proc_id sets" `Quick test_proc_id_sets;
       Alcotest.test_case "proc_id indices" `Quick test_proc_id_indices;
       Alcotest.test_case "delay constant" `Quick test_delay_constant;
