@@ -287,6 +287,67 @@ let bench_regular_gc_object =
     (Staged.stage (fun () ->
          Core.Regular_object_gc.handle obj ~src:(Sim.Proc_id.Reader 1) read1))
 
+(* The next READ1 of the same reader with the same cache: its floor
+   stays where the first one put it, so the object neither records it
+   nor prunes. *)
+let bench_regular_gc_object_same_floor =
+  let _, _, obj, read1 = regular_gc_fixture () in
+  let src = Sim.Proc_id.Reader 1 in
+  let obj, _ = Core.Regular_object_gc.handle obj ~src read1 in
+  let again =
+    match read1 with
+    | Core.Messages.Read1 { tsr; from_ts } ->
+        Core.Messages.Read1 { tsr = tsr + 2; from_ts }
+    | m -> m
+  in
+  Test.make ~name:"regular_object_gc.handle READ1 (floor unchanged)"
+    (Staged.stage (fun () -> Core.Regular_object_gc.handle obj ~src again))
+
+(* What every warm-up read of the benchmark is: a fresh reader on a
+   fresh key, answered by four objects that hold only the initial
+   history. *)
+let bench_regular_gc_cold_read =
+  let cfg = Quorum.Config.make_exn ~s:5 ~t:1 ~b:1 in
+  let reader = Core.Regular_reader.init ~cfg ~j:1 ~cached:true () in
+  let _, read1 = regular_gc_start reader in
+  let acks =
+    List.init 4 (fun i ->
+        let o = Core.Regular_object_gc.init ~index:(i + 1) ~readers:1 in
+        let _, reply =
+          Core.Regular_object_gc.handle o ~src:(Sim.Proc_id.Reader 1) read1
+        in
+        (i + 1, Option.get reply))
+  in
+  Test.make
+    ~name:"regular_reader: cold round-1 decision, 4 acks of the initial history"
+    (Staged.stage (fun () ->
+         let r, _ = regular_gc_start reader in
+         regular_gc_feed r acks))
+
+(* A READ1_ACK_H frame as the regular-gc client receives it: the
+   one-entry history suffix of the fixture's cached read. *)
+let history_ack_fixture () =
+  let _, acks, _, _ = regular_gc_fixture () in
+  let frame =
+    Net.Codec.Msg_key { key = 0; sender = "r1"; msg = snd (List.hd acks) }
+  in
+  let s = Net.Codec.encode_frame Net.Codec.messages frame in
+  (frame, String.sub s 4 (String.length s - 4))
+
+let bench_codec_encode_history =
+  let frame, _ = history_ack_fixture () in
+  let out = Net.Codec.Out.create () in
+  Test.make ~name:"codec: encode READ1_ACK_H, 1-entry history (scratch reuse)"
+    (Staged.stage (fun () ->
+         Net.Codec.Out.clear out;
+         Net.Codec.encode_frame_into Net.Codec.messages out frame))
+
+let bench_codec_decode_history =
+  let _, payload = history_ack_fixture () in
+  Test.make ~name:"codec: decode READ1_ACK_H, 1-entry history (interned)"
+    (Staged.stage (fun () ->
+         ignore (Net.Codec.decode_payload Net.Codec.messages payload)))
+
 (* -- read-coalescing batch ----------------------------------------------- *)
 
 (* The hot-key coalescing lifecycle: one lead opens a batch, joiners
@@ -351,13 +412,17 @@ let tests =
     bench_writer_round;
     bench_safe_read_fast_path;
     bench_regular_gc_read;
+    bench_regular_gc_cold_read;
     bench_regular_gc_object;
+    bench_regular_gc_object_same_floor;
     bench_end_to_end_scenario;
     bench_checker;
     bench_checker_reads;
     bench_codec_encode;
     bench_codec_decode_hot;
     bench_codec_decode_cold;
+    bench_codec_encode_history;
+    bench_codec_decode_history;
   ]
 
 let run () =

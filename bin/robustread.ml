@@ -981,7 +981,11 @@ let client_cmd =
       Quorum.Config.pp cfg
       (Net.Protocols.name protocol)
       ops;
-    let failures = ref 0 in
+    let failures = ref 0 and spans = ref [] in
+    let on_event = function
+      | Net.Client.Keyed.Respond { span = Some s; _ } -> spans := s :: !spans
+      | Net.Client.Keyed.Respond { span = None; _ } | Invoke _ -> ()
+    in
     Array.iteri
       (fun i r ->
         let what =
@@ -995,9 +999,11 @@ let client_cmd =
         | Error e ->
             incr failures;
             Format.printf "  %s FAILED: %s@." what e)
-      (Net.Client.Keyed.run_ops client kops);
-    let spans = Net.Client.Keyed.spans client in
+      (Net.Client.Keyed.run_ops ~on_event client kops);
     Net.Client.Keyed.close client;
+    let spans =
+      List.sort (fun (a : Obs.Span.t) b -> Int.compare a.id b.id) !spans
+    in
     live_report ~artifacts ~spans registry;
     if !failures > 0 then exit 1
   in

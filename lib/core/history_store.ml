@@ -8,6 +8,8 @@ let init = Ints.Map.singleton 0 { pw = Tsval.init; w = Some Wtuple.init }
 
 let find t ~ts = Ints.Map.find_opt ts t
 
+let get t ~ts = Ints.Map.find ts t
+
 let set t ~ts entry = Ints.Map.add ts entry t
 
 let on_pw t ~ts' ~pw' ~w' =
@@ -29,6 +31,8 @@ let tuples t =
   |> List.rev
 
 let bindings t = Ints.Map.bindings t
+
+let fold f t acc = Ints.Map.fold f t acc
 
 let compare_entry a b =
   match Tsval.compare a.pw b.pw with

@@ -21,6 +21,10 @@ val find : t -> ts:int -> entry option
 (** [None] is the paper's "entry does not exist", to be read as
     ⟨nil, nil⟩ (§5, Figure 6 preamble). *)
 
+val get : t -> ts:int -> entry
+(** {!find} without the option box, for hot loops.
+    @raise Not_found where {!find} returns [None]. *)
+
 val set : t -> ts:int -> entry -> t
 
 val on_pw : t -> ts':int -> pw':Tsval.t -> w':Wtuple.t -> t
@@ -45,6 +49,10 @@ val tuples : t -> Wtuple.t list
     object's reply contributes (Figure 6 line 20). *)
 
 val bindings : t -> (int * entry) list
+
+val fold : (int -> entry -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over the entries in ascending timestamp order, without building
+    the binding list. *)
 
 val compare : t -> t -> int
 

@@ -16,12 +16,10 @@ let history t = t.history
 
 let tsr t ~reader = Option.value (Ints.Map.find_opt reader t.tsr) ~default:0
 
-let latest_complete_ts t =
-  List.fold_left
-    (fun acc (ts, entry) ->
-      match entry.History_store.w with Some _ -> max acc ts | None -> acc)
-    0
-    (History_store.bindings t.history)
+let latest_complete ts entry acc =
+  match entry.History_store.w with Some _ -> max acc ts | None -> acc
+
+let latest_complete_ts t = History_store.fold latest_complete t.history 0
 
 let prune t ~keep_from =
   { t with history = History_store.suffix t.history ~from_ts:keep_from }

@@ -19,12 +19,15 @@ let prune t =
 
 let handle t ~src msg =
   let inner, reply = Regular_object.handle t.inner ~src msg in
-  let t = { t with inner } in
-  let t =
-    match (msg, src) with
-    | (Messages.Read1 { from_ts; _ } | Messages.Read2 { from_ts; _ }),
-      Sim.Proc_id.Reader j ->
-        { t with floors = Ints.Map.add j (max from_ts (floor t ~reader:j)) t.floors }
-    | _ -> t
-  in
-  (prune t, reply)
+  match (msg, src) with
+  | (Messages.Read1 { from_ts; _ } | Messages.Read2 { from_ts; _ }),
+    Sim.Proc_id.Reader j ->
+      (* A READ leaves the history as it was, so unless it records or
+         raises its reader's floor the last prune still holds. *)
+      let f = floor t ~reader:j in
+      if from_ts <= f && Ints.Map.mem j t.floors then ({ t with inner }, reply)
+      else
+        ( prune
+            { t with inner; floors = Ints.Map.add j (max from_ts f) t.floors },
+          reply )
+  | _ -> (prune { t with inner }, reply)

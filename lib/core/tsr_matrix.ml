@@ -24,6 +24,14 @@ let get m ~obj ~reader =
 let exceeds m ~obj ~reader ~bound =
   match get m ~obj ~reader with None -> false | Some ts -> ts > bound
 
+(* An absent reader entry in a present row is that object's initial 0. *)
+let entry_above ~reader ~bound _obj r =
+  match Int_map.find reader r with
+  | ts -> ts > bound
+  | exception Not_found -> 0 > bound
+
+let defames m ~reader ~bound = Int_map.exists (entry_above ~reader ~bound) m
+
 let compare a b =
   if a == b then 0 else Int_map.compare (Int_map.compare Int.compare) a b
 

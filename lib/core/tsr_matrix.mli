@@ -44,6 +44,12 @@ val exceeds : t -> obj:int -> reader:int -> bound:int -> bool
     [obj] reported a timestamp of [reader] strictly above [bound] — the
     core of the [conflict] predicate (Figure 4, line 1). *)
 
+val defames : t -> reader:int -> bound:int -> bool
+(** [defames m ~reader ~bound] is true iff [exceeds m ~obj ~reader
+    ~bound] holds for some object [obj].  A reader whose candidates'
+    matrices defame no object has no [conflict] to look for; without
+    lying objects a round-1 bound is never exceeded. *)
+
 val compare : t -> t -> int
 
 val equal : t -> t -> bool

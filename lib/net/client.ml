@@ -223,6 +223,9 @@ type 'm active = {
   mutable acur : 'm;  (* current round's broadcast *)
   afan : fanout;
   aspan : Obs.Span.t;
+  aowns : bool;
+      (* the op started [aspan], so its [Respond] hands the span out; a
+         resumed round's span went out with the op that started it *)
   mutable adeadline : float;
   mutable abackoff_until : float;  (* 0. = not backing off *)
   mutable aattempt : int;
@@ -312,12 +315,12 @@ module Keyed = struct
         joined : bool;
         at_us : int;
         outcome : (outcome, string) result;
+        span : Obs.Span.t option;
       }
 
   type t = {
     krun :
       ?on_event:(event -> unit) -> kop array -> (outcome, string) result array;
-    kspans : unit -> Obs.Span.t list;
     kclose : unit -> unit;
     kkeys_touched : unit -> int;
   }
@@ -353,7 +356,6 @@ module Keyed = struct
           let t0 = now_f () in
           fun () -> int_of_float ((now_f () -. t0) *. 1e6)
     in
-    let collector = Obs.Span.collector () in
     let count name =
       match metrics with None -> () | Some reg -> Obs.Metrics.incr reg name
     in
@@ -374,6 +376,15 @@ module Keyed = struct
     let kind_of lane =
       if lane = writer then Obs.Span.Write
       else Obs.Span.Read { reader = reader_id lane }
+    in
+    (* Spans are numbered in start order and leave the engine with their
+       op's [Respond]: the engine keeps none once an op has responded. *)
+    let span_ids = ref 0 in
+    let start_span lane =
+      let id = !span_ids in
+      incr span_ids;
+      Obs.Span.create ~id (kind_of lane) ~proc:(sender_of lane)
+        ~now:(now_us ()) ~trace_pos:0
     in
     (* The lane an echoed sender ("w" or "r<j>") names: one call per
        reply frame. *)
@@ -586,7 +597,7 @@ module Keyed = struct
                at_us = now_us ();
              })
       in
-      let respond op r lane ~joined ~at outcome =
+      let respond op r lane ~joined ~at ~span outcome =
         results.(op) <- outcome;
         emit
           (Respond
@@ -598,11 +609,14 @@ module Keyed = struct
                joined;
                at_us = at;
                outcome;
+               span;
              });
         incr completed
       in
       let finish_op r lane (a : _ active) outcome =
-        respond a.aop r lane ~joined:false ~at:(now_us ()) outcome;
+        respond a.aop r lane ~joined:false ~at:(now_us ())
+          ~span:(if a.aowns then Some a.aspan else None)
+          outcome;
         Hashtbl.remove actives (r.kkey, lane);
         Queue.add (r, lane) freed;
         decr in_flight
@@ -626,7 +640,7 @@ module Keyed = struct
                 op_metrics ~kind:(kind_of lane) span ~rounds now;
                 shard_read_metric r ~rounds;
                 observe_width w;
-                respond op r lane ~joined:true ~at:now
+                respond op r lane ~joined:true ~at:now ~span:(Some span)
                   (Ok
                      {
                        value = Some value;
@@ -644,8 +658,9 @@ module Keyed = struct
         | None -> ()
         | Some b ->
             Coalesce.iter_joiners
-              (fun (op, _span) ->
-                respond op r lane ~joined:true ~at:(now_us ()) (Error err))
+              (fun (op, span) ->
+                respond op r lane ~joined:true ~at:(now_us ()) ~span:(Some span)
+                  (Error err))
               b
       in
       (* The role's automaton decided.  An active op completes; a parked
@@ -835,20 +850,17 @@ module Keyed = struct
          window slot. *)
       let join_read idx r lane b =
         invoke idx r lane ~joined:true;
-        let span =
-          Obs.Span.start collector (kind_of lane) ~proc:(sender_of lane)
-            ~now:(now_us ()) ~trace_pos:0
-        in
-        Coalesce.join b (idx, span);
+        Coalesce.join b (idx, start_span lane);
         count "op.coalesced_reads"
       in
-      let activate idx r lane ~cur ~span ~batch =
+      let activate idx r lane ~cur ~span ~owns ~batch =
         let a =
           {
             aop = idx;
             acur = cur;
             afan = new_fanout r;
             aspan = span;
+            aowns = owns;
             adeadline = now_f () +. opts.deadline;
             abackoff_until = 0.;
             aattempt = 0;
@@ -871,14 +883,18 @@ module Keyed = struct
         match get_st r lane with
         | Sdone out ->
             set_st r lane Sidle;
-            respond idx r lane ~joined:false ~at:(now_us ()) (Ok out);
+            respond idx r lane ~joined:false ~at:(now_us ()) ~span:None
+              (Ok out);
             start_next r lane
         | Sparked p ->
             (* Resumed round: its round-1 evidence gathering started
                before this op was invoked, so no batch may attach — a
                joiner could be returned evidence older than its invoke,
                which is exactly what regularity forbids. *)
-            let a = activate idx r lane ~cur:p.pcur ~span:p.pspan ~batch:None in
+            let a =
+              activate idx r lane ~cur:p.pcur ~span:p.pspan ~owns:false
+                ~batch:None
+            in
             send_all r ~sender:(sender_of lane) a.afan p.pcur
         | Sidle -> (
             let started =
@@ -900,18 +916,18 @@ module Keyed = struct
             in
             match started with
             | Error e ->
-                respond idx r lane ~joined:false ~at:(now_us ()) (Error e);
+                respond idx r lane ~joined:false ~at:(now_us ()) ~span:None
+                  (Error e);
                 start_next r lane
             | Ok m -> (
-                let span =
-                  Obs.Span.start collector (kind_of lane) ~proc:(sender_of lane)
-                    ~now:(now_us ()) ~trace_pos:0
-                in
                 let batch =
                   if lane = writer || cap <= 1 then None
                   else Some (Coalesce.create ~cap)
                 in
-                let a = activate idx r lane ~cur:m ~span ~batch in
+                let a =
+                  activate idx r lane ~cur:m ~span:(start_span lane) ~owns:true
+                    ~batch
+                in
                 send_fresh r ~sender:(sender_of lane) a.afan m;
                 (* Piggyback: reads already queued behind this key ride
                    the fresh round — they were invoked before its
@@ -1125,14 +1141,11 @@ module Keyed = struct
     in
     {
       krun = run;
-      kspans = (fun () -> Obs.Span.spans collector);
       kclose = close_all;
       kkeys_touched = (fun () -> Hashtbl.length regs);
     }
 
   let run_ops ?on_event t ops = t.krun ?on_event ops
-
-  let spans t = t.kspans ()
 
   let keys_touched t = t.kkeys_touched ()
 

@@ -25,8 +25,9 @@
       proceed on the survivors, so a crashed or Byzantine-silent
       minority never blocks progress (wait-freedom, paper §2.2);
     - {b observability} — every operation opens an {!Obs.Span}
-      (microsecond timestamps, round transitions, contacted objects)
-      and, with [metrics], populates the same [op.*] / [wire.*] metric
+      (microsecond timestamps, round transitions, contacted objects),
+      handed to the caller in its [Respond] event, and, with [metrics],
+      populates the same [op.*] / [wire.*] metric
       families as the simulator, so live runs export through the
       existing JSONL exporters unchanged.  Completed reads additionally
       bump [op.fast_reads] (reported rounds <= 1: the §5.1 one-round
@@ -143,7 +144,17 @@ module Keyed : sig
         joined : bool;
         at_us : int;
         outcome : (outcome, string) result;
+        span : Obs.Span.t option;
       }
+        (** [span] is the span the op started, open if the op failed.
+            The engine keeps no span once it is handed out here, so a
+            caller that wants spans collects them from these events.  An
+            op that resumed a parked round, or adopted a parked round's
+            result, carries [None]: that round's span went out with the
+            [Respond] of the op that started it, and the engine may still
+            complete it afterwards.  Every span an engine starts is
+            handed out exactly once; spans are numbered ([id]) in start
+            order from 0 per engine. *)
 
   type t
 
@@ -202,8 +213,6 @@ module Keyed : sig
       the automata have no abort — and the next operation on that (key,
       role) resumes it; a resumed {e write} completes the parked round,
       so the resuming write's own value is not what gets written. *)
-
-  val spans : t -> Obs.Span.t list
 
   val keys_touched : t -> int
   (** Keys with materialized automata so far. *)

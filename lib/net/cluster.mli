@@ -135,8 +135,10 @@ val now_us : t -> int
     and {!Chaos} rule windows are stamped against). *)
 
 val spans : t -> Obs.Span.t list
-(** Every engine's spans, engines in the order they were taken; all
-    share one microsecond clock. *)
+(** Every span the engines' ops started, each once: engines in the order
+    they were taken, each engine's spans in start ([id]) order.  {!run}
+    keeps them from the engines' [Respond] events; all share one
+    microsecond clock. *)
 
 val metrics : t -> Obs.Metrics.t option
 (** Merged snapshot of every component registry (servers then engines);

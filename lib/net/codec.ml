@@ -120,17 +120,17 @@ let out_u8 (o : Out.t) n =
 
 (* Zigzag LEB128: small magnitudes (timestamps, indices) cost one byte,
    and the logical shift below treats the zigzagged value as a 63-bit
-   pattern, so the whole int range (min_int included) round-trips. *)
-let out_int o n =
-  let z = (n lsl 1) lxor (n asr 62) in
-  let rec go z =
-    if z >= 0 && z < 0x80 then out_u8 o z
-    else begin
-      out_u8 o (0x80 lor (z land 0x7f));
-      go (z lsr 7)
-    end
-  in
-  go z
+   pattern, so the whole int range (min_int included) round-trips.  The
+   loop is a top-level function: a local one would allocate a closure
+   over [o] for every integer. *)
+let rec out_varint o z =
+  if z >= 0 && z < 0x80 then out_u8 o z
+  else begin
+    out_u8 o (0x80 lor (z land 0x7f));
+    out_varint o (z lsr 7)
+  end
+
+let out_int o n = out_varint o ((n lsl 1) lxor (n asr 62))
 
 let out_string (o : Out.t) s =
   let n = String.length s in
@@ -174,19 +174,19 @@ let out_wtuple o (w : Core.Wtuple.t) =
   out_tsval o w.tsval;
   out_matrix o w.tsrarray
 
+let out_history_entry ts { Core.History_store.pw; w } o =
+  out_int o ts;
+  out_tsval o pw;
+  (match w with
+  | None -> out_u8 o 0
+  | Some w ->
+      out_u8 o 1;
+      out_wtuple o w);
+  o
+
 let out_history o h =
-  let bindings = Core.History_store.bindings h in
-  out_int o (List.length bindings);
-  List.iter
-    (fun (ts, { Core.History_store.pw; w }) ->
-      out_int o ts;
-      out_tsval o pw;
-      match w with
-      | None -> out_u8 o 0
-      | Some w ->
-          out_u8 o 1;
-          out_wtuple o w)
-    bindings
+  out_int o (Core.History_store.length h);
+  ignore (Core.History_store.fold out_history_entry h o)
 
 (* ----- decoding primitives --------------------------------------------- *)
 
@@ -209,15 +209,15 @@ let get_u8 d =
     c
   end
 
+let rec get_varint d acc shift =
+  if shift > 62 then fail "varint too long at %d" d.pos
+  else
+    let b = get_u8 d in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else get_varint d acc (shift + 7)
+
 let get_int d =
-  let rec go acc shift =
-    if shift > 62 then fail "varint too long at %d" d.pos
-    else
-      let b = get_u8 d in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go acc (shift + 7)
-  in
-  let z = go 0 0 in
+  let z = get_varint d 0 0 in
   (z lsr 1) lxor (-(z land 1))
 
 let get_length d ~what =

@@ -28,24 +28,25 @@ type collector = { mutable next_id : int; mutable rev_spans : t list }
 
 let collector () = { next_id = 0; rev_spans = [] }
 
+let create ~id kind ~proc ~now ~trace_pos =
+  {
+    id;
+    kind;
+    proc;
+    started_at = now;
+    trace_first = trace_pos;
+    rounds = 1;
+    rev_transitions = [];
+    rev_contacted = [];
+    replies = 0;
+    completed_at = None;
+    reported_rounds = None;
+    result = None;
+    trace_len = 0;
+  }
+
 let start c kind ~proc ~now ~trace_pos =
-  let s =
-    {
-      id = c.next_id;
-      kind;
-      proc;
-      started_at = now;
-      trace_first = trace_pos;
-      rounds = 1;
-      rev_transitions = [];
-      rev_contacted = [];
-      replies = 0;
-      completed_at = None;
-      reported_rounds = None;
-      result = None;
-      trace_len = 0;
-    }
-  in
+  let s = create ~id:c.next_id kind ~proc ~now ~trace_pos in
   c.next_id <- c.next_id + 1;
   c.rev_spans <- s :: c.rev_spans;
   s

@@ -45,6 +45,10 @@ val contacted : t -> int list
 
 val pp : Format.formatter -> t -> unit
 
+val create : id:int -> kind -> proc:string -> now:int -> trace_pos:int -> t
+(** A fresh open span that no collector holds: its owner numbers it and
+    decides how long it lives. *)
+
 (** {2 Collector} *)
 
 type collector

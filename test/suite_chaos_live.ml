@@ -356,6 +356,15 @@ let drop_rule_partitions_and_heals () =
       let _ = ok_exn "fresh write after heal" (Live_ops.write e "w2") in
       let o = ok_exn "read fresh value" (Live_ops.read e) in
       Alcotest.(check string) "healed value" "w2" (value_of o);
+      (* Five ops, four spans: the resuming write hands out none, since
+         the parked round's span left with the write that timed out, and
+         that span completed when the resumed round did. *)
+      let spans = Net.Cluster.spans c in
+      Alcotest.(check (list int)) "each span once, in start order"
+        [ 0; 1; 2; 3 ]
+        (List.map (fun (s : Obs.Span.t) -> s.id) spans);
+      Alcotest.(check bool) "the parked write's span completed" true
+        (List.for_all Obs.Span.completed spans);
       Alcotest.(check bool) "partition dropped frames" true
         (total c (fun s -> s.Net.Server.dropped) > 0))
 

@@ -278,12 +278,13 @@ let keyed_width5_batch_structure () =
           in
           ignore (ok_exn "seed write" seed.(0));
           let joined_invokes = ref 0 and joined_responds = ref 0 in
+          let spans = ref [] in
           let on_event = function
-            | Net.Client.Keyed.Invoke { joined = true; _ } ->
-                incr joined_invokes
-            | Net.Client.Keyed.Respond { joined = true; _ } ->
-                incr joined_responds
-            | _ -> ()
+            | Net.Client.Keyed.Invoke { joined; _ } ->
+                if joined then incr joined_invokes
+            | Net.Client.Keyed.Respond { joined; span; _ } ->
+                if joined then incr joined_responds;
+                Option.iter (fun s -> spans := s :: !spans) span
           in
           let results =
             Net.Client.Keyed.run_ops ~on_event keyed
@@ -310,7 +311,7 @@ let keyed_width5_batch_structure () =
                 (Obs.Metrics.Histogram.count h);
               Alcotest.(check bool) "width p50 above the lone-read bucket" true
                 (Obs.Metrics.Histogram.quantile h 50. > 1.0));
-          let reads = read_spans (Net.Client.Keyed.spans keyed) in
+          let reads = read_spans !spans in
           Alcotest.(check int) "5 read spans" 5 (List.length reads);
           List.iter
             (fun (s : Obs.Span.t) ->
@@ -381,10 +382,12 @@ let lane_width8_batch_structure () =
       Fun.protect
         ~finally:(fun () -> Net.Client.Keyed.close client)
         (fun () ->
-          let joined = ref 0 in
+          let joins = ref 0 and spans = ref [] in
           let on_event = function
-            | Net.Client.Keyed.Respond { joined = true; _ } -> incr joined
-            | _ -> ()
+            | Net.Client.Keyed.Respond { joined; span; _ } ->
+                if joined then incr joins;
+                Option.iter (fun s -> spans := s :: !spans) span
+            | Net.Client.Keyed.Invoke _ -> ()
           in
           let results =
             Net.Client.Keyed.run_ops ~on_event client
@@ -400,7 +403,7 @@ let lane_width8_batch_structure () =
                     "m0" (Core.Value.to_string v)
               | None -> Alcotest.failf "read %d returned no value" i)
             results;
-          Alcotest.(check int) "7 joined responds" 7 !joined;
+          Alcotest.(check int) "7 joined responds" 7 !joins;
           Alcotest.(check int) "op.coalesced_reads" 7
             (Obs.Metrics.counter_value registry "op.coalesced_reads");
           (match Obs.Metrics.find_histogram registry "op.coalesce_width" with
@@ -410,7 +413,7 @@ let lane_width8_batch_structure () =
                 (Obs.Metrics.Histogram.count h);
               Alcotest.(check bool) "width p50 above the lone-read bucket" true
                 (Obs.Metrics.Histogram.quantile h 50. > 1.0));
-          let reads = read_spans (Net.Client.Keyed.spans client) in
+          let reads = read_spans !spans in
           Alcotest.(check int) "8 read spans" 8 (List.length reads);
           let leads, joiners =
             List.partition (fun (s : Obs.Span.t) -> s.Obs.Span.replies > 0) reads

@@ -19,7 +19,8 @@ let inv ?(joined = false) ~op ~reader at_us =
   Invoke { op; key = 0; write = reader = 0; reader; joined; at_us }
 
 let resp ?(joined = false) ~op ~reader at_us outcome =
-  Respond { op; key = 0; write = reader = 0; reader; joined; at_us; outcome }
+  Respond
+    { op; key = 0; write = reader = 0; reader; joined; at_us; outcome; span = None }
 
 (* One client's log: the events of one run of [ops]. *)
 let feed r ops events =

@@ -41,4 +41,6 @@ let () =
       Suite_keyspace.suite;
       Suite_coalesce.suite;
       Suite_record.suite;
+      Suite_reader_oracle.suite;
+      Suite_alloc.suite;
     ]
