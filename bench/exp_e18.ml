@@ -3,10 +3,10 @@
    E15 established that a single poll domain saturates once enough
    operations are in flight; E18 measures what sharding the same server
    across N worker domains buys.  The server group (Server.start_group)
-   partitions base objects -- and every connection accepted for them --
-   across N domains (object i is owned by domain (i-1) mod N), so the
-   read/decode/step/encode/flush path is domain-local and the only
-   cross-domain traffic is the acceptor's connection handoff.
+   partitions base objects -- their listeners and every connection
+   accepted for them -- across N domains (object i is owned by domain
+   (i-1) mod N), so the accept/read/decode/step/encode/flush path is
+   domain-local and no connection or automaton crosses domains.
 
    Load comes from E18_CLIENTS in-process client domains, each driving
    its own pipelined client (disjoint reader-id ranges, E18_INFLIGHT ops in

@@ -194,28 +194,6 @@ let bench_codec_decode_cold =
            (Net.Codec.decode_payload codec
               (if !flip then payload_a else payload_b))))
 
-(* -- domain handoff queue ----------------------------------------------- *)
-
-(* The acceptor->worker connection handoff: 64 pushes then one drain,
-   the shape one select wakeup sees under an accept burst.  Single
-   domain — the contended cross-domain cost is what E18 measures; this
-   pins the uncontended CAS/drain cost and its allocation rate. *)
-let bench_handoff =
-  Test.make ~name:"handoff: 64 push + drain"
-    (Staged.stage (fun () ->
-         let q = Exec.Handoff.create () in
-         for i = 1 to 64 do
-           Exec.Handoff.push q i
-         done;
-         ignore (Exec.Handoff.drain q)))
-
-let bench_handoff_single =
-  Test.make ~name:"handoff: push + drain (1 element)"
-    (Staged.stage (fun () ->
-         let q = Exec.Handoff.create () in
-         Exec.Handoff.push q 1;
-         ignore (Exec.Handoff.drain q)))
-
 (* -- regular-gc: the automaton steps every live read runs --------------- *)
 
 (* S = 5 = 2t+2b+1 (t = b = 1), the uniform-rw fleet: five GC objects
@@ -403,8 +381,6 @@ let tests =
   [
     bench_prng;
     bench_heap;
-    bench_handoff;
-    bench_handoff_single;
     bench_coalesce_batch;
     bench_coalesce_join;
     bench_safe_object;

@@ -71,6 +71,3 @@ let init ?jobs ?chunk n f =
 let map ?jobs ?chunk f xs =
   let a = Array.of_list xs in
   Array.to_list (init ?jobs ?chunk (Array.length a) (fun i -> f a.(i)))
-
-let map_array ?jobs ?chunk f xs =
-  init ?jobs ?chunk (Array.length xs) (fun i -> f xs.(i))

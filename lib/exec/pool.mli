@@ -37,6 +37,3 @@ val init : ?jobs:int -> ?chunk:int -> int -> (int -> 'a) -> 'a array
 val map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] = [List.map f xs], fanned across domains; result order
     is the input order regardless of [jobs]. *)
-
-val map_array : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array f xs] = [Array.map f xs], fanned across domains. *)

@@ -72,15 +72,6 @@ type outcome = {
   history : string Histories.Op.t list;
 }
 
-val run_plan_full :
-  ?metrics:Obs.Metrics.t ->
-  ?opts:opts ->
-  Fault.Campaign.protocol ->
-  cfg:Quorum.Config.t ->
-  seed:int ->
-  Fault.Plan.t ->
-  outcome
-
 type witness = {
   w_protocol : Fault.Campaign.protocol;
   w_cfg : Quorum.Config.t;

@@ -58,31 +58,28 @@ type gconn = {
   mutable gpause_at : float;
 }
 
-(* What the acceptor hands a worker: a fresh connection for a slot the
-   worker owns, or an order to drain and release a slot. *)
-type wcmd =
-  | Wadd of { afd : Unix.file_descr; aslot : int }
-  | Wdrain of { dslot : int; dgraceful : bool }
+(* Seconds a graceful stop lets a slot's queued replies flush before
+   its remaining connections close anyway. *)
+let drain_timeout = 5.0
 
 (* All base objects of a cluster sharded across [domains] event-loop
-   worker domains plus one acceptor domain.  The acceptor owns only the
-   listening sockets; every accepted fd is pushed over a lock-free
-   handoff queue to the worker that owns the dialed object
-   ([owner.(slot) = slot mod domains]), and from then on registration,
-   read, decode, automaton step, encode and flush for that connection
-   are all domain-local.  No automaton is ever stepped from two
-   domains: the dispatch table is fixed at start, a per-slot stepper
-   check asserts it at runtime, and [partition_violations] exposes the
-   count.
+   domains.  Slot [i] belongs to domain [owner.(i) = i mod domains],
+   which selects on the slot's listening socket next to its
+   connections: accept, read, decode, automaton step, encode and flush
+   for that slot all happen on one domain.  No automaton is ever
+   stepped from two domains: the dispatch table is fixed at start, a
+   per-slot stepper check asserts it at runtime, and
+   [partition_violations] exposes the count.
 
    Control plane (stop/restart/alive/handle wiring) goes through one
-   mutex + condvar; the data plane never touches it except one cheap
-   check per accepted connection and one per idle worker iteration.
-   Each returned handle stops, crashes and restarts its object
-   independently; domains exit when their work is gone and are
-   respawned by the first restart. *)
+   mutex + condvar.  A stop request or a restart records itself in the
+   control arrays, bumps [gen] and pokes the owner's wake pipe; a
+   worker takes the mutex only when [gen] has moved, or when it is idle
+   and deciding whether to exit.  Each returned handle stops, crashes
+   and restarts its object independently; domains exit when their work
+   is gone and are respawned by the first restart. *)
 let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
-    ?(drain_timeout = 5.0) ~protocol ~cfg endpoints =
+    ~protocol ~cfg endpoints =
   Endpoint.ignore_sigpipe ();
   let (Protocols.Packed { proto = (module P); codec }) = protocol in
   let s = Array.length endpoints in
@@ -122,6 +119,8 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
         Hashtbl.replace objs.(i) key e;
         e
   in
+  (* A live slot's listener, until its owner takes the slot's stop
+     request and closes it. *)
   let listeners = Array.make s None in
   let actuals = Array.copy endpoints in
   (try
@@ -133,10 +132,18 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
          actuals.(i) <- actual)
        endpoints
    with e ->
-     Array.iter (Option.iter Endpoint.close_quietly) listeners;
+     Array.iteri
+       (fun i l ->
+         Option.iter
+           (fun fd ->
+             Endpoint.close_quietly fd;
+             Endpoint.cleanup actuals.(i))
+           l)
+       listeners;
      raise e);
   let alive = Array.make s true in
   let stop_req = Array.make s None in
+  let gen = Atomic.make 0 in
   (* Stats, rules and the partition check are atomics so handles and
      workers never contend on the mutex for them.  Rules belong to the
      slot, so they outlive a crash and restart of its object. *)
@@ -147,20 +154,32 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
   let faults = Array.init s (fun _ -> Atomic.make None) in
   let violations = Atomic.make 0 in
   let steppers = Array.init s (fun _ -> Atomic.make (-1)) in
-  let queues = Array.init nd (fun _ -> Exec.Handoff.create ()) in
-  let pipe_pair () =
-    let rd, wr = Unix.pipe () in
-    Unix.set_nonblock rd;
-    (rd, wr)
+  (* One wake pipe per worker, open while any domain may run: [reap]
+     closes them once every domain is joined and [restart] opens them
+     again.  Pokes happen under the mutex and skip closed pipes, so none
+     can reach a reused fd. *)
+  let wakes = ref [||] in
+  let open_wakes () =
+    if Array.length !wakes = 0 then
+      wakes :=
+        Array.init nd (fun _ ->
+            let rd, wr = Unix.pipe () in
+            Unix.set_nonblock rd;
+            (rd, wr))
   in
-  let acc_wake_rd, acc_wake_wr = pipe_pair () in
-  let worker_wakes = Array.init nd (fun _ -> pipe_pair ()) in
-  let poke wr =
-    try ignore (Unix.write wr (Bytes.make 1 'x') 0 1)
-    with Unix.Unix_error _ -> ()
+  let close_wakes () =
+    Array.iter
+      (fun (rd, wr) ->
+        Endpoint.close_quietly rd;
+        Endpoint.close_quietly wr)
+      !wakes;
+    wakes := [||]
   in
-  let wake_acceptor () = poke acc_wake_wr in
-  let wake_worker d = poke (snd worker_wakes.(d)) in
+  let wake d =
+    if Array.length !wakes > 0 then
+      try ignore (Unix.write (snd !wakes.(d)) (Bytes.make 1 'x') 0 1)
+      with Unix.Unix_error _ -> ()
+  in
   let drain_wake rd buf =
     let rec go () =
       match Unix.read rd buf 0 (Bytes.length buf) with
@@ -172,93 +191,17 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     in
     go ()
   in
-  let acceptor_running = ref false in
   let worker_running = Array.make nd false in
   let spawned : unit Domain.t list ref = ref [] in
-  (* -- acceptor domain --------------------------------------------------- *)
-  (* Owns the listeners and nothing else: stop requests close the
-     listener here (nobody else selects on it) and turn into a [Wdrain]
-     for the owning worker; accepted fds are configured and handed off
-     without ever touching a registry or an automaton. *)
-  let accept_one i lfd =
-    match Unix.accept lfd with
-    | exception
-        Unix.Unix_error
-          ( ( Unix.ECONNABORTED | Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK
-            ),
-            _,
-            _ ) ->
-        ()
-    | exception Unix.Unix_error _ -> ()
-    | fd, _ -> (
-        match Unix.set_nonblock fd with
-        | exception Unix.Unix_error _ -> Endpoint.close_quietly fd
-        | () ->
-            Endpoint.set_nodelay fd;
-            Exec.Handoff.push queues.(owner.(i)) (Wadd { afd = fd; aslot = i });
-            wake_worker owner.(i))
-  in
-  let acceptor () =
-    let wake_buf = Bytes.create 64 in
-    let rec iter () =
-      let sets =
-        locked (fun () ->
-            Array.iteri
-              (fun i req ->
-                match req with
-                | None -> ()
-                | Some mode ->
-                    stop_req.(i) <- None;
-                    (match listeners.(i) with
-                    | Some fd ->
-                        Endpoint.close_quietly fd;
-                        listeners.(i) <- None;
-                        Endpoint.cleanup actuals.(i)
-                    | None -> ());
-                    Exec.Handoff.push
-                      queues.(owner.(i))
-                      (Wdrain { dslot = i; dgraceful = (mode = `Graceful) });
-                    wake_worker owner.(i))
-              stop_req;
-            if Array.exists Option.is_some listeners then begin
-              let rds = ref [ acc_wake_rd ] in
-              Array.iter
-                (function Some fd -> rds := fd :: !rds | None -> ())
-                listeners;
-              Some !rds
-            end
-            else begin
-              acceptor_running := false;
-              None
-            end)
-      in
-      match sets with
-      | None -> ()
-      | Some rds ->
-          (match Unix.select rds [] [] 0.5 with
-          | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ()
-          | rready, _, _ ->
-              if List.mem acc_wake_rd rready then
-                drain_wake acc_wake_rd wake_buf;
-              locked (fun () ->
-                  Array.iteri
-                    (fun i l ->
-                      match l with
-                      | Some fd when List.mem fd rready -> accept_one i fd
-                      | _ -> ())
-                    listeners));
-          iter ()
-    in
-    iter ()
-  in
-  (* -- worker domains ----------------------------------------------------- *)
-  let worker d () =
-    let q = queues.(d) in
-    let wake_rd = fst worker_wakes.(d) in
+  let worker d wake_rd () =
+    let owned = List.filter (fun i -> owner.(i) = d) (List.init s Fun.id) in
     let wake_buf = Bytes.create 64 in
     let discard = Bytes.create 4096 in
     (* Domain-local: only this worker ever touches these, or any
-       registry/automaton of a slot it owns. *)
+       registry/automaton of a slot it owns.  [lsocks] holds the owned
+       slots' listeners as of control generation [seen]. *)
+    let seen = ref (-1) in
+    let lsocks : (Unix.file_descr * int) list ref = ref [] in
     let conns : (Unix.file_descr, gconn) Hashtbl.t = Hashtbl.create 16 in
     let draining : (int, float) Hashtbl.t = Hashtbl.create 4 in
     let resumed : gconn list ref = ref [] in
@@ -277,8 +220,8 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
       | None -> ()
       | Some reg -> Obs.Metrics.observe_int reg name ~bounds v
     in
-    let slot_has_conns i =
-      Hashtbl.fold (fun _ c acc -> acc || c.gobj = i) conns false
+    let conns_of i =
+      Hashtbl.fold (fun _ c acc -> if c.gobj = i then c :: acc else acc) conns []
     in
     let finish_slot i =
       Hashtbl.remove draining i;
@@ -292,7 +235,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
       Codec.Reader.recycle c.greader;
       Codec.Out.recycle c.gout;
       Endpoint.close_quietly c.gfd;
-      if Hashtbl.mem draining c.gobj && not (slot_has_conns c.gobj) then
+      if Hashtbl.mem draining c.gobj && conns_of c.gobj = [] then
         finish_slot c.gobj
     in
     let unpause c =
@@ -510,54 +453,75 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
         | exception Unix.Unix_error _ -> close_conn c
         | _ -> process_frames c
     in
-    let process_queue () =
-      List.iter
-        (fun cmd ->
-          match cmd with
-          | Wadd { afd; aslot } ->
-              if locked (fun () -> alive.(aslot)) then begin
-                Atomic.incr conn_counts.(aslot);
-                count aslot "net.server.connections";
-                Hashtbl.replace conns afd
-                  {
-                    gfd = afd;
-                    gobj = aslot;
-                    greader = Codec.Reader.create ();
-                    gout = Codec.Out.create ();
-                    greeted = false;
-                    gsender = None;
-                    gclosing = false;
-                    gframes = 0;
-                    gpaused = false;
-                    gpause_at = 0.;
-                  }
-              end
-              else Endpoint.close_quietly afd
-          | Wdrain { dslot; dgraceful } ->
-              let mine =
-                Hashtbl.fold
-                  (fun _ c acc -> if c.gobj = dslot then c :: acc else acc)
-                  conns []
-              in
-              if dgraceful then begin
-                (* Stop reading, but drain every queued reply before the
-                   socket closes: in-flight batches must reach the peer
-                   complete, never truncated mid-frame. *)
-                List.iter
-                  (fun c ->
-                    c.gclosing <- true;
-                    if Codec.Out.pending c.gout = 0 then close_conn c)
-                  mine;
-                if slot_has_conns dslot then
-                  Hashtbl.replace draining dslot
-                    (now_s () +. drain_timeout)
-                else finish_slot dslot
-              end
-              else begin
-                List.iter close_conn mine;
-                finish_slot dslot
-              end)
-        (Exec.Handoff.drain q)
+    let rec accept_all i lfd =
+      match Unix.accept lfd with
+      | exception Unix.Unix_error _ -> ()
+      | fd, _ ->
+          (match Unix.set_nonblock fd with
+          | exception Unix.Unix_error _ -> Endpoint.close_quietly fd
+          | () ->
+              Endpoint.set_nodelay fd;
+              Atomic.incr conn_counts.(i);
+              count i "net.server.connections";
+              Hashtbl.replace conns fd
+                {
+                  gfd = fd;
+                  gobj = i;
+                  greader = Codec.Reader.create ();
+                  gout = Codec.Out.create ();
+                  greeted = false;
+                  gsender = None;
+                  gclosing = false;
+                  gframes = 0;
+                  gpaused = false;
+                  gpause_at = 0.;
+                });
+          accept_all i lfd
+    in
+    let stop_slot (i, mode) =
+      match mode with
+      | `Graceful ->
+          (* Stop reading, but drain every queued reply before the
+             socket closes: in-flight batches must reach the peer
+             complete, never truncated mid-frame. *)
+          List.iter
+            (fun c ->
+              c.gclosing <- true;
+              if Codec.Out.pending c.gout = 0 then close_conn c)
+            (conns_of i);
+          if conns_of i = [] then finish_slot i
+          else Hashtbl.replace draining i (now_s () +. drain_timeout)
+      | `Crash ->
+          List.iter close_conn (conns_of i);
+          finish_slot i
+    in
+    (* Once [gen] has moved: take the owned slots' stop requests, closing
+       each stopped slot's listener (no other domain selects on it), and
+       re-read their listeners.  The stops run after the mutex is
+       released, because [finish_slot] takes it. *)
+    let sync () =
+      if Atomic.get gen <> !seen then
+        List.iter stop_slot
+          (locked (fun () ->
+               seen := Atomic.get gen;
+               let stops =
+                 List.filter_map
+                   (fun i ->
+                     match (stop_req.(i), listeners.(i)) with
+                     | Some mode, Some fd ->
+                         stop_req.(i) <- None;
+                         listeners.(i) <- None;
+                         Endpoint.close_quietly fd;
+                         Endpoint.cleanup actuals.(i);
+                         Some (i, mode)
+                     | _ -> None)
+                   owned
+               in
+               lsocks :=
+                 List.filter_map
+                   (fun i -> Option.map (fun fd -> (fd, i)) listeners.(i))
+                   owned;
+               stops))
     in
     let enforce_deadlines () =
       if Hashtbl.length draining > 0 then begin
@@ -569,39 +533,29 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
         in
         List.iter
           (fun i ->
-            let mine =
-              Hashtbl.fold
-                (fun _ c acc -> if c.gobj = i then c :: acc else acc)
-                conns []
-            in
-            if mine = [] then finish_slot i else List.iter close_conn mine)
+            match conns_of i with
+            | [] -> finish_slot i
+            | mine -> List.iter close_conn mine)
           expired
       end
     in
+    (* Stops and restarts happen under the mutex, and a slot is dead only
+       after its stop ran here: with every owned slot dead, no stop is
+       pending and no listener is open. *)
     let should_exit () =
       Hashtbl.length conns = 0
       && Hashtbl.length draining = 0
-      && Exec.Handoff.is_empty q
       && locked (fun () ->
-             let dead = ref true in
-             for i = 0 to s - 1 do
-               if owner.(i) = d && alive.(i) then dead := false
-             done;
-             (* Pushes happen under the mutex (acceptor) — with every
-                owned slot dead no new command can appear, so the empty
-                queue re-check makes the exit race-free. *)
-             if !dead && Exec.Handoff.is_empty q then begin
-               worker_running.(d) <- false;
-               true
-             end
-             else false)
+             let dead = List.for_all (fun i -> not alive.(i)) owned in
+             if dead then worker_running.(d) <- false;
+             dead)
     in
     let rec iter () =
-      process_queue ();
+      sync ();
       enforce_deadlines ();
       release_held ();
       if not (should_exit ()) then begin
-        let rds = ref [ wake_rd ] and wrs = ref [] in
+        let rds = ref (wake_rd :: List.map fst !lsocks) and wrs = ref [] in
         Hashtbl.iter
           (fun fd c ->
             if not c.gpaused then rds := fd :: !rds;
@@ -616,13 +570,17 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
         (match Unix.select !rds !wrs [] timeout with
         | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ()
         | rready, wready, _ ->
+            if List.mem wake_rd rready then drain_wake wake_rd wake_buf;
+            (* Accept before any connection closes, so no fd in [rready]
+               is reused by a fresh connection. *)
+            List.iter
+              (fun (fd, i) -> if List.mem fd rready then accept_all i fd)
+              !lsocks;
             List.iter
               (fun fd ->
-                if fd = wake_rd then drain_wake wake_rd wake_buf
-                else
-                  match Hashtbl.find_opt conns fd with
-                  | Some c -> handle_readable c
-                  | None -> ())
+                match Hashtbl.find_opt conns fd with
+                | Some c -> handle_readable c
+                | None -> ())
               rready;
             List.iter
               (fun fd ->
@@ -652,36 +610,45 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     iter ()
   in
   (* -- control plane ------------------------------------------------------ *)
+  let spawn d =
+    open_wakes ();
+    worker_running.(d) <- true;
+    spawned := Domain.spawn (worker d (fst !wakes.(d))) :: !spawned
+  in
   let request_stop i ~graceful =
     locked (fun () ->
         if alive.(i) then begin
-          (* The listener is still open iff the acceptor has not yet
-             processed a request for this slot; the acceptor is alive as
-             long as any listener is open. *)
+          (* The listener is still published iff the owner has not yet
+             taken a stop request for this slot. *)
           if stop_req.(i) = None && listeners.(i) <> None then begin
             stop_req.(i) <- Some (if graceful then `Graceful else `Crash);
-            wake_acceptor ()
+            Atomic.incr gen;
+            wake owner.(i)
           end;
           while alive.(i) do
             Condition.wait cond mutex
           done
         end)
   in
+  (* Once every slot is dead, join the domains (each exits on its own
+     once its slots are dead), then close the wake pipes unless a
+     restart has spawned a domain meanwhile. *)
   let reap () =
     let to_join =
       locked (fun () ->
-          if not (Array.exists Fun.id alive) then begin
-            wake_acceptor ();
-            for d = 0 to nd - 1 do
-              wake_worker d
-            done;
+          if Array.exists Fun.id alive then []
+          else begin
             let l = !spawned in
             spawned := [];
             l
-          end
-          else [])
+          end)
     in
-    List.iter Domain.join to_join
+    if to_join <> [] then begin
+      List.iter Domain.join to_join;
+      locked (fun () ->
+          if !spawned = [] && not (Array.exists Fun.id alive) then
+            close_wakes ())
+    end
   in
   let rec handle_of i =
     {
@@ -727,21 +694,13 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
         listeners.(i) <- Some fd;
         actuals.(i) <- actual;
         alive.(i) <- true;
-        if not worker_running.(owner.(i)) then begin
-          worker_running.(owner.(i)) <- true;
-          spawned := Domain.spawn (worker owner.(i)) :: !spawned
-        end;
-        if not !acceptor_running then begin
-          acceptor_running := true;
-          spawned := Domain.spawn acceptor :: !spawned
-        end
-        else wake_acceptor ());
+        Atomic.incr gen;
+        if worker_running.(owner.(i)) then wake owner.(i) else spawn owner.(i));
     handle_of i
   in
-  acceptor_running := true;
-  Array.fill worker_running 0 nd true;
-  spawned := List.init nd (fun d -> Domain.spawn (worker d));
-  spawned := Domain.spawn acceptor :: !spawned;
+  for d = 0 to nd - 1 do
+    spawn d
+  done;
   Array.init s handle_of
 
 (* One object on its own: a one-slot group. *)

@@ -2,11 +2,11 @@
 
     A server group owns one listening socket (Unix-domain or TCP) per
     base object and runs the protocol's {e unchanged} base-object state
-    machine behind each: an acceptor domain hands every accepted
-    connection to the worker domain that owns the dialed object, and
-    that worker's [select]-driven event loop reads framed messages,
-    feeds them through [P.obj_handle] and writes the reply frames back
-    in batches.  {!start} is a group of one.
+    machine behind each.  Every object belongs to one worker domain,
+    whose [select]-driven event loop accepts on the object's listening
+    socket, reads framed messages, feeds them through [P.obj_handle] and
+    writes the reply frames back in batches.  {!start} is a group of
+    one.
 
     Sessions open with a {!Codec.Hello} naming the protocol and the
     object index the client dialed; mismatches are answered with a
@@ -61,21 +61,20 @@ val start_group :
   ?indices:int array ->
   ?domains:int ->
   ?queue_hi:int ->
-  ?drain_timeout:float ->
   protocol:Protocols.t ->
   cfg:Quorum.Config.t ->
   Endpoint.t array ->
   t array
 (** Host all the base objects of a cluster sharded across [domains]
-    poll-based event-loop worker domains (default 1) plus one acceptor
-    domain: element [i] serves object [indices.(i)] (default [i+1]) on
-    [endpoints.(i)], owned by worker [i mod domains].  The acceptor
-    hands each accepted connection to the owning worker over a
-    lock-free queue; from then on read, decode, automaton step, encode
-    and flush are all domain-local, so no automaton is ever stepped by
-    two domains ({!partition_violations} counts runtime assertions of
-    that invariant).  Clients cannot tell how the objects are spread
-    over domains: every object validates [Hello]s and answers frames
+    poll-based event-loop worker domains (default 1, at most one per
+    object): element [i] serves object [indices.(i)] (default [i+1]) on
+    [endpoints.(i)], owned by worker [i mod domains].  The owning worker
+    selects on the object's listening socket next to its connections,
+    so accept, read, decode, automaton step, encode and flush are all
+    domain-local and no automaton is ever stepped by two domains
+    ({!partition_violations} counts runtime assertions of that
+    invariant).  Clients cannot tell how the objects are spread over
+    domains: every object validates [Hello]s and answers frames
     alike.
 
     Write queues are bounded: when a connection's pending bytes exceed
@@ -87,14 +86,13 @@ val start_group :
 
     Each returned handle stops/crashes/restarts its object
     independently.  A graceful {!stop} drains queued replies for up to
-    [drain_timeout] seconds (default 5) before closing, so batched
-    frames are never truncated mid-frame; {!crash} closes immediately.
-    Domains exit once every slot they serve has stopped and are
-    respawned by the first {!restart}.  [metrics] maps a 0-based slot
-    to its registry; a slot's registry is only ever touched by its
-    owning worker domain.
+    5 seconds before closing, so batched frames are never truncated
+    mid-frame; {!crash} closes immediately.  Domains exit once every
+    slot they serve has stopped and are respawned by the first
+    {!restart}.  [metrics] maps a 0-based slot to its registry; a
+    slot's registry is only ever touched by its owning worker domain.
     @raise Unix.Unix_error if an endpoint cannot be bound (all bound
-    listeners are closed). *)
+    listeners are closed and their socket files removed). *)
 
 val endpoint : t -> Endpoint.t
 (** The bound address (ephemeral TCP ports resolved). *)

@@ -10,8 +10,11 @@
    - base objects are partitioned across worker domains (owner = slot
      mod domains) and no automaton is ever stepped outside its owner,
      across accept, reconnect and crash/restart churn;
-   - the acceptor->worker handoff queue delivers every element exactly
-     once, FIFO per producer, under concurrent multi-domain pushes;
+   - a worker that owns two objects keeps accepting for one while the
+     other is down, and accepts for it again once it restarts;
+   - a stopped group releases every descriptor it opened, a group that
+     fails to bind leaves no socket file behind, and a group restarted
+     after a full stop serves again;
    - the metrics JSONL export round-trips (the 'load' driver merges
      per-process registries through it). *)
 
@@ -59,7 +62,10 @@ let seed_write endpoints =
    are read, which is how a "slow reader" is built. *)
 let raw_connect ~sender ep =
   let fd = Unix.socket (Net.Endpoint.socket_domain ep) Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Net.Endpoint.to_sockaddr ep);
+  (try Unix.connect fd (Net.Endpoint.to_sockaddr ep)
+   with e ->
+     Unix.close fd;
+     raise e);
   Net.Codec.send fd
     (Net.Codec.encode_frame codec (Net.Codec.Hello { proto = "safe"; sender; obj = 0 }));
   let reader = Net.Codec.Reader.create () in
@@ -108,6 +114,25 @@ let read1_frame ~sender ~tsr =
   Net.Codec.encode_frame codec
     (Net.Codec.Msg_key
        { key = 0; sender; msg = Core.Messages.Read1 { tsr; from_ts = 0 } })
+
+(* Dial [ep] raw and wait for its reply to one READ1. *)
+let answers_read ~sender ep =
+  let fd, reader = raw_connect ~sender ep in
+  Net.Codec.send fd (read1_frame ~sender ~tsr:1);
+  let rec await () =
+    match Net.Codec.Reader.next codec reader with
+    | Ok (`Frame (Net.Codec.Msg_key _)) -> ()
+    | Ok (`Frame f) ->
+        Alcotest.failf "expected a reply, got %s"
+          (Net.Codec.frame_info ~msg_info:(fun _ -> "msg") f)
+    | Ok `Awaiting ->
+        if Net.Codec.recv_into fd reader = 0 then
+          Alcotest.fail "EOF before the reply"
+        else await ()
+    | Error e -> Alcotest.failf "corrupt reply: %s" e
+  in
+  await ();
+  Unix.close fd
 
 (* [readers] reader lanes of the single register, window [readers]. *)
 let lanes ~opts ~readers endpoints =
@@ -271,55 +296,74 @@ let partition_safe_under_churn () =
     (Net.Server.partition_violations !servers.(0));
   Array.iter Net.Server.stop !servers
 
-(* ----- handoff queue: exactly-once, FIFO per producer -------------------- *)
+(* ----- one worker, two listeners ----------------------------------------- *)
 
-let handoff_multi_producer =
-  let gen =
-    QCheck.Gen.(list_size (1 -- 3) (list_size (0 -- 200) small_nat))
+(* At 2 domains objects 1 and 3 share worker 0, which selects on both
+   listeners. *)
+let one_worker_two_listeners () =
+  let servers, endpoints, _ = start_group ~domains:2 () in
+  Net.Server.crash servers.(2);
+  (match raw_connect ~sender:"r1" endpoints.(2) with
+  | exception Unix.Unix_error _ -> ()
+  | fd, _ ->
+      Unix.close fd;
+      Alcotest.fail "a crashed object still accepts");
+  let fd, _ = raw_connect ~sender:"r1" endpoints.(0) in
+  Unix.close fd;
+  servers.(2) <- Net.Server.restart servers.(2);
+  answers_read ~sender:"r1" endpoints.(2);
+  Alcotest.(check int) "no object stepped outside its owning domain" 0
+    (Net.Server.partition_violations servers.(0));
+  Array.iter Net.Server.stop servers
+
+(* ----- a group's descriptors and socket files ---------------------------- *)
+
+(* Every cycle would leak its wake pipes if a stopped group kept them:
+   select cannot watch an fd past FD_SETSIZE, so a process hosting a few
+   hundred fleets in turn would hang. *)
+let stopped_clusters_release_fds () =
+  let fd_dir = "/proc/self/fd" in
+  if not (Sys.file_exists fd_dir) then Alcotest.skip ();
+  let open_fds () = Array.length (Sys.readdir fd_dir) in
+  let before = open_fds () in
+  for k = 1 to 50 do
+    let cluster = Net.Cluster.start ~protocol ~cfg:cfg4 () in
+    let e = Net.Cluster.engine cluster in
+    (match Live_ops.write e (string_of_int k) with
+    | Ok _ -> ()
+    | Error err -> Alcotest.failf "write %d failed: %s" k err);
+    (match Live_ops.read e with
+    | Ok _ -> ()
+    | Error err -> Alcotest.failf "read %d failed: %s" k err);
+    Net.Cluster.stop cluster
+  done;
+  Alcotest.(check int) "open descriptors after 50 clusters" before (open_fds ())
+
+(* A full stop joins the group's domains and closes its wake pipes; a
+   restart must bring both back. *)
+let restart_after_full_stop () =
+  let servers, endpoints, _ = start_group ~domains:2 () in
+  Array.iter Net.Server.stop servers;
+  let s0 = Net.Server.restart servers.(0) in
+  answers_read ~sender:"r1" endpoints.(0);
+  Net.Server.stop s0
+
+let failed_bind_leaves_no_socket () =
+  let dir = fresh_tmpdir () in
+  let first = Filename.concat dir "obj1.sock" in
+  let endpoints =
+    [|
+      Net.Endpoint.Unix_sock first;
+      Net.Endpoint.Unix_sock
+        (Filename.concat (Filename.concat dir "missing") "obj2.sock");
+    |]
   in
-  let arb =
-    QCheck.make
-      ~print:(fun ls ->
-        Printf.sprintf "<%s>"
-          (String.concat ";" (List.map (fun l -> string_of_int (List.length l)) ls)))
-      gen
-  in
-  QCheck.Test.make ~name:"handoff delivers exactly once, FIFO per producer"
-    ~count:25 arb (fun lists ->
-      let q = Exec.Handoff.create () in
-      let total = List.fold_left (fun a l -> a + List.length l) 0 lists in
-      let producers =
-        List.mapi
-          (fun pid xs ->
-            Domain.spawn (fun () ->
-                List.iter (fun x -> Exec.Handoff.push q (pid, x)) xs))
-          lists
-      in
-      (* consume concurrently with the producers *)
-      let seen = ref [] in
-      let n = ref 0 in
-      while !n < total do
-        match Exec.Handoff.drain q with
-        | [] -> Domain.cpu_relax ()
-        | batch ->
-            seen := List.rev_append batch !seen;
-            n := !n + List.length batch
-      done;
-      List.iter Domain.join producers;
-      if Exec.Handoff.drain q <> [] then
-        QCheck.Test.fail_report "elements appeared after full drain";
-      let seen = List.rev !seen in
-      (* per-producer order is the push order *)
-      List.iteri
-        (fun pid xs ->
-          let got = List.filter_map
-              (fun (p, x) -> if p = pid then Some x else None)
-              seen
-          in
-          if got <> xs then
-            QCheck.Test.fail_reportf "producer %d order broken" pid)
-        lists;
-      true)
+  (match Net.Server.start_group ~protocol ~cfg:cfg4 endpoints with
+  | exception Unix.Unix_error _ -> ()
+  | servers ->
+      Array.iter Net.Server.stop servers;
+      Alcotest.fail "bound a socket in a missing directory");
+  Alcotest.(check bool) "first socket file removed" false (Sys.file_exists first)
 
 (* ----- metrics JSONL round-trip (the 'load' merge path) ------------------ *)
 
@@ -391,7 +435,14 @@ let suite =
         backpressure_isolates_slow_reader;
       Alcotest.test_case "partitioning holds under crash/restart churn" `Quick
         partition_safe_under_churn;
-      QCheck_alcotest.to_alcotest handoff_multi_producer;
+      Alcotest.test_case "one worker accepts for two objects" `Quick
+        one_worker_two_listeners;
+      Alcotest.test_case "50 stopped clusters release every fd" `Quick
+        stopped_clusters_release_fds;
+      Alcotest.test_case "a restart after a full stop serves" `Quick
+        restart_after_full_stop;
+      Alcotest.test_case "a failed bind leaves no socket file" `Quick
+        failed_bind_leaves_no_socket;
       Alcotest.test_case "metrics JSONL export/import round-trips" `Quick
         jsonl_roundtrip;
     ] )
