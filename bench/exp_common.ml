@@ -230,64 +230,23 @@ let to_kop = function
   | Workload.Keyspace.Write { key; value } ->
       Net.Client.Keyed.Write { key; value }
 
-(* A server group of [size] base objects on loopback, sockets in a
-   private temp dir; [stop_fleet] stops it and removes the dir. *)
-type fleet = {
-  dir : string;
-  registries : Obs.Metrics.t array;
-  servers : Net.Server.t array;
-  endpoints : Net.Endpoint.t array;  (* bound, ephemeral ports resolved *)
-}
-
-let start_fleet ~transport ~size ~domains ~protocol ~cfg =
-  let dir = Filename.temp_file "robustread-bench" "" in
-  Unix.unlink dir;
-  Unix.mkdir dir 0o700;
-  let endpoints =
-    match transport with
-    | `Unix ->
-        Array.init size (fun i ->
-            Net.Endpoint.Unix_sock
-              (Filename.concat dir (Printf.sprintf "obj%d.sock" (i + 1))))
-    | `Tcp ->
-        Array.init size (fun _ ->
-            Net.Endpoint.Tcp { host = "127.0.0.1"; port = 0 })
-  in
-  let registries = Array.init size (fun _ -> Obs.Metrics.create ()) in
-  let servers =
-    Net.Server.start_group
-      ~metrics:(fun i -> registries.(i))
-      ~domains ~protocol ~cfg endpoints
-  in
-  { dir; registries; servers; endpoints = Array.map Net.Server.endpoint servers }
-
-let stop_fleet f =
-  Array.iter Net.Server.stop f.servers;
-  try Unix.rmdir f.dir with Unix.Unix_error _ -> ()
-
-(* One measured pass of a fleet of client domains: client [c] draws its
+(* One measured pass of [clients] client domains: client [c] draws its
    ops with [ops c] (untimed), every client starts off one barrier and
-   runs its ops through its keyed client, recording every event into
-   [logs.(c)].  Each client's (wall seconds, results); the pass's
-   wall-clock is the slowest client's. *)
-let timed_pass ~clients ~logs ops =
-  let n = Array.length clients in
+   runs its ops with [run c].  Each client's (wall seconds, results);
+   the pass's wall-clock is the slowest client's. *)
+let timed_pass ~clients ~run ops =
   let barrier = Atomic.make 0 in
   let body c () =
     let kops = ops c in
     Atomic.incr barrier;
-    while Atomic.get barrier < n do
+    while Atomic.get barrier < clients do
       Domain.cpu_relax ()
     done;
     let t0 = now_s () in
-    let results =
-      Net.Client.Keyed.run_ops
-        ~on_event:(Net.Record.event logs.(c) kops)
-        clients.(c) kops
-    in
+    let results = run c kops in
     (now_s () -. t0, results)
   in
-  Array.map Domain.join (Array.init n (fun c -> Domain.spawn (body c)))
+  Array.map Domain.join (Array.init clients (fun c -> Domain.spawn (body c)))
 
 let completed passes =
   Array.fold_left
@@ -297,21 +256,20 @@ let completed passes =
 
 (* [claim] on every key's history: (keys that violate it, complete
    operations checked, keys checked). *)
-let check_record ~claim record =
+let check_record ~claim histories =
   List.fold_left
     (fun (bad, ops, keys) (_, h) ->
       ( (bad + if Fault.Campaign.check claim h = [] then 0 else 1),
         ops + List.length (List.filter Histories.Op.is_complete h),
         keys + 1 ))
-    (0, 0, 0)
-    (Net.Record.histories record)
+    (0, 0, 0) histories
 
 (* One E19/E20 keyspace cell: [clients] client domains, each with its own
-   keyed client (reader id c+1, write ownership of the keys with
-   mix(key) mod clients = c, so every register stays SWMR) over a fresh
-   [fleet]-server group, drive the zipfian mix [trials] times after an
-   untimed warm-up.  Every op of every client is recorded and every
-   key's history checked. *)
+   engine (reader id c+1, write ownership of the keys with
+   mix(key) mod clients = c, so every register stays SWMR) on a fresh
+   cluster of [fleet] servers, drive the zipfian mix [trials] times
+   after an untimed warm-up.  Every op of every client is recorded and
+   every key's history checked. *)
 type keyspace_cell = {
   total_ops : int;  (* per trial *)
   wall : float;  (* best trial's *)
@@ -321,7 +279,6 @@ type keyspace_cell = {
   fast : int;
   writes : int;
   failures : int;  (* every trial *)
-  keys_touched : int;
   keys_checked : int;
   ops_completed : int;  (* warm-up included *)
   ops_checked : int;
@@ -334,17 +291,14 @@ type keyspace_cell = {
 
 let keyspace_cell ~exp ~label ~transport ~protocol ~claim ~cfg ~fleet ~domains
     ~clients ~inflight ~coalesce ~keys ~skew ~write_ratio ~ops ~trials ~seed =
-  let fl = start_fleet ~transport ~size:fleet ~domains ~protocol ~cfg in
   let map = Shard.Map.make_exn ~keys ~fleet ~cfg () in
-  let record = Net.Record.create () in
-  let client_regs = Array.init clients (fun _ -> Obs.Metrics.create ()) in
-  let keyeds =
-    Array.init clients (fun c ->
-        Net.Client.Keyed.connect ~metrics:client_regs.(c)
-          ~now_us:(Net.Record.now_us record) ~max_inflight:inflight
-          ~reader:(c + 1) ~coalesce ~protocol ~map fl.endpoints)
+  let cluster =
+    Net.Cluster.start ~metrics:true ~transport ~domains ~map ~protocol ~cfg ()
   in
-  let logs = Array.map (fun _ -> Net.Record.log record) keyeds in
+  let engines =
+    Array.init clients (fun _ -> Net.Cluster.engine ~inflight ~coalesce cluster)
+  in
+  let run c = Net.Cluster.run engines.(c) in
   let owner k = Shard.Map.mix k mod clients in
   let gens =
     Array.init clients (fun c ->
@@ -359,13 +313,13 @@ let keyspace_cell ~exp ~label ~transport ~protocol ~claim ~cfg ~fleet ~domains
         Workload.Keyspace.make_exn ~skew ~write_ratio:0.0 ~keys ~seed:(7 + c) ())
   in
   let ops_completed =
-    ref (completed (timed_pass ~clients:keyeds ~logs (draw warm (min 200 ops))))
+    ref (completed (timed_pass ~clients ~run (draw warm (min 200 ops))))
   in
   let total_ops = clients * ops in
   let failures = ref 0 in
   let best = ref None in
   for trial = 1 to trials do
-    let passes = timed_pass ~clients:keyeds ~logs (draw gens ops) in
+    let passes = timed_pass ~clients ~run (draw gens ops) in
     ops_completed := !ops_completed + completed passes;
     let wall = Array.fold_left (fun m (w, _) -> Float.max m w) 0. passes in
     let lat = Stats.Summary.create () in
@@ -396,17 +350,13 @@ let keyspace_cell ~exp ~label ~transport ~protocol ~claim ~cfg ~fleet ~domains
     | Some (_, r, _, _) when r >= rate -> ()
     | _ -> best := Some (wall, rate, lat, (!reads, !fast, !writes))
   done;
-  let keys_touched =
-    Array.fold_left (fun acc k -> acc + Net.Client.Keyed.keys_touched k) 0 keyeds
+  Net.Cluster.stop cluster;
+  let violations, ops_checked, keys_checked =
+    check_record ~claim (Net.Cluster.keyed_histories cluster)
   in
-  Array.iter Net.Client.Keyed.close keyeds;
-  stop_fleet fl;
-  let violations, ops_checked, keys_checked = check_record ~claim record in
-  let metrics = Obs.Metrics.create () in
-  Array.iter (fun r -> Obs.Metrics.merge_into ~dst:metrics r) fl.registries;
-  Array.iter (fun r -> Obs.Metrics.merge_into ~dst:metrics r) client_regs;
-  (* Fast-read engagement per shard, from the keyed clients'
-     shard.<i>.* counters. *)
+  let metrics = Option.get (Net.Cluster.metrics cluster) in
+  (* Fast-read engagement per shard, from the engines' shard.<i>.*
+     counters. *)
   let shards_with_reads = ref 0 and shards_fast = ref 0 in
   for sh = 0 to Shard.Map.shards map - 1 do
     let count what =
@@ -431,12 +381,11 @@ let keyspace_cell ~exp ~label ~transport ~protocol ~claim ~cfg ~fleet ~domains
     fast;
     writes;
     failures = !failures;
-    keys_touched;
     keys_checked;
     ops_completed = !ops_completed;
     ops_checked;
     violations;
-    partition = Net.Server.partition_violations fl.servers.(0);
+    partition = Net.Cluster.partition_violations cluster;
     shards_with_reads = !shards_with_reads;
     shards_fast = !shards_fast;
     metrics;
@@ -450,10 +399,10 @@ let keyspace_cell_json buf c =
   summary_json buf "latency" c.lat;
   Printf.bprintf buf
     ",\n      \"reads\": %d, \"fast_reads\": %d, \"writes\": %d, \
-     \"failures\": %d,\n      \"keys_touched\": %d, \"keys_checked\": %d, \
-     \"ops_completed\": %d, \"ops_checked\": %d,\n      \"violations\": %d, \
+     \"failures\": %d,\n      \"keys_checked\": %d, \"ops_completed\": %d, \
+     \"ops_checked\": %d,\n      \"violations\": %d, \
      \"partition_violations\": %d, \"shards_with_reads\": %d, \
      \"shards_fast\": %d"
-    c.reads c.fast c.writes c.failures c.keys_touched c.keys_checked
+    c.reads c.fast c.writes c.failures c.keys_checked
     c.ops_completed c.ops_checked c.violations c.partition c.shards_with_reads
     c.shards_fast

@@ -71,7 +71,7 @@ let run () =
   let levels = intensities () in
   let protocol = Fault.Campaign.Safe in
   let cfg = Fault.Campaign.default_cfg protocol ~t ~b in
-  let opts = { Net.Live.default_opts with tick_us } in
+  let live = Net.Live.backend ~opts:{ Net.Live.default_opts with tick_us } () in
   Exp_common.note
     "E16: live chaos cost (%d intensity levels x %d plans, horizon %d x \
      %dus ticks, t=%d b=%d)"
@@ -97,7 +97,9 @@ let run () =
           else Fault.Plan.gen ~rng:(Sim.Prng.create ~seed) ~cfg ~budget
         in
         actions := !actions + Fault.Plan.length plan;
-        let v = Net.Live.run_plan ~metrics ~opts protocol ~cfg ~seed plan in
+        let v =
+          live.Fault.Campaign.backend_run ~metrics protocol ~cfg ~seed plan
+        in
         if not (Fault.Campaign.verdict_violates v) then incr survived;
         completed := !completed + v.Fault.Campaign.completed;
         total := !total + v.Fault.Campaign.total

@@ -83,35 +83,39 @@ let run () =
   let all_checked = ref true in
   List.iteri
     (fun li nd ->
-      let fleet =
-        Exp_common.start_fleet ~transport ~size:s ~domains:nd ~protocol ~cfg
+      let cluster =
+        Net.Cluster.start ~metrics:true ~transport ~domains:nd ~protocol ~cfg
+          ()
       in
       (* One client per client domain, created once per cell: reader ids
          stay unique for the group's lifetime (base objects keep
          per-reader round state) and trials after the first run warm.
-         Each domain records into its own log. *)
+         They are bare clients, not the cluster's engines, so they keep
+         no registry; each domain records into a log of its own. *)
       let record = Net.Record.create () in
       let map = Shard.Map.single cfg in
-      let clients =
+      let keyeds =
         Array.init clients (fun c ->
             Net.Client.Keyed.connect ~now_us:(Net.Record.now_us record)
               ~max_inflight:inflight
               ~reader:(1 + (c * inflight))
-              ~readers:inflight ~protocol ~map fleet.endpoints)
+              ~readers:inflight ~protocol ~map
+              (Net.Cluster.endpoints cluster))
       in
-      let logs = Array.map (fun _ -> Net.Record.log record) clients in
+      let logs = Array.map (fun _ -> Net.Record.log record) keyeds in
+      let run c kops =
+        Net.Client.Keyed.run_ops
+          ~on_event:(Net.Record.event logs.(c) kops)
+          keyeds.(c) kops
+      in
       (* Seed one write so every read returns a real value. *)
       let seed =
         [| Net.Client.Keyed.Write { key = 0; value = Core.Value.v "e18" } |]
       in
-      ignore
-        (Exp_common.ok_exn "E18" "seed write"
-           (Net.Client.Keyed.run_ops
-              ~on_event:(Net.Record.event logs.(0) seed)
-              clients.(0) seed).(0));
+      ignore (Exp_common.ok_exn "E18" "seed write" (run 0 seed).(0));
       let reads = Array.make ops (Net.Client.Keyed.Read { key = 0 }) in
       let pass n =
-        Exp_common.timed_pass ~clients ~logs (fun _ -> Array.sub reads 0 n)
+        Exp_common.timed_pass ~clients ~run (fun _ -> Array.sub reads 0 n)
       in
       (* untimed warmup: connections, hellos, first automaton steps *)
       let completed =
@@ -149,12 +153,13 @@ let run () =
         | Some (_, r, _) when r >= rate -> ()
         | _ -> best := Some (wall, rate, lat)
       done;
-      Array.iter Net.Client.Keyed.close clients;
-      Exp_common.stop_fleet fleet;
-      let partition = Net.Server.partition_violations fleet.servers.(0) in
-      let merged = Obs.Metrics.create () in
-      Array.iter (fun r -> Obs.Metrics.merge_into ~dst:merged r) fleet.registries;
-      let violations, checked, _ = Exp_common.check_record ~claim record in
+      Array.iter Net.Client.Keyed.close keyeds;
+      Net.Cluster.stop cluster;
+      let partition = Net.Cluster.partition_violations cluster in
+      let merged = Option.get (Net.Cluster.metrics cluster) in
+      let violations, checked, _ =
+        Exp_common.check_record ~claim (Net.Record.histories record)
+      in
       violations_total := !violations_total + violations;
       partition_total := !partition_total + partition;
       if checked <> !completed then all_checked := false;

@@ -1141,10 +1141,6 @@ let cluster_cmd =
         Format.eprintf "robustread: --crash needs t >= 1@.";
         exit 2
     | _ -> ());
-    let cluster =
-      Net.Cluster.start ~metrics ~opts:copts ~transport ~domains ~protocol ~cfg
-        ()
-    in
     let window = if inflight > 0 then inflight else readers in
     (* A keyspace run draws one zipfian read/write mix; the single
        register runs its writes, then every reader's reads. *)
@@ -1164,6 +1160,10 @@ let cluster_cmd =
                 { key = 0; value = Core.Value.v (Printf.sprintf "v%d" (i + 1)) }),
           Array.make (readers * reads) (Net.Client.Keyed.Read { key = 0 }) )
     in
+    let cluster =
+      Net.Cluster.start ~metrics ~opts:copts ~transport ~domains ~map ~protocol
+        ~cfg ()
+    in
     Format.printf
       "cluster of %a (%s) over %s sockets (%d server domain%s): %d writes, %d \
        readers x %d reads, window %d%s%s@."
@@ -1181,7 +1181,7 @@ let cluster_cmd =
       Format.printf "keyspace: %s (zipf %.2f, write ratio %.2f)@."
         (Shard.Map.to_string map) zipf write_ratio;
     let engine =
-      Net.Cluster.engine ~lanes:readers ~inflight:window ~coalesce ~map cluster
+      Net.Cluster.engine ~lanes:readers ~inflight:window ~coalesce cluster
     in
     let failures = ref 0 in
     let fail msg =

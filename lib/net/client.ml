@@ -322,7 +322,6 @@ module Keyed = struct
     krun :
       ?on_event:(event -> unit) -> kop array -> (outcome, string) result array;
     kclose : unit -> unit;
-    kkeys_touched : unit -> int;
   }
 
   (* Role indices: the writer, then reader lanes 0 .. readers-1; a reply
@@ -1131,23 +1130,10 @@ module Keyed = struct
       pump ();
       if n = 0 then [||] else results
     in
-    let close_all () =
-      Array.iter
-        (fun c ->
-          drop_conn ~count c;
-          Codec.Reader.recycle c.reader;
-          Codec.Out.recycle c.out)
-        conns
-    in
-    {
-      krun = run;
-      kclose = close_all;
-      kkeys_touched = (fun () -> Hashtbl.length regs);
-    }
+    let close_all () = Array.iter (drop_conn ~count) conns in
+    { krun = run; kclose = close_all }
 
   let run_ops ?on_event t ops = t.krun ?on_event ops
-
-  let keys_touched t = t.kkeys_touched ()
 
   let close t = t.kclose ()
 end

@@ -214,8 +214,5 @@ module Keyed : sig
       role) resumes it; a resumed {e write} completes the parked round,
       so the resuming write's own value is not what gets written. *)
 
-  val keys_touched : t -> int
-  (** Keys with materialized automata so far. *)
-
   val close : t -> unit
 end

@@ -9,7 +9,7 @@ type engine = {
 }
 
 type t = {
-  cfg : Quorum.Config.t;
+  map : Shard.Map.t;
   endpoints : Endpoint.t array;
   mutable servers : Server.t array;
   server_registries : Obs.Metrics.t option array;
@@ -40,9 +40,14 @@ let fresh_tmpdir () =
   incr tmp_counter;
   go !tmp_counter
 
-let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
+let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1) ?map
     ~protocol ~cfg () =
-  let s = cfg.Quorum.Config.s in
+  let map = Option.value map ~default:(Shard.Map.single cfg) in
+  if Shard.Map.cfg map <> cfg then
+    invalid_arg
+      (Fmt.str "Cluster.start: map for %a, cluster for %a" Quorum.Config.pp
+         (Shard.Map.cfg map) Quorum.Config.pp cfg);
+  let s = Shard.Map.fleet map in
   let tmpdir, endpoints =
     match transport with
     | `Unix ->
@@ -66,7 +71,7 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
       ~domains ~protocol ~cfg endpoints
   in
   {
-    cfg;
+    map;
     (* Ephemeral TCP ports are only known after bind. *)
     endpoints = Array.map Server.endpoint servers;
     servers;
@@ -82,26 +87,20 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
     with_metrics = metrics;
   }
 
-let take ?session ?(lanes = 1) ?(inflight = lanes) ?(coalesce = 1) ?map t =
-  let map = match map with Some m -> m | None -> Shard.Map.single t.cfg in
-  if Shard.Map.fleet map <> Array.length t.endpoints then
-    invalid_arg
-      (Printf.sprintf "Cluster.engine: map fleet %d, cluster has %d"
-         (Shard.Map.fleet map) (Array.length t.endpoints));
+let take ?session ?(lanes = 1) ?(inflight = lanes) ?(coalesce = 1) t =
   let registry = if t.with_metrics then Some (Obs.Metrics.create ()) else None in
   let client =
     Client.Keyed.connect ?session ?metrics:registry ?opts:t.copts
       ~now_us:(Record.now_us t.record) ~max_inflight:inflight
-      ~reader:t.next_rid ~readers:lanes ~coalesce ~protocol:t.protocol ~map
-      t.endpoints
+      ~reader:t.next_rid ~readers:lanes ~coalesce ~protocol:t.protocol
+      ~map:t.map t.endpoints
   in
   t.next_rid <- t.next_rid + lanes;
   let e = { client; registry; log = Record.log t.record; spans = [] } in
   t.engines <- e :: t.engines;
   e
 
-let engine ?lanes ?inflight ?coalesce ?map t =
-  take ?lanes ?inflight ?coalesce ?map t
+let engine ?lanes ?inflight ?coalesce t = take ?lanes ?inflight ?coalesce t
 
 (* Readers first, so reader j gets id j; the writer's engine takes the
    next id, which it never reads with. *)
@@ -187,9 +186,10 @@ let metrics t =
     Some dst
   end
 
+(* The closed engines stay listed: their logs, spans and registries are
+   the run's record, read after [stop] as before it. *)
 let stop t =
   List.iter (fun e -> Client.Keyed.close e.client) t.engines;
-  t.engines <- [];
   Array.iter (fun s -> if Server.alive s then Server.stop s) t.servers;
   match t.tmpdir with
   | None -> ()

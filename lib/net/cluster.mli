@@ -8,15 +8,18 @@
     to run operations: it drives an engine and records every event the
     engine emits through {!Record}, so the paper's
     safety/regularity/wait-freedom checkers run on live histories
-    exactly as they do on simulated ones.  The single register is key 0
-    of {!Shard.Map.single}, the default map; every key-0 operation of
-    every engine lands in the one key-0 history.
+    exactly as they do on simulated ones.  A cluster carries its
+    keyspace: the map it starts with fixes the fleet it hosts and where
+    every engine places keys, so every operation on a key, from any
+    engine, lands in that key's one history.  The default map is
+    {!Shard.Map.single}, the single register as key 0.
 
-    The shapes a harness needs are engine parameters: one paper process
-    is a one-lane engine ({!processes}), pipelined reads are one engine
-    with [inflight] lanes, and a keyspace run passes [~map].  A caller
-    keeps its engine across calls, so an operation that timed out parks
-    its automaton and the next {!run} on that engine resumes it.
+    The shapes a harness needs are parameters: one paper process is a
+    one-lane engine ({!processes}), pipelined reads are one engine with
+    [inflight] lanes, and a keyspace run starts its cluster with
+    [~map].  A caller keeps its engine across calls, so an operation
+    that timed out parks its automaton and the next {!run} on that
+    engine resumes it.
 
     Chaos hooks mirror the fault campaign's actions: {!crash} kills a
     server's sockets mid-flight (the stand-in for a killed process),
@@ -40,15 +43,18 @@ val start :
   ?opts:Client.opts ->
   ?transport:[ `Unix | `Tcp ] ->
   ?domains:int ->
+  ?map:Shard.Map.t ->
   protocol:Protocols.t ->
   cfg:Quorum.Config.t ->
   unit ->
   t
-(** Spin up [cfg.s] servers.  [transport] defaults to [`Unix].  The
-    objects are sharded across [domains] worker domains (default 1).
-    [opts] is every engine's retry policy.  With [metrics:true] every
-    server and engine keeps a private registry; {!metrics} merges
-    them. *)
+(** Spin up one server per slot of [map]'s fleet ([map] defaults to
+    [Shard.Map.single cfg]: [cfg.s] servers).  [transport] defaults to
+    [`Unix].  The objects are sharded across [domains] worker domains
+    (default 1).  [opts] is every engine's retry policy.  With
+    [metrics:true] every server and engine keeps a private registry;
+    {!metrics} merges them.
+    @raise Invalid_argument if [map] is not a map over [cfg]. *)
 
 type engine
 
@@ -56,20 +62,19 @@ val engine :
   ?lanes:int ->
   ?inflight:int ->
   ?coalesce:int ->
-  ?map:Shard.Map.t ->
   t ->
   engine
-(** A fresh {!Client.Keyed} engine on the cluster's endpoints and clock,
-    recording into a log of its own.  Its [lanes] (default 1) reader
-    lanes take the next unused reader ids — the cluster hands out ids
-    1, 2, 3, ... in the order engines are taken, because base objects
-    keep per-reader round state and two engines must never share an id.
+(** A fresh {!Client.Keyed} engine on the cluster's endpoints, map and
+    clock, recording into a log of its own.  Its [lanes] (default 1)
+    reader lanes take the next unused reader ids — the cluster hands
+    out ids 1, 2, 3, ... in the order engines are taken, because base
+    objects keep per-reader round state and two engines must never
+    share an id.
     [inflight] (default [lanes]) caps its concurrently progressing
     operations; [coalesce] (default 1 = off) is
     {!Client.Keyed.connect}'s read-coalescing cap (see {!Record} for how
-    joined reads are recorded); [map] defaults to the single register.
-    @raise Invalid_argument if [lanes < 1] or the map's fleet is not the
-    cluster's server count. *)
+    joined reads are recorded).
+    @raise Invalid_argument if [lanes < 1]. *)
 
 val processes : t -> readers:int -> engine * engine array
 (** The paper's processes, one engine each: the writer's, and reader
@@ -146,4 +151,5 @@ val metrics : t -> Obs.Metrics.t option
 
 val stop : t -> unit
 (** Close every engine, stop the servers and remove the socket
-    directory. *)
+    directory.  The record stays: {!keyed_histories}, {!spans} and
+    {!metrics} read every engine as they did before [stop]. *)

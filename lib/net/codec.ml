@@ -8,66 +8,15 @@ let magic2 = 'B'
 
 type error = string
 
-(* ----- pooled byte buffers ---------------------------------------------- *)
+(* ----- connection buffers ---------------------------------------------- *)
 
-(* Connections churn (reconnects, short-lived sessions) but their buffer
-   needs are uniform: a few KiB steady-state, occasionally more for a
-   large frame.  The arena recycles power-of-two buffers between 4 KiB
-   and 64 KiB so steady-state encode/decode never asks the GC for fresh
-   backing storage; anything larger is a one-off allocation that is
-   deliberately *not* retained (see [Reader] shrinking below). *)
-module Pool = struct
-  let min_cap = 4096
+(* Each connection's encode scratch and receive buffer start at 4 KiB and
+   grow by doubling for large frames.  One that grew past 64 KiB drops
+   back to 4 KiB once it drains, so a one-off large frame does not pin
+   peak capacity for the connection's lifetime. *)
+let min_cap = 4096
 
-  let max_cap = 65536
-
-  let per_class = 64
-
-  (* classes: 4096 lsl i for i = 0..4 *)
-  let n_classes = 5
-
-  let stacks : Bytes.t list array = Array.make n_classes []
-
-  let depth = Array.make n_classes 0
-
-  let mutex = Mutex.create ()
-
-  let class_of cap =
-    let rec go i sz = if sz >= cap then Some i else if i + 1 >= n_classes then None else go (i + 1) (sz * 2) in
-    if cap > max_cap then None else go 0 min_cap
-
-  let round_up cap =
-    let rec go sz = if sz >= cap then sz else go (sz * 2) in
-    go min_cap
-
-  let take cap =
-    match class_of cap with
-    | None -> Bytes.create (round_up cap)
-    | Some c -> (
-        Mutex.lock mutex;
-        let b =
-          match stacks.(c) with
-          | b :: rest ->
-              stacks.(c) <- rest;
-              depth.(c) <- depth.(c) - 1;
-              Some b
-          | [] -> None
-        in
-        Mutex.unlock mutex;
-        match b with Some b -> b | None -> Bytes.create (min_cap lsl c))
-
-  let give b =
-    let len = Bytes.length b in
-    match class_of len with
-    | Some c when min_cap lsl c = len ->
-        Mutex.lock mutex;
-        if depth.(c) < per_class then begin
-          stacks.(c) <- b :: stacks.(c);
-          depth.(c) <- depth.(c) + 1
-        end;
-        Mutex.unlock mutex
-    | _ -> ()
-end
+let max_cap = 65536
 
 (* ----- encode scratch ---------------------------------------------------- *)
 
@@ -80,7 +29,7 @@ end
 module Out = struct
   type t = { mutable buf : Bytes.t; mutable len : int; mutable sent : int }
 
-  let create () = { buf = Pool.take Pool.min_cap; len = 0; sent = 0 }
+  let create () = { buf = Bytes.create min_cap; len = 0; sent = 0 }
 
   let length t = t.len
 
@@ -95,22 +44,14 @@ module Out = struct
   let ensure t extra =
     let need = t.len + extra in
     if need > Bytes.length t.buf then begin
-      let nb = Pool.take (max need (2 * Bytes.length t.buf)) in
+      let nb = Bytes.create (max need (2 * Bytes.length t.buf)) in
       Bytes.blit t.buf 0 nb 0 t.len;
-      Pool.give t.buf;
       t.buf <- nb
     end
 
-  (* After a one-off large frame, fall back to a pool-class buffer so
-     the scratch does not retain peak capacity forever. *)
   let maybe_shrink t =
-    if t.len = 0 && Bytes.length t.buf > Pool.max_cap then t.buf <- Pool.take Pool.min_cap
-
-  let recycle t =
-    Pool.give t.buf;
-    t.buf <- Bytes.empty;
-    t.len <- 0;
-    t.sent <- 0
+    if t.len = 0 && Bytes.length t.buf > max_cap then
+      t.buf <- Bytes.create min_cap
 end
 
 let out_u8 (o : Out.t) n =
@@ -505,9 +446,7 @@ let finish_strict d ~what v =
 let encode_msg c m =
   let o = Out.create () in
   c.encode o m;
-  let s = Out.contents o in
-  Out.recycle o;
-  s
+  Out.contents o
 
 let decode_msg c s =
   let d = { src = Bytes.unsafe_of_string s; pos = 0; limit = String.length s } in
@@ -583,9 +522,7 @@ let encode_frame_into c (o : Out.t) frame =
 let encode_frame c frame =
   let o = Out.create () in
   encode_frame_into c o frame;
-  let s = Out.contents o in
-  Out.recycle o;
-  s
+  Out.contents o
 
 let decode_payload_dec c d =
   let go () =
@@ -637,7 +574,7 @@ let corrupt_frame (o : Out.t) ~at =
 module Reader = struct
   type t = { mutable buf : Bytes.t; mutable start : int; mutable len : int }
 
-  let create () = { buf = Pool.take Pool.min_cap; start = 0; len = 0 }
+  let create () = { buf = Bytes.create min_cap; start = 0; len = 0 }
 
   let pending r = r.len
 
@@ -646,13 +583,7 @@ module Reader = struct
   let reset r =
     r.start <- 0;
     r.len <- 0;
-    if Bytes.length r.buf > Pool.max_cap then r.buf <- Pool.take Pool.min_cap
-
-  let recycle r =
-    Pool.give r.buf;
-    r.buf <- Bytes.empty;
-    r.start <- 0;
-    r.len <- 0
+    if Bytes.length r.buf > max_cap then r.buf <- Bytes.create min_cap
 
   let make_room r extra =
     if r.start + r.len + extra > Bytes.length r.buf then begin
@@ -663,19 +594,16 @@ module Reader = struct
         r.start <- 0
       end
       else begin
-        let nb = Pool.take (max need (2 * Bytes.length r.buf)) in
+        let nb = Bytes.create (max need (2 * Bytes.length r.buf)) in
         Bytes.blit r.buf r.start nb 0 r.len;
-        Pool.give r.buf;
         r.buf <- nb;
         r.start <- 0
       end
     end
 
-  (* After a large frame drains, drop back to a pool-class buffer
-     instead of retaining peak capacity for the connection's lifetime. *)
   let maybe_shrink r =
-    if Bytes.length r.buf > Pool.max_cap && r.len <= Pool.min_cap then begin
-      let nb = Pool.take Pool.min_cap in
+    if Bytes.length r.buf > max_cap && r.len <= min_cap then begin
+      let nb = Bytes.create min_cap in
       Bytes.blit r.buf r.start nb 0 r.len;
       r.buf <- nb;
       r.start <- 0
@@ -706,11 +634,10 @@ module Reader = struct
         r.start <- r.start + 4 + n;
         r.len <- r.len - 4 - n;
         if r.len = 0 then r.start <- 0;
-        (* decode before shrinking: [d] reads from the current buffer,
-           which must not go back to the (shared) pool underneath it *)
-        let res = decode_payload_dec c d in
         maybe_shrink r;
-        match res with Ok f -> Ok (`Frame f) | Error e -> Error e
+        match decode_payload_dec c d with
+        | Ok f -> Ok (`Frame f)
+        | Error e -> Error e
       end
 end
 

@@ -46,10 +46,10 @@ type error = string
     flushed with a single [write].  Because frames are length-prefixed
     and self-delimiting, N frames per write is byte-identical to N
     writes of one frame each — batching is invisible to the peer.  The
-    backing storage comes from a small pooled arena (4–64 KiB power-of-
-    two classes), so steady-state encoding allocates nothing per
-    message; buffers that ballooned for a one-off large frame are
-    dropped back to pool size after the flush. *)
+    scratch owns its buffer: it starts at 4 KiB and grows by doubling,
+    so steady-state encoding allocates nothing per message, and a
+    buffer that grew past 64 KiB for a one-off large frame drops back
+    to 4 KiB after the flush. *)
 
 module Out : sig
   type t
@@ -67,10 +67,6 @@ module Out : sig
 
   val contents : t -> string
   (** Everything appended since the last clear, flushed or not. *)
-
-  val recycle : t -> unit
-  (** Return the backing buffer to the arena.  The scratch stays usable
-      (it re-acquires storage on the next append). *)
 end
 
 (** {2 Per-protocol message codecs} *)
@@ -174,15 +170,13 @@ module Reader : sig
   (** Buffered bytes not yet consumed. *)
 
   val capacity : t -> int
-  (** Current backing-buffer size.  The buffer grows for large frames
-      and shrinks back to a pool-class size once they drain, so a
-      single oversized frame does not pin peak capacity forever. *)
+  (** Current backing-buffer size: 4 KiB at first, grown by doubling
+      for large frames.  A buffer past 64 KiB drops back to 4 KiB once
+      it drains, so a single oversized frame does not pin peak capacity
+      forever. *)
 
   val reset : t -> unit
   (** Discard buffered bytes (a reconnect starts a fresh stream). *)
-
-  val recycle : t -> unit
-  (** Return the backing buffer to the arena; the reader stays usable. *)
 end
 
 (** {2 Socket helpers} *)

@@ -88,12 +88,6 @@ end
 
 (* ----- running one (seed, plan) ------------------------------------------ *)
 
-type outcome = {
-  verdict : Fault.Campaign.verdict;
-  timeline : (int * string) list;
-  history : string Histories.Op.t list;
-}
-
 let scale_rule ~base ~tick_us (r : Chaos.rule) =
   {
     r with
@@ -102,25 +96,7 @@ let scale_rule ~base ~tick_us (r : Chaos.rule) =
       (if r.until_us = max_int then max_int else base + (r.until_us * tick_us));
   }
 
-let rule_info (obj, (r : Chaos.rule)) =
-  let act =
-    match r.act with
-    | Chaos.Drop -> "drop"
-    | Chaos.Delay d -> Printf.sprintf "delay(%dus)" d
-    | Chaos.Duplicate c -> Printf.sprintf "dup(%d)" c
-    | Chaos.Corrupt -> "corrupt"
-  in
-  let dir =
-    match r.dir with Chaos.To_server -> "to_server" | Chaos.To_client -> "to_client"
-  in
-  Printf.sprintf "s%d %s %s%s [%d,%s)" obj dir act
-    (match r.sender with
-    | None -> ""
-    | Some p -> " sender=" ^ Sim.Proc_id.to_string p)
-    r.from_us
-    (if r.until_us = max_int then "inf" else string_of_int r.until_us)
-
-let run_plan_full ?metrics ?(opts = default_opts) protocol ~cfg ~seed plan =
+let run ?metrics ~opts protocol ~cfg ~seed plan =
   let pack =
     match protocol_of protocol with
     | Some p -> p
@@ -145,26 +121,15 @@ let run_plan_full ?metrics ?(opts = default_opts) protocol ~cfg ~seed plan =
      frames. *)
   let writer, reader_engines = Cluster.processes cluster ~readers in
   Fun.protect ~finally:(fun () -> Cluster.stop cluster) @@ fun () ->
-  let tl_lock = Mutex.create () in
-  let timeline = ref [] in
-  let note at msg =
-    Mutex.lock tl_lock;
-    timeline := (at, msg) :: !timeline;
-    Mutex.unlock tl_lock
-  in
   (* Virtual tick 0 is anchored a small margin into the future so rule
      installation finishes before any window can open. *)
   let base = Cluster.now_us cluster + 20_000 in
   let tick_at at = base + (at * opts.tick_us) in
   for i = 1 to cfg.Quorum.Config.s do
     let mine = List.filter (fun (obj, _) -> obj = i) vrules in
-    if mine <> [] then begin
+    if mine <> [] then
       Cluster.set_rules cluster i
-        (List.map (fun (_, r) -> scale_rule ~base ~tick_us:opts.tick_us r) mine);
-      List.iter
-        (fun r -> note (Cluster.now_us cluster) ("rule " ^ rule_info r))
-        mine
-    end
+        (List.map (fun (_, r) -> scale_rule ~base ~tick_us:opts.tick_us r) mine)
   done;
   let rec sleep_until target =
     let now = Cluster.now_us cluster in
@@ -180,18 +145,11 @@ let run_plan_full ?metrics ?(opts = default_opts) protocol ~cfg ~seed plan =
           (fun (at, ev) ->
             sleep_until (tick_at at);
             match ev with
-            | Tcrash obj ->
-                Cluster.crash cluster obj;
-                note (Cluster.now_us cluster) (Printf.sprintf "crash s%d" obj)
+            | Tcrash obj -> Cluster.crash cluster obj
             | Trecover (obj, wipe) -> (
+                (* a plan may recover an object that is still up *)
                 match Cluster.restart ~wipe cluster obj with
-                | Ok () ->
-                    note (Cluster.now_us cluster)
-                      (Printf.sprintf "recover s%d%s" obj
-                         (if wipe then " (wiped)" else ""))
-                | Error (`Still_alive _) ->
-                    note (Cluster.now_us cluster)
-                      (Printf.sprintf "recover s%d skipped: still alive" obj)))
+                | Ok () | Error (`Still_alive _) -> ()))
           timed)
       ()
   in
@@ -241,56 +199,20 @@ let run_plan_full ?metrics ?(opts = default_opts) protocol ~cfg ~seed plan =
   Thread.join writer_th;
   List.iter Thread.join reader_ths;
   Thread.join driver;
-  let history = Cluster.history cluster in
   (match (metrics, Cluster.metrics cluster) with
   | Some dst, Some src -> Obs.Metrics.merge_into ~dst src
   | _ -> ());
   (* every operation thread has joined: the run is quiescent by
      construction, and operations that exhausted their retries are still
      open in the history — exactly what wait-freedom flags *)
-  let verdict =
-    Fault.Campaign.judge protocol ~quiescent:true ~completed:!completed
-      ~total:(List.length schedule) ~spans:(Cluster.spans cluster) history
-  in
-  { verdict; timeline = List.rev !timeline; history }
-
-let run_plan ?metrics ?opts protocol ~cfg ~seed plan =
-  (run_plan_full ?metrics ?opts protocol ~cfg ~seed plan).verdict
-
-(* ----- live-to-sim witness replay ---------------------------------------- *)
-
-type witness = {
-  w_protocol : Fault.Campaign.protocol;
-  w_cfg : Quorum.Config.t;
-  w_seed : int;
-  w_plan : Fault.Plan.t;
-  w_live : outcome;
-}
-
-let capture ?opts protocol ~cfg ~seed plan =
-  {
-    w_protocol = protocol;
-    w_cfg = cfg;
-    w_seed = seed;
-    w_plan = plan;
-    w_live = run_plan_full ?opts protocol ~cfg ~seed plan;
-  }
-
-let replay_sim w =
-  Fault.Campaign.run_plan w.w_protocol ~cfg:w.w_cfg ~seed:w.w_seed w.w_plan
-
-let replay_reproduces w = Fault.Campaign.verdict_violates (replay_sim w)
-
-let replay_shrunk ?max_attempts w =
-  Fault.Shrink.minimize ?max_attempts
-    ~repro:(fun plan ->
-      Fault.Campaign.violates w.w_protocol ~cfg:w.w_cfg ~seed:w.w_seed plan)
-    w.w_plan
+  Fault.Campaign.judge protocol ~quiescent:true ~completed:!completed
+    ~total:(List.length schedule) ~spans:(Cluster.spans cluster)
+    (Cluster.history cluster)
 
 let backend ?(opts = default_opts) () =
   {
     Fault.Campaign.backend_name = "live";
     backend_run =
       (fun ?metrics protocol ~cfg ~seed plan ->
-        run_plan ?metrics ~opts protocol ~cfg ~seed plan);
+        run ?metrics ~opts protocol ~cfg ~seed plan);
   }

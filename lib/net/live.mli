@@ -24,12 +24,13 @@
     and surface as wait-freedom violations.
 
     Determinism: a live run itself is {e not} deterministic (real
-    scheduling, real clocks) — the {!section-witness} bridge is.  A
-    witness captures the (protocol, cfg, seed, plan) coordinates plus
-    the observed timeline and history; replaying re-executes the exact
-    same plan in the simulator, which {e is} deterministic in those
-    coordinates, so a live-found counterexample shrinks to the same
-    minimal witness on every replay. *)
+    scheduling, real clocks), but its (protocol, cfg, seed, plan)
+    coordinates are.  The bridge back to the simulator is
+    {!Fault.Campaign.violates} and {!Fault.Shrink.minimize} on those
+    coordinates, as [robustread chaos --backend=live] runs them: the
+    simulator re-executes the exact same plan, so a live-found
+    counterexample shrinks to the same minimal witness on every
+    replay. *)
 
 type opts = {
   tick_us : int;
@@ -49,63 +50,11 @@ val protocol_of : Fault.Campaign.protocol -> Protocols.t option
     regular, regular-opt, regular-gc, abd and abd-atomic do; the
     symbolic-only baselines cannot run live. *)
 
-val run_plan :
-  ?metrics:Obs.Metrics.t ->
-  ?opts:opts ->
-  Fault.Campaign.protocol ->
-  cfg:Quorum.Config.t ->
-  seed:int ->
-  Fault.Plan.t ->
-  Fault.Campaign.verdict
-(** Execute one (seed, plan) against a live cluster and check the
-    history.  With [metrics], the cluster's merged registry (including
-    [op.reconnects], wire counters and per-op rounds/latency) folds
-    into it.  @raise Failure on a protocol {!protocol_of} has no pack
-    for. *)
-
-(** {2:witness Live-to-sim witness replay} *)
-
-type outcome = {
-  verdict : Fault.Campaign.verdict;
-  timeline : (int * string) list;
-      (** observed fault events, (cluster-clock µs, description) *)
-  history : string Histories.Op.t list;
-}
-
-type witness = {
-  w_protocol : Fault.Campaign.protocol;
-  w_cfg : Quorum.Config.t;
-  w_seed : int;
-  w_plan : Fault.Plan.t;
-  w_live : outcome;  (** what the live run observed *)
-}
-
-val capture :
-  ?opts:opts ->
-  Fault.Campaign.protocol ->
-  cfg:Quorum.Config.t ->
-  seed:int ->
-  Fault.Plan.t ->
-  witness
-(** Run live and package the counterexample coordinates with the
-    observed timeline and history. *)
-
-val replay_sim : witness -> Fault.Campaign.verdict
-(** Re-execute the witness's (protocol, cfg, seed, plan) in the
-    simulator — deterministic: two replays are identical. *)
-
-val replay_reproduces : witness -> bool
-(** Does the simulated replay break the same contract the live run
-    did ({!Fault.Campaign.verdict_violates})? *)
-
-val replay_shrunk : ?max_attempts:int -> witness -> Fault.Shrink.outcome
-(** Delta-debug the witness plan against the {e simulated} repro — the
-    cross-backend flagship: a fault sequence found once against real
-    sockets becomes a minimal, deterministically replayable simulator
-    witness.  @raise Invalid_argument if the replay does not reproduce
-    (check {!replay_reproduces} first). *)
-
 val backend : ?opts:opts -> unit -> Fault.Campaign.backend
-(** Package this module as a campaign backend (name ["live"]): the
-    whole sweep/matrix/shrink machinery then runs against real
-    sockets. *)
+(** This module as a campaign backend (name ["live"]), the one way to
+    run a plan live: its [backend_run] executes one (seed, plan) against
+    a fresh cluster and checks the history, and the whole sweep/matrix
+    machinery runs on it unchanged.  With [metrics], the cluster's
+    merged registry (including [op.reconnects], wire counters and per-op
+    rounds/latency) folds into it.  [backend_run] raises [Failure] on a
+    protocol {!protocol_of} has no pack for. *)

@@ -232,8 +232,6 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     in
     let close_conn c =
       Hashtbl.remove conns c.gfd;
-      Codec.Reader.recycle c.greader;
-      Codec.Out.recycle c.gout;
       Endpoint.close_quietly c.gfd;
       if Hashtbl.mem draining c.gobj && conns_of c.gobj = [] then
         finish_slot c.gobj

@@ -1,19 +1,4 @@
-type placement = Hash | Range
-
-let placement_to_string = function Hash -> "hash" | Range -> "range"
-
-let placement_of_string = function
-  | "hash" -> Some Hash
-  | "range" -> Some Range
-  | _ -> None
-
-type t = {
-  keys : int;
-  shards : int;
-  fleet : int;
-  cfg : Quorum.Config.t;
-  placement : placement;
-}
+type t = { keys : int; shards : int; fleet : int; cfg : Quorum.Config.t }
 
 let keys t = t.keys
 
@@ -22,8 +7,6 @@ let shards t = t.shards
 let fleet t = t.fleet
 
 let cfg t = t.cfg
-
-let placement t = t.placement
 
 (* splitmix64's finalizer: a cheap, well-mixed integer permutation.  The
    top bit is masked off so the result is a nonnegative OCaml int; the
@@ -38,7 +21,7 @@ let mix k =
   let z = logxor z (shift_right_logical z 31) in
   to_int (logand z 0x3fffffffffffffffL)
 
-let make ?(placement = Hash) ?shards ~keys ~fleet ~cfg () =
+let make ?shards ~keys ~fleet ~cfg () =
   let s = cfg.Quorum.Config.s in
   let shards = match shards with Some n -> n | None -> fleet in
   if keys < 1 then Error (Printf.sprintf "keys must be >= 1 (got %d)" keys)
@@ -47,10 +30,10 @@ let make ?(placement = Hash) ?shards ~keys ~fleet ~cfg () =
   else if fleet < s then
     Error
       (Printf.sprintf "fleet of %d cannot host S=%d member shards" fleet s)
-  else Ok { keys; shards; fleet; cfg; placement }
+  else Ok { keys; shards; fleet; cfg }
 
-let make_exn ?placement ?shards ~keys ~fleet ~cfg () =
-  match make ?placement ?shards ~keys ~fleet ~cfg () with
+let make_exn ?shards ~keys ~fleet ~cfg () =
+  match make ?shards ~keys ~fleet ~cfg () with
   | Ok t -> t
   | Error e -> invalid_arg ("Shard.Map.make: " ^ e)
 
@@ -60,12 +43,7 @@ let shard_of_key t k =
   if k < 0 || k >= t.keys then
     invalid_arg
       (Printf.sprintf "Shard.Map.shard_of_key: key %d outside [0,%d)" k t.keys);
-  match t.placement with
-  | Hash -> mix k mod t.shards
-  | Range ->
-      (* contiguous key ranges: shard i serves keys
-         [i*keys/shards, (i+1)*keys/shards) *)
-      min (t.shards - 1) (k * t.shards / t.keys)
+  mix k mod t.shards
 
 (* Shard [i]'s S members are the fleet slots i, i+1, ... (mod fleet): a
    rotation per shard, so with shards >= fleet every fleet slot carries
@@ -96,9 +74,7 @@ let slots_of_key t k =
   members t ~shard
 
 let pp ppf t =
-  Fmt.pf ppf "keyspace(%d keys, %d shards, %s placement, fleet %d, %a)" t.keys
-    t.shards
-    (placement_to_string t.placement)
-    t.fleet Quorum.Config.pp t.cfg
+  Fmt.pf ppf "keyspace(%d keys, %d shards, hash placement, fleet %d, %a)" t.keys
+    t.shards t.fleet Quorum.Config.pp t.cfg
 
 let to_string t = Fmt.str "%a" pp t

@@ -12,9 +12,9 @@
 
     Two-level placement:
 
-    - {b key → shard}: either a [Hash] of the key id (a splitmix64 mix,
-      so zipf-popular {e consecutive} key ids spread over all shards)
-      or contiguous [Range]s;
+    - {b key → shard}: a hash of the key id ({!mix}, a splitmix64
+      finalizer), so zipf-popular {e consecutive} key ids spread over
+      all shards;
     - {b shard → members}: shard [i]'s [S] members are fleet slots
       [i, i+1, ..., i+S-1 (mod fleet)] — a rotation per shard, so every
       fleet slot carries the same number of shard memberships.
@@ -25,16 +25,9 @@
     (per-key objects server-side, per-key reader/writer machines
     client-side). *)
 
-type placement = Hash | Range
-
-val placement_to_string : placement -> string
-
-val placement_of_string : string -> placement option
-
 type t
 
 val make :
-  ?placement:placement ->
   ?shards:int ->
   keys:int ->
   fleet:int ->
@@ -42,13 +35,11 @@ val make :
   unit ->
   (t, string) result
 (** [make ~keys ~fleet ~cfg ()] places [keys] registers over [fleet]
-    base-object servers in shards of [cfg.s] members each.  [placement]
-    defaults to [Hash]; [shards] defaults to [fleet] (one rotation per
-    starting slot).  Errors if [keys < 1], [shards < 1], or the fleet is
-    smaller than [cfg.s]. *)
+    base-object servers in shards of [cfg.s] members each.  [shards]
+    defaults to [fleet] (one rotation per starting slot).  Errors if
+    [keys < 1], [shards < 1], or the fleet is smaller than [cfg.s]. *)
 
 val make_exn :
-  ?placement:placement ->
   ?shards:int ->
   keys:int ->
   fleet:int ->
@@ -70,15 +61,14 @@ val fleet : t -> int
 
 val cfg : t -> Quorum.Config.t
 
-val placement : t -> placement
-
 val mix : int -> int
-(** The key-id mixer behind [Hash] placement (splitmix64 finalizer,
-    masked nonnegative).  Exposed so load drivers can partition write
+(** The key-id mixer behind placement (splitmix64 finalizer, masked
+    nonnegative).  Exposed so load drivers can partition write
     ownership over keys with the same function placement uses. *)
 
 val shard_of_key : t -> int -> int
-(** Shard owning a key.  @raise Invalid_argument outside [0, keys). *)
+(** Shard owning a key: [mix key mod shards].
+    @raise Invalid_argument outside [0, keys). *)
 
 val member : t -> shard:int -> rank:int -> int
 (** Fleet slot (0-based) hosting member [rank] (0-based, < [cfg.s]) of

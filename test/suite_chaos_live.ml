@@ -646,21 +646,22 @@ let live_witness_replays_deterministically () =
   in
   Alcotest.(check bool) "plan is beyond budget" false
     (Fault.Plan.within_budget ~cfg plan);
-  let w = Net.Live.capture ~opts:impatient Fault.Campaign.Safe ~cfg ~seed:11 plan in
+  let live =
+    (Net.Live.backend ~opts:impatient ()).Fault.Campaign.backend_run
+      Fault.Campaign.Safe ~cfg ~seed:11 plan
+  in
   Alcotest.(check bool) "live run violates wait-freedom" true
-    (w.Net.Live.w_live.Net.Live.verdict.Fault.Campaign.liveness > 0);
-  Alcotest.(check bool) "observed fault timeline recorded" true
-    (List.exists
-       (fun (_, e) -> e = "crash s1")
-       w.Net.Live.w_live.Net.Live.timeline);
-  (* The bridge: the simulator reproduces the violation from the same
-     coordinates... *)
-  Alcotest.(check bool) "sim replay reproduces" true (Net.Live.replay_reproduces w);
-  let v1 = Net.Live.replay_sim w and v2 = Net.Live.replay_sim w in
-  Alcotest.(check bool) "sim replays are identical" true (v1 = v2);
+    (live.Fault.Campaign.liveness > 0);
+  (* The bridge, as chaos --backend=live runs it: the simulator
+     reproduces the violation from the same coordinates... *)
+  let repro = Fault.Campaign.violates Fault.Campaign.Safe ~cfg ~seed:11 in
+  Alcotest.(check bool) "sim replay reproduces" true (repro plan);
+  let sim () = Fault.Campaign.run_plan Fault.Campaign.Safe ~cfg ~seed:11 plan in
+  Alcotest.(check bool) "sim replays are identical" true (sim () = sim ());
   (* ...and two independent shrink runs land on the byte-identical
      minimal witness. *)
-  let s1 = Net.Live.replay_shrunk w and s2 = Net.Live.replay_shrunk w in
+  let s1 = Fault.Shrink.minimize ~repro plan
+  and s2 = Fault.Shrink.minimize ~repro plan in
   Alcotest.(check string) "byte-identical shrunk witness"
     (Fault.Plan.to_compact s1.Fault.Shrink.plan)
     (Fault.Plan.to_compact s2.Fault.Shrink.plan);

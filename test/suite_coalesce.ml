@@ -92,13 +92,13 @@ let batch_close_is_idempotent () =
 let coalesced_schedules_are_regular () =
   let c =
     Net.Cluster.start ~metrics:true
+      ~map:(Shard.Map.make_exn ~keys:16384 ~fleet:3 ~cfg:cfg3 ())
       ~protocol:(Net.Protocols.regular_gc ~readers:1)
       ~cfg:cfg3 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let map = Shard.Map.make_exn ~keys:16384 ~fleet:3 ~cfg:cfg3 () in
       let case = ref 0 in
       let gen =
         QCheck.Gen.(
@@ -132,7 +132,7 @@ let coalesced_schedules_are_regular () =
             (Workload.Keyspace.ops wgen 60)
         in
         let results =
-          Net.Cluster.run (Net.Cluster.engine ~inflight:32 ~coalesce ~map c) kops
+          Net.Cluster.run (Net.Cluster.engine ~inflight:32 ~coalesce c) kops
         in
         Array.for_all (function Ok _ -> true | Error _ -> false) results
         && List.for_all
@@ -157,13 +157,13 @@ let crash_mid_coalesced_run () =
   let c =
     Net.Cluster.start ~metrics:true
       ~opts:{ Net.Client.deadline = 0.5; retries = 8; backoff = 0.01 }
+      ~map:(Shard.Map.make_exn ~keys:4 ~fleet:4 ~cfg:cfg4 ())
       ~protocol:(Net.Protocols.regular_gc ~readers:1)
       ~cfg:cfg4 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let map = Shard.Map.make_exn ~keys:4 ~fleet:4 ~cfg:cfg4 () in
       let wgen =
         Workload.Keyspace.make_exn ~skew:1.2 ~write_ratio:0.1 ~keys:4 ~seed:7
           ()
@@ -189,7 +189,7 @@ let crash_mid_coalesced_run () =
       in
       let results =
         Net.Cluster.run
-          (Net.Cluster.engine ~inflight:32 ~coalesce:16 ~map c)
+          (Net.Cluster.engine ~inflight:32 ~coalesce:16 c)
           kops
       in
       Thread.join killer;

@@ -3,9 +3,9 @@
    real cluster.
 
    Placement is a pure function both sides recompute independently, so
-   its algebra (member/rank inverse, balanced rotation, range bounds)
-   is exactly what keeps clients and server domains agreeing without a
-   placement service — worth property-testing hard. *)
+   its algebra (member/rank inverse, balanced rotation) is exactly what
+   keeps clients and server domains agreeing without a placement
+   service — worth property-testing hard. *)
 
 let cfg3 = Quorum.Config.make_exn ~s:3 ~t:1 ~b:0
 
@@ -13,23 +13,19 @@ let cfg3 = Quorum.Config.make_exn ~s:3 ~t:1 ~b:0
 
 let gen_map_params =
   QCheck.Gen.(
-    map3
-      (fun keys extra placement ->
-        (keys, cfg3.Quorum.Config.s + extra, placement))
-      (1 -- 200) (0 -- 5)
-      (oneofl [ Shard.Map.Hash; Shard.Map.Range ]))
+    map2
+      (fun keys extra -> (keys, cfg3.Quorum.Config.s + extra))
+      (1 -- 200) (0 -- 5))
 
 let arb_map_params =
   QCheck.make
-    ~print:(fun (keys, fleet, p) ->
-      Printf.sprintf "keys=%d fleet=%d placement=%s" keys fleet
-        (Shard.Map.placement_to_string p))
+    ~print:(fun (keys, fleet) -> Printf.sprintf "keys=%d fleet=%d" keys fleet)
     gen_map_params
 
 let map_placement_well_formed =
   QCheck.Test.make ~name:"every key lands on a shard of s distinct slots"
-    ~count:300 arb_map_params (fun (keys, fleet, placement) ->
-      let m = Shard.Map.make_exn ~placement ~keys ~fleet ~cfg:cfg3 () in
+    ~count:300 arb_map_params (fun (keys, fleet) ->
+      let m = Shard.Map.make_exn ~keys ~fleet ~cfg:cfg3 () in
       let s = cfg3.Quorum.Config.s in
       let ok = ref true in
       for key = 0 to keys - 1 do
@@ -51,8 +47,8 @@ let map_placement_well_formed =
 let map_member_rank_inverse =
   QCheck.Test.make
     ~name:"rank_of_slot inverts member; non-members are None" ~count:300
-    arb_map_params (fun (keys, fleet, placement) ->
-      let m = Shard.Map.make_exn ~placement ~keys ~fleet ~cfg:cfg3 () in
+    arb_map_params (fun (keys, fleet) ->
+      let m = Shard.Map.make_exn ~keys ~fleet ~cfg:cfg3 () in
       let s = cfg3.Quorum.Config.s in
       let ok = ref true in
       for sh = 0 to Shard.Map.shards m - 1 do
@@ -75,10 +71,10 @@ let map_member_rank_inverse =
 let map_rotation_is_balanced =
   QCheck.Test.make
     ~name:"default sharding loads every fleet slot with s memberships"
-    ~count:200 arb_map_params (fun (keys, fleet, placement) ->
+    ~count:200 arb_map_params (fun (keys, fleet) ->
       (* shards defaults to fleet: one rotation per starting slot, so
          each slot serves exactly s shards *)
-      let m = Shard.Map.make_exn ~placement ~keys ~fleet ~cfg:cfg3 () in
+      let m = Shard.Map.make_exn ~keys ~fleet ~cfg:cfg3 () in
       let load = Array.make fleet 0 in
       for sh = 0 to Shard.Map.shards m - 1 do
         Array.iter
@@ -86,19 +82,6 @@ let map_rotation_is_balanced =
           (Shard.Map.members m ~shard:sh)
       done;
       Array.for_all (( = ) cfg3.Quorum.Config.s) load)
-
-let map_range_is_monotone =
-  QCheck.Test.make ~name:"Range placement maps contiguous keys to shards"
-    ~count:200 arb_map_params (fun (keys, fleet, _) ->
-      let m =
-        Shard.Map.make_exn ~placement:Shard.Map.Range ~keys ~fleet ~cfg:cfg3 ()
-      in
-      let ok = ref true in
-      for key = 1 to keys - 1 do
-        if Shard.Map.shard_of_key m key < Shard.Map.shard_of_key m (key - 1)
-        then ok := false
-      done;
-      !ok)
 
 let map_rejects_bad_params () =
   (match Shard.Map.make ~keys:0 ~fleet:3 ~cfg:cfg3 () with
@@ -253,13 +236,14 @@ let ok_exn what = function
    sampled key's history passes the single-register checkers, and no
    base object is ever stepped outside its owning domain. *)
 let keyed_cluster_histories_check () =
+  let map = Shard.Map.make_exn ~keys:8 ~fleet:3 ~cfg:cfg3 () in
   let c =
-    Net.Cluster.start ~metrics:true ~protocol:Net.Protocols.safe ~cfg:cfg3 ()
+    Net.Cluster.start ~metrics:true ~map ~protocol:Net.Protocols.safe
+      ~cfg:cfg3 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let map = Shard.Map.make_exn ~keys:8 ~fleet:3 ~cfg:cfg3 () in
       let gen =
         Workload.Keyspace.make_exn ~skew:0.5 ~write_ratio:0.3 ~keys:8 ~seed:11
           ()
@@ -274,7 +258,7 @@ let keyed_cluster_histories_check () =
           (Workload.Keyspace.ops gen 120)
       in
       let results =
-        Net.Cluster.run (Net.Cluster.engine ~inflight:16 ~map c) kops
+        Net.Cluster.run (Net.Cluster.engine ~inflight:16 c) kops
       in
       Array.iteri
         (fun i r -> ignore (ok_exn (Printf.sprintf "keyed op %d" i) r))
@@ -314,30 +298,20 @@ let keyed_cluster_histories_check () =
                 true (fast > 0)
           done)
 
-(* The single register is key 0: a single-register writer and a keyed
-   reader of key 0 see the same register, and both ops land in the one
-   main history, which checks as regular. *)
+(* The single register is key 0: key 0 of a keyspace over the single
+   register's fleet lands on the single register's slots, rank for
+   rank, so the same base objects answer it at the same object
+   indices. *)
 let key_zero_is_the_legacy_register () =
-  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg3 () in
-  Fun.protect
-    ~finally:(fun () -> Net.Cluster.stop c)
-    (fun () ->
-      let e = Net.Cluster.engine c in
-      let _ = ok_exn "single-register write" (Live_ops.write e "legacy") in
-      let map = Shard.Map.make_exn ~keys:4 ~fleet:3 ~cfg:cfg3 () in
-      let results =
-        Net.Cluster.run (Net.Cluster.engine ~map c) [| Live_ops.read0 |]
-      in
-      let o = ok_exn "keyed read of key 0" results.(0) in
-      (match o.Net.Client.value with
-      | Some v ->
-          Alcotest.(check string) "keyed read sees the single-register write"
-            "legacy" (Core.Value.to_string v)
-      | None -> Alcotest.fail "keyed read of key 0 returned no value");
-      let h = Net.Cluster.history c in
-      Alcotest.(check int) "both ops in the main history" 2 (List.length h);
-      Alcotest.(check bool) "key 0's history is regular" true
-        (Histories.Checks.is_regular ~equal:String.equal h))
+  let single = Shard.Map.single cfg3 in
+  List.iter
+    (fun keys ->
+      let m = Shard.Map.make_exn ~keys ~fleet:3 ~cfg:cfg3 () in
+      Alcotest.(check (array int))
+        (Printf.sprintf "key 0 of %d keys" keys)
+        (Shard.Map.slots_of_key single 0)
+        (Shard.Map.slots_of_key m 0))
+    [ 1; 4; 1000 ]
 
 (* ----- quorum-sized rounds: who gets a fresh round ----------------------- *)
 
@@ -447,25 +421,64 @@ let histories_regular histories =
         (Histories.Checks.is_regular ~equal:String.equal h))
     histories
 
+(* A cluster carries its keyspace: S = 3 over a fleet of 4 hosts all
+   four servers, each of them serves some key's shard, and a map over
+   another configuration is refused. *)
+let cluster_hosts_its_maps_fleet () =
+  let keys = 16 in
+  let protocol = Net.Protocols.regular_gc ~readers:1 in
+  let c =
+    Net.Cluster.start
+      ~map:(Shard.Map.make_exn ~keys ~fleet:4 ~cfg:cfg3 ())
+      ~protocol ~cfg:cfg3 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      Alcotest.(check (list int)) "objects 1-4 are up" [ 1; 2; 3; 4 ]
+        (Net.Cluster.alive c);
+      let e = Net.Cluster.engine ~inflight:16 c in
+      all_ok "write" (Net.Cluster.run e (writes_to_every_key keys));
+      all_ok "read"
+        (Net.Cluster.run e
+           (Array.init keys (fun key -> Net.Client.Keyed.Read { key })));
+      for i = 1 to 4 do
+        let n = (Net.Cluster.stats c i).Net.Server.messages in
+        Alcotest.(check bool)
+          (Printf.sprintf "object %d handled messages (%d)" i n)
+          true (n > 0)
+      done;
+      histories_regular (Net.Cluster.keyed_histories c);
+      Alcotest.(check int) "no partition violations" 0
+        (Net.Cluster.partition_violations c));
+  let other = Quorum.Config.make_exn ~s:4 ~t:1 ~b:0 in
+  match
+    Net.Cluster.start ~map:(Shard.Map.single other) ~protocol ~cfg:cfg3 ()
+  with
+  | exception Invalid_argument _ -> ()
+  | c ->
+      Net.Cluster.stop c;
+      Alcotest.fail "a map over another configuration was accepted"
+
 (* Fault-free: every round goes to exactly S−t members.  A hedge (the
    last contacted member answering slowly on a loaded host) adds one
    frame to the one skipped member at S−t = S−1, so the identity holds
    with hedges counted in. *)
 let fault_free_counts ~s ~reads_per_read () =
   let cfg = Quorum.Config.make_exn ~s ~t:1 ~b:1 in
+  let keys = 16 in
   let c =
     Net.Cluster.start ~metrics:true
+      ~map:(Shard.Map.make_exn ~keys ~fleet:s ~cfg ())
       ~protocol:(Net.Protocols.regular_gc ~readers:2)
       ~cfg ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let keys = 16 in
-      let map = Shard.Map.make_exn ~keys ~fleet:s ~cfg () in
       let sum m names = List.fold_left (fun n k -> n + counter m k) 0 names in
       let writes = writes_to_every_key keys in
-      let e = Net.Cluster.engine ~inflight:16 ~map c in
+      let e = Net.Cluster.engine ~inflight:16 c in
       all_ok "write" (Net.Cluster.run e writes);
       let m = metrics_exn c in
       let hedge_w = counter m "op.expand.hedge" in
@@ -500,16 +513,16 @@ let fault_free_counts_s4 () =
    contacted it widen at once instead of waiting out the deadline. *)
 let crash_widens_lost_rounds () =
   let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1 in
+  let keys = 32 in
   let c =
     Net.Cluster.start ~metrics:true
+      ~map:(Shard.Map.make_exn ~keys ~fleet:4 ~cfg ())
       ~protocol:(Net.Protocols.regular_gc ~readers:2)
       ~cfg ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let keys = 32 in
-      let map = Shard.Map.make_exn ~keys ~fleet:4 ~cfg () in
       let responses = ref 0 in
       let on_event = function
         | Net.Client.Keyed.Respond _ ->
@@ -519,7 +532,7 @@ let crash_widens_lost_rounds () =
       in
       let ops = keyed_ops ~keys ~write_ratio:0.2 ~seed:5 400 in
       all_ok "keyed"
-        (Net.Cluster.run ~on_event (Net.Cluster.engine ~inflight:16 ~map c) ops);
+        (Net.Cluster.run ~on_event (Net.Cluster.engine ~inflight:16 c) ops);
       Alcotest.(check (list int)) "object 4 is down" [ 1; 2; 3 ]
         (Net.Cluster.alive c);
       let m = metrics_exn c in
@@ -576,8 +589,10 @@ let silent_member_is_avoided () =
    member it skipped, so the median read never waits for the slow one. *)
 let slow_member_is_hedged () =
   let cfg = Quorum.Config.make_exn ~s:5 ~t:1 ~b:1 in
+  let keys = 16 in
   let c =
     Net.Cluster.start ~metrics:true
+      ~map:(Shard.Map.make_exn ~keys ~fleet:5 ~cfg ())
       ~protocol:(Net.Protocols.regular_gc ~readers:2)
       ~cfg ()
   in
@@ -594,9 +609,7 @@ let slow_member_is_hedged () =
             act = Net.Chaos.Delay 50_000;
           };
         ];
-      let keys = 16 in
-      let map = Shard.Map.make_exn ~keys ~fleet:5 ~cfg () in
-      let e = Net.Cluster.engine ~inflight:16 ~map c in
+      let e = Net.Cluster.engine ~inflight:16 c in
       all_ok "write" (Net.Cluster.run e (writes_to_every_key keys));
       let reads = Net.Cluster.run e (keyed_ops ~keys ~seed:9 200) in
       let lat =
@@ -762,7 +775,8 @@ let suite =
       QCheck_alcotest.to_alcotest map_placement_well_formed;
       QCheck_alcotest.to_alcotest map_member_rank_inverse;
       QCheck_alcotest.to_alcotest map_rotation_is_balanced;
-      QCheck_alcotest.to_alcotest map_range_is_monotone;
+      Alcotest.test_case "a cluster hosts its map's whole fleet" `Quick
+        cluster_hosts_its_maps_fleet;
       Alcotest.test_case "Shard.Map rejects bad params" `Quick
         map_rejects_bad_params;
       QCheck_alcotest.to_alcotest mix_is_nonnegative;

@@ -584,6 +584,30 @@ let tcp_transport_works () =
       let o = ok_exn "read" (Live_ops.read e) in
       Alcotest.(check string) "value over tcp" "tcp" (value_of o))
 
+(* ----- the record outlives the cluster --------------------------------- *)
+
+(* [stop] closes the engines but keeps them: the histories, spans and
+   merged registry read the same before and after it. *)
+let stopped_cluster_keeps_records () =
+  let c =
+    Net.Cluster.start ~metrics:true ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
+  in
+  let e = Net.Cluster.engine c in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let _ = ok_exn "write" (Live_ops.write e "kept") in
+      ignore (ok_exn "read" (Live_ops.read e)));
+  let completed what =
+    match Net.Cluster.metrics c with
+    | None -> Alcotest.fail "metrics requested but absent"
+    | Some m -> Obs.Metrics.counter_value m ("op." ^ what ^ ".completed")
+  in
+  Alcotest.(check int) "reads completed" 1 (completed "read");
+  Alcotest.(check int) "writes completed" 1 (completed "write");
+  Alcotest.(check int) "spans" 2 (List.length (Net.Cluster.spans c));
+  Alcotest.(check int) "history" 2 (List.length (Net.Cluster.history c))
+
 let suite =
   ( "net",
     [
@@ -615,4 +639,6 @@ let suite =
         `Quick reply_rounds_match_requests;
       Alcotest.test_case "replies answer only their own request" `Quick
         replies_answer_only_their_request;
+      Alcotest.test_case "a stopped cluster keeps its engines' records" `Quick
+        stopped_cluster_keeps_records;
     ] )

@@ -397,7 +397,7 @@ let out_reuse_is_clean =
 
 let reader_shrinks_after_large_frame () =
   (* a single huge frame must not pin the reader's peak capacity: once
-     it drains, the buffer drops back to a pool-class size *)
+     it drains, the buffer drops back to its 4 KiB start *)
   let big = Net.Codec.Err (String.make 200_000 'x') in
   let small = Net.Codec.Err "tiny" in
   let r = Net.Codec.Reader.create () in
@@ -414,11 +414,8 @@ let reader_shrinks_after_large_frame () =
   (match Net.Codec.Reader.next Net.Codec.messages r with
   | Ok (`Frame (Net.Codec.Err s)) -> Alcotest.(check string) "small frame intact" "tiny" s
   | _ -> Alcotest.fail "small frame did not decode");
-  Alcotest.(check bool)
-    (Printf.sprintf "capacity back to pool class (%d)"
-       (Net.Codec.Reader.capacity r))
-    true
-    (Net.Codec.Reader.capacity r <= 65536);
+  Alcotest.(check int) "capacity back to 4 KiB" 4096
+    (Net.Codec.Reader.capacity r);
   (* and the shrunken reader still works *)
   feed_string r (Net.Codec.encode_frame Net.Codec.messages small);
   match Net.Codec.Reader.next Net.Codec.messages r with
