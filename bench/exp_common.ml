@@ -230,24 +230,6 @@ let to_kop = function
   | Workload.Keyspace.Write { key; value } ->
       Net.Client.Keyed.Write { key; value }
 
-(* One measured pass of [clients] client domains: client [c] draws its
-   ops with [ops c] (untimed), every client starts off one barrier and
-   runs its ops with [run c].  Each client's (wall seconds, results);
-   the pass's wall-clock is the slowest client's. *)
-let timed_pass ~clients ~run ops =
-  let barrier = Atomic.make 0 in
-  let body c () =
-    let kops = ops c in
-    Atomic.incr barrier;
-    while Atomic.get barrier < clients do
-      Domain.cpu_relax ()
-    done;
-    let t0 = now_s () in
-    let results = run c kops in
-    (now_s () -. t0, results)
-  in
-  Array.map Domain.join (Array.init clients (fun c -> Domain.spawn (body c)))
-
 let completed passes =
   Array.fold_left
     (fun n (_, results) ->
@@ -306,20 +288,23 @@ let keyspace_cell ~exp ~label ~transport ~protocol ~claim ~cfg ~fleet ~domains
           ~write_filter:(fun k -> owner k = c)
           ~keys ~seed:(seed + c) ())
   in
-  let draw gens n c = Array.map to_kop (Workload.Keyspace.ops gens.(c) n) in
+  (* One measured pass: client [c] draws its ops untimed, then runs them. *)
+  let pass gens n =
+    Exec.Pool.timed clients (fun c ->
+        let kops = Array.map to_kop (Workload.Keyspace.ops gens.(c) n) in
+        fun () -> run c kops)
+  in
   (* Warm-up reads only, so it needs no write ownership. *)
   let warm =
     Array.init clients (fun c ->
         Workload.Keyspace.make_exn ~skew ~write_ratio:0.0 ~keys ~seed:(7 + c) ())
   in
-  let ops_completed =
-    ref (completed (timed_pass ~clients ~run (draw warm (min 200 ops))))
-  in
+  let ops_completed = ref (completed (pass warm (min 200 ops))) in
   let total_ops = clients * ops in
   let failures = ref 0 in
   let best = ref None in
   for trial = 1 to trials do
-    let passes = timed_pass ~clients ~run (draw gens ops) in
+    let passes = pass gens ops in
     ops_completed := !ops_completed + completed passes;
     let wall = Array.fold_left (fun m (w, _) -> Float.max m w) 0. passes in
     let lat = Stats.Summary.create () in

@@ -115,7 +115,9 @@ let run () =
       ignore (Exp_common.ok_exn "E18" "seed write" (run 0 seed).(0));
       let reads = Array.make ops (Net.Client.Keyed.Read { key = 0 }) in
       let pass n =
-        Exp_common.timed_pass ~clients ~run (fun _ -> Array.sub reads 0 n)
+        Exec.Pool.timed clients (fun c ->
+            let kops = Array.sub reads 0 n in
+            fun () -> run c kops)
       in
       (* untimed warmup: connections, hellos, first automaton steps *)
       let completed =

@@ -774,7 +774,7 @@ let domains_arg =
           "Worker domains for the server group's event loops: base object \
            $(i,i) and every connection accepted for it are owned by domain \
            ($(i,i)-1) mod $(docv), so all automaton steps stay domain-local \
-           (clamped to 1..S).")
+           (at least 1; more than S run S).")
 
 (* Protocol requests the clients sent per completed op: the sum of the
    wire.*.req.sent counters over completed reads and writes — the
@@ -1021,7 +1021,7 @@ let client_cmd =
           and metrics export exactly like the simulator's.")
     term
 
-(* ----- keyspace flags (shared by cluster / load) -------------------------- *)
+(* ----- keyspace flags (cluster) ------------------------------------------- *)
 
 let keyed_op = function
   | Workload.Keyspace.Read { key } -> Net.Client.Keyed.Read { key }
@@ -1072,7 +1072,21 @@ let cluster_cmd =
     Arg.(
       value & opt int 2
       & info [ "readers" ] ~docv:"R"
-          ~doc:"Readers: the engine's reader lanes, reader ids 1..$(docv).")
+          ~doc:
+            "Readers per client: each client engine's reader lanes, client \
+             $(i,c)'s with reader ids $(i,c)$(docv)+1..($(i,c)+1)$(docv).")
+  in
+  let clients_arg =
+    Arg.(
+      value & opt int 1
+      & info [ "clients" ] ~docv:"K"
+          ~doc:
+            "Client engines, each driven from a domain of its own (client 0 \
+             on the main one), all started off one barrier.  Every client \
+             runs --reads reads per reader; client 0 also runs the writes.  \
+             With --keys, client $(i,c) draws its mix from seed + $(i,c) and \
+             writes only the keys $(i,k) with mix($(i,k)) mod $(docv) = \
+             $(i,c), so every register keeps one writer.")
   in
   let writes_arg =
     Arg.(
@@ -1090,47 +1104,41 @@ let cluster_cmd =
       & info [ "crash" ] ~docv:"I"
           ~doc:
             "Crash the server for object $(docv) when half of the run's \
-             operations have responded, restart it once the run is over, \
-             then run one more read — operations must keep completing \
-             (requires t >= 1).")
+             operations have responded, across the clients, restart it \
+             once the run is over, then run one more read — operations must \
+             keep completing (requires t >= 1).")
   in
   let inflight_arg =
     Arg.(
       value & opt int 0
       & info [ "inflight" ] ~docv:"W"
           ~doc:
-            "Operation window: at most $(docv) operations in flight at \
-             once.  A key runs at most one read per reader lane, so on the \
-             single register the window is capped by --readers.  0, the \
-             default, allows one read in flight per reader.")
+            "Operation window per client: at most $(docv) operations in \
+             flight at once.  A key runs at most one read per reader lane, \
+             so on the single register the window is capped by --readers.  \
+             0, the default, allows one read in flight per reader.")
   in
-  let fast_reads_arg =
-    Arg.(
-      value & flag
-      & info [ "fast-reads" ]
-          ~doc:
-            "Run the §5.1 cached/suffix protocol ($(b,regular-gc) sized to \
-             the actual reader count): readers cache the last returned \
-             timestamp, objects ship history suffixes, and reads return \
-             after round 1 whenever the candidate set already decides.  At \
-             S >= 2t+2b+1 every read does, despite b lies; below it a read \
-             still does unless a lie or an overlapping write blocks the \
-             decision, and only then runs the full two rounds \
-             (Proposition 1).  Overrides $(b,--protocol).")
-  in
-  let run (p, protocol) t b s readers writes reads transport crash inflight
-      domains fast_reads keys zipf write_ratio coalesce seed copts metrics
+  let run (p, protocol) t b s readers clients writes reads transport crash
+      inflight domains keys zipf write_ratio coalesce seed copts metrics
       artifacts =
-    if readers < 1 || inflight < 0 || coalesce < 0 then begin
-      Format.eprintf
-        "robustread: --readers must be >= 1, --inflight and --coalesce >= 0@.";
-      exit 2
-    end;
-    let p, protocol =
-      if fast_reads then
-        (Fault.Campaign.Regular_gc, Net.Protocols.regular_gc ~readers)
-      else (p, protocol)
-    in
+    List.iter
+      (fun (bad, msg) ->
+        if bad then begin
+          Format.eprintf "robustread: %s@." msg;
+          exit 2
+        end)
+      [
+        (readers < 1, "--readers must be >= 1");
+        (clients < 1, "--clients must be >= 1");
+        (writes < 0 || reads < 0, "--writes and --reads must be >= 0");
+        (inflight < 0 || coalesce < 0, "--inflight and --coalesce must be >= 0");
+        (keys < 0, "--keys must be >= 0");
+        (domains < 1, "--domains must be >= 1");
+        ( not (Float.is_finite zipf && zipf >= 0.0),
+          "--zipf must be finite and >= 0" );
+        ( not (write_ratio >= 0.0 && write_ratio <= 1.0),
+          "--write-ratio must be in [0, 1]" );
+      ];
     let cfg = config ~s ~t ~b () in
     (match crash with
     | Some i when i < 1 || i > cfg.Quorum.Config.s ->
@@ -1141,38 +1149,56 @@ let cluster_cmd =
         Format.eprintf "robustread: --crash needs t >= 1@.";
         exit 2
     | _ -> ());
+    (* regular-gc's objects prune only once every reader they know of
+       has shown a cache floor, so they must know all K·R readers. *)
+    let protocol =
+      if p = Fault.Campaign.Regular_gc then
+        Net.Protocols.regular_gc ~readers:(clients * readers)
+      else protocol
+    in
     let window = if inflight > 0 then inflight else readers in
-    (* A keyspace run draws one zipfian read/write mix; the single
-       register runs its writes, then every reader's reads. *)
+    (* A keyspace client draws one zipfian read/write mix; on the single
+       register client 0 runs the writes, then every client its readers'
+       reads.  Either way client 0 draws the --writes share. *)
     let map, writes_first, ops =
       if keys > 0 then
-        let gen =
-          Workload.Keyspace.make_exn ~skew:zipf ~write_ratio ~keys ~seed ()
+        let draw c =
+          let gen =
+            Workload.Keyspace.make_exn ~skew:zipf ~write_ratio
+              ~write_filter:(fun k -> Shard.Map.mix k mod clients = c)
+              ~keys ~seed:(seed + c) ()
+          in
+          Array.map keyed_op
+            (Workload.Keyspace.ops gen
+               ((if c = 0 then writes else 0) + (readers * reads)))
         in
         ( Shard.Map.make_exn ~keys ~fleet:cfg.Quorum.Config.s ~cfg (),
           [||],
-          Array.map keyed_op
-            (Workload.Keyspace.ops gen (writes + (readers * reads))) )
+          Array.init clients draw )
       else
         ( Shard.Map.single cfg,
           Array.init writes (fun i ->
               Net.Client.Keyed.Write
                 { key = 0; value = Core.Value.v (Printf.sprintf "v%d" (i + 1)) }),
-          Array.make (readers * reads) (Net.Client.Keyed.Read { key = 0 }) )
+          Array.make clients
+            (Array.make (readers * reads) (Net.Client.Keyed.Read { key = 0 })) )
     in
+    let total = Array.fold_left (fun n a -> n + Array.length a) 0 ops in
     let cluster =
       Net.Cluster.start ~metrics ~opts:copts ~transport ~domains ~map ~protocol
         ~cfg ()
     in
     Format.printf
-      "cluster of %a (%s) over %s sockets (%d server domain%s): %d writes, %d \
-       readers x %d reads, window %d%s%s@."
+      "cluster of %a (%s) over %s sockets (%d server domain%s): %d writes, \
+       %s%d readers x %d reads, window %d%s%s@."
       Quorum.Config.pp cfg
       (Net.Protocols.name protocol)
       (match transport with `Unix -> "unix" | `Tcp -> "tcp")
-      (max 1 (min domains cfg.Quorum.Config.s))
+      (min domains cfg.Quorum.Config.s)
       (if domains > 1 then "s" else "")
-      writes readers reads window
+      writes
+      (if clients > 1 then Printf.sprintf "%d clients x " clients else "")
+      readers reads window
       (if coalesce > 1 then Printf.sprintf ", coalesce %d" coalesce else "")
       (match crash with
       | Some i -> Printf.sprintf ", crashing object %d mid-run" i
@@ -1180,50 +1206,70 @@ let cluster_cmd =
     if keys > 0 then
       Format.printf "keyspace: %s (zipf %.2f, write ratio %.2f)@."
         (Shard.Map.to_string map) zipf write_ratio;
-    let engine =
-      Net.Cluster.engine ~lanes:readers ~inflight:window ~coalesce cluster
+    let engines =
+      Array.init clients (fun _ ->
+          Net.Cluster.engine ~lanes:readers ~inflight:window ~coalesce cluster)
     in
-    let failures = ref 0 in
-    let fail msg =
-      incr failures;
-      Format.eprintf "%s@." msg
+    let failures = ref 0 and completed = ref 0 in
+    let tally what = function
+      | Ok _ -> incr completed
+      | Error e ->
+          incr failures;
+          Format.eprintf "%s FAILED: %s@." what e
     in
     let alive () =
       String.concat "," (List.map string_of_int (Net.Cluster.alive cluster))
     in
     Array.iteri
-      (fun i -> function
-        | Ok o -> print_outcome (Printf.sprintf "write(v%d)" (i + 1)) o
-        | Error e -> fail (Printf.sprintf "write v%d FAILED: %s" (i + 1) e))
-      (Net.Cluster.run engine writes_first);
-    let responses = ref 0 in
-    let on_event = function
-      | Net.Client.Keyed.Respond _ -> (
-          incr responses;
-          match crash with
-          | Some i
-            when !responses = max 1 (Array.length ops / 2)
-                 && List.mem i (Net.Cluster.alive cluster) ->
-              Net.Cluster.crash cluster i;
-              Format.printf "  crashed object %d (alive: %s)@." i (alive ())
-          | _ -> ())
-      | Net.Client.Keyed.Invoke _ -> ()
+      (fun i r ->
+        let what = Printf.sprintf "write(v%d)" (i + 1) in
+        Result.iter (print_outcome what) r;
+        tally what r)
+      (Net.Cluster.run engines.(0) writes_first);
+    (* The client whose response is the run's halfway one crashes the
+       object, from its own event loop. *)
+    let on_event =
+      match crash with
+      | None -> ignore
+      | Some i ->
+          let half = max 1 (total / 2) and responses = Atomic.make 0 in
+          function
+          | Net.Client.Keyed.Respond _ ->
+              if 1 + Atomic.fetch_and_add responses 1 = half then begin
+                Net.Cluster.crash cluster i;
+                Format.printf "  crashed object %d (alive: %s)@." i (alive ())
+              end
+          | Net.Client.Keyed.Invoke _ -> ()
+    in
+    let passes =
+      Exec.Pool.timed clients (fun c () ->
+          Net.Cluster.run ~on_event engines.(c) ops.(c))
     in
     Array.iteri
-      (fun i -> function
-        | Ok _ -> ()
-        | Error e -> fail (Printf.sprintf "op #%d FAILED: %s" (i + 1) e))
-      (Net.Cluster.run ~on_event engine ops);
+      (fun c (_, results) ->
+        Array.iteri
+          (fun i -> tally (Printf.sprintf "client %d op #%d" c (i + 1)))
+          results)
+      passes;
+    let per_s n wall = if wall > 0.0 then float_of_int n /. wall else 0.0 in
+    let rates = Array.map (fun (w, r) -> per_s (Array.length r) w) passes in
+    let wall = Array.fold_left (fun m (w, _) -> Float.max m w) 0.0 passes in
+    Format.printf
+      "throughput: %d ops in %.3fs = %.0f ops/s; per client min %.0f, max \
+       %.0f ops/s@."
+      total wall (per_s total wall)
+      (Array.fold_left Float.min Float.infinity rates)
+      (Array.fold_left Float.max 0.0 rates);
     (match crash with
-    | Some i when not (List.mem i (Net.Cluster.alive cluster)) -> (
+    | Some i when not (List.mem i (Net.Cluster.alive cluster)) ->
         Net.Cluster.restart_exn cluster i;
         Format.printf "  restarted object %d (alive: %s)@." i (alive ());
         (* one more read with the recovered replica back in the quorum *)
-        match
-          (Net.Cluster.run engine [| Net.Client.Keyed.Read { key = 0 } |]).(0)
-        with
-        | Ok o -> print_outcome "read(post-restart)" o
-        | Error e -> fail ("post-restart read FAILED: " ^ e))
+        let r =
+          Net.Cluster.run engines.(0) [| Net.Client.Keyed.Read { key = 0 } |]
+        in
+        Result.iter (print_outcome "read(post-restart)") r.(0);
+        tally "read(post-restart)" r.(0)
     | _ -> ());
     let claim = Fault.Campaign.claim p in
     let histories = Net.Cluster.keyed_histories cluster in
@@ -1240,367 +1286,44 @@ let cluster_cmd =
           acc + List.length vs)
         0 histories
     in
+    let recorded =
+      List.fold_left
+        (fun n (_, h) ->
+          n + List.length (List.filter Histories.Op.is_complete h))
+        0 histories
+    in
     let partition = Net.Cluster.partition_violations cluster in
-    if partition > 0 then
-      fail
-        (Printf.sprintf
-           "domain-partition violations: %d (an object was stepped outside \
-            its owning domain)"
-           partition);
-    Format.printf "%d histories (%d ops) checked; %s: %s@."
-      (List.length histories)
-      (List.fold_left (fun n (_, h) -> n + List.length h) 0 histories)
+    Format.printf
+      "%d histories checked: %d complete ops of %d completed, %d partition \
+       violations; %s: %s@."
+      (List.length histories) recorded !completed partition
       (Fault.Campaign.claim_name claim)
       (if bad = 0 then "OK" else Printf.sprintf "%d VIOLATIONS" bad);
     live_report ~artifacts ~spans:(Net.Cluster.spans cluster)
       (Net.Cluster.metrics cluster);
     Net.Cluster.stop cluster;
-    if !failures > 0 || bad > 0 then exit 1
+    if !failures > 0 || bad > 0 || partition > 0 || recorded <> !completed
+    then exit 1
   in
   let term =
     Term.(
       const run $ net_protocol_arg $ t_arg $ b_arg $ s_arg $ readers_arg
-      $ writes_arg $ reads_arg $ transport_arg $ crash_arg $ inflight_arg
-      $ domains_arg $ fast_reads_arg $ keys_arg $ zipf_arg
-      $ write_ratio_arg $ coalesce_arg $ seed_arg $ client_opts_args
-      $ metrics_arg $ artifacts_arg)
+      $ clients_arg $ writes_arg $ reads_arg $ transport_arg $ crash_arg
+      $ inflight_arg $ domains_arg $ keys_arg $ zipf_arg $ write_ratio_arg
+      $ coalesce_arg $ seed_arg $ client_opts_args $ metrics_arg
+      $ artifacts_arg)
   in
   Cmd.v
     (Cmd.info "cluster"
        ~doc:
-         "Spin up a live loopback cluster (S servers plus one client engine \
-          whose reader lanes are the readers, in one process), run a \
-          read/write workload over real sockets — optionally crashing and \
-          restarting a server mid-run — then check every key's recorded \
+         "Spin up a live loopback cluster in one process: S servers plus \
+          --clients client engines, each on a domain of its own, whose \
+          reader lanes are the readers.  Run a read/write workload over \
+          real sockets — optionally crashing and restarting a server \
+          mid-run — print its throughput, then check every key's recorded \
           history against the property the protocol claims and export \
-          spans/metrics.")
-    term
-
-(* ----- load: multi-process saturation driver ----------------------------- *)
-
-(* The saturation workload needs more client-side parallelism than one
-   process can generate (a client is one thread; the GC and the select
-   loop cap it).  'load' hosts the sharded server group and forks K
-   worker processes of this same binary ('load-worker', hidden), each
-   driving its own client with a disjoint reader-id range; workers
-   export their op.* registries as JSONL and the parent merges them with
-   the per-object server registries into one report. *)
-
-let first_reader_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "first-reader" ] ~docv:"J"
-        ~doc:"First reader id of this worker's range (ids J..J+W-1).")
-
-let ops_per_proc_arg =
-  Arg.(
-    value & opt int 200
-    & info [ "ops"; "n" ] ~docv:"N" ~doc:"READ operations per worker process.")
-
-let load_inflight_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "inflight" ] ~docv:"W"
-        ~doc:
-          "In-flight operation window per worker process (and, for the \
-           single register, its number of reader lanes).")
-
-let load_worker_cmd =
-  let metrics_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write this worker's metrics registry as JSONL to $(docv).")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ] ~docv:"K"
-          ~doc:"Total worker processes (for keyspace write partitioning).")
-  in
-  let worker_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "worker" ] ~docv:"I"
-          ~doc:"This worker's 0-based index among --workers.")
-  in
-  let run (_, protocol) t b s endpoints inflight ops first_reader keys zipf
-      write_ratio coalesce seed workers worker metrics_out copts =
-    let coalesce = max 1 coalesce in
-    let cfg = config ~s ~t ~b () in
-    let endpoints = fleet_endpoints cfg endpoints in
-    if inflight < 1 || ops < 0 || first_reader < 1 then begin
-      Format.eprintf "robustread: bad --inflight/--ops/--first-reader@.";
-      exit 2
-    end;
-    if workers < 1 || worker < 0 || worker >= workers then begin
-      Format.eprintf "robustread: bad --workers/--worker@.";
-      exit 2
-    end;
-    let registry = Obs.Metrics.create () in
-    let t0 = now_s () in
-    (* Keyspace mode: a zipfian read/write mix over the fleet.  The
-       registers are SWMR, so write ownership is partitioned across
-       workers with the placement mixer: this worker only writes keys
-       where mix(key) mod workers = worker; other write draws become
-       reads (the key-popularity marginal is unchanged).  Otherwise the
-       worker reads the single register through [inflight] reader
-       lanes. *)
-    let map, readers, kops =
-      if keys > 0 then
-        let gen =
-          Workload.Keyspace.make_exn ~skew:zipf ~write_ratio
-            ~write_filter:(fun k -> Shard.Map.mix k mod workers = worker)
-            ~keys ~seed:(seed + worker) ()
-        in
-        ( Shard.Map.make_exn ~keys ~fleet:cfg.Quorum.Config.s ~cfg (),
-          1,
-          Array.map keyed_op (Workload.Keyspace.ops gen ops) )
-      else
-        ( Shard.Map.single cfg,
-          inflight,
-          Array.make ops (Net.Client.Keyed.Read { key = 0 }) )
-    in
-    let client =
-      Net.Client.Keyed.connect ~metrics:registry ~opts:copts
-        ~max_inflight:inflight ~reader:first_reader ~readers ~coalesce ~protocol
-        ~map endpoints
-    in
-    let outcomes = Net.Client.Keyed.run_ops client kops in
-    Net.Client.Keyed.close client;
-    let wall = now_s () -. t0 in
-    let failures =
-      Array.fold_left
-        (fun n -> function Ok _ -> n | Error _ -> n + 1)
-        0 outcomes
-    in
-    let ops_per_s = if wall > 0.0 then float_of_int ops /. wall else 0.0 in
-    (* Per-worker throughput as a gauge: the parent reads each worker's
-       file separately to report the max/min spread before merging
-       (merged gauges keep only the max). *)
-    Obs.Metrics.set_gauge registry "load.worker.ops_per_s" ops_per_s;
-    (match metrics_out with
-    | Some path ->
-        Obs.Export.write_file ~path
-          (Obs.Export.metrics_jsonl
-             ~labels:[ ("proc_first_reader", string_of_int first_reader) ]
-             registry)
-    | None -> ());
-    Format.printf "load-worker r%d..r%d: %d ops in %.3fs (%.0f ops/s), %d \
-                   failed@."
-      first_reader
-      (first_reader + inflight - 1)
-      ops wall ops_per_s failures;
-    if failures > 0 then exit 1
-  in
-  let term =
-    Term.(
-      const run $ net_protocol_arg $ t_arg $ b_arg $ s_arg $ endpoints_arg
-      $ load_inflight_arg $ ops_per_proc_arg $ first_reader_arg $ keys_arg
-      $ zipf_arg $ write_ratio_arg $ coalesce_arg $ seed_arg $ workers_arg
-      $ worker_arg $ metrics_out_arg $ client_opts_args)
-  in
-  Cmd.v
-    (Cmd.info "load-worker" ~docs:Manpage.s_none
-       ~doc:
-         "(internal) One load-generator process: a pipelined client with a \
-          disjoint reader-id range, spawned by 'robustread load'.")
-    term
-
-let load_cmd =
-  let procs_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "procs"; "k" ] ~docv:"K"
-          ~doc:"Client worker processes to fork (disjoint reader-id ranges).")
-  in
-  let run (_, protocol) t b s domains procs inflight ops transport keys zipf
-      write_ratio coalesce seed copts metrics artifacts =
-    if procs < 1 || inflight < 1 || ops < 1 then begin
-      Format.eprintf "robustread: --procs, --inflight and --ops must be >= 1@.";
-      exit 2
-    end;
-    if coalesce < 0 then begin
-      Format.eprintf "robustread: --coalesce %d must be >= 0@." coalesce;
-      exit 2
-    end;
-    let cfg = config ~s ~t ~b () in
-    let s = cfg.Quorum.Config.s in
-    (* Private scratch dir for the per-worker metric files. *)
-    let dir =
-      let path = Filename.temp_file "robustread-load" "" in
-      Unix.unlink path;
-      Unix.mkdir path 0o700;
-      path
-    in
-    let cluster =
-      Net.Cluster.start ~metrics:true ~opts:copts ~transport ~domains ~protocol
-        ~cfg ()
-    in
-    (* Seed one write so every READ returns a real value.  In keyspace
-       mode the workers own the writes (partitioned per key — the
-       parent writing key 0 here would be a second writer on it). *)
-    if keys = 0 then begin
-      let writer, _ = Net.Cluster.processes cluster ~readers:0 in
-      match
-        (Net.Cluster.run writer
-           [| Net.Client.Keyed.Write { key = 0; value = Core.Value.v "v1" } |]).(0)
-      with
-      | Ok _ -> ()
-      | Error e ->
-          Format.eprintf "robustread: seed write failed: %s@." e;
-          Net.Cluster.stop cluster;
-          exit 1
-    end;
-    Format.printf
-      "load: %a (%s) over %s sockets, %d worker domain(s); %d proc(s) x \
-       window %d x %d ops%s@."
-      Quorum.Config.pp cfg
-      (Net.Protocols.name protocol)
-      (match transport with `Unix -> "unix" | `Tcp -> "tcp")
-      (max 1 (min domains s))
-      procs inflight ops
-      (if keys > 0 then
-         Printf.sprintf "; keyspace of %d keys (zipf %.2f, write ratio %.2f%s)"
-           keys zipf write_ratio
-           (if coalesce > 1 then Printf.sprintf ", coalesce %d" coalesce
-            else "")
-       else "");
-    Format.print_flush ();
-    let metric_file k = Filename.concat dir (Printf.sprintf "proc%d.jsonl" k) in
-    let ep_args =
-      List.concat_map
-        (fun ep -> [ "-e"; Net.Endpoint.to_string ep ])
-        (Array.to_list (Net.Cluster.endpoints cluster))
-    in
-    let t0 = now_s () in
-    let pids =
-      List.init procs (fun k ->
-          let k = k + 1 in
-          let argv =
-            [
-              Sys.executable_name; "load-worker";
-              "-p"; Net.Protocols.name protocol;
-              "-t"; string_of_int cfg.Quorum.Config.t;
-              "-b"; string_of_int cfg.Quorum.Config.b;
-              "-s"; string_of_int s;
-              "--inflight"; string_of_int inflight;
-              "--ops"; string_of_int ops;
-              "--first-reader"; string_of_int (1 + ((k - 1) * inflight));
-              "--keys"; string_of_int keys;
-              "--zipf"; Printf.sprintf "%g" zipf;
-              "--write-ratio"; Printf.sprintf "%g" write_ratio;
-              "--coalesce"; string_of_int coalesce;
-              "--seed"; string_of_int seed;
-              "--workers"; string_of_int procs;
-              "--worker"; string_of_int (k - 1);
-              "--metrics-out"; metric_file k;
-              "--deadline"; Printf.sprintf "%g" copts.Net.Client.deadline;
-              "--retries"; string_of_int copts.Net.Client.retries;
-              "--backoff"; Printf.sprintf "%g" copts.Net.Client.backoff;
-            ]
-            @ ep_args
-          in
-          Unix.create_process Sys.executable_name (Array.of_list argv)
-            Unix.stdin Unix.stdout Unix.stderr)
-    in
-    let failed = ref 0 in
-    List.iter
-      (fun pid ->
-        match snd (Unix.waitpid [] pid) with
-        | Unix.WEXITED 0 -> ()
-        | _ -> incr failed)
-      pids;
-    let wall = now_s () -. t0 in
-    (* Merge the cluster's registries (per-object servers and the seed
-       writer) and per-process client JSONL exports into one registry:
-       counters add, histograms merge. *)
-    let merged = Option.get (Net.Cluster.metrics cluster) in
-    Net.Cluster.stop cluster;
-    let partition = Net.Cluster.partition_violations cluster in
-    (* Each worker file is parsed into its own registry first: merged
-       gauges keep only the max, and the per-worker ops/s spread needs
-       every worker's value. *)
-    let worker_rates = ref [] in
-    for k = 1 to procs do
-      let path = metric_file k in
-      if Sys.file_exists path then begin
-        let fresh = Obs.Metrics.create () in
-        (match
-           Obs.Export.metrics_of_jsonl ~into:fresh (Obs.Export.read_file path)
-         with
-        | Ok _ ->
-            (match Obs.Metrics.gauge_value fresh "load.worker.ops_per_s" with
-            | Some r when r > 0.0 -> worker_rates := (k, r) :: !worker_rates
-            | _ -> ());
-            Obs.Metrics.merge_into ~dst:merged fresh
-        | Error e ->
-            incr failed;
-            Format.eprintf "robustread: bad metrics from worker %d: %s@." k e);
-        Sys.remove path
-      end
-      else begin
-        incr failed;
-        Format.eprintf "robustread: worker %d left no metrics file@." k
-      end
-    done;
-    (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-    let total = procs * ops in
-    Format.printf
-      "total: %d ops in %.3fs = %.0f ops/s (%d proc(s)); reads completed: %d; \
-       partition violations: %d@."
-      total wall
-      (if wall > 0.0 then float_of_int total /. wall else 0.0)
-      procs
-      (Obs.Metrics.counter_value merged "op.read.completed")
-      partition;
-    print_requests_per_op merged;
-    (* Per-worker fairness: a spread ratio near 1 means no worker was
-       starved by the shared server group. *)
-    (match !worker_rates with
-    | [] -> ()
-    | rates ->
-        let rs = List.map snd rates in
-        let rmin = List.fold_left Float.min (List.hd rs) (List.tl rs) in
-        let rmax = List.fold_left Float.max (List.hd rs) (List.tl rs) in
-        Format.printf
-          "per-worker ops/s: min %.0f, max %.0f, spread ratio %.2f@." rmin rmax
-          (if rmin > 0.0 then rmax /. rmin else Float.infinity));
-    if metrics then
-      Format.printf "--- merged metrics ---@.%s"
-        (Stats.Table.to_string (Obs.Metrics.table merged));
-    (match artifacts with
-    | None -> ()
-    | Some dir ->
-        write_artifacts ~dir
-          [ ("metrics.jsonl", Obs.Export.metrics_jsonl merged) ]);
-    if partition > 0 then begin
-      Format.eprintf
-        "robustread: %d domain-partition violations (an object was stepped \
-         outside its owning domain)@."
-        partition;
-      exit 1
-    end;
-    if !failed > 0 then exit 1
-  in
-  let term =
-    Term.(
-      const run $ net_protocol_arg $ t_arg $ b_arg $ s_arg $ domains_arg
-      $ procs_arg $ load_inflight_arg $ ops_per_proc_arg $ transport_arg
-      $ keys_arg $ zipf_arg $ write_ratio_arg $ coalesce_arg $ seed_arg
-      $ client_opts_args $ metrics_arg $ artifacts_arg)
-  in
-  Cmd.v
-    (Cmd.info "load"
-       ~doc:
-         "Saturate a sharded poll server group: host all S objects across \
-          --domains worker domains in this process, fork --procs client \
-          processes each driving a pipelined client with a disjoint \
-          reader-id range, then merge every registry (per-object server \
-          metrics + per-process JSONL exports) into one ops/s and wire.* \
-          report.  Exits nonzero on any worker failure or domain-partition \
-          violation.")
+          spans/metrics.  Exits 1 on any violation, failed op, unrecorded \
+          op or domain-partition violation.")
     term
 
 (* ----- main ------------------------------------------------------------------ *)
@@ -1624,8 +1347,6 @@ let () =
         serve_cmd;
         client_cmd;
         cluster_cmd;
-        load_cmd;
-        load_worker_cmd;
       ]
   in
   exit (Cmd.eval main)

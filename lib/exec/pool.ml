@@ -71,3 +71,33 @@ let init ?jobs ?chunk n f =
 let map ?jobs ?chunk f xs =
   let a = Array.of_list xs in
   Array.to_list (init ?jobs ?chunk (Array.length a) (fun i -> f a.(i)))
+
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+let timed k f =
+  if k < 1 then invalid_arg "Pool.timed: k < 1";
+  (* Every client checks in once its untimed part has returned (or
+     raised), so no client waits on one that failed. *)
+  let ready = Atomic.make 0 in
+  let body c () =
+    let run =
+      Fun.protect ~finally:(fun () -> Atomic.incr ready) (fun () -> f c)
+    in
+    while Atomic.get ready < k do
+      Domain.cpu_relax ()
+    done;
+    let t0 = now_s () in
+    let r = run () in
+    (now_s () -. t0, r)
+  in
+  let catch g =
+    match g () with
+    | v -> Ok v
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
+  in
+  let others = Array.init (k - 1) (fun c -> Domain.spawn (body (c + 1))) in
+  let first = catch (body 0) in
+  let rest = Array.map (fun d -> catch (fun () -> Domain.join d)) others in
+  Array.map
+    (function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+    (Array.append [| first |] rest)

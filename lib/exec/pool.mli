@@ -37,3 +37,16 @@ val init : ?jobs:int -> ?chunk:int -> int -> (int -> 'a) -> 'a array
 val map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] = [List.map f xs], fanned across domains; result order
     is the input order regardless of [jobs]. *)
+
+val timed : int -> (int -> unit -> 'a) -> (float * 'a) array
+(** [timed k f] runs [k] clients at once, client [c] on a domain of its
+    own: client 0 on the calling domain and [1..k-1] on spawned ones, so
+    [k = 1] runs serially with no domain spawned, as [init ~jobs:1]
+    does.  Each client first evaluates [f c] (untimed: it draws the
+    client's work and returns the body to time); once every client has,
+    all start their bodies off one barrier.  Client [c]'s result, in
+    index order, comes with its body's seconds on the monotonic clock;
+    the pass's wall-clock is the slowest client's.  If a client raises,
+    the others still finish and are joined before the exception of the
+    smallest such index is re-raised.
+    @raise Invalid_argument if [k < 1]. *)

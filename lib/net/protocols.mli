@@ -31,9 +31,10 @@ val regular_gc : readers:int -> t
     wire: readers send [Read1/Read2 { from_ts }] with their cached
     timestamp, objects answer with the history {e suffix} past it and
     garbage-collect entries below every reader's floor.  [readers] sizes
-    the server-side floor set: pass the real reader count so pruning can
-    engage (it only starts once every floor is known; unknown readers
-    keep it conservative, never unsafe).  A read that decides on
+    the server-side floor set, and pruning starts once that many readers
+    have shown a floor: pass the real reader count.  A larger count only
+    keeps pruning off; a smaller one lets objects drop entries a reader
+    they have not yet heard from may still need.  A read that decides on
     round-1 evidence sends no [Read2].  At [S >= 2t+2b+1] every read
     does, despite [b] lies; below it a read does unless a lie or an
     overlapping write blocks the decision, and then runs round 2
@@ -48,6 +49,8 @@ val all : t list
 
 val of_string : string -> t option
 (** Lookup by {!name}.  ["regular-gc"] resolves to
-    [regular_gc ~readers:2] — fine for serving (floor pruning merely
-    stays conservative if more readers appear); the cluster CLI rebuilds
-    the pack with the real reader count. *)
+    [regular_gc ~readers:2], so [robustread serve -p regular-gc] hosts
+    objects sized for two readers: they prune once any two readers have
+    shown a floor, so a third reader may need entries already dropped.
+    The cluster CLI builds [regular_gc] with its real reader count
+    instead. *)

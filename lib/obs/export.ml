@@ -337,14 +337,6 @@ let metrics_jsonl ?(labels = []) m =
         ])
     (Metrics.counters m);
   List.iter
-    (fun (name, v) ->
-      line
-        [
-          ("metric", Json.Str name); ("type", Json.Str "gauge");
-          ("value", Json.Float v);
-        ])
-    (Metrics.gauges m);
-  List.iter
     (fun (name, h) ->
       line
         [
@@ -354,11 +346,11 @@ let metrics_jsonl ?(labels = []) m =
     (Metrics.histograms m);
   Buffer.contents buf
 
-(* Inverse of {!metrics_jsonl}: fold every metric line into a registry.
-   This is what lets a multi-process load driver merge per-process
-   op.*/wire.* registries — counters add, gauges keep the max, and
-   histograms rebuild from their buckets and merge. *)
-let metrics_of_jsonl ?(into = Metrics.create ()) text =
+(* Inverse of {!metrics_jsonl}: fold every metric line into a fresh
+   registry, which is how a registry crosses a process boundary —
+   counters add, and histograms rebuild from their buckets and merge. *)
+let metrics_of_jsonl text =
+  let into = Metrics.create () in
   let float_field = function
     | Json.Int i -> Some (float_of_int i)
     | Json.Float f -> Some f
@@ -421,12 +413,6 @@ let metrics_of_jsonl ?(into = Metrics.create ()) text =
             | "counter", Some (Json.Int v), _ ->
                 Metrics.add into name v;
                 Ok ()
-            | "gauge", Some v, _ -> (
-                match float_field v with
-                | Some v ->
-                    Metrics.max_gauge into name v;
-                    Ok ()
-                | None -> line_error lineno "gauge without numeric value")
             | "histogram", _, Some data -> (
                 match histogram_of_data data with
                 | Ok h ->

@@ -41,18 +41,14 @@ val spans_jsonl : Span.t list -> string
 val histogram_json : Metrics.Histogram.t -> Json.t
 
 val metrics_jsonl : ?labels:(string * string) list -> Metrics.t -> string
-(** One line per metric, counters then gauges then histograms, each
-    group sorted by name; [labels] are prepended to every line. *)
+(** One line per metric, counters then histograms, each group sorted by
+    name; [labels] are prepended to every line. *)
 
-val metrics_of_jsonl :
-  ?into:Metrics.t -> string -> (Metrics.t, string) result
-(** Inverse of {!metrics_jsonl}: fold every line into [into] (a fresh
-    registry by default) — counters add, gauges keep the max,
-    histograms rebuild from their buckets and merge.  Labels and
-    unknown fields are ignored; blank lines are skipped.  Feeding
-    several exports into one [into] registry is exactly
-    {!Metrics.merge_into} across processes.  Errors name the first
-    offending line. *)
+val metrics_of_jsonl : string -> (Metrics.t, string) result
+(** Inverse of {!metrics_jsonl}: a fresh registry holding every line —
+    counters add, histograms rebuild from their buckets and merge.
+    Labels and unknown fields are ignored; blank lines are skipped.
+    Errors name the first offending line. *)
 
 val read_file : string -> string
 (** The whole file as a string (binary mode). *)

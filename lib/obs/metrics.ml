@@ -166,16 +166,11 @@ let bytes_bounds =
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
   histograms : (string, Histogram.t) Hashtbl.t;
 }
 
 let create () =
-  {
-    counters = Hashtbl.create 16;
-    gauges = Hashtbl.create 8;
-    histograms = Hashtbl.create 16;
-  }
+  { counters = Hashtbl.create 16; histograms = Hashtbl.create 16 }
 
 let add t name n =
   match Hashtbl.find_opt t.counters name with
@@ -204,19 +199,6 @@ let counter_add (r : counter) n = r := !r + n
 let counter_value t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
-let set_gauge t name v =
-  match Hashtbl.find_opt t.gauges name with
-  | Some r -> r := v
-  | None -> Hashtbl.replace t.gauges name (ref v)
-
-let max_gauge t name v =
-  match Hashtbl.find_opt t.gauges name with
-  | Some r -> if v > !r then r := v
-  | None -> Hashtbl.replace t.gauges name (ref v)
-
-let gauge_value t name =
-  Option.map (fun r -> !r) (Hashtbl.find_opt t.gauges name)
-
 let histogram t name ~bounds =
   match Hashtbl.find_opt t.histograms name with
   | Some h -> h
@@ -237,8 +219,6 @@ let sorted_bindings tbl value =
 
 let counters t = sorted_bindings t.counters ( ! )
 
-let gauges t = sorted_bindings t.gauges ( ! )
-
 let histograms t = sorted_bindings t.histograms Fun.id
 
 let add_histogram t name h =
@@ -252,7 +232,6 @@ let add_histogram t name h =
 
 let merge_into ~dst src =
   List.iter (fun (name, v) -> add dst name v) (counters src);
-  List.iter (fun (name, v) -> max_gauge dst name v) (gauges src);
   List.iter (fun (name, h) -> add_histogram dst name h) (histograms src)
 
 let table t =
@@ -265,11 +244,6 @@ let table t =
       Stats.Table.add_row tbl
         [ name; "counter"; ""; string_of_int v; ""; ""; ""; "" ])
     (counters t);
-  List.iter
-    (fun (name, v) ->
-      Stats.Table.add_row tbl
-        [ name; "gauge"; ""; Printf.sprintf "%g" v; ""; ""; ""; "" ])
-    (gauges t);
   List.iter
     (fun (name, h) ->
       let f fmt x = Printf.sprintf fmt x in

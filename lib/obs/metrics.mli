@@ -1,5 +1,4 @@
-(** Metrics registry: counters, gauges, and mergeable fixed-bucket
-    histograms.
+(** Metrics registry: counters and mergeable fixed-bucket histograms.
 
     The registry is the accumulation point for everything the
     observability layer measures — read/write round counts per protocol,
@@ -140,13 +139,6 @@ val counter_incr : counter -> unit
 
 val counter_add : counter -> int -> unit
 
-val set_gauge : t -> string -> float -> unit
-
-val max_gauge : t -> string -> float -> unit
-(** Keep the maximum of all reported values. *)
-
-val gauge_value : t -> string -> float option
-
 val histogram : t -> string -> bounds:float array -> Histogram.t
 (** Get-or-create; the bounds only apply on creation. *)
 
@@ -162,15 +154,13 @@ val add_histogram : t -> string -> Histogram.t -> unit
     @raise Invalid_argument if an existing histogram's bounds differ. *)
 
 val counters : t -> (string * int) list
-(** Sorted by name, as are {!gauges} and {!histograms}. *)
-
-val gauges : t -> (string * float) list
+(** Sorted by name, as are {!histograms}. *)
 
 val histograms : t -> (string * Histogram.t) list
 
 val merge_into : dst:t -> t -> unit
-(** Fold [src] into [dst]: counters add, gauges keep the max, histograms
-    merge.  [src] is left untouched. *)
+(** Fold [src] into [dst]: counters add, histograms merge.  [src] is
+    left untouched. *)
 
 val table : t -> Stats.Table.t
 (** One row per metric, sorted by name. *)

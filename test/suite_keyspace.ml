@@ -232,6 +232,100 @@ let ok_exn what = function
   | Ok o -> o
   | Error e -> Alcotest.failf "%s failed: %s" what e
 
+(* The shape of [robustread cluster --clients 3 --keys 32]: three
+   engines of two lanes on one keyspace cluster, each on a domain of its
+   own through the lib runner, write ownership split by
+   [Shard.Map.mix key mod 3], and object 2 crashed by whichever client
+   sees the run's halfway response.  Every op completes and is recorded,
+   the engines' reader ids never overlap, and every key is safe. *)
+let keyed_clients_through_runner () =
+  let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:0 in
+  let clients = 3 and per_client = 150 and keys = 32 in
+  let map = Shard.Map.make_exn ~keys ~fleet:4 ~cfg () in
+  let c =
+    Net.Cluster.start ~domains:2 ~map ~protocol:Net.Protocols.safe ~cfg ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let engines =
+        Array.init clients (fun _ -> Net.Cluster.engine ~lanes:2 c)
+      in
+      let ops =
+        Array.init clients (fun k ->
+            let gen =
+              Workload.Keyspace.make_exn ~skew:0.99 ~write_ratio:0.1
+                ~write_filter:(fun key -> Shard.Map.mix key mod clients = k)
+                ~keys ~seed:(5 + k) ()
+            in
+            Array.map
+              (function
+                | Workload.Keyspace.Read { key } ->
+                    Net.Client.Keyed.Read { key }
+                | Workload.Keyspace.Write { key; value } ->
+                    Net.Client.Keyed.Write { key; value })
+              (Workload.Keyspace.ops gen per_client))
+      in
+      let half = clients * per_client / 2 in
+      let responses = Atomic.make 0 and crashes = Atomic.make 0 in
+      (* each engine's lanes, seen from its own domain only *)
+      let lanes = Array.make clients [] in
+      let on_event k = function
+        | Net.Client.Keyed.Invoke { reader; _ } ->
+            if reader > 0 && not (List.mem reader lanes.(k)) then
+              lanes.(k) <- reader :: lanes.(k)
+        | Net.Client.Keyed.Respond _ ->
+            if 1 + Atomic.fetch_and_add responses 1 = half then begin
+              Atomic.incr crashes;
+              Net.Cluster.crash c 2
+            end
+      in
+      let passes =
+        Exec.Pool.timed clients (fun k () ->
+            Net.Cluster.run ~on_event:(on_event k) engines.(k) ops.(k))
+      in
+      Net.Cluster.restart_exn c 2;
+      Alcotest.(check int) "object 2 crashed once" 1 (Atomic.get crashes);
+      let completed = ref 0 in
+      Array.iteri
+        (fun k (_, results) ->
+          Array.iteri
+            (fun i r ->
+              ignore (ok_exn (Printf.sprintf "client %d op %d" k i) r);
+              incr completed)
+            results)
+        passes;
+      Array.iteri
+        (fun a la ->
+          Alcotest.(check bool)
+            (Printf.sprintf "engine %d read through its lanes" a)
+            true (la <> []);
+          Array.iteri
+            (fun b lb ->
+              if a < b then
+                Alcotest.(check bool)
+                  (Printf.sprintf "engines %d and %d share no reader id" a b)
+                  true
+                  (List.for_all (fun r -> not (List.mem r lb)) la))
+            lanes)
+        lanes;
+      let histories = Net.Cluster.keyed_histories c in
+      Alcotest.(check int) "the histories hold every completed op" !completed
+        (List.fold_left
+           (fun n (_, h) ->
+             n + List.length (List.filter Histories.Op.is_complete h))
+           0 histories);
+      let claim = Fault.Campaign.(claim Safe) in
+      List.iter
+        (fun (key, h) ->
+          Alcotest.(check int)
+            (Printf.sprintf "key %d passes the safe claim" key)
+            0
+            (List.length (Fault.Campaign.check claim h)))
+        histories;
+      Alcotest.(check int) "no partition violations" 0
+        (Net.Cluster.partition_violations c))
+
 (* A keyed mix over a real loopback cluster: every op completes, every
    sampled key's history passes the single-register checkers, and no
    base object is ever stepped outside its owning domain. *)
@@ -809,4 +903,6 @@ let suite =
         `Quick slow_member_is_hedged;
       Alcotest.test_case "quorum-sized rounds: a late reply of the previous op"
         `Quick late_reply_of_previous_op_is_no_answer;
+      Alcotest.test_case "keyed cluster: three clients through the runner"
+        `Quick keyed_clients_through_runner;
     ] )

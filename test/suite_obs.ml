@@ -70,7 +70,7 @@ let test_histogram_quantile_edges () =
 
 (* ----- registry units --------------------------------------------------- *)
 
-let test_registry_counters_gauges () =
+let test_registry_counters () =
   let m = Obs.Metrics.create () in
   Alcotest.(check int) "untouched counter" 0 (Obs.Metrics.counter_value m "x");
   Obs.Metrics.incr m "b";
@@ -79,27 +79,16 @@ let test_registry_counters_gauges () =
   Alcotest.(check (list (pair string int)))
     "sorted counters"
     [ ("a", 5); ("b", 2) ]
-    (Obs.Metrics.counters m);
-  Obs.Metrics.max_gauge m "g" 3.0;
-  Obs.Metrics.max_gauge m "g" 1.0;
-  Alcotest.(check (option (float 1e-9))) "max gauge" (Some 3.0)
-    (Obs.Metrics.gauge_value m "g");
-  Obs.Metrics.set_gauge m "g" 0.5;
-  Alcotest.(check (option (float 1e-9))) "set overrides" (Some 0.5)
-    (Obs.Metrics.gauge_value m "g")
+    (Obs.Metrics.counters m)
 
 let test_registry_merge_into () =
   let a = Obs.Metrics.create () and b = Obs.Metrics.create () in
   Obs.Metrics.add a "c" 2;
   Obs.Metrics.add b "c" 3;
-  Obs.Metrics.max_gauge a "g" 1.0;
-  Obs.Metrics.max_gauge b "g" 9.0;
   Obs.Metrics.observe_int a "h" ~bounds:Obs.Metrics.round_bounds 1;
   Obs.Metrics.observe_int b "h" ~bounds:Obs.Metrics.round_bounds 2;
   Obs.Metrics.merge_into ~dst:a b;
   Alcotest.(check int) "counters add" 5 (Obs.Metrics.counter_value a "c");
-  Alcotest.(check (option (float 1e-9))) "gauges max" (Some 9.0)
-    (Obs.Metrics.gauge_value a "g");
   (match Obs.Metrics.find_histogram a "h" with
   | Some h -> Alcotest.(check int) "histograms merge" 2 (H.count h)
   | None -> Alcotest.fail "merged histogram missing");
@@ -268,8 +257,7 @@ let suite =
         test_histogram_merge_mismatch;
       Alcotest.test_case "histogram quantile edges" `Quick
         test_histogram_quantile_edges;
-      Alcotest.test_case "registry counters/gauges" `Quick
-        test_registry_counters_gauges;
+      Alcotest.test_case "registry counters" `Quick test_registry_counters;
       Alcotest.test_case "registry merge_into" `Quick test_registry_merge_into;
       Alcotest.test_case "wire rendering" `Quick test_wire_rendering;
       Alcotest.test_case "span export deterministic" `Quick

@@ -43,6 +43,24 @@ let test_pool_exception () =
         (Exec.Pool.init ~jobs:4 100 (fun i ->
              if i = 37 then failwith "boom 37" else i)))
 
+(* The runner that starts client domains off one barrier: one client
+   runs on the calling domain, as [init ~jobs:1] does; k clients run on
+   k distinct domains, and results come back in client order. *)
+let test_timed_domains () =
+  let id () = (Domain.self () :> int) in
+  let on_domain k =
+    Array.map snd (Exec.Pool.timed k (fun c () -> (c, id ())))
+  in
+  Alcotest.(check (array (pair int int)))
+    "one client runs on the calling domain" [| (0, id ()) |] (on_domain 1);
+  let three = on_domain 3 in
+  Alcotest.(check (array int)) "results in client order" [| 0; 1; 2 |]
+    (Array.map fst three);
+  Alcotest.(check int) "client 0 on the calling domain" (id ()) (snd three.(0));
+  let domains = Array.to_list (Array.map snd three) in
+  Alcotest.(check int) "three distinct domains" 3
+    (List.length (List.sort_uniq compare domains))
+
 (* ----- campaign determinism ---------------------------------------------- *)
 
 (* Every observable byte of a campaign result. *)
@@ -190,4 +208,6 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_merge_associative;
       Alcotest.test_case "cell errors contained, not fatal" `Quick
         test_cell_error_contained;
+      Alcotest.test_case "timed: one client runs on the calling domain"
+        `Quick test_timed_domains;
     ] )

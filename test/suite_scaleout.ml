@@ -15,8 +15,8 @@
    - a stopped group releases every descriptor it opened, a group that
      fails to bind leaves no socket file behind, and a group restarted
      after a full stop serves again;
-   - the metrics JSONL export round-trips (the 'load' driver merges
-     per-process registries through it). *)
+   - the metrics JSONL export round-trips, and two imports merge (a
+     registry leaves a child process through it). *)
 
 let cfg4 = Quorum.Config.make_exn ~s:4 ~t:1 ~b:0
 
@@ -365,13 +365,12 @@ let failed_bind_leaves_no_socket () =
       Alcotest.fail "bound a socket in a missing directory");
   Alcotest.(check bool) "first socket file removed" false (Sys.file_exists first)
 
-(* ----- metrics JSONL round-trip (the 'load' merge path) ------------------ *)
+(* ----- metrics JSONL round-trip (how a registry leaves its process) ------ *)
 
 let jsonl_roundtrip () =
   let reg = Obs.Metrics.create () in
   Obs.Metrics.add reg "op.read.completed" 400;
   Obs.Metrics.incr reg "op.reconnects";
-  Obs.Metrics.set_gauge reg "net.peak" 17.5;
   Obs.Metrics.observe_int reg "wire.batch_size"
     ~bounds:Obs.Metrics.batch_bounds 3;
   Obs.Metrics.observe_int reg "wire.batch_size"
@@ -387,8 +386,6 @@ let jsonl_roundtrip () =
   Alcotest.(check (list (pair string int)))
     "counters round-trip" (Obs.Metrics.counters reg)
     (Obs.Metrics.counters back);
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "gauges round-trip" (Obs.Metrics.gauges reg) (Obs.Metrics.gauges back);
   List.iter2
     (fun (na, ha) (nb, hb) ->
       Alcotest.(check string) "histogram name" na nb;
@@ -401,28 +398,25 @@ let jsonl_roundtrip () =
         (Obs.Metrics.Histogram.sum hb))
     (Obs.Metrics.histograms reg)
     (Obs.Metrics.histograms back);
-  (* merging two exports into one registry = merge_into across processes *)
+  (* two imports merge as registries do: counters add, histograms merge *)
   let reg2 = Obs.Metrics.create () in
   Obs.Metrics.add reg2 "op.read.completed" 100;
   Obs.Metrics.observe_int reg2 "wire.batch_size"
     ~bounds:Obs.Metrics.batch_bounds 7;
-  let merged =
-    match
-      Obs.Export.metrics_of_jsonl
-        ~into:
-          (match Obs.Export.metrics_of_jsonl text with
-          | Ok m -> m
-          | Error e -> Alcotest.failf "first import failed: %s" e)
-        (Obs.Export.metrics_jsonl reg2)
-    with
+  let import what text =
+    match Obs.Export.metrics_of_jsonl text with
     | Ok m -> m
-    | Error e -> Alcotest.failf "merge import failed: %s" e
+    | Error e -> Alcotest.failf "%s import failed: %s" what e
   in
+  let merged = import "first" text in
+  Obs.Metrics.merge_into ~dst:merged
+    (import "second" (Obs.Export.metrics_jsonl reg2));
   Alcotest.(check int) "counters add across processes" 500
     (Obs.Metrics.counter_value merged "op.read.completed");
-  (match Obs.Metrics.find_histogram merged "wire.batch_size" with
-  | Some h -> Alcotest.(check int) "histograms merge" 3 (Obs.Metrics.Histogram.count h)
-  | None -> Alcotest.fail "merged histogram missing")
+  match Obs.Metrics.find_histogram merged "wire.batch_size" with
+  | Some h ->
+      Alcotest.(check int) "histograms merge" 3 (Obs.Metrics.Histogram.count h)
+  | None -> Alcotest.fail "merged histogram missing"
 
 let suite =
   ( "scaleout",
