@@ -154,13 +154,13 @@ let all_contenders =
    not stretch or shrink. *)
 let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-let getenv_int name default =
+let getenv_int ?(min = 1) name default =
   match Sys.getenv_opt name with
   | Some s -> (
       match int_of_string_opt s with
-      | Some n when n > 0 -> n
+      | Some n when n >= min -> n
       | _ ->
-          Printf.eprintf "%s expects a positive integer (got %S)\n" name s;
+          Printf.eprintf "%s expects an integer >= %d (got %S)\n" name min s;
           exit 2)
   | None -> default
 
@@ -200,6 +200,13 @@ let transport name ~default =
           exit 2)
 
 let transport_name = function `Tcp -> "tcp" | `Unix -> "unix"
+
+(* A histogram's quantile, 0 when it is missing or empty. *)
+let quantile_or_zero h p =
+  match h with
+  | Some h when Obs.Metrics.Histogram.count h > 0 ->
+      Obs.Metrics.Histogram.quantile h p
+  | _ -> 0.
 
 (* [exp] names the experiment in the message. *)
 let ok_exn exp what = function

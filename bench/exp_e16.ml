@@ -32,41 +32,16 @@
      E16_T, E16_B    (1, 1)           resilience budget (S = 2t+b+1)
      E16_OUT         (BENCH_e16.json) output path *)
 
-let getenv_int ?(min = 1) name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= min -> n
-      | _ ->
-          Printf.eprintf "%s expects an integer >= %d (got %S)\n" name min s;
-          exit 2)
-  | None -> default
-
 let intensities () =
-  match Sys.getenv_opt "E16_INTENSITIES" with
-  | None -> [ 0; 2; 4; 8 ]
-  | Some s ->
-      String.split_on_char ',' s
-      |> List.filter (fun x -> String.trim x <> "")
-      |> List.map (fun x ->
-             match int_of_string_opt (String.trim x) with
-             | Some n when n >= 0 -> n
-             | _ ->
-                 Printf.eprintf "E16_INTENSITIES: cannot parse %S\n" s;
-                 exit 2)
-
-let quantile_or_zero h p =
-  match h with
-  | Some h when Obs.Metrics.Histogram.count h > 0 ->
-      Obs.Metrics.Histogram.quantile h p
-  | _ -> 0.
+  Exp_common.getenv_list "E16_INTENSITIES" [ 0; 2; 4; 8 ] (fun x ->
+      match int_of_string_opt x with Some n when n >= 0 -> Some n | _ -> None)
 
 let run () =
-  let plans = getenv_int "E16_PLANS" 4 in
-  let horizon = getenv_int "E16_HORIZON" 800 in
-  let tick_us = getenv_int "E16_TICK_US" 200 in
-  let t = getenv_int "E16_T" 1 in
-  let b = getenv_int ~min:0 "E16_B" 1 in
+  let plans = Exp_common.getenv_int "E16_PLANS" 4 in
+  let horizon = Exp_common.getenv_int "E16_HORIZON" 800 in
+  let tick_us = Exp_common.getenv_int "E16_TICK_US" 200 in
+  let t = Exp_common.getenv_int "E16_T" 1 in
+  let b = Exp_common.getenv_int ~min:0 "E16_B" 1 in
   let out = Option.value (Sys.getenv_opt "E16_OUT") ~default:"BENCH_e16.json" in
   let levels = intensities () in
   let protocol = Fault.Campaign.Safe in
@@ -112,7 +87,9 @@ let run () =
         "  intensity<=%-2d survival=%d/%d  ops=%d/%d  read p50=%.0fus \
          p99=%.0fus  reconnects=%d"
         intensity !survived plans !completed !total
-        (quantile_or_zero reads 50.) (quantile_or_zero reads 99.) reconnects;
+        (Exp_common.quantile_or_zero reads 50.)
+        (Exp_common.quantile_or_zero reads 99.)
+        reconnects;
       Printf.bprintf buf
         "    { \"max_actions\": %d, \"plans\": %d, \"plan_actions\": %d,\n\
         \      \"survived\": %d, \"survival_rate\": %.3f,\n\
@@ -120,8 +97,10 @@ let run () =
         \      \"read_p50_us\": %.0f, \"read_p99_us\": %.0f,\n\
         \      \"write_p99_us\": %.0f, \"reconnects\": %d }%s\n"
         intensity plans !actions !survived rate !completed !total
-        (quantile_or_zero reads 50.) (quantile_or_zero reads 99.)
-        (quantile_or_zero writes 99.) reconnects
+        (Exp_common.quantile_or_zero reads 50.)
+        (Exp_common.quantile_or_zero reads 99.)
+        (Exp_common.quantile_or_zero writes 99.)
+        reconnects
         (if li = List.length levels - 1 then "" else ","))
     levels;
   Printf.bprintf buf "  ]\n}\n";

@@ -42,51 +42,7 @@
      E17_TRANSPORT    (unix)           loopback transport: unix | tcp
      E17_OUT          (BENCH_e17.json) output path *)
 
-let getenv_int ?(min = 1) name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= min -> n
-      | _ ->
-          Printf.eprintf "%s expects an integer >= %d (got %S)\n" name min s;
-          exit 2)
-  | None -> default
-
-let write_levels () =
-  match Sys.getenv_opt "E17_WRITE_LEVELS" with
-  | None -> [ 0; 8; 32 ]
-  | Some s ->
-      String.split_on_char ',' s
-      |> List.filter (fun x -> String.trim x <> "")
-      |> List.map (fun x ->
-             match int_of_string_opt (String.trim x) with
-             | Some n when n >= 0 -> n
-             | _ ->
-                 Printf.eprintf "E17_WRITE_LEVELS: cannot parse %S\n" s;
-                 exit 2)
-
-let transport () =
-  match Sys.getenv_opt "E17_TRANSPORT" with
-  | None -> `Unix
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "tcp" -> `Tcp
-      | "unix" -> `Unix
-      | _ ->
-          Printf.eprintf "E17_TRANSPORT expects tcp or unix (got %S)\n" s;
-          exit 2)
-
-let ok_exn what = function
-  | Ok o -> o
-  | Error e ->
-      Printf.eprintf "E17: %s failed: %s\n" what e;
-      exit 1
-
-let quantile_or_zero h p =
-  match h with
-  | Some h when Obs.Metrics.Histogram.count h > 0 ->
-      Obs.Metrics.Histogram.quantile h p
-  | _ -> 0.
+let ok_exn what r = Exp_common.ok_exn "E17" what r
 
 (* Violations of the property regular-gc claims. *)
 let claimed = Fault.Campaign.(check (claim Regular_gc))
@@ -153,8 +109,8 @@ let run_cell ~transport ~cfg ~reads ~writes =
         !max_rounds,
         Obs.Metrics.counter_value reg "op.fast_reads",
         Obs.Metrics.counter_value reg "op.fallback_rounds",
-        quantile_or_zero lat 50.,
-        quantile_or_zero lat 99.,
+        Exp_common.quantile_or_zero lat 50.,
+        Exp_common.quantile_or_zero lat 99.,
         read2_per_read,
         violations ))
 
@@ -201,13 +157,16 @@ let sim_forger_cell ~cfg ~reads =
     violations )
 
 let run () =
-  let reads = getenv_int "E17_READS" 400 in
-  let t = getenv_int "E17_T" 1 in
-  let b = getenv_int "E17_B" 1 in
+  let reads = Exp_common.getenv_int "E17_READS" 400 in
+  let t = Exp_common.getenv_int "E17_T" 1 in
+  let b = Exp_common.getenv_int "E17_B" 1 in
   let out = Option.value (Sys.getenv_opt "E17_OUT") ~default:"BENCH_e17.json" in
-  let levels = write_levels () in
-  let transport = transport () in
-  let transport_name = match transport with `Tcp -> "tcp" | `Unix -> "unix" in
+  let levels =
+    Exp_common.getenv_list "E17_WRITE_LEVELS" [ 0; 8; 32 ] (fun x ->
+        match int_of_string_opt x with Some n when n >= 0 -> Some n | _ -> None)
+  in
+  let transport = Exp_common.transport "E17_TRANSPORT" ~default:`Unix in
+  let transport_name = Exp_common.transport_name transport in
   let s_slow = (2 * t) + b + 1 in
   let s_fast = (2 * t) + (2 * b) + 1 in
   Exp_common.note

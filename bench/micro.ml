@@ -337,22 +337,22 @@ let bench_codec_decode_history =
 let bench_coalesce_batch =
   Test.make ~name:"coalesce: 63 joins + close + fan-out"
     (Staged.stage (fun () ->
-         let b = Net.Coalesce.create ~cap:64 in
-         while Net.Coalesce.can_join b do
-           Net.Coalesce.join b (Net.Coalesce.width b)
+         let b = Core.Coalesce.create ~cap:64 in
+         while Core.Coalesce.can_join b do
+           Core.Coalesce.join b (Core.Coalesce.width b)
          done;
-         Net.Coalesce.close b;
+         Core.Coalesce.close b;
          let acc = ref 0 in
-         Net.Coalesce.iter_joiners (fun op -> acc := !acc + op) b;
+         Core.Coalesce.iter_joiners (fun op -> acc := !acc + op) b;
          !acc))
 
 let bench_coalesce_join =
   Test.make ~name:"coalesce: join (1 element)"
     (Staged.stage (fun () ->
-         let b = Net.Coalesce.create ~cap:2 in
-         Net.Coalesce.join b 1;
-         Net.Coalesce.close b;
-         Net.Coalesce.width b))
+         let b = Core.Coalesce.create ~cap:2 in
+         Core.Coalesce.join b 1;
+         Core.Coalesce.close b;
+         Core.Coalesce.width b))
 
 (* Bechamel's [Instance.minor_allocated] reads [Gc.quick_stat], whose
    minor-word count OCaml 5 brings up to date only at a minor collection,

@@ -151,6 +151,26 @@ let config ?allow_under_provisioned ~s ~t ~b () =
       Format.eprintf "robustread: invalid configuration: %s@." e;
       exit 2
 
+(* Out-of-range input is a one-line usage error (exit 2), not an
+   uncaught exception or a silent fallback: each pair is a test that
+   fails the input and its message. *)
+let reject_bad_input checks =
+  List.iter
+    (fun (bad, msg) ->
+      if bad then begin
+        Format.eprintf "robustread: %s@." msg;
+        exit 2
+      end)
+    checks
+
+let check_workload ~writes ~readers ~reads =
+  reject_bad_input
+    [
+      (writes < 0, "--writes must be >= 0");
+      (readers < 0, "--readers must be >= 0");
+      (reads < 0, "--reads must be >= 0");
+    ]
+
 (* ----- info ------------------------------------------------------------- *)
 
 let info_cmd =
@@ -312,6 +332,7 @@ let run_cmd =
   in
   let run protocol t b s seed delay attack writes readers reads trace metrics
       artifacts =
+    check_workload ~writes ~readers ~reads;
     let cfg = config ~s ~t ~b () in
     (* artifacts always need the raw trace to link spans to entries *)
     let trace = trace || artifacts <> None in
@@ -354,6 +375,7 @@ let trace_cmd =
              each span's trace_first/trace_len indexes into).")
   in
   let run protocol t b s seed delay attack writes readers reads out raw =
+    check_workload ~writes ~readers ~reads;
     let cfg = config ~s ~t ~b () in
     let (Fault.Campaign.Entry { automata = (module P); strategy; _ }) =
       Fault.Campaign.entry protocol
@@ -478,6 +500,7 @@ let walks_cmd =
       & info [ "walks" ] ~docv:"N" ~doc:"Number of random schedules to sample.")
   in
   let run protocol t b seed walks jobs =
+    reject_bad_input [ (walks < 1, "--walks must be >= 1") ];
     let cfg = config ~s:None ~t ~b () in
     let (Fault.Campaign.Entry { automata = (module P); _ }) =
       Fault.Campaign.entry protocol
@@ -509,7 +532,8 @@ let walks_cmd =
   Cmd.v
     (Cmd.info "walks"
        ~doc:
-         "Monte-Carlo check: sample random delivery schedules of a 2-write,           4-read workload and verify every terminal history.")
+         "Monte-Carlo check: sample random delivery schedules of a 2-write, \
+          4-read workload and verify every terminal history.")
     term
 
 (* ----- chaos ------------------------------------------------------------- *)
@@ -583,6 +607,10 @@ let chaos_cmd =
   in
   let run protocol t b seeds plans budget no_shrink backend tick_us metrics
       artifacts jobs =
+    reject_bad_input
+      [
+        (seeds < 1, "--seeds must be >= 1"); (plans < 1, "--plans must be >= 1");
+      ];
     (* Same validator as run/check; the campaign's own configurations are
        per-protocol, with naive-fast deliberately under-provisioned. *)
     let _ = config ~s:None ~t ~b () in
@@ -953,6 +981,7 @@ let client_cmd =
           ~doc:"Written values are $(docv)1, $(docv)2, ...")
   in
   let run (_, protocol) t b s endpoints role ops value copts metrics artifacts =
+    reject_bad_input [ (ops < 0, "--ops must be >= 0") ];
     let cfg = config ~s ~t ~b () in
     let endpoints = fleet_endpoints cfg endpoints in
     let registry = if metrics then Some (Obs.Metrics.create ()) else None in
@@ -1121,12 +1150,7 @@ let cluster_cmd =
   let run (p, protocol) t b s readers clients writes reads transport crash
       inflight domains keys zipf write_ratio coalesce seed copts metrics
       artifacts =
-    List.iter
-      (fun (bad, msg) ->
-        if bad then begin
-          Format.eprintf "robustread: %s@." msg;
-          exit 2
-        end)
+    reject_bad_input
       [
         (readers < 1, "--readers must be >= 1");
         (clients < 1, "--clients must be >= 1");

@@ -1,6 +1,6 @@
-(** Events emitted by client state machines towards the scenario runtime,
+(** Events emitted by client state machines towards the round driver,
     polymorphic in the protocol's wire message type so that the paper's
-    protocols and the baselines share one driver (see {!Scenario}). *)
+    protocols and the baselines share one driver (see {!Driver}). *)
 
 type 'msg client_event =
   | Broadcast of 'msg  (** send to every base object *)

@@ -1,9 +1,12 @@
-(** The shape every storage protocol exposes to the scenario runtime.
+(** The shape every storage protocol exposes to the runtimes.
 
     A protocol bundles three pure state machines — base object, writer,
-    reader — over its own wire message type.  The runtime ({!Scenario})
-    owns all side effects: it broadcasts the messages the machines
-    return, feeds deliveries back in, and records operations.  The
+    reader — over its own wire message type.  The runtimes own all side
+    effects: the simulator ({!Scenario}) and the socket engine
+    ([Net.Client.Keyed]) each host the round driver ({!Driver}), which
+    sends the messages the machines return and feeds replies back in,
+    and they record operations; objects are stepped by the simulator's
+    processes or by [Net.Server].  The
     paper's safe and regular storages and every baseline implement this
     signature, which is what makes the cross-protocol experiments (E4)
     one table loop instead of per-protocol drivers. *)

@@ -60,12 +60,9 @@ module Make (P : Protocol_intf.S) = struct
     let recorder : string Histories.Recorder.t = Histories.Recorder.create () in
     let outcomes = ref [] in
     let words_to_readers = ref 0 in
-    let collector = Obs.Span.collector () in
+    (* Spans are numbered in invocation order across all processes. *)
+    let spans = ref [] and span_ids = ref 0 in
     let trace_pos () = match tr with Some tr -> Sim.Trace.length tr | None -> 0 in
-
-    let broadcast ~src m =
-      List.iter (fun dst -> Sim.Engine.send eng ~src ~dst m) object_ids
-    in
 
     (* Base objects: honest automata or injected Byzantine behaviours.
        Handlers are built by (re-)installable closures so chaos events can
@@ -110,152 +107,95 @@ module Make (P : Protocol_intf.S) = struct
         | None -> install_honest ~wipe:true id)
       object_ids;
 
-    (* Writer driver: a closed loop around the pure writer machine. *)
-    let writer_sm = ref (P.writer_init ~cfg) in
-    let writer_queue = Queue.create () in
-    let writer_inflight = ref None in
-    let rec writer_try_start () =
-      if Option.is_none !writer_inflight && not (Queue.is_empty writer_queue)
-      then begin
-        let v = Queue.pop writer_queue in
-        match P.writer_start !writer_sm v with
-        | Error e -> invalid_arg ("Scenario: writer_start: " ^ e)
-        | Ok (sm, m) ->
-            writer_sm := sm;
-            let now = Sim.Engine.now eng in
-            let payload = Option.value (Value.payload v) ~default:"" in
-            let handle =
-              Histories.Recorder.invoke_write recorder ~time:now payload
+    (* The clients: one round driver per paper process, on the single
+       register (key 0 on objects 1..S).  Every fresh round goes to all
+       S objects in order and no round has a deadline, so each round is
+       a broadcast, and the simulator's channels deliver it. *)
+    let map = Shard.Map.single cfg in
+    let client id ~reader ~readers =
+      let host =
+        {
+          Driver.send =
+            (fun ~slot ~key:_ ~sender:_ m ->
+              Sim.Engine.send eng ~src:id ~dst:(Sim.Proc_id.Obj (slot + 1)) m);
+          connected = (fun _ -> true);
+          unanswered = (fun _ -> 0);
+          answers = (fun ~request:_ _ -> true);
+          start_span =
+            (fun kind ~proc ~now ->
+              let s =
+                Obs.Span.create ~id:!span_ids kind ~proc ~now
+                  ~trace_pos:(trace_pos ())
+              in
+              incr span_ids;
+              spans := s :: !spans;
+              s);
+          trace_pos;
+        }
+      in
+      let d =
+        Driver.create (module P) ~host ~map ~fanout:cfg.Quorum.Config.s ~reader
+          ~readers
+      in
+      (* One operation at a time: [pending] is the open one's history
+         handle, schedule entry and invocation time. *)
+      let pending = ref None in
+      Driver.load d [||] ~on_event:(function
+        | Driver.Invoke { op; reader; at_us; _ } ->
+            let handle, op =
+              match Driver.op d op with
+              | Driver.Write { value; _ } ->
+                  ( Histories.Recorder.invoke_write recorder ~time:at_us
+                      (Option.value (Value.payload value) ~default:""),
+                    Schedule.Write value )
+              | Driver.Read _ ->
+                  ( Histories.Recorder.invoke_read recorder ~time:at_us ~reader,
+                    Schedule.Read { reader } )
             in
-            let span =
-              Obs.Span.start collector Obs.Span.Write ~proc:"w" ~now
-                ~trace_pos:(trace_pos ())
-            in
-            writer_inflight := Some (v, handle, now, span);
-            broadcast ~src:Sim.Proc_id.Writer m
-      end
-    and writer_apply_events events =
-      List.iter
-        (function
-          | Events.Broadcast m ->
-              (* a broadcast while a write is open starts its next round *)
-              Option.iter
-                (fun (_, _, _, span) ->
-                  Obs.Span.transition span ~now:(Sim.Engine.now eng))
-                !writer_inflight;
-              broadcast ~src:Sim.Proc_id.Writer m
-          | Events.Write_done { rounds } -> (
-              match !writer_inflight with
-              | None -> ()
-              | Some (v, handle, invoked_at, span) ->
-                  let now = Sim.Engine.now eng in
-                  Histories.Recorder.respond_write recorder handle ~time:now;
-                  Obs.Span.finish span ~now ~rounds ~trace_pos:(trace_pos ()) ();
-                  outcomes :=
-                    {
-                      op = Schedule.Write v;
-                      invoked_at;
-                      completed_at = now;
-                      rounds;
-                      result = None;
-                    }
-                    :: !outcomes;
-                  writer_inflight := None;
-                  writer_try_start ())
-          | Events.Read_done _ -> ())
-        events
-    in
-    Sim.Engine.register eng Sim.Proc_id.Writer (fun env ->
-        match env.Sim.Engine.src with
-        | Sim.Proc_id.Obj i ->
-            Option.iter
-              (fun (_, _, _, span) -> Obs.Span.contact span ~obj:i)
-              !writer_inflight;
-            let sm, events =
-              P.writer_on_msg !writer_sm ~obj:i env.Sim.Engine.msg
-            in
-            writer_sm := sm;
-            writer_apply_events events
-        | Sim.Proc_id.Writer | Sim.Proc_id.Reader _ -> ());
-
-    (* Reader drivers, one closed loop per reader index in the schedule. *)
-    let reader_indices = Schedule.reader_indices schedule in
-    let reader_starters = Hashtbl.create 8 in
-    List.iter
-      (fun j ->
-        let id = Sim.Proc_id.Reader j in
-        let sm = ref (P.reader_init ~cfg ~j) in
-        let queue = ref 0 in
-        let inflight = ref None in
-        let rec try_start () =
-          if Option.is_none !inflight && !queue > 0 then begin
-            decr queue;
-            match P.reader_start !sm with
-            | Error e -> invalid_arg ("Scenario: reader_start: " ^ e)
-            | Ok (sm', m) ->
-                sm := sm';
-                let now = Sim.Engine.now eng in
-                let handle =
-                  Histories.Recorder.invoke_read recorder ~time:now ~reader:j
-                in
-                let span =
-                  Obs.Span.start collector
-                    (Obs.Span.Read { reader = j })
-                    ~proc:(Sim.Proc_id.to_string id) ~now
-                    ~trace_pos:(trace_pos ())
-                in
-                inflight := Some (handle, now, span);
-                broadcast ~src:id m
-          end
-        and apply_events events =
-          List.iter
-            (function
-              | Events.Broadcast m ->
-                  Option.iter
-                    (fun (_, _, span) ->
-                      Obs.Span.transition span ~now:(Sim.Engine.now eng))
-                    !inflight;
-                  broadcast ~src:id m
-              | Events.Read_done { value; rounds } -> (
-                  match !inflight with
-                  | None -> ()
-                  | Some (handle, invoked_at, span) ->
-                      let now = Sim.Engine.now eng in
-                      Histories.Recorder.respond_read recorder handle ~time:now
-                        (value_to_result value);
-                      Obs.Span.finish span ~now ~rounds
-                        ~result:(Value.to_string value)
-                        ~trace_pos:(trace_pos ()) ();
-                      outcomes :=
-                        {
-                          op = Schedule.Read { reader = j };
-                          invoked_at;
-                          completed_at = now;
-                          rounds;
-                          result = Some value;
-                        }
-                        :: !outcomes;
-                      inflight := None;
-                      try_start ())
-              | Events.Write_done _ -> ())
-            events
-        in
-        Hashtbl.replace reader_starters j (fun () ->
-            incr queue;
-            try_start ());
-        Sim.Engine.register eng id (fun env ->
-            match env.Sim.Engine.src with
-            | Sim.Proc_id.Obj i ->
+            pending := Some (handle, op, at_us)
+        | Driver.Respond { write; outcome = Error e; _ } ->
+            invalid_arg
+              (Printf.sprintf "Scenario: %s_start: %s"
+                 (if write then "writer" else "reader")
+                 e)
+        | Driver.Respond { at_us; outcome = Ok o; _ } ->
+            let handle, op, invoked_at = Option.get !pending in
+            (match o.value with
+            | None ->
+                Histories.Recorder.respond_write recorder handle ~time:at_us
+            | Some v ->
+                Histories.Recorder.respond_read recorder handle ~time:at_us
+                  (value_to_result v));
+            outcomes :=
+              {
+                op;
+                invoked_at;
+                completed_at = at_us;
+                rounds = o.rounds;
+                result = o.value;
+              }
+              :: !outcomes);
+      let lane = if readers = 0 then Driver.writer else 0 in
+      Sim.Engine.register eng id (fun env ->
+          match env.Sim.Engine.src with
+          | Sim.Proc_id.Obj i ->
+              if readers > 0 then
                 words_to_readers :=
                   !words_to_readers + P.msg_size_words env.Sim.Engine.msg;
-                Option.iter
-                  (fun (_, _, span) -> Obs.Span.contact span ~obj:i)
-                  !inflight;
-                let sm', events = P.reader_on_msg !sm ~obj:i env.Sim.Engine.msg in
-                sm := sm';
-                apply_events events
-            | Sim.Proc_id.Writer | Sim.Proc_id.Reader _ -> ()))
-      reader_indices;
+              let now = Sim.Engine.now eng in
+              Driver.deliver d ~now ~slot:(i - 1) ~key:0 ~lane
+                env.Sim.Engine.msg;
+              Driver.pump d ~now
+          | Sim.Proc_id.Writer | Sim.Proc_id.Reader _ -> ());
+      d
+    in
+    let writer = client Sim.Proc_id.Writer ~reader:0 ~readers:0 in
+    let readers = Hashtbl.create 8 in
+    List.iter
+      (fun j ->
+        Hashtbl.replace readers j
+          (client (Sim.Proc_id.Reader j) ~reader:j ~readers:1))
+      (Schedule.reader_indices schedule);
 
     (* Fault plan. *)
     List.iter
@@ -298,15 +238,19 @@ module Make (P : Protocol_intf.S) = struct
     List.iter
       (fun (time, op) ->
         Sim.Engine.at eng ~time (fun () ->
-            match op with
-            | Schedule.Write v ->
-                Queue.push v writer_queue;
-                writer_try_start ()
-            | Schedule.Read { reader } -> (Hashtbl.find reader_starters reader) ()))
+            let d, kop =
+              match op with
+              | Schedule.Write value ->
+                  (writer, Driver.Write { key = 0; value })
+              | Schedule.Read { reader } ->
+                  (Hashtbl.find readers reader, Driver.Read { key = 0 })
+            in
+            Driver.submit d kop;
+            Driver.pump d ~now:(Sim.Engine.now eng)))
       schedule;
 
     let events_processed = Sim.Engine.run ~max_events eng in
-    let spans = Obs.Span.spans collector in
+    let spans = List.rev !spans in
     (* Per-operation metrics derived from the spans, so every consumer
        (CLI tables, campaign cells, bench) aggregates the same way. *)
     Option.iter

@@ -1,11 +1,12 @@
 (** End-to-end simulated runs of a storage protocol.
 
     [Make (P)] drives [P]'s pure state machines over the discrete-event
-    engine: it spawns the base objects (honest or Byzantine), serializes
-    each client's operations (one outstanding operation per client, §2.2),
-    records the resulting history for the {!Histories} checkers, and
-    accumulates the per-operation metrics (latency, rounds, reply bytes)
-    the experiments tabulate. *)
+    engine: it spawns the base objects (honest or Byzantine), runs each
+    client process on a round driver of its own ({!Driver}: one
+    outstanding operation per client, §2.2, each round a broadcast to
+    objects 1..S), records the resulting history for the {!Histories}
+    checkers, and accumulates the per-operation metrics (latency,
+    rounds, reply bytes) the experiments tabulate. *)
 
 module Make (P : Protocol_intf.S) : sig
   type fault_plan = {

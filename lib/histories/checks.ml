@@ -206,8 +206,6 @@ let check_wait_freedom ~quiescent ops =
             })
       ops
 
-let is_wait_free ~quiescent ops = check_wait_freedom ~quiescent ops = []
-
 let is_safe ~equal ops = check_safety ~equal ops = []
 
 let is_regular ~equal ops = check_regularity ~equal ops = []

@@ -40,8 +40,6 @@ val check_wait_freedom : quiescent:bool -> 'v Op.t list -> 'v violation list
     ended by exhausting events (not by an event or time budget); with
     [quiescent = false] the checker abstains and returns []. *)
 
-val is_wait_free : quiescent:bool -> 'v Op.t list -> bool
-
 val is_safe : equal:('v -> 'v -> bool) -> 'v Op.t list -> bool
 
 val is_regular : equal:('v -> 'v -> bool) -> 'v Op.t list -> bool

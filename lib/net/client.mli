@@ -12,37 +12,33 @@
     register is key 0 of {!Shard.Map.single}.  {!Cluster} hands out
     engines on a loopback cluster and records what they run.
 
-    The transport adds what the simulator never needed:
+    The round logic is {!Core.Driver}'s, the same driver the simulator
+    steps ({!Core.Scenario}); [Keyed] is its socket host: dial, [Hello],
+    cache resync, decode, flush and one [select] loop.  The wire uses
+    what the simulator never needs:
 
     - {b per-round deadlines} — if a round does not complete within
       [deadline], the round's message is retransmitted (the state
       machines already ignore duplicate replies) with exponential
-      backoff, up to [retries] attempts.  Deadlines, backoff and
-      reconnect pacing run on the monotonic clock, so a wall-clock step
-      moves none of them;
+      backoff, up to [retries] attempts.  Deadlines and backoff run on
+      the engine's microsecond clock ([now_us]) and reconnect pacing on
+      the monotonic clock, so a wall-clock step moves none of them;
     - {b endpoint failure} — an endpoint that refuses connections,
       resets, or times out is marked down and retried later; operations
       proceed on the survivors, so a crashed or Byzantine-silent
       minority never blocks progress (wait-freedom, paper §2.2);
     - {b observability} — every operation opens an {!Obs.Span}
-      (microsecond timestamps, round transitions, contacted objects),
-      handed to the caller in its [Respond] event, and, with [metrics],
-      populates the same [op.*] / [wire.*] metric
-      families as the simulator, so live runs export through the
-      existing JSONL exporters unchanged.  Completed reads additionally
-      bump [op.fast_reads] (reported rounds <= 1: the §5.1 one-round
-      fast path) or [op.fallback_rounds] (>= 2 rounds), so traces
-      distinguish the paths without parsing spans;
-    - {b cache resync} — re-establishing a connection that was up before
-      means the server behind it may have restarted, possibly wiped.
-      The client then passes every reader machine through
-      {!Core.Protocol_intf.S.reader_on_reconnect} (counted as
-      [op.cache_resyncs]): regular-gc clears its §5.1 timestamp cache so
-      the next read requests the full history instead of trusting a
-      suffix the wiped object can no longer serve; stateless protocols
-      are untouched. *)
+      (microsecond timestamps), handed to the caller in its [Respond]
+      event, and, with [metrics], populates the same [op.*] / [wire.*]
+      metric families as the simulator, plus [op.fast_reads] (reported
+      rounds <= 1, the §5.1 fast path) or [op.fallback_rounds];
+    - {b cache resync} — a re-established connection may front a
+      restarted, possibly wiped server, so every reader machine resyncs
+      ({!Core.Driver.reconnected}, counted as [op.cache_resyncs]):
+      regular-gc clears its §5.1 timestamp cache so the next read asks
+      for the full history, not a suffix the wiped object lost. *)
 
-type opts = {
+type opts = Core.Driver.timing = {
   deadline : float;  (** seconds a round may wait before a retransmit *)
   retries : int;  (** retransmit rounds before the operation fails *)
   backoff : float;
@@ -53,7 +49,7 @@ type opts = {
 val default_opts : opts
 (** 1s deadline, 5 retries, 50ms backoff. *)
 
-type outcome = {
+type outcome = Core.Driver.outcome = {
   value : Core.Value.t option;  (** [Some] for reads *)
   rounds : int;  (** rounds the protocol reported at completion *)
   retransmits : int;  (** deadline-triggered retransmissions *)
@@ -68,93 +64,25 @@ type outcome = {
     and replies demultiplex by the echoed (key, sender) pair.  Outbound
     frames are coalesced per connection flush ({!Codec.Out}), which is
     invisible to peers because frames are length-prefixed and
-    self-delimiting.
-
-    Rounds are quorum-sized (DESIGN §17).  A fresh round's message goes
-    to the [S−t] connected members chosen by {!Keyed.pick}, since the
-    automata wait for [S−t] replies anyway.  The round then sends the
-    same message to the members it skipped when one of three things
-    happens, each counted under its own name:
-    - [op.expand.lost]: a contacted member that had not answered drops
-      its connection;
-    - [op.expand.undecided]: every contacted member has answered the
-      message and the automaton has neither decided nor started a new
-      round;
-    - [op.expand.hedge]: all contacted members but one have answered,
-      and the last one has taken as long again as the round had taken
-      until then.
-    Deadline retransmits and resumed rounds still go to every member.
-    Per-key automata are lazily materialized, so each key keeps its own
-    fast-read timestamp cache and GC floor — keys are as independent
-    over the wire as separate registers, which is what makes per-shard
-    correctness the paper's single-register argument verbatim.
-
-    Each key has one writer and [readers] reader lanes: lane [i] is a
-    reader automaton with reader id [reader + i].  An automaton runs one
-    operation at a time (its round timestamps are per-op), so per key at
-    most one write and [readers] reads are in flight; excess operations
-    queue FIFO per key, so each key's writes stay program-ordered and
-    its reads start in program order, while distinct keys overlap up to
-    [max_inflight].  A read and a write on the {e same} key may overlap:
-    they are different automata — exactly the paper's concurrent
-    reader/writer.
+    self-delimiting.  Rounds, lanes, queues, coalescing and parking are
+    {!Core.Driver}'s, run at fan-out [S−t]; its operations, events and
+    {!Keyed.pick} are {!Core.Driver_ops}, re-exported here; an engine
+    numbers its spans ([id]) from 0 in start order.  Per-key
+    automata are lazily materialized, so keys are as independent over
+    the wire as separate registers, which makes per-shard correctness
+    the paper's single-register argument verbatim.  A read and a write
+    on the {e same} key may overlap: they are different automata —
+    exactly the paper's concurrent reader/writer.
 
     The registers are SWMR; partitioning write ownership across
     processes (at most one writer per key, ever) is the caller's job —
-    the load driver does it with {!Shard.Map.mix}. *)
+    [cluster --clients] and [Exp_common.keyspace_cell] split it by
+    {!Shard.Map.mix}. *)
 
 module Keyed : sig
-  type kop = Read of { key : int } | Write of { key : int; value : Core.Value.t }
-
-  val op_key : kop -> int
-
-  val op_is_write : kop -> bool
-
-  val pick :
-    members:int array ->
-    connected:(int -> bool) ->
-    unanswered:(int -> int) ->
-    q:int ->
-    bool array
-  (** [pick ~members ~connected ~unanswered ~q] chooses who gets a fresh
-      round: element [rank] of the result is [true] iff fleet slot
-      [members.(rank)] is chosen.  It chooses the [q] connected members
-      with the fewest [unanswered] frames (frames sent to the slot since
-      it last replied), breaking ties toward the lower slot, or every
-      connected member if fewer than [q] are connected. *)
-
-  type event =
-    | Invoke of {
-        op : int;
-        key : int;
-        write : bool;
-        reader : int;
-        joined : bool;
-        at_us : int;
-      }
-        (** [reader] is the id of the lane that runs the read (0 for a
-            write); [joined] means the read coalesced onto the round
-            that lane was assembling instead of running its own; writes
-            never coalesce. *)
-    | Respond of {
-        op : int;
-        key : int;
-        write : bool;
-        reader : int;
-        joined : bool;
-        at_us : int;
-        outcome : (outcome, string) result;
-        span : Obs.Span.t option;
-      }
-        (** [span] is the span the op started, open if the op failed.
-            The engine keeps no span once it is handed out here, so a
-            caller that wants spans collects them from these events.  An
-            op that resumed a parked round, or adopted a parked round's
-            result, carries [None]: that round's span went out with the
-            [Respond] of the op that started it, and the engine may still
-            complete it afterwards.  Every span an engine starts is
-            handed out exactly once; spans are numbered ([id]) in start
-            order from 0 per engine. *)
+  include module type of struct
+    include Core.Driver_ops
+  end
 
   type t
 
@@ -183,21 +111,17 @@ module Keyed : sig
       carries: a server's {!Chaos} rules attribute the [Hello] and its
       [Hello_ack] to it; the writer's engine passes ["w"].
       [max_inflight] (default 16) caps concurrently progressing
-      operations across all keys.
+      operations across all keys.  [now_us] (default: microseconds since
+      [connect] on the monotonic clock) stamps every event and span and
+      times every round's deadline and hedge, so it must be monotonic.
 
       [coalesce] (default 1 = off, clamped to at least 1) caps how many
-      same-key reads may share one quorum round.  A read admitted while
-      a fresh read round of its key is still being assembled (broadcast
-      buffered, not yet flushed) joins that round and adopts its result;
-      reads already queued behind the key piggyback onto each fresh
-      round the same way.  Join-before-broadcast preserves regularity —
-      all the round's evidence postdates every member's invocation
-      (DESIGN §16) — and per-key program order is kept because a read
-      only joins when nothing is queued ahead of it.  Joined reads do
-      not count against [max_inflight]; each completes as a logical op
-      of its own (span, per-op and per-shard metrics,
-      [op.coalesced_reads] counter, [op.coalesce_width] histogram).
-      Rounds resumed from a timed-out park never accept joiners.
+      same-key reads may share one quorum round: a read admitted while
+      a read round of its key is still being assembled (sent, not yet
+      flushed) joins it and adopts its result (DESIGN §16).  Joined
+      reads do not count against [max_inflight]; each completes as a
+      logical op of its own ([op.coalesced_reads],
+      [op.coalesce_width]).
       @raise Invalid_argument if [endpoints] does not match the map's
       fleet, [reader < 1] or [readers < 1]. *)
 

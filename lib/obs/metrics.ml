@@ -194,7 +194,6 @@ let counter t name =
 
 let counter_incr (r : counter) = Stdlib.incr r
 
-let counter_add (r : counter) n = r := !r + n
 
 let counter_value t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0

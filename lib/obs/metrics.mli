@@ -137,8 +137,6 @@ val counter : t -> string -> counter
 
 val counter_incr : counter -> unit
 
-val counter_add : counter -> int -> unit
-
 val histogram : t -> string -> bounds:float array -> Histogram.t
 (** Get-or-create; the bounds only apply on creation. *)
 

@@ -24,10 +24,6 @@ let transitions s = List.rev s.rev_transitions
 
 let contacted s = List.sort_uniq Int.compare s.rev_contacted
 
-type collector = { mutable next_id : int; mutable rev_spans : t list }
-
-let collector () = { next_id = 0; rev_spans = [] }
-
 let create ~id kind ~proc ~now ~trace_pos =
   {
     id;
@@ -45,12 +41,6 @@ let create ~id kind ~proc ~now ~trace_pos =
     trace_len = 0;
   }
 
-let start c kind ~proc ~now ~trace_pos =
-  let s = create ~id:c.next_id kind ~proc ~now ~trace_pos in
-  c.next_id <- c.next_id + 1;
-  c.rev_spans <- s :: c.rev_spans;
-  s
-
 let transition s ~now =
   s.rounds <- s.rounds + 1;
   s.rev_transitions <- (s.rounds, now) :: s.rev_transitions
@@ -65,10 +55,6 @@ let finish s ~now ~rounds ?result ~trace_pos () =
   s.reported_rounds <- Some rounds;
   s.result <- result;
   s.trace_len <- trace_pos - s.trace_first
-
-let spans c = List.rev c.rev_spans
-
-let completed_spans c = List.filter completed (spans c)
 
 let pp ppf s =
   Format.fprintf ppf "#%d %s %s [%d, %s] rounds=%d contacted={%s}" s.id

@@ -46,17 +46,8 @@ val contacted : t -> int list
 val pp : Format.formatter -> t -> unit
 
 val create : id:int -> kind -> proc:string -> now:int -> trace_pos:int -> t
-(** A fresh open span that no collector holds: its owner numbers it and
-    decides how long it lives. *)
-
-(** {2 Collector} *)
-
-type collector
-
-val collector : unit -> collector
-
-val start :
-  collector -> kind -> proc:string -> now:int -> trace_pos:int -> t
+(** A fresh open span: its owner numbers it and decides how long it
+    lives. *)
 
 val transition : t -> now:int -> unit
 (** The client just broadcast its next round. *)
@@ -66,8 +57,3 @@ val contact : t -> obj:int -> unit
 
 val finish :
   t -> now:int -> rounds:int -> ?result:string -> trace_pos:int -> unit -> unit
-
-val spans : collector -> t list
-(** Every span started, in invocation order (open ones included). *)
-
-val completed_spans : collector -> t list

@@ -21,8 +21,6 @@ let fast_read_admissible c = c.s >= (2 * c.t) + (2 * c.b) + 1
 
 let quorum c = c.s - c.t
 
-let byz_quorum_excess c = quorum c - (c.t + c.b)
-
 let pp ppf c = Format.fprintf ppf "S=%d t=%d b=%d" c.s c.t c.b
 
 let to_string c = Format.asprintf "%a" pp c

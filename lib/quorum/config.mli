@@ -38,10 +38,6 @@ val quorum : t -> int
 (** [s - t]: the number of replies a client can always wait for (the
     round-termination threshold of §2.3). *)
 
-val byz_quorum_excess : t -> int
-(** [quorum - (t + b)]: how many replies in a quorum are guaranteed to
-    originate at correct objects that also answered some other quorum. *)
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -402,11 +402,6 @@ let endpoints t =
       t.endpoints <- Some ps;
       ps
 
-let all_links_of t id =
-  List.fold_left
-    (fun acc p -> (id, p) :: (p, id) :: acc)
-    [] (endpoints t)
-
 let block_process t id =
   List.iter
     (fun p ->

@@ -92,11 +92,6 @@ val block_process : 'msg t -> Proc_id.t -> unit
 
 val unblock_process : 'msg t -> Proc_id.t -> unit
 
-val all_links_of : 'msg t -> Proc_id.t -> (Proc_id.t * Proc_id.t) list
-(** Both directed links between [id] and every registered process
-    (including [id] itself) — the link set {!block_process} operates
-    on.  Order is unspecified. *)
-
 val set_duplication : 'msg t -> src:Proc_id.t -> dst:Proc_id.t -> copies:int -> unit
 (** Every subsequent send on the link schedules [copies] extra deliveries,
     each with an independently drawn delay — models a duplicating network

@@ -37,8 +37,6 @@ let mean t = if t.n = 0 then 0.0 else t.mean
 
 let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
 
-let stddev t = sqrt (variance t)
-
 let min t =
   if t.n = 0 then invalid_arg "Summary.min: empty";
   t.minv

@@ -41,45 +41,45 @@ let batch_algebra =
   QCheck.Test.make
     ~name:"batch: width <= cap, join order kept, closed means no joins"
     ~count:500 arb_batch_schedule (fun (cap, attempts, close_at) ->
-      let b = Net.Coalesce.create ~cap in
+      let b = Core.Coalesce.create ~cap in
       let eff_cap = Stdlib.max 1 cap in
-      let ok = ref (Net.Coalesce.cap b = eff_cap && Net.Coalesce.width b = 1) in
+      let ok = ref (Core.Coalesce.cap b = eff_cap && Core.Coalesce.width b = 1) in
       let accepted = ref [] in
       for i = 0 to attempts - 1 do
-        if i = close_at then Net.Coalesce.close b;
-        let open_before = Net.Coalesce.is_open b in
-        let width_before = Net.Coalesce.width b in
-        let joined = Net.Coalesce.try_join b i in
+        if i = close_at then Core.Coalesce.close b;
+        let open_before = Core.Coalesce.is_open b in
+        let width_before = Core.Coalesce.width b in
+        let joined = Core.Coalesce.try_join b i in
         (* try_join succeeds exactly when open and below cap *)
         if joined <> (open_before && width_before < eff_cap) then ok := false;
         if joined then accepted := i :: !accepted
         else begin
           (* and join must refuse precisely the same schedules *)
-          match Net.Coalesce.join b i with
+          match Core.Coalesce.join b i with
           | () -> ok := false
           | exception Invalid_argument _ -> ()
         end
       done;
-      if attempts > close_at && Net.Coalesce.is_open b then ok := false;
+      if attempts > close_at && Core.Coalesce.is_open b then ok := false;
       let accepted = List.rev !accepted in
       !ok
-      && Net.Coalesce.width b = 1 + List.length accepted
-      && Net.Coalesce.width b <= eff_cap
-      && Net.Coalesce.joiners b = accepted
+      && Core.Coalesce.width b = 1 + List.length accepted
+      && Core.Coalesce.width b <= eff_cap
+      && Core.Coalesce.joiners b = accepted
       &&
       (* iter_joiners agrees with the list, in order *)
       let seen = ref [] in
-      Net.Coalesce.iter_joiners (fun x -> seen := x :: !seen) b;
+      Core.Coalesce.iter_joiners (fun x -> seen := x :: !seen) b;
       List.rev !seen = accepted)
 
 let batch_close_is_idempotent () =
-  let b = Net.Coalesce.create ~cap:4 in
-  Net.Coalesce.join b 1;
-  Net.Coalesce.close b;
-  Net.Coalesce.close b;
-  Alcotest.(check bool) "closed" false (Net.Coalesce.is_open b);
-  Alcotest.(check bool) "no joins after close" false (Net.Coalesce.try_join b 2);
-  Alcotest.(check int) "width survives close" 2 (Net.Coalesce.width b)
+  let b = Core.Coalesce.create ~cap:4 in
+  Core.Coalesce.join b 1;
+  Core.Coalesce.close b;
+  Core.Coalesce.close b;
+  Alcotest.(check bool) "closed" false (Core.Coalesce.is_open b);
+  Alcotest.(check bool) "no joins after close" false (Core.Coalesce.try_join b 2);
+  Alcotest.(check int) "width survives close" 2 (Core.Coalesce.width b)
 
 (* ----- live qcheck: coalesced schedules stay regular ---------------------- *)
 

@@ -43,4 +43,5 @@ let () =
       Suite_record.suite;
       Suite_reader_oracle.suite;
       Suite_alloc.suite;
+      Suite_driver.suite;
     ]
