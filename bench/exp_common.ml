@@ -223,6 +223,13 @@ let write0 v = Net.Client.Keyed.Write { key = 0; value = Core.Value.v v }
 
 let run_one engine op = (Net.Cluster.run engine [| op |]).(0)
 
+(* A live cell's verdict from [entry]'s row of the protocol table: every
+   op has responded by now, so the run is quiescent. *)
+let judge_cluster entry cluster ~completed ~total =
+  Fault.Campaign.judge entry ~quiescent:true ~completed ~total
+    ~spans:(Net.Cluster.spans cluster)
+    (Net.Cluster.keyed_histories cluster)
+
 let summary_json buf label (s : Stats.Summary.t) =
   Printf.bprintf buf
     "\"%s\": { \"count\": %d, \"p50_us\": %.0f, \"p99_us\": %.0f, \
@@ -243,22 +250,13 @@ let completed passes =
       Array.fold_left (fun n -> function Ok _ -> n + 1 | Error _ -> n) n results)
     0 passes
 
-(* [claim] on every key's history: (keys that violate it, complete
-   operations checked, keys checked). *)
-let check_record ~claim histories =
-  List.fold_left
-    (fun (bad, ops, keys) (_, h) ->
-      ( (bad + if Fault.Campaign.check claim h = [] then 0 else 1),
-        ops + List.length (List.filter Histories.Op.is_complete h),
-        keys + 1 ))
-    (0, 0, 0) histories
-
 (* One E19/E20 keyspace cell: [clients] client domains, each with its own
    engine (reader id c+1, write ownership of the keys with
    mix(key) mod clients = c, so every register stays SWMR) on a fresh
    cluster of [fleet] servers, drive the zipfian mix [trials] times
    after an untimed warm-up.  Every op of every client is recorded and
-   every key's history checked. *)
+   every key's history and every op's rounds judged by [entry]'s row of
+   the protocol table. *)
 type keyspace_cell = {
   total_ops : int;  (* per trial *)
   wall : float;  (* best trial's *)
@@ -278,7 +276,7 @@ type keyspace_cell = {
   metrics : Obs.Metrics.t;  (* server and client registries merged *)
 }
 
-let keyspace_cell ~exp ~label ~transport ~protocol ~claim ~cfg ~fleet ~domains
+let keyspace_cell ~exp ~label ~transport ~protocol ~entry ~cfg ~fleet ~domains
     ~clients ~inflight ~coalesce ~keys ~skew ~write_ratio ~ops ~trials ~seed =
   let map = Shard.Map.make_exn ~keys ~fleet ~cfg () in
   let cluster =
@@ -343,8 +341,11 @@ let keyspace_cell ~exp ~label ~transport ~protocol ~claim ~cfg ~fleet ~domains
     | _ -> best := Some (wall, rate, lat, (!reads, !fast, !writes))
   done;
   Net.Cluster.stop cluster;
-  let violations, ops_checked, keys_checked =
-    check_record ~claim (Net.Cluster.keyed_histories cluster)
+  let histories = Net.Cluster.keyed_histories cluster in
+  let verdict =
+    Fault.Campaign.judge entry ~quiescent:true ~completed:!ops_completed
+      ~total:(!ops_completed + !failures) ~spans:(Net.Cluster.spans cluster)
+      histories
   in
   let metrics = Option.get (Net.Cluster.metrics cluster) in
   (* Fast-read engagement per shard, from the engines' shard.<i>.*
@@ -373,10 +374,10 @@ let keyspace_cell ~exp ~label ~transport ~protocol ~claim ~cfg ~fleet ~domains
     fast;
     writes;
     failures = !failures;
-    keys_checked;
+    keys_checked = List.length histories;
     ops_completed = !ops_completed;
-    ops_checked;
-    violations;
+    ops_checked = verdict.checked;
+    violations = Fault.Campaign.breaches verdict;
     partition = Net.Cluster.partition_violations cluster;
     shards_with_reads = !shards_with_reads;
     shards_fast = !shards_fast;

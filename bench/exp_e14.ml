@@ -17,7 +17,8 @@
       from its own thread.
 
    Every cell's history — each write, read and concurrent read — is
-   then checked against the property the protocol claims.
+   then checked against the property the protocol claims, and each
+   op's rounds against the protocol's round bounds.
 
    One JSON artifact: BENCH_e14.json.  Scale is environment-tunable so
    CI can run a smoke version:
@@ -123,9 +124,10 @@ let run () =
                 (r, r * per, wall))
               reader_counts
           in
+          let ran = List.fold_left (fun n (_, k, _) -> n + k) (writes + ops) sweep in
           let violations =
-            List.length
-              (Fault.Campaign.(check (claim p)) (Net.Cluster.history cluster))
+            Fault.Campaign.breaches
+              (Exp_common.judge_cluster p cluster ~completed:ran ~total:ran)
           in
           violations_total := !violations_total + violations;
           Exp_common.note

@@ -75,7 +75,7 @@ let run () =
         let v =
           live.Fault.Campaign.backend_run ~metrics protocol ~cfg ~seed plan
         in
-        if not (Fault.Campaign.verdict_violates v) then incr survived;
+        if Fault.Campaign.breaches v = 0 then incr survived;
         completed := !completed + v.Fault.Campaign.completed;
         total := !total + v.Fault.Campaign.total
       done;

@@ -17,8 +17,8 @@
    reports rounds-per-read (from the automaton-reported outcome.rounds),
    the op.fast_reads / op.fallback_rounds counter pair, the Read2
    requests the client sent per read (wire.read.r2.req.sent), read
-   p50/p99, and the recorded history checked for the regularity
-   regular-gc claims.
+   p50/p99, and the run judged by regular-gc's row of the protocol
+   table: regularity, and at most 2 rounds per op.
    No live object lies, so every live cell is expected at ~1.0 rounds
    per read, and the uncontended S = 2t+b+1 cell at exactly 1 with no
    Read2 on the wire.
@@ -43,9 +43,6 @@
      E17_OUT          (BENCH_e17.json) output path *)
 
 let ok_exn what r = Exp_common.ok_exn "E17" what r
-
-(* Violations of the property regular-gc claims. *)
-let claimed = Fault.Campaign.(check (claim Regular_gc))
 
 (* One cell: a fresh cluster (clean history and registry), an initial
    write plus a cache-warming read, then [reads] measured reads with
@@ -100,8 +97,12 @@ let run_cell ~transport ~cfg ~reads ~writes =
       let read2_per_read =
         float_of_int (read2_sent () - read2_before) /. float_of_int reads
       in
-      let history = Net.Cluster.history cluster in
-      let violations = if claimed history = [] then 0 else 1 in
+      let ran = 2 + reads + writes in
+      let violations =
+        Fault.Campaign.breaches
+          (Exp_common.judge_cluster Regular_gc cluster ~completed:ran
+             ~total:ran)
+      in
       let reg = Option.get (Net.Cluster.metrics cluster) in
       let lat = Obs.Metrics.find_histogram reg "op.read.latency_us" in
       ( float_of_int !round_sum /. float_of_int reads,
@@ -148,8 +149,11 @@ let sim_forger_cell ~cfg ~reads =
   in
   let n = List.length rounds in
   let violations =
-    (if n = reads && rep.quiescent then 0 else 1)
-    + if claimed rep.history = [] then 0 else 1
+    (if rep.quiescent then 0 else 1)
+    + Fault.Campaign.breaches
+        (Fault.Campaign.judge Regular_gc ~quiescent:rep.quiescent
+           ~completed:(List.length rep.outcomes) ~total:(List.length sched)
+           ~spans:rep.spans [ (0, rep.history) ])
   in
   ( float_of_int (List.fold_left ( + ) 0 rounds) /. float_of_int (max 1 n),
     List.fold_left min max_int rounds,

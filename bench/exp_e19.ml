@@ -24,9 +24,9 @@
    2. correctness: every op of every client domain, warm-up included,
       is recorded through Net.Record (one log per domain) into per-key
       histories, and every key's history must pass the single-register
-      checker of the property regular-gc claims, regularity -- a key
-      is exactly the paper's register, so the per-key check is the
-      whole correctness argument
+      checker of the property regular-gc claims, regularity, and every
+      op its 2-round bound -- a key is exactly the paper's register, so
+      the per-key check is the whole correctness argument
       ("all_ops_checked": the histories' complete ops equal the ops that
       completed);
    3. fast reads: the per-shard shard.<i>.fast_reads counters must show
@@ -76,7 +76,6 @@ let run () =
      reads, so regular-gc's fast path should engage on every shard. *)
   let cfg = Quorum.Config.make_exn ~s:3 ~t:1 ~b:0 in
   let protocol = Net.Protocols.regular_gc ~readers:clients in
-  let claim = Fault.Campaign.(claim Regular_gc) in
   if fleet < cfg.Quorum.Config.s then begin
     Printf.eprintf "E19_FLEET must be >= S = %d\n" cfg.Quorum.Config.s;
     exit 2
@@ -113,7 +112,7 @@ let run () =
       let c =
         Exp_common.keyspace_cell ~exp:"E19"
           ~label:(Printf.sprintf "keys=%-8d skew=%-4g" keys skew)
-          ~transport ~protocol ~claim ~cfg ~fleet ~domains ~clients ~inflight
+          ~transport ~protocol ~entry:Regular_gc ~cfg ~fleet ~domains ~clients ~inflight
           ~coalesce:1 ~keys ~skew ~write_ratio ~ops ~trials
           ~seed:(42 + (1_000 * ci))
       in

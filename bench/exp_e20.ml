@@ -18,7 +18,8 @@
    3. correctness: every op of every client domain, warm-up included,
       is recorded through Net.Record (one log per domain) into per-key
       histories, and every key's history must pass the single-register
-      regularity checker, the property regular-gc claims
+      regularity checker, the property regular-gc claims, and every op
+      its 2-round bound
       ("all_ops_checked": the histories' complete ops equal the ops
       that completed).  Joined reads record
       under reader ids of their own, so in on-cells the histories
@@ -73,7 +74,6 @@ let run () =
      reads, so coalesced batches ride the fast path. *)
   let cfg = Quorum.Config.make_exn ~s:3 ~t:1 ~b:0 in
   let protocol = Net.Protocols.regular_gc ~readers:clients in
-  let claim = Fault.Campaign.(claim Regular_gc) in
   if fleet < cfg.Quorum.Config.s then begin
     Printf.eprintf "E20_FLEET must be >= S = %d\n" cfg.Quorum.Config.s;
     exit 2
@@ -114,7 +114,7 @@ let run () =
       let c =
         Exp_common.keyspace_cell ~exp:"E20"
           ~label:(Printf.sprintf "skew=%-4g coalesce=%-3d" skew coalesce)
-          ~transport ~protocol ~claim ~cfg ~fleet ~domains ~clients ~inflight
+          ~transport ~protocol ~entry:Regular_gc ~cfg ~fleet ~domains ~clients ~inflight
           ~coalesce ~keys ~skew ~write_ratio ~ops ~trials
           ~seed:(42 + (1_000 * ci))
       in

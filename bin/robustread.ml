@@ -3,7 +3,7 @@
      robustread info -t 2 -b 1
      robustread run --protocol safe -t 1 -b 1 --writes 3 --reads 5 --attack forge
      robustread lower-bound --protocol naive-fast -t 1 -b 1
-     robustread check --protocol safe --attack forge --budget 200000
+     robustread check --protocol regular --budget 1000000
 
    See README.md for a tour. *)
 
@@ -234,71 +234,29 @@ let byzantine ~cfg strategy = function
       let f = strategy kind in
       List.init cfg.Quorum.Config.b (fun i -> (i + 1, f))
 
-let run_generic (type m)
-    (module P : Core.Protocol_intf.S with type msg = m)
-    ~(byz : (int * m Core.Byz.factory) list) ~claim ~cfg ~seed ~delay ~writes
-    ~readers ~reads ~trace ~metrics ~artifacts =
-  let module Sc = Core.Scenario.Make (P) in
-  let schedule = cli_schedule ~seed ~writes ~readers ~reads in
-  let registry = if metrics then Some (Obs.Metrics.create ()) else None in
-  let rep =
-    Sc.run ~trace ?metrics:registry
-      ?clock:(if metrics then Some now_s else None)
-      ~cfg ~seed ~delay
-      ~faults:{ Sc.crashes = []; byzantine = byz }
-      schedule
-  in
-  Format.printf "protocol %s on %a, seed %d@." P.name Quorum.Config.pp cfg seed;
+(* The claimed property's verdict, e.g. ["safety: OK"]. *)
+let claim_verdict protocol (v : Fault.Campaign.verdict) =
+  Printf.sprintf "%s: %s"
+    (Histories.Checks.claim_name (Fault.Campaign.claim protocol))
+    (match v.violations with
+    | [] -> "OK"
+    | vs -> Printf.sprintf "%d VIOLATIONS" (List.length vs))
+
+(* Each violation of the claim (with its key on a keyspace), then a
+   rounds line only if some operation ran past its protocol's bound. *)
+let print_violations ~keyed protocol (v : Fault.Campaign.verdict) =
   List.iter
-    (fun (o : Sc.outcome) ->
-      match o.op with
-      | Core.Schedule.Write v ->
-          Format.printf "  [%6d] write(%s) rounds=%d latency=%d@." o.invoked_at
-            (Core.Value.to_string v) o.rounds (o.completed_at - o.invoked_at)
-      | Core.Schedule.Read { reader } ->
-          Format.printf "  [%6d] read(r%d) = %s rounds=%d latency=%d@."
-            o.invoked_at reader
-            (match o.result with
-            | Some v -> Core.Value.to_string v
-            | None -> "?")
-            o.rounds (o.completed_at - o.invoked_at))
-    rep.outcomes;
-  let violations = Fault.Campaign.check claim rep.history in
-  Format.printf "completed %d/%d operations; %d messages delivered@."
-    (List.length rep.outcomes) (List.length schedule) rep.messages_delivered;
-  Format.printf "%s: %s@."
-    (Fault.Campaign.claim_name claim)
-    (if violations = [] then "OK"
-     else Printf.sprintf "%d VIOLATIONS" (List.length violations));
-  List.iter
-    (fun v ->
-      Format.printf "  violation: %a@."
+    (fun (key, x) ->
+      Format.printf "  %sviolation: %a@."
+        (if keyed then Printf.sprintf "key %d " key else "")
         (Histories.Checks.pp_violation ~pp_value:Format.pp_print_string)
-        v)
-    violations;
-  (match rep.trace with
-  | Some tr -> Format.printf "--- trace ---@.%a" Sim.Trace.pp tr
-  | None -> ());
-  (match registry with
-  | Some reg ->
-      Format.printf "--- metrics ---@.%s"
-        (Stats.Table.to_string (Obs.Metrics.table reg))
-  | None -> ());
-  (match artifacts with
-  | Some dir ->
-      let files =
-        [ ("spans.jsonl", Obs.Export.spans_jsonl rep.spans) ]
-        @ (match registry with
-          | Some reg -> [ ("metrics.jsonl", Obs.Export.metrics_jsonl reg) ]
-          | None -> [])
-        @
-        match rep.trace with
-        | Some tr -> [ ("trace.jsonl", Sim.Trace.to_jsonl tr) ]
-        | None -> []
-      in
-      write_artifacts ~dir files
-  | None -> ());
-  if violations <> [] then exit 1
+        x)
+    v.violations;
+  if v.rounds > 0 then
+    let (Fault.Campaign.Entry e) = Fault.Campaign.entry protocol in
+    Format.printf "rounds: %d operations over the bound (write %d, read %s)@."
+      v.rounds e.write_rounds
+      (Option.fold ~none:"none" ~some:string_of_int e.read_rounds)
 
 let writes_arg =
   Arg.(value & opt int 3 & info [ "writes" ] ~docv:"N" ~doc:"Number of writes.")
@@ -336,13 +294,67 @@ let run_cmd =
     let cfg = config ~s ~t ~b () in
     (* artifacts always need the raw trace to link spans to entries *)
     let trace = trace || artifacts <> None in
-    let (Fault.Campaign.Entry { automata; claim; strategy; _ }) =
+    let (Fault.Campaign.Entry { automata = (module P); strategy; _ }) =
       Fault.Campaign.entry protocol
     in
-    run_generic automata
-      ~byz:(byzantine ~cfg strategy attack)
-      ~claim ~cfg ~seed ~delay ~writes ~readers ~reads ~trace ~metrics
-      ~artifacts
+    let module Sc = Core.Scenario.Make (P) in
+    let schedule = cli_schedule ~seed ~writes ~readers ~reads in
+    let registry = if metrics then Some (Obs.Metrics.create ()) else None in
+    let rep =
+      Sc.run ~trace ?metrics:registry
+        ?clock:(if metrics then Some now_s else None)
+        ~cfg ~seed ~delay
+        ~faults:
+          { Sc.crashes = []; byzantine = byzantine ~cfg strategy attack }
+        schedule
+    in
+    Format.printf "protocol %s on %a, seed %d@." P.name Quorum.Config.pp cfg seed;
+    List.iter
+      (fun (o : Sc.outcome) ->
+        match o.op with
+        | Core.Schedule.Write v ->
+            Format.printf "  [%6d] write(%s) rounds=%d latency=%d@." o.invoked_at
+              (Core.Value.to_string v) o.rounds (o.completed_at - o.invoked_at)
+        | Core.Schedule.Read { reader } ->
+            Format.printf "  [%6d] read(r%d) = %s rounds=%d latency=%d@."
+              o.invoked_at reader
+              (match o.result with
+              | Some v -> Core.Value.to_string v
+              | None -> "?")
+              o.rounds (o.completed_at - o.invoked_at))
+      rep.outcomes;
+    let v =
+      Fault.Campaign.judge protocol ~quiescent:rep.quiescent
+        ~completed:(List.length rep.outcomes) ~total:(List.length schedule)
+        ~spans:rep.spans [ (0, rep.history) ]
+    in
+    Format.printf "completed %d/%d operations; %d messages delivered@."
+      v.completed v.total rep.messages_delivered;
+    Format.printf "%s@." (claim_verdict protocol v);
+    print_violations ~keyed:false protocol v;
+    (match rep.trace with
+    | Some tr -> Format.printf "--- trace ---@.%a" Sim.Trace.pp tr
+    | None -> ());
+    (match registry with
+    | Some reg ->
+        Format.printf "--- metrics ---@.%s"
+          (Stats.Table.to_string (Obs.Metrics.table reg))
+    | None -> ());
+    (match artifacts with
+    | Some dir ->
+        let files =
+          [ ("spans.jsonl", Obs.Export.spans_jsonl rep.spans) ]
+          @ (match registry with
+            | Some reg -> [ ("metrics.jsonl", Obs.Export.metrics_jsonl reg) ]
+            | None -> [])
+          @
+          match rep.trace with
+          | Some tr -> [ ("trace.jsonl", Sim.Trace.to_jsonl tr) ]
+          | None -> []
+        in
+        write_artifacts ~dir files
+    | None -> ());
+    if Fault.Campaign.breaches v > 0 then exit 1
   in
   let term =
     Term.(
@@ -460,13 +472,14 @@ let check_cmd =
       & info [ "budget" ] ~docv:"STATES" ~doc:"Model-checker state budget.")
   in
   let run protocol t b budget =
+    reject_bad_input [ (budget < 1, "--budget must be >= 1") ];
     let cfg = config ~s:None ~t ~b () in
-    let (Fault.Campaign.Entry { automata = (module P); _ }) =
+    let (Fault.Campaign.Entry { automata = (module P); claim; _ }) =
       Fault.Campaign.entry protocol
     in
     let module E = Mc.Explorer.Make (P) in
     let r =
-      E.check ~max_states:budget
+      E.check ~max_states:budget ~claim
         {
           E.cfg = cfg;
           writes = [ Core.Value.v "a" ];
@@ -487,8 +500,10 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Exhaustively model-check one write followed by one read for the \
-          protocol, over all message delivery orders.")
+         "Model-check one write followed by one read for the protocol over \
+          message delivery orders, holding every terminal history to the \
+          property the protocol claims.  The search is exhaustive only when \
+          it reports $(b,truncated: false).")
     term
 
 (* ----- walks ------------------------------------------------------------- *)
@@ -502,12 +517,12 @@ let walks_cmd =
   let run protocol t b seed walks jobs =
     reject_bad_input [ (walks < 1, "--walks must be >= 1") ];
     let cfg = config ~s:None ~t ~b () in
-    let (Fault.Campaign.Entry { automata = (module P); _ }) =
+    let (Fault.Campaign.Entry { automata = (module P); claim; _ }) =
       Fault.Campaign.entry protocol
     in
     let module E = Mc.Explorer.Make (P) in
     let r =
-      E.random_walks ?jobs ~walks ~seed
+      E.random_walks ?jobs ~walks ~claim ~seed
         {
           E.cfg = cfg;
           writes = [ Core.Value.v "a"; Core.Value.v "b" ];
@@ -1295,38 +1310,25 @@ let cluster_cmd =
         Result.iter (print_outcome "read(post-restart)") r.(0);
         tally "read(post-restart)" r.(0)
     | _ -> ());
-    let claim = Fault.Campaign.claim p in
     let histories = Net.Cluster.keyed_histories cluster in
-    let bad =
-      List.fold_left
-        (fun acc (key, h) ->
-          let vs = Fault.Campaign.check claim h in
-          List.iter
-            (fun v ->
-              Format.printf "  key %d violation: %a@." key
-                (Histories.Checks.pp_violation ~pp_value:Format.pp_print_string)
-                v)
-            vs;
-          acc + List.length vs)
-        0 histories
-    in
-    let recorded =
-      List.fold_left
-        (fun n (_, h) ->
-          n + List.length (List.filter Histories.Op.is_complete h))
-        0 histories
+    let spans = Net.Cluster.spans cluster in
+    (* Every client has joined, so an op still open failed for good. *)
+    let v =
+      Fault.Campaign.judge p ~quiescent:true ~completed:!completed ~total
+        ~spans histories
     in
     let partition = Net.Cluster.partition_violations cluster in
     Format.printf
       "%d histories checked: %d complete ops of %d completed, %d partition \
-       violations; %s: %s@."
-      (List.length histories) recorded !completed partition
-      (Fault.Campaign.claim_name claim)
-      (if bad = 0 then "OK" else Printf.sprintf "%d VIOLATIONS" bad);
-    live_report ~artifacts ~spans:(Net.Cluster.spans cluster)
-      (Net.Cluster.metrics cluster);
+       violations; %s@."
+      (List.length histories) v.checked v.completed partition
+      (claim_verdict p v);
+    print_violations ~keyed:true p v;
+    live_report ~artifacts ~spans (Net.Cluster.metrics cluster);
     Net.Cluster.stop cluster;
-    if !failures > 0 || bad > 0 || partition > 0 || recorded <> !completed
+    if
+      !failures > 0 || partition > 0 || v.checked <> v.completed
+      || Fault.Campaign.breaches v > 0
     then exit 1
   in
   let term =

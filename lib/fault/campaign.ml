@@ -10,12 +10,14 @@ type protocol =
   | Fast_safe
   | Naive_fast
 
-type claim = Safety | Regularity | Atomicity
+type claim = Histories.Checks.claim = Safety | Regularity | Atomicity
 
 type entry =
   | Entry : {
       automata : (module Core.Protocol_intf.S with type msg = 'm);
       claim : claim;
+      write_rounds : int;
+      read_rounds : int option;
       robust : bool;
       signed : bool;
       design : t:int -> b:int -> Quorum.Config.t;
@@ -101,40 +103,42 @@ let fast_read ~t ~b = Quorum.Config.make_exn ~s:((2 * t) + (2 * b) + 1) ~t ~b
 let below_fast_read ~t ~b = Quorum.Config.make_exn ~s:(2 * (t + b)) ~t ~b
 
 let row (type m) (automata : (module Core.Protocol_intf.S with type msg = m))
-    claim ~design ~robust ~signed strategy =
-  Entry { automata; claim; robust; signed; design; strategy }
+    claim ~rounds:(write_rounds, read_rounds) ~design ~robust ~signed strategy =
+  Entry
+    { automata; claim; write_rounds; read_rounds; robust; signed; design; strategy }
 
 let entry = function
   | Safe ->
-      row (module Core.Proto_safe) Safety ~design:optimal ~robust:true
-        ~signed:false safe_strategy
+      row (module Core.Proto_safe) Safety ~rounds:(2, Some 2) ~design:optimal
+        ~robust:true ~signed:false safe_strategy
   | Regular ->
-      row (module Core.Proto_regular.Plain) Regularity ~design:optimal
-        ~robust:true ~signed:false history_strategy
+      row (module Core.Proto_regular.Plain) Regularity ~rounds:(2, Some 2)
+        ~design:optimal ~robust:true ~signed:false history_strategy
   | Regular_opt ->
-      row (module Core.Proto_regular.Optimized) Regularity ~design:optimal
-        ~robust:true ~signed:false history_strategy
+      row (module Core.Proto_regular.Optimized) Regularity ~rounds:(2, Some 2)
+        ~design:optimal ~robust:true ~signed:false history_strategy
   | Regular_gc ->
-      row (module Regular_gc2) Regularity ~design:optimal ~robust:true
-        ~signed:false history_strategy
+      row (module Regular_gc2) Regularity ~rounds:(2, Some 2) ~design:optimal
+        ~robust:true ~signed:false history_strategy
   | Abd ->
-      row (module Baseline.Abd.Regular) Regularity ~design:crash_only
-        ~robust:true ~signed:false abd_strategy
+      row (module Baseline.Abd.Regular) Regularity ~rounds:(1, Some 1)
+        ~design:crash_only ~robust:true ~signed:false abd_strategy
   | Abd_atomic ->
-      row (module Baseline.Abd.Atomic) Atomicity ~design:crash_only
-        ~robust:true ~signed:false abd_strategy
+      row (module Baseline.Abd.Atomic) Atomicity ~rounds:(1, Some 2)
+        ~design:crash_only ~robust:true ~signed:false abd_strategy
   | Nonmod ->
-      row (module Baseline.Nonmod) Safety ~design:optimal ~robust:true
-        ~signed:false nonmod_strategy
+      (* its polling reader rereads until it sees a stable value *)
+      row (module Baseline.Nonmod) Safety ~rounds:(2, None) ~design:optimal
+        ~robust:true ~signed:false nonmod_strategy
   | Auth ->
-      row (module Baseline.Auth) Regularity ~design:optimal ~robust:true
-        ~signed:true auth_strategy
+      row (module Baseline.Auth) Regularity ~rounds:(1, Some 1) ~design:optimal
+        ~robust:true ~signed:true auth_strategy
   | Fast_safe ->
-      row (module Baseline.Fast_safe) Safety ~design:fast_read ~robust:true
-        ~signed:false fast_safe_strategy
+      row (module Baseline.Fast_safe) Safety ~rounds:(1, Some 1)
+        ~design:fast_read ~robust:true ~signed:false fast_safe_strategy
   | Naive_fast ->
-      row (module Baseline.Naive_fast) Safety ~design:below_fast_read
-        ~robust:false ~signed:false naive_strategy
+      row (module Baseline.Naive_fast) Safety ~rounds:(1, Some 1)
+        ~design:below_fast_read ~robust:false ~signed:false naive_strategy
 
 let protocols =
   [
@@ -160,18 +164,6 @@ let default_cfg p ~t ~b =
   let (Entry e) = entry p in
   e.design ~t ~b
 
-let claim_name = function
-  | Safety -> "safety"
-  | Regularity -> "regularity"
-  | Atomicity -> "atomicity"
-
-let check claim h =
-  let equal = String.equal in
-  match claim with
-  | Safety -> Histories.Checks.check_safety ~equal h
-  | Regularity -> Histories.Checks.check_regularity ~equal h
-  | Atomicity -> Histories.Checks.check_atomicity ~equal h
-
 let campaign_protocols = [ Safe; Regular; Regular_opt; Abd; Fast_safe; Naive_fast ]
 
 let robust_protocols = List.filter robust campaign_protocols
@@ -181,22 +173,41 @@ let robust_protocols = List.filter robust campaign_protocols
 type verdict = {
   safety : int;
   regularity : int;
-  claimed : int;
+  violations : (int * string Histories.Checks.violation) list;
+  rounds : int;
   liveness : int;
+  checked : int;
   completed : int;
   total : int;
   quiescent : bool;
   spans : Obs.Span.t list;
 }
 
-let judge protocol ~quiescent ~completed ~total ~spans history =
+let judge protocol ~quiescent ~completed ~total ~spans histories =
+  let (Entry e) = entry protocol in
   let equal = String.equal in
+  let count f =
+    List.fold_left (fun n (_, h) -> n + List.length (f h)) 0 histories
+  in
+  (* The automaton's own count: a retransmit or a widened round is not a
+     round, and an open span has none. *)
+  let over_bound (s : Obs.Span.t) =
+    match (s.reported_rounds, s.kind, e.read_rounds) with
+    | Some r, Obs.Span.Write, _ -> r > e.write_rounds
+    | Some r, Obs.Span.Read _, Some bound -> r > bound
+    | None, _, _ | Some _, Obs.Span.Read _, None -> false
+  in
   {
-    safety = List.length (Histories.Checks.check_safety ~equal history);
-    regularity = List.length (Histories.Checks.check_regularity ~equal history);
-    claimed = List.length (check (claim protocol) history);
-    liveness =
-      List.length (Histories.Checks.check_wait_freedom ~quiescent history);
+    safety = count (Histories.Checks.check_safety ~equal);
+    regularity = count (Histories.Checks.check_regularity ~equal);
+    violations =
+      List.concat_map
+        (fun (key, h) ->
+          List.map (fun v -> (key, v)) (Histories.Checks.check e.claim ~equal h))
+        histories;
+    rounds = List.length (List.filter over_bound spans);
+    liveness = count (Histories.Checks.check_wait_freedom ~quiescent);
+    checked = count (List.filter Histories.Op.is_complete);
     completed;
     total;
     quiescent;
@@ -280,7 +291,8 @@ let run_plan ?(max_events = 2_000_000) ?metrics protocol ~cfg ~seed
   in
   judge protocol ~quiescent:rep.quiescent
     ~completed:(List.length rep.outcomes)
-    ~total:(List.length schedule) ~spans:rep.spans rep.history
+    ~total:(List.length schedule) ~spans:rep.spans
+    [ (0, rep.history) ]
 
 (* ----- execution backends ------------------------------------------------ *)
 
@@ -309,8 +321,8 @@ let sim_backend =
   }
 
 (* A run breaks a protocol's contract if it violates the property the
-   table says the protocol claims, or wait-freedom. *)
-let verdict_violates v = v.claimed > 0 || v.liveness > 0
+   table says the protocol claims, its round bounds, or wait-freedom. *)
+let breaches v = List.length v.violations + v.rounds + v.liveness
 
 (* [max_events] bounds the simulator only. *)
 let run_on ?max_events ?(backend = sim_backend) ?metrics protocol ~cfg ~seed
@@ -321,7 +333,7 @@ let run_on ?max_events ?(backend = sim_backend) ?metrics protocol ~cfg ~seed
   | _ -> backend.backend_run ?metrics protocol ~cfg ~seed plan
 
 let violates ?max_events ?backend protocol ~cfg ~seed plan =
-  verdict_violates (run_on ?max_events ?backend protocol ~cfg ~seed plan)
+  breaches (run_on ?max_events ?backend protocol ~cfg ~seed plan) > 0
 
 (* ----- sweeping seeds x plans x protocols -------------------------------- *)
 
@@ -333,6 +345,7 @@ type cell = {
   runs : int;
   safety_runs : int;
   regularity_runs : int;
+  rounds_runs : int;
   liveness_runs : int;
   incomplete_runs : int;
   failures : (int * Plan.t) list;  (** (seed, plan) witnesses, in order *)
@@ -352,6 +365,7 @@ let empty_cell protocol cfg metrics =
     runs = 0;
     safety_runs = 0;
     regularity_runs = 0;
+    rounds_runs = 0;
     liveness_runs = 0;
     incomplete_runs = 0;
     failures = [];
@@ -386,10 +400,11 @@ let sweep_seed ?max_events ?backend ~budget ~plans_per_seed protocol ~cfg
           runs = c.runs + 1;
           safety_runs = count c.safety_runs (v.safety > 0);
           regularity_runs = count c.regularity_runs (v.regularity > 0);
+          rounds_runs = count c.rounds_runs (v.rounds > 0);
           liveness_runs = count c.liveness_runs (v.liveness > 0);
           incomplete_runs = count c.incomplete_runs (not v.quiescent);
           failures =
-            (if verdict_violates v then (seed, plan) :: c.failures
+            (if breaches v > 0 then (seed, plan) :: c.failures
              else c.failures);
         }
   in
@@ -412,6 +427,7 @@ let assemble_cell protocol cfg cells =
         runs = a.runs + c.runs;
         safety_runs = a.safety_runs + c.safety_runs;
         regularity_runs = a.regularity_runs + c.regularity_runs;
+        rounds_runs = a.rounds_runs + c.rounds_runs;
         liveness_runs = a.liveness_runs + c.liveness_runs;
         incomplete_runs = a.incomplete_runs + c.incomplete_runs;
         failures = a.failures @ c.failures;
@@ -419,16 +435,6 @@ let assemble_cell protocol cfg cells =
       })
     (empty_cell protocol cfg metrics)
     cells
-
-let sweep_protocol ?jobs ?max_events ?backend ?(budget = Plan.medium)
-    ?(plans_per_seed = 3) protocol ~t ~b ~seeds =
-  let cfg = default_cfg protocol ~t ~b in
-  assemble_cell protocol cfg
-    (Exec.Pool.map ?jobs
-       (fun seed ->
-         sweep_seed ?max_events ?backend ~budget ~plans_per_seed protocol ~cfg
-           ~seed)
-       seeds)
 
 let sweep ?jobs ?max_events ?backend ?(budget = Plan.medium)
     ?(plans_per_seed = 3) ~protocols ~t ~b ~seeds () =
@@ -474,8 +480,8 @@ let matrix_table cells =
     Stats.Table.create
       ~headers:
         [
-          "protocol"; "S"; "t"; "b"; "runs"; "safety"; "regular"; "liveness";
-          "errors"; "verdict";
+          "protocol"; "S"; "t"; "b"; "runs"; "safety"; "regular"; "rounds";
+          "liveness"; "errors"; "verdict";
         ]
   in
   List.iter
@@ -490,6 +496,7 @@ let matrix_table cells =
           Stats.Table.cell_int c.runs;
           Printf.sprintf "%d/%d" (c.runs - c.safety_runs) c.runs;
           Printf.sprintf "%d/%d" (c.runs - c.regularity_runs) c.runs;
+          Printf.sprintf "%d/%d" (c.runs - c.rounds_runs) c.runs;
           Printf.sprintf "%d/%d" (c.runs - c.liveness_runs) c.runs;
           Stats.Table.cell_int (List.length c.errors);
           verdict;
@@ -575,6 +582,7 @@ let matrix_jsonl ?(backend = "sim") cells =
                 ("runs", Int c.runs);
                 ("safety_ok", Int (c.runs - c.safety_runs));
                 ("regularity_ok", Int (c.runs - c.regularity_runs));
+                ("rounds_ok", Int (c.runs - c.rounds_runs));
                 ("liveness_ok", Int (c.runs - c.liveness_runs));
                 ("incomplete", Int c.incomplete_runs);
                 ("errors", Int (List.length c.errors));

@@ -1,17 +1,19 @@
 (** The protocol table, and chaos campaigns judged by it.
 
     {!entry} is the one place the repository names each protocol it
-    runs: its automata, the property it claims (paper §2.2), the
-    configuration it is designed for, and the concrete strategy behind
-    each symbolic attack.  The CLI, the experiments and the live
-    backend look protocols up here.
+    runs: its automata, the property it claims (paper §2.2), the rounds
+    its writes and reads may take, the configuration it is designed
+    for, and the concrete strategy behind each symbolic attack.  The
+    CLI, the experiments and the live backend look protocols up here,
+    and {!judge} holds every simulated and live run to its entry.
 
     A campaign sweeps seeds × fault plans × protocols and reports a
     survival matrix.  It draws random {!Plan}s within the resilience
     budget of each protocol's design configuration, compiles the
     symbolic Byzantine kinds through the protocol's strategy, runs the
-    scenario, and holds the history to the property the protocol claims
-    plus the wait-freedom watchdog.  The robust protocols must survive
+    scenario, and holds the history to the property the protocol claims,
+    its operations to the protocol's round bounds, and the run to the
+    wait-freedom watchdog.  The robust protocols must survive
     every within-budget plan (Theorems 1–4); [naive-fast] at
     [s = 2t + 2b] is the negative control Proposition 1 dooms, and its
     failures feed the {!Shrink} minimizer. *)
@@ -31,13 +33,17 @@ type protocol =
   | Naive_fast
 
 (** The register property a protocol claims (paper §2.2). *)
-type claim = Safety | Regularity | Atomicity
+type claim = Histories.Checks.claim = Safety | Regularity | Atomicity
 
 type entry =
   | Entry : {
       automata : (module Core.Protocol_intf.S with type msg = 'm);
           (** its [name] is the protocol's name *)
       claim : claim;
+      write_rounds : int;  (** the most rounds a write may take *)
+      read_rounds : int option;
+          (** the most rounds a read may take; [None] for nonmod's
+              polling reader, which claims no bound *)
       robust : bool;
           (** must survive every within-budget plan; [false] only for the
               negative control Proposition 1 dooms *)
@@ -67,15 +73,6 @@ val claim : protocol -> claim
     regular, regular-opt, regular-gc, abd and auth; atomicity for
     abd-atomic. *)
 
-val claim_name : claim -> string
-(** ["safety"], ["regularity"] or ["atomicity"]. *)
-
-val check :
-  claim -> string Histories.Op.t list -> string Histories.Checks.violation list
-(** Violations of exactly the property [claim] names, on one register's
-    history.  Safe storage never promises regularity, so a safe run is
-    held to safety alone. *)
-
 val robust : protocol -> bool
 
 val default_cfg : protocol -> t:int -> b:int -> Quorum.Config.t
@@ -97,8 +94,12 @@ val robust_protocols : protocol list
 type verdict = {
   safety : int;  (** safety violations found *)
   regularity : int;
-  claimed : int;  (** violations of the property the protocol claims *)
+  violations : (int * string Histories.Checks.violation) list;
+      (** violations of the property the protocol claims, each with its
+          key, in key order *)
+  rounds : int;  (** completed operations that ran past their round bound *)
   liveness : int;  (** wait-freedom violations (0 unless [quiescent]) *)
+  checked : int;  (** complete operations in the judged histories *)
   completed : int;  (** operations that completed *)
   total : int;  (** operations scheduled *)
   quiescent : bool;  (** the run drained its event queue *)
@@ -111,12 +112,14 @@ val judge :
   completed:int ->
   total:int ->
   spans:Obs.Span.t list ->
-  string Histories.Op.t list ->
+  (int * string Histories.Op.t list) list ->
   verdict
-(** Hold one run's history to the checkers: safety and regularity
-    counted for the survival matrix, the protocol's {!claim} for the
-    verdict, wait-freedom once the run is [quiescent].  Every backend
-    builds its verdicts here. *)
+(** Hold one run to its table entry: each key's history (a
+    single-register run passes key 0) to the protocol's {!claim}, and to
+    safety and regularity for the survival matrix; each completed span's
+    [reported_rounds], the automaton's own count (so retransmits and
+    widened rounds never count), to the entry's round bounds; and, once
+    the run is [quiescent], each open operation to wait-freedom. *)
 
 val workload : seed:int -> plan:Plan.t -> Core.Schedule.t
 (** The campaign workload a plan is judged under: a sequential spine
@@ -163,9 +166,10 @@ type backend = {
 val sim_backend : backend
 (** The default: {!run_plan} at its default event bound. *)
 
-val verdict_violates : verdict -> bool
-(** Did this verdict break the protocol's contract: a violation of the
-    property it claims, or of wait-freedom? *)
+val breaches : verdict -> int
+(** How often this verdict broke the protocol's contract: violations of
+    the property it claims, operations past its round bounds, and
+    wait-freedom violations, summed.  A run survives at 0. *)
 
 val violates :
   ?max_events:int ->
@@ -175,7 +179,7 @@ val violates :
   seed:int ->
   Plan.t ->
   bool
-(** The shrinker's repro predicate: {!verdict_violates} of one run on
+(** The shrinker's repro predicate: nonzero {!breaches} of one run on
     [backend] (default {!sim_backend}; [max_events] applies to the sim
     backend only). *)
 
@@ -197,6 +201,7 @@ type cell = {
   runs : int;
   safety_runs : int;  (** runs with ≥ 1 safety violation *)
   regularity_runs : int;
+  rounds_runs : int;  (** runs with an operation past its round bound *)
   liveness_runs : int;
   incomplete_runs : int;  (** runs that hit [max_events] *)
   failures : (int * Plan.t) list;  (** (seed, plan) witnesses, in order *)
@@ -219,28 +224,6 @@ val run_plan_result :
     error containment: a raising run becomes a structured [Error]
     instead of propagating. *)
 
-val sweep_protocol :
-  ?jobs:int ->
-  ?max_events:int ->
-  ?backend:backend ->
-  ?budget:Plan.budget ->
-  ?plans_per_seed:int ->
-  protocol ->
-  t:int ->
-  b:int ->
-  seeds:int list ->
-  cell
-(** Run [plans_per_seed] (default 3) random plans per seed (drawn from a
-    per-seed PRNG, so the campaign is reproducible) at
-    [default_cfg protocol ~t ~b].
-
-    With [jobs] (default {!Exec.Pool.recommended_jobs}), seeds are
-    fanned across an OCaml 5 domain pool; each seed is an isolated
-    simulation (own engine, PRNG and metrics registry built from the
-    seed) and the per-seed results reduce in seed order, so the cell —
-    including its merged registry and every export derived from it — is
-    byte-identical to the serial ([jobs = 1]) sweep. *)
-
 val sweep :
   ?jobs:int ->
   ?max_events:int ->
@@ -253,16 +236,24 @@ val sweep :
   seeds:int list ->
   unit ->
   cell list
-(** Sweep the whole protocol x seed matrix through one domain pool (a
-    slow cell in one protocol overlaps work from the others); results
-    are deterministic in the inputs and independent of [jobs].  With a
-    non-sim [backend], run with [jobs:1]: a live backend owns real
+(** One cell per protocol, in order: [plans_per_seed] (default 3)
+    random plans per seed, drawn from a per-seed PRNG so the campaign is
+    reproducible, at [default_cfg protocol ~t ~b].
+
+    The whole protocol x seed matrix runs through one domain pool of
+    [jobs] (default {!Exec.Pool.recommended_jobs}) domains, so a slow
+    cell in one protocol overlaps work from the others.  Each seed is an
+    isolated simulation (own engine, PRNG and metrics registry built
+    from the seed) and the per-seed results reduce in seed order, so
+    every cell — including its merged registry and every export derived
+    from it — is byte-identical to the serial ([jobs = 1]) sweep.  With
+    a non-sim [backend], run with [jobs:1]: a live backend owns real
     sockets and one wall clock, so parallel cells would contend for
     both. *)
 
 val matrix_table : cell list -> Stats.Table.t
-(** The survival matrix: one row per protocol with per-property
-    survival counts and a verdict ([Naive_fast] is {e expected} to
+(** The survival matrix: one row per protocol with per-property and
+    round-bound survival counts and a verdict ([Naive_fast] is {e expected} to
     break). *)
 
 val metrics_table : cell list -> Stats.Table.t
@@ -278,5 +269,6 @@ val cell_verdict : cell -> string
 val matrix_jsonl : ?backend:string -> cell list -> string
 (** The survival matrix as JSON Lines, one object per cell, in the
     {e same schema for every backend} (tagged with [backend], default
-    ["sim"]): survival counts per property, the verdict, and each
+    ["sim"]): survival counts per property and for the round bounds,
+    the verdict, and each
     failure witness as its (seed, compact plan) reproduction. *)

@@ -206,6 +206,19 @@ let check_wait_freedom ~quiescent ops =
             })
       ops
 
+type claim = Safety | Regularity | Atomicity
+
+let claim_name = function
+  | Safety -> "safety"
+  | Regularity -> "regularity"
+  | Atomicity -> "atomicity"
+
+let check claim ~equal ops =
+  match claim with
+  | Safety -> check_safety ~equal ops
+  | Regularity -> check_regularity ~equal ops
+  | Atomicity -> check_atomicity ~equal ops
+
 let is_safe ~equal ops = check_safety ~equal ops = []
 
 let is_regular ~equal ops = check_regularity ~equal ops = []

@@ -40,6 +40,16 @@ val check_wait_freedom : quiescent:bool -> 'v Op.t list -> 'v violation list
     ended by exhausting events (not by an event or time budget); with
     [quiescent = false] the checker abstains and returns []. *)
 
+(** The register property a protocol claims (paper §2.2). *)
+type claim = Safety | Regularity | Atomicity
+
+val claim_name : claim -> string
+(** ["safety"], ["regularity"] or ["atomicity"]. *)
+
+val check : claim -> equal:('v -> 'v -> bool) -> 'v Op.t list -> 'v violation list
+(** Violations of exactly the property [claim] names: {!check_safety},
+    {!check_regularity} or {!check_atomicity}. *)
+
 val is_safe : equal:('v -> 'v -> bool) -> 'v Op.t list -> bool
 
 val is_regular : equal:('v -> 'v -> bool) -> 'v Op.t list -> bool

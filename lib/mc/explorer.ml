@@ -117,7 +117,7 @@ module Make (P : Core.Protocol_intf.S) = struct
   (* Build the scenario's pure transition system: initial state, the
      delivery step, and the terminal-state property check — shared by the
      exhaustive DFS and the Monte-Carlo sampler. *)
-  let machinery ~property scenario =
+  let machinery ~claim scenario =
     let cfg = scenario.cfg in
     let crashed = scenario.crashed in
     let send_to_objects st ~src m =
@@ -304,12 +304,7 @@ module Make (P : Core.Protocol_intf.S) = struct
     let check_terminal st =
       let ops = history_of_log st.log in
       let equal = String.equal in
-      let consistency =
-        match property with
-        | `Safe -> Histories.Checks.check_safety ~equal ops
-        | `Regular -> Histories.Checks.check_regularity ~equal ops
-        | `Atomic -> Histories.Checks.check_atomicity ~equal ops
-      in
+      let consistency = Histories.Checks.check claim ~equal ops in
       let consistency_violations =
         List.map
           (fun v ->
@@ -351,9 +346,21 @@ module Make (P : Core.Protocol_intf.S) = struct
 
     (init, deliver, check_terminal)
 
+  (* Keeps the first ten distinct violations noted, in order. *)
+  let violation_log () =
+    let seen = Hashtbl.create 16 and kept = ref [] in
+    let note =
+      List.iter (fun v ->
+          if not (Hashtbl.mem seen (v.kind, v.detail)) then begin
+            Hashtbl.add seen (v.kind, v.detail) ();
+            if List.length !kept < 10 then kept := v :: !kept
+          end)
+    in
+    (note, fun () -> List.rev !kept)
+
   (* Exhaustive DFS with memoization on a structural fingerprint. *)
-  let run ?(max_states = 200_000) ?(property = `Safe) scenario =
-    let init, deliver, check_terminal = machinery ~property scenario in
+  let check ?(max_states = 200_000) ~claim scenario =
+    let init, deliver, check_terminal = machinery ~claim scenario in
     let visited = Hashtbl.create (min max_states 65536) in
     let fingerprint st =
       Marshal.to_string
@@ -361,8 +368,7 @@ module Make (P : Core.Protocol_intf.S) = struct
          st.log)
         []
     in
-    let violations = ref [] in
-    let seen_violation = Hashtbl.create 16 in
+    let note, violations = violation_log () in
     let explored = ref 0 in
     let terminals = ref 0 in
     let truncated = ref false in
@@ -380,14 +386,7 @@ module Make (P : Core.Protocol_intf.S) = struct
             match st.inflight with
             | [] ->
                 incr terminals;
-                List.iter
-                  (fun v ->
-                    if not (Hashtbl.mem seen_violation (v.kind, v.detail)) then begin
-                      Hashtbl.add seen_violation (v.kind, v.detail) ();
-                      if List.length !violations < 10 then
-                        violations := v :: !violations
-                    end)
-                  (check_terminal st)
+                note (check_terminal st)
             | msgs ->
                 let choices =
                   List.sort_uniq Stdlib.compare msgs
@@ -399,18 +398,16 @@ module Make (P : Core.Protocol_intf.S) = struct
       explored = !explored;
       terminals = !terminals;
       truncated = !truncated;
-      violations = List.rev !violations;
+      violations = violations ();
     }
-
-  let check ?max_states ?property scenario = run ?max_states ?property scenario
 
   (* Monte-Carlo sampler: follow [walks] uniformly random schedules to
      quiescence, checking every endpoint.  Each walk draws from its own
      PRNG, split off the seed stream up front, so walk [i] samples the
      same schedule whatever the domain count — the batch fans across the
      pool and reduces (step sum, violation dedup) in walk order. *)
-  let random_walks ?jobs ?(walks = 1000) ?(property = `Safe) ~seed scenario =
-    let init, deliver, check_terminal = machinery ~property scenario in
+  let random_walks ?jobs ?(walks = 1000) ~claim ~seed scenario =
+    let init, deliver, check_terminal = machinery ~claim scenario in
     let base = Sim.Prng.create ~seed in
     let walk_rngs = Array.init walks (fun _ -> Sim.Prng.split base) in
     let run_walk i =
@@ -429,24 +426,17 @@ module Make (P : Core.Protocol_intf.S) = struct
       (!steps, check_terminal !st)
     in
     let results = Exec.Pool.init ?jobs walks run_walk in
-    let violations = ref [] in
-    let seen_violation = Hashtbl.create 16 in
+    let note, violations = violation_log () in
     let steps = ref 0 in
     Array.iter
       (fun (s, vs) ->
         steps := !steps + s;
-        List.iter
-          (fun v ->
-            if not (Hashtbl.mem seen_violation (v.kind, v.detail)) then begin
-              Hashtbl.add seen_violation (v.kind, v.detail) ();
-              if List.length !violations < 10 then violations := v :: !violations
-            end)
-          vs)
+        note vs)
       results;
     {
       explored = !steps;
       terminals = walks;
       truncated = false;
-      violations = List.rev !violations;
+      violations = violations ();
     }
 end

@@ -6,8 +6,8 @@
     §2.1 for that workload — executing the protocol's pure state
     machines along each branch.  At every quiescent endpoint it checks:
 
-    - the selected consistency property of the generated history
-      (safety / regularity / atomicity via {!Histories.Checks});
+    - the claimed property of the generated history
+      ({!Histories.Checks.check}: safety, regularity or atomicity);
     - {e wait-freedom}: with all messages delivered and at most [t]
       silenced objects, every invoked operation must have completed.
 
@@ -49,17 +49,15 @@ module Make (P : Core.Protocol_intf.S) : sig
   }
 
   val check :
-    ?max_states:int ->
-    ?property:[ `Safe | `Regular | `Atomic ] ->
-    scenario ->
-    result
-  (** Explore the scenario (default budget 200_000 states, default
-      property [`Safe]). *)
+    ?max_states:int -> claim:Histories.Checks.claim -> scenario -> result
+  (** Explore the scenario (default budget 200_000 states) and hold
+      every terminal history to [claim].  The search is exhaustive only
+      when the result is not [truncated]. *)
 
   val random_walks :
     ?jobs:int ->
     ?walks:int ->
-    ?property:[ `Safe | `Regular | `Atomic ] ->
+    claim:Histories.Checks.claim ->
     seed:int ->
     scenario ->
     result

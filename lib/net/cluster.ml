@@ -1,11 +1,9 @@
-(* An engine appends to a log of its own in [record]; the histories are
-   merged from the logs when asked for.  [spans] holds the spans its ops
-   handed out, latest response first. *)
+(* An engine appends to a log of its own in [record]; the histories and
+   spans are read from the logs when asked for. *)
 type engine = {
   client : Client.Keyed.t;
   registry : Obs.Metrics.t option;
   log : Record.log;
-  mutable spans : Obs.Span.t list;
 }
 
 type t = {
@@ -96,7 +94,7 @@ let take ?session ?(lanes = 1) ?(inflight = lanes) ?(coalesce = 1) t =
       ~map:t.map t.endpoints
   in
   t.next_rid <- t.next_rid + lanes;
-  let e = { client; registry; log = Record.log t.record; spans = [] } in
+  let e = { client; registry; log = Record.log t.record } in
   t.engines <- e :: t.engines;
   e
 
@@ -113,9 +111,6 @@ let processes t ~readers =
 let run ?(on_event = ignore) e ops =
   Client.Keyed.run_ops e.client ops ~on_event:(fun ev ->
       Record.event e.log ops ev;
-      (match ev with
-      | Client.Keyed.Respond { span = Some s; _ } -> e.spans <- s :: e.spans
-      | Client.Keyed.Respond { span = None; _ } | Invoke _ -> ());
       on_event ev)
 
 let keyed_histories t = Record.histories t.record
@@ -171,10 +166,7 @@ let alive t =
   |> List.filter_map (fun s ->
          if Server.alive s then Some (Server.index s) else None)
 
-let by_id (a : Obs.Span.t) (b : Obs.Span.t) = Int.compare a.id b.id
-
-let spans t =
-  List.concat_map (fun e -> List.sort by_id e.spans) (List.rev t.engines)
+let spans t = Record.spans t.record
 
 let metrics t =
   if not t.with_metrics then None

@@ -98,8 +98,9 @@ val run :
 
 val keyed_histories : t -> (int * string Histories.Op.t list) list
 (** {!Record.histories} of every engine so far: one history per key
-    that saw an operation, sorted by key id.  Feed each key's list to
-    {!Histories.Checks} (or {!Fault.Campaign.check}) independently. *)
+    that saw an operation, sorted by key id: what
+    {!Fault.Campaign.judge} takes, or feed each key's list to
+    {!Histories.Checks} independently. *)
 
 val history : t -> string Histories.Op.t list
 (** Key 0's history from {!keyed_histories} (empty if none). *)
@@ -141,9 +142,8 @@ val now_us : t -> int
 
 val spans : t -> Obs.Span.t list
 (** Every span the engines' ops started, each once: engines in the order
-    they were taken, each engine's spans in start ([id]) order.  {!run}
-    keeps them from the engines' [Respond] events; all share one
-    microsecond clock. *)
+    they were taken, each engine's spans in start ([id]) order
+    ({!Record.spans} of their logs); all share one microsecond clock. *)
 
 val metrics : t -> Obs.Metrics.t option
 (** Merged snapshot of every component registry (servers then engines);

@@ -16,7 +16,15 @@ let default_opts =
     transport = `Unix;
   }
 
-let protocol_of p = Protocols.of_string (Fault.Campaign.protocol_name p)
+let protocol_of : Fault.Campaign.protocol -> Protocols.t option = function
+  | Safe -> Some Protocols.safe
+  | Regular -> Some Protocols.regular
+  | Regular_opt -> Some Protocols.regular_opt
+  | Regular_gc ->
+      Some (Protocols.regular_gc ~readers:Fault.Campaign.workload_readers)
+  | Abd -> Some Protocols.abd
+  | Abd_atomic -> Some Protocols.abd_atomic
+  | Nonmod | Auth | Fast_safe | Naive_fast -> None
 
 (* ----- compiling a plan into live faults --------------------------------- *)
 
@@ -207,7 +215,7 @@ let run ?metrics ~opts protocol ~cfg ~seed plan =
      open in the history — exactly what wait-freedom flags *)
   Fault.Campaign.judge protocol ~quiescent:true ~completed:!completed
     ~total:(List.length schedule) ~spans:(Cluster.spans cluster)
-    (Cluster.history cluster)
+    (Cluster.keyed_histories cluster)
 
 let backend ?(opts = default_opts) () =
   {

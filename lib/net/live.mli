@@ -18,7 +18,7 @@
     {!Fault.Campaign.workload} of the same (seed, plan) — through one
     engine per paper process ({!Cluster.processes}), each on a thread of
     its own, at scaled invocation times, and the verdict
-    comes from the same {!Histories.Checks} oracles the simulator uses.
+    comes from {!Fault.Campaign.judge}, as the simulator's does.
     A live run is always quiescent once its operation threads join:
     operations that exhausted their retries remain open in the history
     and surface as wait-freedom violations.
@@ -46,9 +46,12 @@ type opts = {
 val default_opts : opts
 
 val protocol_of : Fault.Campaign.protocol -> Protocols.t option
-(** The wire pack of the protocol's name, if it has a codec: safe,
-    regular, regular-opt, regular-gc, abd and abd-atomic do; the
-    symbolic-only baselines cannot run live. *)
+(** The protocol's wire pack, if it has a codec: safe, regular,
+    regular-opt, regular-gc, abd and abd-atomic do; the symbolic-only
+    baselines cannot run live.  [Regular_gc]'s objects are sized for
+    {!Fault.Campaign.workload_readers} (two) readers, so a third reader
+    may need entries they already pruned: the cluster CLI sizes
+    {!Protocols.regular_gc} by its real reader count instead. *)
 
 val backend : ?opts:opts -> unit -> Fault.Campaign.backend
 (** This module as a campaign backend (name ["live"]), the one way to

@@ -26,7 +26,3 @@ let abd = Packed { proto = (module Baseline.Abd.Regular); codec = Codec.abd }
 
 let abd_atomic =
   Packed { proto = (module Baseline.Abd.Atomic); codec = Codec.abd }
-
-let all = [ safe; regular; regular_opt; regular_gc ~readers:2; abd; abd_atomic ]
-
-let of_string s = List.find_opt (fun p -> name p = s) all

@@ -8,7 +8,8 @@
     protocol modules unchanged — the network runtime adds only framing,
     deadlines and retries (see DESIGN.md §10).  What a protocol claims,
     and how a run is judged, is the protocol table's
-    ({!Fault.Campaign.claim}); a pack's {!name} is its key there. *)
+    ({!Fault.Campaign.entry}), and [Net.Live.protocol_of] maps each of
+    its rows to a pack. *)
 
 type t =
   | Packed : {
@@ -44,13 +45,3 @@ val regular_gc : readers:int -> t
 val abd : t
 
 val abd_atomic : t
-
-val all : t list
-
-val of_string : string -> t option
-(** Lookup by {!name}.  ["regular-gc"] resolves to
-    [regular_gc ~readers:2], so [robustread serve -p regular-gc] hosts
-    objects sized for two readers: they prune once any two readers have
-    shown a floor, so a third reader may need entries already dropped.
-    The cluster CLI builds [regular_gc] with its real reader count
-    instead. *)

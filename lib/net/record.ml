@@ -32,6 +32,18 @@ let event l ops ev =
   l.entries.(l.len) <- e;
   l.len <- l.len + 1
 
+let spans t =
+  List.concat_map
+    (fun l ->
+      let own = ref [] in
+      for i = 0 to l.len - 1 do
+        match l.entries.(i) with
+        | Client.Keyed.Respond { span = Some s; _ }, _ -> own := s :: !own
+        | (Client.Keyed.Respond { span = None; _ } | Invoke _), _ -> ()
+      done;
+      List.sort (fun (a : Obs.Span.t) b -> Int.compare a.id b.id) !own)
+    (List.rev t.logs)
+
 let key_of = function Client.Keyed.Invoke { key; _ } | Respond { key; _ } -> key
 
 let at_of = function

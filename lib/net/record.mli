@@ -39,6 +39,11 @@ val event : log -> Client.Keyed.kop array -> Client.Keyed.event -> unit
 (** [event log ops ev] appends [ev], an event of running [ops]: pass
     [~on_event:(Record.event log ops)] to {!Client.Keyed.run_ops}. *)
 
+val spans : t -> Obs.Span.t list
+(** The span of every operation that responded with one: log by log in
+    creation order, each log's in start ([id]) order.  Call it only
+    while no client is appending. *)
+
 val histories : t -> (int * string Histories.Op.t list) list
 (** One history per key that saw an event, sorted by key id; each lists
     its operations in invocation order.  Call it only while no client

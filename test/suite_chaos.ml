@@ -87,8 +87,9 @@ let test_crash_recovery_wiped_stays_safe () =
 let test_naive_fast_breaks_and_shrinks () =
   let seeds = List.init 10 (fun i -> i + 1) in
   let cell =
-    Fault.Campaign.sweep_protocol Fault.Campaign.Naive_fast ~t:1 ~b:1 ~seeds
-      ~budget:Fault.Plan.small
+    List.hd
+      (Fault.Campaign.sweep ~protocols:[ Naive_fast ] ~t:1 ~b:1 ~seeds
+         ~budget:Fault.Plan.small ())
   in
   (match cell.Fault.Campaign.failures with
   | [] ->
@@ -164,7 +165,7 @@ let robust_under_chaos name protocol =
       let plan = Fault.Plan.gen ~rng ~cfg ~budget:Fault.Plan.small in
       let v = Fault.Campaign.run_plan protocol ~cfg ~seed plan in
       let ok =
-        (not (Fault.Campaign.verdict_violates v))
+        (Fault.Campaign.breaches v = 0)
         && (not v.Fault.Campaign.quiescent
            || v.Fault.Campaign.completed = v.Fault.Campaign.total)
       in
@@ -216,14 +217,43 @@ let prop_regular_survives =
    configuration and it must survive every plan. *)
 let test_regular_gc_survives_campaign () =
   let cell =
-    Fault.Campaign.sweep_protocol ~jobs:1 ~budget:Fault.Plan.small
-      ~plans_per_seed:2 Fault.Campaign.Regular_gc ~t:1 ~b:1
-      ~seeds:[ 1; 2; 3; 4; 5; 6 ]
+    List.hd
+      (Fault.Campaign.sweep ~jobs:1 ~budget:Fault.Plan.small ~plans_per_seed:2
+         ~protocols:[ Regular_gc ] ~t:1 ~b:1 ~seeds:[ 1; 2; 3; 4; 5; 6 ] ())
   in
   Alcotest.(check int) "S = 2t+b+1" 4 cell.Fault.Campaign.cfg.Quorum.Config.s;
   Alcotest.(check int) "runs" 12 cell.Fault.Campaign.runs;
   Alcotest.(check string) "verdict" "survives"
     (Fault.Campaign.cell_verdict cell)
+
+(* The judge counts the rounds the automaton reported against the
+   entry's bound (open spans have none, and nonmod's reads claim no
+   bound) and keeps each violation of the claim with its key. *)
+let test_judge_rounds_and_keys () =
+  let span ?rounds kind =
+    let s = Obs.Span.create ~id:0 kind ~proc:"p" ~now:0 ~trace_pos:0 in
+    Option.iter (fun rounds -> Obs.Span.finish s ~now:1 ~rounds ~trace_pos:0 ()) rounds;
+    s
+  in
+  let judge ?(p = Fault.Campaign.Safe) spans histories =
+    Fault.Campaign.judge p ~quiescent:true ~completed:0 ~total:0 ~spans histories
+  in
+  let rounds ?p spans = (judge ?p spans []).Fault.Campaign.rounds in
+  let read = Obs.Span.Read { reader = 1 } and write = Obs.Span.Write in
+  let both n = [ span ~rounds:n read; span ~rounds:n write ] in
+  Alcotest.(check int) "at the bound" 0 (rounds (both 2));
+  Alcotest.(check int) "past the bound" 2 (rounds (both 3));
+  Alcotest.(check int) "an open span" 0 (rounds [ span read ]);
+  Alcotest.(check int) "nonmod's reads" 0 (rounds ~p:Nonmod [ span ~rounds:9 read ]);
+  let r = Histories.Recorder.create () in
+  let w = Histories.Recorder.invoke_write r ~time:0 "a" in
+  Histories.Recorder.respond_write r w ~time:5;
+  let rd = Histories.Recorder.invoke_read r ~time:10 ~reader:1 in
+  Histories.Recorder.respond_read r rd ~time:15 (Histories.Op.Value "ghost");
+  let v = judge [] [ (3, []); (7, Histories.Recorder.ops r) ] in
+  Alcotest.(check (list int)) "the violation keeps its key" [ 7 ]
+    (List.map fst v.Fault.Campaign.violations);
+  Alcotest.(check int) "complete ops checked" 2 v.Fault.Campaign.checked
 
 let suite =
   ( "chaos",
@@ -245,6 +275,8 @@ let suite =
         test_watchdog_abstains_without_quiescence;
       Alcotest.test_case "watchdog flags quiescent pending read" `Quick
         test_watchdog_flags_quiescent_pending_read;
+      Alcotest.test_case "judge holds rounds and keys" `Quick
+        test_judge_rounds_and_keys;
       QCheck_alcotest.to_alcotest prop_crash_recovery_survives;
       QCheck_alcotest.to_alcotest prop_safe_survives;
       QCheck_alcotest.to_alcotest prop_regular_survives;

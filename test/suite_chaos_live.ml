@@ -583,9 +583,9 @@ let same_plan_runs_on_both_backends () =
   (* A within-budget crash/recover plan must be survived on BOTH
      backends — and judged by the same rule. *)
   Alcotest.(check bool) "sim survives" false
-    (Fault.Campaign.verdict_violates sim);
+    (Fault.Campaign.breaches sim > 0);
   Alcotest.(check bool) "live survives" false
-    (Fault.Campaign.verdict_violates live);
+    (Fault.Campaign.breaches live > 0);
   Alcotest.(check int) "live completed everything" live.Fault.Campaign.total
     live.Fault.Campaign.completed
 
@@ -610,16 +610,13 @@ let json_keys line =
 
 let matrices_share_a_schema () =
   let seeds = [ 7 ] in
-  let sim_cell =
-    Fault.Campaign.sweep_protocol ~jobs:1 ~budget:Fault.Plan.small
-      ~plans_per_seed:1 Fault.Campaign.Safe ~t:1 ~b:1 ~seeds
+  let cell ?backend () =
+    List.hd
+      (Fault.Campaign.sweep ~jobs:1 ?backend ~budget:Fault.Plan.small
+         ~plans_per_seed:1 ~protocols:[ Safe ] ~t:1 ~b:1 ~seeds ())
   in
-  let live_cell =
-    Fault.Campaign.sweep_protocol ~jobs:1
-      ~backend:(Net.Live.backend ~opts:fast_live ())
-      ~budget:Fault.Plan.small ~plans_per_seed:1 Fault.Campaign.Safe ~t:1 ~b:1
-      ~seeds
-  in
+  let sim_cell = cell () in
+  let live_cell = cell ~backend:(Net.Live.backend ~opts:fast_live ()) () in
   (* Same campaign coordinates -> Plan.gen draws the SAME plan for both
      backends; the matrices must come out in the same schema. *)
   let sim_line = Fault.Campaign.matrix_jsonl ~backend:"sim" [ sim_cell ] in

@@ -45,7 +45,7 @@ let forge_safe : ES.pure_byz =
 
 let test_safe_read_only_byz_exhaustive () =
   let r =
-    ES.check ~max_states:100_000
+    ES.check ~max_states:100_000 ~claim:Safety
       {
         ES.cfg = cfg_core;
         writes = [];
@@ -61,7 +61,7 @@ let test_safe_read_only_byz_exhaustive () =
 
 let test_safe_read_only_crash_exhaustive () =
   let r =
-    ES.check ~max_states:100_000
+    ES.check ~max_states:100_000 ~claim:Safety
       {
         ES.cfg = cfg_core;
         writes = [];
@@ -79,7 +79,7 @@ let test_safe_sequential_write_read_bounded () =
   (* The full space fits in ~750k states; explore a 150k-state prefix in
      the quick suite (the bench harness runs it exhaustively). *)
   let r =
-    ES.check ~max_states:150_000
+    ES.check ~max_states:150_000 ~claim:Safety
       {
         ES.cfg = cfg_core;
         writes = [ Core.Value.v "a" ];
@@ -94,7 +94,7 @@ let test_safe_sequential_write_read_bounded () =
 
 let test_naive_violation_found_automatically () =
   let r =
-    EF.check ~max_states:100_000
+    EF.check ~max_states:100_000 ~claim:Safety
       {
         EF.cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1;
         writes = [ Core.Value.v "a" ];
@@ -111,7 +111,7 @@ let test_naive_violation_found_automatically () =
 
 let test_naive_run5_shape_found () =
   let r =
-    EF.check ~max_states:50_000
+    EF.check ~max_states:50_000 ~claim:Safety
       {
         EF.cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1;
         writes = [];
@@ -126,7 +126,7 @@ let test_naive_run5_shape_found () =
 
 let test_naive_clean_without_byz () =
   let r =
-    EF.check ~max_states:200_000
+    EF.check ~max_states:200_000 ~claim:Safety
       {
         EF.cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1;
         writes = [ Core.Value.v "a" ];
@@ -141,7 +141,7 @@ let test_naive_clean_without_byz () =
 
 let test_abd_atomicity_check_exhaustive () =
   let r =
-    EA.check ~max_states:400_000 ~property:`Regular
+    EA.check ~max_states:400_000 ~claim:Regularity
       {
         EA.cfg = Quorum.Config.make_exn ~s:3 ~t:1 ~b:0;
         writes = [ Core.Value.v "a" ];
@@ -158,7 +158,7 @@ let test_regular_sequential_write_read_bounded () =
   (* ~758k states exhaustively in the bench harness; a 150k-state prefix
      here keeps the suite fast. *)
   let r =
-    ER.check ~max_states:150_000 ~property:`Regular
+    ER.check ~max_states:150_000 ~claim:Regularity
       {
         ER.cfg = cfg_core;
         writes = [ Core.Value.v "a" ];
@@ -173,7 +173,7 @@ let test_regular_sequential_write_read_bounded () =
 
 let test_regular_read_only_exhaustive () =
   let r =
-    ER.check ~max_states:150_000 ~property:`Regular
+    ER.check ~max_states:150_000 ~claim:Regularity
       {
         ER.cfg = cfg_core;
         writes = [];
@@ -192,7 +192,7 @@ let test_regular_gc_fast_reads_byz_bounded () =
      read's round 2, concurrently with a write, while object 1 forges a
      <9, "ghost"> entry into every history it returns. *)
   let r =
-    EG.check ~max_states:60_000 ~property:`Regular
+    EG.check ~max_states:60_000 ~claim:Regularity
       {
         EG.cfg = Quorum.Config.make_exn ~s:5 ~t:1 ~b:1;
         writes = [ Core.Value.v "a" ];
@@ -216,7 +216,7 @@ let test_regular_gc_optimal_byz_read_exhaustive () =
       List.iter
         (fun (lie, byz) ->
           let r =
-            G.check ~max_states:50_000 ~property:`Regular
+            G.check ~max_states:50_000 ~claim:Regularity
               {
                 G.cfg = cfg_core;
                 writes = [];
@@ -238,7 +238,7 @@ let test_regular_gc_optimal_byz_read_exhaustive () =
 let test_regular_gc_optimal_byz_bounded () =
   let module G = Suite_random_walks.EG in
   let r =
-    G.check ~max_states:60_000 ~property:`Regular
+    G.check ~max_states:60_000 ~claim:Regularity
       {
         G.cfg = cfg_core;
         writes = [ Core.Value.v "a" ];
@@ -256,7 +256,7 @@ let test_wait_freedom_detects_stuck_protocols () =
   (* Crash one more object than the budget allows: the quorum can never
      form, reads hang, and the checker must report it. *)
   let r =
-    ES.check ~max_states:50_000
+    ES.check ~max_states:50_000 ~claim:Safety
       {
         ES.cfg = cfg_core;
         writes = [];

@@ -110,7 +110,7 @@ let test_at_threshold_byzantine_breaks_it () =
     }
   in
   let r =
-    E.check ~max_states:200_000
+    E.check ~max_states:200_000 ~claim:Safety
       {
         E.cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1;
         writes = [ Core.Value.v "v1" ];
@@ -137,7 +137,7 @@ let test_above_threshold_mc_clean () =
     }
   in
   let r =
-    E.check ~max_states:400_000
+    E.check ~max_states:400_000 ~claim:Safety
       {
         E.cfg = Quorum.Config.make_exn ~s:5 ~t:1 ~b:1;
         writes = [ Core.Value.v "v1" ];

@@ -38,7 +38,7 @@ let roundtrip_all_protocols () =
           let _ = ok_exn (name ^ " write") (Live_ops.write e "x1") in
           let o = ok_exn (name ^ " read") (Live_ops.read e) in
           Alcotest.(check string) (name ^ " reads the write") "x1" (value_of o)))
-    Net.Protocols.all
+    (List.filter_map Net.Live.protocol_of Fault.Campaign.protocols)
 
 let fast_read_is_one_round () =
   (* S = 4 > 2t + 2b with b = 0: the safe protocol's fast path applies,
@@ -138,7 +138,9 @@ let exchange (type m) (module P : Core.Protocol_intf.S with type msg = m)
 
 let on_every_protocol check =
   List.iter
-    (fun cfg -> List.iter (check cfg) Net.Protocols.all)
+    (fun cfg ->
+      List.iter (check cfg)
+        (List.filter_map Net.Live.protocol_of Fault.Campaign.protocols))
     [ cfg4; Quorum.Config.make_exn ~s:5 ~t:1 ~b:1 ]
 
 (* Metrics attribute a reply to a round by [P.msg_class], so for every

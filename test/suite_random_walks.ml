@@ -23,7 +23,7 @@ let test_safe_two_writes_two_readers () =
   (* 2 writes, 2 readers x 2 reads: far beyond the exhaustive budget;
      2000 random schedules, all safe. *)
   let r =
-    ES.random_walks ~walks:2000 ~seed:7
+    ES.random_walks ~walks:2000 ~claim:Safety ~seed:7
       {
         ES.cfg = Quorum.Config.optimal ~t:1 ~b:1;
         writes = [ Core.Value.v "a"; Core.Value.v "b" ];
@@ -55,7 +55,7 @@ let corrupt_history_acks ~src:_ m =
 let test_regular_walks_with_byz () =
   let forge : ER.pure_byz = { rewrite = corrupt_history_acks } in
   let r =
-    ER.random_walks ~walks:500 ~property:`Regular ~seed:8
+    ER.random_walks ~walks:500 ~claim:Regularity ~seed:8
       {
         ER.cfg = Quorum.Config.optimal ~t:1 ~b:1;
         writes = [ Core.Value.v "a"; Core.Value.v "b" ];
@@ -136,7 +136,7 @@ let test_regular_gc_lie (lie, byz) () =
       List.iter
         (fun (workload, writes, reads, sequential) ->
           let r =
-            EG.random_walks ~walks:gc_walks ~property:`Regular ~seed:liar
+            EG.random_walks ~walks:gc_walks ~claim:Regularity ~seed:liar
               {
                 EG.cfg = cfg_optimal;
                 writes;
@@ -156,7 +156,7 @@ let test_regular_gc_lie (lie, byz) () =
 
 let test_sampler_finds_naive_violation () =
   let r =
-    EF.random_walks ~walks:200 ~seed:9
+    EF.random_walks ~walks:200 ~claim:Safety ~seed:9
       {
         EF.cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1;
         writes = [ Core.Value.v "a" ];
@@ -171,7 +171,7 @@ let test_sampler_finds_naive_violation () =
 let test_sampler_deterministic () =
   let go () =
     let r =
-      ES.random_walks ~walks:50 ~seed:3
+      ES.random_walks ~walks:50 ~claim:Safety ~seed:3
         {
           ES.cfg = Quorum.Config.optimal ~t:1 ~b:1;
           writes = [ Core.Value.v "a" ];
@@ -185,6 +185,27 @@ let test_sampler_deterministic () =
   in
   Alcotest.(check int) "same seed, same walk lengths" (go ()) (go ())
 
+(* The claim [walks] passes is the one checked: ABD's regular reader
+   returns whatever its one round saw, so two reads overlapping a write
+   can see it new then old; the atomic reader's write-back rules that
+   out.  The scenario is [walks]'s. *)
+let atomicity_violations (module P : Core.Protocol_intf.S) =
+  let module E = Mc.Explorer.Make (P) in
+  let writes = [ Core.Value.v "a"; Core.Value.v "b" ] in
+  let cfg = Quorum.Config.optimal ~t:1 ~b:1 in
+  let reads = [ (1, 2); (2, 2) ] in
+  (E.random_walks ~walks:4000 ~claim:Atomicity ~seed:42
+     { E.cfg; writes; reads; sequential = false; byz = []; crashed = [] })
+    .violations
+  |> List.map (fun (v : E.violation) -> v.kind)
+
+let test_atomicity_claim_separates_abd () =
+  Alcotest.(check bool) "abd-regular inverts new-old" true
+    (List.mem "atomicity(new-old inversion)"
+       (atomicity_violations (module Baseline.Abd.Regular)));
+  Alcotest.(check (list string)) "abd-atomic does not" []
+    (atomicity_violations (module Baseline.Abd.Atomic))
+
 let suite =
   ( "random-walks",
     [
@@ -195,6 +216,8 @@ let suite =
       Alcotest.test_case "finds naive violation" `Quick
         test_sampler_finds_naive_violation;
       Alcotest.test_case "deterministic per seed" `Quick test_sampler_deterministic;
+      Alcotest.test_case "atomicity claim separates abd" `Quick
+        test_atomicity_claim_separates_abd;
     ]
     @ List.map
         (fun ((lie, _) as l) ->

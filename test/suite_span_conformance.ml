@@ -45,8 +45,7 @@ let qcheck_fast_safe =
    theorem's round count. *)
 let test_cell_round_histograms () =
   let cell =
-    Fault.Campaign.sweep_protocol Fault.Campaign.Safe ~t:1 ~b:1
-      ~seeds:[ 1; 2; 3 ]
+    List.hd (Fault.Campaign.sweep ~protocols:[ Safe ] ~t:1 ~b:1 ~seeds:[ 1; 2; 3 ] ())
   in
   match Obs.Metrics.find_histogram cell.metrics "op.read.rounds" with
   | None -> Alcotest.fail "cell has no op.read.rounds histogram"
