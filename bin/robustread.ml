@@ -3,7 +3,7 @@
      robustread info -t 2 -b 1
      robustread run --protocol safe -t 1 -b 1 --writes 3 --reads 5 --attack forge
      robustread lower-bound --protocol naive-fast -t 1 -b 1
-     robustread check --protocol regular --budget 1000000
+     robustread check --protocol regular
 
    See README.md for a tour. *)
 
@@ -468,7 +468,7 @@ let lower_bound_cmd =
 let check_cmd =
   let budget_arg =
     Arg.(
-      value & opt int 200_000
+      value & opt int 1_000_000
       & info [ "budget" ] ~docv:"STATES" ~doc:"Model-checker state budget.")
   in
   let run protocol t b budget =
@@ -494,7 +494,13 @@ let check_cmd =
     List.iter
       (fun (v : E.violation) -> Format.printf "violation [%s]: %s@." v.kind v.detail)
       r.violations;
-    if r.violations <> [] then exit 1
+    if r.violations <> [] then exit 1;
+    if r.truncated then begin
+      Format.printf
+        "not exhaustive: the search stopped at the state budget; raise \
+         --budget@.";
+      exit 3
+    end
   in
   let term = Term.(const run $ protocol_arg $ t_arg $ b_arg $ budget_arg) in
   Cmd.v
@@ -503,7 +509,8 @@ let check_cmd =
          "Model-check one write followed by one read for the protocol over \
           message delivery orders, holding every terminal history to the \
           property the protocol claims.  The search is exhaustive only when \
-          it reports $(b,truncated: false).")
+          it reports $(b,truncated: false).  Exits 1 on a violation, and 3 \
+          if the search found none but stopped at the state budget.")
     term
 
 (* ----- walks ------------------------------------------------------------- *)

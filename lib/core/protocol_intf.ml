@@ -5,8 +5,8 @@
     effects: the simulator ({!Scenario}) and the socket engine
     ([Net.Client.Keyed]) each host the round driver ({!Driver}), which
     sends the messages the machines return and feeds replies back in,
-    and they record operations; objects are stepped by the simulator's
-    processes or by [Net.Server].  The
+    and they record operations; the simulator and [Net.Server] each
+    step objects through the object host ({!Object_host}).  The
     paper's safe and regular storages and every baseline implement this
     signature, which is what makes the cross-protocol experiments (E4)
     one table loop instead of per-protocol drivers. *)

@@ -64,47 +64,29 @@ module Make (P : Protocol_intf.S) = struct
     let spans = ref [] and span_ids = ref 0 in
     let trace_pos () = match tr with Some tr -> Sim.Trace.length tr | None -> 0 in
 
-    (* Base objects: honest automata or injected Byzantine behaviours.
-       Handlers are built by (re-)installable closures so chaos events can
-       restart an object (with wiped or persisted state) or swap in a
-       Byzantine behaviour mid-run. *)
-    let obj_states : (int, P.obj ref) Hashtbl.t = Hashtbl.create 8 in
-    let install_honest ~wipe id =
-      let i = Sim.Proc_id.obj_index id in
-      let state =
-        match Hashtbl.find_opt obj_states i with
-        | Some r when not wipe -> r
-        | Some _ | None ->
-            let r = ref (P.obj_init ~cfg ~index:i) in
-            Hashtbl.replace obj_states i r;
-            r
-      in
-      Sim.Engine.register eng id (fun env ->
-          let state', reply =
-            P.obj_handle !state ~src:env.Sim.Engine.src env.Sim.Engine.msg
-          in
-          state := state';
-          Option.iter
-            (fun m -> Sim.Engine.send eng ~src:id ~dst:env.Sim.Engine.src m)
-            reply)
+    (* Base objects: one object host each, registered once as the
+       object's handler; Byzantine casts and restarts act on the host.
+       Its reply cache never fires: the channels lose no reply, and a
+       duplicated request stays unanswered. *)
+    let hosts =
+      Array.init cfg.Quorum.Config.s (fun k ->
+          Object_host.create (module P)
+            ~answers:(fun ~request:_ _ -> false)
+            ~cfg ~index:(k + 1))
     in
-    let install_byz id factory =
-      let i = Sim.Proc_id.obj_index id in
+    let byzantine i factory =
       let rng = Sim.Prng.split (Sim.Engine.rng eng) in
-      let behaviour = factory ~cfg ~index:i ~rng in
-      Sim.Engine.register eng id (fun env ->
-          let sends =
-            behaviour.Byz.handle ~src:env.Sim.Engine.src
-              ~now:(Sim.Engine.now eng) env.Sim.Engine.msg
-          in
-          List.iter (fun (dst, m) -> Sim.Engine.send eng ~src:id ~dst m) sends)
+      Object_host.byzantine hosts.(i - 1) (factory ~cfg ~index:i ~rng)
     in
     List.iter
       (fun id ->
         let i = Sim.Proc_id.obj_index id in
-        match List.assoc_opt i faults.byzantine with
-        | Some factory -> install_byz id factory
-        | None -> install_honest ~wipe:true id)
+        Sim.Engine.register eng id (fun env ->
+            List.iter
+              (fun (dst, m) -> Sim.Engine.send eng ~src:id ~dst m)
+              (Object_host.handle hosts.(i - 1) ~key:0 ~src:env.Sim.Engine.src
+                 ~now:(Sim.Engine.now eng) env.Sim.Engine.msg));
+        Option.iter (byzantine i) (List.assoc_opt i faults.byzantine))
       object_ids;
 
     (* The clients: one round driver per paper process, on the single
@@ -209,10 +191,9 @@ module Make (P : Protocol_intf.S) = struct
         | Chaos_crash { proc; at } ->
             Sim.Engine.at eng ~time:at (fun () -> Sim.Engine.crash eng proc)
         | Chaos_recover { obj; at; wipe } ->
-            let id = Sim.Proc_id.Obj obj in
             Sim.Engine.at eng ~time:at (fun () ->
-                Sim.Engine.recover eng id;
-                install_honest ~wipe id)
+                Sim.Engine.recover eng (Sim.Proc_id.Obj obj);
+                Object_host.restart hosts.(obj - 1) ~wipe)
         | Chaos_block { src; dst; from_; until } ->
             Sim.Engine.at eng ~time:from_ (fun () ->
                 Sim.Engine.block_link eng ~src ~dst);
@@ -230,8 +211,7 @@ module Make (P : Protocol_intf.S) = struct
             Sim.Engine.at eng ~time:until (fun () ->
                 Sim.Engine.clear_duplication eng ~src ~dst)
         | Chaos_switch { obj; at; factory } ->
-            Sim.Engine.at eng ~time:at (fun () ->
-                install_byz (Sim.Proc_id.Obj obj) factory))
+            Sim.Engine.at eng ~time:at (fun () -> byzantine obj factory))
       chaos;
 
     (* Operation schedule. *)

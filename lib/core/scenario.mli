@@ -1,12 +1,14 @@
 (** End-to-end simulated runs of a storage protocol.
 
     [Make (P)] drives [P]'s pure state machines over the discrete-event
-    engine: it spawns the base objects (honest or Byzantine), runs each
-    client process on a round driver of its own ({!Driver}: one
-    outstanding operation per client, §2.2, each round a broadcast to
-    objects 1..S), records the resulting history for the {!Histories}
-    checkers, and accumulates the per-operation metrics (latency,
-    rounds, reply bytes) the experiments tabulate. *)
+    engine: it runs each base object in an object host of its own
+    ({!Object_host}: honest or Byzantine, restarted with kept or wiped
+    state, with a reply cache that never fires here), runs each client
+    process on a round driver of its own ({!Driver}: one outstanding
+    operation per client, §2.2, each round a broadcast to objects
+    1..S), records the resulting history for the {!Histories} checkers,
+    and accumulates the per-operation metrics (latency, rounds, reply
+    bytes) the experiments tabulate. *)
 
 module Make (P : Protocol_intf.S) : sig
   type fault_plan = {
@@ -24,10 +26,11 @@ module Make (P : Protocol_intf.S) : sig
         (** like [fault_plan.crashes], but schedulable alongside the
             other chaos actions *)
     | Chaos_recover of { obj : int; at : int; wipe : bool }
-        (** restart base object [obj]: clear its crash flag and
-            re-install the honest automaton — with freshly initialized
-            state if [wipe], with the state persisted at crash time
-            otherwise.  Messages dropped while it was down stay lost. *)
+        (** restart base object [obj]: clear its crash flag and make it
+            honest again ({!Object_host.restart}) — with freshly
+            initialized state if [wipe], with the state persisted at
+            crash time otherwise.  Messages dropped while it was down
+            stay lost. *)
     | Chaos_block of {
         src : Sim.Proc_id.t;
         dst : Sim.Proc_id.t;
@@ -45,7 +48,8 @@ module Make (P : Protocol_intf.S) : sig
       }  (** the link delivers [1 + copies] copies of each message *)
     | Chaos_switch of { obj : int; at : int; factory : P.msg Byz.factory }
         (** object [obj] turns Byzantine mid-run with the given
-            behaviour (its honest state is abandoned) *)
+            behaviour; its honest state waits, unread, for a
+            [Chaos_recover] without [wipe] *)
 
   type outcome = {
     op : Schedule.op;

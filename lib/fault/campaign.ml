@@ -197,14 +197,27 @@ let judge protocol ~quiescent ~completed ~total ~spans histories =
     | Some r, Obs.Span.Read _, Some bound -> r > bound
     | None, _, _ | Some _, Obs.Span.Read _, None -> false
   in
+  (* Each checker scans a history once, and the claim's violations come
+     from those scans: atomicity is regularity plus its inversions. *)
+  let scans =
+    List.map
+      (fun (key, h) ->
+        let safety = Histories.Checks.check_safety ~equal h in
+        let regularity = Histories.Checks.check_regularity ~equal h in
+        let claimed =
+          match e.claim with
+          | Histories.Checks.Safety -> safety
+          | Regularity -> regularity
+          | Atomicity -> regularity @ Histories.Checks.check_inversions ~equal h
+        in
+        (safety, regularity, List.map (fun v -> (key, v)) claimed))
+      histories
+  in
+  let found f = List.fold_left (fun n scan -> n + List.length (f scan)) 0 scans in
   {
-    safety = count (Histories.Checks.check_safety ~equal);
-    regularity = count (Histories.Checks.check_regularity ~equal);
-    violations =
-      List.concat_map
-        (fun (key, h) ->
-          List.map (fun v -> (key, v)) (Histories.Checks.check e.claim ~equal h))
-        histories;
+    safety = found (fun (s, _, _) -> s);
+    regularity = found (fun (_, r, _) -> r);
+    violations = List.concat_map (fun (_, _, v) -> v) scans;
     rounds = List.length (List.filter over_bound spans);
     liveness = count (Histories.Checks.check_wait_freedom ~quiescent);
     checked = count (List.filter Histories.Op.is_complete);
@@ -231,62 +244,34 @@ let run_plan ?(max_events = 2_000_000) ?metrics protocol ~cfg ~seed
     (plan : Plan.t) =
   let (Entry { automata = (module P); strategy; _ }) = entry protocol in
   let module Sc = Core.Scenario.Make (P) in
-  (* The sim injector: plan actions stage into the scenario's fault
-     configuration — initial Byzantine casts plus time-scripted chaos
-     events.  Both lists accumulate by prepending; chaos is re-reversed
-     into action order below (scenario events carry their own [at], the
-     byzantine list is order-insensitive). *)
-  let module Sim_injector = struct
-    type t = {
-      mutable byzantine : (int * P.msg Core.Byz.factory) list;
-      mutable rev_chaos : Sc.chaos_event list;
-    }
-
-    let name = "sim"
-
-    let byzantine t ~obj ~kind =
-      t.byzantine <- (obj, strategy kind) :: t.byzantine
-
-    let switch t ~obj ~at ~kind =
-      t.rev_chaos <-
-        Sc.Chaos_switch { obj; at; factory = strategy kind } :: t.rev_chaos
-
-    let crash t ~obj ~at =
-      t.rev_chaos <-
-        Sc.Chaos_crash { proc = Sim.Proc_id.Obj obj; at } :: t.rev_chaos
-
-    let recover t ~obj ~at ~wipe =
-      t.rev_chaos <- Sc.Chaos_recover { obj; at; wipe } :: t.rev_chaos
-
-    let block t ~src ~dst ~from_ ~until =
-      t.rev_chaos <-
-        Sc.Chaos_block
-          { src = Plan.proc_id src; dst = Plan.proc_id dst; from_; until }
-        :: t.rev_chaos
-
-    let isolate t ~obj ~from_ ~until =
-      t.rev_chaos <- Sc.Chaos_isolate { obj; from_; until } :: t.rev_chaos
-
-    let duplicate t ~src ~dst ~copies ~from_ ~until =
-      t.rev_chaos <-
-        Sc.Chaos_duplicate
-          {
-            src = Plan.proc_id src;
-            dst = Plan.proc_id dst;
-            copies;
-            from_;
-            until;
-          }
-        :: t.rev_chaos
-  end in
-  let ctx = { Sim_injector.byzantine = []; rev_chaos = [] } in
-  Injector.apply (module Sim_injector) ctx plan;
+  (* The plan stages into the scenario's fault configuration: initial
+     Byzantine casts, newest first, and chaos events in action order
+     (each carries its own [at]). *)
+  let byzantine, rev_chaos =
+    List.fold_left
+      (fun (byz, chaos) -> function
+        | Plan.Byz { obj; kind } -> ((obj, strategy kind) :: byz, chaos)
+        | Plan.Switch { obj; at; kind } ->
+            (byz, Sc.Chaos_switch { obj; at; factory = strategy kind } :: chaos)
+        | Plan.Crash { obj; at } ->
+            (byz, Sc.Chaos_crash { proc = Sim.Proc_id.Obj obj; at } :: chaos)
+        | Plan.Recover { obj; at; wipe } ->
+            (byz, Sc.Chaos_recover { obj; at; wipe } :: chaos)
+        | Plan.Block { src; dst; from_; until } ->
+            let src = Plan.proc_id src and dst = Plan.proc_id dst in
+            (byz, Sc.Chaos_block { src; dst; from_; until } :: chaos)
+        | Plan.Isolate { obj; from_; until } ->
+            (byz, Sc.Chaos_isolate { obj; from_; until } :: chaos)
+        | Plan.Duplicate { src; dst; copies; from_; until } ->
+            let src = Plan.proc_id src and dst = Plan.proc_id dst in
+            (byz, Sc.Chaos_duplicate { src; dst; copies; from_; until } :: chaos))
+      ([], []) plan.Plan.actions
+  in
   let schedule = workload ~seed ~plan in
   let rep =
     Sc.run ~max_events ?metrics ~cfg ~seed
       ~delay:(Sim.Delay.uniform ~lo:1 ~hi:10)
-      ~chaos:(List.rev ctx.Sim_injector.rev_chaos)
-      ~faults:{ Sc.crashes = []; byzantine = ctx.Sim_injector.byzantine }
+      ~chaos:(List.rev rev_chaos) ~faults:{ Sc.crashes = []; byzantine }
       schedule
   in
   judge protocol ~quiescent:rep.quiescent

@@ -156,8 +156,9 @@ type backend = {
     Plan.t ->
     verdict;
 }
-(** An execution backend: anything that can run one (seed, plan) via
-    {!Injector.apply} and produce a {!verdict} from the checkers.  The
+(** An execution backend: anything that can run one (seed, plan),
+    translating the plan's actions into its own faults with one
+    exhaustive match, and produce a {!verdict} from {!judge}.  The
     simulator is {!sim_backend}; [Net.Live.backend] drives a real
     socket cluster.  The same {!Plan.t} value runs unchanged on any
     backend — sweeps, matrices and the shrinker are parameterized over

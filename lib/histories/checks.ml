@@ -153,34 +153,34 @@ let observed_index ~equal ws rd =
              observed-write index ambiguous")
   | None -> None
 
-let check_atomicity ~equal ops =
-  let regularity = check_regularity ~equal ops in
+let check_inversions ~equal ops =
   let ws = writes ops in
   let reads = complete_reads ops in
-  let inversions =
-    List.concat_map
-      (fun rd1 ->
-        List.filter_map
-          (fun rd2 ->
-            if not (Op.precedes rd1 rd2) then None
-            else
-              match (observed_index ~equal ws rd1, observed_index ~equal ws rd2) with
-              | Some k1, Some k2 when k1 > k2 ->
-                  Some
-                    {
-                      read = rd2;
-                      rule = "atomicity(new-old inversion)";
-                      detail =
-                        Printf.sprintf
-                          "read observed wr%d although a preceding read \
-                           already observed wr%d"
-                          k2 k1;
-                    }
-              | _ -> None)
-          reads)
-      reads
-  in
-  regularity @ inversions
+  List.concat_map
+    (fun rd1 ->
+      List.filter_map
+        (fun rd2 ->
+          if not (Op.precedes rd1 rd2) then None
+          else
+            match (observed_index ~equal ws rd1, observed_index ~equal ws rd2) with
+            | Some k1, Some k2 when k1 > k2 ->
+                Some
+                  {
+                    read = rd2;
+                    rule = "atomicity(new-old inversion)";
+                    detail =
+                      Printf.sprintf
+                        "read observed wr%d although a preceding read \
+                         already observed wr%d"
+                        k2 k1;
+                  }
+            | _ -> None)
+        reads)
+    reads
+
+let check_atomicity ~equal ops =
+  let regularity = check_regularity ~equal ops in
+  regularity @ check_inversions ~equal ops
 
 let check_wait_freedom ~quiescent ops =
   if not quiescent then []

@@ -28,8 +28,15 @@ val check_regularity :
 
 val check_atomicity :
   equal:('v -> 'v -> bool) -> 'v Op.t list -> 'v violation list
-(** @raise Invalid_argument if two writes carry equal values (the
+(** {!check_regularity}'s violations, then {!check_inversions}'.
+    @raise Invalid_argument if two writes carry equal values (the
     observed-write index would be ambiguous). *)
+
+val check_inversions :
+  equal:('v -> 'v -> bool) -> 'v Op.t list -> 'v violation list
+(** The new-old inversions alone: a read that observed an older write
+    than a read preceding it.
+    @raise Invalid_argument as {!check_atomicity}. *)
 
 val check_wait_freedom : quiescent:bool -> 'v Op.t list -> 'v violation list
 (** Wait-freedom watchdog (paper §2.2: every operation by a correct

@@ -28,7 +28,7 @@ let protocol_of : Fault.Campaign.protocol -> Protocols.t option = function
 
 (* ----- compiling a plan into live faults --------------------------------- *)
 
-(* What the injector stages before the cluster exists: timed server
+(* What a plan compiles to before the cluster exists: timed server
    events for the driver thread, and per-object rules whose windows are
    still in virtual ticks (scaled once the run's wall-clock base is
    known; [max_int] = until the run ends). *)
@@ -54,45 +54,42 @@ let byz_rules ~obj ~from_ kind =
   | Fault.Plan.Defame | Fault.Plan.Garbage ->
       reply_rule from_ max_int Chaos.Corrupt
 
-module Live_injector = struct
-  type t = {
-    mutable timed : (int * timed_ev) list;  (* reversed *)
-    mutable vrules : (int * Chaos.rule) list;  (* (object, rule in ticks) *)
-  }
+(* Live links are client<->server only: a block between two clients
+   (or two objects) has no wire to act on, mirroring the simulator where
+   no such messages flow in these protocols. *)
+let link ~src ~dst ~from_ ~until act =
+  match (src, dst) with
+  | (Fault.Plan.W | Fault.Plan.R _), Fault.Plan.O i ->
+      [ vrule i Chaos.To_server (Some (Fault.Plan.proc_id src)) from_ until act ]
+  | Fault.Plan.O i, (Fault.Plan.W | Fault.Plan.R _) ->
+      [ vrule i Chaos.To_client (Some (Fault.Plan.proc_id dst)) from_ until act ]
+  | _ -> []
 
-  let name = "live"
-
-  let byzantine t ~obj ~kind = t.vrules <- byz_rules ~obj ~from_:0 kind @ t.vrules
-
-  let switch t ~obj ~at ~kind = t.vrules <- byz_rules ~obj ~from_:at kind @ t.vrules
-
-  let crash t ~obj ~at = t.timed <- (at, Tcrash obj) :: t.timed
-
-  let recover t ~obj ~at ~wipe = t.timed <- (at, Trecover (obj, wipe)) :: t.timed
-
-  (* Live links are client<->server only: a block between two clients
-     (or two objects) has no wire to act on, mirroring the simulator
-     where no such messages flow in these protocols. *)
-  let link ~src ~dst ~from_ ~until act =
-    match (src, dst) with
-    | (Fault.Plan.W | Fault.Plan.R _), Fault.Plan.O i ->
-        [ vrule i Chaos.To_server (Some (Fault.Plan.proc_id src)) from_ until act ]
-    | Fault.Plan.O i, (Fault.Plan.W | Fault.Plan.R _) ->
-        [ vrule i Chaos.To_client (Some (Fault.Plan.proc_id dst)) from_ until act ]
-    | _ -> []
-
-  let block t ~src ~dst ~from_ ~until =
-    t.vrules <- link ~src ~dst ~from_ ~until Chaos.Drop @ t.vrules
-
-  let isolate t ~obj ~from_ ~until =
-    t.vrules <-
-      vrule obj Chaos.To_server None from_ until Chaos.Drop
-      :: vrule obj Chaos.To_client None from_ until Chaos.Drop
-      :: t.vrules
-
-  let duplicate t ~src ~dst ~copies ~from_ ~until =
-    t.vrules <- link ~src ~dst ~from_ ~until (Chaos.Duplicate copies) @ t.vrules
-end
+(* The plan's timed events, by time, and its rules, in action order. *)
+let compile (plan : Fault.Plan.t) =
+  let timed, vrules =
+    List.fold_left
+      (fun (timed, vrules) -> function
+        | Fault.Plan.Byz { obj; kind } ->
+            (timed, byz_rules ~obj ~from_:0 kind @ vrules)
+        | Fault.Plan.Switch { obj; at; kind } ->
+            (timed, byz_rules ~obj ~from_:at kind @ vrules)
+        | Fault.Plan.Crash { obj; at } -> ((at, Tcrash obj) :: timed, vrules)
+        | Fault.Plan.Recover { obj; at; wipe } ->
+            ((at, Trecover (obj, wipe)) :: timed, vrules)
+        | Fault.Plan.Block { src; dst; from_; until } ->
+            (timed, link ~src ~dst ~from_ ~until Chaos.Drop @ vrules)
+        | Fault.Plan.Isolate { obj; from_; until } ->
+            ( timed,
+              vrule obj Chaos.To_server None from_ until Chaos.Drop
+              :: vrule obj Chaos.To_client None from_ until Chaos.Drop
+              :: vrules )
+        | Fault.Plan.Duplicate { src; dst; copies; from_; until } ->
+            (timed, link ~src ~dst ~from_ ~until (Chaos.Duplicate copies) @ vrules))
+      ([], []) plan.actions
+  in
+  ( List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev timed),
+    List.rev vrules )
 
 (* ----- running one (seed, plan) ------------------------------------------ *)
 
@@ -113,10 +110,7 @@ let run ?metrics ~opts protocol ~cfg ~seed plan =
           (Printf.sprintf "live backend: protocol %s has no wire codec"
              (Fault.Campaign.protocol_name protocol))
   in
-  let ctx = { Live_injector.timed = []; vrules = [] } in
-  Fault.Injector.apply (module Live_injector) ctx plan;
-  let timed = List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev ctx.timed) in
-  let vrules = List.rev ctx.Live_injector.vrules in
+  let timed, vrules = compile plan in
   let schedule = Fault.Campaign.workload ~seed ~plan in
   let readers = Fault.Campaign.workload_readers in
   let cluster =

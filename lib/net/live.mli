@@ -2,8 +2,8 @@
     {!Fault.Plan} values the simulator runs, injected into a real
     socket cluster.
 
-    {!Fault.Injector.apply} compiles a plan into this backend's context:
-    crash/recover actions become a timed driver thread calling
+    One exhaustive fold over the plan's actions compiles it for a live
+    run: crash/recover actions become a timed driver thread calling
     {!Cluster.crash}/{!Cluster.restart} (persisted or wiped), and every
     network/Byzantine action becomes {!Chaos} rule windows that each
     object's server applies in its own worker loop ({!Cluster.set_rules}:

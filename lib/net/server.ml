@@ -23,15 +23,8 @@ type t = {
    must not distort. *)
 let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-(* One key's automaton and, per sender, the last reply it sent: a
-   request that reply answers is a retransmit (a sender's timestamps
-   only grow), and gets the reply again instead of a step the automaton
-   would ignore — so a lost reply is not lost for good.  A key has a
-   handful of senders: a short list costs less to make and to search
-   than a table per key. *)
-type 'm last = { who : Sim.Proc_id.t; mutable reply : 'm }
-
-type ('o, 'm) entry = { mutable obj : 'o; mutable last : 'm last list }
+(* Microseconds on the same clock: the time an object host is given. *)
+let now_us () = Int64.to_int (Monotonic_clock.now ()) / 1000
 
 (* A slot's fault rules and the clock their windows read. *)
 type faults = { clock : unit -> int; rules : Chaos.rule list }
@@ -97,27 +90,19 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
   let queue_lo = max 1 (queue_hi / 4) in
   let owner = Array.init s (fun i -> i mod nd) in
   let reg_for i = match metrics with None -> None | Some f -> Some (f i) in
-  let fresh i = P.obj_init ~cfg ~index:indices.(i) in
   let mutex = Mutex.create () in
   let cond = Condition.create () in
   let locked f =
     Mutex.lock mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
   in
-  (* Per-slot keyed object tables: key id -> automaton state and last
-     replies, each key materialized on first contact.  A table is only
-     ever touched by the slot's owning domain (the same invariant
-     [steppers] asserts for the automata), so no lock guards it. *)
-  let objs : (int, (P.obj, P.msg) entry) Hashtbl.t array =
-    Array.init s (fun _ -> Hashtbl.create 16)
-  in
-  let entry_for i key =
-    match Hashtbl.find_opt objs.(i) key with
-    | Some e -> e
-    | None ->
-        let e = { obj = fresh i; last = [] } in
-        Hashtbl.replace objs.(i) key e;
-        e
+  (* One object host per slot.  A host is only ever touched by the
+     slot's owning domain (the invariant [steppers] asserts), so no lock
+     guards it. *)
+  let hosts =
+    Array.init s (fun i ->
+        Core.Object_host.create (module P) ~answers:(Codec.answers codec) ~cfg
+          ~index:indices.(i))
   in
   (* A live slot's listener, until its owner takes the slot's stop
      request and closes it. *)
@@ -326,8 +311,8 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
       (* Partition-safety check: the routing table must have sent this
          connection to the slot's owner, and only one domain id may ever
          claim a live slot.  Keys nest inside slots (every key's state
-         lives in its slot's table), so the per-slot check covers every
-         keyed automaton too. *)
+         lives in its slot's object host), so the per-slot check covers
+         every keyed automaton too. *)
       if owner.(i) <> d then Atomic.incr violations;
       let me = (Domain.self () :> int) in
       let st = steppers.(i) in
@@ -338,28 +323,15 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
           then Atomic.incr violations
       | id when id = me -> ()
       | _ -> Atomic.incr violations);
-      let e = entry_for i key in
       Atomic.incr msg_counts.(i);
       count i "net.server.messages";
       meter i "delivered" m;
-      let last = List.find_opt (fun l -> Sim.Proc_id.equal l.who src) e.last in
-      let reply =
-        match last with
-        | Some l when Codec.answers codec ~request:m l.reply -> Some l.reply
-        | _ ->
-            let obj', reply = P.obj_handle e.obj ~src m in
-            e.obj <- obj';
-            (match (reply, last) with
-            | Some r, Some l -> l.reply <- r
-            | Some r, None -> e.last <- { who = src; reply = r } :: e.last
-            | None, _ -> ());
-            reply
-      in
-      match reply with
-      | Some r ->
+      (* The wire hosts honest objects only, which answer only [src]. *)
+      List.iter
+        (fun (_, r) ->
           meter i "sent" r;
-          queue c ~sender:(Some src) (Codec.Msg_key { key; sender; msg = r })
-      | None -> ()
+          queue c ~sender:(Some src) (Codec.Msg_key { key; sender; msg = r }))
+        (Core.Object_host.handle hosts.(i) ~key ~src ~now:(now_us ()) m)
     in
     let handle c ~sender = function
       | Codec.Hello { proto; sender = name; obj = dialed } ->
@@ -686,7 +658,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
   and restart_obj i ~wipe =
     locked (fun () ->
         if alive.(i) then invalid_arg "Server.restart: server still alive";
-        if wipe then Hashtbl.reset objs.(i);
+        Core.Object_host.restart hosts.(i) ~wipe;
         let fd, actual = Endpoint.listen actuals.(i) in
         Unix.set_nonblock fd;
         listeners.(i) <- Some fd;

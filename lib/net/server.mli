@@ -1,24 +1,18 @@
 (** Socket servers hosting base objects.
 
     A server group owns one listening socket (Unix-domain or TCP) per
-    base object and runs the protocol's {e unchanged} base-object state
-    machine behind each.  Every object belongs to one worker domain,
-    whose [select]-driven event loop accepts on the object's listening
-    socket, reads framed messages, feeds them through [P.obj_handle] and
-    writes the reply frames back in batches.  {!start} is a group of
-    one.
+    base object and hosts each object in a {!Core.Object_host}, the
+    simulator's object host, given {!Codec.answers} so that a
+    retransmit gets its lost reply again.  Every object belongs to one
+    worker domain, whose [select]-driven event loop accepts on the
+    object's listening socket, reads framed messages, feeds them through
+    the object's host and writes the reply frames back in batches.
+    {!start} is a group of one.
 
     Sessions open with a {!Codec.Hello} naming the protocol and the
     object index the client dialed; mismatches are answered with a
     terminal {!Codec.Err} frame, so a client pointed at the wrong server
     fails loudly instead of feeding garbage into a state machine.
-
-    Next to each key's automaton the server keeps the last reply it sent
-    each sender.  A request that reply answers ({!Codec.answers}) is a
-    retransmit — a sender's timestamps only grow — and gets the same
-    reply again without stepping the automaton, which would ignore it
-    (Figure 3 answers only fresh timestamps): over a lossy link a lost
-    reply is sent again, as reliable channels would deliver it.
 
     The worker loop is also where an object's faults happen: {!set_rules}
     installs {!Chaos} rules that it applies to every frame it decodes

@@ -253,7 +253,30 @@ let test_judge_rounds_and_keys () =
   let v = judge [] [ (3, []); (7, Histories.Recorder.ops r) ] in
   Alcotest.(check (list int)) "the violation keeps its key" [ 7 ]
     (List.map fst v.Fault.Campaign.violations);
-  Alcotest.(check int) "complete ops checked" 2 v.Fault.Campaign.checked
+  Alcotest.(check int) "complete ops checked" 2 v.Fault.Campaign.checked;
+  (* abd-atomic's violations are regularity's plus the inversions, taken
+     from the judge's one scan per checker. *)
+  let r = Histories.Recorder.create () in
+  let w = Histories.Recorder.invoke_write r ~time:0 "a" in
+  Histories.Recorder.respond_write r w ~time:5;
+  let w = Histories.Recorder.invoke_write r ~time:20 "b" in
+  let read ~at ~reader value =
+    let rd = Histories.Recorder.invoke_read r ~time:at ~reader in
+    Histories.Recorder.respond_read r rd ~time:(at + 5) (Histories.Op.Value value)
+  in
+  read ~at:30 ~reader:1 "b";
+  read ~at:40 ~reader:2 "a";
+  read ~at:50 ~reader:1 "ghost";
+  Histories.Recorder.respond_write r w ~time:100;
+  let h = Histories.Recorder.ops r in
+  let v = judge ~p:Abd_atomic [] [ (4, h) ] in
+  Alcotest.(check int) "one regularity violation" 1 v.Fault.Campaign.regularity;
+  Alcotest.(check (list string)) "regularity, then the inversion"
+    [ "regularity(1)"; "atomicity(new-old inversion)" ]
+    (List.map (fun (_, (x : _ Histories.Checks.violation)) -> x.rule) v.violations);
+  Alcotest.(check bool) "the judge's violations are the checker's" true
+    (List.map snd v.violations
+    = Histories.Checks.check Atomicity ~equal:String.equal h)
 
 let suite =
   ( "chaos",

@@ -38,61 +38,6 @@ let impatient =
     client = { Net.Client.deadline = 0.05; retries = 1; backoff = 0.01 };
   }
 
-(* ----- injector dispatch ------------------------------------------------- *)
-
-let injector_dispatch_is_total () =
-  (* Every Plan.action constructor must reach exactly one S method. *)
-  let module Rec = struct
-    type t = (string, int) Hashtbl.t
-
-    let name = "recording"
-
-    let hit t k = Hashtbl.replace t k (1 + Option.value ~default:0 (Hashtbl.find_opt t k))
-
-    let byzantine t ~obj:_ ~kind:_ = hit t "byz"
-
-    let switch t ~obj:_ ~at:_ ~kind:_ = hit t "switch"
-
-    let crash t ~obj:_ ~at:_ = hit t "crash"
-
-    let recover t ~obj:_ ~at:_ ~wipe:_ = hit t "recover"
-
-    let block t ~src:_ ~dst:_ ~from_:_ ~until:_ = hit t "block"
-
-    let isolate t ~obj:_ ~from_:_ ~until:_ = hit t "isolate"
-
-    let duplicate t ~src:_ ~dst:_ ~copies:_ ~from_:_ ~until:_ = hit t "dup"
-  end in
-  let plan =
-    {
-      Fault.Plan.horizon = 100;
-      actions =
-        [
-          Byz { obj = 1; kind = Fault.Plan.Mute };
-          Switch { obj = 2; at = 10; kind = Fault.Plan.Garbage };
-          Crash { obj = 3; at = 20 };
-          Recover { obj = 3; at = 40; wipe = true };
-          Block { src = Fault.Plan.W; dst = Fault.Plan.O 1; from_ = 5; until = 9 };
-          Isolate { obj = 2; from_ = 50; until = 60 };
-          Duplicate
-            {
-              src = Fault.Plan.O 1;
-              dst = Fault.Plan.R 1;
-              copies = 2;
-              from_ = 1;
-              until = 99;
-            };
-        ];
-    }
-  in
-  let seen = Hashtbl.create 8 in
-  Fault.Injector.apply (module Rec) seen plan;
-  List.iter
-    (fun k ->
-      Alcotest.(check int) (k ^ " dispatched once") 1
-        (Option.value ~default:0 (Hashtbl.find_opt seen k)))
-    [ "byz"; "switch"; "crash"; "recover"; "block"; "isolate"; "dup" ]
-
 (* ----- Cluster.crash/restart edge cases ---------------------------------- *)
 
 let restart_alive_is_structured_error () =
@@ -672,8 +617,6 @@ let live_witness_replays_deterministically () =
 let suite =
   ( "chaos-live",
     [
-      Alcotest.test_case "injector dispatch covers every action" `Quick
-        injector_dispatch_is_total;
       Alcotest.test_case "restart of a live server is a structured error"
         `Quick restart_alive_is_structured_error;
       Alcotest.test_case "double crash is idempotent" `Quick

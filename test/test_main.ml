@@ -44,4 +44,5 @@ let () =
       Suite_reader_oracle.suite;
       Suite_alloc.suite;
       Suite_driver.suite;
+      Suite_object_host.suite;
     ]
