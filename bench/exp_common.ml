@@ -239,11 +239,6 @@ let summary_json buf label (s : Stats.Summary.t) =
     (Stats.Summary.percentile s 99.)
     (Stats.Summary.mean s) (Stats.Summary.max s)
 
-let to_kop = function
-  | Workload.Keyspace.Read { key } -> Net.Client.Keyed.Read { key }
-  | Workload.Keyspace.Write { key; value } ->
-      Net.Client.Keyed.Write { key; value }
-
 let completed passes =
   Array.fold_left
     (fun n (_, results) ->
@@ -280,7 +275,7 @@ let keyspace_cell ~exp ~label ~transport ~protocol ~entry ~cfg ~fleet ~domains
     ~clients ~inflight ~coalesce ~keys ~skew ~write_ratio ~ops ~trials ~seed =
   let map = Shard.Map.make_exn ~keys ~fleet ~cfg () in
   let cluster =
-    Net.Cluster.start ~metrics:true ~transport ~domains ~map ~protocol ~cfg ()
+    Net.Cluster.start ~transport ~domains ~map ~protocol ~cfg ()
   in
   let engines =
     Array.init clients (fun _ -> Net.Cluster.engine ~inflight ~coalesce cluster)
@@ -296,7 +291,7 @@ let keyspace_cell ~exp ~label ~transport ~protocol ~entry ~cfg ~fleet ~domains
   (* One measured pass: client [c] draws its ops untimed, then runs them. *)
   let pass gens n =
     Exec.Pool.timed clients (fun c ->
-        let kops = Array.map to_kop (Workload.Keyspace.ops gens.(c) n) in
+        let kops = Workload.Keyspace.ops gens.(c) n in
         fun () -> run c kops)
   in
   (* Warm-up reads only, so it needs no write ownership. *)
@@ -347,7 +342,7 @@ let keyspace_cell ~exp ~label ~transport ~protocol ~entry ~cfg ~fleet ~domains
       ~total:(!ops_completed + !failures) ~spans:(Net.Cluster.spans cluster)
       histories
   in
-  let metrics = Option.get (Net.Cluster.metrics cluster) in
+  let metrics = Net.Cluster.metrics cluster in
   (* Fast-read engagement per shard, from the engines' shard.<i>.*
      counters. *)
   let shards_with_reads = ref 0 and shards_fast = ref 0 in

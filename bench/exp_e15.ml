@@ -16,9 +16,8 @@
       fail (reads_return_written), and the full recorded run must pass
       its protocol table row's judge — safety and at most 2 rounds per
       op for the safe protocol (violations = 0);
-   3. requests per read for every window, counted on a second cluster
-      with metrics on, so the registry's cost stays out of the timed
-      rows.
+   3. requests per read for every window, in its reported trial, read
+      off the cluster's always-on wire counters.
 
    Rates on a shared box jitter by +/-20%, so each timing cell is run
    E15_TRIALS times and the best trial is reported (standard practice
@@ -40,38 +39,8 @@ let inflight_levels () =
   Exp_common.getenv_list "E15_INFLIGHT" [ 1; 4; 16; 64 ] (fun s ->
       match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
 
-(* Read requests put on the wire per read, one row per window, [n]
-   reads each, on a cluster with metrics on. *)
-let requests_per_read ~transport ~protocol ~cfg ~levels ~n =
-  let c = Net.Cluster.start ~metrics:true ~transport ~protocol ~cfg () in
-  Fun.protect
-    ~finally:(fun () -> Net.Cluster.stop c)
-    (fun () ->
-      ignore
-        (ok_exn "metered write"
-           (Exp_common.run_one (Net.Cluster.engine c) (Exp_common.write0 "e15")));
-      let sent () =
-        match Net.Cluster.metrics c with
-        | None -> 0
-        | Some m ->
-            List.fold_left
-              (fun acc (name, v) ->
-                if
-                  String.starts_with ~prefix:"wire.read." name
-                  && String.ends_with ~suffix:".req.sent" name
-                then acc + v
-                else acc)
-              0 (Obs.Metrics.counters m)
-      in
-      List.map
-        (fun inflight ->
-          let e = Net.Cluster.engine ~lanes:inflight c in
-          let before = sent () in
-          Array.iter
-            (fun r -> ignore (ok_exn "metered read" r))
-            (Net.Cluster.run e (Array.make n Exp_common.read0));
-          (inflight, float_of_int (sent () - before) /. float_of_int n))
-        levels)
+let read_requests cluster =
+  Obs.Metrics.requests_sent ~op:Read (Net.Cluster.metrics cluster)
 
 let run () =
   let ops = Exp_common.getenv_int "E15_OPS" 2000 in
@@ -142,9 +111,11 @@ let run () =
         List.iter
           (fun (inflight, e) ->
             let plat = Stats.Summary.create () in
+            let before = read_requests cluster in
             let t0 = Exp_common.now_s () in
             let results = Net.Cluster.run e (Array.make ops Exp_common.read0) in
             let wall = Exp_common.now_s () -. t0 in
+            let reqs = float_of_int (read_requests cluster - before) in
             let failures = tally (Some plat) results in
             let rate = float_of_int ops /. wall in
             Exp_common.note
@@ -153,15 +124,17 @@ let run () =
               (Stats.Summary.percentile plat 50.)
               (Stats.Summary.percentile plat 99.);
             match Hashtbl.find_opt best inflight with
-            | Some (_, best_rate, _, _) when best_rate >= rate -> ()
-            | _ -> Hashtbl.replace best inflight (wall, rate, plat, failures))
+            | Some (_, best_rate, _, _, _) when best_rate >= rate -> ()
+            | _ ->
+                Hashtbl.replace best inflight
+                  (wall, rate, plat, failures, reqs /. float_of_int ops))
           engines
       done;
       let sweep =
         List.map
           (fun inflight ->
-            let wall, rate, plat, failures = Hashtbl.find best inflight in
-            (inflight, wall, rate, plat, failures))
+            let wall, rate, plat, failures, reqs = Hashtbl.find best inflight in
+            (inflight, wall, rate, plat, failures, reqs))
           levels
       in
       (* the live run (all trials) must check out *)
@@ -174,28 +147,22 @@ let run () =
       let reads_return_written = !mismatches = 0 && !failures_total = 0 in
       let rate_at k =
         List.find_map
-          (fun (i, _, r, _, _) -> if i = k then Some r else None)
+          (fun (i, _, r, _, _, _) -> if i = k then Some r else None)
           sweep
-      in
-      (* requests per read, untimed *)
-      let window_reqs =
-        requests_per_read ~transport ~protocol ~cfg ~levels
-          ~n:(Stdlib.min 500 ops)
       in
       Exp_common.note "  requests/read: %s"
         (String.concat ", "
            (List.map
-              (fun (i, r) -> Printf.sprintf "inflight %d %.2f" i r)
-              window_reqs));
+              (fun (i, _, _, _, _, r) -> Printf.sprintf "inflight %d %.2f" i r)
+              sweep));
       Printf.bprintf buf "  \"pipelined\": [\n";
       List.iteri
-        (fun i (inflight, wall, rate, plat, failures) ->
+        (fun i (inflight, wall, rate, plat, failures, reqs) ->
           Printf.bprintf buf
             "    { \"max_inflight\": %d, \"ops\": %d, \"wall_s\": %.4f, \
              \"ops_per_s\": %.1f, \"failures\": %d, \"requests_per_read\": \
              %.2f,\n      "
-            inflight ops wall rate failures
-            (List.assoc inflight window_reqs);
+            inflight ops wall rate failures reqs;
           Exp_common.summary_json buf "latency" plat;
           Printf.bprintf buf " }%s\n"
             (if i = List.length sweep - 1 then "" else ","))

@@ -50,7 +50,7 @@ let ok_exn what r = Exp_common.ok_exn "E17" what r
 let run_cell ~transport ~cfg ~reads ~writes =
   let protocol = Net.Protocols.regular_gc ~readers:1 in
   let cluster =
-    Net.Cluster.start ~metrics:true ~transport ~protocol ~cfg ()
+    Net.Cluster.start ~transport ~protocol ~cfg ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop cluster)
@@ -62,7 +62,7 @@ let run_cell ~transport ~cfg ~reads ~writes =
       let _ = ok_exn "warm read" (read ()) in
       let read2_sent () =
         Obs.Metrics.counter_value
-          (Option.get (Net.Cluster.metrics cluster))
+          (Net.Cluster.metrics cluster)
           "wire.read.r2.req.sent"
       in
       let read2_before = read2_sent () in
@@ -103,7 +103,7 @@ let run_cell ~transport ~cfg ~reads ~writes =
           (Exp_common.judge_cluster Regular_gc cluster ~completed:ran
              ~total:ran)
       in
-      let reg = Option.get (Net.Cluster.metrics cluster) in
+      let reg = Net.Cluster.metrics cluster in
       let lat = Obs.Metrics.find_histogram reg "op.read.latency_us" in
       ( float_of_int !round_sum /. float_of_int reads,
         !min_rounds,

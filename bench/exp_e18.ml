@@ -83,8 +83,7 @@ let run () =
   List.iteri
     (fun li nd ->
       let cluster =
-        Net.Cluster.start ~metrics:true ~transport ~domains:nd ~protocol ~cfg
-          ()
+        Net.Cluster.start ~transport ~domains:nd ~protocol ~cfg ()
       in
       (* One client per client domain, created once per cell: reader ids
          stay unique for the group's lifetime (base objects keep
@@ -157,7 +156,7 @@ let run () =
       Array.iter Net.Client.Keyed.close keyeds;
       Net.Cluster.stop cluster;
       let partition = Net.Cluster.partition_violations cluster in
-      let merged = Option.get (Net.Cluster.metrics cluster) in
+      let merged = Net.Cluster.metrics cluster in
       let verdict =
         Fault.Campaign.judge Safe ~quiescent:true ~completed:!completed
           ~total:(!completed + !failures)

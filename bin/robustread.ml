@@ -274,8 +274,9 @@ let metrics_arg =
     value & flag
     & info [ "metrics" ]
         ~doc:
-          "Collect observability metrics (round-count/latency histograms, \
-           wire counters, queue depth) and print the table.")
+          "Print (and with --artifacts export) the metrics: round-count and \
+           latency histograms, wire counters, queue depth.  $(b,cluster) \
+           always meters; the other commands meter only under this flag.")
 
 let artifacts_arg =
   Arg.(
@@ -830,16 +831,7 @@ let domains_arg =
    wire.*.req.sent counters over completed reads and writes — the
    figure quorum-sized rounds cut (S−t per round, not S). *)
 let print_requests_per_op reg =
-  let sent =
-    List.fold_left
-      (fun n (name, v) ->
-        if
-          String.starts_with ~prefix:"wire." name
-          && String.ends_with ~suffix:".req.sent" name
-        then n + v
-        else n)
-      0 (Obs.Metrics.counters reg)
-  in
+  let sent = Obs.Metrics.requests_sent reg in
   let ops =
     Obs.Metrics.counter_value reg "op.read.completed"
     + Obs.Metrics.counter_value reg "op.write.completed"
@@ -849,7 +841,7 @@ let print_requests_per_op reg =
       (float_of_int sent /. float_of_int ops)
       sent ops
 
-(* What a live command reports at exit: with a registry (kept only
+(* What a live command reports at exit: with a registry (passed only
    under --metrics), requests per op and the metrics table; then the
    --artifacts files. *)
 let live_report ~artifacts ~spans registry =
@@ -1074,10 +1066,6 @@ let client_cmd =
 
 (* ----- keyspace flags (cluster) ------------------------------------------- *)
 
-let keyed_op = function
-  | Workload.Keyspace.Read { key } -> Net.Client.Keyed.Read { key }
-  | Workload.Keyspace.Write { key; value } -> Net.Client.Keyed.Write { key; value }
-
 let keys_arg =
   Arg.(
     value & opt int 0
@@ -1214,9 +1202,8 @@ let cluster_cmd =
               ~write_filter:(fun k -> Shard.Map.mix k mod clients = c)
               ~keys ~seed:(seed + c) ()
           in
-          Array.map keyed_op
-            (Workload.Keyspace.ops gen
-               ((if c = 0 then writes else 0) + (readers * reads)))
+          Workload.Keyspace.ops gen
+            ((if c = 0 then writes else 0) + (readers * reads))
         in
         ( Shard.Map.make_exn ~keys ~fleet:cfg.Quorum.Config.s ~cfg (),
           [||],
@@ -1231,8 +1218,7 @@ let cluster_cmd =
     in
     let total = Array.fold_left (fun n a -> n + Array.length a) 0 ops in
     let cluster =
-      Net.Cluster.start ~metrics ~opts:copts ~transport ~domains ~map ~protocol
-        ~cfg ()
+      Net.Cluster.start ~opts:copts ~transport ~domains ~map ~protocol ~cfg ()
     in
     Format.printf
       "cluster of %a (%s) over %s sockets (%d server domain%s): %d writes, \
@@ -1331,7 +1317,8 @@ let cluster_cmd =
       (List.length histories) v.checked v.completed partition
       (claim_verdict p v);
     print_violations ~keyed:true p v;
-    live_report ~artifacts ~spans (Net.Cluster.metrics cluster);
+    live_report ~artifacts ~spans
+      (if metrics then Some (Net.Cluster.metrics cluster) else None);
     Net.Cluster.stop cluster;
     if
       !failures > 0 || partition > 0 || v.checked <> v.completed

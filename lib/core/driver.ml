@@ -79,11 +79,73 @@ type ('m, 'r, 'w) kreg = {
   kwq : int Queue.t;  (* queued write ops, program order *)
 }
 
+(* Counts a span into the op.<kind>.* family; the simulator's post-run
+   op metrics use it too. *)
+let op_meters reg kind ~latency:(suffix, bounds) =
+  let k = "op." ^ kind in
+  let c name = Obs.Metrics.counter reg (k ^ name) in
+  let h name bounds = Obs.Metrics.histogram reg (k ^ name) ~bounds in
+  let completed = c ".completed" and unfinished = c ".open" in
+  let rounds = h ".rounds" Obs.Metrics.round_bounds in
+  let latency = h suffix bounds in
+  let replies = h ".replies" Obs.Metrics.count_bounds in
+  let contacted = h ".contacted" Obs.Metrics.count_bounds in
+  fun (s : Obs.Span.t) ->
+    match s.completed_at with
+    | None -> Obs.Metrics.counter_incr unfinished
+    | Some at ->
+        let observe h v = Obs.Metrics.histogram_observe_int h v in
+        Obs.Metrics.counter_incr completed;
+        observe rounds s.rounds;
+        observe latency (at - s.started_at);
+        observe replies s.replies;
+        observe contacted (List.length s.rev_contacted)
+
+(* What the driver meters per op or per reply, made once at create
+   (DESIGN §8); rare events (timeouts, widenings, resyncs, retransmits)
+   stay string-keyed on [reg]. *)
+type 'm meters = {
+  reg : Obs.Metrics.t;
+  wire : 'm Obs.Metrics.wire;
+  reads : Obs.Span.t -> unit;
+  writes : Obs.Span.t -> unit;
+  fast_reads : Obs.Metrics.counter;
+  fallback_rounds : Obs.Metrics.counter;
+  coalesced_reads : Obs.Metrics.counter;
+  coalesce_width : Obs.Metrics.histogram;
+  (* per shard: E19's evidence that the §5.1 one-round path survives
+     sharding *)
+  shard_reads : Obs.Metrics.counter array;
+  shard_fast_reads : Obs.Metrics.counter array;
+}
+
+let meters reg map classify =
+  let c = Obs.Metrics.counter reg in
+  let per_shard what =
+    Array.init (Shard.Map.shards map) (fun i ->
+        c (Printf.sprintf "shard.%d.%s" i what))
+  in
+  let latency = (".latency_us", Obs.Metrics.wallclock_bounds) in
+  {
+    reg;
+    wire = Obs.Metrics.wire reg classify;
+    reads = op_meters reg "read" ~latency;
+    writes = op_meters reg "write" ~latency;
+    fast_reads = c "op.fast_reads";
+    fallback_rounds = c "op.fallback_rounds";
+    coalesced_reads = c "op.coalesced_reads";
+    coalesce_width =
+      Obs.Metrics.histogram reg "op.coalesce_width"
+        ~bounds:Obs.Metrics.batch_bounds;
+    shard_reads = per_shard "reads";
+    shard_fast_reads = per_shard "fast_reads";
+  }
+
 type ('m, 'r, 'w) t = {
   proto : ('m, 'r, 'w) protocol;
   host : 'm host;
   map : Shard.Map.t;
-  metrics : Obs.Metrics.t option;
+  meters : 'm meters;
   timing : timing option;
   window : int;
   fanout : int;
@@ -110,13 +172,15 @@ type ('m, 'r, 'w) t = {
 (* Role indices: the writer, then reader lanes 0 .. readers-1. *)
 let writer = -1
 
-let create ?metrics ?timing ?(window = max_int) ?(coalesce = 1) proto ~host
-    ~map ~fanout ~reader ~readers =
+let create (type m r w) ?(metrics = Obs.Metrics.off) ?timing
+    ?(window = max_int) ?(coalesce = 1) (proto : (m, r, w) protocol) ~host ~map
+    ~fanout ~reader ~readers =
+  let (module P) = proto in
   {
     proto;
     host;
     map;
-    metrics;
+    meters = meters metrics map P.msg_class;
     timing;
     window = max 1 window;
     fanout;
@@ -155,16 +219,7 @@ let op d i = d.ops.(i)
 
 let finished d = d.completed >= d.n
 
-let count d name =
-  match d.metrics with None -> () | Some reg -> Obs.Metrics.incr reg name
-
-let meter (type m r w) (d : (m, r, w) t) stage (m : m) =
-  match d.metrics with
-  | None -> ()
-  | Some reg ->
-      let (module P) = d.proto in
-      Obs.Metrics.incr reg
-        ("wire." ^ Obs.Wire.to_string (P.msg_class m) ^ "." ^ stage)
+let count d name = Obs.Metrics.incr d.meters.reg name
 
 let sender_of d lane = if lane = writer then "w" else d.lane_names.(lane)
 
@@ -273,44 +328,23 @@ let reconnected (type m r w) (d : (m, r, w) t) =
    span.rounds: a protocol that broadcasts Read2 next to a round-1
    decision (Fig. 6's plain regular reader) records 2 initiated rounds
    for a 1-round read. *)
-let op_metrics d lane span ~rounds now =
-  match d.metrics with
-  | None -> ()
-  | Some reg ->
-      let k = if lane = writer then "op.write" else "op.read" in
-      Obs.Metrics.incr reg (k ^ ".completed");
-      Obs.Metrics.observe_int reg (k ^ ".rounds")
-        ~bounds:Obs.Metrics.round_bounds span.Obs.Span.rounds;
-      Obs.Metrics.observe_int reg (k ^ ".latency_us")
-        ~bounds:Obs.Metrics.wallclock_bounds
-        (now - span.Obs.Span.started_at);
-      Obs.Metrics.observe_int reg (k ^ ".replies")
-        ~bounds:Obs.Metrics.count_bounds span.Obs.Span.replies;
-      Obs.Metrics.observe_int reg (k ^ ".contacted")
-        ~bounds:Obs.Metrics.count_bounds
-        (List.length (Obs.Span.contacted span));
-      if lane <> writer then
-        Obs.Metrics.incr reg
-          (if rounds <= 1 then "op.fast_reads" else "op.fallback_rounds")
-
-(* Per-shard fast-read engagement: E19's per-shard evidence that the
-   §5.1 one-round path survives sharding. *)
-let shard_read_metric d r ~rounds =
-  match d.metrics with
-  | None -> ()
-  | Some reg ->
-      Obs.Metrics.incr reg (Printf.sprintf "shard.%d.reads" r.kshard);
-      if rounds <= 1 then
-        Obs.Metrics.incr reg (Printf.sprintf "shard.%d.fast_reads" r.kshard)
+let op_metrics d r lane span ~rounds =
+  let ms = d.meters in
+  if Obs.Metrics.enabled ms.reg then begin
+    (if lane = writer then ms.writes else ms.reads) span;
+    if lane <> writer then begin
+      let fast = rounds <= 1 in
+      Obs.Metrics.counter_incr
+        (if fast then ms.fast_reads else ms.fallback_rounds);
+      Obs.Metrics.counter_incr ms.shard_reads.(r.kshard);
+      if fast then Obs.Metrics.counter_incr ms.shard_fast_reads.(r.kshard)
+    end
+  end
 
 (* Batch width is observed once per member (the histogram weights by
    op, not by round); only recorded when coalescing is on. *)
 let observe_width d w =
-  match d.metrics with
-  | None -> ()
-  | Some reg ->
-      Obs.Metrics.observe_int reg "op.coalesce_width"
-        ~bounds:Obs.Metrics.batch_bounds w
+  Obs.Metrics.histogram_observe_int d.meters.coalesce_width w
 
 let invoke d op r lane ~joined ~now =
   let write = lane = writer and reader = reader_id d lane in
@@ -334,11 +368,10 @@ let finish_op d r lane (a : _ active) outcome ~now =
 (* An op's automaton decided: its span closes and its per-op and
    per-shard metrics count.  Returns the op's latency. *)
 let close_span d r lane span ~value ~rounds ~now =
-  if lane <> writer then shard_read_metric d r ~rounds;
   Obs.Span.finish span ~now ~rounds
     ?result:(Option.map Value.to_string value)
     ~trace_pos:(d.host.trace_pos ()) ();
-  op_metrics d lane span ~rounds now;
+  op_metrics d r lane span ~rounds;
   now - span.Obs.Span.started_at
 
 (* Every read that joined [a]'s round responds with the round's outcome:
@@ -454,13 +487,13 @@ let deliver d ~now ~slot ~key ~lane m =
       let obj = slot + 1 in
       match get_st r lane with
       | Sactive a ->
-          meter d "delivered" m;
+          Obs.Metrics.wire_incr d.meters.wire Delivered m;
           Obs.Span.contact a.aspan ~obj;
           let counted = note_answer d r a ~slot m in
           feed_reg d r lane ~obj m ~now;
           if counted then after_answer d r lane a ~now
       | Sparked p ->
-          meter d "delivered" m;
+          Obs.Metrics.wire_incr d.meters.wire Delivered m;
           Obs.Span.contact p.pspan ~obj;
           feed_reg d r lane ~obj m ~now
       | Sidle | Sdone _ -> () (* stale ack between operations *))
@@ -487,9 +520,8 @@ let lost d ~slot =
    slot. *)
 let join_read d idx r lane b ~now =
   invoke d idx r lane ~joined:true ~now;
-  Coalesce.join b
-    (idx, start_span d lane ~now);
-  count d "op.coalesced_reads"
+  Coalesce.join b (idx, start_span d lane ~now);
+  Obs.Metrics.counter_incr d.meters.coalesced_reads
 
 let activate d idx r lane ~cur ~span ~owns ~batch ~now =
   let a =
@@ -677,7 +709,7 @@ let flushed d =
 
 let timed_out d r lane (a : _ active) tm ~now =
   let what = if lane = writer then "write" else "read" in
-  count d ("op." ^ what ^ ".timeout");
+  count d (if lane = writer then "op.write.timeout" else "op.read.timeout");
   let connected =
     List.filter d.host.connected (List.init (Shard.Map.fleet d.map) Fun.id)
     |> List.map (fun slot -> string_of_int (slot + 1))

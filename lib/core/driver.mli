@@ -52,6 +52,12 @@ type ('m, 'r, 'w) protocol =
       and type reader = 'r
       and type writer = 'w)
 
+val op_meters :
+  Obs.Metrics.t -> string -> latency:string * float array -> Obs.Span.t -> unit
+(** [op_meters reg kind ~latency:(suffix, bounds)] counts a span into
+    the [op.<kind>.*] family of ["read"] or ["write"] ops (an open one
+    as [.open]); its latency histogram is [op.<kind><suffix>]. *)
+
 type ('m, 'r, 'w) t
 
 val writer : int
@@ -72,7 +78,7 @@ val create :
 (** No deadline without [timing]; [window] (default unbounded) caps the
     ops in flight, joined reads aside; [coalesce] (default 1 = off) caps
     a read round's width.  With [metrics] the driver counts the [op.*]
-    families and [wire.<class>.delivered]. *)
+    families and [wire.<class>.delivered]; without, nothing. *)
 
 val load : ('m, 'r, 'w) t -> on_event:(event -> unit) -> kop array -> unit
 (** Replace the operations with [ops], numbered from 0, and send events

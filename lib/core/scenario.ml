@@ -236,23 +236,14 @@ module Make (P : Protocol_intf.S) = struct
     Option.iter
       (fun m ->
         Obs.Metrics.add m "reader.words" !words_to_readers;
+        let family kind =
+          Driver.op_meters m kind
+            ~latency:(".latency", Obs.Metrics.latency_bounds)
+        in
+        let reads = family "read" and writes = family "write" in
         List.iter
           (fun (s : Obs.Span.t) ->
-            let k = "op." ^ Obs.Span.kind_to_string s.Obs.Span.kind in
-            match s.Obs.Span.completed_at with
-            | None -> Obs.Metrics.incr m (k ^ ".open")
-            | Some completed_at ->
-                Obs.Metrics.incr m (k ^ ".completed");
-                Obs.Metrics.observe_int m (k ^ ".rounds")
-                  ~bounds:Obs.Metrics.round_bounds s.Obs.Span.rounds;
-                Obs.Metrics.observe_int m (k ^ ".latency")
-                  ~bounds:Obs.Metrics.latency_bounds
-                  (completed_at - s.Obs.Span.started_at);
-                Obs.Metrics.observe_int m (k ^ ".replies")
-                  ~bounds:Obs.Metrics.count_bounds s.Obs.Span.replies;
-                Obs.Metrics.observe_int m (k ^ ".contacted")
-                  ~bounds:Obs.Metrics.count_bounds
-                  (List.length (Obs.Span.contacted s)))
+            (match s.kind with Obs.Span.Read _ -> reads | Write -> writes) s)
           spans)
       metrics;
     {

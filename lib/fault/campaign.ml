@@ -240,8 +240,10 @@ let workload ~seed ~(plan : Plan.t) =
     (Workload.Generate.read_mostly ~rng ~writes:0 ~readers:workload_readers
        ~reads_per_reader:4 ~horizon:plan.Plan.horizon)
 
-let run_plan ?(max_events = 2_000_000) ?metrics protocol ~cfg ~seed
-    (plan : Plan.t) =
+(* Simulated events one run may take before it counts as incomplete. *)
+let max_events = 2_000_000
+
+let run_plan ?metrics protocol ~cfg ~seed (plan : Plan.t) =
   let (Entry { automata = (module P); strategy; _ }) = entry protocol in
   let module Sc = Core.Scenario.Make (P) in
   (* The plan stages into the scenario's fault configuration: initial
@@ -309,16 +311,8 @@ let sim_backend =
    table says the protocol claims, its round bounds, or wait-freedom. *)
 let breaches v = List.length v.violations + v.rounds + v.liveness
 
-(* [max_events] bounds the simulator only. *)
-let run_on ?max_events ?(backend = sim_backend) ?metrics protocol ~cfg ~seed
-    plan =
-  match max_events with
-  | Some max_events when backend == sim_backend ->
-      run_plan ~max_events ?metrics protocol ~cfg ~seed plan
-  | _ -> backend.backend_run ?metrics protocol ~cfg ~seed plan
-
-let violates ?max_events ?backend protocol ~cfg ~seed plan =
-  breaches (run_on ?max_events ?backend protocol ~cfg ~seed plan) > 0
+let violates protocol ~cfg ~seed plan =
+  breaches (run_plan protocol ~cfg ~seed plan) > 0
 
 (* ----- sweeping seeds x plans x protocols -------------------------------- *)
 
@@ -338,8 +332,8 @@ type cell = {
   metrics : Obs.Metrics.t;
 }
 
-let run_plan_result ?max_events ?backend ?metrics protocol ~cfg ~seed plan =
-  match run_on ?max_events ?backend ?metrics protocol ~cfg ~seed plan with
+let run_plan_result ?(backend = sim_backend) ?metrics protocol ~cfg ~seed plan =
+  match backend.backend_run ?metrics protocol ~cfg ~seed plan with
   | v -> Ok v
   | exception e -> Error { seed; plan; error = Printexc.to_string e }
 
@@ -365,15 +359,12 @@ let empty_cell protocol cfg metrics =
    exact serial result: counters add, failure/error lists concatenate in
    seed order, and the PR-2 histogram algebra makes the registry merge
    associative and commutative. *)
-let sweep_seed ?max_events ?backend ~budget ~plans_per_seed protocol ~cfg
-    ~seed =
+let sweep_seed ?backend ~budget ~plans_per_seed protocol ~cfg ~seed =
   let metrics = Obs.Metrics.create () in
   let rng = Sim.Prng.create ~seed in
   let count n hit = if hit then n + 1 else n in
   let tally c plan =
-    match
-      run_plan_result ?max_events ?backend ~metrics protocol ~cfg ~seed plan
-    with
+    match run_plan_result ?backend ~metrics protocol ~cfg ~seed plan with
     | Error e ->
         (* A raising run is a campaign finding, not a sweep abort: the
            structured error surfaces in the matrix alongside the seeds
@@ -421,7 +412,7 @@ let assemble_cell protocol cfg cells =
     (empty_cell protocol cfg metrics)
     cells
 
-let sweep ?jobs ?max_events ?backend ?(budget = Plan.medium)
+let sweep ?jobs ?backend ?(budget = Plan.medium)
     ?(plans_per_seed = 3) ~protocols ~t ~b ~seeds () =
   (* Fan the full protocol x seed matrix through one pool so a slow cell
      in one protocol overlaps the others, then regroup per protocol in
@@ -435,7 +426,7 @@ let sweep ?jobs ?max_events ?backend ?(budget = Plan.medium)
   let units =
     Exec.Pool.map ?jobs
       (fun (p, cfg, seed) ->
-        sweep_seed ?max_events ?backend ~budget ~plans_per_seed p ~cfg ~seed)
+        sweep_seed ?backend ~budget ~plans_per_seed p ~cfg ~seed)
       tasks
   in
   let nseeds = List.length seeds in

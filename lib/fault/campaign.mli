@@ -133,7 +133,6 @@ val workload_readers : int
     sizes its cluster from this, and [Regular_gc]'s floor set). *)
 
 val run_plan :
-  ?max_events:int ->
   ?metrics:Obs.Metrics.t ->
   protocol ->
   cfg:Quorum.Config.t ->
@@ -141,8 +140,8 @@ val run_plan :
   Plan.t ->
   verdict
 (** Execute one (seed, plan) against [protocol] at [cfg] {e in the
-    simulator} and check the history.  Deterministic in
-    [(protocol, cfg, seed, plan)].  With [metrics], the run's
+    simulator}, for at most 2,000,000 events, and check the history.
+    Deterministic in [(protocol, cfg, seed, plan)].  With [metrics], the run's
     observations accumulate into the registry (pass the same registry
     to many runs to aggregate a cell). *)
 
@@ -165,24 +164,16 @@ type backend = {
     this record. *)
 
 val sim_backend : backend
-(** The default: {!run_plan} at its default event bound. *)
+(** The default: {!run_plan}. *)
 
 val breaches : verdict -> int
 (** How often this verdict broke the protocol's contract: violations of
     the property it claims, operations past its round bounds, and
     wait-freedom violations, summed.  A run survives at 0. *)
 
-val violates :
-  ?max_events:int ->
-  ?backend:backend ->
-  protocol ->
-  cfg:Quorum.Config.t ->
-  seed:int ->
-  Plan.t ->
-  bool
-(** The shrinker's repro predicate: nonzero {!breaches} of one run on
-    [backend] (default {!sim_backend}; [max_events] applies to the sim
-    backend only). *)
+val violates : protocol -> cfg:Quorum.Config.t -> seed:int -> Plan.t -> bool
+(** The shrinker's repro predicate: nonzero {!breaches} of one
+    {!run_plan}.  A live finding is shrunk by replaying it here. *)
 
 (** {2 Sweeps} *)
 
@@ -204,7 +195,7 @@ type cell = {
   regularity_runs : int;
   rounds_runs : int;  (** runs with an operation past its round bound *)
   liveness_runs : int;
-  incomplete_runs : int;  (** runs that hit [max_events] *)
+  incomplete_runs : int;  (** runs that hit {!run_plan}'s event bound *)
   failures : (int * Plan.t) list;  (** (seed, plan) witnesses, in order *)
   errors : cell_error list;  (** runs that raised, in order *)
   metrics : Obs.Metrics.t;
@@ -213,7 +204,6 @@ type cell = {
 }
 
 val run_plan_result :
-  ?max_events:int ->
   ?backend:backend ->
   ?metrics:Obs.Metrics.t ->
   protocol ->
@@ -227,7 +217,6 @@ val run_plan_result :
 
 val sweep :
   ?jobs:int ->
-  ?max_events:int ->
   ?backend:backend ->
   ?budget:Plan.budget ->
   ?plans_per_seed:int ->

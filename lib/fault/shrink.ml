@@ -50,7 +50,10 @@ let simplify_action = function
 
 let replace_nth actions n a = List.mapi (fun i x -> if i = n then a else x) actions
 
-let minimize ?(max_attempts = 500) ~repro (plan : Plan.t) =
+(* [repro] calls one shrink may make. *)
+let max_attempts = 500
+
+let minimize ~repro (plan : Plan.t) =
   if not (repro plan) then
     invalid_arg "Shrink.minimize: plan does not reproduce the violation";
   let attempts = ref 0 and reproductions = ref 0 in

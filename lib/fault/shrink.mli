@@ -16,8 +16,7 @@ type outcome = {
   reproductions : int;  (** candidates that still violated *)
 }
 
-val minimize :
-  ?max_attempts:int -> repro:(Plan.t -> bool) -> Plan.t -> outcome
-(** [minimize ~repro plan] shrinks [plan] while [repro] keeps holding.
-    [max_attempts] (default 500) bounds the number of [repro] calls.
+val minimize : repro:(Plan.t -> bool) -> Plan.t -> outcome
+(** [minimize ~repro plan] shrinks [plan] while [repro] keeps holding,
+    calling [repro] at most 500 times.
     @raise Invalid_argument if [repro plan] is already false. *)

@@ -82,7 +82,7 @@ let penalize c ~now =
   c.fails <- c.fails + 1;
   c.next_attempt <- now +. Float.min reconnect_cap (0.05 *. float_of_int c.fails)
 
-let drop_conn ~count c =
+let drop_conn ~reg c =
   match c.fd with
   | None -> ()
   | Some fd ->
@@ -93,14 +93,14 @@ let drop_conn ~count c =
       c.frames_out <- 0;
       c.unanswered <- 0;
       penalize c ~now:(now_s ());
-      count "net.client.disconnects"
+      Obs.Metrics.incr reg "net.client.disconnects"
 
 (* Connect and send the session [Hello]; failures are penalized and
    (rate-limitedly) reported.  [on_reconnect] fires when the endpoint
    had been connected before — the server behind it may have restarted
    (possibly wiped), so protocols with client-side cached state must
    resync (see {!Core.Protocol_intf.S.reader_on_reconnect}). *)
-let try_connect ~count ~on_reconnect ~codec ~proto_name ~proc c =
+let try_connect ~reg ~on_reconnect ~codec ~proto_name ~proc c =
   match Endpoint.dial c.ep with
   | fd -> (
       Codec.Reader.reset c.reader;
@@ -108,47 +108,23 @@ let try_connect ~count ~on_reconnect ~codec ~proto_name ~proc c =
       c.fd <- Some fd;
       let reconnected = c.ever in
       c.ever <- true;
-      count "net.client.connects";
+      Obs.Metrics.incr reg "net.client.connects";
       if reconnected then on_reconnect ();
       try
         Codec.encode_frame_into codec c.out
           (Codec.Hello { proto = proto_name; sender = proc; obj = c.index });
         Codec.flush fd c.out;
         c.frames_out <- 0
-      with Unix.Unix_error _ -> drop_conn ~count c)
+      with Unix.Unix_error _ -> drop_conn ~reg c)
   | exception Unix.Unix_error (err, _, _) ->
       let now = now_s () in
       penalize c ~now;
       (* Chaos runs assert on reconnect behaviour: every failed attempt
          counts in the registry even when the stderr warning above is
          rate-limited away. *)
-      count "op.reconnects";
+      Obs.Metrics.incr reg "op.reconnects";
       warn_reconnect c ~now
         (Printf.sprintf "reconnect failed: %s" (Unix.error_message err))
-
-(* Flush a connection's outbound batch: one [write] for however many
-   frames accumulated since the last flush, recording the batch size
-   and flush latency. *)
-let flush_conn ?metrics ~count c =
-  if Codec.Out.pending c.out > 0 then begin
-    let frames = c.frames_out in
-    c.frames_out <- 0;
-    match c.fd with
-    | None -> Codec.Out.clear c.out
-    | Some fd -> (
-        let t0 = if Option.is_none metrics then 0. else now_s () in
-        try
-          Codec.flush fd c.out;
-          match metrics with
-          | None -> ()
-          | Some reg ->
-              Obs.Metrics.observe_int reg "wire.batch_size"
-                ~bounds:Obs.Metrics.batch_bounds frames;
-              Obs.Metrics.observe_int reg "wire.flush_us"
-                ~bounds:Obs.Metrics.wallclock_bounds
-                (int_of_float ((now_s () -. t0) *. 1e6))
-        with Unix.Unix_error _ -> drop_conn ~count c)
-  end
 
 (* ===== the client engine ================================================= *)
 
@@ -167,8 +143,9 @@ module Keyed = struct
     codec : 'm Codec.t;
     proto_name : string;
     conns : conn array;
-    metrics : Obs.Metrics.t option;
-    count : string -> unit;
+    reg : Obs.Metrics.t;
+    batch_size : Obs.Metrics.histogram;
+    flush_us : Obs.Metrics.histogram;
     now_us : unit -> int;
     session : string;
     reader : int;
@@ -189,8 +166,8 @@ module Keyed = struct
         j - e.reader
     | Some (Sim.Proc_id.Reader _ | Sim.Proc_id.Obj _) | None -> stranger
 
-  let connect ?session ?metrics ?(opts = default_opts) ?now_us
-      ?(max_inflight = 16) ?(reader = 1) ?(readers = 1) ?(coalesce = 1)
+  let connect ?session ?(metrics = Obs.Metrics.off) ?(opts = default_opts)
+      ?now_us ?(max_inflight = 16) ?(reader = 1) ?(readers = 1) ?(coalesce = 1)
       ~protocol ~map endpoints =
     Endpoint.ignore_sigpipe ();
     let (Protocols.Packed { proto; codec }) = protocol in
@@ -212,20 +189,18 @@ module Keyed = struct
           fun () -> int_of_float ((now_s () -. t0) *. 1e6)
     in
     let conns = Array.mapi mk_conn endpoints in
+    let h name bounds = Obs.Metrics.histogram metrics name ~bounds in
+    let wire = Obs.Metrics.wire metrics P.msg_class in
+    let bytes_per_frame = h "wire.bytes_per_frame" Obs.Metrics.bytes_bounds in
     let append_key c ~key ~sender m =
       if c.fd <> None then begin
         let before = Codec.Out.length c.out in
         Codec.encode_frame_into codec c.out
           (Codec.Msg_key { key; sender; msg = m });
-        (match metrics with
-        | None -> ()
-        | Some reg ->
-            Obs.Metrics.incr reg
-              ("wire." ^ Obs.Wire.to_string (P.msg_class m) ^ ".sent");
-            (* the length delta is the frame's whole wire size *)
-            Obs.Metrics.observe_int reg "wire.bytes_per_frame"
-              ~bounds:Obs.Metrics.bytes_bounds
-              (Codec.Out.length c.out - before));
+        Obs.Metrics.wire_incr wire Sent m;
+        (* the length delta is the frame's whole wire size *)
+        Obs.Metrics.histogram_observe_int bytes_per_frame
+          (Codec.Out.length c.out - before);
         c.frames_out <- c.frames_out + 1;
         c.unanswered <- c.unanswered + 1
       end
@@ -250,7 +225,7 @@ module Keyed = struct
       }
     in
     let drv =
-      Core.Driver.create ?metrics ~timing:opts ~window:max_inflight ~coalesce
+      Core.Driver.create ~metrics ~timing:opts ~window:max_inflight ~coalesce
         (module P : Core.Protocol_intf.S
           with type msg = P.msg
            and type reader = P.reader
@@ -265,12 +240,9 @@ module Keyed = struct
         codec;
         proto_name = P.name;
         conns;
-        metrics;
-        count =
-          (fun name ->
-            match metrics with
-            | None -> ()
-            | Some reg -> Obs.Metrics.incr reg name);
+        reg = metrics;
+        batch_size = h "wire.batch_size" Obs.Metrics.batch_bounds;
+        flush_us = h "wire.flush_us" Obs.Metrics.wallclock_bounds;
         now_us;
         session = Option.value session ~default:("r" ^ string_of_int reader);
         reader;
@@ -279,8 +251,29 @@ module Keyed = struct
 
   let drop e c =
     if c.fd <> None then begin
-      drop_conn ~count:e.count c;
+      drop_conn ~reg:e.reg c;
       Core.Driver.lost e.drv ~slot:(c.index - 1)
+    end
+
+  (* Flush a connection's outbound batch: one [write] for however many
+     frames accumulated since the last flush, recording the batch size
+     and flush latency. *)
+  let flush_conn e c =
+    if Codec.Out.pending c.out > 0 then begin
+      let frames = c.frames_out in
+      c.frames_out <- 0;
+      match c.fd with
+      | None -> Codec.Out.clear c.out
+      | Some fd -> (
+          let timed = Obs.Metrics.enabled e.reg in
+          let t0 = if timed then now_s () else 0. in
+          try
+            Codec.flush fd c.out;
+            Obs.Metrics.histogram_observe_int e.batch_size frames;
+            if timed then
+              Obs.Metrics.histogram_observe_int e.flush_us
+                (int_of_float ((now_s () -. t0) *. 1e6))
+          with Unix.Unix_error _ -> drop_conn ~reg:e.reg c)
     end
 
   (* A failed flush drops its connection too; the widening that follows
@@ -290,7 +283,7 @@ module Keyed = struct
     Array.iter
       (fun c ->
         let up = c.fd <> None in
-        flush_conn ?metrics:e.metrics ~count:e.count c;
+        flush_conn e c;
         if up && c.fd = None then begin
           lost := true;
           Core.Driver.lost e.drv ~slot:(c.index - 1)
@@ -302,7 +295,7 @@ module Keyed = struct
     Array.iter
       (fun c ->
         if c.fd = None && now >= c.next_attempt then
-          try_connect ~count:e.count ~codec:e.codec ~proto_name:e.proto_name
+          try_connect ~reg:e.reg ~codec:e.codec ~proto_name:e.proto_name
             ~proc:e.session
             ~on_reconnect:(fun () -> Core.Driver.reconnected e.drv)
             c)
@@ -312,7 +305,7 @@ module Keyed = struct
     | Codec.Hello_ack { proto; obj } ->
         if proto <> e.proto_name || obj <> c.index then drop e c
     | Codec.Err _ ->
-        e.count "net.client.peer_errors";
+        Obs.Metrics.incr e.reg "net.client.peer_errors";
         drop e c
     | Codec.Hello _ -> drop e c
     | Codec.Msg_key { key; sender; msg } ->
@@ -335,7 +328,7 @@ module Keyed = struct
                 match Codec.Reader.next e.codec c.reader with
                 | Ok `Awaiting -> ()
                 | Error _ ->
-                    e.count "net.client.decode_errors";
+                    Obs.Metrics.incr e.reg "net.client.decode_errors";
                     drop e c
                 | Ok (`Frame f) ->
                     on_frame e c f;
@@ -400,5 +393,5 @@ module Keyed = struct
     pump ();
     if n = 0 then [||] else results
 
-  let close (Engine e) = Array.iter (drop_conn ~count:e.count) e.conns
+  let close (Engine e) = Array.iter (drop_conn ~reg:e.reg) e.conns
 end

@@ -2,7 +2,7 @@
    spans are read from the logs when asked for. *)
 type engine = {
   client : Client.Keyed.t;
-  registry : Obs.Metrics.t option;
+  registry : Obs.Metrics.t;
   log : Record.log;
 }
 
@@ -10,7 +10,7 @@ type t = {
   map : Shard.Map.t;
   endpoints : Endpoint.t array;
   mutable servers : Server.t array;
-  server_registries : Obs.Metrics.t option array;
+  server_registries : Obs.Metrics.t array;
   mutable engines : engine list;  (* newest first *)
   (* Base objects keep per-reader round state, so a reader id is never
      handed out twice. *)
@@ -19,7 +19,6 @@ type t = {
   protocol : Protocols.t;
   record : Record.t;
   tmpdir : string option;
-  with_metrics : bool;
 }
 
 let tmp_counter = ref 0
@@ -38,7 +37,7 @@ let fresh_tmpdir () =
   incr tmp_counter;
   go !tmp_counter
 
-let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1) ?map
+let start ?opts ?(transport = `Unix) ?(domains = 1) ?map
     ~protocol ~cfg () =
   let map = Option.value map ~default:(Shard.Map.single cfg) in
   if Shard.Map.cfg map <> cfg then
@@ -59,13 +58,10 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1) ?map
           Array.init s (fun _ -> Endpoint.Tcp { host = "127.0.0.1"; port = 0 })
         )
   in
-  let registry () = if metrics then Some (Obs.Metrics.create ()) else None in
-  let server_registries = Array.init s (fun _ -> registry ()) in
+  let server_registries = Array.init s (fun _ -> Obs.Metrics.create ()) in
   let servers =
     Server.start_group
-      ?metrics:
-        (if metrics then Some (fun i -> Option.get server_registries.(i))
-         else None)
+      ~metrics:(fun i -> server_registries.(i))
       ~domains ~protocol ~cfg endpoints
   in
   {
@@ -82,13 +78,12 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1) ?map
        recording's monotonic clock. *)
     record = Record.create ();
     tmpdir;
-    with_metrics = metrics;
   }
 
 let take ?session ?(lanes = 1) ?(inflight = lanes) ?(coalesce = 1) t =
-  let registry = if t.with_metrics then Some (Obs.Metrics.create ()) else None in
+  let registry = Obs.Metrics.create () in
   let client =
-    Client.Keyed.connect ?session ?metrics:registry ?opts:t.copts
+    Client.Keyed.connect ?session ~metrics:registry ?opts:t.copts
       ~now_us:(Record.now_us t.record) ~max_inflight:inflight
       ~reader:t.next_rid ~readers:lanes ~coalesce ~protocol:t.protocol
       ~map:t.map t.endpoints
@@ -169,14 +164,12 @@ let alive t =
 let spans t = Record.spans t.record
 
 let metrics t =
-  if not t.with_metrics then None
-  else begin
-    let dst = Obs.Metrics.create () in
-    let merge = Option.iter (fun src -> Obs.Metrics.merge_into ~dst src) in
-    Array.iter merge t.server_registries;
-    List.iter (fun e -> merge e.registry) (List.rev t.engines);
-    Some dst
-  end
+  let dst = Obs.Metrics.create () in
+  Array.iter (fun src -> Obs.Metrics.merge_into ~dst src) t.server_registries;
+  List.iter
+    (fun e -> Obs.Metrics.merge_into ~dst e.registry)
+    (List.rev t.engines);
+  dst
 
 (* The closed engines stay listed: their logs, spans and registries are
    the run's record, read after [stop] as before it. *)

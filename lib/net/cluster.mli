@@ -39,7 +39,6 @@
 type t
 
 val start :
-  ?metrics:bool ->
   ?opts:Client.opts ->
   ?transport:[ `Unix | `Tcp ] ->
   ?domains:int ->
@@ -51,9 +50,9 @@ val start :
 (** Spin up one server per slot of [map]'s fleet ([map] defaults to
     [Shard.Map.single cfg]: [cfg.s] servers).  [transport] defaults to
     [`Unix].  The objects are sharded across [domains] worker domains
-    (default 1).  [opts] is every engine's retry policy.  With
-    [metrics:true] every server and engine keeps a private registry;
-    {!metrics} merges them.
+    (default 1).  [opts] is every engine's retry policy.  Every server
+    and engine meters into a registry of its own through
+    {!Obs.Metrics} handles (DESIGN §8); {!metrics} merges them.
     @raise Invalid_argument if [map] is not a map over [cfg]. *)
 
 type engine
@@ -145,9 +144,10 @@ val spans : t -> Obs.Span.t list
     they were taken, each engine's spans in start ([id]) order
     ({!Record.spans} of their logs); all share one microsecond clock. *)
 
-val metrics : t -> Obs.Metrics.t option
-(** Merged snapshot of every component registry (servers then engines);
-    [None] unless started with [metrics:true]. *)
+val metrics : t -> Obs.Metrics.t
+(** Merged snapshot of every component registry (servers then engines):
+    the [wire.*], [op.*], [shard.*] and [net.*] families the run
+    touched. *)
 
 val stop : t -> unit
 (** Close every engine, stop the servers and remove the socket

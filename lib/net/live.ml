@@ -114,9 +114,8 @@ let run ?metrics ~opts protocol ~cfg ~seed plan =
   let schedule = Fault.Campaign.workload ~seed ~plan in
   let readers = Fault.Campaign.workload_readers in
   let cluster =
-    Cluster.start
-      ~metrics:(metrics <> None)
-      ~opts:opts.client ~transport:opts.transport ~protocol:pack ~cfg ()
+    Cluster.start ~opts:opts.client ~transport:opts.transport ~protocol:pack
+      ~cfg ()
   in
   (* One engine per paper process, so each issues its ops at its own
      scheduled ticks and chaos rules aimed at one process match only its
@@ -201,9 +200,9 @@ let run ?metrics ~opts protocol ~cfg ~seed plan =
   Thread.join writer_th;
   List.iter Thread.join reader_ths;
   Thread.join driver;
-  (match (metrics, Cluster.metrics cluster) with
-  | Some dst, Some src -> Obs.Metrics.merge_into ~dst src
-  | _ -> ());
+  Option.iter
+    (fun dst -> Obs.Metrics.merge_into ~dst (Cluster.metrics cluster))
+    metrics;
   (* every operation thread has joined: the run is quiescent by
      construction, and operations that exhausted their retries are still
      open in the history — exactly what wait-freedom flags *)

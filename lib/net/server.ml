@@ -51,6 +51,31 @@ type gconn = {
   mutable gpause_at : float;
 }
 
+(* What a slot meters per frame or per flush, resolved at start; rare
+   events (connections, decode errors) stay string-keyed on [reg]. *)
+type 'm meters = {
+  reg : Obs.Metrics.t;
+  messages : Obs.Metrics.counter;
+  wire : 'm Obs.Metrics.wire;
+  bytes_per_frame : Obs.Metrics.histogram;
+  queue_depth : Obs.Metrics.histogram;
+  batch_size : Obs.Metrics.histogram;
+  backpressure_stalls : Obs.Metrics.histogram;
+}
+
+let meters reg classify =
+  let h name bounds = Obs.Metrics.histogram reg name ~bounds in
+  {
+    reg;
+    messages = Obs.Metrics.counter reg "net.server.messages";
+    wire = Obs.Metrics.wire reg classify;
+    bytes_per_frame = h "wire.bytes_per_frame" Obs.Metrics.bytes_bounds;
+    queue_depth = h "wire.queue_depth" Obs.Metrics.depth_bounds;
+    batch_size = h "wire.batch_size" Obs.Metrics.batch_bounds;
+    backpressure_stalls =
+      h "wire.backpressure_stalls" Obs.Metrics.wallclock_bounds;
+  }
+
 (* Seconds a graceful stop lets a slot's queued replies flush before
    its remaining connections close anyway. *)
 let drain_timeout = 5.0
@@ -89,7 +114,12 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
   let queue_hi = max 4096 queue_hi in
   let queue_lo = max 1 (queue_hi / 4) in
   let owner = Array.init s (fun i -> i mod nd) in
-  let reg_for i = match metrics with None -> None | Some f -> Some (f i) in
+  let meters =
+    Array.init s (fun i ->
+        meters
+          (match metrics with Some f -> f i | None -> Obs.Metrics.off)
+          P.msg_class)
+  in
   let mutex = Mutex.create () in
   let cond = Condition.create () in
   let locked f =
@@ -190,21 +220,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     let conns : (Unix.file_descr, gconn) Hashtbl.t = Hashtbl.create 16 in
     let draining : (int, float) Hashtbl.t = Hashtbl.create 4 in
     let resumed : gconn list ref = ref [] in
-    let count i name =
-      match reg_for i with None -> () | Some reg -> Obs.Metrics.incr reg name
-    in
-    let meter i stage m =
-      match reg_for i with
-      | None -> ()
-      | Some reg ->
-          Obs.Metrics.incr reg
-            ("wire." ^ Obs.Wire.to_string (P.msg_class m) ^ "." ^ stage)
-    in
-    let observe i name bounds v =
-      match reg_for i with
-      | None -> ()
-      | Some reg -> Obs.Metrics.observe_int reg name ~bounds v
-    in
+    let count i name = Obs.Metrics.incr meters.(i).reg name in
     let conns_of i =
       Hashtbl.fold (fun _ c acc -> if c.gobj = i then c :: acc else acc) conns []
     in
@@ -225,7 +241,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
       if c.gpaused && Codec.Out.pending c.gout <= queue_lo then begin
         c.gpaused <- false;
         let stalled_us = int_of_float ((now_s () -. c.gpause_at) *. 1e6) in
-        observe c.gobj "wire.backpressure_stalls" Obs.Metrics.wallclock_bounds
+        Obs.Metrics.histogram_observe_int meters.(c.gobj).backpressure_stalls
           (max 0 stalled_us);
         resumed := c :: !resumed
       end
@@ -233,7 +249,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     let append_frame c fr =
       let before = Codec.Out.length c.gout in
       Codec.encode_frame_into codec c.gout fr;
-      observe c.gobj "wire.bytes_per_frame" Obs.Metrics.bytes_bounds
+      Obs.Metrics.histogram_observe_int meters.(c.gobj).bytes_per_frame
         (Codec.Out.length c.gout - before);
       c.gframes <- c.gframes + 1;
       if (not c.gpaused) && Codec.Out.pending c.gout > queue_hi then begin
@@ -243,10 +259,11 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     in
     let try_flush c =
       if Codec.Out.pending c.gout > 0 then begin
-        observe c.gobj "wire.queue_depth" Obs.Metrics.depth_bounds c.gframes;
+        Obs.Metrics.histogram_observe_int meters.(c.gobj).queue_depth c.gframes;
         match Codec.flush_nonblock c.gfd c.gout with
         | `Done ->
-            observe c.gobj "wire.batch_size" Obs.Metrics.batch_bounds c.gframes;
+            Obs.Metrics.histogram_observe_int meters.(c.gobj).batch_size
+              c.gframes;
             c.gframes <- 0;
             unpause c;
             if c.gclosing then close_conn c
@@ -324,12 +341,13 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
       | id when id = me -> ()
       | _ -> Atomic.incr violations);
       Atomic.incr msg_counts.(i);
-      count i "net.server.messages";
-      meter i "delivered" m;
+      let ms = meters.(i) in
+      Obs.Metrics.counter_incr ms.messages;
+      Obs.Metrics.wire_incr ms.wire Delivered m;
       (* The wire hosts honest objects only, which answer only [src]. *)
       List.iter
         (fun (_, r) ->
-          meter i "sent" r;
+          Obs.Metrics.wire_incr ms.wire Sent r;
           queue c ~sender:(Some src) (Codec.Msg_key { key; sender; msg = r }))
         (Core.Object_host.handle hosts.(i) ~key ~src ~now:(now_us ()) m)
     in

@@ -83,8 +83,9 @@ val start_group :
     5 seconds before closing, so batched frames are never truncated
     mid-frame; {!crash} closes immediately.  Domains exit once every
     slot they serve has stopped and are respawned by the first
-    {!restart}.  [metrics] maps a 0-based slot to its registry; a
-    slot's registry is only ever touched by its owning worker domain.
+    {!restart}.  [metrics] maps a 0-based slot to its registry, asked
+    once per slot at start; a slot's registry is only ever touched by
+    its owning worker domain.  Without [metrics] nothing is metered.
     @raise Unix.Unix_error if an endpoint cannot be bound (all bound
     listeners are closed and their socket files removed). *)
 

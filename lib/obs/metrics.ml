@@ -1,11 +1,11 @@
 module Histogram = struct
+  (* [stats] holds sum, min and max in a float array, whose elements are
+     stored unboxed, so an observation allocates nothing. *)
   type t = {
     bounds : float array;  (* strictly increasing inclusive upper bounds *)
     counts : int array;  (* length = Array.length bounds + 1 (overflow) *)
     mutable total : int;
-    mutable sum : float;
-    mutable minv : float;
-    mutable maxv : float;
+    stats : float array;  (* [| sum; min; max |] *)
   }
 
   let create ~bounds =
@@ -19,48 +19,44 @@ module Histogram = struct
       bounds = Array.copy bounds;
       counts = Array.make (n + 1) 0;
       total = 0;
-      sum = 0.0;
-      minv = infinity;
-      maxv = neg_infinity;
+      stats = [| 0.0; infinity; neg_infinity |];
     }
 
   let bounds t = Array.copy t.bounds
 
-  (* First bucket whose upper bound is >= x; the extra slot is the
-     overflow bucket (x above every bound). *)
-  let bucket_index t x =
-    let n = Array.length t.bounds in
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if x <= t.bounds.(mid) then search lo mid else search (mid + 1) hi
-    in
-    search 0 n
-
-  let observe t x =
-    let i = bucket_index t x in
-    t.counts.(i) <- t.counts.(i) + 1;
+  (* Into the first bucket whose upper bound is >= x; the extra slot is
+     the overflow bucket (x above every bound). *)
+  let[@inline] record t x =
+    let b = t.bounds in
+    let lo = ref 0 and hi = ref (Array.length b) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if x <= Array.unsafe_get b mid then hi := mid else lo := mid + 1
+    done;
+    t.counts.(!lo) <- t.counts.(!lo) + 1;
     t.total <- t.total + 1;
-    t.sum <- t.sum +. x;
-    if x < t.minv then t.minv <- x;
-    if x > t.maxv then t.maxv <- x
+    let st = t.stats in
+    st.(0) <- st.(0) +. x;
+    if x < st.(1) then st.(1) <- x;
+    if x > st.(2) then st.(2) <- x
 
-  let observe_int t x = observe t (float_of_int x)
+  let observe t x = record t x
+
+  let observe_int t n = record t (float_of_int n)
 
   let count t = t.total
 
-  let sum t = t.sum
+  let sum t = t.stats.(0)
 
-  let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
+  let mean t = if t.total = 0 then 0.0 else sum t /. float_of_int t.total
 
   let min_exn t =
     if t.total = 0 then invalid_arg "Histogram.min_exn: empty";
-    t.minv
+    t.stats.(1)
 
   let max_exn t =
     if t.total = 0 then invalid_arg "Histogram.max_exn: empty";
-    t.maxv
+    t.stats.(2)
 
   let counts t = Array.copy t.counts
 
@@ -75,14 +71,20 @@ module Histogram = struct
     Array.length a.bounds = Array.length b.bounds
     && Array.for_all2 (fun x y -> Float.equal x y) a.bounds b.bounds
 
+  (* Add [src] into [dst] in place, so a handle on [dst] stays valid. *)
+  let merge_in ~dst src =
+    if not (compatible dst src) then
+      invalid_arg "Histogram.merge: bounds differ";
+    Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
+    dst.total <- dst.total + src.total;
+    dst.stats.(0) <- sum dst +. sum src;
+    dst.stats.(1) <- Float.min dst.stats.(1) src.stats.(1);
+    dst.stats.(2) <- Float.max dst.stats.(2) src.stats.(2)
+
   let merge a b =
-    if not (compatible a b) then invalid_arg "Histogram.merge: bounds differ";
     let t = create ~bounds:a.bounds in
-    Array.iteri (fun i c -> t.counts.(i) <- c + b.counts.(i)) a.counts;
-    t.total <- a.total + b.total;
-    t.sum <- a.sum +. b.sum;
-    t.minv <- Float.min a.minv b.minv;
-    t.maxv <- Float.max a.maxv b.maxv;
+    merge_in ~dst:t a;
+    merge_in ~dst:t b;
     t
 
   let equal a b =
@@ -106,9 +108,9 @@ module Histogram = struct
       counts;
     t.total <- !total;
     if !total > 0 then begin
-      t.sum <- sum;
-      t.minv <- minv;
-      t.maxv <- maxv
+      t.stats.(0) <- sum;
+      t.stats.(1) <- minv;
+      t.stats.(2) <- maxv
     end;
     t
 
@@ -125,22 +127,10 @@ module Histogram = struct
     let n = Array.length t.bounds in
     let rec walk i cum =
       let cum = cum + t.counts.(i) in
-      if cum >= rank || i = n then if i = n then t.maxv else t.bounds.(i)
+      if cum >= rank || i = n then if i = n then t.stats.(2) else t.bounds.(i)
       else walk (i + 1) cum
     in
     walk 0 0
-
-  let pp ppf t =
-    if t.total = 0 then Format.fprintf ppf "n=0"
-    else begin
-      let biggest = Array.fold_left Stdlib.max 1 t.counts in
-      List.iter
-        (fun (lo, hi, c) ->
-          if c > 0 || (Float.is_finite lo && Float.is_finite hi) then
-            Format.fprintf ppf "(%8.1f, %8.1f] %6d %s@." lo hi c
-              (String.make (c * 40 / biggest) '#'))
-        (buckets t)
-    end
 end
 
 (* Canonical bucket layouts, shared so that histograms recorded by
@@ -165,50 +155,123 @@ let bytes_bounds =
   [| 8.0; 16.0; 24.0; 32.0; 48.0; 64.0; 96.0; 128.0; 256.0; 1024.0; 4096.0; 65536.0 |]
 
 type t = {
+  on : bool;  (* [off] records nothing *)
   counters : (string, int ref) Hashtbl.t;
   histograms : (string, Histogram.t) Hashtbl.t;
 }
 
 let create () =
-  { counters = Hashtbl.create 16; histograms = Hashtbl.create 16 }
+  { on = true; counters = Hashtbl.create 16; histograms = Hashtbl.create 16 }
+
+let off = { (create ()) with on = false }
+
+let enabled t = t.on
+
+let find_or_add tbl name make =
+  match Hashtbl.find_opt tbl name with
+  | Some v -> v
+  | None ->
+      let v = make () in
+      Hashtbl.replace tbl name v;
+      v
 
 let add t name n =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.replace t.counters name (ref n)
+  if t.on then
+    let r = find_or_add t.counters name (fun () -> ref 0) in
+    r := !r + n
 
 let incr t name = add t name 1
-
-(* Interned counter handles: hot paths resolve the name once and then
-   bump the shared ref directly, skipping the per-event hash lookup and
-   any name construction. *)
-type counter = int ref
-
-let counter t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace t.counters name r;
-      r
-
-let counter_incr (r : counter) = Stdlib.incr r
-
 
 let counter_value t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
+(* Handles: the name is resolved once, when the handle is made, and the
+   metric is registered on first use, so a registry lists only what was
+   touched.  On [off] a handle stays unresolved and does nothing. *)
+type counter = { creg : t; cname : string; mutable cell : int ref option }
+
+let counter t name = { creg = t; cname = name; cell = None }
+
+let counter_incr c =
+  match c.cell with
+  | Some r -> Stdlib.incr r
+  | None when c.creg.on ->
+      let r = find_or_add c.creg.counters c.cname (fun () -> ref 0) in
+      c.cell <- Some r;
+      Stdlib.incr r
+  | None -> ()
+
+type histogram = {
+  hreg : t;
+  hname : string;
+  hbounds : float array;
+  mutable hist : Histogram.t option;
+}
+
 let histogram t name ~bounds =
-  match Hashtbl.find_opt t.histograms name with
-  | Some h -> h
-  | None ->
-      let h = Histogram.create ~bounds in
-      Hashtbl.replace t.histograms name h;
-      h
+  { hreg = t; hname = name; hbounds = bounds; hist = None }
 
-let observe t name ~bounds x = Histogram.observe (histogram t name ~bounds) x
+let register h =
+  let hist =
+    find_or_add h.hreg.histograms h.hname (fun () ->
+        Histogram.create ~bounds:h.hbounds)
+  in
+  h.hist <- Some hist;
+  hist
 
-let observe_int t name ~bounds x = observe t name ~bounds (float_of_int x)
+let histogram_observe h x =
+  match h.hist with
+  | Some hist -> Histogram.record hist x
+  | None -> if h.hreg.on then Histogram.record (register h) x
+
+(* Not through [histogram_observe], whose float argument would be boxed. *)
+let histogram_observe_int h n =
+  match h.hist with
+  | Some hist -> Histogram.record hist (float_of_int n)
+  | None -> if h.hreg.on then Histogram.record (register h) (float_of_int n)
+
+(* One slot per (op, request, stage), each a by-round array of counter
+   handles that grows to the highest round seen. *)
+type 'm wire = {
+  wreg : t;
+  classify : 'm -> Wire.t;
+  slots : counter array array;
+}
+
+let wire t classify = { wreg = t; classify; slots = Array.make 18 [||] }
+
+let wire_incr w stage m =
+  if w.wreg.on then begin
+    let c = w.classify m in
+    let op = match c.op with Wire.Read -> 0 | Write -> 1 | Other -> 2 in
+    let st = match stage with Wire.Sent -> 0 | Delivered -> 1 | Dropped -> 2 in
+    let slot = (((op * 2) + Bool.to_int c.request) * 3) + st in
+    let have = w.slots.(slot) in
+    let n = Array.length have in
+    if c.round >= n then
+      w.slots.(slot) <-
+        Array.append have
+          (Array.init (c.round + 1 - n) (fun i ->
+               let c = { c with round = n + i } in
+               let stage = Wire.stage_to_string stage in
+               counter w.wreg ("wire." ^ Wire.to_string c ^ "." ^ stage)));
+    counter_incr w.slots.(slot).(c.round)
+  end
+
+let requests_sent ?op t =
+  let prefix =
+    match op with
+    | None -> "wire."
+    | Some op -> "wire." ^ Wire.op_to_string op ^ "."
+  in
+  Hashtbl.fold
+    (fun name r n ->
+      if
+        String.starts_with ~prefix name
+        && String.ends_with ~suffix:".req.sent" name
+      then n + !r
+      else n)
+    t.counters 0
 
 let find_histogram t name = Hashtbl.find_opt t.histograms name
 
@@ -220,14 +283,15 @@ let counters t = sorted_bindings t.counters ( ! )
 
 let histograms t = sorted_bindings t.histograms Fun.id
 
+(* In place, so a handle on the existing histogram stays valid; a fresh
+   copy when absent, so the source stays independent. *)
 let add_histogram t name h =
-  match Hashtbl.find_opt t.histograms name with
-  | None ->
-      (* fresh copy so the source stays independent *)
-      Hashtbl.replace t.histograms name
-        (Histogram.merge h (Histogram.create ~bounds:h.Histogram.bounds))
-  | Some existing ->
-      Hashtbl.replace t.histograms name (Histogram.merge existing h)
+  if t.on then
+    Histogram.merge_in
+      ~dst:
+        (find_or_add t.histograms name (fun () ->
+             Histogram.create ~bounds:h.Histogram.bounds))
+      h
 
 let merge_into ~dst src =
   List.iter (fun (name, v) -> add dst name v) (counters src);

@@ -75,8 +75,6 @@ module Histogram : sig
       (the observed maximum for the overflow bucket).  Agrees with
       {!Stats.Summary.percentile} up to one bucket width.
       @raise Invalid_argument when empty or [p] outside [0,100]. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** {2 Canonical bucket layouts}
@@ -115,6 +113,14 @@ type t
 
 val create : unit -> t
 
+val off : t
+(** The registry of a component given none: it records nothing, and a
+    handle on it does nothing.  One metering path then serves metered
+    and unmetered runs alike. *)
+
+val enabled : t -> bool
+(** [false] only for {!off}, so a path can skip work done for metrics. *)
+
 val incr : t -> string -> unit
 
 val add : t -> string -> int -> unit
@@ -122,27 +128,46 @@ val add : t -> string -> int -> unit
 val counter_value : t -> string -> int
 (** 0 for a counter never touched. *)
 
-(** {2 Interned counter handles}
+(** {2 Handles}
 
-    Hot paths (the engine's per-message accounting) resolve a counter
-    by name once and then bump the handle, avoiding a hash lookup and
-    any name construction per event. *)
+    The one way a per-op or per-message path meters.  A component makes
+    its handles once, when it is created, and bumps them on the hot path:
+    no metric name is built and no table is searched there.  A handle
+    registers its metric on first use, so a registry, its {!table} and
+    its exports list exactly the metrics a run touched.  The string-keyed
+    {!incr} and {!add} above stay for rare events (timeouts, reconnects,
+    resyncs) and post-run summaries. *)
 
 type counter
 
 val counter : t -> string -> counter
-(** Get-or-create: the counter is registered (and will appear in
-    {!counters} and exports, initially at 0) as soon as it is interned,
-    so intern on first use if an untouched counter must stay absent. *)
 
 val counter_incr : counter -> unit
 
-val histogram : t -> string -> bounds:float array -> Histogram.t
-(** Get-or-create; the bounds only apply on creation. *)
+type histogram
 
-val observe : t -> string -> bounds:float array -> float -> unit
+val histogram : t -> string -> bounds:float array -> histogram
+(** [bounds] apply if the histogram is absent at its first observation. *)
 
-val observe_int : t -> string -> bounds:float array -> int -> unit
+val histogram_observe : histogram -> float -> unit
+
+val histogram_observe_int : histogram -> int -> unit
+
+type 'm wire
+(** The per-class message counters ["wire.<class>.<stage>"] (e.g.
+    ["wire.read.r1.req.sent"]), indexed by {!Wire} class (op, round,
+    direction) and {!Wire.stage}. *)
+
+val wire : t -> ('m -> Wire.t) -> 'm wire
+(** A table that classifies each message it counts with the given
+    function (a protocol's [msg_class]); on {!off} it classifies
+    nothing. *)
+
+val wire_incr : 'm wire -> Wire.stage -> 'm -> unit
+
+val requests_sent : ?op:Wire.op -> t -> int
+(** Requests put on the wire: the [wire.<class>.sent] counters of
+    request classes, summed (of [op]'s classes only, if given). *)
 
 val find_histogram : t -> string -> Histogram.t option
 

@@ -2,9 +2,19 @@ type op = Read | Write | Other
 
 type t = { op : op; round : int; request : bool }
 
-let read ~round ~request = { op = Read; round; request }
+(* Rounds 1..4 are shared values, so classifying a message allocates
+   nothing. *)
+let make op =
+  let shared =
+    Array.init 8 (fun i -> { op; round = (i / 2) + 1; request = i land 1 = 1 })
+  in
+  fun ~round ~request ->
+    if round < 1 || round > 4 then { op; round; request }
+    else shared.(((round - 1) * 2) + Bool.to_int request)
 
-let write ~round ~request = { op = Write; round; request }
+let read = make Read
+
+let write = make Write
 
 let other = { op = Other; round = 0; request = false }
 
@@ -17,6 +27,9 @@ let to_string c =
       Printf.sprintf "%s.r%d.%s" (op_to_string c.op) c.round
         (if c.request then "req" else "ack")
 
-let pp ppf c = Format.pp_print_string ppf (to_string c)
+type stage = Sent | Delivered | Dropped
 
-let equal a b = a.op = b.op && a.round = b.round && a.request = b.request
+let stage_to_string = function
+  | Sent -> "sent"
+  | Delivered -> "delivered"
+  | Dropped -> "dropped"

@@ -25,6 +25,10 @@ val to_string : t -> string
 (** Stable metric-label rendering, e.g. ["read.r1.req"], ["write.r2.ack"],
     ["other"]. *)
 
-val pp : Format.formatter -> t -> unit
+(** Where a message was counted: put on the wire, handed to its
+    destination, or lost (a crashed or unknown destination). *)
+type stage = Sent | Delivered | Dropped
 
-val equal : t -> t -> bool
+val stage_to_string : stage -> string
+(** ["sent"], ["delivered"], ["dropped"]: the last label of a
+    ["wire.<class>.<stage>"] counter. *)

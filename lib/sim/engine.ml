@@ -92,32 +92,19 @@ module Ptab = struct
     !acc
 end
 
-(* Message accounting with pre-interned metric handles: the counter and
-   histogram names are resolved against the registry once (per engine,
-   and per wire class for the classified counters) instead of being
-   re-concatenated and re-hashed on every send/deliver/drop. *)
-type stage = Sent | Delivered | Dropped
-
-let stage_name = function
-  | Sent -> "sent"
-  | Delivered -> "delivered"
-  | Dropped -> "dropped"
-
-let stage_rank = function Sent -> 0 | Delivered -> 1 | Dropped -> 2
-
+(* Message accounting through {!Obs.Metrics} handles made at create;
+   each registers on first use, so a run that never drops (or never even
+   steps) exports exactly the counters it touched. *)
 type 'msg meters = {
-  reg : Obs.Metrics.t;
-  classify : ('msg -> Obs.Wire.t) option;
-  (* handles resolve lazily on first use so a run that never drops (or
-     never even steps) registers exactly the counters it touched — the
-     exported registry stays byte-identical to the string-keyed path *)
-  mutable c_sent : Obs.Metrics.counter option;
-  mutable c_delivered : Obs.Metrics.counter option;
-  mutable c_dropped : Obs.Metrics.counter option;
-  mutable c_events : Obs.Metrics.counter option;
-  mutable h_depth : Obs.Metrics.Histogram.t option;
-  mutable h_wall : Obs.Metrics.Histogram.t option;
-  wire : (Obs.Wire.t * int, Obs.Metrics.counter) Hashtbl.t;
+  sent : Obs.Metrics.counter;
+  delivered : Obs.Metrics.counter;
+  dropped : Obs.Metrics.counter;
+  events : Obs.Metrics.counter;
+  depth : Obs.Metrics.histogram;
+  wallclock : Obs.Metrics.histogram;
+  wire : 'msg Obs.Metrics.wire;
+      (* per class ("wire.read.r1.req.sent", ...) only when the scenario
+         supplied a classifier *)
 }
 
 type 'msg t = {
@@ -141,27 +128,31 @@ type 'msg t = {
   delay : Delay.t;
   trace : Trace.t option;
   msg_info : 'msg -> string;
-  meters : 'msg meters option;
+  meters : 'msg meters;
   clock : (unit -> float) option;
 }
 
 let create ?trace ?(msg_info = fun _ -> "msg") ?metrics ?classify ?clock ~seed
     ~delay () =
+  let reg = Option.value metrics ~default:Obs.Metrics.off in
+  let c name = Obs.Metrics.counter reg name in
   let meters =
-    Option.map
-      (fun reg ->
-        {
-          reg;
-          classify;
-          c_sent = None;
-          c_delivered = None;
-          c_dropped = None;
-          c_events = None;
-          h_depth = None;
-          h_wall = None;
-          wire = Hashtbl.create 16;
-        })
-      metrics
+    {
+      sent = c "engine.sent";
+      delivered = c "engine.delivered";
+      dropped = c "engine.dropped";
+      events = c "engine.events";
+      depth =
+        Obs.Metrics.histogram reg "engine.queue_depth"
+          ~bounds:Obs.Metrics.depth_bounds;
+      wallclock =
+        Obs.Metrics.histogram reg "engine.event_wallclock_us"
+          ~bounds:Obs.Metrics.wallclock_bounds;
+      wire =
+        (match classify with
+        | Some f -> Obs.Metrics.wire reg f
+        | None -> Obs.Metrics.wire Obs.Metrics.off (fun _ -> Obs.Wire.other));
+    }
   in
   {
     queue = Queue.empty;
@@ -185,47 +176,14 @@ let create ?trace ?(msg_info = fun _ -> "msg") ?metrics ?classify ?clock ~seed
     clock;
   }
 
-let direction_counter ms stage =
-  let cached =
-    match stage with
-    | Sent -> ms.c_sent
-    | Delivered -> ms.c_delivered
-    | Dropped -> ms.c_dropped
-  in
-  match cached with
-  | Some c -> c
-  | None ->
-      let c = Obs.Metrics.counter ms.reg ("engine." ^ stage_name stage) in
-      (match stage with
-      | Sent -> ms.c_sent <- Some c
-      | Delivered -> ms.c_delivered <- Some c
-      | Dropped -> ms.c_dropped <- Some c);
-      c
-
-let wire_counter ms stage w =
-  let key = (w, stage_rank stage) in
-  match Hashtbl.find_opt ms.wire key with
-  | Some c -> c
-  | None ->
-      let c =
-        Obs.Metrics.counter ms.reg
-          ("wire." ^ Obs.Wire.to_string w ^ "." ^ stage_name stage)
-      in
-      Hashtbl.replace ms.wire key c;
-      c
-
-(* Per-class message counters ("wire.read.r1.req.sent", ...) when the
-   scenario supplied a classifier; the direction-level counters are
-   recorded unconditionally. *)
-let meter_msg t stage msg =
-  match t.meters with
-  | None -> ()
-  | Some ms ->
-      Obs.Metrics.counter_incr (direction_counter ms stage);
-      (match ms.classify with
-      | None -> ()
-      | Some classify ->
-          Obs.Metrics.counter_incr (wire_counter ms stage (classify msg)))
+let meter_msg t (stage : Obs.Wire.stage) msg =
+  let ms = t.meters in
+  Obs.Metrics.counter_incr
+    (match stage with
+    | Sent -> ms.sent
+    | Delivered -> ms.delivered
+    | Dropped -> ms.dropped);
+  Obs.Metrics.wire_incr ms.wire stage msg
 
 let rng t = t.rng
 
@@ -249,7 +207,7 @@ let enqueue t ~at run =
 let deliver t env =
   if is_crashed t env.dst then begin
     t.dropped <- t.dropped + 1;
-    meter_msg t Dropped env.msg;
+    meter_msg t Obs.Wire.Dropped env.msg;
     tracing t (fun () ->
         Trace.Drop
           {
@@ -264,7 +222,7 @@ let deliver t env =
     match Ptab.get t.handlers env.dst with
     | None ->
         t.dropped <- t.dropped + 1;
-        meter_msg t Dropped env.msg;
+        meter_msg t Obs.Wire.Dropped env.msg;
         tracing t (fun () ->
             Trace.Drop
               {
@@ -276,7 +234,7 @@ let deliver t env =
               })
     | Some handler ->
         t.delivered <- t.delivered + 1;
-        meter_msg t Delivered env.msg;
+        meter_msg t Obs.Wire.Delivered env.msg;
         tracing t (fun () ->
             Trace.Deliver
               {
@@ -297,7 +255,7 @@ let send t ~src ~dst msg =
   (* A crashed process takes no further steps, hence sends nothing. *)
   if is_crashed t src then ()
   else begin
-    meter_msg t Sent msg;
+    meter_msg t Obs.Wire.Sent msg;
     tracing t (fun () ->
         Trace.Send { time = t.now; src; dst; info = t.msg_info msg });
     if not t.faults_active then
@@ -420,55 +378,23 @@ let step t =
   match Queue.pop t.queue with
   | None -> false
   | Some (ev, rest) ->
-      (match t.meters with
-      | None -> ()
-      | Some ms ->
-          let c =
-            match ms.c_events with
-            | Some c -> c
-            | None ->
-                let c = Obs.Metrics.counter ms.reg "engine.events" in
-                ms.c_events <- Some c;
-                c
-          in
-          Obs.Metrics.counter_incr c;
-          let h =
-            match ms.h_depth with
-            | Some h -> h
-            | None ->
-                let h =
-                  Obs.Metrics.histogram ms.reg "engine.queue_depth"
-                    ~bounds:Obs.Metrics.depth_bounds
-                in
-                ms.h_depth <- Some h;
-                h
-          in
-          (* the cached size still includes the event being popped,
-             matching the pre-cache [Queue.size] observation point *)
-          Obs.Metrics.Histogram.observe_int h t.queue_size);
+      Obs.Metrics.counter_incr t.meters.events;
+      (* the cached size still includes the event being popped, matching
+         the pre-cache [Queue.size] observation point *)
+      Obs.Metrics.histogram_observe_int t.meters.depth t.queue_size;
       t.queue <- rest;
       t.queue_size <- t.queue_size - 1;
       t.now <- ev.Event.at;
       (* Host wall-clock per simulated event, only when the caller opted
          in with a clock — the default stays free of ambient state so
          runs (and their exports) are bit-deterministic. *)
-      (match (t.clock, t.meters) with
-      | Some clock, Some ms ->
+      (match t.clock with
+      | Some clock ->
           let t0 = clock () in
           ev.Event.run ();
-          let h =
-            match ms.h_wall with
-            | Some h -> h
-            | None ->
-                let h =
-                  Obs.Metrics.histogram ms.reg "engine.event_wallclock_us"
-                    ~bounds:Obs.Metrics.wallclock_bounds
-                in
-                ms.h_wall <- Some h;
-                h
-          in
-          Obs.Metrics.Histogram.observe h ((clock () -. t0) *. 1e6)
-      | _ -> ev.Event.run ());
+          Obs.Metrics.histogram_observe t.meters.wallclock
+            ((clock () -. t0) *. 1e6)
+      | None -> ev.Event.run ());
       true
 
 let run ?until ?max_events t =

@@ -1,10 +1,10 @@
-type op =
+type op = Core.Driver_ops.kop =
   | Read of { key : int }
   | Write of { key : int; value : Core.Value.t }
 
-let op_key = function Read { key } | Write { key; _ } -> key
+let op_key = Core.Driver_ops.op_key
 
-let op_is_write = function Read _ -> false | Write _ -> true
+let op_is_write = Core.Driver_ops.op_is_write
 
 type t = {
   keys : int;

@@ -31,9 +31,11 @@
     generator converts non-owned write draws into reads, keeping the
     key-popularity marginal identical across processes. *)
 
-type op =
+type op = Core.Driver_ops.kop =
   | Read of { key : int }
   | Write of { key : int; value : Core.Value.t }
+(** The round driver's keyed operation, so a drawn stream runs on a
+    client engine as it is. *)
 
 val op_key : op -> int
 

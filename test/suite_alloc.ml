@@ -118,6 +118,55 @@ let gc_read_same_floor () =
   at_most "GC object's READ1 with an unchanged floor" 40.
     (words (fun () -> Regular_object_gc.handle obj ~src again))
 
+(* A warm single-register read through the round driver, its objects
+   stepped by hand as [test driver] does: ABD at S = 3 (t = 1, b = 0),
+   fan-out 2, after one write.  Returns the read. *)
+let driver_read ?metrics () =
+  let module P = Baseline.Abd.Regular in
+  let cfg = Quorum.Config.make_exn ~s:3 ~t:1 ~b:0 in
+  let objs = Array.init 3 (fun i -> P.obj_init ~cfg ~index:(i + 1)) in
+  let sent = Queue.create () in
+  let host =
+    {
+      Driver.send = (fun ~slot ~key:_ ~sender:_ m -> Queue.add (slot, m) sent);
+      connected = (fun _ -> true);
+      unanswered = (fun _ -> 0);
+      answers = Baseline.Abd.answers;
+      start_span =
+        (fun kind ~proc ~now ->
+          Obs.Span.create ~id:0 kind ~proc ~now ~trace_pos:0);
+      trace_pos = (fun () -> 0);
+    }
+  in
+  let d =
+    Driver.create ?metrics (module P) ~host ~map:(Shard.Map.single cfg)
+      ~fanout:(Quorum.Config.quorum cfg) ~reader:1 ~readers:1
+  in
+  let now = ref 0 in
+  let run op ~lane ~src =
+    Driver.load d ~on_event:ignore [| op |];
+    Driver.pump d ~now:!now;
+    while not (Queue.is_empty sent) do
+      let slot, m = Queue.pop sent in
+      let o, reply = P.obj_handle objs.(slot) ~src m in
+      objs.(slot) <- o;
+      Option.iter (Driver.deliver d ~now:!now ~slot ~key:0 ~lane) reply;
+      Driver.pump d ~now:!now
+    done;
+    if not (Driver.finished d) then failwith "the op did not complete";
+    incr now
+  in
+  run (Driver.Write { key = 0; value = Value.v "x" }) ~lane:Driver.writer
+    ~src:Sim.Proc_id.Writer;
+  fun () -> run (Driver.Read { key = 0 }) ~lane:0 ~src:(Sim.Proc_id.Reader 1)
+
+let metered_driver_read () =
+  let plain = words (driver_read ()) in
+  let metered = words (driver_read ~metrics:(Obs.Metrics.create ()) ()) in
+  at_most
+    (Printf.sprintf "metering a driver read (%.0f words unmetered)" plain)
+    64. (metered -. plain)
+
 let suite =
   ( "alloc",
     [
@@ -127,4 +176,6 @@ let suite =
         encode_history_ack;
       Alcotest.test_case "GC READ1 with an unchanged floor: at most 40 words"
         `Quick gc_read_same_floor;
+      Alcotest.test_case "metering a driver read: at most 64 more words"
+        `Quick metered_driver_read;
     ] )

@@ -232,7 +232,7 @@ let below_bound_crash_keeps_one_round () =
 
 let beyond_t_crashes_timeout_then_recover () =
   let c =
-    Net.Cluster.start ~metrics:true
+    Net.Cluster.start
       ~opts:{ Net.Client.deadline = 0.05; retries = 1; backoff = 0.01 }
       ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
   in
@@ -249,11 +249,8 @@ let beyond_t_crashes_timeout_then_recover () =
       | Ok o -> Alcotest.failf "read succeeded beyond t: %s" (value_of o)
       | Error _ -> ());
       (* The failed attempts surfaced as a counter, not only stderr. *)
-      (match Net.Cluster.metrics c with
-      | None -> Alcotest.fail "metrics registry missing"
-      | Some m ->
-          Alcotest.(check bool) "op.reconnects counted" true
-            (Obs.Metrics.counter_value m "op.reconnects" > 0));
+      Alcotest.(check bool) "op.reconnects counted" true
+        (Obs.Metrics.counter_value (Net.Cluster.metrics c) "op.reconnects" > 0);
       ok_exn "restart 1"
         (Result.map_error (fun _ -> "still alive") (Net.Cluster.restart c 1));
       ok_exn "restart 2"
@@ -458,7 +455,7 @@ let duplicated_request_is_handled_again () =
 
 let corrupted_reply_is_a_decode_error () =
   let c =
-    Net.Cluster.start ~metrics:true ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
+    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
@@ -470,11 +467,9 @@ let corrupted_reply_is_a_decode_error () =
       Alcotest.(check string) "value" "c1" (value_of o);
       Alcotest.(check bool) "object 1 corrupted its replies" true
         ((Net.Cluster.stats c 1).Net.Server.corrupted > 0);
-      match Net.Cluster.metrics c with
-      | None -> Alcotest.fail "metrics registry missing"
-      | Some m ->
-          Alcotest.(check bool) "the client could not decode them" true
-            (Obs.Metrics.counter_value m "net.client.decode_errors" > 0))
+      let m = Net.Cluster.metrics c in
+      Alcotest.(check bool) "the client could not decode them" true
+        (Obs.Metrics.counter_value m "net.client.decode_errors" > 0))
 
 let delayed_reply_leaves_late () =
   let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg1 () in

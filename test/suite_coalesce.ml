@@ -91,7 +91,7 @@ let batch_close_is_idempotent () =
    path in play, so batches ride one-round reads where admissible. *)
 let coalesced_schedules_are_regular () =
   let c =
-    Net.Cluster.start ~metrics:true
+    Net.Cluster.start
       ~map:(Shard.Map.make_exn ~keys:16384 ~fleet:3 ~cfg:cfg3 ())
       ~protocol:(Net.Protocols.regular_gc ~readers:1)
       ~cfg:cfg3 ()
@@ -145,17 +145,15 @@ let coalesced_schedules_are_regular () =
       QCheck.Test.check_exn
         (QCheck.Test.make ~name:"coalesced keyed schedules" ~count:10 arb prop);
       (* the schedules above must actually have exercised coalescing *)
-      match Net.Cluster.metrics c with
-      | None -> Alcotest.fail "metrics requested but absent"
-      | Some m ->
-          Alcotest.(check bool) "some reads coalesced" true
-            (Obs.Metrics.counter_value m "op.coalesced_reads" > 0))
+      let m = Net.Cluster.metrics c in
+      Alcotest.(check bool) "some reads coalesced" true
+        (Obs.Metrics.counter_value m "op.coalesced_reads" > 0))
 
 (* ----- chaos: crash mid-coalesced-batch ----------------------------------- *)
 
 let crash_mid_coalesced_run () =
   let c =
-    Net.Cluster.start ~metrics:true
+    Net.Cluster.start
       ~opts:{ Net.Client.deadline = 0.5; retries = 8; backoff = 0.01 }
       ~map:(Shard.Map.make_exn ~keys:4 ~fleet:4 ~cfg:cfg4 ())
       ~protocol:(Net.Protocols.regular_gc ~readers:1)
@@ -216,11 +214,9 @@ let crash_mid_coalesced_run () =
         (Net.Cluster.keyed_histories c);
       Alcotest.(check int) "no partition violations" 0
         (Net.Cluster.partition_violations c);
-      match Net.Cluster.metrics c with
-      | None -> Alcotest.fail "metrics requested but absent"
-      | Some m ->
-          Alcotest.(check bool) "coalescing engaged across the crash" true
-            (Obs.Metrics.counter_value m "op.coalesced_reads" > 0))
+      let m = Net.Cluster.metrics c in
+      Alcotest.(check bool) "coalescing engaged across the crash" true
+        (Obs.Metrics.counter_value m "op.coalesced_reads" > 0))
 
 (* ----- golden structure: width-k batch = k ops, 1 round ------------------- *)
 

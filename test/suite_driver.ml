@@ -202,6 +202,52 @@ let test_park_adopt () =
   | [ (0, Error _); (1, Ok { D.value = Some _; rounds = 1; _ }) ] -> ()
   | _ -> Alcotest.fail "the next read adopts the stashed result"
 
+(* The span a timed-out op hands out in its [Respond] is its round's:
+   when a later op resumes the parked round, or adopts its stashed
+   result, that same span finishes with the automaton's round count, so
+   [Campaign.judge] holds the round to the protocol's bound.  The op
+   that resumed or adopted carries no span of its own. *)
+let test_parked_round_span () =
+  let timing = { D.deadline = 100e-6; retries = 0; backoff = 10e-6 } in
+  let spans h =
+    List.filter_map
+      (function
+        | D.Respond { op; span; _ } -> Some (op, span) | D.Invoke _ -> None)
+      (List.rev !(h.events))
+  in
+  let judged what h =
+    match spans h with
+    | [ (0, Some s); (1, None) ] ->
+        Alcotest.(check (option int))
+          (what ^ ": the timed-out op's span reports the round")
+          (Some 1) s.Obs.Span.reported_rounds;
+        Alcotest.(check bool)
+          (what ^ ": and is finished") true (Obs.Span.completed s)
+    | _ -> Alcotest.failf "%s: op 0 hands out a span, op 1 none" what
+  in
+  (* resumed: the next op resends the parked round, which completes *)
+  let h = harness ~timing cfg41 in
+  submit h ~now:0 (D.Read { key = 0 });
+  D.tick h.d ~now:100;
+  (match spans h with
+  | [ (0, Some s) ] ->
+      Alcotest.(check bool) "open while parked" false (Obs.Span.completed s)
+  | _ -> Alcotest.fail "the timed-out read hands out its span");
+  submit h ~now:200 (D.Read { key = 0 });
+  List.iter
+    (fun slot -> ignore (reply h ~now:201 ~key:0 ~lane:0 slot))
+    [ 1; 2; 3 ];
+  judged "resumed" h;
+  (* adopted: replies complete the parked round before the next op *)
+  let h = harness ~timing cfg41 in
+  submit h ~now:0 (D.Read { key = 0 });
+  D.tick h.d ~now:100;
+  List.iter
+    (fun slot -> ignore (reply h ~now:150 ~key:0 ~lane:0 slot))
+    [ 0; 1; 2 ];
+  submit h ~now:200 (D.Read { key = 0 });
+  judged "adopted" h
+
 let suite =
   ( "driver",
     [
@@ -215,4 +261,6 @@ let suite =
         `Quick test_park_resume;
       Alcotest.test_case "a parked round's result is adopted by the next op"
         `Quick test_park_adopt;
+      Alcotest.test_case "resumed and adopted rounds report on the first span"
+        `Quick test_parked_round_span;
     ] )

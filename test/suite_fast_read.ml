@@ -120,7 +120,7 @@ let sim_read_pairs cfg =
    sends no Read1). *)
 let net_read_pairs cfg =
   let c =
-    Net.Cluster.start ~metrics:true
+    Net.Cluster.start
       ~protocol:(Net.Protocols.regular_gc ~readers:1)
       ~cfg ()
   in
@@ -128,11 +128,7 @@ let net_read_pairs cfg =
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
       let e = Net.Cluster.engine c in
-      let metrics () =
-        match Net.Cluster.metrics c with
-        | None -> Alcotest.fail "metrics registry missing"
-        | Some m -> m
-      in
+      let metrics () = Net.Cluster.metrics c in
       let widenings () =
         let m = metrics () in
         List.fold_left
@@ -467,7 +463,7 @@ let uncached_reader_ignores_reconnect () =
 
 let live_wiped_restart_resyncs () =
   let c =
-    Net.Cluster.start ~metrics:true
+    Net.Cluster.start
       ~opts:{ Net.Client.deadline = 0.5; retries = 8; backoff = 0.01 }
       ~protocol:(Net.Protocols.regular_gc ~readers:1)
       ~cfg:cfg_fast ()
@@ -487,9 +483,7 @@ let live_wiped_restart_resyncs () =
       Net.Cluster.restart_exn ~wipe:true c 2;
       let _ = ok_exn "write v2" (Live_ops.write writer "v2") in
       let resyncs () =
-        match Net.Cluster.metrics c with
-        | None -> Alcotest.fail "metrics registry missing"
-        | Some m -> Obs.Metrics.counter_value m "op.cache_resyncs"
+        Obs.Metrics.counter_value (Net.Cluster.metrics c) "op.cache_resyncs"
       in
       (* Reconnects are lazy and backed off (~50ms): keep reading until
          the reader's client re-dials the wiped object.  Every read in

@@ -327,7 +327,7 @@ let keyed_clients_through_runner () =
 let keyed_cluster_histories_check () =
   let map = Shard.Map.make_exn ~keys:8 ~fleet:3 ~cfg:cfg3 () in
   let c =
-    Net.Cluster.start ~metrics:true ~map ~protocol:Net.Protocols.safe
+    Net.Cluster.start ~map ~protocol:Net.Protocols.safe
       ~cfg:cfg3 ()
   in
   Fun.protect
@@ -370,22 +370,20 @@ let keyed_cluster_histories_check () =
         (Net.Cluster.partition_violations c);
       (* at S = 3 = 2t+2b+1 the fast path is admissible on every shard
          that served a read *)
-      match Net.Cluster.metrics c with
-      | None -> Alcotest.fail "metrics requested but absent"
-      | Some m ->
-          for sh = 0 to Shard.Map.shards map - 1 do
-            let reads =
-              Obs.Metrics.counter_value m (Printf.sprintf "shard.%d.reads" sh)
-            in
-            let fast =
-              Obs.Metrics.counter_value m
-                (Printf.sprintf "shard.%d.fast_reads" sh)
-            in
-            if reads > 0 then
-              Alcotest.(check bool)
-                (Printf.sprintf "shard %d fast reads engaged" sh)
-                true (fast > 0)
-          done)
+      let m = Net.Cluster.metrics c in
+      for sh = 0 to Shard.Map.shards map - 1 do
+        let reads =
+          Obs.Metrics.counter_value m (Printf.sprintf "shard.%d.reads" sh)
+        in
+        let fast =
+          Obs.Metrics.counter_value m
+            (Printf.sprintf "shard.%d.fast_reads" sh)
+        in
+        if reads > 0 then
+          Alcotest.(check bool)
+            (Printf.sprintf "shard %d fast reads engaged" sh)
+            true (fast > 0)
+      done)
 
 (* The single register is key 0: key 0 of a keyspace over the single
    register's fleet lands on the single register's slots, rank for
@@ -476,9 +474,7 @@ let pick_t0_is_everyone =
 let counter m name = Obs.Metrics.counter_value m name
 
 let metrics_exn c =
-  match Net.Cluster.metrics c with
-  | Some m -> m
-  | None -> Alcotest.fail "metrics requested but absent"
+  Net.Cluster.metrics c
 
 let keyed_ops ?(keys = 16) ?(write_ratio = 0.0) ~seed n =
   Array.map
@@ -557,7 +553,7 @@ let fault_free_counts ~s ~reads_per_read () =
   let cfg = Quorum.Config.make_exn ~s ~t:1 ~b:1 in
   let keys = 16 in
   let c =
-    Net.Cluster.start ~metrics:true
+    Net.Cluster.start
       ~map:(Shard.Map.make_exn ~keys ~fleet:s ~cfg ())
       ~protocol:(Net.Protocols.regular_gc ~readers:2)
       ~cfg ()
@@ -604,7 +600,7 @@ let crash_widens_lost_rounds () =
   let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1 in
   let keys = 32 in
   let c =
-    Net.Cluster.start ~metrics:true
+    Net.Cluster.start
       ~map:(Shard.Map.make_exn ~keys ~fleet:4 ~cfg ())
       ~protocol:(Net.Protocols.regular_gc ~readers:2)
       ~cfg ()
@@ -680,7 +676,7 @@ let slow_member_is_hedged () =
   let cfg = Quorum.Config.make_exn ~s:5 ~t:1 ~b:1 in
   let keys = 16 in
   let c =
-    Net.Cluster.start ~metrics:true
+    Net.Cluster.start
       ~map:(Shard.Map.make_exn ~keys ~fleet:5 ~cfg ())
       ~protocol:(Net.Protocols.regular_gc ~readers:2)
       ~cfg ()

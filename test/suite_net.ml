@@ -190,7 +190,7 @@ let replies_answer_only_their_request () =
 
 let acceptance_1000_reads () =
   let c =
-    Net.Cluster.start ~metrics:true ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
+    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
@@ -230,15 +230,13 @@ let acceptance_1000_reads () =
         (List.length
            (List.filter (fun l -> l <> "") (String.split_on_char '\n' jsonl)));
       (* merged metrics carry the op.* families the simulator uses *)
-      match Net.Cluster.metrics c with
-      | None -> Alcotest.fail "metrics requested but absent"
-      | Some reg ->
-          let table = Stats.Table.to_string (Obs.Metrics.table reg) in
-          List.iter
-            (fun needle ->
-              if not (contains table needle) then
-                Alcotest.failf "metric %s missing from:@.%s" needle table)
-            [ "op.read.completed"; "op.read.rounds"; "op.write.completed" ])
+      let reg = Net.Cluster.metrics c in
+      let table = Stats.Table.to_string (Obs.Metrics.table reg) in
+      List.iter
+        (fun needle ->
+          if not (contains table needle) then
+            Alcotest.failf "metric %s missing from:@.%s" needle table)
+        [ "op.read.completed"; "op.read.rounds"; "op.write.completed" ])
 
 (* ----- crash semantics --------------------------------------------------- *)
 
@@ -418,7 +416,7 @@ let pipelined_chaos_zero_failures () =
      landing mid-batch from another thread: every op must complete and
      the recorded history (with its real concurrency) must check out. *)
   let c =
-    Net.Cluster.start ~metrics:true ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
+    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
@@ -461,15 +459,13 @@ let pipelined_chaos_zero_failures () =
         (Histories.Checks.is_safe ~equal:String.equal history);
       Alcotest.(check bool) "pipelined history regular" true
         (Histories.Checks.is_regular ~equal:String.equal history);
-      match Net.Cluster.metrics c with
-      | None -> Alcotest.fail "metrics requested but absent"
-      | Some reg ->
-          let table = Stats.Table.to_string (Obs.Metrics.table reg) in
-          List.iter
-            (fun needle ->
-              if not (contains table needle) then
-                Alcotest.failf "metric %s missing from:@.%s" needle table)
-            [ "wire.batch_size"; "wire.flush_us"; "op.read.completed" ])
+      let reg = Net.Cluster.metrics c in
+      let table = Stats.Table.to_string (Obs.Metrics.table reg) in
+      List.iter
+        (fun needle ->
+          if not (contains table needle) then
+            Alcotest.failf "metric %s missing from:@.%s" needle table)
+        [ "wire.batch_size"; "wire.flush_us"; "op.read.completed" ])
 
 let pipelined_byzantine_silent () =
   (* one Byzantine-silent endpoint, 16 ops in flight: the window must
@@ -592,7 +588,7 @@ let tcp_transport_works () =
    merged registry read the same before and after it. *)
 let stopped_cluster_keeps_records () =
   let c =
-    Net.Cluster.start ~metrics:true ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
+    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 ()
   in
   let e = Net.Cluster.engine c in
   Fun.protect
@@ -601,9 +597,8 @@ let stopped_cluster_keeps_records () =
       let _ = ok_exn "write" (Live_ops.write e "kept") in
       ignore (ok_exn "read" (Live_ops.read e)));
   let completed what =
-    match Net.Cluster.metrics c with
-    | None -> Alcotest.fail "metrics requested but absent"
-    | Some m -> Obs.Metrics.counter_value m ("op." ^ what ^ ".completed")
+    Obs.Metrics.counter_value (Net.Cluster.metrics c)
+      ("op." ^ what ^ ".completed")
   in
   Alcotest.(check int) "reads completed" 1 (completed "read");
   Alcotest.(check int) "writes completed" 1 (completed "write");

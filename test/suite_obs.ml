@@ -85,8 +85,13 @@ let test_registry_merge_into () =
   let a = Obs.Metrics.create () and b = Obs.Metrics.create () in
   Obs.Metrics.add a "c" 2;
   Obs.Metrics.add b "c" 3;
-  Obs.Metrics.observe_int a "h" ~bounds:Obs.Metrics.round_bounds 1;
-  Obs.Metrics.observe_int b "h" ~bounds:Obs.Metrics.round_bounds 2;
+  let observe reg v =
+    Obs.Metrics.histogram_observe_int
+      (Obs.Metrics.histogram reg "h" ~bounds:Obs.Metrics.round_bounds)
+      v
+  in
+  observe a 1;
+  observe b 2;
   Obs.Metrics.merge_into ~dst:a b;
   Alcotest.(check int) "counters add" 5 (Obs.Metrics.counter_value a "c");
   (match Obs.Metrics.find_histogram a "h" with
@@ -97,6 +102,62 @@ let test_registry_merge_into () =
   match Obs.Metrics.find_histogram b "h" with
   | Some h -> Alcotest.(check int) "src histogram" 1 (H.count h)
   | None -> Alcotest.fail "src histogram missing"
+
+(* A handle registers its metric on first use, so an untouched one stays
+   absent; on [off] nothing is recorded; a merge into the registry keeps
+   a handle's histogram the registry's; the wire table names each
+   (class, stage) counter as the string-keyed path did, past round 4
+   and for [other] too. *)
+let test_handles () =
+  let m = Obs.Metrics.create () in
+  let c = Obs.Metrics.counter m "c" and idle = Obs.Metrics.counter m "idle" in
+  let h = Obs.Metrics.histogram m "h" ~bounds:Obs.Metrics.round_bounds in
+  Alcotest.(check (list string)) "nothing before first use" []
+    (List.map fst (Obs.Metrics.counters m));
+  Obs.Metrics.counter_incr c;
+  Obs.Metrics.counter_incr c;
+  Obs.Metrics.histogram_observe_int h 1;
+  ignore idle;
+  Alcotest.(check (list (pair string int))) "touched only" [ ("c", 2) ]
+    (Obs.Metrics.counters m);
+  let other = Obs.Metrics.create () in
+  Obs.Metrics.histogram_observe_int
+    (Obs.Metrics.histogram other "h" ~bounds:Obs.Metrics.round_bounds)
+    2;
+  Obs.Metrics.merge_into ~dst:m other;
+  Obs.Metrics.histogram_observe_int h 3;
+  (match Obs.Metrics.find_histogram m "h" with
+  | Some x -> Alcotest.(check int) "the handle survives a merge" 3 (H.count x)
+  | None -> Alcotest.fail "histogram missing");
+  let w = Obs.Metrics.wire m Fun.id in
+  List.iter
+    (fun (stage, cls) -> Obs.Metrics.wire_incr w stage cls)
+    Obs.Wire.
+      [
+        (Sent, read ~round:1 ~request:true);
+        (Sent, read ~round:1 ~request:true);
+        (Delivered, write ~round:6 ~request:false);
+        (Dropped, other);
+      ];
+  Alcotest.(check (list (pair string int)))
+    "wire counters"
+    [
+      ("c", 2); ("wire.other.dropped", 1); ("wire.read.r1.req.sent", 2);
+      ("wire.write.r6.ack.delivered", 1);
+    ]
+    (Obs.Metrics.counters m);
+  Alcotest.(check int) "requests sent" 2 (Obs.Metrics.requests_sent m);
+  let off = Obs.Metrics.off in
+  Obs.Metrics.counter_incr (Obs.Metrics.counter off "c");
+  Obs.Metrics.histogram_observe_int
+    (Obs.Metrics.histogram off "h" ~bounds:Obs.Metrics.round_bounds)
+    1;
+  Obs.Metrics.wire_incr (Obs.Metrics.wire off Fun.id) Sent Obs.Wire.other;
+  Obs.Metrics.incr off "rare";
+  Obs.Metrics.merge_into ~dst:off m;
+  Alcotest.(check int) "off records nothing" 0
+    (List.length (Obs.Metrics.counters off)
+    + List.length (Obs.Metrics.histograms off))
 
 let test_wire_rendering () =
   Alcotest.(check string) "read req" "read.r1.req"
@@ -259,6 +320,7 @@ let suite =
         test_histogram_quantile_edges;
       Alcotest.test_case "registry counters" `Quick test_registry_counters;
       Alcotest.test_case "registry merge_into" `Quick test_registry_merge_into;
+      Alcotest.test_case "metric handles" `Quick test_handles;
       Alcotest.test_case "wire rendering" `Quick test_wire_rendering;
       Alcotest.test_case "span export deterministic" `Quick
         test_span_export_deterministic;

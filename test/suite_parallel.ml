@@ -126,11 +126,14 @@ let qcheck_merge_associative =
     (fun seed ->
       let produce k () =
         let reg = Obs.Metrics.create () in
+        let h =
+          Obs.Metrics.histogram reg "h" ~bounds:Obs.Metrics.count_bounds
+        in
         let rng = Sim.Prng.create ~seed:(seed + k) in
         for _ = 1 to 200 do
           let n = Sim.Prng.int rng ~bound:5 in
           Obs.Metrics.incr reg (Printf.sprintf "c%d" n);
-          Obs.Metrics.observe_int reg "h" ~bounds:Obs.Metrics.count_bounds n
+          Obs.Metrics.histogram_observe_int h n
         done;
         reg
       in

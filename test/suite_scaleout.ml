@@ -371,12 +371,16 @@ let jsonl_roundtrip () =
   let reg = Obs.Metrics.create () in
   Obs.Metrics.add reg "op.read.completed" 400;
   Obs.Metrics.incr reg "op.reconnects";
-  Obs.Metrics.observe_int reg "wire.batch_size"
-    ~bounds:Obs.Metrics.batch_bounds 3;
-  Obs.Metrics.observe_int reg "wire.batch_size"
-    ~bounds:Obs.Metrics.batch_bounds 900 (* overflow bucket *);
-  Obs.Metrics.observe reg "op.read.latency_us"
-    ~bounds:Obs.Metrics.latency_bounds 123.0;
+  let batch =
+    Obs.Metrics.histogram reg "wire.batch_size"
+      ~bounds:Obs.Metrics.batch_bounds
+  in
+  Obs.Metrics.histogram_observe_int batch 3;
+  Obs.Metrics.histogram_observe_int batch 900 (* overflow bucket *);
+  Obs.Metrics.histogram_observe
+    (Obs.Metrics.histogram reg "op.read.latency_us"
+       ~bounds:Obs.Metrics.latency_bounds)
+    123.0;
   let text = Obs.Export.metrics_jsonl ~labels:[ ("proc", "1") ] reg in
   let back =
     match Obs.Export.metrics_of_jsonl text with
@@ -401,8 +405,10 @@ let jsonl_roundtrip () =
   (* two imports merge as registries do: counters add, histograms merge *)
   let reg2 = Obs.Metrics.create () in
   Obs.Metrics.add reg2 "op.read.completed" 100;
-  Obs.Metrics.observe_int reg2 "wire.batch_size"
-    ~bounds:Obs.Metrics.batch_bounds 7;
+  Obs.Metrics.histogram_observe_int
+    (Obs.Metrics.histogram reg2 "wire.batch_size"
+       ~bounds:Obs.Metrics.batch_bounds)
+    7;
   let import what text =
     match Obs.Export.metrics_of_jsonl text with
     | Ok m -> m
