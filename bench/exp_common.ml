@@ -227,7 +227,6 @@ let run_one engine op = (Net.Cluster.run engine [| op |]).(0)
    op has responded by now, so the run is quiescent. *)
 let judge_cluster entry cluster ~completed ~total =
   Fault.Campaign.judge entry ~quiescent:true ~completed ~total
-    ~spans:(Net.Cluster.spans cluster)
     (Net.Cluster.keyed_histories cluster)
 
 let summary_json buf label (s : Stats.Summary.t) =
@@ -339,8 +338,7 @@ let keyspace_cell ~exp ~label ~transport ~protocol ~entry ~cfg ~fleet ~domains
   let histories = Net.Cluster.keyed_histories cluster in
   let verdict =
     Fault.Campaign.judge entry ~quiescent:true ~completed:!ops_completed
-      ~total:(!ops_completed + !failures) ~spans:(Net.Cluster.spans cluster)
-      histories
+      ~total:(!ops_completed + !failures) histories
   in
   let metrics = Net.Cluster.metrics cluster in
   (* Fast-read engagement per shard, from the engines' shard.<i>.*

@@ -153,7 +153,7 @@ let sim_forger_cell ~cfg ~reads =
     + Fault.Campaign.breaches
         (Fault.Campaign.judge Regular_gc ~quiescent:rep.quiescent
            ~completed:(List.length rep.outcomes) ~total:(List.length sched)
-           ~spans:rep.spans [ (0, rep.history) ])
+           [ (0, rep.history) ])
   in
   ( float_of_int (List.fold_left ( + ) 0 rounds) /. float_of_int (max 1 n),
     List.fold_left min max_int rounds,

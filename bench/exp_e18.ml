@@ -159,8 +159,7 @@ let run () =
       let merged = Net.Cluster.metrics cluster in
       let verdict =
         Fault.Campaign.judge Safe ~quiescent:true ~completed:!completed
-          ~total:(!completed + !failures)
-          ~spans:(Net.Record.spans record) (Net.Record.histories record)
+          ~total:(!completed + !failures) (Net.Record.histories record)
       in
       let violations = Fault.Campaign.breaches verdict
       and checked = verdict.checked in

@@ -10,6 +10,9 @@ module EA = Mc.Explorer.Make (Baseline.Abd.Regular)
 
 let cfg_core = Quorum.Config.optimal ~t:1 ~b:1
 
+(* Each scenario is held to its protocol's row: claim and round bounds. *)
+let contract = Fault.Campaign.contract
+
 let forge_naive : EF.pure_byz =
   {
     rewrite =
@@ -80,7 +83,7 @@ let run () =
   let budget = 1_500_000 in
 
   let r =
-    ES.check ~max_states:budget ~claim:Safety
+    ES.check ~max_states:budget ~contract:(contract Safe)
       { ES.cfg = cfg_core; writes = [ Core.Value.v "a" ]; reads = [ (1, 1) ];
         sequential = true; byz = []; crashed = [] }
   in
@@ -89,7 +92,7 @@ let run () =
     ~violations:(List.length r.violations);
 
   let r =
-    ES.check ~max_states:budget ~claim:Safety
+    ES.check ~max_states:budget ~contract:(contract Safe)
       { ES.cfg = cfg_core; writes = []; reads = [ (1, 1) ]; sequential = false;
         byz = [ (1, forge_safe) ]; crashed = [] }
   in
@@ -98,7 +101,7 @@ let run () =
 
   let r =
     (* byz + crash = 2 faults needs t >= 2: S = 2t+b+1 = 6 *)
-    ES.check ~max_states:budget ~claim:Safety
+    ES.check ~max_states:budget ~contract:(contract Safe)
       { ES.cfg = Quorum.Config.optimal ~t:2 ~b:1; writes = [];
         reads = [ (1, 1) ]; sequential = false; byz = [ (2, forge_safe) ];
         crashed = [ 6 ] }
@@ -111,7 +114,7 @@ let run () =
     (* the same overloaded-fault scenario the paper's model excludes:
        byz + crash with t = 1 -- the checker must catch the resulting
        wait-freedom loss, proving it can detect liveness failures *)
-    ES.check ~max_states:budget ~claim:Safety
+    ES.check ~max_states:budget ~contract:(contract Safe)
       { ES.cfg = cfg_core; writes = []; reads = [ (1, 1) ]; sequential = false;
         byz = [ (2, forge_safe) ]; crashed = [ 4 ] }
   in
@@ -120,7 +123,7 @@ let run () =
     ~violations:(List.length r.violations);
 
   let r =
-    ER.check ~max_states:budget ~claim:Regularity
+    ER.check ~max_states:budget ~contract:(contract Regular)
       { ER.cfg = cfg_core; writes = []; reads = [ (1, 1) ]; sequential = false;
         byz = [ (1, forge_regular) ]; crashed = [] }
   in
@@ -129,7 +132,7 @@ let run () =
     ~violations:(List.length r.violations);
 
   let r =
-    ER.check ~max_states:budget ~claim:Regularity
+    ER.check ~max_states:budget ~contract:(contract Regular)
       { ER.cfg = cfg_core; writes = [ Core.Value.v "a" ]; reads = [ (1, 1) ];
         sequential = true; byz = []; crashed = [] }
   in
@@ -138,7 +141,7 @@ let run () =
     ~violations:(List.length r.violations);
 
   let r =
-    EA.check ~max_states:budget ~claim:Regularity
+    EA.check ~max_states:budget ~contract:(contract Abd)
       { EA.cfg = Quorum.Config.make_exn ~s:3 ~t:1 ~b:0;
         writes = [ Core.Value.v "a" ]; reads = [ (1, 1) ]; sequential = false;
         byz = []; crashed = [] }
@@ -148,7 +151,7 @@ let run () =
     ~violations:(List.length r.violations);
 
   let r =
-    EF.check ~max_states:budget ~claim:Safety
+    EF.check ~max_states:budget ~contract:(contract Naive_fast)
       { EF.cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1;
         writes = [ Core.Value.v "a" ]; reads = [ (1, 1) ]; sequential = true;
         byz = [ (1, forge_naive) ]; crashed = [] }

@@ -65,7 +65,8 @@ let run () =
         else "1 round sufficient"
       in
       let r_fast =
-        E_fast.check ~max_states:1_000_000 ~claim:Safety
+        E_fast.check ~max_states:1_000_000
+          ~contract:(Fault.Campaign.contract Fast_safe)
           {
             E_fast.cfg = cfg;
             writes = [ Core.Value.v "v1" ];
@@ -76,7 +77,8 @@ let run () =
           }
       in
       let r_safe =
-        E_safe.check ~max_states:1_000_000 ~claim:Safety
+        E_safe.check ~max_states:1_000_000
+          ~contract:(Fault.Campaign.contract Safe)
           {
             E_safe.cfg = cfg;
             writes = [];

@@ -237,7 +237,7 @@ let byzantine ~cfg strategy = function
 (* The claimed property's verdict, e.g. ["safety: OK"]. *)
 let claim_verdict protocol (v : Fault.Campaign.verdict) =
   Printf.sprintf "%s: %s"
-    (Histories.Checks.claim_name (Fault.Campaign.claim protocol))
+    (Histories.Checks.claim_name (Fault.Campaign.contract protocol).claim)
     (match v.violations with
     | [] -> "OK"
     | vs -> Printf.sprintf "%d VIOLATIONS" (List.length vs))
@@ -253,10 +253,10 @@ let print_violations ~keyed protocol (v : Fault.Campaign.verdict) =
         x)
     v.violations;
   if v.rounds > 0 then
-    let (Fault.Campaign.Entry e) = Fault.Campaign.entry protocol in
+    let c = Fault.Campaign.contract protocol in
     Format.printf "rounds: %d operations over the bound (write %d, read %s)@."
-      v.rounds e.write_rounds
-      (Option.fold ~none:"none" ~some:string_of_int e.read_rounds)
+      v.rounds c.write_rounds
+      (Option.fold ~none:"none" ~some:string_of_int c.read_rounds)
 
 let writes_arg =
   Arg.(value & opt int 3 & info [ "writes" ] ~docv:"N" ~doc:"Number of writes.")
@@ -327,7 +327,7 @@ let run_cmd =
     let v =
       Fault.Campaign.judge protocol ~quiescent:rep.quiescent
         ~completed:(List.length rep.outcomes) ~total:(List.length schedule)
-        ~spans:rep.spans [ (0, rep.history) ]
+        [ (0, rep.history) ]
     in
     Format.printf "completed %d/%d operations; %d messages delivered@."
       v.completed v.total rep.messages_delivered;
@@ -475,12 +475,12 @@ let check_cmd =
   let run protocol t b budget =
     reject_bad_input [ (budget < 1, "--budget must be >= 1") ];
     let cfg = config ~s:None ~t ~b () in
-    let (Fault.Campaign.Entry { automata = (module P); claim; _ }) =
+    let (Fault.Campaign.Entry { automata = (module P); contract; _ }) =
       Fault.Campaign.entry protocol
     in
     let module E = Mc.Explorer.Make (P) in
     let r =
-      E.check ~max_states:budget ~claim
+      E.check ~max_states:budget ~contract
         {
           E.cfg = cfg;
           writes = [ Core.Value.v "a" ];
@@ -509,7 +509,7 @@ let check_cmd =
        ~doc:
          "Model-check one write followed by one read for the protocol over \
           message delivery orders, holding every terminal history to the \
-          property the protocol claims.  The search is exhaustive only when \
+          protocol's claim and round bounds.  The search is exhaustive only when \
           it reports $(b,truncated: false).  Exits 1 on a violation, and 3 \
           if the search found none but stopped at the state budget.")
     term
@@ -525,12 +525,12 @@ let walks_cmd =
   let run protocol t b seed walks jobs =
     reject_bad_input [ (walks < 1, "--walks must be >= 1") ];
     let cfg = config ~s:None ~t ~b () in
-    let (Fault.Campaign.Entry { automata = (module P); claim; _ }) =
+    let (Fault.Campaign.Entry { automata = (module P); contract; _ }) =
       Fault.Campaign.entry protocol
     in
     let module E = Mc.Explorer.Make (P) in
     let r =
-      E.random_walks ?jobs ~walks ~claim ~seed
+      E.random_walks ?jobs ~walks ~contract ~seed
         {
           E.cfg = cfg;
           writes = [ Core.Value.v "a"; Core.Value.v "b" ];
@@ -1304,11 +1304,10 @@ let cluster_cmd =
         tally "read(post-restart)" r.(0)
     | _ -> ());
     let histories = Net.Cluster.keyed_histories cluster in
-    let spans = Net.Cluster.spans cluster in
     (* Every client has joined, so an op still open failed for good. *)
     let v =
       Fault.Campaign.judge p ~quiescent:true ~completed:!completed ~total
-        ~spans histories
+        histories
     in
     let partition = Net.Cluster.partition_violations cluster in
     Format.printf
@@ -1317,7 +1316,7 @@ let cluster_cmd =
       (List.length histories) v.checked v.completed partition
       (claim_verdict p v);
     print_violations ~keyed:true p v;
-    live_report ~artifacts ~spans
+    live_report ~artifacts ~spans:(Net.Cluster.spans cluster)
       (if metrics then Some (Net.Cluster.metrics cluster) else None);
     Net.Cluster.stop cluster;
     if
@@ -1341,7 +1340,7 @@ let cluster_cmd =
           reader lanes are the readers.  Run a read/write workload over \
           real sockets — optionally crashing and restarting a server \
           mid-run — print its throughput, then check every key's recorded \
-          history against the property the protocol claims and export \
+          history against the protocol's claim and round bounds and export \
           spans/metrics.  Exits 1 on any violation, failed op, unrecorded \
           op or domain-partition violation.")
     term

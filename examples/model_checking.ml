@@ -12,6 +12,10 @@
 
 module Check = Mc.Explorer.Make (Core.Proto_safe)
 
+(* The safe storage's row of the protocol table: the property it claims
+   and its round bounds, which every terminal history must meet. *)
+let contract = Fault.Campaign.contract Safe
+
 let forge : Check.pure_byz =
   {
     rewrite =
@@ -45,7 +49,7 @@ let () =
 
   (* 1. every delivery order of write-then-read, fault-free *)
   report "write;read, all orders"
-    (Check.check ~max_states:1_000_000 ~claim:Safety
+    (Check.check ~max_states:1_000_000 ~contract
        {
          Check.cfg;
          writes = [ Core.Value.v "payload" ];
@@ -57,7 +61,7 @@ let () =
 
   (* 2. a read against a forging disk, exhaustively *)
   report "read vs forging disk, all orders"
-    (Check.check ~max_states:1_000_000 ~claim:Safety
+    (Check.check ~max_states:1_000_000 ~contract
        {
          Check.cfg;
          writes = [];
@@ -69,7 +73,7 @@ let () =
 
   (* 3. a workload too big to exhaust: Monte-Carlo sampling *)
   report "2 writes + 4 reads, 3000 random schedules"
-    (Check.random_walks ~walks:3000 ~claim:Safety ~seed:1
+    (Check.random_walks ~walks:3000 ~contract ~seed:1
        {
          Check.cfg;
          writes = [ Core.Value.v "a"; Core.Value.v "b" ];
@@ -83,7 +87,7 @@ let () =
      the start PLUS a Byzantine one = two faults on a t = 1 budget *)
   Format.printf "@.Now the same storage with its fault budget exceeded:@.";
   report "read, byz + crashed disk (t=1!)"
-    (Check.check ~max_states:1_000_000 ~claim:Safety
+    (Check.check ~max_states:1_000_000 ~contract
        {
          Check.cfg;
          writes = [];

@@ -45,10 +45,6 @@ module Make (P : Protocol_intf.S) = struct
     final_time : int;
   }
 
-  let value_to_result = function
-    | Value.Bottom -> Histories.Op.Bottom
-    | Value.V s -> Histories.Op.Value s
-
   let run ?(max_events = 1_000_000) ?(trace = false) ?(chaos = []) ?metrics
       ?clock ~cfg ~seed ~delay ~faults schedule =
     let tr = if trace then Some (Sim.Trace.create ()) else None in
@@ -142,12 +138,14 @@ module Make (P : Protocol_intf.S) = struct
                  e)
         | Driver.Respond { at_us; outcome = Ok o; _ } ->
             let handle, op, invoked_at = Option.get !pending in
+            let rounds = o.rounds in
             (match o.value with
             | None ->
-                Histories.Recorder.respond_write recorder handle ~time:at_us
+                Histories.Recorder.respond_write ~rounds recorder handle
+                  ~time:at_us
             | Some v ->
-                Histories.Recorder.respond_read recorder handle ~time:at_us
-                  (value_to_result v));
+                Histories.Recorder.respond_read ~rounds recorder handle
+                  ~time:at_us (Value.to_result v));
             outcomes :=
               {
                 op;

@@ -26,3 +26,7 @@ let pp ppf = function
 let to_string = function Bottom -> "_|_" | V s -> s
 
 let payload = function Bottom -> None | V s -> Some s
+
+let to_result = function
+  | Bottom -> Histories.Op.Bottom
+  | V s -> Histories.Op.Value s

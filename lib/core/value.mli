@@ -24,3 +24,6 @@ val to_string : t -> string
 
 val payload : t -> string option
 (** [Some s] for [V s], [None] for [Bottom]. *)
+
+val to_result : t -> string Histories.Op.read_result
+(** What a history records for a read that returned this value. *)

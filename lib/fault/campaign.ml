@@ -15,9 +15,7 @@ type claim = Histories.Checks.claim = Safety | Regularity | Atomicity
 type entry =
   | Entry : {
       automata : (module Core.Protocol_intf.S with type msg = 'm);
-      claim : claim;
-      write_rounds : int;
-      read_rounds : int option;
+      contract : Histories.Checks.contract;
       robust : bool;
       signed : bool;
       design : t:int -> b:int -> Quorum.Config.t;
@@ -104,8 +102,8 @@ let below_fast_read ~t ~b = Quorum.Config.make_exn ~s:(2 * (t + b)) ~t ~b
 
 let row (type m) (automata : (module Core.Protocol_intf.S with type msg = m))
     claim ~rounds:(write_rounds, read_rounds) ~design ~robust ~signed strategy =
-  Entry
-    { automata; claim; write_rounds; read_rounds; robust; signed; design; strategy }
+  let contract = { Histories.Checks.claim; write_rounds; read_rounds } in
+  Entry { automata; contract; robust; signed; design; strategy }
 
 let entry = function
   | Safe ->
@@ -152,9 +150,9 @@ let protocol_name p =
 
 let protocol_of_string s = List.find_opt (fun p -> protocol_name p = s) protocols
 
-let claim p =
+let contract p =
   let (Entry e) = entry p in
-  e.claim
+  e.contract
 
 let robust p =
   let (Entry e) = entry p in
@@ -180,51 +178,24 @@ type verdict = {
   completed : int;
   total : int;
   quiescent : bool;
-  spans : Obs.Span.t list;
 }
 
-let judge protocol ~quiescent ~completed ~total ~spans histories =
+let judge protocol ~quiescent ~completed ~total histories =
   let (Entry e) = entry protocol in
-  let equal = String.equal in
-  let count f =
-    List.fold_left (fun n (_, h) -> n + List.length (f h)) 0 histories
-  in
-  (* The automaton's own count: a retransmit or a widened round is not a
-     round, and an open span has none. *)
-  let over_bound (s : Obs.Span.t) =
-    match (s.reported_rounds, s.kind, e.read_rounds) with
-    | Some r, Obs.Span.Write, _ -> r > e.write_rounds
-    | Some r, Obs.Span.Read _, Some bound -> r > bound
-    | None, _, _ | Some _, Obs.Span.Read _, None -> false
-  in
-  (* Each checker scans a history once, and the claim's violations come
-     from those scans: atomicity is regularity plus its inversions. *)
-  let scans =
-    List.map
-      (fun (key, h) ->
-        let safety = Histories.Checks.check_safety ~equal h in
-        let regularity = Histories.Checks.check_regularity ~equal h in
-        let claimed =
-          match e.claim with
-          | Histories.Checks.Safety -> safety
-          | Regularity -> regularity
-          | Atomicity -> regularity @ Histories.Checks.check_inversions ~equal h
-        in
-        (safety, regularity, List.map (fun v -> (key, v)) claimed))
-      histories
-  in
-  let found f = List.fold_left (fun n scan -> n + List.length (f scan)) 0 scans in
+  let judge = Histories.Checks.judge e.contract ~equal:String.equal ~quiescent in
+  let judged = List.map (fun (key, h) -> (key, judge h)) histories in
+  let count f l = List.fold_left (fun n (_, x) -> n + List.length (f x)) 0 l in
+  let keyed (key, j) = List.map (fun v -> (key, v)) j.Histories.Checks.claimed in
   {
-    safety = found (fun (s, _, _) -> s);
-    regularity = found (fun (_, r, _) -> r);
-    violations = List.concat_map (fun (_, _, v) -> v) scans;
-    rounds = List.length (List.filter over_bound spans);
-    liveness = count (Histories.Checks.check_wait_freedom ~quiescent);
-    checked = count (List.filter Histories.Op.is_complete);
+    safety = count (fun j -> j.Histories.Checks.safety) judged;
+    regularity = count (fun j -> j.Histories.Checks.regularity) judged;
+    violations = List.concat_map keyed judged;
+    rounds = count (fun j -> j.Histories.Checks.rounds) judged;
+    liveness = count (fun j -> j.Histories.Checks.liveness) judged;
+    checked = count (List.filter Histories.Op.is_complete) histories;
     completed;
     total;
     quiescent;
-    spans;
   }
 
 (* The campaign workload every backend runs a plan under: a quiet
@@ -278,8 +249,7 @@ let run_plan ?metrics protocol ~cfg ~seed (plan : Plan.t) =
   in
   judge protocol ~quiescent:rep.quiescent
     ~completed:(List.length rep.outcomes)
-    ~total:(List.length schedule) ~spans:rep.spans
-    [ (0, rep.history) ]
+    ~total:(List.length schedule) [ (0, rep.history) ]
 
 (* ----- execution backends ------------------------------------------------ *)
 

@@ -1,11 +1,13 @@
 (** The protocol table, and chaos campaigns judged by it.
 
     {!entry} is the one place the repository names each protocol it
-    runs: its automata, the property it claims (paper §2.2), the rounds
-    its writes and reads may take, the configuration it is designed
-    for, and the concrete strategy behind each symbolic attack.  The
-    CLI, the experiments and the live backend look protocols up here,
-    and {!judge} holds every simulated and live run to its entry.
+    runs: its automata, its contract (the property it claims, paper
+    §2.2, and the rounds its writes and reads may take), the
+    configuration it is designed for, and the concrete strategy behind
+    each symbolic attack.  The CLI, the experiments and the live backend
+    look protocols up here, {!judge} holds every simulated and live run
+    to its entry's contract, and the model checker holds every terminal
+    history to it.
 
     A campaign sweeps seeds × fault plans × protocols and reports a
     survival matrix.  It draws random {!Plan}s within the resilience
@@ -39,11 +41,9 @@ type entry =
   | Entry : {
       automata : (module Core.Protocol_intf.S with type msg = 'm);
           (** its [name] is the protocol's name *)
-      claim : claim;
-      write_rounds : int;  (** the most rounds a write may take *)
-      read_rounds : int option;
-          (** the most rounds a read may take; [None] for nonmod's
-              polling reader, which claims no bound *)
+      contract : Histories.Checks.contract;
+          (** its claim and round bounds; nonmod's polling reader claims
+              no read bound *)
       robust : bool;
           (** must survive every within-budget plan; [false] only for the
               negative control Proposition 1 dooms *)
@@ -68,10 +68,10 @@ val protocol_name : protocol -> string
 
 val protocol_of_string : string -> protocol option
 
-val claim : protocol -> claim
-(** Safety for safe, nonmod, fast-safe and naive-fast; regularity for
-    regular, regular-opt, regular-gc, abd and auth; atomicity for
-    abd-atomic. *)
+val contract : protocol -> Histories.Checks.contract
+(** The entry's contract.  It claims safety for safe, nonmod, fast-safe
+    and naive-fast; regularity for regular, regular-opt, regular-gc, abd
+    and auth; atomicity for abd-atomic. *)
 
 val robust : protocol -> bool
 
@@ -103,7 +103,6 @@ type verdict = {
   completed : int;  (** operations that completed *)
   total : int;  (** operations scheduled *)
   quiescent : bool;  (** the run drained its event queue *)
-  spans : Obs.Span.t list;  (** per-operation spans, invocation order *)
 }
 
 val judge :
@@ -111,15 +110,16 @@ val judge :
   quiescent:bool ->
   completed:int ->
   total:int ->
-  spans:Obs.Span.t list ->
   (int * string Histories.Op.t list) list ->
   verdict
-(** Hold one run to its table entry: each key's history (a
-    single-register run passes key 0) to the protocol's {!claim}, and to
-    safety and regularity for the survival matrix; each completed span's
-    [reported_rounds], the automaton's own count (so retransmits and
-    widened rounds never count), to the entry's round bounds; and, once
-    the run is [quiescent], each open operation to wait-freedom. *)
+(** Hold one run to its table entry: {!Histories.Checks.judge} each
+    key's history (a single-register run passes key 0) against the
+    entry's {!contract}, and sum the findings.  The claim's violations
+    keep their key; safety and regularity are counted for the survival
+    matrix; each completed op's reported rounds, the automaton's own
+    count (so retransmits and widened rounds never count), meet the
+    round bounds; and, once the run is [quiescent], each open operation
+    meets wait-freedom. *)
 
 val workload : seed:int -> plan:Plan.t -> Core.Schedule.t
 (** The campaign workload a plan is judged under: a sequential spine

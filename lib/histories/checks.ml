@@ -213,11 +213,49 @@ let claim_name = function
   | Regularity -> "regularity"
   | Atomicity -> "atomicity"
 
-let check claim ~equal ops =
-  match claim with
-  | Safety -> check_safety ~equal ops
-  | Regularity -> check_regularity ~equal ops
-  | Atomicity -> check_atomicity ~equal ops
+type contract = { claim : claim; write_rounds : int; read_rounds : int option }
+
+(* The automaton's own count: a retransmit or a widened round is not a
+   round, and an open op, or one recorded without rounds, has none. *)
+let check_rounds c ops =
+  List.filter_map
+    (fun op ->
+      let bound =
+        match op.Op.action with
+        | Op.Write _ -> Some c.write_rounds
+        | Op.Read _ -> c.read_rounds
+      in
+      match (op.Op.rounds, bound) with
+      | Some r, Some bound when r > bound ->
+          let detail = Printf.sprintf "took %d rounds, bound %d" r bound in
+          Some { read = op; rule = "rounds"; detail }
+      | _ -> None)
+    ops
+
+type 'v judgement = {
+  safety : 'v violation list;
+  regularity : 'v violation list;
+  claimed : 'v violation list;
+  rounds : 'v violation list;
+  liveness : 'v violation list;
+}
+
+(* Each checker scans the history once, and the claim's violations come
+   from those scans: atomicity is regularity plus its inversions. *)
+let judge c ~equal ~quiescent ops =
+  let safety = check_safety ~equal ops in
+  let regularity = check_regularity ~equal ops in
+  {
+    safety;
+    regularity;
+    claimed =
+      (match c.claim with
+      | Safety -> safety
+      | Regularity -> regularity
+      | Atomicity -> regularity @ check_inversions ~equal ops);
+    rounds = check_rounds c ops;
+    liveness = check_wait_freedom ~quiescent ops;
+  }
 
 let is_safe ~equal ops = check_safety ~equal ops = []
 

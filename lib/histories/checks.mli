@@ -47,15 +47,42 @@ val check_wait_freedom : quiescent:bool -> 'v Op.t list -> 'v violation list
     ended by exhausting events (not by an event or time budget); with
     [quiescent = false] the checker abstains and returns []. *)
 
+(** {2 A protocol's contract} *)
+
 (** The register property a protocol claims (paper §2.2). *)
 type claim = Safety | Regularity | Atomicity
 
 val claim_name : claim -> string
 (** ["safety"], ["regularity"] or ["atomicity"]. *)
 
-val check : claim -> equal:('v -> 'v -> bool) -> 'v Op.t list -> 'v violation list
-(** Violations of exactly the property [claim] names: {!check_safety},
-    {!check_regularity} or {!check_atomicity}. *)
+type contract = {
+  claim : claim;
+  write_rounds : int;  (** the most rounds a write may take *)
+  read_rounds : int option;  (** a read's; [None] claims no bound *)
+}
+(** What a protocol promises of every history it produces (Theorems 1–4
+    bound the paper's storages at two rounds). *)
+
+type 'v judgement = {
+  safety : 'v violation list;
+  regularity : 'v violation list;
+  claimed : 'v violation list;  (** violations of the contract's claim *)
+  rounds : 'v violation list;  (** complete ops past their round bound *)
+  liveness : 'v violation list;  (** {!check_wait_freedom}'s *)
+}
+
+val judge :
+  contract ->
+  equal:('v -> 'v -> bool) ->
+  quiescent:bool ->
+  'v Op.t list ->
+  'v judgement
+(** Hold one history to a contract, each checker scanning it once; every
+    runtime's verdict comes from here ([Fault.Campaign.judge] per key,
+    [Mc.Explorer] per terminal state).  An op's rounds are those its
+    automaton reported ({!Op.t.rounds}); an op without them is never
+    past a bound.
+    @raise Invalid_argument as {!check_atomicity} for an atomicity claim. *)
 
 val is_safe : equal:('v -> 'v -> bool) -> 'v Op.t list -> bool
 

@@ -11,6 +11,7 @@ type 'v t = {
   invoked_stamp : int;
   responded_at : int option;
   responded_stamp : int option;
+  rounds : int option;
 }
 
 let is_complete op = Option.is_some op.responded_stamp

@@ -24,6 +24,9 @@ type 'v t = {
   invoked_stamp : int;
   responded_at : int option;  (** simulated time of response, if any *)
   responded_stamp : int option;
+  rounds : int option;
+      (** the rounds its automaton reported at its response; [None]
+          while it is open, or when it was recorded without them *)
 }
 
 val is_complete : 'v t -> bool

@@ -56,7 +56,7 @@ let invoke_read t ~time ~reader =
   Hashtbl.replace t.busy_readers reader ();
   invoke t ~time (Pending_read { reader })
 
-let close t handle entry ~time action =
+let close t handle entry ~time ~rounds action =
   Hashtbl.remove t.open_ops handle;
   let stamp = fresh_stamp t in
   let op =
@@ -67,25 +67,27 @@ let close t handle entry ~time action =
       invoked_stamp = entry.invoked_stamp;
       responded_at = Some time;
       responded_stamp = Some stamp;
+      rounds;
     }
   in
   t.finished <- op :: t.finished
 
-let respond_write t handle ~time =
+let respond_write ?rounds t handle ~time =
   match Hashtbl.find_opt t.open_ops handle with
   | Some ({ pending = Pending_write { index; value }; _ } as entry) ->
       t.writer_busy <- false;
-      close t handle entry ~time (Op.Write { index; value })
+      close t handle entry ~time ~rounds (Op.Write { index; value })
   | Some { pending = Pending_read _; _ } ->
       invalid_arg "Recorder.respond_write: handle belongs to a read"
   | None ->
       invalid_arg "Recorder.respond_write: unknown or already-closed operation"
 
-let respond_read t handle ~time result =
+let respond_read ?rounds t handle ~time result =
   match Hashtbl.find_opt t.open_ops handle with
   | Some ({ pending = Pending_read { reader }; _ } as entry) ->
       Hashtbl.remove t.busy_readers reader;
-      close t handle entry ~time (Op.Read { reader; result = Some result })
+      close t handle entry ~time ~rounds
+        (Op.Read { reader; result = Some result })
   | Some { pending = Pending_write _; _ } ->
       invalid_arg "Recorder.respond_read: handle belongs to a write"
   | None ->
@@ -107,6 +109,7 @@ let ops t =
           invoked_stamp;
           responded_at = None;
           responded_stamp = None;
+          rounds = None;
         }
         :: acc)
       t.open_ops []
@@ -120,6 +123,3 @@ let read_count t = List.length (List.filter Op.is_read (ops t))
 
 let complete_reads t =
   List.filter (fun op -> Op.is_read op && Op.is_complete op) (ops t)
-
-let pp ~pp_value ppf t =
-  List.iter (fun op -> Format.fprintf ppf "%a@." (Op.pp ~pp_value) op) (ops t)

@@ -22,20 +22,21 @@ module Make (P : Core.Protocol_intf.S) = struct
     violations : violation list;
   }
 
-  (* Chronological operation log; positions double as precedence stamps. *)
+  (* Chronological operation log, replayed into a history at each
+     terminal state.  The writer and each reader run one operation at a
+     time, so a response closes its client's open operation. *)
   type log_event =
-    | Inv_write of int * Core.Value.t  (* write index k, value *)
-    | Resp_write of int
-    | Inv_read of int * int  (* reader, read id *)
-    | Resp_read of int * int * Core.Value.t
+    | Inv_write of Core.Value.t
+    | Resp_write of { rounds : int }
+    | Inv_read of int  (* reader *)
+    | Resp_read of { reader : int; value : Core.Value.t; rounds : int }
 
-  type reader_slot = { rsm : P.reader; remaining : int; rid : int }
+  type reader_slot = { rsm : P.reader; remaining : int }
 
   type state = {
     writer : P.writer;
     wqueue : Core.Value.t list;
-    winflight : int option;  (* index of the write in progress *)
-    wcount : int;  (* writes invoked so far *)
+    writing : bool;  (* a write is in progress *)
     readers : reader_slot Core.Ints.Map.t;
     objs : P.obj Core.Ints.Map.t;  (* honest automata (byz ones wrapped) *)
     inflight : (Sim.Proc_id.t * Sim.Proc_id.t * P.msg) list;  (* canonical *)
@@ -44,80 +45,40 @@ module Make (P : Core.Protocol_intf.S) = struct
 
   let canonical inflight = List.sort Stdlib.compare inflight
 
-  (* --- history reconstruction and property checking ------------------- *)
+  (* --- the history and its judgement ---------------------------------- *)
 
-  let value_to_result = function
-    | Core.Value.Bottom -> Histories.Op.Bottom
-    | Core.Value.V s -> Histories.Op.Value s
-
-  let history_of_log log =
-    let events = List.rev log in
-    let stamped = List.mapi (fun stamp e -> (stamp, e)) events in
-    let find_resp pred =
-      List.find_map (fun (stamp, e) -> if pred e then Some stamp else None) stamped
-    in
-    List.filter_map
-      (fun (stamp, e) ->
-        match e with
-        | Inv_write (k, v) ->
-            let resp =
-              find_resp (function Resp_write k' -> k' = k | _ -> false)
-            in
-            Some
-              {
-                Histories.Op.id = stamp;
-                action =
-                  Histories.Op.Write
-                    { index = k; value = Core.Value.to_string v };
-                invoked_at = stamp;
-                invoked_stamp = stamp;
-                responded_at = resp;
-                responded_stamp = resp;
-              }
-        | Inv_read (j, rid) ->
-            let result =
-              List.find_map
-                (fun (_, e) ->
-                  match e with
-                  | Resp_read (j', rid', v) when j' = j && rid' = rid ->
-                      Some (value_to_result v)
-                  | _ -> None)
-                stamped
-            in
-            let resp =
-              find_resp (function
-                | Resp_read (j', rid', _) -> j' = j && rid' = rid
-                | _ -> false)
-            in
-            Some
-              {
-                Histories.Op.id = stamp;
-                action = Histories.Op.Read { reader = j; result };
-                invoked_at = stamp;
-                invoked_stamp = stamp;
-                responded_at = resp;
-                responded_stamp = resp;
-              }
-        | Resp_write _ | Resp_read _ -> None)
-      stamped
+  (* Record the log's operations, its positions as their times, with
+     the rounds each response reported; [open_op] holds each process's
+     one open operation. *)
+  let replay log =
+    let module R = Histories.Recorder in
+    let r = R.create () and open_op = Hashtbl.create 4 in
+    let writer = Sim.Proc_id.Writer and reader j = Sim.Proc_id.Reader j in
+    List.iteri
+      (fun time -> function
+        | Inv_write v ->
+            Hashtbl.replace open_op writer
+              (R.invoke_write r ~time (Core.Value.to_string v))
+        | Resp_write { rounds } ->
+            R.respond_write ~rounds r (Hashtbl.find open_op writer) ~time
+        | Inv_read j ->
+            Hashtbl.replace open_op (reader j) (R.invoke_read r ~time ~reader:j)
+        | Resp_read { reader = j; value; rounds } ->
+            R.respond_read ~rounds r (Hashtbl.find open_op (reader j)) ~time
+              (Core.Value.to_result value))
+      (List.rev log);
+    R.ops r
 
   let pp_history ops =
-    Format.asprintf "%a"
-      (fun ppf ops ->
-        List.iter
-          (fun op ->
-            Format.fprintf ppf "%a; "
-              (Histories.Op.pp ~pp_value:Format.pp_print_string)
-              op)
-          ops)
-      ops
+    let pp_op = Histories.Op.pp ~pp_value:Format.pp_print_string in
+    String.concat "" (List.map (Format.asprintf "%a; " pp_op) ops)
 
   (* --- transition function -------------------------------------------- *)
 
   (* Build the scenario's pure transition system: initial state, the
      delivery step, and the terminal-state property check — shared by the
      exhaustive DFS and the Monte-Carlo sampler. *)
-  let machinery ~claim scenario =
+  let machinery ~contract scenario =
     let cfg = scenario.cfg in
     let crashed = scenario.crashed in
     let send_to_objects st ~src m =
@@ -133,11 +94,10 @@ module Make (P : Core.Protocol_intf.S) = struct
     in
 
     (* Start the next write if the writer is free. *)
-    let rec writer_pump st =
-      match (st.winflight, st.wqueue) with
-      | None, v :: rest ->
-          let k = st.wcount + 1 in
-          (match P.writer_start st.writer v with
+    let writer_pump st =
+      match (st.writing, st.wqueue) with
+      | false, v :: rest -> (
+          match P.writer_start st.writer v with
           | Error e -> invalid_arg ("Explorer: writer_start: " ^ e)
           | Ok (writer, m) ->
               let st =
@@ -145,12 +105,11 @@ module Make (P : Core.Protocol_intf.S) = struct
                   st with
                   writer;
                   wqueue = rest;
-                  winflight = Some k;
-                  wcount = k;
-                  log = Inv_write (k, v) :: st.log;
+                  writing = true;
+                  log = Inv_write v :: st.log;
                 }
               in
-              writer_pump (send_to_objects st ~src:Sim.Proc_id.Writer m))
+              send_to_objects st ~src:Sim.Proc_id.Writer m)
       | _ -> st
     in
     let reader_pump j st =
@@ -160,13 +119,12 @@ module Make (P : Core.Protocol_intf.S) = struct
         match P.reader_start slot.rsm with
         | Error _ -> st (* still busy *)
         | Ok (rsm, m) ->
-            let rid = slot.rid + 1 in
-            let slot = { rsm; remaining = slot.remaining - 1; rid } in
+            let slot = { rsm; remaining = slot.remaining - 1 } in
             let st =
               {
                 st with
                 readers = Core.Ints.Map.add j slot st.readers;
-                log = Inv_read (j, rid) :: st.log;
+                log = Inv_read j :: st.log;
               }
             in
             send_to_objects st ~src:(Sim.Proc_id.Reader j) m
@@ -180,20 +138,14 @@ module Make (P : Core.Protocol_intf.S) = struct
         (fun st ev ->
           match ev with
           | Core.Events.Broadcast m -> send_to_objects st ~src:Sim.Proc_id.Writer m
-          | Core.Events.Write_done _ -> (
-              match st.winflight with
-              | Some k ->
-                  let st =
-                    writer_pump
-                      { st with winflight = None; log = Resp_write k :: st.log }
-                  in
-                  (* In sequential scenarios the last write completing
-                     releases the readers. *)
-                  if scenario.sequential && st.winflight = None then
-                    pump_all_readers st
-                  else st
-              | None -> st)
-          | Core.Events.Read_done _ -> st)
+          | Core.Events.Write_done { rounds } when st.writing ->
+              let log = Resp_write { rounds } :: st.log in
+              let st = writer_pump { st with writing = false; log } in
+              (* In sequential scenarios the last write completing
+                 releases the readers. *)
+              if scenario.sequential && not st.writing then pump_all_readers st
+              else st
+          | Core.Events.Write_done _ | Core.Events.Read_done _ -> st)
         st events
     in
     let apply_reader_events j st events =
@@ -202,12 +154,9 @@ module Make (P : Core.Protocol_intf.S) = struct
           match ev with
           | Core.Events.Broadcast m ->
               send_to_objects st ~src:(Sim.Proc_id.Reader j) m
-          | Core.Events.Read_done { value; _ } ->
-              let slot = Core.Ints.Map.find j st.readers in
-              let st =
-                { st with log = Resp_read (j, slot.rid, value) :: st.log }
-              in
-              reader_pump j st
+          | Core.Events.Read_done { value; rounds } ->
+              let log = Resp_read { reader = j; value; rounds } :: st.log in
+              reader_pump j { st with log }
           | Core.Events.Write_done _ -> st)
         st events
     in
@@ -270,9 +219,7 @@ module Make (P : Core.Protocol_intf.S) = struct
       let readers =
         List.fold_left
           (fun m (j, n) ->
-            Core.Ints.Map.add j
-              { rsm = P.reader_init ~cfg ~j; remaining = n; rid = 0 }
-              m)
+            Core.Ints.Map.add j { rsm = P.reader_init ~cfg ~j; remaining = n } m)
           Core.Ints.Map.empty scenario.reads
       in
       let objs =
@@ -287,8 +234,7 @@ module Make (P : Core.Protocol_intf.S) = struct
         {
           writer = P.writer_init ~cfg;
           wqueue = scenario.writes;
-          winflight = None;
-          wcount = 0;
+          writing = false;
           readers;
           objs;
           inflight = [];
@@ -296,52 +242,39 @@ module Make (P : Core.Protocol_intf.S) = struct
         }
       in
       let st = writer_pump st in
-      if scenario.sequential && st.winflight <> None then st
+      if scenario.sequential && st.writing then st
       else List.fold_left (fun st (j, _) -> reader_pump j st) st scenario.reads
     in
 
-    (* Terminal-state property checks. *)
+    (* Terminal-state checks: the history meets the contract, and no
+       operation is pending.  Pending operations are read off the
+       automata, not the history, which does not show the ones never
+       invoked. *)
     let check_terminal st =
-      let ops = history_of_log st.log in
-      let equal = String.equal in
-      let consistency = Histories.Checks.check claim ~equal ops in
-      let consistency_violations =
-        List.map
-          (fun v ->
-            {
-              kind = v.Histories.Checks.rule;
-              detail =
-                Format.asprintf "%a | history: %s"
-                  (Histories.Checks.pp_violation ~pp_value:Format.pp_print_string)
-                  v (pp_history ops);
-            })
-          consistency
+      let ops = replay st.log in
+      let history () = pp_history ops in
+      let pp = Histories.Checks.pp_violation ~pp_value:Format.pp_print_string in
+      let found (v : _ Histories.Checks.violation) =
+        let detail = Format.asprintf "%a | history: %s" pp v (history ()) in
+        { kind = v.rule; detail }
       in
-      let incomplete =
-        Option.is_some st.winflight
-        || st.wqueue <> []
+      let j =
+        Histories.Checks.judge contract ~equal:String.equal ~quiescent:false ops
+      in
+      let pending =
+        st.writing || st.wqueue <> []
         || Core.Ints.Map.exists
              (fun _ slot ->
-               slot.remaining > 0
-               ||
-               match P.reader_start slot.rsm with
-               | Error _ -> true (* a read is still in progress *)
-               | Ok _ -> false)
+               (* a read left, or one still in progress *)
+               slot.remaining > 0 || Result.is_error (P.reader_start slot.rsm))
              st.readers
       in
-      let wf_violations =
-        if incomplete then
-          [
-            {
-              kind = "wait-freedom";
-              detail =
-                "operations still pending at quiescence | history: "
-                ^ pp_history ops;
-            };
-          ]
-        else []
-      in
-      consistency_violations @ wf_violations
+      List.map found (j.claimed @ j.rounds)
+      @
+      if not pending then []
+      else
+        let detail = "operations still pending at quiescence | history: " in
+        [ { kind = "wait-freedom"; detail = detail ^ history () } ]
     in
 
     (init, deliver, check_terminal)
@@ -359,12 +292,12 @@ module Make (P : Core.Protocol_intf.S) = struct
     (note, fun () -> List.rev !kept)
 
   (* Exhaustive DFS with memoization on a structural fingerprint. *)
-  let check ?(max_states = 200_000) ~claim scenario =
-    let init, deliver, check_terminal = machinery ~claim scenario in
+  let check ?(max_states = 200_000) ~contract scenario =
+    let init, deliver, check_terminal = machinery ~contract scenario in
     let visited = Hashtbl.create (min max_states 65536) in
     let fingerprint st =
       Marshal.to_string
-        (st.writer, st.wqueue, st.winflight, st.readers, st.objs, st.inflight,
+        (st.writer, st.wqueue, st.writing, st.readers, st.objs, st.inflight,
          st.log)
         []
     in
@@ -406,8 +339,8 @@ module Make (P : Core.Protocol_intf.S) = struct
      PRNG, split off the seed stream up front, so walk [i] samples the
      same schedule whatever the domain count — the batch fans across the
      pool and reduces (step sum, violation dedup) in walk order. *)
-  let random_walks ?jobs ?(walks = 1000) ~claim ~seed scenario =
-    let init, deliver, check_terminal = machinery ~claim scenario in
+  let random_walks ?jobs ?(walks = 1000) ~contract ~seed scenario =
+    let init, deliver, check_terminal = machinery ~contract scenario in
     let base = Sim.Prng.create ~seed in
     let walk_rngs = Array.init walks (fun _ -> Sim.Prng.split base) in
     let run_walk i =

@@ -4,12 +4,17 @@
     the checker enumerates {e every} order in which the in-transit
     messages can be delivered — the full space of asynchronous runs of
     §2.1 for that workload — executing the protocol's pure state
-    machines along each branch.  At every quiescent endpoint it checks:
+    machines along each branch.  At every quiescent endpoint it replays
+    the run's operations through {!Histories.Recorder}, each response
+    with the rounds its automaton reported, and checks:
 
-    - the claimed property of the generated history
-      ({!Histories.Checks.check}: safety, regularity or atomicity);
+    - the history against the protocol's contract
+      ({!Histories.Checks.judge}, as [Fault.Campaign.judge] does): the
+      claimed property (safety, regularity or atomicity), and each
+      operation's rounds against the contract's bounds;
     - {e wait-freedom}: with all messages delivered and at most [t]
-      silenced objects, every invoked operation must have completed.
+      silenced objects, every scheduled operation must have been
+      invoked and completed.
 
     Byzantine objects are modelled as pure reply-rewriting strategies
     over an internally-honest automaton, so exploration stays
@@ -49,15 +54,16 @@ module Make (P : Core.Protocol_intf.S) : sig
   }
 
   val check :
-    ?max_states:int -> claim:Histories.Checks.claim -> scenario -> result
+    ?max_states:int -> contract:Histories.Checks.contract -> scenario -> result
   (** Explore the scenario (default budget 200_000 states) and hold
-      every terminal history to [claim].  The search is exhaustive only
-      when the result is not [truncated]. *)
+      every terminal history to [contract]; a violation's [kind] is the
+      checker's rule (["rounds"] for a round bound).  The search is
+      exhaustive only when the result is not [truncated]. *)
 
   val random_walks :
     ?jobs:int ->
     ?walks:int ->
-    claim:Histories.Checks.claim ->
+    contract:Histories.Checks.contract ->
     seed:int ->
     scenario ->
     result

@@ -207,8 +207,7 @@ let run ?metrics ~opts protocol ~cfg ~seed plan =
      construction, and operations that exhausted their retries are still
      open in the history — exactly what wait-freedom flags *)
   Fault.Campaign.judge protocol ~quiescent:true ~completed:!completed
-    ~total:(List.length schedule) ~spans:(Cluster.spans cluster)
-    (Cluster.keyed_histories cluster)
+    ~total:(List.length schedule) (Cluster.keyed_histories cluster)
 
 let backend ?(opts = default_opts) () =
   {

@@ -52,9 +52,7 @@ let at_of = function
 let is_invoke = function Client.Keyed.Invoke _ -> true | Respond _ -> false
 
 let result_of (o : Client.outcome) =
-  match o.value with
-  | Some (Core.Value.V s) -> Histories.Op.Value s
-  | Some Core.Value.Bottom | None -> Histories.Op.Bottom
+  Core.Value.to_result (Option.value o.value ~default:Core.Value.bottom)
 
 (* Which log's head goes next: the earliest stamp, and at equal stamps
    an invocation before a response.  When every tied head is a
@@ -105,7 +103,8 @@ let replay heads =
             Hashtbl.remove joined (li, op);
             match outcome with
             | Ok o ->
-                Histories.Recorder.respond_read r h ~time:at_us (result_of o)
+                Histories.Recorder.respond_read ~rounds:o.rounds r h
+                  ~time:at_us (result_of o)
             | Error _ -> ()))
     | Invoke { write; reader; at_us; _ } ->
         if not (Hashtbl.mem lanes (li, reader)) then
@@ -122,8 +121,12 @@ let replay heads =
         | None -> ()
         | Some h ->
             Hashtbl.remove lanes (li, reader);
-            if write then Histories.Recorder.respond_write r h ~time:at_us
-            else Histories.Recorder.respond_read r h ~time:at_us (result_of o))
+            let rounds = o.rounds in
+            if write then
+              Histories.Recorder.respond_write ~rounds r h ~time:at_us
+            else
+              Histories.Recorder.respond_read ~rounds r h ~time:at_us
+                (result_of o))
   in
   let rec go () =
     match pick heads with

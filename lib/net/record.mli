@@ -11,6 +11,8 @@
       response, so a tie never makes one operation precede another.
 
     The translation rules live here and nowhere else:
+    - a completed operation carries the rounds of the response that
+      completed it, which the judge holds to the protocol's bounds;
     - an operation that fails ([Respond] with [Error]) stays open; the
       next operation on the same (key, reader) resumes its parked
       automaton, and its response completes the original invocation;

@@ -32,10 +32,6 @@ type report = {
   polled_reads : int;
 }
 
-let value_to_result = function
-  | Value.Bottom -> Histories.Op.Bottom
-  | Value.V s -> Histories.Op.Value s
-
 (* Highest (ts, v) pair endorsed by at least [threshold] distinct servers
    in the per-server latest-knowledge map. *)
 let best_endorsed ~threshold known =
@@ -161,7 +157,7 @@ let run ?(zero_round = true) ?freeze_pushes_at ?unfreeze_pushes_at
       let finish handle invoked_at mode value =
         let now = Sim.Engine.now eng in
         Histories.Recorder.respond_read recorder handle ~time:now
-          (value_to_result value);
+          (Value.to_result value);
         (match mode with
         | Pushed -> incr zero_round_reads
         | Polled -> incr polled_reads);

@@ -142,6 +142,7 @@ let pending_read : string Histories.Op.t =
     invoked_stamp = 1;
     responded_at = None;
     responded_stamp = None;
+    rounds = None;
   }
 
 let test_watchdog_abstains_without_quiescence () =
@@ -226,57 +227,67 @@ let test_regular_gc_survives_campaign () =
   Alcotest.(check string) "verdict" "survives"
     (Fault.Campaign.cell_verdict cell)
 
-(* The judge counts the rounds the automaton reported against the
-   entry's bound (open spans have none, and nonmod's reads claim no
+(* The judge counts the rounds each op's automaton reported against the
+   entry's bound (an open op has none, and nonmod's reads claim no
    bound) and keeps each violation of the claim with its key. *)
 let test_judge_rounds_and_keys () =
-  let span ?rounds kind =
-    let s = Obs.Span.create ~id:0 kind ~proc:"p" ~now:0 ~trace_pos:0 in
-    Option.iter (fun rounds -> Obs.Span.finish s ~now:1 ~rounds ~trace_pos:0 ()) rounds;
-    s
+  let judge ?(p = Fault.Campaign.Safe) histories =
+    Fault.Campaign.judge p ~quiescent:true ~completed:0 ~total:0 histories
   in
-  let judge ?(p = Fault.Campaign.Safe) spans histories =
-    Fault.Campaign.judge p ~quiescent:true ~completed:0 ~total:0 ~spans histories
+  let module R = Histories.Recorder in
+  (* A write of "a", then a read of it: each responds with the rounds
+     given, or stays open without them. *)
+  let history ?write ?read () =
+    let r = R.create () in
+    let w = R.invoke_write r ~time:0 "a" in
+    Option.iter (fun rounds -> R.respond_write ~rounds r w ~time:5) write;
+    let rd = R.invoke_read r ~time:10 ~reader:1 in
+    Option.iter
+      (fun rounds -> R.respond_read ~rounds r rd ~time:15 (Histories.Op.Value "a"))
+      read;
+    R.ops r
   in
-  let rounds ?p spans = (judge ?p spans []).Fault.Campaign.rounds in
-  let read = Obs.Span.Read { reader = 1 } and write = Obs.Span.Write in
-  let both n = [ span ~rounds:n read; span ~rounds:n write ] in
-  Alcotest.(check int) "at the bound" 0 (rounds (both 2));
-  Alcotest.(check int) "past the bound" 2 (rounds (both 3));
-  Alcotest.(check int) "an open span" 0 (rounds [ span read ]);
-  Alcotest.(check int) "nonmod's reads" 0 (rounds ~p:Nonmod [ span ~rounds:9 read ]);
-  let r = Histories.Recorder.create () in
-  let w = Histories.Recorder.invoke_write r ~time:0 "a" in
-  Histories.Recorder.respond_write r w ~time:5;
-  let rd = Histories.Recorder.invoke_read r ~time:10 ~reader:1 in
-  Histories.Recorder.respond_read r rd ~time:15 (Histories.Op.Value "ghost");
-  let v = judge [] [ (3, []); (7, Histories.Recorder.ops r) ] in
+  let rounds ?p h = (judge ?p [ (0, h) ]).Fault.Campaign.rounds in
+  Alcotest.(check int) "at the bound" 0 (rounds (history ~write:2 ~read:2 ()));
+  Alcotest.(check int) "past the bound" 2 (rounds (history ~write:3 ~read:3 ()));
+  Alcotest.(check int) "an open op" 0 (rounds (history ~write:2 ()));
+  Alcotest.(check int) "nonmod's reads" 0
+    (rounds ~p:Nonmod (history ~write:2 ~read:9 ()));
+  let r = R.create () in
+  R.respond_write r (R.invoke_write r ~time:0 "a") ~time:5;
+  Alcotest.(check int) "an op recorded without rounds" 0 (rounds (R.ops r));
+  let r = R.create () in
+  let w = R.invoke_write r ~time:0 "a" in
+  R.respond_write r w ~time:5;
+  let rd = R.invoke_read r ~time:10 ~reader:1 in
+  R.respond_read r rd ~time:15 (Histories.Op.Value "ghost");
+  let v = judge [ (3, []); (7, R.ops r) ] in
   Alcotest.(check (list int)) "the violation keeps its key" [ 7 ]
     (List.map fst v.Fault.Campaign.violations);
   Alcotest.(check int) "complete ops checked" 2 v.Fault.Campaign.checked;
   (* abd-atomic's violations are regularity's plus the inversions, taken
      from the judge's one scan per checker. *)
-  let r = Histories.Recorder.create () in
-  let w = Histories.Recorder.invoke_write r ~time:0 "a" in
-  Histories.Recorder.respond_write r w ~time:5;
-  let w = Histories.Recorder.invoke_write r ~time:20 "b" in
+  let r = R.create () in
+  let w = R.invoke_write r ~time:0 "a" in
+  R.respond_write r w ~time:5;
+  let w = R.invoke_write r ~time:20 "b" in
   let read ~at ~reader value =
-    let rd = Histories.Recorder.invoke_read r ~time:at ~reader in
-    Histories.Recorder.respond_read r rd ~time:(at + 5) (Histories.Op.Value value)
+    let rd = R.invoke_read r ~time:at ~reader in
+    R.respond_read r rd ~time:(at + 5) (Histories.Op.Value value)
   in
   read ~at:30 ~reader:1 "b";
   read ~at:40 ~reader:2 "a";
   read ~at:50 ~reader:1 "ghost";
-  Histories.Recorder.respond_write r w ~time:100;
-  let h = Histories.Recorder.ops r in
-  let v = judge ~p:Abd_atomic [] [ (4, h) ] in
+  R.respond_write r w ~time:100;
+  let h = R.ops r in
+  let v = judge ~p:Abd_atomic [ (4, h) ] in
   Alcotest.(check int) "one regularity violation" 1 v.Fault.Campaign.regularity;
   Alcotest.(check (list string)) "regularity, then the inversion"
     [ "regularity(1)"; "atomicity(new-old inversion)" ]
     (List.map (fun (_, (x : _ Histories.Checks.violation)) -> x.rule) v.violations);
   Alcotest.(check bool) "the judge's violations are the checker's" true
     (List.map snd v.violations
-    = Histories.Checks.check Atomicity ~equal:String.equal h)
+    = Histories.Checks.check_atomicity ~equal:String.equal h)
 
 let suite =
   ( "chaos",

@@ -65,7 +65,6 @@ let run_spec (_, p, cfg) ~seed =
   in
   ( Fault.Campaign.judge p ~quiescent:rep.quiescent
       ~completed:(List.length rep.outcomes) ~total:(List.length schedule)
-      ~spans:rep.spans
       [ (0, rep.history) ],
     rep.history,
     List.map
@@ -98,7 +97,7 @@ let test_laws ((name, p, _) as spec) () =
     (name ^ ": claimed property")
     0
     (List.length v.violations);
-  if Fault.Campaign.(claim p <> Safety || p = Naive_fast) then
+  if Fault.Campaign.((contract p).claim <> Safety || p = Naive_fast) then
     Alcotest.(check int) (name ^ ": history regular") 0 v.regularity
 
 let test_determinism ((name, _, _) as spec) () =

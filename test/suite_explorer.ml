@@ -12,6 +12,9 @@ end))
 
 let cfg_core = Quorum.Config.optimal ~t:1 ~b:1
 
+(* The protocol's row of the table: its claim and round bounds. *)
+let contract = Fault.Campaign.contract
+
 let forge_naive : EF.pure_byz =
   {
     rewrite =
@@ -45,7 +48,7 @@ let forge_safe : ES.pure_byz =
 
 let test_safe_read_only_byz_exhaustive () =
   let r =
-    ES.check ~max_states:100_000 ~claim:Safety
+    ES.check ~max_states:100_000 ~contract:(contract Safe)
       {
         ES.cfg = cfg_core;
         writes = [];
@@ -61,7 +64,7 @@ let test_safe_read_only_byz_exhaustive () =
 
 let test_safe_read_only_crash_exhaustive () =
   let r =
-    ES.check ~max_states:100_000 ~claim:Safety
+    ES.check ~max_states:100_000 ~contract:(contract Safe)
       {
         ES.cfg = cfg_core;
         writes = [];
@@ -79,7 +82,7 @@ let test_safe_sequential_write_read_bounded () =
   (* The full space fits in ~750k states; explore a 150k-state prefix in
      the quick suite (the bench harness runs it exhaustively). *)
   let r =
-    ES.check ~max_states:150_000 ~claim:Safety
+    ES.check ~max_states:150_000 ~contract:(contract Safe)
       {
         ES.cfg = cfg_core;
         writes = [ Core.Value.v "a" ];
@@ -94,7 +97,7 @@ let test_safe_sequential_write_read_bounded () =
 
 let test_naive_violation_found_automatically () =
   let r =
-    EF.check ~max_states:100_000 ~claim:Safety
+    EF.check ~max_states:100_000 ~contract:(contract Naive_fast)
       {
         EF.cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1;
         writes = [ Core.Value.v "a" ];
@@ -111,7 +114,7 @@ let test_naive_violation_found_automatically () =
 
 let test_naive_run5_shape_found () =
   let r =
-    EF.check ~max_states:50_000 ~claim:Safety
+    EF.check ~max_states:50_000 ~contract:(contract Naive_fast)
       {
         EF.cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1;
         writes = [];
@@ -126,7 +129,7 @@ let test_naive_run5_shape_found () =
 
 let test_naive_clean_without_byz () =
   let r =
-    EF.check ~max_states:200_000 ~claim:Safety
+    EF.check ~max_states:200_000 ~contract:(contract Naive_fast)
       {
         EF.cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1;
         writes = [ Core.Value.v "a" ];
@@ -141,7 +144,7 @@ let test_naive_clean_without_byz () =
 
 let test_abd_atomicity_check_exhaustive () =
   let r =
-    EA.check ~max_states:400_000 ~claim:Regularity
+    EA.check ~max_states:400_000 ~contract:(contract Abd)
       {
         EA.cfg = Quorum.Config.make_exn ~s:3 ~t:1 ~b:0;
         writes = [ Core.Value.v "a" ];
@@ -158,7 +161,7 @@ let test_regular_sequential_write_read_bounded () =
   (* ~758k states exhaustively in the bench harness; a 150k-state prefix
      here keeps the suite fast. *)
   let r =
-    ER.check ~max_states:150_000 ~claim:Regularity
+    ER.check ~max_states:150_000 ~contract:(contract Regular)
       {
         ER.cfg = cfg_core;
         writes = [ Core.Value.v "a" ];
@@ -173,7 +176,7 @@ let test_regular_sequential_write_read_bounded () =
 
 let test_regular_read_only_exhaustive () =
   let r =
-    ER.check ~max_states:150_000 ~claim:Regularity
+    ER.check ~max_states:150_000 ~contract:(contract Regular)
       {
         ER.cfg = cfg_core;
         writes = [];
@@ -192,7 +195,7 @@ let test_regular_gc_fast_reads_byz_bounded () =
      read's round 2, concurrently with a write, while object 1 forges a
      <9, "ghost"> entry into every history it returns. *)
   let r =
-    EG.check ~max_states:60_000 ~claim:Regularity
+    EG.check ~max_states:60_000 ~contract:(contract Regular_gc)
       {
         EG.cfg = Quorum.Config.make_exn ~s:5 ~t:1 ~b:1;
         writes = [ Core.Value.v "a" ];
@@ -216,7 +219,7 @@ let test_regular_gc_optimal_byz_read_exhaustive () =
       List.iter
         (fun (lie, byz) ->
           let r =
-            G.check ~max_states:50_000 ~claim:Regularity
+            G.check ~max_states:50_000 ~contract:(contract Regular_gc)
               {
                 G.cfg = cfg_core;
                 writes = [];
@@ -238,7 +241,7 @@ let test_regular_gc_optimal_byz_read_exhaustive () =
 let test_regular_gc_optimal_byz_bounded () =
   let module G = Suite_random_walks.EG in
   let r =
-    G.check ~max_states:60_000 ~claim:Regularity
+    G.check ~max_states:60_000 ~contract:(contract Regular_gc)
       {
         G.cfg = cfg_core;
         writes = [ Core.Value.v "a" ];
@@ -256,7 +259,7 @@ let test_wait_freedom_detects_stuck_protocols () =
   (* Crash one more object than the budget allows: the quorum can never
      form, reads hang, and the checker must report it. *)
   let r =
-    ES.check ~max_states:50_000 ~claim:Safety
+    ES.check ~max_states:50_000 ~contract:(contract Safe)
       {
         ES.cfg = cfg_core;
         writes = [];
@@ -268,6 +271,63 @@ let test_wait_freedom_detects_stuck_protocols () =
   in
   Alcotest.(check bool) "wait-freedom violation reported" true
     (List.exists (fun (v : ES.violation) -> v.kind = "wait-freedom") r.violations)
+
+(* Safe's reader, reporting one round more than it ran: it counts the
+   rounds it sends (two, since it sends READ2 even when round 1's
+   replies decide) and reports a third. *)
+module Overcounting_safe = struct
+  module S = Core.Proto_safe
+
+  include (
+    S : Core.Protocol_intf.S with type msg = S.msg and type reader := S.reader)
+
+  type reader = S.reader * int  (* and the rounds sent in this read *)
+
+  let reader_init ~cfg ~j = (S.reader_init ~cfg ~j, 0)
+
+  let reader_start (r, _) =
+    Result.map (fun (r, m) -> ((r, 1), m)) (S.reader_start r)
+
+  let reader_on_msg (r, sent) ~obj m =
+    let r, events = S.reader_on_msg r ~obj m in
+    let sent =
+      sent
+      + List.length
+          (List.filter
+             (function Core.Events.Broadcast _ -> true | _ -> false)
+             events)
+    in
+    ( (r, sent),
+      List.map
+        (function
+          | Core.Events.Read_done d ->
+              Core.Events.Read_done { d with rounds = sent + 1 }
+          | e -> e)
+        events )
+
+  let reader_on_reconnect (r, sent) = (S.reader_on_reconnect r, sent)
+end
+
+module EO = Mc.Explorer.Make (Overcounting_safe)
+
+(* The explorer holds each terminal history's reported rounds to the
+   contract's bounds, as the campaign judge does. *)
+let test_over_reported_round_is_caught () =
+  let cfg = Quorum.Config.optimal ~t:1 ~b:0 in
+  let writes = [ Core.Value.v "a" ] and reads = [ (1, 1) ] in
+  let r =
+    EO.check ~max_states:200_000 ~contract:(contract Safe)
+      { EO.cfg; writes; reads; sequential = true; byz = []; crashed = [] }
+  in
+  Alcotest.(check bool) "exhaustive" false r.truncated;
+  Alcotest.(check bool) "a rounds violation" true
+    (List.exists (fun (v : EO.violation) -> v.kind = "rounds") r.violations);
+  let r =
+    ES.check ~max_states:200_000 ~contract:(contract Safe)
+      { ES.cfg; writes; reads; sequential = true; byz = []; crashed = [] }
+  in
+  Alcotest.(check bool) "safe itself: exhaustive" false r.truncated;
+  Alcotest.(check int) "safe itself: no violations" 0 (List.length r.violations)
 
 let suite =
   ( "explorer",
@@ -296,4 +356,6 @@ let suite =
         test_regular_gc_optimal_byz_read_exhaustive;
       Alcotest.test_case "regular-gc at 2t+b+1: W||R + forge bounded" `Quick
         test_regular_gc_optimal_byz_bounded;
+      Alcotest.test_case "an over-reported round is caught" `Quick
+        test_over_reported_round_is_caught;
     ] )

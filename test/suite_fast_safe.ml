@@ -92,6 +92,9 @@ let test_at_threshold_lower_bound_bites () =
 
 module E = Mc.Explorer.Make (Baseline.Fast_safe)
 
+(* The protocol's row of the table: its claim and round bounds. *)
+let contract = Fault.Campaign.contract
+
 let test_at_threshold_byzantine_breaks_it () =
   (* Deployed one object short, a Byzantine object replaying the initial
      state breaks safety: quorums now overlap the write quorum in only
@@ -110,7 +113,7 @@ let test_at_threshold_byzantine_breaks_it () =
     }
   in
   let r =
-    E.check ~max_states:200_000 ~claim:Safety
+    E.check ~max_states:200_000 ~contract:(contract Fast_safe)
       {
         E.cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1;
         writes = [ Core.Value.v "v1" ];
@@ -137,7 +140,7 @@ let test_above_threshold_mc_clean () =
     }
   in
   let r =
-    E.check ~max_states:400_000 ~claim:Safety
+    E.check ~max_states:400_000 ~contract:(contract Fast_safe)
       {
         E.cfg = Quorum.Config.make_exn ~s:5 ~t:1 ~b:1;
         writes = [ Core.Value.v "v1" ];

@@ -311,8 +311,7 @@ let keyed_clients_through_runner () =
         lanes;
       let v =
         Fault.Campaign.judge Safe ~quiescent:true ~completed:!completed
-          ~total:!completed ~spans:(Net.Cluster.spans c)
-          (Net.Cluster.keyed_histories c)
+          ~total:!completed (Net.Cluster.keyed_histories c)
       in
       Alcotest.(check int) "the histories hold every completed op" !completed
         v.checked;

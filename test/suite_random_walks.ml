@@ -6,6 +6,9 @@ module ES = Mc.Explorer.Make (Core.Proto_safe)
 module ER = Mc.Explorer.Make (Core.Proto_regular.Plain)
 module EF = Mc.Explorer.Make (Baseline.Naive_fast)
 
+(* The protocol's row of the table: its claim and round bounds. *)
+let contract = Fault.Campaign.contract
+
 let forge_naive : EF.pure_byz =
   {
     rewrite =
@@ -23,7 +26,7 @@ let test_safe_two_writes_two_readers () =
   (* 2 writes, 2 readers x 2 reads: far beyond the exhaustive budget;
      2000 random schedules, all safe. *)
   let r =
-    ES.random_walks ~walks:2000 ~claim:Safety ~seed:7
+    ES.random_walks ~walks:2000 ~contract:(contract Safe) ~seed:7
       {
         ES.cfg = Quorum.Config.optimal ~t:1 ~b:1;
         writes = [ Core.Value.v "a"; Core.Value.v "b" ];
@@ -55,7 +58,7 @@ let corrupt_history_acks ~src:_ m =
 let test_regular_walks_with_byz () =
   let forge : ER.pure_byz = { rewrite = corrupt_history_acks } in
   let r =
-    ER.random_walks ~walks:500 ~claim:Regularity ~seed:8
+    ER.random_walks ~walks:500 ~contract:(contract Regular) ~seed:8
       {
         ER.cfg = Quorum.Config.optimal ~t:1 ~b:1;
         writes = [ Core.Value.v "a"; Core.Value.v "b" ];
@@ -136,7 +139,8 @@ let test_regular_gc_lie (lie, byz) () =
       List.iter
         (fun (workload, writes, reads, sequential) ->
           let r =
-            EG.random_walks ~walks:gc_walks ~claim:Regularity ~seed:liar
+            EG.random_walks ~walks:gc_walks ~contract:(contract Regular_gc)
+              ~seed:liar
               {
                 EG.cfg = cfg_optimal;
                 writes;
@@ -156,7 +160,7 @@ let test_regular_gc_lie (lie, byz) () =
 
 let test_sampler_finds_naive_violation () =
   let r =
-    EF.random_walks ~walks:200 ~claim:Safety ~seed:9
+    EF.random_walks ~walks:200 ~contract:(contract Naive_fast) ~seed:9
       {
         EF.cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1;
         writes = [ Core.Value.v "a" ];
@@ -171,7 +175,7 @@ let test_sampler_finds_naive_violation () =
 let test_sampler_deterministic () =
   let go () =
     let r =
-      ES.random_walks ~walks:50 ~claim:Safety ~seed:3
+      ES.random_walks ~walks:50 ~contract:(contract Safe) ~seed:3
         {
           ES.cfg = Quorum.Config.optimal ~t:1 ~b:1;
           writes = [ Core.Value.v "a" ];
@@ -185,16 +189,16 @@ let test_sampler_deterministic () =
   in
   Alcotest.(check int) "same seed, same walk lengths" (go ()) (go ())
 
-(* The claim [walks] passes is the one checked: ABD's regular reader
-   returns whatever its one round saw, so two reads overlapping a write
-   can see it new then old; the atomic reader's write-back rules that
-   out.  The scenario is [walks]'s. *)
+(* The claim [walks] passes is the one checked: held to abd-atomic's
+   contract, ABD's regular reader returns whatever its one round saw, so
+   two reads overlapping a write can see it new then old; the atomic
+   reader's write-back rules that out.  The scenario is [walks]'s. *)
 let atomicity_violations (module P : Core.Protocol_intf.S) =
   let module E = Mc.Explorer.Make (P) in
   let writes = [ Core.Value.v "a"; Core.Value.v "b" ] in
   let cfg = Quorum.Config.optimal ~t:1 ~b:1 in
   let reads = [ (1, 2); (2, 2) ] in
-  (E.random_walks ~walks:4000 ~claim:Atomicity ~seed:42
+  (E.random_walks ~walks:4000 ~contract:(contract Abd_atomic) ~seed:42
      { E.cfg; writes; reads; sequential = false; byz = []; crashed = [] })
     .violations
   |> List.map (fun (v : E.violation) -> v.kind)

@@ -6,10 +6,10 @@ open Net.Client.Keyed
 
 let equal = String.equal
 
-let outcome value =
-  Ok { Net.Client.value; rounds = 1; retransmits = 0; latency_us = 0 }
+let outcome ?(rounds = 1) value =
+  Ok { Net.Client.value; rounds; retransmits = 0; latency_us = 0 }
 
-let read_ok v = outcome (Some (Core.Value.v v))
+let read_ok ?rounds v = outcome ?rounds (Some (Core.Value.v v))
 
 let read_bottom = outcome (Some Core.Value.Bottom)
 
@@ -93,8 +93,8 @@ let tie_is_concurrent () =
   Alcotest.(check int) "both bottoms safe" 0 (safety h)
 
 (* A lead read times out (its automaton parks); the next read on the
-   same lane resumes it, and its response completes the original
-   invocation. *)
+   same lane resumes it, and its response, with the rounds it reports,
+   completes the original invocation. *)
 let resumed_op_responds_to_original () =
   let r = Net.Record.create () in
   feed r
@@ -103,14 +103,15 @@ let resumed_op_responds_to_original () =
       inv ~op:0 ~reader:1 10;
       resp ~op:0 ~reader:1 20 (Error "timeout");
       inv ~op:1 ~reader:1 30;
-      resp ~op:1 ~reader:1 40 read_bottom;
+      resp ~op:1 ~reader:1 40 (outcome ~rounds:2 (Some Core.Value.Bottom));
     ];
   match key0 r with
   | [ op ] ->
       Alcotest.(check int) "invoked at the lead's invocation" 10 op.invoked_at;
       Alcotest.(check (option int)) "responded at the resumer's response"
         (Some 40) op.responded_at;
-      Alcotest.(check bool) "complete" true (Histories.Op.is_complete op)
+      Alcotest.(check bool) "complete" true (Histories.Op.is_complete op);
+      Alcotest.(check (option int)) "the resumer's rounds" (Some 2) op.rounds
   | h -> Alcotest.failf "expected one op, got %d" (List.length h)
 
 let unresumed_failure_is_not_wait_free () =
@@ -136,8 +137,8 @@ let joined_read_is_a_concurrent_reader () =
     [
       inv ~op:0 ~reader:1 10;
       inv ~joined:true ~op:1 ~reader:1 11;
-      resp ~op:0 ~reader:1 20 (read_ok "a");
-      resp ~joined:true ~op:1 ~reader:1 20 (read_ok "a");
+      resp ~op:0 ~reader:1 20 (read_ok ~rounds:2 "a");
+      resp ~joined:true ~op:1 ~reader:1 20 (read_ok ~rounds:3 "a");
     ];
   let h = key0 r in
   let readers =
@@ -155,6 +156,9 @@ let joined_read_is_a_concurrent_reader () =
         (Histories.Op.concurrent lead joiner);
       Alcotest.(check bool) "both complete" true
         (Histories.Op.is_complete lead && Histories.Op.is_complete joiner);
+      Alcotest.(check (pair (option int) (option int)))
+        "each carries its own response's rounds" (Some 2, Some 3)
+        (lead.rounds, joiner.rounds);
       Alcotest.(check int) "regular" 0 (regularity h)
   | _ -> Alcotest.failf "expected two reads, got %d" (List.length readers)
 
@@ -175,7 +179,7 @@ let claims_come_from_the_table () =
       Alcotest.(check string)
         (name ^ " claims")
         (expected name)
-        (Histories.Checks.claim_name (Fault.Campaign.claim p));
+        (Histories.Checks.claim_name (Fault.Campaign.contract p).claim);
       Alcotest.(check bool)
         (name ^ " is found by its name")
         true
@@ -216,7 +220,9 @@ let reads r ~reader spans =
           spans))
 
 let claimed h claim =
-  List.length (Histories.Checks.check claim ~equal:String.equal h)
+  let c = { (Fault.Campaign.contract Safe) with claim } in
+  List.length
+    (Histories.Checks.judge c ~equal:String.equal ~quiescent:true h).claimed
 
 (* A read overlapping WRITE(c) returns a, older than the completed
    WRITE(b): safe storage allows any value under a concurrent write,

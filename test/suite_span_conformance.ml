@@ -3,14 +3,31 @@
    in exactly 2 rounds, under any within-budget fault plan — and
    Theorem 4's fast-safe reads in exactly 1 round at S >= 2t+2b+1.
    Spans count rounds *initiated*, so this is the client-visible message
-   pattern, not the early-decide shortcut [reported_rounds] records. *)
+   pattern, not the early-decide shortcut [reported_rounds] records.  A
+   metered run observes each completed span's [rounds] in the
+   op.read.rounds / op.write.rounds histograms, and counts every span as
+   completed or open, so the assertions read the run's registry. *)
 
-let span_rounds_ok ~expect_read ~expect_write (sp : Obs.Span.t) =
-  if not (Obs.Span.completed sp) then true
-  else
-    match sp.kind with
-    | Obs.Span.Read _ -> sp.rounds = expect_read
-    | Obs.Span.Write -> sp.rounds = expect_write
+let spans m =
+  List.fold_left
+    (fun n name -> n + Obs.Metrics.counter_value m name)
+    0
+    [ "op.read.completed"; "op.read.open"; "op.write.completed"; "op.write.open" ]
+
+(* Every completed span of [kind] ("read" or "write") initiated
+   [expect] rounds. *)
+let span_rounds_ok m kind ~expect =
+  match Obs.Metrics.find_histogram m ("op." ^ kind ^ ".rounds") with
+  | None -> true
+  | Some h ->
+      Obs.Metrics.Histogram.count h = 0
+      || Obs.Metrics.Histogram.min_exn h = float_of_int expect
+         && Obs.Metrics.Histogram.max_exn h = float_of_int expect
+
+let metered_run protocol ~cfg ~seed plan =
+  let m = Obs.Metrics.create () in
+  ignore (Fault.Campaign.run_plan ~metrics:m protocol ~cfg ~seed plan);
+  m
 
 let check_protocol ~name protocol ~expect_read ~expect_write =
   QCheck.Test.make
@@ -21,9 +38,10 @@ let check_protocol ~name protocol ~expect_read ~expect_write =
       let cfg = Fault.Campaign.default_cfg protocol ~t:1 ~b:1 in
       let rng = Sim.Prng.create ~seed in
       let plan = Fault.Plan.gen ~rng ~cfg ~budget:Fault.Plan.medium in
-      let v = Fault.Campaign.run_plan protocol ~cfg ~seed plan in
-      v.spans <> []
-      && List.for_all (span_rounds_ok ~expect_read ~expect_write) v.spans)
+      let m = metered_run protocol ~cfg ~seed plan in
+      spans m > 0
+      && span_rounds_ok m "read" ~expect:expect_read
+      && span_rounds_ok m "write" ~expect:expect_write)
 
 let qcheck_safe =
   check_protocol ~name:"safe" Fault.Campaign.Safe ~expect_read:2 ~expect_write:2
@@ -66,13 +84,12 @@ let test_cell_round_histograms () =
    sequential schedule), so demanding 2 everywhere must fail. *)
 let test_predicate_is_falsifiable () =
   let cfg = Fault.Campaign.default_cfg Fault.Campaign.Abd ~t:1 ~b:0 in
-  let v =
-    Fault.Campaign.run_plan Fault.Campaign.Abd ~cfg ~seed:1
-      (Fault.Plan.empty ~horizon:800)
+  let m =
+    metered_run Fault.Campaign.Abd ~cfg ~seed:1 (Fault.Plan.empty ~horizon:800)
   in
-  Alcotest.(check bool) "ABD spans exist" true (v.spans <> []);
+  Alcotest.(check bool) "ABD spans exist" true (spans m > 0);
   Alcotest.(check bool) "2-round claim fails for ABD" false
-    (List.for_all (span_rounds_ok ~expect_read:2 ~expect_write:2) v.spans)
+    (span_rounds_ok m "read" ~expect:2 && span_rounds_ok m "write" ~expect:2)
 
 let suite =
   ( "span-conformance",
