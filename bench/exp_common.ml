@@ -29,7 +29,10 @@ let simulate (type m) (module P : Core.Protocol_intf.S with type msg = m)
     ~cfg ~(byz : (int * m Core.Byz.factory) list) ~seed ~delay ~crashes
     schedule =
   let module Sc = Core.Scenario.Make (P) in
-  let faults = { Sc.crashes; byzantine = byz } in
+  let faults =
+    List.map (fun (proc, at) -> Sc.Crash { proc; at }) crashes
+    @ List.map (fun (obj, factory) -> Sc.Byzantine { obj; factory }) byz
+  in
   let rep =
     Sc.run ~max_events:2_000_000 ~cfg ~seed ~delay ~faults schedule
   in
@@ -39,22 +42,24 @@ let simulate (type m) (module P : Core.Protocol_intf.S with type msg = m)
   let write_rounds_max = ref 0 in
   let fast_reads = ref 0 in
   let reads = ref 0 in
+  let completed = Histories.Op.completed rep.history in
   List.iter
-    (fun (o : Sc.outcome) ->
-      match o.op with
-      | Core.Schedule.Read _ ->
+    (fun (op : string Histories.Op.t) ->
+      let rounds = Option.get op.rounds and latency = Histories.Op.latency op in
+      match op.action with
+      | Read _ ->
           incr reads;
-          if o.rounds = 1 then incr fast_reads;
-          Stats.Summary.add_int read_rounds o.rounds;
-          Stats.Summary.add_int read_latency (o.completed_at - o.invoked_at)
-      | Core.Schedule.Write _ ->
-          write_rounds_max := max !write_rounds_max o.rounds;
-          Stats.Summary.add_int write_latency (o.completed_at - o.invoked_at))
-    rep.outcomes;
+          if rounds = 1 then incr fast_reads;
+          Stats.Summary.add_int read_rounds rounds;
+          Stats.Summary.add_int read_latency latency
+      | Write _ ->
+          write_rounds_max := max !write_rounds_max rounds;
+          Stats.Summary.add_int write_latency latency)
+    completed;
   let equal = String.equal in
   let violations = Histories.Checks.check_safety ~equal rep.history in
   {
-    completed = List.length rep.outcomes;
+    completed = List.length completed;
     total = List.length schedule;
     write_rounds_max = !write_rounds_max;
     read_rounds_mean = Stats.Summary.mean read_rounds;

@@ -88,15 +88,18 @@ let run () =
       ~seed:77
       ~delay:(Sim.Delay.uniform ~lo:1 ~hi:10)
       ~faults:
-        {
-          Sc.crashes = [];
-          byzantine =
-            [ (2, Fault.Strategies.forge_history ~value:"evil" ~ts_boost:5) ];
-        }
+        [
+          Sc.Byzantine
+            {
+              obj = 2;
+              factory = Fault.Strategies.forge_history ~value:"evil" ~ts_boost:5;
+            };
+        ]
       schedule
   in
   Exp_common.note "";
   Exp_common.note
     "End-to-end with GC objects + one Byzantine forger: %d/%d ops, regular: %b"
-    (List.length rep.outcomes) (List.length schedule)
+    (List.length (Histories.Op.completed rep.history))
+    (List.length schedule)
     (Histories.Checks.is_regular ~equal:String.equal rep.history)

@@ -21,20 +21,19 @@ let run_one ~t ~b ~readers ~seed =
   let rep =
     Sc.run ~max_events:10_000_000 ~cfg ~seed
       ~delay:(Sim.Delay.uniform ~lo:1 ~hi:10)
-      ~faults:Sc.no_faults schedule
+      schedule
   in
   let elapsed = Exp_common.now_s () -. started in
   let reads = Stats.Summary.create () in
+  let completed = Histories.Op.completed rep.history in
   List.iter
-    (fun (o : Sc.outcome) ->
-      match o.op with
-      | Core.Schedule.Read _ ->
-          Stats.Summary.add_int reads (o.completed_at - o.invoked_at)
-      | Core.Schedule.Write _ -> ())
-    rep.outcomes;
+    (fun op ->
+      if Histories.Op.is_read op then
+        Stats.Summary.add_int reads (Histories.Op.latency op))
+    completed;
   ( cfg,
     List.length schedule,
-    List.length rep.outcomes,
+    List.length completed,
     rep.messages_delivered,
     Stats.Summary.median reads,
     Stats.Summary.percentile reads 99.0,

@@ -76,10 +76,7 @@ let span_probe ~jobs =
         ~reads_per_reader:4 ~horizon:2_000
     in
     let rep =
-      Sc.run ~cfg ~seed
-        ~delay:(Sim.Delay.uniform ~lo:1 ~hi:10)
-        ~faults:{ Sc.crashes = []; byzantine = [] }
-        schedule
+      Sc.run ~cfg ~seed ~delay:(Sim.Delay.uniform ~lo:1 ~hi:10) schedule
     in
     Obs.Export.spans_jsonl rep.spans
   in
@@ -103,7 +100,6 @@ let single_run ~metrics () =
   let rep =
     Sc.run ?metrics:registry ~cfg ~seed
       ~delay:(Sim.Delay.uniform ~lo:1 ~hi:10)
-      ~faults:{ Sc.crashes = []; byzantine = [] }
       schedule
   in
   rep.messages_delivered

@@ -129,30 +129,32 @@ let sim_forger_cell ~cfg ~reads =
            (100 * (i + 1), Core.Schedule.Read { reader = 1 }))
   in
   let faults =
-    {
-      Gc_sim.no_faults with
-      byzantine =
-        [ (1, Fault.Strategies.forge_history ~value:"e17.ghost" ~ts_boost:5) ];
-    }
+    [
+      Gc_sim.Byzantine
+        {
+          obj = 1;
+          factory =
+            Fault.Strategies.forge_history ~value:"e17.ghost" ~ts_boost:5;
+        };
+    ]
   in
   let rep =
     Gc_sim.run ~cfg ~seed:17 ~delay:(Sim.Delay.uniform ~lo:1 ~hi:10) ~faults
       sched
   in
+  let completed = Histories.Op.completed rep.history in
   let rounds =
     List.filter_map
-      (fun (o : Gc_sim.outcome) ->
-        match o.op with
-        | Core.Schedule.Read _ -> Some o.rounds
-        | Core.Schedule.Write _ -> None)
-      rep.outcomes
+      (fun (op : string Histories.Op.t) ->
+        if Histories.Op.is_read op then op.rounds else None)
+      completed
   in
   let n = List.length rounds in
   let violations =
     (if rep.quiescent then 0 else 1)
     + Fault.Campaign.breaches
         (Fault.Campaign.judge Regular_gc ~quiescent:rep.quiescent
-           ~completed:(List.length rep.outcomes) ~total:(List.length sched)
+           ~completed:(List.length completed) ~total:(List.length sched)
            [ (0, rep.history) ])
   in
   ( float_of_int (List.fold_left ( + ) 0 rounds) /. float_of_int (max 1 n),

@@ -17,7 +17,7 @@
       the slowest domain's) and per-op latency p50/p99;
    2. correctness: every op must return the seeded value, and every
       op of every client domain -- warm-up and seeding write included --
-      is recorded through Net.Record (one log per domain, so recording
+      is recorded through Core.Record (one log per domain, so recording
       never serializes the domains) into one history that, with every
       op's rounds, must pass the safe protocol's table row: safety and
       at most 2 rounds per op ("all_ops_checked": the history's complete
@@ -90,20 +90,21 @@ let run () =
          per-reader round state) and trials after the first run warm.
          They are bare clients, not the cluster's engines, so they keep
          no registry; each domain records into a log of its own. *)
-      let record = Net.Record.create () in
+      let record = Core.Record.create () in
       let map = Shard.Map.single cfg in
       let keyeds =
         Array.init clients (fun c ->
-            Net.Client.Keyed.connect ~now_us:(Net.Record.now_us record)
+            Net.Client.Keyed.connect
+              ~now_us:(fun () -> Net.Cluster.now_us cluster)
               ~max_inflight:inflight
               ~reader:(1 + (c * inflight))
               ~readers:inflight ~protocol ~map
               (Net.Cluster.endpoints cluster))
       in
-      let logs = Array.map (fun _ -> Net.Record.log record) keyeds in
+      let logs = Array.map (fun _ -> Core.Record.log record) keyeds in
       let run c kops =
         Net.Client.Keyed.run_ops
-          ~on_event:(Net.Record.event logs.(c) kops)
+          ~on_event:(Core.Record.event logs.(c) (Array.get kops))
           keyeds.(c) kops
       in
       (* Seed one write so every read returns a real value. *)
@@ -159,7 +160,7 @@ let run () =
       let merged = Net.Cluster.metrics cluster in
       let verdict =
         Fault.Campaign.judge Safe ~quiescent:true ~completed:!completed
-          ~total:(!completed + !failures) (Net.Record.histories record)
+          ~total:(!completed + !failures) (Core.Record.histories record)
       in
       let violations = Fault.Campaign.breaches verdict
       and checked = verdict.checked in

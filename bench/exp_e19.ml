@@ -22,7 +22,7 @@
       p50/p99 (reads and writes pooled, reads dominating per the write
       ratio);
    2. correctness: every op of every client domain, warm-up included,
-      is recorded through Net.Record (one log per domain) into per-key
+      is recorded through Core.Record (one log per domain) into per-key
       histories, and every key's history must pass the single-register
       checker of the property regular-gc claims, regularity, and every
       op its 2-round bound -- a key is exactly the paper's register, so

@@ -16,7 +16,7 @@
       histogram (observed once per batch member, so p50 > 1 means most
       reads shared a round) -- present only in on-cells;
    3. correctness: every op of every client domain, warm-up included,
-      is recorded through Net.Record (one log per domain) into per-key
+      is recorded through Core.Record (one log per domain) into per-key
       histories, and every key's history must pass the single-register
       regularity checker, the property regular-gc claims, and every op
       its 2-round bound

@@ -79,7 +79,6 @@ let bench_end_to_end_scenario =
     (Staged.stage (fun () ->
          ignore
            (Sc.run ~cfg:cfg_core ~seed:1 ~delay:(Sim.Delay.constant 5)
-              ~faults:Sc.no_faults
               [
                 (0, Core.Schedule.Write (Core.Value.v "v1"));
                 (50, Core.Schedule.Read { reader = 1 });

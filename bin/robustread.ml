@@ -227,12 +227,13 @@ let write_artifacts ~dir files =
       Format.eprintf "wrote %s@." path)
     files
 
-(* The first b objects run [attack]'s strategy. *)
-let byzantine ~cfg strategy = function
+(* The first b objects run [attack]'s strategy: [cast obj factory] is
+   the scenario's fault for each. *)
+let byzantine ~cfg ~cast strategy = function
   | None -> []
   | Some kind ->
       let f = strategy kind in
-      List.init cfg.Quorum.Config.b (fun i -> (i + 1, f))
+      List.init cfg.Quorum.Config.b (fun i -> cast (i + 1) f)
 
 (* The claimed property's verdict, e.g. ["safety: OK"]. *)
 let claim_verdict protocol (v : Fault.Campaign.verdict) =
@@ -306,27 +307,28 @@ let run_cmd =
         ?clock:(if metrics then Some now_s else None)
         ~cfg ~seed ~delay
         ~faults:
-          { Sc.crashes = []; byzantine = byzantine ~cfg strategy attack }
+          (byzantine ~cfg strategy attack ~cast:(fun obj factory ->
+               Sc.Byzantine { obj; factory }))
         schedule
     in
     Format.printf "protocol %s on %a, seed %d@." P.name Quorum.Config.pp cfg seed;
+    let completed = Histories.Op.completed rep.history in
     List.iter
-      (fun (o : Sc.outcome) ->
-        match o.op with
-        | Core.Schedule.Write v ->
-            Format.printf "  [%6d] write(%s) rounds=%d latency=%d@." o.invoked_at
-              (Core.Value.to_string v) o.rounds (o.completed_at - o.invoked_at)
-        | Core.Schedule.Read { reader } ->
-            Format.printf "  [%6d] read(r%d) = %s rounds=%d latency=%d@."
-              o.invoked_at reader
-              (match o.result with
-              | Some v -> Core.Value.to_string v
-              | None -> "?")
-              o.rounds (o.completed_at - o.invoked_at))
-      rep.outcomes;
+      (fun (op : string Histories.Op.t) ->
+        let rounds = Option.get op.rounds and latency = Histories.Op.latency op in
+        match op.action with
+        | Write { value; _ } ->
+            Format.printf "  [%6d] write(%s) rounds=%d latency=%d@."
+              op.invoked_at value rounds latency
+        | Read { reader; result } ->
+            Format.printf "  [%6d] read(r%d) = %a rounds=%d latency=%d@."
+              op.invoked_at reader
+              (Histories.Op.pp_result ~pp_value:Format.pp_print_string)
+              result rounds latency)
+      completed;
     let v =
       Fault.Campaign.judge protocol ~quiescent:rep.quiescent
-        ~completed:(List.length rep.outcomes) ~total:(List.length schedule)
+        ~completed:(List.length completed) ~total:(List.length schedule)
         [ (0, rep.history) ]
     in
     Format.printf "completed %d/%d operations; %d messages delivered@."
@@ -398,7 +400,8 @@ let trace_cmd =
     let rep =
       Sc.run ~trace:true ~cfg ~seed ~delay
         ~faults:
-          { Sc.crashes = []; byzantine = byzantine ~cfg strategy attack }
+          (byzantine ~cfg strategy attack ~cast:(fun obj factory ->
+               Sc.Byzantine { obj; factory }))
         schedule
     in
     let payload =

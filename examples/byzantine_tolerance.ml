@@ -24,18 +24,22 @@ let schedule =
     (500, Core.Schedule.Read { reader = 2 });
   ]
 
-let describe name history outcomes =
+(* The value and rounds of every read that returned, in the order they
+   returned. *)
+let reads history =
+  let pp_result = Histories.Op.pp_result ~pp_value:Format.pp_print_string in
+  List.filter_map
+    (fun (op : string Histories.Op.t) ->
+      match op.action with
+      | Read { result; _ } ->
+          Some (Format.asprintf "%a" pp_result result, Option.get op.rounds)
+      | Write _ -> None)
+    (Histories.Op.completed history)
+
+let describe name history =
   let equal = String.equal in
   let violations = Histories.Checks.check_safety ~equal history in
-  let reads =
-    List.filter_map
-      (fun o ->
-        match o with
-        | { Robust.op = Core.Schedule.Read _; result = Some v; rounds; _ } ->
-            Some (Core.Value.to_string v, rounds)
-        | _ -> None)
-      outcomes
-  in
+  let reads = reads history in
   Format.printf "@.%s:@." name;
   List.iter (fun (v, r) -> Format.printf "  read -> %-12s (%d rounds)@." v r) reads;
   if violations = [] then Format.printf "  safety: OK@."
@@ -60,12 +64,12 @@ let () =
     (fun (attack_name, strategy) ->
       let report =
         Robust.run ~cfg ~seed:21 ~delay
-          ~faults:{ Robust.crashes = []; byzantine = [ (2, strategy) ] }
+          ~faults:[ Robust.Byzantine { obj = 2; factory = strategy } ]
           schedule
       in
       describe
         (Printf.sprintf "robust storage vs %s" attack_name)
-        report.history report.outcomes)
+        report.history)
     [
       ("forged high timestamps", Fault.Strategies.forge_high_value ~value:"FAKE" ~ts_boost:10);
       ("replayed initial state", Fault.Strategies.replay_initial);
@@ -77,22 +81,21 @@ let () =
   let report =
     Naive.run ~cfg:(Quorum.Config.make_exn ~s:4 ~t:1 ~b:1) ~seed:21 ~delay
       ~faults:
-        {
-          Naive.crashes = [];
-          byzantine =
-            [ (2, Baseline.Naive_fast.byz_forge_high ~value:"FAKE" ~ts_boost:10) ];
-        }
+        [
+          Naive.Byzantine
+            {
+              obj = 2;
+              factory =
+                Baseline.Naive_fast.byz_forge_high ~value:"FAKE" ~ts_boost:10;
+            };
+        ]
       schedule
   in
   let equal = String.equal in
   let violations = Histories.Checks.check_safety ~equal report.history in
   Format.printf "@.naive 1-round protocol vs forged high timestamps:@.";
   List.iter
-    (fun (o : Naive.outcome) ->
-      match (o.op, o.result) with
-      | Core.Schedule.Read _, Some v ->
-          Format.printf "  read -> %-12s@." (Core.Value.to_string v)
-      | _ -> ())
-    report.outcomes;
+    (fun (v, _) -> Format.printf "  read -> %-12s@." v)
+    (reads report.history);
   Format.printf "  safety violations: %d (the lower bound made flesh)@."
     (List.length violations)

@@ -26,26 +26,26 @@ let () =
 
   (* 3. Run it on a network with random message delays. *)
   let report =
-    Storage.run ~cfg ~seed:7
-      ~delay:(Sim.Delay.uniform ~lo:1 ~hi:10)
-      ~faults:Storage.no_faults schedule
+    Storage.run ~cfg ~seed:7 ~delay:(Sim.Delay.uniform ~lo:1 ~hi:10) schedule
   in
 
-  (* 4. Inspect the operations. *)
+  (* 4. Inspect the completed operations of the recorded history, in the
+     order they responded. *)
   List.iter
-    (fun (o : Storage.outcome) ->
-      match o.op with
-      | Core.Schedule.Write v ->
-          Format.printf "write %-8s took %d rounds, %d time units@."
-            (Core.Value.to_string v) o.rounds (o.completed_at - o.invoked_at)
-      | Core.Schedule.Read { reader } ->
+    (fun (op : string Histories.Op.t) ->
+      let rounds = Option.get op.rounds in
+      match op.action with
+      | Write { value; _ } ->
+          Format.printf "write %-8s took %d rounds, %d time units@." value
+            rounds (Histories.Op.latency op)
+      | Read { reader; result } ->
           Format.printf "read by r%d returned %-8s (%d round%s)@." reader
-            (match o.result with
-            | Some v -> Core.Value.to_string v
-            | None -> "?")
-            o.rounds
-            (if o.rounds = 1 then "" else "s"))
-    report.outcomes;
+            (Format.asprintf "%a"
+               (Histories.Op.pp_result ~pp_value:Format.pp_print_string)
+               result)
+            rounds
+            (if rounds = 1 then "" else "s"))
+    (Histories.Op.completed report.history);
 
   (* 5. Check the history against the paper's correctness definitions. *)
   let equal = String.equal in

@@ -30,19 +30,21 @@ let schedule seed =
   in
   Core.Schedule.merge writes dashboards
 
+let forger = Fault.Strategies.forge_history ~value:"corrupted" ~ts_boost:5
+
 let faults_plain =
-  {
-    Plain.crashes = [ (Sim.Proc_id.Obj 6, 400) ];
-    byzantine =
-      [ (3, Fault.Strategies.forge_history ~value:"corrupted" ~ts_boost:5) ];
-  }
+  Plain.
+    [
+      Crash { proc = Sim.Proc_id.Obj 6; at = 400 };
+      Byzantine { obj = 3; factory = forger };
+    ]
 
 let faults_opt =
-  {
-    Opt.crashes = [ (Sim.Proc_id.Obj 6, 400) ];
-    byzantine =
-      [ (3, Fault.Strategies.forge_history ~value:"corrupted" ~ts_boost:5) ];
-  }
+  Opt.
+    [
+      Crash { proc = Sim.Proc_id.Obj 6; at = 400 };
+      Byzantine { obj = 3; factory = forger };
+    ]
 
 let () =
   let cfg = Quorum.Config.optimal ~t:2 ~b:1 in
@@ -57,14 +59,16 @@ let () =
     Plain.run ~cfg ~seed:99 ~delay ~faults:faults_plain (schedule 99)
   in
 
+  let pp_result = Histories.Op.pp_result ~pp_value:Format.pp_print_string in
   let reads =
     List.filter_map
-      (fun (o : Opt.outcome) ->
-        match (o.op, o.result) with
-        | Core.Schedule.Read { reader }, Some v ->
-            Some (o.invoked_at, reader, Core.Value.to_string v, o.rounds)
-        | _ -> None)
-      rep_opt.outcomes
+      (fun (op : string Histories.Op.t) ->
+        match op.action with
+        | Read { reader; result } ->
+            let v = Format.asprintf "%a" pp_result result in
+            Some (op.invoked_at, reader, v, Option.get op.rounds)
+        | Write _ -> None)
+      (Histories.Op.completed rep_opt.history)
   in
   Format.printf "@.%d dashboard reads; a sample:@." (List.length reads);
   List.iteri

@@ -1,16 +1,12 @@
-type entry = Client.Keyed.event * Client.Keyed.kop
+type entry = Driver_ops.event * Driver_ops.kop
 
 (* A growable array: appending is the only work on the client's hot
    path. *)
 type log = { mutable entries : entry array; mutable len : int }
 
-type t = { t0 : int64; lock : Mutex.t; mutable logs : log list }
+type t = { lock : Mutex.t; mutable logs : log list }
 
-let create () =
-  { t0 = Monotonic_clock.now (); lock = Mutex.create (); logs = [] }
-
-let now_us t () =
-  Int64.to_int (Int64.sub (Monotonic_clock.now ()) t.t0) / 1000
+let create () = { lock = Mutex.create (); logs = [] }
 
 let log t =
   let l = { entries = [||]; len = 0 } in
@@ -19,11 +15,11 @@ let log t =
   Mutex.unlock t.lock;
   l
 
-let event l ops ev =
+let event l op_of ev =
   let op =
-    match ev with Client.Keyed.Invoke { op; _ } | Respond { op; _ } -> op
+    match ev with Driver_ops.Invoke { op; _ } | Respond { op; _ } -> op
   in
-  let e = (ev, ops.(op)) in
+  let e = (ev, op_of op) in
   if l.len = Array.length l.entries then begin
     let bigger = Array.make (max 1024 (2 * l.len)) e in
     Array.blit l.entries 0 bigger 0 l.len;
@@ -38,21 +34,21 @@ let spans t =
       let own = ref [] in
       for i = 0 to l.len - 1 do
         match l.entries.(i) with
-        | Client.Keyed.Respond { span = Some s; _ }, _ -> own := s :: !own
-        | (Client.Keyed.Respond { span = None; _ } | Invoke _), _ -> ()
+        | Driver_ops.Respond { span = Some s; _ }, _ -> own := s :: !own
+        | (Driver_ops.Respond { span = None; _ } | Invoke _), _ -> ()
       done;
       List.sort (fun (a : Obs.Span.t) b -> Int.compare a.id b.id) !own)
     (List.rev t.logs)
 
-let key_of = function Client.Keyed.Invoke { key; _ } | Respond { key; _ } -> key
+let key_of = function Driver_ops.Invoke { key; _ } | Respond { key; _ } -> key
 
 let at_of = function
-  | Client.Keyed.Invoke { at_us; _ } | Respond { at_us; _ } -> at_us
+  | Driver_ops.Invoke { at_us; _ } | Respond { at_us; _ } -> at_us
 
-let is_invoke = function Client.Keyed.Invoke _ -> true | Respond _ -> false
+let is_invoke = function Driver_ops.Invoke _ -> true | Respond _ -> false
 
-let result_of (o : Client.outcome) =
-  Core.Value.to_result (Option.value o.value ~default:Core.Value.bottom)
+let result_of (o : Driver_ops.outcome) =
+  Value.to_result (Option.value o.value ~default:Value.bottom)
 
 (* Which log's head goes next: the earliest stamp, and at equal stamps
    an invocation before a response.  When every tied head is a
@@ -90,7 +86,7 @@ let replay heads =
   let lanes = Hashtbl.create 8 in
   let joined = Hashtbl.create 8 in
   let next_jrid = ref 0 in
-  let apply li ((ev : Client.Keyed.event), kop) =
+  let apply li ((ev : Driver_ops.event), kop) =
     match ev with
     | Invoke { op; joined = true; at_us; _ } ->
         decr next_jrid;
@@ -110,9 +106,9 @@ let replay heads =
         if not (Hashtbl.mem lanes (li, reader)) then
           Hashtbl.replace lanes (li, reader)
             (match kop with
-            | Client.Keyed.Write { value; _ } when write ->
+            | Driver_ops.Write { value; _ } when write ->
                 Histories.Recorder.invoke_write r ~time:at_us
-                  (Core.Value.to_string value)
+                  (Value.to_string value)
             | Write _ | Read _ ->
                 Histories.Recorder.invoke_read r ~time:at_us ~reader)
     | Respond { outcome = Error _; _ } -> ()

@@ -1,14 +1,19 @@
-(** Live history recording: the one place where {!Client.Keyed} events
-    become per-key register histories for {!Histories.Checks}.
+(** History recording: the one place where round-driver ({!Driver})
+    events become per-key register histories for {!Histories.Checks},
+    for both of the driver's hosts.
 
-    A recording owns a monotonic microsecond clock and one log per
-    client.  A client stamps its events with {!now_us} and appends them
+    A recording holds one log per client.  A client appends its events
     to its own {!log}, so recording never waits on another client.
-    {!histories} merges every log into one history per key, in stamp
-    order:
+    {!histories} merges every log into one history per key, ordered by
+    the events' [at_us] stamps:
     - each log keeps its own order;
     - when stamps from different logs tie, an invocation goes before a
       response, so a tie never makes one operation precede another.
+
+    A recording keeps no clock: every log in one recording must be
+    stamped on one clock ([Net.Cluster.now_us] for the wire engines).
+    The simulator appends all its processes' events to one log, so its
+    history replays that log in order and no tie across logs arises.
 
     The translation rules live here and nowhere else:
     - a completed operation carries the rounds of the response that
@@ -25,21 +30,17 @@ type t
 
 val create : unit -> t
 
-val now_us : t -> unit -> int
-(** Microseconds since {!create} on the monotonic clock.  Every client
-    logging into [t] must stamp its events with this clock
-    ([Client.Keyed.connect ~now_us:(Record.now_us t)]), since
-    {!histories} orders events from different logs by their stamps. *)
-
 type log
 
 val log : t -> log
 (** A fresh, empty log in [t].  Safe to call from any thread or domain;
     the log itself must be appended to by one client only. *)
 
-val event : log -> Client.Keyed.kop array -> Client.Keyed.event -> unit
-(** [event log ops ev] appends [ev], an event of running [ops]: pass
-    [~on_event:(Record.event log ops)] to {!Client.Keyed.run_ops}. *)
+val event : log -> (int -> Driver_ops.kop) -> Driver_ops.event -> unit
+(** [event log op ev] appends [ev]; [op] maps the event's operation
+    number to its operation: [~on_event:(Record.event log (Array.get ops))]
+    for a run of [ops], [Driver.op d] for the operations submitted to
+    driver [d]. *)
 
 val spans : t -> Obs.Span.t list
 (** The span of every operation that responded with one: log by log in

@@ -1,41 +1,26 @@
 module Make (P : Protocol_intf.S) = struct
-  type fault_plan = {
-    crashes : (Sim.Proc_id.t * int) list;
-    byzantine : (int * P.msg Byz.factory) list;
-  }
-
-  let no_faults = { crashes = []; byzantine = [] }
-
-  type chaos_event =
-    | Chaos_crash of { proc : Sim.Proc_id.t; at : int }
-    | Chaos_recover of { obj : int; at : int; wipe : bool }
-    | Chaos_block of {
+  type fault =
+    | Byzantine of { obj : int; factory : P.msg Byz.factory }
+    | Switch of { obj : int; at : int; factory : P.msg Byz.factory }
+    | Crash of { proc : Sim.Proc_id.t; at : int }
+    | Recover of { obj : int; at : int; wipe : bool }
+    | Block of {
         src : Sim.Proc_id.t;
         dst : Sim.Proc_id.t;
         from_ : int;
         until : int;
       }
-    | Chaos_isolate of { obj : int; from_ : int; until : int }
-    | Chaos_duplicate of {
+    | Isolate of { obj : int; from_ : int; until : int }
+    | Duplicate of {
         src : Sim.Proc_id.t;
         dst : Sim.Proc_id.t;
         copies : int;
         from_ : int;
         until : int;
       }
-    | Chaos_switch of { obj : int; at : int; factory : P.msg Byz.factory }
-
-  type outcome = {
-    op : Schedule.op;
-    invoked_at : int;
-    completed_at : int;
-    rounds : int;
-    result : Value.t option;
-  }
 
   type report = {
     history : string Histories.Op.t list;
-    outcomes : outcome list;
     trace : Sim.Trace.t option;
     spans : Obs.Span.t list;
     words_to_readers : int;
@@ -45,16 +30,19 @@ module Make (P : Protocol_intf.S) = struct
     final_time : int;
   }
 
-  let run ?(max_events = 1_000_000) ?(trace = false) ?(chaos = []) ?metrics
-      ?clock ~cfg ~seed ~delay ~faults schedule =
+  let run ?(max_events = 1_000_000) ?(trace = false) ?(faults = []) ?metrics
+      ?clock ~cfg ~seed ~delay schedule =
     let tr = if trace then Some (Sim.Trace.create ()) else None in
     let eng =
       Sim.Engine.create ?trace:tr ~msg_info:P.msg_info ?metrics
         ~classify:P.msg_class ?clock ~seed ~delay ()
     in
     let object_ids = Sim.Proc_id.objects ~s:cfg.Quorum.Config.s in
-    let recorder : string Histories.Recorder.t = Histories.Recorder.create () in
-    let outcomes = ref [] in
+    (* One log for every process: the run is one thread stepping one
+       event at a time, so the log is in event order and its history
+       replays it as is. *)
+    let record = Record.create () in
+    let log = Record.log record in
     let words_to_readers = ref 0 in
     (* Spans are numbered in invocation order across all processes. *)
     let spans = ref [] and span_ids = ref 0 in
@@ -82,7 +70,11 @@ module Make (P : Protocol_intf.S) = struct
               (fun (dst, m) -> Sim.Engine.send eng ~src:id ~dst m)
               (Object_host.handle hosts.(i - 1) ~key:0 ~src:env.Sim.Engine.src
                  ~now:(Sim.Engine.now eng) env.Sim.Engine.msg));
-        Option.iter (byzantine i) (List.assoc_opt i faults.byzantine))
+        List.iter
+          (function
+            | Byzantine { obj; factory } when obj = i -> byzantine i factory
+            | _ -> ())
+          faults)
       object_ids;
 
     (* The clients: one round driver per paper process, on the single
@@ -115,46 +107,16 @@ module Make (P : Protocol_intf.S) = struct
         Driver.create (module P) ~host ~map ~fanout:cfg.Quorum.Config.s ~reader
           ~readers
       in
-      (* One operation at a time: [pending] is the open one's history
-         handle, schedule entry and invocation time. *)
-      let pending = ref None in
+      (* The simulator sets no deadline, so an [Error] is a start the
+         automaton refused: a misuse of the protocol, not a fault. *)
+      let op = Driver.op d in
       Driver.load d [||] ~on_event:(function
-        | Driver.Invoke { op; reader; at_us; _ } ->
-            let handle, op =
-              match Driver.op d op with
-              | Driver.Write { value; _ } ->
-                  ( Histories.Recorder.invoke_write recorder ~time:at_us
-                      (Option.value (Value.payload value) ~default:""),
-                    Schedule.Write value )
-              | Driver.Read _ ->
-                  ( Histories.Recorder.invoke_read recorder ~time:at_us ~reader,
-                    Schedule.Read { reader } )
-            in
-            pending := Some (handle, op, at_us)
         | Driver.Respond { write; outcome = Error e; _ } ->
             invalid_arg
               (Printf.sprintf "Scenario: %s_start: %s"
                  (if write then "writer" else "reader")
                  e)
-        | Driver.Respond { at_us; outcome = Ok o; _ } ->
-            let handle, op, invoked_at = Option.get !pending in
-            let rounds = o.rounds in
-            (match o.value with
-            | None ->
-                Histories.Recorder.respond_write ~rounds recorder handle
-                  ~time:at_us
-            | Some v ->
-                Histories.Recorder.respond_read ~rounds recorder handle
-                  ~time:at_us (Value.to_result v));
-            outcomes :=
-              {
-                op;
-                invoked_at;
-                completed_at = at_us;
-                rounds = o.rounds;
-                result = o.value;
-              }
-              :: !outcomes);
+        | ev -> Record.event log op ev);
       let lane = if readers = 0 then Driver.writer else 0 in
       Sim.Engine.register eng id (fun env ->
           match env.Sim.Engine.src with
@@ -177,40 +139,35 @@ module Make (P : Protocol_intf.S) = struct
           (client (Sim.Proc_id.Reader j) ~reader:j ~readers:1))
       (Schedule.reader_indices schedule);
 
-    (* Fault plan. *)
-    List.iter
-      (fun (proc, time) ->
-        Sim.Engine.at eng ~time (fun () -> Sim.Engine.crash eng proc))
-      faults.crashes;
-
-    (* Scripted chaos events. *)
+    (* The faults that act during the run, in list order. *)
     List.iter
       (function
-        | Chaos_crash { proc; at } ->
+        | Byzantine _ -> ()
+        | Switch { obj; at; factory } ->
+            Sim.Engine.at eng ~time:at (fun () -> byzantine obj factory)
+        | Crash { proc; at } ->
             Sim.Engine.at eng ~time:at (fun () -> Sim.Engine.crash eng proc)
-        | Chaos_recover { obj; at; wipe } ->
+        | Recover { obj; at; wipe } ->
             Sim.Engine.at eng ~time:at (fun () ->
                 Sim.Engine.recover eng (Sim.Proc_id.Obj obj);
                 Object_host.restart hosts.(obj - 1) ~wipe)
-        | Chaos_block { src; dst; from_; until } ->
+        | Block { src; dst; from_; until } ->
             Sim.Engine.at eng ~time:from_ (fun () ->
                 Sim.Engine.block_link eng ~src ~dst);
             Sim.Engine.at eng ~time:until (fun () ->
                 Sim.Engine.unblock_link eng ~src ~dst)
-        | Chaos_isolate { obj; from_; until } ->
+        | Isolate { obj; from_; until } ->
             let id = Sim.Proc_id.Obj obj in
             Sim.Engine.at eng ~time:from_ (fun () ->
                 Sim.Engine.block_process eng id);
             Sim.Engine.at eng ~time:until (fun () ->
                 Sim.Engine.unblock_process eng id)
-        | Chaos_duplicate { src; dst; copies; from_; until } ->
+        | Duplicate { src; dst; copies; from_; until } ->
             Sim.Engine.at eng ~time:from_ (fun () ->
                 Sim.Engine.set_duplication eng ~src ~dst ~copies);
             Sim.Engine.at eng ~time:until (fun () ->
-                Sim.Engine.clear_duplication eng ~src ~dst)
-        | Chaos_switch { obj; at; factory } ->
-            Sim.Engine.at eng ~time:at (fun () -> byzantine obj factory))
-      chaos;
+                Sim.Engine.clear_duplication eng ~src ~dst))
+      faults;
 
     (* Operation schedule. *)
     List.iter
@@ -245,8 +202,8 @@ module Make (P : Protocol_intf.S) = struct
           spans)
       metrics;
     {
-      history = Histories.Recorder.ops recorder;
-      outcomes = List.rev !outcomes;
+      history =
+        Option.value (List.assoc_opt 0 (Record.histories record)) ~default:[];
       trace = tr;
       spans;
       words_to_readers = !words_to_readers;

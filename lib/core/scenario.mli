@@ -6,63 +6,54 @@
     state, with a reply cache that never fires here), runs each client
     process on a round driver of its own ({!Driver}: one outstanding
     operation per client, §2.2, each round a broadcast to objects
-    1..S), records the resulting history for the {!Histories} checkers,
-    and accumulates the per-operation metrics (latency, rounds, reply
-    bytes) the experiments tabulate. *)
+    1..S), records every process's events into one {!Record} log, whose
+    history the {!Histories} checkers judge, and accumulates the
+    per-operation metrics (latency, rounds, reply bytes) the experiments
+    tabulate. *)
 
 module Make (P : Protocol_intf.S) : sig
-  type fault_plan = {
-    crashes : (Sim.Proc_id.t * int) list;  (** process, crash time *)
-    byzantine : (int * P.msg Byz.factory) list;  (** object index, behaviour *)
-  }
-
-  val no_faults : fault_plan
-
-  (** Scripted chaos events, beyond the static [fault_plan]: the devices
-      a fault-injection campaign composes.  All times are absolute
-      virtual times; windows are half-open [[from_, until)]. *)
-  type chaos_event =
-    | Chaos_crash of { proc : Sim.Proc_id.t; at : int }
-        (** like [fault_plan.crashes], but schedulable alongside the
-            other chaos actions *)
-    | Chaos_recover of { obj : int; at : int; wipe : bool }
+  (** The faults a run injects: the devices a fault-injection campaign
+      composes.  [Byzantine] casts are installed before the run, in
+      object order (each splits the engine's RNG); the others are
+      scheduled in list order.  All times are absolute virtual times;
+      windows are half-open [[from_, until)].  No object is cast
+      twice. *)
+  type fault =
+    | Byzantine of { obj : int; factory : P.msg Byz.factory }
+        (** object [obj] runs the given behaviour from the start *)
+    | Switch of { obj : int; at : int; factory : P.msg Byz.factory }
+        (** object [obj] turns Byzantine mid-run with the given
+            behaviour; its honest state waits, unread, for a [Recover]
+            without [wipe] *)
+    | Crash of { proc : Sim.Proc_id.t; at : int }
+    | Recover of { obj : int; at : int; wipe : bool }
         (** restart base object [obj]: clear its crash flag and make it
             honest again ({!Object_host.restart}) — with freshly
             initialized state if [wipe], with the state persisted at
             crash time otherwise.  Messages dropped while it was down
             stay lost. *)
-    | Chaos_block of {
+    | Block of {
         src : Sim.Proc_id.t;
         dst : Sim.Proc_id.t;
         from_ : int;
         until : int;
       }  (** transient one-way link outage (messages buffered, not lost) *)
-    | Chaos_isolate of { obj : int; from_ : int; until : int }
+    | Isolate of { obj : int; from_ : int; until : int }
         (** transient partition: block every link to and from [obj] *)
-    | Chaos_duplicate of {
+    | Duplicate of {
         src : Sim.Proc_id.t;
         dst : Sim.Proc_id.t;
         copies : int;
         from_ : int;
         until : int;
       }  (** the link delivers [1 + copies] copies of each message *)
-    | Chaos_switch of { obj : int; at : int; factory : P.msg Byz.factory }
-        (** object [obj] turns Byzantine mid-run with the given
-            behaviour; its honest state waits, unread, for a
-            [Chaos_recover] without [wipe] *)
-
-  type outcome = {
-    op : Schedule.op;
-    invoked_at : int;
-    completed_at : int;
-    rounds : int;
-    result : Value.t option;  (** [Some] for reads *)
-  }
 
   type report = {
     history : string Histories.Op.t list;
-        (** the run's operation history (⊥ mapped to {!Histories.Op.Bottom}) *)
-    outcomes : outcome list;  (** completed operations, completion order *)
+        (** the run's operation history (⊥ mapped to
+            {!Histories.Op.Bottom}), recorded by {!Record}: each
+            complete op carries its times, result and rounds, and an op
+            that never responded stays open *)
     trace : Sim.Trace.t option;
     spans : Obs.Span.t list;
         (** one span per invoked operation, invocation order; spans link
@@ -81,22 +72,24 @@ module Make (P : Protocol_intf.S) : sig
   val run :
     ?max_events:int ->
     ?trace:bool ->
-    ?chaos:chaos_event list ->
+    ?faults:fault list ->
     ?metrics:Obs.Metrics.t ->
     ?clock:(unit -> float) ->
     cfg:Quorum.Config.t ->
     seed:int ->
     delay:Sim.Delay.t ->
-    faults:fault_plan ->
     Schedule.t ->
     report
   (** Execute the schedule to quiescence (or [max_events], default 1e6).
-      Deterministic in [(cfg, seed, delay, faults, chaos, schedule)].
+      Deterministic in [(cfg, seed, delay, faults, schedule)]; [faults]
+      defaults to none.
 
       With [metrics], the run populates the registry: engine counters
       and queue-depth histograms, per-class wire counters, and
       per-operation histograms derived from the spans ([op.read.rounds],
       [op.write.latency], ...).  [clock] additionally meters host
       wall-clock per simulated event (see {!Sim.Engine.create}); leave
-      it unset wherever determinism matters. *)
+      it unset wherever determinism matters.
+      @raise Invalid_argument if an automaton refuses to start an
+      operation. *)
 end

@@ -217,38 +217,34 @@ let max_events = 2_000_000
 let run_plan ?metrics protocol ~cfg ~seed (plan : Plan.t) =
   let (Entry { automata = (module P); strategy; _ }) = entry protocol in
   let module Sc = Core.Scenario.Make (P) in
-  (* The plan stages into the scenario's fault configuration: initial
-     Byzantine casts, newest first, and chaos events in action order
-     (each carries its own [at]). *)
-  let byzantine, rev_chaos =
-    List.fold_left
-      (fun (byz, chaos) -> function
-        | Plan.Byz { obj; kind } -> ((obj, strategy kind) :: byz, chaos)
+  (* Each plan action is one scenario fault; a Byzantine kind resolves
+     to this protocol's strategy. *)
+  let faults =
+    List.map
+      (function
+        | Plan.Byz { obj; kind } ->
+            Sc.Byzantine { obj; factory = strategy kind }
         | Plan.Switch { obj; at; kind } ->
-            (byz, Sc.Chaos_switch { obj; at; factory = strategy kind } :: chaos)
-        | Plan.Crash { obj; at } ->
-            (byz, Sc.Chaos_crash { proc = Sim.Proc_id.Obj obj; at } :: chaos)
-        | Plan.Recover { obj; at; wipe } ->
-            (byz, Sc.Chaos_recover { obj; at; wipe } :: chaos)
+            Sc.Switch { obj; at; factory = strategy kind }
+        | Plan.Crash { obj; at } -> Sc.Crash { proc = Sim.Proc_id.Obj obj; at }
+        | Plan.Recover { obj; at; wipe } -> Sc.Recover { obj; at; wipe }
         | Plan.Block { src; dst; from_; until } ->
             let src = Plan.proc_id src and dst = Plan.proc_id dst in
-            (byz, Sc.Chaos_block { src; dst; from_; until } :: chaos)
-        | Plan.Isolate { obj; from_; until } ->
-            (byz, Sc.Chaos_isolate { obj; from_; until } :: chaos)
+            Sc.Block { src; dst; from_; until }
+        | Plan.Isolate { obj; from_; until } -> Sc.Isolate { obj; from_; until }
         | Plan.Duplicate { src; dst; copies; from_; until } ->
             let src = Plan.proc_id src and dst = Plan.proc_id dst in
-            (byz, Sc.Chaos_duplicate { src; dst; copies; from_; until } :: chaos))
-      ([], []) plan.Plan.actions
+            Sc.Duplicate { src; dst; copies; from_; until })
+      plan.Plan.actions
   in
   let schedule = workload ~seed ~plan in
   let rep =
     Sc.run ~max_events ?metrics ~cfg ~seed
       ~delay:(Sim.Delay.uniform ~lo:1 ~hi:10)
-      ~chaos:(List.rev rev_chaos) ~faults:{ Sc.crashes = []; byzantine }
-      schedule
+      ~faults schedule
   in
   judge protocol ~quiescent:rep.quiescent
-    ~completed:(List.length rep.outcomes)
+    ~completed:(List.length (List.filter Histories.Op.is_complete rep.history))
     ~total:(List.length schedule) [ (0, rep.history) ]
 
 (* ----- execution backends ------------------------------------------------ *)

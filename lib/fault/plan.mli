@@ -7,9 +7,9 @@
     Plans are plain data: they can be generated randomly from a PRNG
     (deterministic per seed), validated against a resilience budget,
     pretty-printed as a reproducible witness, and shrunk by
-    {!Shrink.minimize}.  {!Campaign} maps the symbolic Byzantine kinds to
-    each protocol's concrete strategies and compiles the rest down to
-    {!Core.Scenario.Make.chaos_event}s. *)
+    {!Shrink.minimize}.  {!Campaign} maps each action to one
+    {!Core.Scenario.Make.fault}, resolving the symbolic Byzantine kinds
+    to each protocol's concrete strategies. *)
 
 type proc = W | R of int | O of int  (** writer, reader [j], object [i] *)
 

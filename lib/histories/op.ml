@@ -16,6 +16,16 @@ type 'v t = {
 
 let is_complete op = Option.is_some op.responded_stamp
 
+let completed ops =
+  List.filter is_complete ops
+  |> List.sort (fun a b ->
+         Option.compare Int.compare a.responded_stamp b.responded_stamp)
+
+let latency op =
+  match op.responded_at with
+  | Some t -> t - op.invoked_at
+  | None -> invalid_arg "Op.latency: the operation never responded"
+
 let is_write op = match op.action with Write _ -> true | Read _ -> false
 
 let is_read op = match op.action with Read _ -> true | Write _ -> false
@@ -35,6 +45,11 @@ let read_result op =
   | Read { result; _ } -> result
   | Write _ -> None
 
+let pp_result ~pp_value ppf = function
+  | None -> Format.pp_print_string ppf "?"
+  | Some Bottom -> Format.pp_print_string ppf "_|_"
+  | Some (Value v) -> pp_value ppf v
+
 let pp ~pp_value ppf op =
   let pp_window ppf () =
     match op.responded_at with
@@ -45,9 +60,5 @@ let pp ~pp_value ppf op =
   | Write { index; value } ->
       Format.fprintf ppf "wr%d(%a)%a" index pp_value value pp_window ()
   | Read { reader; result } ->
-      let pp_result ppf = function
-        | None -> Format.pp_print_string ppf "?"
-        | Some Bottom -> Format.pp_print_string ppf "_|_"
-        | Some (Value v) -> pp_value ppf v
-      in
-      Format.fprintf ppf "rd(r%d)=%a%a" reader pp_result result pp_window ()
+      Format.fprintf ppf "rd(r%d)=%a%a" reader (pp_result ~pp_value) result
+        pp_window ()

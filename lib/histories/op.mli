@@ -31,6 +31,14 @@ type 'v t = {
 
 val is_complete : 'v t -> bool
 
+val completed : 'v t list -> 'v t list
+(** The complete operations of a history, in the order they responded
+    (by [responded_stamp]). *)
+
+val latency : 'v t -> int
+(** Response time minus invocation time.
+    @raise Invalid_argument if the operation never responded. *)
+
 val is_write : 'v t -> bool
 
 val is_read : 'v t -> bool
@@ -46,5 +54,13 @@ val write_index : 'v t -> int option
 val read_result : 'v t -> 'v read_result option
 (** The result of a complete READ; [None] for writes or incomplete
     reads. *)
+
+val pp_result :
+  pp_value:(Format.formatter -> 'v -> unit) ->
+  Format.formatter ->
+  'v read_result option ->
+  unit
+(** A read's result as {!pp} prints it: [?] while the read is open,
+    [_|_] for ⊥. *)
 
 val pp : pp_value:(Format.formatter -> 'v -> unit) -> Format.formatter -> 'v t -> unit

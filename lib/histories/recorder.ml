@@ -116,10 +116,3 @@ let ops t =
   in
   let all = List.rev_append t.finished open_as_ops in
   List.sort (fun a b -> Int.compare a.Op.invoked_stamp b.Op.invoked_stamp) all
-
-let write_count t = t.writes_so_far
-
-let read_count t = List.length (List.filter Op.is_read (ops t))
-
-let complete_reads t =
-  List.filter (fun op -> Op.is_read op && Op.is_complete op) (ops t)

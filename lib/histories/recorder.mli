@@ -32,9 +32,3 @@ val respond_read :
 val ops : 'v t -> 'v Op.t list
 (** All operations, in invocation order; in-progress operations appear
     with [responded_stamp = None]. *)
-
-val write_count : 'v t -> int
-
-val read_count : 'v t -> int
-
-val complete_reads : 'v t -> 'v Op.t list

@@ -3,7 +3,7 @@
 type engine = {
   client : Client.Keyed.t;
   registry : Obs.Metrics.t;
-  log : Record.log;
+  log : Core.Record.log;
 }
 
 type t = {
@@ -17,7 +17,8 @@ type t = {
   mutable next_rid : int;
   copts : Client.opts option;
   protocol : Protocols.t;
-  record : Record.t;
+  t0 : int64;  (* the cluster's clock: microseconds since [start] *)
+  record : Core.Record.t;
   tmpdir : string option;
 }
 
@@ -74,22 +75,25 @@ let start ?opts ?(transport = `Unix) ?(domains = 1) ?map
     next_rid = 1;
     copts = opts;
     protocol;
-    (* Histories, spans and rule windows all compare stamps of the
-       recording's monotonic clock. *)
-    record = Record.create ();
+    (* Histories, spans and rule windows all compare stamps of this
+       monotonic clock. *)
+    t0 = Monotonic_clock.now ();
+    record = Core.Record.create ();
     tmpdir;
   }
+
+let now_us t = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t.t0) / 1000
 
 let take ?session ?(lanes = 1) ?(inflight = lanes) ?(coalesce = 1) t =
   let registry = Obs.Metrics.create () in
   let client =
     Client.Keyed.connect ?session ~metrics:registry ?opts:t.copts
-      ~now_us:(Record.now_us t.record) ~max_inflight:inflight
+      ~now_us:(fun () -> now_us t) ~max_inflight:inflight
       ~reader:t.next_rid ~readers:lanes ~coalesce ~protocol:t.protocol
       ~map:t.map t.endpoints
   in
   t.next_rid <- t.next_rid + lanes;
-  let e = { client; registry; log = Record.log t.record } in
+  let e = { client; registry; log = Core.Record.log t.record } in
   t.engines <- e :: t.engines;
   e
 
@@ -104,11 +108,12 @@ let processes t ~readers =
   (take ~session:"w" t, rs)
 
 let run ?(on_event = ignore) e ops =
+  let op = Array.get ops in
   Client.Keyed.run_ops e.client ops ~on_event:(fun ev ->
-      Record.event e.log ops ev;
+      Core.Record.event e.log op ev;
       on_event ev)
 
-let keyed_histories t = Record.histories t.record
+let keyed_histories t = Core.Record.histories t.record
 
 let history t =
   Option.value (List.assoc_opt 0 (keyed_histories t)) ~default:[]
@@ -146,13 +151,11 @@ let partition_violations t =
 
 let set_rules t i rules =
   check_index t i;
-  Server.set_rules t.servers.(i - 1) ~now_us:(Record.now_us t.record) rules
+  Server.set_rules t.servers.(i - 1) ~now_us:(fun () -> now_us t) rules
 
 let stats t i =
   check_index t i;
   Server.stats t.servers.(i - 1)
-
-let now_us t = Record.now_us t.record ()
 
 let endpoints t = t.endpoints
 
@@ -161,7 +164,7 @@ let alive t =
   |> List.filter_map (fun s ->
          if Server.alive s then Some (Server.index s) else None)
 
-let spans t = Record.spans t.record
+let spans t = Core.Record.spans t.record
 
 let metrics t =
   let dst = Obs.Metrics.create () in

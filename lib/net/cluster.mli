@@ -6,7 +6,7 @@
     private temp directory by default, TCP on demand) and hands out
     {!Client.Keyed} engines on their endpoints.  {!run} is the one way
     to run operations: it drives an engine and records every event the
-    engine emits through {!Record}, so the paper's
+    engine emits through {!Core.Record}, so the paper's
     safety/regularity/wait-freedom checkers run on live histories
     exactly as they do on simulated ones.  A cluster carries its
     keyspace: the map it starts with fixes the fleet it hosts and where
@@ -31,7 +31,7 @@
     across a crash/restart and requires zero failures.
 
     Thread-safety: distinct engines may be driven from distinct threads
-    concurrently; each appends to a {!Record.log} of its own.  One
+    concurrently; each appends to a {!Core.Record.log} of its own.  One
     engine must not be driven from two threads, engines are taken before
     the threads start, and {!history} / {!keyed_histories} must not run
     while operations do. *)
@@ -71,8 +71,8 @@ val engine :
     share an id.
     [inflight] (default [lanes]) caps its concurrently progressing
     operations; [coalesce] (default 1 = off) is
-    {!Client.Keyed.connect}'s read-coalescing cap (see {!Record} for how
-    joined reads are recorded).
+    {!Client.Keyed.connect}'s read-coalescing cap (see {!Core.Record}
+    for how joined reads are recorded).
     @raise Invalid_argument if [lanes < 1]. *)
 
 val processes : t -> readers:int -> engine * engine array
@@ -96,7 +96,7 @@ val run :
     fault injected there lands while operations are in flight. *)
 
 val keyed_histories : t -> (int * string Histories.Op.t list) list
-(** {!Record.histories} of every engine so far: one history per key
+(** {!Core.Record.histories} of every engine so far: one history per key
     that saw an operation, sorted by key id: what
     {!Fault.Campaign.judge} takes, or feed each key's list to
     {!Histories.Checks} independently. *)
@@ -136,13 +136,17 @@ val endpoints : t -> Endpoint.t array
 (** The servers' endpoints, for clients in other processes. *)
 
 val now_us : t -> int
-(** The cluster's shared microsecond clock (the one histories, spans
-    and {!Chaos} rule windows are stamped against). *)
+(** The cluster's shared microsecond clock, monotonic since {!start}:
+    the one histories, spans and {!Chaos} rule windows are stamped
+    against.  A bare client logging into the same history as the
+    cluster's engines stamps with it too
+    ([Client.Keyed.connect ~now_us:(fun () -> Cluster.now_us c)]). *)
 
 val spans : t -> Obs.Span.t list
 (** Every span the engines' ops started, each once: engines in the order
     they were taken, each engine's spans in start ([id]) order
-    ({!Record.spans} of their logs); all share one microsecond clock. *)
+    ({!Core.Record.spans} of their logs); all share one microsecond
+    clock, {!now_us}. *)
 
 val metrics : t -> Obs.Metrics.t
 (** Merged snapshot of every component registry (servers then engines):

@@ -53,7 +53,9 @@ val now : 'msg t -> int
 
 val register : 'msg t -> Proc_id.t -> ('msg envelope -> unit) -> unit
 (** [register t id handler] installs (or replaces) the delivery handler of
-    process [id].  Replacing mid-run models a process turning Byzantine. *)
+    process [id].  [Core.Scenario] registers each process once; a base
+    object turns Byzantine or restarts inside the handler, on its
+    [Core.Object_host]. *)
 
 val send : 'msg t -> src:Proc_id.t -> dst:Proc_id.t -> 'msg -> unit
 (** Enqueue a message; its delivery time is [now + delay] drawn from the
@@ -73,9 +75,10 @@ val crash : 'msg t -> Proc_id.t -> unit
 val recover : 'msg t -> Proc_id.t -> unit
 (** Undo a {!crash}: subsequent deliveries reach the process's handler
     again.  Messages dropped while it was down stay lost — crash-recovery
-    loses in-flight traffic.  The caller is responsible for re-installing
-    an appropriate handler (wiped or persisted state) via {!register}.
-    No-op on a live process. *)
+    loses in-flight traffic.  The handler is left as it is: the state a
+    recovered process resumes with (wiped or persisted) is the handler's
+    own business, as [Core.Object_host.restart] is for [Core.Scenario]'s
+    objects.  No-op on a live process. *)
 
 val is_crashed : 'msg t -> Proc_id.t -> bool
 

@@ -25,36 +25,36 @@ let schedule =
 
 let test_abd_regular_crash_free () =
   let cfg = Quorum.Config.make_exn ~s:3 ~t:1 ~b:0 in
-  let rep = A.run ~cfg ~seed:1 ~delay:uniform ~faults:A.no_faults schedule in
-  Alcotest.(check int) "completes" 5 (List.length rep.outcomes);
+  let rep = A.run ~cfg ~seed:1 ~delay:uniform schedule in
+  Alcotest.(check int) "completes" 5 (Complete.count rep.history);
   Alcotest.(check bool) "regular" true (Histories.Checks.is_regular ~equal rep.history);
   Alcotest.(check bool) "all ops single round" true
-    (List.for_all (fun (o : A.outcome) -> o.rounds = 1) rep.outcomes)
+    (List.for_all (fun r -> r = 1) (Complete.rounds rep.history))
 
 let test_abd_regular_with_crash () =
   let cfg = Quorum.Config.make_exn ~s:3 ~t:1 ~b:0 in
-  let faults = { A.crashes = [ (Sim.Proc_id.Obj 2, 50) ]; byzantine = [] } in
+  let faults = [ A.Crash { proc = Sim.Proc_id.Obj 2; at = 50 } ] in
   let rep = A.run ~cfg ~seed:2 ~delay:uniform ~faults schedule in
-  Alcotest.(check int) "wait-free under crash" 5 (List.length rep.outcomes);
+  Alcotest.(check int) "wait-free under crash" 5 (Complete.count rep.history);
   Alcotest.(check bool) "regular" true (Histories.Checks.is_regular ~equal rep.history)
 
 let test_abd_atomic_write_back () =
   let cfg = Quorum.Config.make_exn ~s:5 ~t:2 ~b:0 in
-  let faults = { At.crashes = [ (Sim.Proc_id.Obj 1, 0) ]; byzantine = [] } in
+  let faults = [ At.Crash { proc = Sim.Proc_id.Obj 1; at = 0 } ] in
   let rep = At.run ~cfg ~seed:3 ~delay:(Sim.Delay.uniform ~lo:1 ~hi:40) ~faults schedule in
-  Alcotest.(check int) "completes" 5 (List.length rep.outcomes);
+  Alcotest.(check int) "completes" 5 (Complete.count rep.history);
   Alcotest.(check bool) "atomic" true (Histories.Checks.is_atomic ~equal rep.history);
   Alcotest.(check bool) "reads take at most 2 rounds" true
-    (List.for_all (fun (o : At.outcome) -> o.rounds <= 2) rep.outcomes)
+    (List.for_all (fun r -> r <= 2) (Complete.rounds rep.history))
 
 let test_abd_broken_by_byzantine () =
   (* Negative control: ABD was never designed for b > 0. *)
   let cfg = Quorum.Config.make_exn ~s:3 ~t:1 ~b:0 in
   let faults =
-    {
-      A.crashes = [];
-      byzantine = [ (1, Baseline.Abd.byz_forge_high ~value:"evil" ~ts_boost:10) ];
-    }
+    [
+      A.Byzantine
+        { obj = 1; factory = Baseline.Abd.byz_forge_high ~value:"evil" ~ts_boost:10 };
+    ]
   in
   let rep = A.run ~cfg ~seed:4 ~delay:uniform ~faults schedule in
   Alcotest.(check bool) "safety violated" false
@@ -64,8 +64,8 @@ let test_abd_broken_by_byzantine () =
 
 let test_nonmod_crash_free () =
   let cfg = Quorum.Config.optimal ~t:1 ~b:1 in
-  let rep = N.run ~cfg ~seed:5 ~delay:uniform ~faults:N.no_faults schedule in
-  Alcotest.(check int) "completes" 5 (List.length rep.outcomes);
+  let rep = N.run ~cfg ~seed:5 ~delay:uniform schedule in
+  Alcotest.(check int) "completes" 5 (Complete.count rep.history);
   Alcotest.(check bool) "safe" true (Histories.Checks.is_safe ~equal rep.history)
 
 let test_nonmod_byzantine_costs_phases () =
@@ -73,24 +73,17 @@ let test_nonmod_byzantine_costs_phases () =
      read phases — the round gap the core protocol closes. *)
   let cfg = Quorum.Config.optimal ~t:2 ~b:2 in
   let faults =
-    {
-      N.crashes = [];
-      byzantine =
-        [
-          (1, Baseline.Nonmod.byz_forge_high ~value:"e1" ~ts_boost:5);
-          (2, Baseline.Nonmod.byz_forge_high ~value:"e2" ~ts_boost:8);
-        ];
-    }
+    [
+      N.Byzantine
+        { obj = 1; factory = Baseline.Nonmod.byz_forge_high ~value:"e1" ~ts_boost:5 };
+      N.Byzantine
+        { obj = 2; factory = Baseline.Nonmod.byz_forge_high ~value:"e2" ~ts_boost:8 };
+    ]
   in
   let rep = N.run ~cfg ~seed:6 ~delay:uniform ~faults schedule in
-  Alcotest.(check int) "completes" 5 (List.length rep.outcomes);
+  Alcotest.(check int) "completes" 5 (Complete.count rep.history);
   Alcotest.(check bool) "safe" true (Histories.Checks.is_safe ~equal rep.history);
-  let max_phases =
-    List.fold_left
-      (fun acc (o : N.outcome) ->
-        match o.op with Core.Schedule.Read _ -> max acc o.rounds | _ -> acc)
-      0 rep.outcomes
-  in
+  let max_phases = List.fold_left max 0 (Complete.read_rounds rep.history) in
   Alcotest.(check bool)
     (Printf.sprintf "some read needed more than one phase (max=%d)" max_phases)
     true (max_phases >= 2)
@@ -116,35 +109,34 @@ let test_nonmod_phase_growth_vs_safe_two_rounds () =
   in
   let nonmod_phases =
     let faults =
-      {
-        N.crashes = [];
-        byzantine = [ (1, Baseline.Nonmod.byz_forge_high ~value:"evil" ~ts_boost:9) ];
-      }
+      [
+        N.Byzantine
+          {
+            obj = 1;
+            factory = Baseline.Nonmod.byz_forge_high ~value:"evil" ~ts_boost:9;
+          };
+      ]
     in
     let rep = N.run ~cfg ~seed:33 ~delay:slow ~faults sched in
     Alcotest.(check bool) "nonmod safe" true
       (Histories.Checks.is_safe ~equal rep.history);
-    List.fold_left
-      (fun acc (o : N.outcome) ->
-        match o.op with Core.Schedule.Read _ -> max acc o.rounds | _ -> acc)
-      0 rep.outcomes
+    List.fold_left max 0 (Complete.read_rounds rep.history)
   in
   let module S = Core.Scenario.Make (Core.Proto_safe) in
   let safe_rounds =
     let faults =
-      {
-        S.crashes = [];
-        byzantine =
-          [ (1, Fault.Strategies.forge_high_value ~value:"evil" ~ts_boost:9) ];
-      }
+      [
+        S.Byzantine
+          {
+            obj = 1;
+            factory = Fault.Strategies.forge_high_value ~value:"evil" ~ts_boost:9;
+          };
+      ]
     in
     let rep = S.run ~cfg ~seed:33 ~delay:slow ~faults sched in
     Alcotest.(check bool) "safe protocol safe" true
       (Histories.Checks.is_safe ~equal rep.history);
-    List.fold_left
-      (fun acc (o : S.outcome) ->
-        match o.op with Core.Schedule.Read _ -> max acc o.rounds | _ -> acc)
-      0 rep.outcomes
+    List.fold_left max 0 (Complete.read_rounds rep.history)
   in
   Alcotest.(check bool)
     (Printf.sprintf "nonmod needed %d phases, safe %d rounds" nonmod_phases
@@ -154,28 +146,28 @@ let test_nonmod_phase_growth_vs_safe_two_rounds () =
 
 let test_nonmod_stale_byz_safe () =
   let cfg = Quorum.Config.optimal ~t:1 ~b:1 in
-  let faults = { N.crashes = []; byzantine = [ (3, Baseline.Nonmod.byz_stale) ] } in
+  let faults = [ N.Byzantine { obj = 3; factory = Baseline.Nonmod.byz_stale } ] in
   let rep = N.run ~cfg ~seed:7 ~delay:uniform ~faults schedule in
-  Alcotest.(check int) "completes" 5 (List.length rep.outcomes);
+  Alcotest.(check int) "completes" 5 (Complete.count rep.history);
   Alcotest.(check bool) "safe" true (Histories.Checks.is_safe ~equal rep.history)
 
 (* --- Authenticated ------------------------------------------------------ *)
 
 let test_auth_fast_and_regular () =
   let cfg = Quorum.Config.optimal ~t:1 ~b:1 in
-  let rep = Au.run ~cfg ~seed:8 ~delay:uniform ~faults:Au.no_faults schedule in
-  Alcotest.(check int) "completes" 5 (List.length rep.outcomes);
+  let rep = Au.run ~cfg ~seed:8 ~delay:uniform schedule in
+  Alcotest.(check int) "completes" 5 (Complete.count rep.history);
   Alcotest.(check bool) "regular" true (Histories.Checks.is_regular ~equal rep.history);
   Alcotest.(check bool) "all single round" true
-    (List.for_all (fun (o : Au.outcome) -> o.rounds = 1) rep.outcomes)
+    (List.for_all (fun r -> r = 1) (Complete.rounds rep.history))
 
 let test_auth_immune_to_forgery () =
   let cfg = Quorum.Config.optimal ~t:1 ~b:1 in
   let faults =
-    {
-      Au.crashes = [];
-      byzantine = [ (2, Baseline.Auth.byz_forge ~value:"evil" ~ts_boost:10) ];
-    }
+    [
+      Au.Byzantine
+        { obj = 2; factory = Baseline.Auth.byz_forge ~value:"evil" ~ts_boost:10 };
+    ]
   in
   let rep = Au.run ~cfg ~seed:9 ~delay:uniform ~faults schedule in
   Alcotest.(check bool) "regular despite forger" true
@@ -184,7 +176,7 @@ let test_auth_immune_to_forgery () =
 let test_auth_replay_stale_safe () =
   let cfg = Quorum.Config.optimal ~t:1 ~b:1 in
   let faults =
-    { Au.crashes = []; byzantine = [ (2, Baseline.Auth.byz_replay_stale) ] }
+    [ Au.Byzantine { obj = 2; factory = Baseline.Auth.byz_replay_stale } ]
   in
   let rep = Au.run ~cfg ~seed:10 ~delay:uniform ~faults schedule in
   Alcotest.(check bool) "safe despite replayer" true
@@ -194,18 +186,20 @@ let test_auth_replay_stale_safe () =
 
 let test_naive_fast_ok_without_byzantine () =
   let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1 in
-  let rep = F.run ~cfg ~seed:11 ~delay:uniform ~faults:F.no_faults schedule in
+  let rep = F.run ~cfg ~seed:11 ~delay:uniform schedule in
   Alcotest.(check bool) "crash-only runs look fine" true
     (Histories.Checks.is_safe ~equal rep.history)
 
 let test_naive_fast_broken_by_one_byzantine () =
   let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1 in
   let faults =
-    {
-      F.crashes = [];
-      byzantine =
-        [ (1, Baseline.Naive_fast.byz_forge_high ~value:"ghost" ~ts_boost:10) ];
-    }
+    [
+      F.Byzantine
+        {
+          obj = 1;
+          factory = Baseline.Naive_fast.byz_forge_high ~value:"ghost" ~ts_boost:10;
+        };
+    ]
   in
   let rep = F.run ~cfg ~seed:12 ~delay:uniform ~faults schedule in
   Alcotest.(check bool) "safety violated" false
@@ -215,11 +209,13 @@ let test_naive_fast_run5_adversary () =
   (* No write ever happens; a malicious object simulates one. *)
   let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1 in
   let faults =
-    {
-      F.crashes = [];
-      byzantine =
-        [ (1, Baseline.Naive_fast.byz_simulate_write ~value:"ghost" ~ts:5) ];
-    }
+    [
+      F.Byzantine
+        {
+          obj = 1;
+          factory = Baseline.Naive_fast.byz_simulate_write ~value:"ghost" ~ts:5;
+        };
+    ]
   in
   let rep =
     F.run ~cfg ~seed:13 ~delay:uniform ~faults

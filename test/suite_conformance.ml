@@ -7,7 +7,7 @@
      and the history has the property the entry claims;
    - the history is safe, and regular where the entry claims regularity
      or more;
-   - determinism: identical (seed, schedule) gives identical outcomes;
+   - determinism: identical (seed, schedule) gives identical histories;
    - serial reads after a write return that write's value.
 
    Two fault-free expectations go beyond what the table claims: nonmod's
@@ -59,39 +59,34 @@ let run_spec (_, p, cfg) ~seed =
   in
   let module Sc = Core.Scenario.Make (P) in
   let rep =
-    Sc.run ~cfg ~seed
-      ~delay:(Sim.Delay.uniform ~lo:1 ~hi:10)
-      ~faults:Sc.no_faults schedule
+    Sc.run ~cfg ~seed ~delay:(Sim.Delay.uniform ~lo:1 ~hi:10) schedule
   in
   ( Fault.Campaign.judge p ~quiescent:rep.quiescent
-      ~completed:(List.length rep.outcomes) ~total:(List.length schedule)
+      ~completed:(Complete.count rep.history) ~total:(List.length schedule)
       [ (0, rep.history) ],
-    rep.history,
-    List.map
-      (fun (o : Sc.outcome) ->
-        (o.op, o.invoked_at, o.completed_at, o.rounds, o.result))
-      rep.outcomes )
+    rep.history )
 
 let test_laws ((name, p, _) as spec) () =
-  let v, _, outcomes = run_spec spec ~seed:5 in
+  let v, history = run_spec spec ~seed:5 in
   Alcotest.(check int)
     (name ^ ": all operations complete")
     (List.length schedule) v.completed;
   Alcotest.(check int) (name ^ ": no wait-freedom violation") 0 v.liveness;
   Alcotest.(check int) (name ^ ": round bounds") 0 v.rounds;
   List.iter
-    (fun (op, _, _, rounds, result) ->
-      match op with
-      | Core.Schedule.Write _ ->
+    (fun (op : string Histories.Op.t) ->
+      let rounds = Option.get op.rounds in
+      match op.action with
+      | Write _ ->
           Alcotest.(check bool) (name ^ ": write takes a round") true (rounds >= 1)
-      | Core.Schedule.Read _ ->
+      | Read { result; _ } ->
           if p = Fault.Campaign.Nonmod then
             Alcotest.(check bool)
               (name ^ ": fault-free read in 3 rounds")
               true (rounds <= 3);
           Alcotest.(check bool) (name ^ ": read has a result") true
             (result <> None))
-    outcomes;
+    (Histories.Op.completed history);
   Alcotest.(check int) (name ^ ": history safe") 0 v.safety;
   Alcotest.(check int)
     (name ^ ": claimed property")
@@ -107,14 +102,14 @@ let test_determinism ((name, _, _) as spec) () =
     (run_spec spec ~seed:9 = run_spec spec ~seed:9)
 
 let test_serial_read_sees_write ((name, _, _) as spec) () =
-  let _, _, outcomes = run_spec spec ~seed:11 in
+  let _, history = run_spec spec ~seed:11 in
   (* the final read at t=500 follows the completed c3 write *)
-  match List.rev outcomes with
-  | (Core.Schedule.Read _, _, _, _, Some v) :: _ ->
+  match List.rev (Histories.Op.completed history) with
+  | { action = Read { result = Some v; _ }; _ } :: _ ->
       Alcotest.(check bool)
         (name ^ ": last read sees last write")
         true
-        (Core.Value.equal v (Core.Value.v "c3"))
+        (v = Histories.Op.Value "c3")
   | _ -> Alcotest.fail (name ^ ": last operation should be a completed read")
 
 let suite =

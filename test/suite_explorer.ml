@@ -310,6 +310,25 @@ end
 
 module EO = Mc.Explorer.Make (Overcounting_safe)
 
+(* Safe's reader, reporting one round more than it took: within the
+   bound where a read decides on round 1, past it only where a read
+   reaches round 2. *)
+module Off_by_one_safe = struct
+  include Core.Proto_safe
+
+  let reader_on_msg r ~obj m =
+    let r, events = reader_on_msg r ~obj m in
+    ( r,
+      List.map
+        (function
+          | Core.Events.Read_done d ->
+              Core.Events.Read_done { d with rounds = d.rounds + 1 }
+          | e -> e)
+        events )
+end
+
+module EB = Mc.Explorer.Make (Off_by_one_safe)
+
 (* The explorer holds each terminal history's reported rounds to the
    contract's bounds, as the campaign judge does. *)
 let test_over_reported_round_is_caught () =
@@ -327,7 +346,25 @@ let test_over_reported_round_is_caught () =
       { ES.cfg; writes; reads; sequential = true; byz = []; crashed = [] }
   in
   Alcotest.(check bool) "safe itself: exhaustive" false r.truncated;
-  Alcotest.(check int) "safe itself: no violations" 0 (List.length r.violations)
+  Alcotest.(check int) "safe itself: no violations" 0 (List.length r.violations);
+  (* An off-by-one count passes the W;R scenario above, where every read
+     decides on round 1.  E5's forger (t = b = 1, S = 4) drives reads to
+     round 2, where the extra round breaks the bound; safe itself passes
+     that scenario ("safe read-only + byz exhaustive"). *)
+  let r =
+    EB.check ~max_states:100_000 ~contract:(contract Safe)
+      {
+        EB.cfg = cfg_core;
+        writes = [];
+        reads = [ (1, 1) ];
+        sequential = false;
+        byz = [ (1, { EB.rewrite = forge_safe.rewrite }) ];
+        crashed = [];
+      }
+  in
+  Alcotest.(check bool) "off by one vs forger: exhaustive" false r.truncated;
+  Alcotest.(check bool) "off by one vs forger: a rounds violation" true
+    (List.exists (fun (v : EB.violation) -> v.kind = "rounds") r.violations)
 
 let suite =
   ( "explorer",

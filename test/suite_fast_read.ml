@@ -54,8 +54,7 @@ let schedule =
 
 let gc_export () =
   let rep =
-    Gc.run ~trace:true ~cfg:cfg_fast ~seed:42 ~delay ~faults:Gc.no_faults
-      schedule
+    Gc.run ~trace:true ~cfg:cfg_fast ~seed:42 ~delay schedule
   in
   Obs.Export.spans_jsonl rep.spans
 
@@ -70,9 +69,7 @@ let test_matches_golden () =
     (gc_export ())
 
 let test_golden_span_shape () =
-  let rep =
-    Gc.run ~cfg:cfg_fast ~seed:42 ~delay ~faults:Gc.no_faults schedule
-  in
+  let rep = Gc.run ~cfg:cfg_fast ~seed:42 ~delay schedule in
   let reads, writes =
     List.partition
       (fun s ->
@@ -102,17 +99,9 @@ let test_golden_span_shape () =
    the protocol's, not the scheduler's. *)
 let sim_read_pairs cfg =
   let sched = Workload.Generate.sequential ~writes:3 ~readers:1 ~gap:60 in
-  let rep = Gc.run ~cfg ~seed:7 ~delay ~faults:Gc.no_faults sched in
+  let rep = Gc.run ~cfg ~seed:7 ~delay sched in
   Alcotest.(check bool) "sim run quiescent" true rep.quiescent;
-  List.filter_map
-    (fun (o : Gc.outcome) ->
-      match o.op with
-      | Core.Schedule.Read _ ->
-          Some
-            ( (match o.result with Some v -> Value.to_string v | None -> "?"),
-              o.rounds )
-      | Core.Schedule.Write _ -> None)
-    rep.outcomes
+  Complete.read_pairs rep.history
 
 (* Returns the (value, reported rounds) pairs, the cluster's merged
    metrics, whose wire.read.* counters count the reader's requests, and
@@ -209,23 +198,20 @@ let forged_read_pairs cfg =
       ~factor:20 (Sim.Delay.constant 2)
   in
   let faults =
-    {
-      Gc.no_faults with
-      byzantine =
-        [ (1, Fault.Strategies.forge_history ~value:"ghost" ~ts_boost:5) ];
-    }
+    [
+      Gc.Byzantine
+        {
+          obj = 1;
+          factory = Fault.Strategies.forge_history ~value:"ghost" ~ts_boost:5;
+        };
+    ]
   in
   let sched = Workload.Generate.sequential ~writes:2 ~readers:1 ~gap:200 in
   let rep = Gc.run ~cfg ~seed:3 ~delay ~faults sched in
   Alcotest.(check bool) "sim run quiescent" true rep.quiescent;
   Alcotest.(check bool) "history regular despite the forger" true
     (Histories.Checks.is_regular ~equal:String.equal rep.history);
-  List.filter_map
-    (fun (o : Gc.outcome) ->
-      match (o.op, o.result) with
-      | Core.Schedule.Read _, Some v -> Some (Value.to_string v, o.rounds)
-      | _ -> None)
-    rep.outcomes
+  Complete.read_pairs rep.history
 
 let lie_forces_round_two_only_below_bound () =
   Alcotest.(check pair_list)

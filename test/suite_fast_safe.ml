@@ -22,64 +22,70 @@ let above_threshold ~t ~b = Quorum.Config.make_exn ~s:((2 * t) + (2 * b) + 1) ~t
 
 let test_crash_free_above_threshold () =
   let rep =
-    F.run ~cfg:(above_threshold ~t:1 ~b:1) ~seed:1 ~delay:uniform
-      ~faults:F.no_faults schedule
+    F.run ~cfg:(above_threshold ~t:1 ~b:1) ~seed:1 ~delay:uniform schedule
   in
-  Alcotest.(check int) "completes" 5 (List.length rep.outcomes);
+  Alcotest.(check int) "completes" 5 (Complete.count rep.history);
   Alcotest.(check bool) "safe" true (Histories.Checks.is_safe ~equal rep.history);
   Alcotest.(check bool) "all single round" true
-    (List.for_all (fun (o : F.outcome) -> o.rounds = 1) rep.outcomes)
+    (List.for_all (fun r -> r = 1) (Complete.rounds rep.history))
 
 let test_byzantine_forger_above_threshold () =
   List.iter
     (fun (t, b) ->
-      let byz =
+      let faults =
         List.init b (fun i ->
-            (i + 1, Baseline.Fast_safe.byz_forge_high ~value:"evil" ~ts_boost:9))
+            F.Byzantine
+              {
+                obj = i + 1;
+                factory =
+                  Baseline.Fast_safe.byz_forge_high ~value:"evil" ~ts_boost:9;
+              })
       in
       let rep =
-        F.run ~cfg:(above_threshold ~t ~b) ~seed:2 ~delay:uniform
-          ~faults:{ F.crashes = []; byzantine = byz }
+        F.run ~cfg:(above_threshold ~t ~b) ~seed:2 ~delay:uniform ~faults
           schedule
       in
       Alcotest.(check bool)
         (Printf.sprintf "safe at t=%d b=%d" t b)
         true
         (Histories.Checks.is_safe ~equal rep.history);
-      Alcotest.(check int) "completes" 5 (List.length rep.outcomes))
+      Alcotest.(check int) "completes" 5 (Complete.count rep.history))
     [ (1, 1); (2, 1); (2, 2) ]
 
 let test_colluding_endorsers_fall_short () =
   (* b Byzantine objects all vouch for the same forged pair: b < b+1, so
      the endorsement bar holds. *)
   let t = 2 and b = 2 in
-  let byz =
+  let faults =
     List.init b (fun i ->
-        (i + 1, Baseline.Fast_safe.byz_endorse_forgery ~value:"ghost" ~ts:50))
+        F.Byzantine
+          {
+            obj = i + 1;
+            factory =
+              Baseline.Fast_safe.byz_endorse_forgery ~value:"ghost" ~ts:50;
+          })
   in
   let rep =
-    F.run ~cfg:(above_threshold ~t ~b) ~seed:3 ~delay:uniform
-      ~faults:{ F.crashes = []; byzantine = byz }
-      schedule
+    F.run ~cfg:(above_threshold ~t ~b) ~seed:3 ~delay:uniform ~faults schedule
   in
   Alcotest.(check bool) "collusion fails" true
     (Histories.Checks.is_safe ~equal rep.history);
   (* no read ever returned the forged value *)
   Alcotest.(check bool) "ghost never returned" true
     (List.for_all
-       (fun (o : F.outcome) ->
-         match o.result with
-         | Some v -> not (Core.Value.equal v (Core.Value.v "ghost"))
-         | None -> true)
-       rep.outcomes)
+       (fun op -> Histories.Op.read_result op <> Some (Value "ghost"))
+       (Complete.reads rep.history))
 
 let test_crashes_above_threshold () =
   let cfg = above_threshold ~t:2 ~b:1 in
   let faults =
-    { F.crashes = [ (Sim.Proc_id.Obj 1, 0); (Sim.Proc_id.Obj 2, 150) ]; byzantine = [] }
+    [
+      F.Crash { proc = Sim.Proc_id.Obj 1; at = 0 };
+      F.Crash { proc = Sim.Proc_id.Obj 2; at = 150 };
+    ]
   in
   let rep = F.run ~cfg ~seed:4 ~delay:uniform ~faults schedule in
-  Alcotest.(check int) "wait-free" 5 (List.length rep.outcomes);
+  Alcotest.(check int) "wait-free" 5 (Complete.count rep.history);
   Alcotest.(check bool) "safe" true (Histories.Checks.is_safe ~equal rep.history)
 
 let test_at_threshold_lower_bound_bites () =
@@ -168,18 +174,18 @@ let qcheck_safe_above_threshold =
       let rep =
         F.run ~cfg ~seed ~delay:uniform
           ~faults:
-            {
-              F.crashes = [];
-              byzantine =
-                [
-                  ( byz_obj,
-                    Baseline.Fast_safe.byz_forge_high ~value:"evil" ~ts_boost:7 );
-                ];
-            }
+            [
+              F.Byzantine
+                {
+                  obj = byz_obj;
+                  factory =
+                    Baseline.Fast_safe.byz_forge_high ~value:"evil" ~ts_boost:7;
+                };
+            ]
           schedule
       in
       Histories.Checks.is_safe ~equal rep.history
-      && List.for_all (fun (o : F.outcome) -> o.rounds = 1) rep.outcomes)
+      && List.for_all (fun r -> r = 1) (Complete.rounds rep.history))
 
 let suite =
   ( "fast-safe",

@@ -75,15 +75,17 @@ let test_end_to_end_regular_with_gc () =
   let rep =
     Sc.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed:19 ~delay:uniform
       ~faults:
-        {
-          Sc.crashes = [];
-          byzantine =
-            [ (2, Fault.Strategies.forge_history ~value:"evil" ~ts_boost:5) ];
-        }
+        [
+          Sc.Byzantine
+            {
+              obj = 2;
+              factory = Fault.Strategies.forge_history ~value:"evil" ~ts_boost:5;
+            };
+        ]
       schedule
   in
   Alcotest.(check int) "all complete" (List.length schedule)
-    (List.length rep.outcomes);
+    (Complete.count rep.history);
   Alcotest.(check bool) "regular" true
     (Histories.Checks.is_regular ~equal rep.history)
 
@@ -102,10 +104,8 @@ let test_gc_reduces_traffic_vs_plain () =
   in
   let module Plain = Core.Scenario.Make (Core.Proto_regular.Plain) in
   let cfg = Quorum.Config.optimal ~t:1 ~b:1 in
-  let rep_gc = Sc.run ~cfg ~seed:20 ~delay:uniform ~faults:Sc.no_faults schedule in
-  let rep_plain =
-    Plain.run ~cfg ~seed:20 ~delay:uniform ~faults:Plain.no_faults schedule
-  in
+  let rep_gc = Sc.run ~cfg ~seed:20 ~delay:uniform schedule in
+  let rep_plain = Plain.run ~cfg ~seed:20 ~delay:uniform schedule in
   Alcotest.(check bool)
     (Printf.sprintf "gc traffic (%d) < plain traffic (%d)"
        rep_gc.words_to_readers rep_plain.words_to_readers)

@@ -22,14 +22,11 @@ let schedule =
 let cfg = Quorum.Config.optimal ~t:1 ~b:1
 
 let safe_export () =
-  let rep = Safe.run ~trace:true ~cfg ~seed:42 ~delay ~faults:Safe.no_faults schedule in
+  let rep = Safe.run ~trace:true ~cfg ~seed:42 ~delay schedule in
   Obs.Export.spans_jsonl rep.spans
 
 let regular_export () =
-  let rep =
-    Regular.run ~trace:true ~cfg ~seed:42 ~delay ~faults:Regular.no_faults
-      schedule
-  in
+  let rep = Regular.run ~trace:true ~cfg ~seed:42 ~delay schedule in
   Obs.Export.spans_jsonl rep.spans
 
 let read_golden name =
@@ -61,7 +58,7 @@ let test_matches_golden name export () =
 let test_metrics_two_runs_identical () =
   let collect () =
     let m = Obs.Metrics.create () in
-    ignore (Safe.run ~metrics:m ~cfg ~seed:42 ~delay ~faults:Safe.no_faults schedule);
+    ignore (Safe.run ~metrics:m ~cfg ~seed:42 ~delay schedule);
     Obs.Export.metrics_jsonl m
   in
   Alcotest.(check string) "metrics byte-identical" (collect ()) (collect ())

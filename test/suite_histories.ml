@@ -44,11 +44,13 @@ let test_recorder_basics () =
   Histories.Recorder.respond_write r w ~time:5;
   let rd = Histories.Recorder.invoke_read r ~time:10 ~reader:1 in
   Histories.Recorder.respond_read r rd ~time:15 (Histories.Op.Value "a");
-  Alcotest.(check int) "writes" 1 (Histories.Recorder.write_count r);
-  Alcotest.(check int) "reads" 1 (Histories.Recorder.read_count r);
+  let ops = Histories.Recorder.ops r in
+  let count p ops = List.length (List.filter p ops) in
+  Alcotest.(check int) "writes" 1 (count Histories.Op.is_write ops);
+  Alcotest.(check int) "reads" 1 (count Histories.Op.is_read ops);
   Alcotest.(check int) "complete reads" 1
-    (List.length (Histories.Recorder.complete_reads r));
-  match Histories.Recorder.ops r with
+    (count Histories.Op.is_read (Histories.Op.completed ops));
+  match ops with
   | [ w_op; r_op ] ->
       Alcotest.(check bool) "write precedes read" true (Histories.Op.precedes w_op r_op);
       Alcotest.(check bool) "not concurrent" false

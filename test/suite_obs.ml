@@ -234,7 +234,7 @@ let run_spans ~seed =
   let rep =
     S.run ~trace:true
       ~cfg:(Quorum.Config.optimal ~t:1 ~b:1)
-      ~seed ~delay:uniform ~faults:S.no_faults schedule
+      ~seed ~delay:uniform schedule
   in
   rep
 
@@ -268,16 +268,17 @@ let qcheck_span_times_match_outcomes =
     (fun seed ->
       let rep = run_spans ~seed in
       let completed = List.filter Obs.Span.completed rep.spans in
-      List.length completed = List.length rep.outcomes
+      let ops = Histories.Op.completed rep.history in
+      List.length completed = List.length ops
       && List.for_all
-           (fun (o : S.outcome) ->
+           (fun (op : string Histories.Op.t) ->
              List.exists
                (fun (sp : Obs.Span.t) ->
-                 sp.started_at = o.invoked_at
-                 && sp.completed_at = Some o.completed_at
-                 && sp.reported_rounds = Some o.rounds)
+                 sp.started_at = op.invoked_at
+                 && sp.completed_at = op.responded_at
+                 && sp.reported_rounds = op.rounds)
                completed)
-           rep.outcomes)
+           ops)
 
 (* ----- export determinism ----------------------------------------------- *)
 
@@ -293,7 +294,7 @@ let test_metrics_export_deterministic () =
     let rep =
       S.run ~metrics:m
         ~cfg:(Quorum.Config.optimal ~t:1 ~b:1)
-        ~seed:11 ~delay:uniform ~faults:S.no_faults schedule
+        ~seed:11 ~delay:uniform schedule
     in
     ignore rep;
     Obs.Export.metrics_jsonl ~labels:[ ("protocol", "safe") ] m

@@ -102,10 +102,7 @@ let spans_via_pool ~jobs =
         ~reads_per_reader:3 ~horizon:1_500
     in
     let rep =
-      Sc.run ~cfg ~seed
-        ~delay:(Sim.Delay.uniform ~lo:1 ~hi:10)
-        ~faults:{ Sc.crashes = []; byzantine = [] }
-        schedule
+      Sc.run ~cfg ~seed ~delay:(Sim.Delay.uniform ~lo:1 ~hi:10) schedule
     in
     Obs.Export.spans_jsonl rep.spans
   in

@@ -1,13 +1,13 @@
-(* Net.Record: engine events to per-key histories.  Every case feeds
-   synthetic Client.Keyed events, so no sockets are involved and the
-   stamps are exact. *)
+(* Core.Record: round-driver events to per-key histories.  Every case
+   feeds synthetic driver events, so no sockets or simulator are
+   involved and the stamps are exact. *)
 
-open Net.Client.Keyed
+open Core.Driver_ops
 
 let equal = String.equal
 
 let outcome ?(rounds = 1) value =
-  Ok { Net.Client.value; rounds; retransmits = 0; latency_us = 0 }
+  Ok { value; rounds; retransmits = 0; latency_us = 0 }
 
 let read_ok ?rounds v = outcome ?rounds (Some (Core.Value.v v))
 
@@ -24,7 +24,7 @@ let resp ?(joined = false) ~op ~reader at_us outcome =
 
 (* One client's log: the events of one run of [ops]. *)
 let feed r ops events =
-  List.iter (Net.Record.event (Net.Record.log r) ops) events
+  List.iter (Core.Record.event (Core.Record.log r) (Array.get ops)) events
 
 let write_a = [| Write { key = 0; value = Core.Value.v "a" } |]
 
@@ -34,7 +34,7 @@ let writer r ~inv_at ~resp_at =
     [ inv ~op:0 ~reader:0 inv_at; resp ~op:0 ~reader:0 resp_at write_ok ]
 
 let key0 r =
-  match Net.Record.histories r with
+  match Core.Record.histories r with
   | [ (0, h) ] -> h
   | hs ->
       Alcotest.failf "expected one key-0 history, got %d keys" (List.length hs)
@@ -45,7 +45,7 @@ let regularity h = List.length (Histories.Checks.check_regularity ~equal h)
 
 let writer_and_reader_logs_merge () =
   let run result =
-    let r = Net.Record.create () in
+    let r = Core.Record.create () in
     writer r ~inv_at:10 ~resp_at:20;
     feed r
       [| Read { key = 0 } |]
@@ -65,7 +65,7 @@ let writer_and_reader_logs_merge () =
 (* Equal stamps in different logs: the invocation goes first, so the
    read is concurrent with the write and may still return bottom. *)
 let tie_is_concurrent () =
-  let r = Net.Record.create () in
+  let r = Core.Record.create () in
   writer r ~inv_at:10 ~resp_at:20;
   feed r
     [| Read { key = 0 } |]
@@ -75,10 +75,27 @@ let tie_is_concurrent () =
     (Histories.Op.concurrent (List.nth h 0) (List.nth h 1));
   Alcotest.(check int) "bottom is safe" 0 (safety h);
   Alcotest.(check int) "bottom is regular" 0 (regularity h);
+  (* The same events in one log keep their order, ties included: the
+     write responds before the read is invoked, so it precedes the read
+     and the bottom read is a safety violation.  The simulator records
+     every process into one log and relies on this. *)
+  let r = Core.Record.create () in
+  feed r
+    [| write_a.(0); Read { key = 0 } |]
+    [
+      inv ~op:0 ~reader:0 10;
+      resp ~op:0 ~reader:0 20 write_ok;
+      inv ~op:1 ~reader:1 20;
+      resp ~op:1 ~reader:1 25 read_bottom;
+    ];
+  let h = key0 r in
+  Alcotest.(check bool) "one log: the write precedes the read" true
+    (Histories.Op.precedes (List.nth h 0) (List.nth h 1));
+  Alcotest.(check int) "one log: bottom is unsafe" 1 (safety h);
   (* The tied invocation sits behind a response of its own log at the
      same stamp: that response goes first, then the invocation, then the
      other log's response. *)
-  let r = Net.Record.create () in
+  let r = Core.Record.create () in
   writer r ~inv_at:10 ~resp_at:20;
   feed r
     [| Read { key = 0 }; Read { key = 0 } |]
@@ -96,7 +113,7 @@ let tie_is_concurrent () =
    same lane resumes it, and its response, with the rounds it reports,
    completes the original invocation. *)
 let resumed_op_responds_to_original () =
-  let r = Net.Record.create () in
+  let r = Core.Record.create () in
   feed r
     [| Read { key = 0 }; Read { key = 0 } |]
     [
@@ -115,7 +132,7 @@ let resumed_op_responds_to_original () =
   | h -> Alcotest.failf "expected one op, got %d" (List.length h)
 
 let unresumed_failure_is_not_wait_free () =
-  let r = Net.Record.create () in
+  let r = Core.Record.create () in
   writer r ~inv_at:0 ~resp_at:5;
   feed r
     [| Read { key = 0 } |]
@@ -130,7 +147,7 @@ let unresumed_failure_is_not_wait_free () =
    before either responds, so they are concurrent reads, and the joined
    one needs a reader id of its own. *)
 let joined_read_is_a_concurrent_reader () =
-  let r = Net.Record.create () in
+  let r = Core.Record.create () in
   writer r ~inv_at:0 ~resp_at:5;
   feed r
     [| Read { key = 0 }; Read { key = 0 } |]
@@ -228,7 +245,7 @@ let claimed h claim =
    WRITE(b): safe storage allows any value under a concurrent write,
    regular storage only b or c. *)
 let old_value_under_a_write_is_safe_not_regular () =
-  let r = Net.Record.create () in
+  let r = Core.Record.create () in
   writes r [ ("a", 10, 20); ("b", 30, 40); ("c", 50, 80) ];
   reads r ~reader:1 [ ("a", 60, 70) ];
   let h = key0 r in
@@ -238,7 +255,7 @@ let old_value_under_a_write_is_safe_not_regular () =
 (* Two reads overlap WRITE(b); the first returns b, the later one the
    older a.  Each is regular on its own, but the pair inverts. *)
 let new_old_inversion_is_regular_not_atomic () =
-  let r = Net.Record.create () in
+  let r = Core.Record.create () in
   writes r [ ("a", 10, 20); ("b", 30, 100) ];
   reads r ~reader:1 [ ("b", 40, 50) ];
   reads r ~reader:2 [ ("a", 60, 70) ];

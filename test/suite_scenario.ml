@@ -21,44 +21,36 @@ let basic_schedule =
     (500, Core.Schedule.Read { reader = 2 });
   ]
 
-let read_rounds outcomes =
-  List.filter_map
-    (fun (o : S.outcome) ->
-      match o.op with Core.Schedule.Read _ -> Some o.rounds | _ -> None)
-    outcomes
-
 let test_safe_crash_free () =
   let rep =
-    S.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed:1 ~delay:uniform
-      ~faults:S.no_faults basic_schedule
+    S.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed:1 ~delay:uniform basic_schedule
   in
-  Alcotest.(check int) "all ops complete" 7 (List.length rep.outcomes);
+  Alcotest.(check int) "all ops complete" 7 (Complete.count rep.history);
   Alcotest.(check bool) "safe" true (Histories.Checks.is_safe ~equal rep.history);
   Alcotest.(check bool) "regular" true
     (Histories.Checks.is_regular ~equal rep.history);
   Alcotest.(check bool) "reads within 2 rounds" true
-    (List.for_all (fun r -> r >= 1 && r <= 2) (read_rounds rep.outcomes))
+    (List.for_all (fun r -> r >= 1 && r <= 2) (Complete.read_rounds rep.history))
 
 let test_safe_with_crashes () =
   (* t = 2 crashes (one before, one mid-run) with b = 1 budgeted. *)
   let cfg = Quorum.Config.optimal ~t:2 ~b:1 in
   let faults =
-    { S.crashes = [ (Sim.Proc_id.Obj 1, 0); (Sim.Proc_id.Obj 5, 250) ]; byzantine = [] }
+    [
+      S.Crash { proc = Sim.Proc_id.Obj 1; at = 0 };
+      S.Crash { proc = Sim.Proc_id.Obj 5; at = 250 };
+    ]
   in
   let rep = S.run ~cfg ~seed:3 ~delay:uniform ~faults basic_schedule in
-  Alcotest.(check int) "wait-freedom despite crashes" 7 (List.length rep.outcomes);
+  Alcotest.(check int) "wait-freedom despite crashes" 7 (Complete.count rep.history);
   Alcotest.(check bool) "safe" true (Histories.Checks.is_safe ~equal rep.history)
 
 let test_safe_reader_crash_does_not_block_writer () =
   let cfg = Quorum.Config.optimal ~t:1 ~b:1 in
-  let faults = { S.crashes = [ (Sim.Proc_id.Reader 1, 105) ]; byzantine = [] } in
+  let faults = [ S.Crash { proc = Sim.Proc_id.Reader 1; at = 105 } ] in
   let rep = S.run ~cfg ~seed:4 ~delay:uniform ~faults basic_schedule in
   let writes_done =
-    List.length
-      (List.filter
-         (fun (o : S.outcome) ->
-           match o.op with Core.Schedule.Write _ -> true | _ -> false)
-         rep.outcomes)
+    Complete.count (List.filter Histories.Op.is_write rep.history)
   in
   Alcotest.(check int) "writes unaffected" 3 writes_done;
   Alcotest.(check bool) "history stays safe" true
@@ -81,14 +73,14 @@ let test_safe_under_every_strategy () =
     (fun (name, strat) ->
       let rep =
         S.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed:11 ~delay:uniform
-          ~faults:{ S.crashes = []; byzantine = [ (2, strat) ] }
+          ~faults:[ S.Byzantine { obj = 2; factory = strat } ]
           basic_schedule
       in
-      Alcotest.(check int) (name ^ ": completes") 7 (List.length rep.outcomes);
+      Alcotest.(check int) (name ^ ": completes") 7 (Complete.count rep.history);
       Alcotest.(check bool) (name ^ ": safe") true
         (Histories.Checks.is_safe ~equal rep.history);
       Alcotest.(check bool) (name ^ ": <= 2 rounds") true
-        (List.for_all (fun r -> r <= 2) (read_rounds rep.outcomes)))
+        (List.for_all (fun r -> r <= 2) (Complete.read_rounds rep.history)))
     all_strategies
 
 let test_safe_byzantine_plus_crash () =
@@ -96,13 +88,14 @@ let test_safe_byzantine_plus_crash () =
      one crash. *)
   let cfg = Quorum.Config.optimal ~t:2 ~b:1 in
   let faults =
-    {
-      S.crashes = [ (Sim.Proc_id.Obj 6, 150) ];
-      byzantine = [ (2, Fault.Strategies.forge_high_value ~value:"evil" ~ts_boost:9) ];
-    }
+    [
+      S.Crash { proc = Sim.Proc_id.Obj 6; at = 150 };
+      S.Byzantine
+        { obj = 2; factory = Fault.Strategies.forge_high_value ~value:"evil" ~ts_boost:9 };
+    ]
   in
   let rep = S.run ~cfg ~seed:17 ~delay:uniform ~faults basic_schedule in
-  Alcotest.(check int) "completes" 7 (List.length rep.outcomes);
+  Alcotest.(check int) "completes" 7 (Complete.count rep.history);
   Alcotest.(check bool) "safe" true (Histories.Checks.is_safe ~equal rep.history)
 
 let regular_strategies =
@@ -113,13 +106,13 @@ let regular_strategies =
     ("defame_history", Fault.Strategies.defame_history ~targets:[ 1; 3 ] ~boost:5);
   ]
 
-let run_regular ?(schedule = basic_schedule) ~faults () =
-  R.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed:23 ~delay:uniform ~faults
+let run_regular ?(schedule = basic_schedule) ?faults () =
+  R.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed:23 ~delay:uniform ?faults
     schedule
 
 let test_regular_crash_free () =
-  let rep = run_regular ~faults:R.no_faults () in
-  Alcotest.(check int) "completes" 7 (List.length rep.outcomes);
+  let rep = run_regular () in
+  Alcotest.(check int) "completes" 7 (Complete.count rep.history);
   Alcotest.(check bool) "regular" true
     (Histories.Checks.is_regular ~equal rep.history);
   Alcotest.(check bool) "atomic here (sequential reads)" true
@@ -128,8 +121,8 @@ let test_regular_crash_free () =
 let test_regular_under_every_strategy () =
   List.iter
     (fun (name, strat) ->
-      let rep = run_regular ~faults:{ R.crashes = []; byzantine = [ (3, strat) ] } () in
-      Alcotest.(check int) (name ^ ": completes") 7 (List.length rep.outcomes);
+      let rep = run_regular ~faults:[ R.Byzantine { obj = 3; factory = strat } ] () in
+      Alcotest.(check int) (name ^ ": completes") 7 (Complete.count rep.history);
       Alcotest.(check bool) (name ^ ": regular") true
         (Histories.Checks.is_regular ~equal rep.history))
     regular_strategies
@@ -137,8 +130,7 @@ let test_regular_under_every_strategy () =
 let test_optimized_matches_plain_results () =
   let schedule = basic_schedule in
   let run_o () =
-    O.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed:23 ~delay:uniform
-      ~faults:O.no_faults schedule
+    O.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed:23 ~delay:uniform schedule
   in
   let rep_o = run_o () in
   Alcotest.(check bool) "optimized regular" true
@@ -159,8 +151,8 @@ let test_optimized_sends_fewer_words () =
            ]))
   in
   let cfg = Quorum.Config.optimal ~t:1 ~b:1 in
-  let rep_plain = R.run ~cfg ~seed:5 ~delay:uniform ~faults:R.no_faults schedule in
-  let rep_opt = O.run ~cfg ~seed:5 ~delay:uniform ~faults:O.no_faults schedule in
+  let rep_plain = R.run ~cfg ~seed:5 ~delay:uniform schedule in
+  let rep_opt = O.run ~cfg ~seed:5 ~delay:uniform schedule in
   Alcotest.(check bool) "both regular" true
     (Histories.Checks.is_regular ~equal rep_plain.history
     && Histories.Checks.is_regular ~equal rep_opt.history);
@@ -178,10 +170,10 @@ let test_contention_storm () =
   in
   let rep =
     R.run ~cfg:(Quorum.Config.optimal ~t:2 ~b:2) ~seed:31
-      ~delay:(Sim.Delay.uniform ~lo:1 ~hi:30) ~faults:R.no_faults schedule
+      ~delay:(Sim.Delay.uniform ~lo:1 ~hi:30) schedule
   in
   Alcotest.(check int) "all complete" (List.length schedule)
-    (List.length rep.outcomes);
+    (Complete.count rep.history);
   Alcotest.(check bool) "regular under contention" true
     (Histories.Checks.is_regular ~equal rep.history)
 
@@ -196,12 +188,11 @@ let qcheck_safe_random_schedules =
           ~reads_per_reader:3 ~horizon:500
       in
       let rep =
-        S.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed ~delay:uniform
-          ~faults:S.no_faults schedule
+        S.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed ~delay:uniform schedule
       in
       Histories.Checks.is_safe ~equal rep.history
       && Histories.Checks.is_regular ~equal rep.history
-      && List.length rep.outcomes = List.length schedule)
+      && Complete.count rep.history = List.length schedule)
 
 let qcheck_safe_byzantine_random =
   QCheck.Test.make
@@ -216,14 +207,14 @@ let qcheck_safe_byzantine_random =
       let rep =
         S.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed ~delay:uniform
           ~faults:
-            {
-              S.crashes = [];
-              byzantine = [ (byz_obj, Fault.Strategies.random_garbage) ];
-            }
+            [
+              S.Byzantine
+                { obj = byz_obj; factory = Fault.Strategies.random_garbage };
+            ]
           schedule
       in
       Histories.Checks.is_safe ~equal rep.history
-      && List.length rep.outcomes = List.length schedule)
+      && Complete.count rep.history = List.length schedule)
 
 let qcheck_regular_byzantine_random =
   QCheck.Test.make
@@ -238,15 +229,17 @@ let qcheck_regular_byzantine_random =
       let rep =
         R.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed ~delay:uniform
           ~faults:
-            {
-              R.crashes = [];
-              byzantine =
-                [ (byz_obj, Fault.Strategies.forge_history ~value:"evil" ~ts_boost:3) ];
-            }
+            [
+              R.Byzantine
+                {
+                  obj = byz_obj;
+                  factory = Fault.Strategies.forge_history ~value:"evil" ~ts_boost:3;
+                };
+            ]
           schedule
       in
       Histories.Checks.is_regular ~equal rep.history
-      && List.length rep.outcomes = List.length schedule)
+      && Complete.count rep.history = List.length schedule)
 
 let qcheck_rounds_never_exceed_two =
   QCheck.Test.make ~name:"reads and writes never exceed two rounds" ~count:30
@@ -260,11 +253,10 @@ let qcheck_rounds_never_exceed_two =
       let rep =
         S.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed
           ~delay:(Sim.Delay.exponential ~mean:8.0)
-          ~faults:
-            { S.crashes = []; byzantine = [ (1, Fault.Strategies.random_garbage) ] }
+          ~faults:[ S.Byzantine { obj = 1; factory = Fault.Strategies.random_garbage } ]
           schedule
       in
-      List.for_all (fun (o : S.outcome) -> o.rounds <= 2) rep.outcomes)
+      List.for_all (fun r -> r <= 2) (Complete.rounds rep.history))
 
 let suite =
   ( "scenario",

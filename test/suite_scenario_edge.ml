@@ -23,32 +23,23 @@ let test_writer_crash_mid_write () =
       (400, Core.Schedule.Read { reader = 2 });
     ]
   in
-  let faults = { R.crashes = [ (Sim.Proc_id.Writer, 203) ]; byzantine = [] } in
+  let faults = [ R.Crash { proc = Sim.Proc_id.Writer; at = 203 } ] in
   let rep =
     R.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed:13 ~delay:uniform ~faults
       schedule
   in
-  let completed_reads =
-    List.length
-      (List.filter
-         (fun (o : R.outcome) ->
-           match o.op with Core.Schedule.Read _ -> true | _ -> false)
-         rep.outcomes)
-  in
+  let reads = Complete.reads rep.history in
   Alcotest.(check int) "all reads complete despite writer crash" 3
-    completed_reads;
+    (List.length reads);
   Alcotest.(check bool) "regular" true
     (Histories.Checks.is_regular ~equal rep.history);
   (* each read returned v1 or v2 (both written or being written) *)
   List.iter
-    (fun (o : R.outcome) ->
-      match (o.op, o.result) with
-      | Core.Schedule.Read _, Some v ->
-          Alcotest.(check bool) "plausible value" true
-            (Core.Value.equal v (Core.Value.v "v1")
-            || Core.Value.equal v (Core.Value.v "v2"))
-      | _ -> ())
-    rep.outcomes
+    (fun op ->
+      Alcotest.(check bool) "plausible value" true
+        (List.mem (Histories.Op.read_result op)
+           [ Some (Value "v1"); Some (Value "v2") ]))
+    reads
 
 let test_writer_crash_before_any_ack () =
   (* Crash at the instant of the first write's invocation: no object may
@@ -59,22 +50,18 @@ let test_writer_crash_before_any_ack () =
       (100, Core.Schedule.Read { reader = 1 });
     ]
   in
-  let faults = { S.crashes = [ (Sim.Proc_id.Writer, 10) ]; byzantine = [] } in
+  let faults = [ S.Crash { proc = Sim.Proc_id.Writer; at = 10 } ] in
   let rep =
     S.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed:14 ~delay:uniform ~faults
       schedule
   in
-  match
-    List.find_opt
-      (fun (o : S.outcome) ->
-        match o.op with Core.Schedule.Read _ -> true | _ -> false)
-      rep.outcomes
-  with
-  | Some o ->
-      Alcotest.(check bool) "read terminated" true (o.completed_at > 0);
+  match Complete.reads rep.history with
+  | op :: _ ->
+      Alcotest.(check bool) "read terminated" true
+        (Option.get op.responded_at > 0);
       Alcotest.(check bool) "returned bottom" true
-        (o.result = Some Core.Value.bottom)
-  | None -> Alcotest.fail "read did not complete"
+        (Histories.Op.read_result op = Some Bottom)
+  | [] -> Alcotest.fail "read did not complete"
 
 let test_optimized_reads_are_monotone_per_reader () =
   (* Session guarantee of the S5.1 cache: a reader never observes an
@@ -89,20 +76,16 @@ let test_optimized_reads_are_monotone_per_reader () =
          ~horizon:650)
   in
   let rep =
-    O.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed:15 ~delay:uniform
-      ~faults:O.no_faults schedule
+    O.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed:15 ~delay:uniform schedule
   in
   let index_of = function
-    | Core.Value.Bottom -> 0
-    | Core.Value.V s -> int_of_string (String.sub s 1 (String.length s - 1))
+    | Some Histories.Op.Bottom | None -> 0
+    | Some (Value s) -> int_of_string (String.sub s 1 (String.length s - 1))
   in
   let reads =
-    List.filter_map
-      (fun (o : O.outcome) ->
-        match (o.op, o.result) with
-        | Core.Schedule.Read _, Some v -> Some (index_of v)
-        | _ -> None)
-      rep.outcomes
+    List.map
+      (fun op -> index_of (Histories.Op.read_result op))
+      (Complete.reads rep.history)
   in
   Alcotest.(check bool) "several reads happened" true (List.length reads >= 5);
   let rec monotone = function
@@ -126,18 +109,14 @@ let test_read_burst_races () =
          (Workload.Generate.read_burst ~readers:5 ~reads_per_reader:2 ~at:60))
   in
   let rep =
-    R.run ~cfg:(Quorum.Config.optimal ~t:2 ~b:1) ~seed:16 ~delay:uniform
-      ~faults:R.no_faults schedule
+    R.run ~cfg:(Quorum.Config.optimal ~t:2 ~b:1) ~seed:16 ~delay:uniform schedule
   in
   Alcotest.(check int) "all ops complete" (List.length schedule)
-    (List.length rep.outcomes);
+    (Complete.count rep.history);
   Alcotest.(check bool) "regular" true
     (Histories.Checks.is_regular ~equal rep.history);
   Alcotest.(check bool) "reads within two rounds" true
-    (List.for_all
-       (fun (o : R.outcome) ->
-         match o.op with Core.Schedule.Read _ -> o.rounds <= 2 | _ -> true)
-       rep.outcomes)
+    (List.for_all (fun r -> r <= 2) (Complete.read_rounds rep.history))
 
 let test_report_determinism () =
   let go () =
@@ -148,27 +127,25 @@ let test_report_determinism () =
     in
     let rep =
       S.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed:17 ~delay:uniform
-        ~faults:
-          { S.crashes = []; byzantine = [ (1, Fault.Strategies.random_garbage) ] }
+        ~faults:[ S.Byzantine { obj = 1; factory = Fault.Strategies.random_garbage } ]
         schedule
     in
-    List.map
-      (fun (o : S.outcome) -> (o.invoked_at, o.completed_at, o.rounds, o.result))
-      rep.outcomes
+    rep.history
   in
-  Alcotest.(check bool) "identical outcome streams" true (go () = go ())
+  Alcotest.(check bool) "identical histories" true (go () = go ())
 
 let test_different_seed_differs () =
   let go seed =
     let rep =
       S.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed ~delay:uniform
-        ~faults:S.no_faults
         [
           (0, Core.Schedule.Write (Core.Value.v "v1"));
           (50, Core.Schedule.Read { reader = 1 });
         ]
     in
-    List.map (fun (o : S.outcome) -> o.completed_at) rep.outcomes
+    List.map
+      (fun (op : string Histories.Op.t) -> op.responded_at)
+      (Histories.Op.completed rep.history)
   in
   Alcotest.(check bool) "different seeds give different timings" true
     (go 1 <> go 2)
@@ -177,10 +154,20 @@ let test_max_events_guard () =
   (* A tiny budget stops the run midway without raising. *)
   let rep =
     S.run ~max_events:5 ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed:18
-      ~delay:uniform ~faults:S.no_faults
+      ~delay:uniform
       [ (0, Core.Schedule.Write (Core.Value.v "v1")) ]
   in
   Alcotest.(check int) "events capped" 5 rep.events_processed
+
+(* A start the automaton refuses is a misuse of the protocol, not a
+   fault: the run raises rather than record the op as open. *)
+let test_refused_start_raises () =
+  Alcotest.check_raises "writing bottom"
+    (Invalid_argument "Scenario: writer_start: bottom is not a valid input value")
+    (fun () ->
+      ignore
+        (S.run ~cfg:(Quorum.Config.optimal ~t:1 ~b:1) ~seed:19 ~delay:uniform
+           [ (0, Core.Schedule.Write Core.Value.bottom) ]))
 
 let suite =
   ( "scenario-edge",
@@ -194,4 +181,6 @@ let suite =
       Alcotest.test_case "report determinism" `Quick test_report_determinism;
       Alcotest.test_case "different seed differs" `Quick test_different_seed_differs;
       Alcotest.test_case "max_events guard" `Quick test_max_events_guard;
+      Alcotest.test_case "a refused start raises" `Quick
+        test_refused_start_raises;
     ] )
