@@ -13,8 +13,8 @@
       that finished in a single round — the paper's fast-read rate,
       now measured over a transport that can actually reorder replies;
    3. aggregate READ throughput with each reader count in E14_READERS,
-      every reader a paper process with an engine of its own, driven
-      from its own thread.
+      every reader a paper process with an engine of its own, all of
+      them polled from one loop.
 
    Every cell's history — each write, read and concurrent read — is
    then checked against the property the protocol claims, and each
@@ -102,26 +102,23 @@ let run () =
             List.map
               (fun r ->
                 let per = max 1 (ops / r) in
-                let failures = Atomic.make 0 in
-                let body j () =
-                  for _ = 1 to per do
-                    match Exp_common.run_one readers.(j - 1) Exp_common.read0 with
-                    | Ok _ -> ()
-                    | Error _ -> Atomic.incr failures
-                  done
+                let check = function
+                  | Net.Client.Keyed.Respond { outcome; _ } ->
+                      ignore (ok_exn (name ^ " concurrent read") outcome)
+                  | Net.Client.Keyed.Invoke _ -> ()
                 in
+                let engines = List.init r (fun j -> (readers.(j), check)) in
                 let t0 = Exp_common.now_s () in
-                let threads =
-                  List.init r (fun j -> Thread.create (body (j + 1)) ())
-                in
-                List.iter Thread.join threads;
-                let wall = Exp_common.now_s () -. t0 in
-                if Atomic.get failures > 0 then begin
-                  Printf.eprintf "E14: %s: %d concurrent reads failed\n" name
-                    (Atomic.get failures);
-                  exit 1
-                end;
-                (r, r * per, wall))
+                (* a one-lane engine starts each read once the last has
+                   responded *)
+                List.iter
+                  (fun (e, _) ->
+                    for _ = 1 to per do
+                      ignore (Net.Cluster.submit e Exp_common.read0)
+                    done)
+                  engines;
+                Net.Cluster.drive cluster engines [];
+                (r, r * per, Exp_common.now_s () -. t0))
               reader_counts
           in
           let ran = List.fold_left (fun n (_, k, _) -> n + k) (writes + ops) sweep in

@@ -12,8 +12,8 @@
                     unless a lie or an overlapping write blocks it), and
      S = 2t+2b+1   (every read decides on round 1, lies included).
 
-   Per configuration it sweeps write contention — a writer thread issues
-   W concurrent writes while the reader runs E17_READS reads — and
+   Per configuration it sweeps write contention — the writer issues W
+   writes, 1 ms apart, while the reader runs E17_READS reads — and
    reports rounds-per-read (from the automaton-reported outcome.rounds),
    the op.fast_reads / op.fallback_rounds counter pair, the Read2
    requests the client sent per read (wire.read.r2.req.sent), read
@@ -46,7 +46,8 @@ let ok_exn what r = Exp_common.ok_exn "E17" what r
 
 (* One cell: a fresh cluster (clean history and registry), an initial
    write plus a cache-warming read, then [reads] measured reads with
-   [writes] concurrent writes racing them from a second thread. *)
+   [writes] concurrent writes racing them on the writer's engine, both
+   polled from one loop. *)
 let run_cell ~transport ~cfg ~reads ~writes =
   let protocol = Net.Protocols.regular_gc ~readers:1 in
   let cluster =
@@ -66,34 +67,29 @@ let run_cell ~transport ~cfg ~reads ~writes =
           "wire.read.r2.req.sent"
       in
       let read2_before = read2_sent () in
-      let writer_th =
-        if writes = 0 then None
-        else
-          Some
-            (Thread.create
-               (fun () ->
-                 for i = 1 to writes do
-                   (match write (Printf.sprintf "e17.v%d" i) with
-                   | Ok _ -> ()
-                   | Error e ->
-                       Printf.eprintf "E17: concurrent write %d failed: %s\n" i e;
-                       exit 1);
-                   (* spread the writes across the read window so
-                      contention is sustained, not front-loaded *)
-                   Thread.delay 0.001
-                 done)
-               ())
+      let rounds = ref [] in
+      let on_event = function
+        | Net.Client.Keyed.Respond { op; write; outcome; _ } ->
+            let what = if write then "concurrent write" else "read" in
+            let o = ok_exn (Printf.sprintf "%s %d" what op) outcome in
+            if not write then rounds := o.Net.Client.rounds :: !rounds
+        | Net.Client.Keyed.Invoke _ -> ()
       in
-      let round_sum = ref 0 in
-      let min_rounds = ref max_int in
-      let max_rounds = ref 0 in
-      for i = 1 to reads do
-        let o = ok_exn (Printf.sprintf "read %d" i) (read ()) in
-        round_sum := !round_sum + o.Net.Client.rounds;
-        if o.Net.Client.rounds < !min_rounds then min_rounds := o.Net.Client.rounds;
-        if o.Net.Client.rounds > !max_rounds then max_rounds := o.Net.Client.rounds
+      (* The reads go back to back on the reader's one lane and the
+         writes 1 ms apart, so contention is sustained, not
+         front-loaded. *)
+      for _ = 1 to reads do
+        ignore (Net.Cluster.submit readers.(0) Exp_common.read0)
       done;
-      (match writer_th with Some th -> Thread.join th | None -> ());
+      let t0 = Net.Cluster.now_us cluster in
+      Net.Cluster.drive cluster
+        [ (writer, on_event); (readers.(0), on_event) ]
+        (List.init writes (fun k ->
+             ( t0 + (k * 1000),
+               fun () ->
+                 ignore
+                   (Net.Cluster.submit writer
+                      (Exp_common.write0 (Printf.sprintf "e17.v%d" (k + 1)))) )));
       let read2_per_read =
         float_of_int (read2_sent () - read2_before) /. float_of_int reads
       in
@@ -105,9 +101,9 @@ let run_cell ~transport ~cfg ~reads ~writes =
       in
       let reg = Net.Cluster.metrics cluster in
       let lat = Obs.Metrics.find_histogram reg "op.read.latency_us" in
-      ( float_of_int !round_sum /. float_of_int reads,
-        !min_rounds,
-        !max_rounds,
+      ( float_of_int (List.fold_left ( + ) 0 !rounds) /. float_of_int reads,
+        List.fold_left min max_int !rounds,
+        List.fold_left max 0 !rounds,
         Obs.Metrics.counter_value reg "op.fast_reads",
         Obs.Metrics.counter_value reg "op.fallback_rounds",
         Exp_common.quantile_or_zero lat 50.,

@@ -9,21 +9,23 @@
    domain-local and no connection or automaton crosses domains.
 
    Load comes from E18_CLIENTS in-process client domains, each driving
-   its own pipelined client (disjoint reader-id ranges, E18_INFLIGHT ops in
-   flight) against the shared group; all client domains start each
-   timed pass on an atomic barrier.  For each domain count:
+   its own engine of the cluster (Net.Cluster.engine: disjoint reader-id
+   ranges, E18_INFLIGHT lanes and ops in flight) against the shared
+   group; all client domains start each timed pass on an atomic barrier.
+   For each domain count:
 
    1. throughput: total ops/s across client domains (the cell's wall is
       the slowest domain's) and per-op latency p50/p99;
    2. correctness: every op must return the seeded value, and every
       op of every client domain -- warm-up and seeding write included --
-      is recorded through Core.Record (one log per domain, so recording
+      is recorded by Net.Cluster.run (one log per engine, so recording
       never serializes the domains) into one history that, with every
       op's rounds, must pass the safe protocol's table row: safety and
       at most 2 rounds per op ("all_ops_checked": the history's complete
       ops equal the ops that completed);
-   3. wire efficiency: the merged per-object server registries must show
-      wire.batch_size p50 > 1 (scale-out must not destroy coalescing);
+   3. wire efficiency: the servers' wire.batch_size in the cluster's
+      merged registry must show p50 > 1 (scale-out must not destroy
+      coalescing); the engines' own flushes are net.client.batch_size;
    4. partitioning: Server.partition_violations must stay 0 (no base
       object stepped outside its owning domain).
 
@@ -85,38 +87,23 @@ let run () =
       let cluster =
         Net.Cluster.start ~transport ~domains:nd ~protocol ~cfg ()
       in
-      (* One client per client domain, created once per cell: reader ids
+      (* One engine per client domain, taken once per cell: reader ids
          stay unique for the group's lifetime (base objects keep
          per-reader round state) and trials after the first run warm.
-         They are bare clients, not the cluster's engines, so they keep
-         no registry; each domain records into a log of its own. *)
-      let record = Core.Record.create () in
-      let map = Shard.Map.single cfg in
-      let keyeds =
-        Array.init clients (fun c ->
-            Net.Client.Keyed.connect
-              ~now_us:(fun () -> Net.Cluster.now_us cluster)
-              ~max_inflight:inflight
-              ~reader:(1 + (c * inflight))
-              ~readers:inflight ~protocol ~map
-              (Net.Cluster.endpoints cluster))
-      in
-      let logs = Array.map (fun _ -> Core.Record.log record) keyeds in
-      let run c kops =
-        Net.Client.Keyed.run_ops
-          ~on_event:(Core.Record.event logs.(c) (Array.get kops))
-          keyeds.(c) kops
+         Each records into a log and meters into a registry of its own. *)
+      let engines =
+        Array.init clients (fun _ ->
+            Net.Cluster.engine ~lanes:inflight ~inflight cluster)
       in
       (* Seed one write so every read returns a real value. *)
-      let seed =
-        [| Net.Client.Keyed.Write { key = 0; value = Core.Value.v "e18" } |]
-      in
-      ignore (Exp_common.ok_exn "E18" "seed write" (run 0 seed).(0));
-      let reads = Array.make ops (Net.Client.Keyed.Read { key = 0 }) in
+      ignore
+        (Exp_common.ok_exn "E18" "seed write"
+           (Exp_common.run_one engines.(0) (Exp_common.write0 "e18")));
+      let reads = Array.make ops Exp_common.read0 in
       let pass n =
         Exec.Pool.timed clients (fun c ->
             let kops = Array.sub reads 0 n in
-            fun () -> run c kops)
+            fun () -> Net.Cluster.run engines.(c) kops)
       in
       (* untimed warmup: connections, hellos, first automaton steps *)
       let completed =
@@ -154,13 +141,12 @@ let run () =
         | Some (_, r, _) when r >= rate -> ()
         | _ -> best := Some (wall, rate, lat)
       done;
-      Array.iter Net.Client.Keyed.close keyeds;
       Net.Cluster.stop cluster;
       let partition = Net.Cluster.partition_violations cluster in
       let merged = Net.Cluster.metrics cluster in
       let verdict =
-        Fault.Campaign.judge Safe ~quiescent:true ~completed:!completed
-          ~total:(!completed + !failures) (Core.Record.histories record)
+        Exp_common.judge_cluster Safe cluster ~completed:!completed
+          ~total:(!completed + !failures)
       in
       let violations = Fault.Campaign.breaches verdict
       and checked = verdict.checked in

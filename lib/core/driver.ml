@@ -215,6 +215,8 @@ let submit d op =
   d.ops.(d.n) <- op;
   d.n <- d.n + 1
 
+let submitted d = d.n
+
 let op d i = d.ops.(i)
 
 let finished d = d.completed >= d.n

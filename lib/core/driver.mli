@@ -87,6 +87,9 @@ val load : ('m, 'r, 'w) t -> on_event:(event -> unit) -> kop array -> unit
 val submit : ('m, 'r, 'w) t -> kop -> unit
 (** Append one operation. *)
 
+val submitted : ('m, 'r, 'w) t -> int
+(** The operations so far: they are numbered [0 .. submitted d - 1]. *)
+
 val op : ('m, 'r, 'w) t -> int -> kop
 
 val finished : ('m, 'r, 'w) t -> bool

@@ -131,9 +131,10 @@ let try_connect ~reg ~on_reconnect ~codec ~proto_name ~proc c =
 (* The socket side of the one client engine: one connection per fleet
    server, [Hello] and cache resync on (re)connect, decode with the
    sender -> lane lookup, per-connection batched flushes, and one
-   [select] loop.  The round logic is {!Core.Driver}'s; this loop feeds
-   it replies, lost connections and the time.  Fleet slot [i] is
-   connection [i], whose object index is [i + 1]. *)
+   [select] loop, [poll], which can turn for several engines at once.
+   The round logic is {!Core.Driver}'s; this loop feeds it replies, lost
+   connections and the time.  Fleet slot [i] is connection [i], whose
+   object index is [i + 1]. *)
 
 module Keyed = struct
   include Core.Driver_ops
@@ -150,6 +151,7 @@ module Keyed = struct
     session : string;
     reader : int;
     readers : int;
+    mutable on_event : event -> unit;  (* the handler of the current [poll] *)
   }
 
   type t = Engine : ('m, 'r, 'w) engine -> t
@@ -191,7 +193,9 @@ module Keyed = struct
     let conns = Array.mapi mk_conn endpoints in
     let h name bounds = Obs.Metrics.histogram metrics name ~bounds in
     let wire = Obs.Metrics.wire metrics P.msg_class in
-    let bytes_per_frame = h "wire.bytes_per_frame" Obs.Metrics.bytes_bounds in
+    let bytes_per_frame =
+      h "net.client.bytes_per_frame" Obs.Metrics.bytes_bounds
+    in
     let append_key c ~key ~sender m =
       if c.fd <> None then begin
         let before = Codec.Out.length c.out in
@@ -234,20 +238,24 @@ module Keyed = struct
         ~fanout:(Quorum.Config.quorum (Shard.Map.cfg map))
         ~reader ~readers
     in
-    Engine
+    let e =
       {
         drv;
         codec;
         proto_name = P.name;
         conns;
         reg = metrics;
-        batch_size = h "wire.batch_size" Obs.Metrics.batch_bounds;
-        flush_us = h "wire.flush_us" Obs.Metrics.wallclock_bounds;
+        batch_size = h "net.client.batch_size" Obs.Metrics.batch_bounds;
+        flush_us = h "net.client.flush_us" Obs.Metrics.wallclock_bounds;
         now_us;
         session = Option.value session ~default:("r" ^ string_of_int reader);
         reader;
         readers;
+        on_event = ignore;
       }
+    in
+    Core.Driver.load drv ~on_event:(fun ev -> e.on_event ev) [||];
+    Engine e
 
   let drop e c =
     if c.fd <> None then begin
@@ -339,7 +347,7 @@ module Keyed = struct
   (* How long [select] may wait: until the driver's next timer, and,
      while a round is in flight, until the next reconnect attempt; at
      most a second. *)
-  let timeout e =
+  let max_wait e =
     let now = e.now_us () and wake = Core.Driver.next_wakeup e.drv in
     let t = Float.min 1.0 (float_of_int (wake - now) *. 1e-6) in
     let t =
@@ -353,45 +361,69 @@ module Keyed = struct
     in
     Float.max 0. t
 
-  let run_ops ?on_event (Engine e) ops =
-    let n = Array.length ops in
-    let results = Array.make (max n 1) (Error "operation not run") in
-    let on_event ev =
-      (match ev with
-      | Respond { op; outcome; _ } -> results.(op) <- outcome
-      | Invoke _ -> ());
-      match on_event with Some f -> f ev | None -> ()
-    in
-    Core.Driver.load e.drv ~on_event ops;
-    let rec pump () =
-      if not (Core.Driver.finished e.drv) then begin
+  let submit (Engine e) op =
+    Core.Driver.submit e.drv op;
+    Core.Driver.submitted e.drv - 1
+
+  let idle (Engine e) = Core.Driver.finished e.drv
+
+  let op (Engine e) i = Core.Driver.op e.drv i
+
+  (* Unless no engine has an op outstanding, one [select] waits for the
+     replies of them all. *)
+  let poll engines ~timeout =
+    List.iter
+      (fun (Engine e, on_event) ->
+        e.on_event <- on_event;
         (* connect before starting ops: a round only reaches endpoints
            that already have a live fd *)
         ensure_conns e (now_s ());
         Core.Driver.pump e.drv ~now:(e.now_us ());
         flush_all e;
-        Core.Driver.flushed e.drv;
-        if not (Core.Driver.finished e.drv) then begin
-          let fds = Array.to_list e.conns |> List.filter_map (fun c -> c.fd) in
-          let timeout = timeout e in
-          (if fds = [] then idle_wait timeout
-           else
-             match Unix.select fds [] [] timeout with
-             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-             | ready, _, _ ->
-                 List.iter
-                   (fun fd ->
-                     Array.iter
-                       (fun c -> if c.fd = Some fd then handle_conn e c)
-                       e.conns)
-                   ready);
-          Core.Driver.tick e.drv ~now:(e.now_us ());
-          pump ()
-        end
-      end
+        Core.Driver.flushed e.drv)
+      engines;
+    if not (List.for_all (fun (t, _) -> idle t) engines) then begin
+      let conns =
+        List.fold_right
+          (fun (Engine e, _) acc ->
+            Array.fold_right
+              (fun c acc ->
+                match c.fd with
+                | Some fd -> (fd, fun () -> handle_conn e c) :: acc
+                | None -> acc)
+              e.conns acc)
+          engines []
+      in
+      let timeout =
+        List.fold_left
+          (fun t (Engine e, _) -> Float.min t (max_wait e))
+          timeout engines
+      in
+      (match conns with
+      | [] -> idle_wait timeout
+      | _ -> (
+          match Unix.select (List.map fst conns) [] [] timeout with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+          | ready, _, _ -> List.iter (fun fd -> (List.assoc fd conns) ()) ready));
+      List.iter
+        (fun (Engine e, _) -> Core.Driver.tick e.drv ~now:(e.now_us ()))
+        engines
+    end
+
+  let run_ops ?(on_event = ignore) (Engine e as t) ops =
+    let results = Array.make (Array.length ops) (Error "operation not run") in
+    let on_event ev =
+      (match ev with
+      | Respond { op; outcome; _ } -> results.(op) <- outcome
+      | Invoke _ -> ());
+      on_event ev
     in
-    pump ();
-    if n = 0 then [||] else results
+    Core.Driver.load e.drv ~on_event:(fun ev -> e.on_event ev) ops;
+    let engines = [ (t, on_event) ] in
+    while not (idle t) do
+      poll engines ~timeout:1.0
+    done;
+    results
 
   let close (Engine e) = Array.iter (drop_conn ~reg:e.reg) e.conns
 end

@@ -14,8 +14,8 @@
 
     The round logic is {!Core.Driver}'s, the same driver the simulator
     steps ({!Core.Scenario}); [Keyed] is its socket host: dial, [Hello],
-    cache resync, decode, flush and one [select] loop.  The wire uses
-    what the simulator never needs:
+    cache resync, decode, flush and one [select] loop ({!Keyed.poll}).
+    The wire uses what the simulator never needs:
 
     - {b per-round deadlines} — if a round does not complete within
       [deadline], the round's message is retransmitted (the state
@@ -31,7 +31,9 @@
       (microsecond timestamps), handed to the caller in its [Respond]
       event, and, with [metrics], populates the same [op.*] / [wire.*]
       metric families as the simulator, plus [op.fast_reads] (reported
-      rounds <= 1, the §5.1 fast path) or [op.fallback_rounds];
+      rounds <= 1, the §5.1 fast path) or [op.fallback_rounds], and its
+      flushes as [net.client.{batch_size,flush_us,bytes_per_frame}]
+      (a server's are [wire.*]);
     - {b cache resync} — a re-established connection may front a
       restarted, possibly wiped server, so every reader machine resyncs
       ({!Core.Driver.reconnected}, counted as [op.cache_resyncs]):
@@ -125,18 +127,37 @@ module Keyed : sig
       @raise Invalid_argument if [endpoints] does not match the map's
       fleet, [reader < 1] or [readers < 1]. *)
 
+  val submit : t -> kop -> int
+  (** Append an op and return its number; it starts at a later {!poll},
+      under the window and behind the ops queued on its key and role. *)
+
+  val poll : (t * (event -> unit)) list -> timeout:float -> unit
+  (** One turn of the event loop over distinct engines, each with the
+      handler of its events: each connects, starts what it can and
+      flushes; then, unless none has an op outstanding, one [select]
+      over all their connections waits at most [timeout] seconds (less
+      if an engine's timer or reconnect is due sooner), and replies and
+      timers run. *)
+
+  val idle : t -> bool
+  (** Every op submitted so far has responded. *)
+
+  val op : t -> int -> kop
+  (** Op [i]: the lookup {!Core.Record.event} takes. *)
+
   val run_ops :
     ?on_event:(event -> unit) ->
     t ->
     kop array ->
     (outcome, string) result array
-  (** [run_ops t ops] drives every operation to completion (or timeout);
-      result [i] is operation [i]'s outcome.  [on_event] observes
-      invocations and responses in real time (for per-key history
-      recording).  A timed-out operation parks its machine mid-round —
-      the automata have no abort — and the next operation on that (key,
-      role) resumes it; a resumed {e write} completes the parked round,
-      so the resuming write's own value is not what gets written. *)
+  (** [run_ops t ops] numbers [ops] from 0, then {!poll}s an idle [t]
+      until it is idle again; result [i] is operation [i]'s outcome.
+      [on_event] observes invocations and responses in real time (for
+      per-key history recording).  A timed-out operation parks its
+      machine mid-round — the automata have no abort — and the next
+      operation on that (key, role) resumes it; a resumed {e write}
+      completes the parked round, so the resuming write's own value is
+      not what gets written. *)
 
   val close : t -> unit
 end

@@ -107,11 +107,41 @@ let processes t ~readers =
   let rs = Array.init readers (fun _ -> take t) in
   (take ~session:"w" t, rs)
 
+(* Every event goes into the engine's log before the caller sees it. *)
+let recorded e on_event =
+  let op = Client.Keyed.op e.client in
+  fun ev ->
+    Core.Record.event e.log op ev;
+    on_event ev
+
 let run ?(on_event = ignore) e ops =
-  let op = Array.get ops in
-  Client.Keyed.run_ops e.client ops ~on_event:(fun ev ->
-      Core.Record.event e.log op ev;
-      on_event ev)
+  Client.Keyed.run_ops e.client ops ~on_event:(recorded e on_event)
+
+let submit e op = Client.Keyed.submit e.client op
+
+(* While no engine has an op outstanding, [poll] returns at once, so the
+   wait for the next action is a sleep. *)
+let drive t engines timeline =
+  let engines =
+    List.map (fun (e, on_event) -> (e.client, recorded e on_event)) engines
+  in
+  let idle () = List.for_all (fun (c, _) -> Client.Keyed.idle c) engines in
+  let rec go = function
+    | (at, act) :: rest when now_us t >= at ->
+        act ();
+        go rest
+    | [] when idle () -> ()
+    | timeline ->
+        let timeout =
+          match timeline with
+          | [] -> 1.0
+          | (at, _) :: _ -> Float.max 0. (float_of_int (at - now_us t) *. 1e-6)
+        in
+        if idle () then Unix.sleepf timeout
+        else Client.Keyed.poll engines ~timeout;
+        go timeline
+  in
+  go (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) timeline)
 
 let keyed_histories t = Core.Record.histories t.record
 

@@ -4,11 +4,11 @@
     This is the live counterpart of {!Core.Scenario}: it hosts the S
     base objects in one {!Server.start_group} (Unix-domain sockets in a
     private temp directory by default, TCP on demand) and hands out
-    {!Client.Keyed} engines on their endpoints.  {!run} is the one way
-    to run operations: it drives an engine and records every event the
-    engine emits through {!Core.Record}, so the paper's
-    safety/regularity/wait-freedom checkers run on live histories
-    exactly as they do on simulated ones.  A cluster carries its
+    {!Client.Keyed} engines on their endpoints.  {!run} and {!drive}
+    drive engines and record every event they emit through
+    {!Core.Record}, so the paper's safety/regularity/wait-freedom
+    checkers run on live histories exactly as they do on simulated
+    ones.  A cluster carries its
     keyspace: the map it starts with fixes the fleet it hosts and where
     every engine places keys, so every operation on a key, from any
     engine, lands in that key's one history.  The default map is
@@ -18,8 +18,8 @@
     one-lane engine ({!processes}), pipelined reads are one engine with
     [inflight] lanes, and a keyspace run starts its cluster with
     [~map].  A caller keeps its engine across calls, so an operation
-    that timed out parks its automaton and the next {!run} on that
-    engine resumes it.
+    that timed out parks its automaton and the next op on that engine
+    resumes it.
 
     Chaos hooks mirror the fault campaign's actions: {!crash} kills a
     server's sockets mid-flight (the stand-in for a killed process),
@@ -81,7 +81,7 @@ val processes : t -> readers:int -> engine * engine array
     and connection [Hello]s name it ["r<j>"]; the writer's name it
     ["w"].  A {!Chaos} rule aimed at one process therefore matches that
     process's frames only.  Processes that race each other are driven
-    from one thread each.
+    from one loop: {!submit} each one's ops and {!drive} them together.
     @raise Invalid_argument if the cluster has already handed out an
     engine (reader ids 1..[readers] must be free). *)
 
@@ -94,6 +94,20 @@ val run :
     key's history at its real invoke/respond instant.  [on_event] sees
     every event after it is recorded, from the engine's event loop — a
     fault injected there lands while operations are in flight. *)
+
+val submit : engine -> Client.Keyed.kop -> int
+(** {!Client.Keyed.submit}: the op starts once {!drive} polls its
+    engine. *)
+
+val drive :
+  t ->
+  (engine * (Client.Keyed.event -> unit)) list ->
+  (int * (unit -> unit)) list ->
+  unit
+(** [drive t engines timeline] runs each [(at, action)] at {!now_us}
+    [at], in time then list order, and {!Client.Keyed.poll}s the
+    engines in between, every event recorded as {!run} records it, until
+    every action has run and every op has responded. *)
 
 val keyed_histories : t -> (int * string Histories.Op.t list) list
 (** {!Core.Record.histories} of every engine so far: one history per key
@@ -137,10 +151,8 @@ val endpoints : t -> Endpoint.t array
 
 val now_us : t -> int
 (** The cluster's shared microsecond clock, monotonic since {!start}:
-    the one histories, spans and {!Chaos} rule windows are stamped
-    against.  A bare client logging into the same history as the
-    cluster's engines stamps with it too
-    ([Client.Keyed.connect ~now_us:(fun () -> Cluster.now_us c)]). *)
+    the one histories, spans, {!drive} timelines and {!Chaos} rule
+    windows are stamped against. *)
 
 val spans : t -> Obs.Span.t list
 (** Every span the engines' ops started, each once: engines in the order

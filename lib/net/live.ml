@@ -28,11 +28,10 @@ let protocol_of : Fault.Campaign.protocol -> Protocols.t option = function
 
 (* ----- compiling a plan into live faults --------------------------------- *)
 
-(* What a plan compiles to before the cluster exists: timed server
-   events for the driver thread, and per-object rules whose windows are
-   still in virtual ticks (scaled once the run's wall-clock base is
-   known; [max_int] = until the run ends). *)
-type timed_ev = Tcrash of int | Trecover of int * bool
+(* What a plan compiles to before the cluster exists: server events at
+   virtual ticks, and per-object rules whose windows are still in
+   virtual ticks (scaled once the run's wall-clock base is known;
+   [max_int] = until the run ends). *)
 
 let vrule obj dir sender from_us until_us act =
   (obj, { Chaos.dir; sender; from_us; until_us; act })
@@ -65,7 +64,7 @@ let link ~src ~dst ~from_ ~until act =
       [ vrule i Chaos.To_client (Some (Fault.Plan.proc_id dst)) from_ until act ]
   | _ -> []
 
-(* The plan's timed events, by time, and its rules, in action order. *)
+(* The plan's crashes and restarts, and its rules, in action order. *)
 let compile (plan : Fault.Plan.t) =
   let timed, vrules =
     List.fold_left
@@ -74,9 +73,15 @@ let compile (plan : Fault.Plan.t) =
             (timed, byz_rules ~obj ~from_:0 kind @ vrules)
         | Fault.Plan.Switch { obj; at; kind } ->
             (timed, byz_rules ~obj ~from_:at kind @ vrules)
-        | Fault.Plan.Crash { obj; at } -> ((at, Tcrash obj) :: timed, vrules)
+        | Fault.Plan.Crash { obj; at } ->
+            ((at, fun c -> Cluster.crash c obj) :: timed, vrules)
         | Fault.Plan.Recover { obj; at; wipe } ->
-            ((at, Trecover (obj, wipe)) :: timed, vrules)
+            let restart c =
+              (* a plan may recover an object that is still up *)
+              match Cluster.restart ~wipe c obj with
+              | Ok () | Error (`Still_alive _) -> ()
+            in
+            ((at, restart) :: timed, vrules)
         | Fault.Plan.Block { src; dst; from_; until } ->
             (timed, link ~src ~dst ~from_ ~until Chaos.Drop @ vrules)
         | Fault.Plan.Isolate { obj; from_; until } ->
@@ -88,8 +93,7 @@ let compile (plan : Fault.Plan.t) =
             (timed, link ~src ~dst ~from_ ~until (Chaos.Duplicate copies) @ vrules))
       ([], []) plan.actions
   in
-  ( List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev timed),
-    List.rev vrules )
+  (List.rev timed, List.rev vrules)
 
 (* ----- running one (seed, plan) ------------------------------------------ *)
 
@@ -117,8 +121,8 @@ let run ?metrics ~opts protocol ~cfg ~seed plan =
     Cluster.start ~opts:opts.client ~transport:opts.transport ~protocol:pack
       ~cfg ()
   in
-  (* One engine per paper process, so each issues its ops at its own
-     scheduled ticks and chaos rules aimed at one process match only its
+  (* One engine per paper process, so each runs its ops in its own
+     order and chaos rules aimed at one process match only its
      frames. *)
   let writer, reader_engines = Cluster.processes cluster ~readers in
   Fun.protect ~finally:(fun () -> Cluster.stop cluster) @@ fun () ->
@@ -132,80 +136,35 @@ let run ?metrics ~opts protocol ~cfg ~seed plan =
       Cluster.set_rules cluster i
         (List.map (fun (_, r) -> scale_rule ~base ~tick_us:opts.tick_us r) mine)
   done;
-  let rec sleep_until target =
-    let now = Cluster.now_us cluster in
-    if now < target then begin
-      Thread.delay (float_of_int (target - now) /. 1e6);
-      sleep_until target
-    end
-  in
-  let driver =
-    Thread.create
-      (fun () ->
-        List.iter
-          (fun (at, ev) ->
-            sleep_until (tick_at at);
-            match ev with
-            | Tcrash obj -> Cluster.crash cluster obj
-            | Trecover (obj, wipe) -> (
-                (* a plan may recover an object that is still up *)
-                match Cluster.restart ~wipe cluster obj with
-                | Ok () | Error (`Still_alive _) -> ()))
-          timed)
-      ()
+  (* One timeline of the plan's crashes and restarts and every process's
+     ops, in tick order; at a shared tick the faults go first, as the
+     simulator schedules them.  An op is submitted at its tick and starts
+     once its process's previous op has responded. *)
+  let fault (at, act) = (tick_at at, fun () -> act cluster) in
+  let op (at, op) =
+    let engine, kop =
+      match op with
+      | Core.Schedule.Write value ->
+          (writer, Client.Keyed.Write { key = 0; value })
+      | Core.Schedule.Read { reader } ->
+          (reader_engines.(reader - 1), Client.Keyed.Read { key = 0 })
+    in
+    (tick_at at, fun () -> ignore (Cluster.submit engine kop))
   in
   let completed = ref 0 in
-  let done_lock = Mutex.create () in
-  let run_one engine op =
-    if Result.is_ok (Cluster.run engine [| op |]).(0) then begin
-      Mutex.lock done_lock;
-      incr completed;
-      Mutex.unlock done_lock
-    end
+  let count = function
+    | Client.Keyed.Respond { outcome = Ok _; _ } -> incr completed
+    | Client.Keyed.Respond { outcome = Error _; _ } | Client.Keyed.Invoke _ -> ()
   in
-  let writer_ops =
-    List.filter_map
-      (function at, Core.Schedule.Write v -> Some (at, v) | _ -> None)
-      schedule
-  in
-  let reader_ops j =
-    List.filter_map
-      (function
-        | at, Core.Schedule.Read { reader } when reader = j -> Some at
-        | _ -> None)
-      schedule
-  in
-  let writer_th =
-    Thread.create
-      (fun () ->
-        List.iter
-          (fun (at, v) ->
-            sleep_until (tick_at at);
-            run_one writer (Client.Keyed.Write { key = 0; value = v }))
-          writer_ops)
-      ()
-  in
-  let reader_ths =
-    List.init readers (fun k ->
-        let j = k + 1 in
-        Thread.create
-          (fun () ->
-            List.iter
-              (fun at ->
-                sleep_until (tick_at at);
-                run_one reader_engines.(k) (Client.Keyed.Read { key = 0 }))
-              (reader_ops j))
-          ())
-  in
-  Thread.join writer_th;
-  List.iter Thread.join reader_ths;
-  Thread.join driver;
+  Cluster.drive cluster
+    (List.map (fun e -> (e, count)) (writer :: Array.to_list reader_engines))
+    (List.map fault timed @ List.map op schedule);
   Option.iter
     (fun dst -> Obs.Metrics.merge_into ~dst (Cluster.metrics cluster))
     metrics;
-  (* every operation thread has joined: the run is quiescent by
-     construction, and operations that exhausted their retries are still
-     open in the history — exactly what wait-freedom flags *)
+  (* every op has responded: the run is quiescent by construction, and
+     operations that exhausted their retries are still open in the
+     history — exactly what wait-freedom flags *)
   Fault.Campaign.judge protocol ~quiescent:true ~completed:!completed
     ~total:(List.length schedule) (Cluster.keyed_histories cluster)
 

@@ -3,7 +3,7 @@
     socket cluster.
 
     One exhaustive fold over the plan's actions compiles it for a live
-    run: crash/recover actions become a timed driver thread calling
+    run: crash/recover actions become timed calls of
     {!Cluster.crash}/{!Cluster.restart} (persisted or wiped), and every
     network/Byzantine action becomes {!Chaos} rule windows that each
     object's server applies in its own worker loop ({!Cluster.set_rules}:
@@ -16,12 +16,12 @@
 
     The run then replays {e the campaign's own workload} —
     {!Fault.Campaign.workload} of the same (seed, plan) — through one
-    engine per paper process ({!Cluster.processes}), each on a thread of
-    its own, at scaled invocation times, and the verdict
-    comes from {!Fault.Campaign.judge}, as the simulator's does.
-    A live run is always quiescent once its operation threads join:
-    operations that exhausted their retries remain open in the history
-    and surface as wait-freedom violations.
+    engine per paper process ({!Cluster.processes}), all driven from one
+    loop ({!Cluster.drive}; faults first at a shared tick, as in the
+    simulator), and the verdict comes from {!Fault.Campaign.judge}, as
+    the simulator's does.  A live run is quiescent once the loop
+    returns: operations that exhausted their retries remain open in the
+    history and surface as wait-freedom violations.
 
     Determinism: a live run itself is {e not} deterministic (real
     scheduling, real clocks), but its (protocol, cfg, seed, plan)

@@ -17,7 +17,9 @@ type harness = {
   objs : P.obj array;
 }
 
-let harness ?timing ?fanout ?map cfg =
+let harness ?timing ?fanout ?map ?metrics
+    ?(proto : (Baseline.Abd.msg, P.reader, P.writer) D.protocol = (module P))
+    cfg =
   let map = Option.value map ~default:(Shard.Map.single cfg) in
   let fleet = Shard.Map.fleet map in
   let sent = ref [] and events = ref [] and spans = ref 0 in
@@ -42,9 +44,7 @@ let harness ?timing ?fanout ?map cfg =
     }
   in
   let fanout = Option.value fanout ~default:(Quorum.Config.quorum cfg) in
-  let d =
-    D.create ?timing (module P) ~host ~map ~fanout ~reader:1 ~readers:1
-  in
+  let d = D.create ?metrics ?timing proto ~host ~map ~fanout ~reader:1 ~readers:1 in
   D.load d [||] ~on_event:(fun e -> events := e :: !events);
   let objs = Array.init fleet (fun i -> P.obj_init ~cfg ~index:(i + 1)) in
   { d; sent; up; unanswered; events; objs }
@@ -153,6 +153,43 @@ let test_widen_lost () =
   match responses h with
   | [ (0, Ok { D.rounds = 1; _ }) ] -> ()
   | _ -> Alcotest.fail "the write completes on objects 1, 4 and 5"
+
+(* Once every contacted member has answered and the reader is still
+   undecided, the round widens to the members it skipped inside the
+   delivery of the last answer, with no tick: here the reader ignores
+   its first reply, so three answers leave it one short. *)
+let test_widen_undecided () =
+  let module Deaf = struct
+    include P
+
+    let deaf = ref true
+
+    let reader_on_msg r ~obj m =
+      if !deaf then begin
+        deaf := false;
+        (r, [])
+      end
+      else P.reader_on_msg r ~obj m
+  end in
+  let metrics = Obs.Metrics.create () in
+  let h = harness ~metrics ~proto:(module Deaf) cfg41 in
+  submit h ~now:0 (D.Read { key = 0 });
+  Alcotest.check ints "quorum-sized round" [ 0; 1; 2 ]
+    (slots (sends_since h 0));
+  ignore (reply h ~now:1 ~key:0 ~lane:0 0);
+  ignore (reply h ~now:2 ~key:0 ~lane:0 1);
+  let mark = List.length !(h.sent) in
+  ignore (reply h ~now:3 ~key:0 ~lane:0 2);
+  Alcotest.check ints "the last answer widens to the skipped member" [ 3 ]
+    (slots (sends_since h mark));
+  Alcotest.(check int)
+    "counted as undecided" 1
+    (Obs.Metrics.counter_value metrics "op.expand.undecided");
+  Alcotest.(check int) "still undecided" 0 (List.length (responses h));
+  ignore (reply h ~now:4 ~key:0 ~lane:0 3);
+  match responses h with
+  | [ (0, Ok { D.value = Some _; _ }) ] -> ()
+  | _ -> Alcotest.fail "the read decides on the skipped member's reply"
 
 (* An op that times out parks its round; the next op on the lane resumes
    it by resending the parked message to every member, and completes on
@@ -263,4 +300,6 @@ let suite =
         `Quick test_park_adopt;
       Alcotest.test_case "resumed and adopted rounds report on the first span"
         `Quick test_parked_round_span;
+      Alcotest.test_case "an undecided round widens when all contacted answer"
+        `Quick test_widen_undecided;
     ] )

@@ -465,7 +465,12 @@ let pipelined_chaos_zero_failures () =
         (fun needle ->
           if not (contains table needle) then
             Alcotest.failf "metric %s missing from:@.%s" needle table)
-        [ "wire.batch_size"; "wire.flush_us"; "op.read.completed" ])
+        [
+          "wire.batch_size";
+          "net.client.batch_size";
+          "net.client.flush_us";
+          "op.read.completed";
+        ])
 
 let pipelined_byzantine_silent () =
   (* one Byzantine-silent endpoint, 16 ops in flight: the window must
@@ -605,6 +610,194 @@ let stopped_cluster_keeps_records () =
   Alcotest.(check int) "spans" 2 (List.length (Net.Cluster.spans c));
   Alcotest.(check int) "history" 2 (List.length (Net.Cluster.history c))
 
+(* ----- the non-blocking engine ------------------------------------------ *)
+
+(* An op's value and rounds, or the failure. *)
+let result_view = function
+  | Ok (o : Net.Client.outcome) ->
+      Ok (Option.map Core.Value.to_string o.value, o.rounds)
+  | Error e -> Error e
+
+(* Each key's ops in invocation order: kind, value and rounds. *)
+let history_view histories =
+  List.map
+    (fun (key, ops) ->
+      ( key,
+        List.map
+          (fun (op : string Histories.Op.t) ->
+            match op.action with
+            | Write { value; _ } -> ("w", Some value, op.rounds)
+            | Read { result = Some (Value v); _ } -> ("r", Some v, op.rounds)
+            | Read _ -> ("r", None, op.rounds))
+          ops ))
+    histories
+
+(* The same ops through [run] on one cluster and through [submit] and
+   [drive] (which polls) on its twin.  The reads are of keys written before, the writes of
+   keys no op reads, so no result depends on how the ops interleave. *)
+let run_matches_submit_poll () =
+  let map = Shard.Map.make_exn ~keys:8 ~fleet:4 ~cfg:cfg4 () in
+  let write key v = Net.Client.Keyed.Write { key; value = Core.Value.v v } in
+  let setup = Array.init 4 (fun key -> write key (Printf.sprintf "k%d" key)) in
+  let ops =
+    Array.init 30 (fun i ->
+        if i mod 3 = 2 then write (4 + (i mod 4)) (Printf.sprintf "w%d" i)
+        else Net.Client.Keyed.Read { key = i mod 4 })
+  in
+  let twin go =
+    let c = Net.Cluster.start ~map ~protocol:Net.Protocols.abd ~cfg:cfg4 () in
+    Fun.protect
+      ~finally:(fun () -> Net.Cluster.stop c)
+      (fun () ->
+        let e = Net.Cluster.engine ~lanes:4 c in
+        Array.iter (fun r -> ignore (ok_exn "setup" r)) (Net.Cluster.run e setup);
+        let results = go c e in
+        (Array.map result_view results, history_view (Net.Cluster.keyed_histories c)))
+  in
+  let ran, ran_h = twin (fun _ e -> Net.Cluster.run e ops) in
+  let polled, polled_h =
+    twin (fun c e ->
+        let outcomes = Hashtbl.create 32 in
+        let on_event = function
+          | Net.Client.Keyed.Respond { op; outcome; _ } ->
+              Hashtbl.replace outcomes op outcome
+          | Net.Client.Keyed.Invoke _ -> ()
+        in
+        let numbers = Array.map (Net.Cluster.submit e) ops in
+        Net.Cluster.drive c [ (e, on_event) ] [];
+        Array.map (Hashtbl.find outcomes) numbers)
+  in
+  let results = Alcotest.(array (result (pair (option string) int) string)) in
+  Alcotest.check results "same results" ran polled;
+  Array.iter (fun r -> ignore (ok_exn "op" r)) ran;
+  let histories =
+    Alcotest.(list (pair int (list (triple string (option string) (option int)))))
+  in
+  Alcotest.check histories "same per-key histories" ran_h polled_h;
+  Alcotest.(check int) "every key" 8 (List.length ran_h)
+
+(* One poll drives the writer's and a reader's engines: their ops race,
+   all complete under their own process's name, and the history passes
+   the judge. *)
+let one_poll_races_two_processes () =
+  let c = Net.Cluster.start ~protocol:Net.Protocols.regular ~cfg:cfg4 () in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let writer, readers = Net.Cluster.processes c ~readers:1 in
+      let reader = readers.(0) in
+      let seen = ref [] in
+      let on_event = function
+        | Net.Client.Keyed.Respond { write; reader; outcome; span; _ } ->
+            ignore (ok_exn "raced op" outcome);
+            let proc = Option.map (fun (s : Obs.Span.t) -> s.proc) span in
+            seen := (write, reader, proc) :: !seen
+        | Net.Client.Keyed.Invoke _ -> ()
+      in
+      for i = 1 to 20 do
+        ignore (Net.Cluster.submit writer (Live_ops.write0 (Printf.sprintf "v%d" i)))
+      done;
+      for _ = 1 to 40 do
+        ignore (Net.Cluster.submit reader Live_ops.read0)
+      done;
+      Net.Cluster.drive c [ (writer, on_event); (reader, on_event) ] [];
+      let count x = List.length (List.filter (( = ) x) !seen) in
+      Alcotest.(check int) "writes by w" 20 (count (true, 0, Some "w"));
+      Alcotest.(check int) "reads by r1" 40 (count (false, 1, Some "r1"));
+      let h = Net.Cluster.history c in
+      Alcotest.(check bool)
+        "the first write and the first read overlap" true
+        (Histories.Op.concurrent
+           (List.find Histories.Op.is_write h)
+           (List.find Histories.Op.is_read h));
+      let verdict =
+        Fault.Campaign.judge Regular ~quiescent:true ~completed:60 ~total:60
+          (Net.Cluster.keyed_histories c)
+      in
+      Alcotest.(check int) "judged clean" 0 (Fault.Campaign.breaches verdict);
+      Alcotest.(check int) "every op checked" 60 verdict.checked)
+
+(* A read submitted while its key's read lane is busy starts once that
+   round has responded, and is invoked then, not when submitted. *)
+let queued_op_invokes_when_it_starts () =
+  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 () in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      (* every reply waits 50 ms, so the first read is still in flight
+         1 ms after it was submitted *)
+      let slow =
+        {
+          Net.Chaos.dir = To_client;
+          sender = None;
+          from_us = 0;
+          until_us = max_int;
+          act = Delay 50_000;
+        }
+      in
+      for i = 1 to 4 do
+        Net.Cluster.set_rules c i [ slow ]
+      done;
+      let e = Net.Cluster.engine ~inflight:2 c in
+      let events = ref [] and first = ref (-1) and second = ref (-1) in
+      let on_event ev = events := ev :: !events in
+      let t0 = Net.Cluster.now_us c in
+      Net.Cluster.drive c
+        [ (e, on_event) ]
+        [
+          (t0, fun () -> first := Net.Cluster.submit e Live_ops.read0);
+          ( t0 + 1_000,
+            fun () ->
+              (match !events with
+              | [ Net.Client.Keyed.Invoke { op; _ } ] when op = !first -> ()
+              | _ -> Alcotest.fail "the first read is in flight");
+              second := Net.Cluster.submit e Live_ops.read0 );
+        ];
+      let first = !first and second = !second in
+      (match List.rev !events with
+      | [
+       Invoke { op = a; _ };
+       Respond { op = a'; at_us = responded; _ };
+       Invoke { op = b; at_us = invoked; _ };
+       Respond { op = b'; _ };
+      ]
+        when a = first && a' = first && b = second && b' = second ->
+          Alcotest.(check bool)
+            "invoked once the first responded" true (invoked >= responded)
+      | _ -> Alcotest.fail "the second read starts after the first responds");
+      match Net.Cluster.history c with
+      | [ a; b ] ->
+          Alcotest.(check bool) "recorded in sequence" true
+            (Histories.Op.precedes a b)
+      | _ -> Alcotest.fail "two reads recorded")
+
+(* An engine meters its own flushes as [net.client.*]; the servers'
+   [wire.batch_size] and [wire.bytes_per_frame] are theirs alone. *)
+let engine_meters_its_own_flushes () =
+  let c = Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 () in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let reg = Obs.Metrics.create () in
+      let k =
+        Live_ops.single ~metrics:reg ~protocol:Net.Protocols.safe ~cfg:cfg4
+          (Net.Cluster.endpoints c)
+      in
+      ignore (ok_exn "write" (Live_ops.run_one k (Live_ops.write0 "own")));
+      ignore (ok_exn "read" (Live_ops.run_one k Live_ops.read0));
+      Net.Client.Keyed.close k;
+      let count name =
+        Option.map Obs.Metrics.Histogram.count (Obs.Metrics.find_histogram reg name)
+      in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (name ^ " observed") true
+            (Option.value (count name) ~default:0 > 0))
+        [ "net.client.batch_size"; "net.client.bytes_per_frame" ];
+      List.iter
+        (fun name -> Alcotest.(check (option int)) (name ^ " absent") None (count name))
+        [ "wire.batch_size"; "wire.bytes_per_frame"; "wire.flush_us" ])
+
 let suite =
   ( "net",
     [
@@ -638,4 +831,12 @@ let suite =
         replies_answer_only_their_request;
       Alcotest.test_case "a stopped cluster keeps its engines' records" `Quick
         stopped_cluster_keeps_records;
+      Alcotest.test_case "submit and poll give what run gives" `Quick
+        run_matches_submit_poll;
+      Alcotest.test_case "one poll races the writer and a reader" `Quick
+        one_poll_races_two_processes;
+      Alcotest.test_case "a queued op is invoked when it starts" `Quick
+        queued_op_invokes_when_it_starts;
+      Alcotest.test_case "an engine meters its flushes as net.client" `Quick
+        engine_meters_its_own_flushes;
     ] )
